@@ -13,7 +13,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
-from monomial_hh.cochains import class_vector, hochschild_cohomology, pair_cochain
+from monomial_hh.cochains import class_vector, display_cochain, hochschild_cohomology, pair_cochain
 from monomial_hh.cup import cup_cochain
 
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "example_cone.alg"
@@ -29,7 +29,7 @@ def main():
     for n in range(TOP + 1):
         print("HH^%d (dim %d)" % (n, spaces[n].dimension))
         for i, rep in enumerate(spaces[n].rep_cochains(table)):
-            print("  z%d = %s" % (i, rep.display()))
+            print("  z%d = %s" % (i, display_cochain(rep)))
 
     q = algebra.quiver
 
@@ -50,7 +50,7 @@ def main():
         prod = cup_cochain(table, x, y)
         cls = class_vector(spaces[prod.degree], table, prod)
         shown = " + ".join("%s z%d" % (c, k) for k, c in sorted(cls.items()))
-        print("  %s = %s   class %s" % (name, prod.display(), shown or "0"))
+        print("  %s = %s   class %s" % (name, display_cochain(prod), shown or "0"))
 
 
 if __name__ == "__main__":

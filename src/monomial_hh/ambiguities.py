@@ -18,7 +18,7 @@ that they agree, which downstream modules rely on.
 from __future__ import annotations
 
 from .errors import DegreeUnderflow
-from .quivers import DivisorOccurrence, MonomialAlgebra, Path, divisor_occurrences
+from .quivers import MonomialAlgebra, Path, divisor_occurrences
 
 
 class Ambiguity:
@@ -229,22 +229,3 @@ class AmbiguityTable:
         # of an ambiguity cannot nest)
         assert len({occ.position for _, occ in hits}) == len(hits)
         return hits
-
-
-def ambiguities(algebra_or_table, n: int):
-    """The n-ambiguities, each carrying both factorizations."""
-    table = (
-        algebra_or_table
-        if isinstance(algebra_or_table, AmbiguityTable)
-        else AmbiguityTable(algebra_or_table)
-    )
-    return table.degree(n)
-
-
-def right_ambiguities(algebra: MonomialAlgebra, n: int):
-    """Independently generated right chains; equal to ambiguities() as paths.
-
-    The table already generates both directions and asserts set equality,
-    so this re-exposes the same objects after forcing that check.
-    """
-    return ambiguities(algebra, n)

@@ -127,25 +127,3 @@ def bar_hh_dimensions(algebra, max_degree, budget=DEFAULT_PAIR_BUDGET):
             len(dims) - 1, "budget ran out; finished degree %d" % (len(dims) - 1)
         ) from exc
     return dims
-
-
-def check_bar_delta_squared(algebra, max_degree, budget=DEFAULT_PAIR_BUDGET):
-    """delta o delta = 0 as matrices, degree by degree."""
-    field = algebra.field
-    pairs = [bar_pairs(algebra, n, budget) for n in range(max_degree + 2)]
-    mats = [
-        bar_differential_matrix(algebra, pairs[n], pairs[n + 1])
-        for n in range(max_degree + 1)
-    ]
-    for n in range(max_degree):
-        lo, hi = mats[n], mats[n + 1]
-        for j in range(lo.ncols):
-            acc = {}
-            for r, c in lo.cols[j].items():
-                for i, c2 in hi.cols[r].items():
-                    cur = field.add(acc.get(i, field.zero), field.mul(c2, c))
-                    if field.is_zero(cur):
-                        acc.pop(i, None)
-                    else:
-                        acc[i] = cur
-            assert not acc, "delta^2 != 0 at degree %d column %d" % (n, j)

@@ -1,10 +1,10 @@
 """Orchestration for the verification suites.
 
 Each named check wraps one of the module-level ``check_*`` / ``verify_*``
-functions, converts assertion failures into a report row instead of a crash,
-and the suite runners stitch those rows into JSON-friendly dicts.  This is
-what both the CLI ``verify``/``random`` subcommands and the acceptance tests
-drive.
+functions, converts any failure, expected or not, into a report row
+instead of a crash, and the suite runners stitch those rows into
+JSON-friendly dicts.  This is what both the CLI ``verify``/``random``
+subcommands and the acceptance tests drive.
 """
 
 from dataclasses import dataclass
@@ -34,6 +34,8 @@ def _run(name, thunk):
         thunk()
     except (AssertionError, MonomialHHError) as exc:
         return CheckReport(name, False, str(exc) or exc.__class__.__name__)
+    except Exception as exc:  # a check that crashes is a failed check, not a failed battery
+        return CheckReport(name, False, "%s: %s" % (exc.__class__.__name__, exc))
     return CheckReport(name, True)
 
 

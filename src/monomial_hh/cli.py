@@ -14,7 +14,7 @@ from . import __version__
 from .algfile import parse_algebra_file, write_algebra_file
 from .ambiguities import AmbiguityTable
 from .checks import _expect_empty, _run, run_checks, run_random_suite
-from .cochains import hochschild_cohomology
+from .cochains import display_cochain, hochschild_cohomology
 from .cup import cup_table, verify_graded_commutativity, verify_triangular_vanishing
 from .errors import BadInput, MonomialHHError, ParseError
 from .fields import parse_field_spec
@@ -157,7 +157,7 @@ def cmd_hh(args):
     rows = []
     for n in range(args.max_degree + 1):
         sp = spaces[n]
-        reps = [rep.display() for rep in sp.rep_cochains(table)]
+        reps = [display_cochain(rep) for rep in sp.rep_cochains(table)]
         rows.append(
             {
                 "degree": n,

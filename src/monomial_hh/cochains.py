@@ -9,11 +9,15 @@ composing with the resolution's d and is kept as an independent route.
 
 from dataclasses import dataclass, field as dc_field
 
-from .ambiguities import AmbiguityTable
-from .errors import NotACocycle, NotTriangular, WrongDegree
+from .combination import Combination
+from .errors import NotACocycle, WrongDegree
 from .linalg import RowBasis, SparseMatrix, kernel_basis, quotient_basis
 from .quivers import divisor_occurrences
 from .resolution import differential, generator
+
+
+def _pair_key(pair):
+    return (pair[0].path.sort_key(), pair[1].sort_key())
 
 
 def pair_basis(table, degree):
@@ -26,98 +30,44 @@ def pair_basis(table, degree):
         for b in alg.basis:
             if b.source == p.source and b.target == p.target:
                 out.append((amb, b))
-    out.sort(key=lambda pair: (pair[0].path.sort_key(), pair[1].sort_key()))
+    out.sort(key=_pair_key)
     return out
 
 
-class Cochain:
-    __slots__ = ("table", "degree", "coeffs")
+def new_cochain(table, degree, terms=None):
+    """A degree-m cochain: field scalars on pairs (ambiguity of degree m-1, parallel basis path)."""
+    alg = table.algebra
 
-    def __init__(self, table, degree, coeffs=None):
-        self.table = table
-        self.degree = degree
-        self.coeffs = {}
-        if coeffs:
-            for (amb, b), c in coeffs.items():
-                self.add_pair(amb, b, c)
-
-    def add_pair(self, amb, b, coeff):
-        assert amb.degree == self.degree - 1
+    def check(key, degree):
+        amb, b = key
+        assert amb.degree == degree - 1
         assert amb.path.source == b.source and amb.path.target == b.target
-        assert self.table.algebra.is_basis(b)
-        field = self.table.algebra.field
-        if field.is_zero(coeff):
-            return
-        key = (amb, b)
-        c = field.add(self.coeffs.get(key, field.zero), coeff)
-        if field.is_zero(c):
-            self.coeffs.pop(key, None)
-        else:
-            self.coeffs[key] = c
+        assert alg.is_basis(b)
 
-    def is_zero(self):
-        return not self.coeffs
+    return Combination(alg.field, check, degree, terms)
 
-    def __add__(self, other):
-        assert self.degree == other.degree and self.table is other.table
-        out = Cochain(self.table, self.degree, self.coeffs)
-        for (amb, b), c in other.coeffs.items():
-            out.add_pair(amb, b, c)
-        return out
 
-    def __sub__(self, other):
-        assert self.degree == other.degree and self.table is other.table
-        field = self.table.algebra.field
-        out = Cochain(self.table, self.degree, self.coeffs)
-        for (amb, b), c in other.coeffs.items():
-            out.add_pair(amb, b, field.neg(c))
-        return out
-
-    def scale(self, scalar):
-        field = self.table.algebra.field
-        out = Cochain(self.table, self.degree)
-        for (amb, b), c in self.coeffs.items():
-            out.add_pair(amb, b, field.mul(scalar, c))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        raise TypeError("Cochain is mutable")
-
-    def terms_sorted(self):
-        return sorted(
-            self.coeffs.items(),
-            key=lambda kv: (kv[0][0].path.sort_key(), kv[0][1].sort_key()),
-        )
-
-    def display(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (amb, b), c in self.terms_sorted():
-            bits.append("%s [%s || %s]" % (c, amb.path.word() or amb.path.display(), b.word() or b.display()))
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return "Cochain(%d, %s)" % (self.degree, self.display())
+def display_cochain(x):
+    """The text ``hh`` prints: ``coeff [ambiguity || path]`` terms in pair order."""
+    if not x.terms:
+        return "0"
+    bits = []
+    for (amb, b), c in sorted(x.terms.items(), key=lambda kv: _pair_key(kv[0])):
+        bits.append("%s [%s || %s]" % (c, amb.path.word() or amb.path.display(), b.word() or b.display()))
+    return " + ".join(bits)
 
 
 def pair_cochain(table, amb, b, coeff=1):
     field = table.algebra.field
-    return Cochain(table, amb.degree + 1, {(amb, b): field.from_int(coeff) if isinstance(coeff, int) else coeff})
+    return new_cochain(table, amb.degree + 1, {(amb, b): field.from_int(coeff) if isinstance(coeff, int) else coeff})
 
 
 def unit_cochain(table):
     """The sum of all vertex pairs; a cocycle representing the unit class."""
-    q = table.algebra.quiver
-    out = Cochain(table, 0)
+    out = new_cochain(table, 0)
     one = table.algebra.field.one
     for amb in table.degree(-1):
-        out.add_pair(amb, amb.path, one)
+        out.add((amb, amb.path), one)
     return out
 
 
@@ -154,10 +104,10 @@ def _pair_differential_terms(table, amb, b):
 
 def cochain_differential(table, x):
     field = table.algebra.field
-    out = Cochain(table, x.degree + 1)
-    for (amb, b), c in x.coeffs.items():
-        for (q, value), n in _pair_differential_terms(table, amb, b).items():
-            out.add_pair(q, value, field.mul(c, field.from_int(n)))
+    out = new_cochain(table, x.degree + 1)
+    for (amb, b), c in x.terms.items():
+        for key, n in _pair_differential_terms(table, amb, b).items():
+            out.add(key, field.mul(c, field.from_int(n)))
     return out
 
 
@@ -166,17 +116,17 @@ def differential_via_resolution(table, x):
     alg = table.algebra
     field = alg.field
     m = x.degree
-    out = Cochain(table, m + 1)
+    out = new_cochain(table, m + 1)
     for q in table.degree(m):
         dq = differential(table, generator(table, m, q))
         for (pre, r, post), n in dq.terms.items():
-            for (amb, b), c in x.coeffs.items():
+            for (amb, b), c in x.terms.items():
                 if amb != r:
                     continue
                 value = alg.reduce_concat(pre, b, post)
                 if value is None:
                     continue
-                out.add_pair(q, value, field.mul(c, field.from_int(n)))
+                out.add((q, value), field.mul(c, field.from_int(n)))
     return out
 
 
@@ -186,13 +136,11 @@ def differential_matrix(table, m):
     cols_pairs = pair_basis(table, m)
     rows_pairs = pair_basis(table, m + 1)
     row_index = {pair: i for i, pair in enumerate(rows_pairs)}
-    cols = []
-    for amb, b in cols_pairs:
-        col = {}
-        for key, n in _pair_differential_terms(table, amb, b).items():
-            col[row_index[key]] = field.from_int(n)
-        cols.append({i: c for i, c in col.items() if not field.is_zero(c)})
-    return SparseMatrix(len(rows_pairs), len(cols_pairs), tuple(cols))
+    cols = tuple(
+        {row_index[key]: field.from_int(n) for key, n in _pair_differential_terms(table, amb, b).items()}
+        for amb, b in cols_pairs
+    )
+    return SparseMatrix(len(rows_pairs), len(cols_pairs), cols)
 
 
 @dataclass
@@ -212,16 +160,15 @@ class CohomologySpace:
 def cochain_to_vector(pairs, x):
     index = {pair: i for i, pair in enumerate(pairs)}
     out = {}
-    for key, c in x.coeffs.items():
+    for key, c in x.terms.items():
         out[index[key]] = c
     return out
 
 
 def vector_to_cochain(table, degree, pairs, vec):
-    out = Cochain(table, degree)
+    out = new_cochain(table, degree)
     for i, c in vec.items():
-        amb, b = pairs[i]
-        out.add_pair(amb, b, c)
+        out.add(pairs[i], c)
     return out
 
 
@@ -231,18 +178,9 @@ def hochschild_cohomology(table, max_degree):
     field = table.algebra.field
     mats = [differential_matrix(table, m) for m in range(max_degree + 1)]
     spaces = []
+    image = []
     for m in range(max_degree + 1):
         kernel = kernel_basis(field, mats[m])
-        if m == 0:
-            image = []
-        else:
-            prev = mats[m - 1]
-            image = []
-            seen = RowBasis(field)
-            for j in range(prev.ncols):
-                col = prev.column(j)
-                if col and seen.insert(col)[0]:
-                    image.append(col)
         reps = quotient_basis(field, kernel, image)
         spaces.append(
             CohomologySpace(
@@ -254,6 +192,10 @@ def hochschild_cohomology(table, max_degree):
                 dimension=len(reps),
             )
         )
+        # d_m's image is spanned by its pivot columns: column j is dependent
+        # exactly when it is the largest index of some kernel vector
+        dependent = {max(v) for v in kernel}
+        image = [col for j, col in enumerate(mats[m].cols) if j not in dependent]
     return spaces
 
 
@@ -266,7 +208,7 @@ def class_vector(space, table, x):
     if x.degree != space.degree:
         raise WrongDegree("cochain degree %d vs space degree %d" % (x.degree, space.degree))
     if not is_cocycle(table, x):
-        raise NotACocycle("not killed by the differential: %r" % x)
+        raise NotACocycle("not killed by the differential: %s" % display_cochain(x))
     field = table.algebra.field
     if space._solver is None:
         solver = RowBasis(field, track=True)
@@ -292,7 +234,7 @@ def check_partial_squared(table, max_degree):
         for amb, b in pair_basis(table, m):
             x = pair_cochain(table, amb, b)
             dd = cochain_differential(table, cochain_differential(table, x))
-            assert dd.is_zero(), "partial^2 != 0 at %r" % x
+            assert dd.is_zero(), "partial^2 != 0 at %s" % display_cochain(x)
 
 
 def check_differential_routes_agree(table, max_degree):
@@ -300,19 +242,3 @@ def check_differential_routes_agree(table, max_degree):
         for amb, b in pair_basis(table, m):
             x = pair_cochain(table, amb, b)
             assert cochain_differential(table, x) == differential_via_resolution(table, x)
-
-
-def check_triangular_structure(table, max_degree):
-    """Odd outputs: unique positions; even outputs: no self-overlapping ends."""
-    from .quivers import is_triangular
-
-    if not is_triangular(table.algebra):
-        raise NotTriangular("structure lemmas need an acyclic quiver")
-    for m in range(1, max_degree + 1):
-        if m % 2 == 1:
-            for q in table.degree(m):
-                for p_amb in table.degree(m - 1):
-                    assert len(divisor_occurrences(p_amb.path, q.path)) <= 1
-        else:
-            for q in table.degree(m):
-                assert table.amb_prefix(q, m - 1).path != table.amb_suffix(q, m - 1).path

@@ -7,16 +7,11 @@ orientation down; the diagonal route below reproduces it exactly with
 the operands swapped (left tensor factor = traversal-later slot).
 """
 
-from .cochains import (
-    Cochain,
-    class_vector,
-    cochain_differential,
-    is_cocycle,
-    pair_cochain,
-)
+from . import cochains
+from .cochains import class_vector, cochain_differential, is_cocycle, new_cochain, vector_to_cochain
 from .diagonal import diagonal
 from .errors import NotACocycle, NotTriangular
-from .linalg import RowBasis
+from .linalg import RowBasis, SparseMatrix, kernel_basis
 from .quivers import divisor_occurrences, is_triangular
 
 
@@ -24,15 +19,15 @@ def cup_cochain(table, f, g):
     alg = table.algebra
     field = alg.field
     total = f.degree + g.degree
-    out = Cochain(table, total)
+    out = new_cochain(table, total)
     if f.is_zero() or g.is_zero():
         return out
     for q in table.degree(total - 1):
         qp = q.path
-        for (pf, bf), cf in f.coeffs.items():
+        for (pf, bf), cf in f.terms.items():
             for occ1 in divisor_occurrences(pf.path, qp):
                 end1 = occ1.position + len(pf.path)
-                for (pg, bg), cg in g.coeffs.items():
+                for (pg, bg), cg in g.terms.items():
                     for occ2 in divisor_occurrences(pg.path, qp):
                         k2 = occ2.position
                         if k2 < end1:
@@ -43,7 +38,7 @@ def cup_cochain(table, f, g):
                         value = alg.reduce_concat(gap_a, bf, gap_c, bg, gap_e)
                         if value is None:
                             continue
-                        out.add_pair(q, value, field.mul(cf, cg))
+                        out.add((q, value), field.mul(cf, cg))
     return out
 
 
@@ -52,53 +47,23 @@ def delta_route_cup(table, f, g):
     alg = table.algebra
     field = alg.field
     total = f.degree + g.degree
-    out = Cochain(table, total)
+    out = new_cochain(table, total)
     for q in table.degree(total - 1):
         for (pre, q1, mid, q2, post), n in diagonal(table, q).terms.items():
             if q1.degree != g.degree - 1 or q2.degree != f.degree - 1:
                 continue
-            for (pg, bg), cg in g.coeffs.items():
+            for (pg, bg), cg in g.terms.items():
                 if pg != q1:
                     continue
-                for (pf, bf), cf in f.coeffs.items():
+                for (pf, bf), cf in f.terms.items():
                     if pf != q2:
                         continue
                     value = alg.reduce_concat(pre, bg, mid, bf, post)
                     if value is None:
                         continue
                     coeff = field.mul(field.mul(cf, cg), field.from_int(n))
-                    out.add_pair(q, value, coeff)
+                    out.add((q, value), coeff)
     return out
-
-
-def record_delta_route_signs(table, max_total_degree):
-    """Observed sign relating the two product routes, per bidegree.
-
-    Returns {(m, n): sign} over basis pairs with a nonzero product; the
-    relation cup_cochain(g, f) == sign * delta_route_cup(f, g) must hold
-    uniformly or an assertion trips.
-    """
-    from .cochains import pair_basis
-
-    signs = {}
-    for m in range(0, max_total_degree + 1):
-        for n in range(0, max_total_degree + 1 - m):
-            for ambf, bf in pair_basis(table, m):
-                f = pair_cochain(table, ambf, bf)
-                for ambg, bg in pair_basis(table, n):
-                    g = pair_cochain(table, ambg, bg)
-                    direct = cup_cochain(table, g, f)
-                    routed = delta_route_cup(table, f, g)
-                    if direct.is_zero() and routed.is_zero():
-                        continue
-                    if direct == routed:
-                        sign = 1
-                    else:
-                        assert direct == routed.scale(table.algebra.field.from_int(-1))
-                        sign = -1
-                    prev = signs.setdefault((m, n), sign)
-                    assert prev == sign, "route sign flips within bidegree (%d, %d)" % (m, n)
-    return signs
 
 
 def cup_classes(table, spaces, f, g):
@@ -156,12 +121,8 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
 
 
 def _overlap_components(table, x):
-    supp = list(x.coeffs.keys())
-    from .cochains import _pair_differential_terms
-
-    footprints = []
-    for amb, b in supp:
-        footprints.append(set(_pair_differential_terms(table, amb, b).keys()))
+    supp = list(x.terms)
+    footprints = [set(cochains._pair_differential_terms(table, amb, b)) for amb, b in supp]
     parent = list(range(len(supp)))
 
     def find(i):
@@ -179,12 +140,8 @@ def _overlap_components(table, x):
         groups.setdefault(find(i), []).append(i)
     comps = []
     for members in groups.values():
-        c = Cochain(table, x.degree)
-        for i in members:
-            amb, b = supp[i]
-            c.add_pair(amb, b, x.coeffs[(amb, b)])
-        comps.append(c)
-    comps.sort(key=lambda c: min((a.path.sort_key(), b.sort_key()) for a, b in c.coeffs))
+        comps.append(new_cochain(table, x.degree, {supp[i]: x.terms[supp[i]] for i in members}))
+    comps.sort(key=lambda c: min(map(cochains._pair_key, c.terms)))
     return comps
 
 
@@ -201,37 +158,23 @@ def irreducible_components(table, x):
 def _support_kernel(table, supp):
     """Reduced-echelon kernel of the differential restricted to span(supp)."""
     field = table.algebra.field
-    from .cochains import _pair_differential_terms
-
     cols = []
     rows = {}
     for amb, b in supp:
         col = {}
-        for key, n in _pair_differential_terms(table, amb, b).items():
+        for key, n in cochains._pair_differential_terms(table, amb, b).items():
             row = rows.setdefault(key, len(rows))
             col[row] = field.from_int(n)
         cols.append(col)
-    from .linalg import SparseMatrix, kernel_basis
-
     mat = SparseMatrix(len(rows), len(cols), tuple(cols))
     return kernel_basis(field, mat)
-
-
-def is_irreducible(table, x):
-    """No nonzero cocycle lives on a proper sub-support of x."""
-    if not is_cocycle(table, x):
-        raise NotACocycle("irreducibility is for cocycles")
-    supp = sorted(x.coeffs.keys(), key=lambda p: (p[0].path.sort_key(), p[1].sort_key()))
-    ker = _support_kernel(table, supp)
-    assert len(ker) >= 1
-    return len(ker) == 1
 
 
 def refine_to_irreducible(table, x):
     """Overlap components refined until the sub-support kernel is a line."""
     out = []
     for comp in irreducible_components(table, x):
-        supp = sorted(comp.coeffs.keys(), key=lambda p: (p[0].path.sort_key(), p[1].sort_key()))
+        supp = sorted(comp.terms, key=cochains._pair_key)
         ker = _support_kernel(table, supp)
         if len(ker) == 1:
             out.append(comp)
@@ -243,86 +186,21 @@ def refine_to_irreducible(table, x):
         for i, v in enumerate(ker):
             added, _ = solver.insert(v, i)
             assert added
-        vec = {}
-        for i, pair in enumerate(supp):
-            vec[i] = comp.coeffs[pair]
-        sol = solver.express(vec)
+        sol = solver.express({i: comp.terms[pair] for i, pair in enumerate(supp)})
         assert sol is not None
         for i, c in sol.items():
             if field.is_zero(c):
                 continue
-            piece = Cochain(table, x.degree)
+            piece = new_cochain(table, x.degree)
             for idx, s in ker[i].items():
-                amb, b = supp[idx]
-                piece.add_pair(amb, b, field.mul(c, s))
-            assert len(piece.coeffs) < len(comp.coeffs)
+                piece.add(supp[idx], field.mul(c, s))
+            assert len(piece.terms) < len(comp.terms)
             out.extend(refine_to_irreducible(table, piece))
     return out
 
 
-def common_factor(table, x):
-    """Shared inner paths (p~, b~) with p_i = a_i p~ c_i and b_i = a_i b~ c_i.
-
-    Returns a (p_tilde, b_tilde) pair of nontrivial paths or None.  The
-    outer stretches may differ per term but must agree between p_i and b_i.
-    """
-    terms = sorted(x.coeffs.keys(), key=lambda p: (p[0].path.sort_key(), p[1].sort_key()))
-    if not terms:
-        return None
-
-    def splits(pair):
-        p = pair[0].path
-        b = pair[1]
-        both = []
-        for i in range(0, min(len(p), len(b)) + 1):
-            if p.arrows[:i] != b.arrows[:i]:
-                break
-            for j in range(0, min(len(p), len(b)) - i + 1):
-                if p.arrows[len(p) - j :] != b.arrows[len(b) - j :]:
-                    break
-                mid_p = p.segment(i, len(p) - j)
-                mid_b = b.segment(i, len(b) - j)
-                if len(mid_p) >= 1 and len(mid_b) >= 1:
-                    both.append((mid_p, mid_b))
-        return set(both)
-
-    candidates = splits(terms[0])
-    for pair in terms[1:]:
-        candidates &= splits(pair)
-        if not candidates:
-            return None
-    return sorted(candidates, key=lambda pb: (pb[0].sort_key(), pb[1].sort_key()))[0]
-
-
-def check_quadratic_cup(table, max_total_degree):
-    """Quadratic algebras: basis cups concatenate or vanish."""
-    from .cochains import pair_basis
-    from .quivers import concat
-
-    alg = table.algebra
-    assert alg.is_quadratic
-    for m in range(1, max_total_degree):
-        for n in range(1, max_total_degree + 1 - m):
-            for ambf, bf in pair_basis(table, m):
-                f = pair_cochain(table, ambf, bf)
-                for ambg, bg in pair_basis(table, n):
-                    g = pair_cochain(table, ambg, bg)
-                    got = cup_cochain(table, f, g)
-                    expected = Cochain(table, m + n)
-                    if ambf.path.target == ambg.path.source:
-                        pq = concat(ambf.path, ambg.path)
-                        q = table.by_path(m + n - 1, pq)
-                        if q is not None and bf.target == bg.source:
-                            value = alg.reduce_concat(bf, bg)
-                            if value is not None:
-                                expected.add_pair(q, value, alg.field.one)
-                    assert got == expected, "quadratic cup shape fails at %r, %r" % (f, g)
-
-
 def check_cup_closure(table, spaces, max_total_degree):
     """Cocycle x cocycle is a cocycle; either order with a coboundary is one."""
-    from .cochains import vector_to_cochain
-
     for m in range(0, max_total_degree + 1):
         for n in range(0, max_total_degree + 1 - m):
             total = m + n
@@ -348,8 +226,6 @@ def check_one_sided_vanishing(table, spaces, max_total_degree):
         raise NotTriangular("one-sided vanishing needs an acyclic quiver")
     pieces = []
     for m in range(1, max_total_degree):
-        from .cochains import vector_to_cochain
-
         for v in spaces[m].cocycles:
             z = vector_to_cochain(table, m, spaces[m].pairs, v)
             pieces.extend(refine_to_irreducible(table, z))

@@ -8,58 +8,24 @@ c = post, so the homological degree of the written-left factor is
 second.degree + 1.  That degree drives the Koszul sign.
 """
 
+from .combination import Combination
+from .fields import ZZ
 from .quivers import concat, divisor_occurrences
 from .resolution import _d_terms, differential, generator
 
 
-class TensorElement:
-    """Sparse combination of quintuples at a fixed total degree."""
+def _check_quintuple(key, degree):
+    pre, first, mid, second, post = key
+    assert first.degree + second.degree + 1 == degree
+    assert pre.target == first.path.source
+    assert first.path.target == mid.source
+    assert mid.target == second.path.source
+    assert second.path.target == post.source
 
-    __slots__ = ("degree", "terms")
 
-    def __init__(self, degree, terms=None):
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                self.add_term(*key, c)
-
-    def add_term(self, pre, first, mid, second, post, coeff):
-        assert first.degree + second.degree + 1 == self.degree
-        assert pre.target == first.path.source
-        assert first.path.target == mid.source
-        assert mid.target == second.path.source
-        assert second.path.target == post.source
-        if not coeff:
-            return
-        key = (pre, first, mid, second, post)
-        c = self.terms.get(key, 0) + coeff
-        if c:
-            self.terms[key] = c
-        else:
-            del self.terms[key]
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        assert self.degree == other.degree
-        out = TensorElement(self.degree, self.terms)
-        for key, c in other.terms.items():
-            out.add_term(*key, c)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("TensorElement is mutable")
-
-    def __repr__(self):
-        n = len(self.terms)
-        return "TensorElement(%d, %d terms)" % (self.degree, n)
+def tensor_element(degree, terms=None):
+    """Sparse integer combination of quintuples at a fixed total degree."""
+    return Combination(ZZ, _check_quintuple, degree, terms)
 
 
 def _decompositions(table, amb, i, j):
@@ -87,18 +53,18 @@ def _decompositions(table, amb, i, j):
 
 def diagonal(table, amb):
     n = amb.degree
-    out = TensorElement(n)
+    out = tensor_element(n)
     for i in range(-1, n + 1):
         j = n - 1 - i
         for key in _decompositions(table, amb, i, j):
-            out.add_term(*key, 1)
+            out.add(key, 1)
     return out
 
 
 def diagonal_of_element(table, x):
     """Bilinear extension of the diagonal over outer multiplication."""
     alg = table.algebra
-    out = TensorElement(x.degree)
+    out = tensor_element(x.degree)
     for (pre_t, amb, post_t), c in x.terms.items():
         for (pre, f, m, s, post), c2 in diagonal(table, amb).terms.items():
             new_pre = alg.reduce_concat(pre_t, pre)
@@ -107,14 +73,14 @@ def diagonal_of_element(table, x):
             new_post = alg.reduce_concat(post, post_t)
             if new_post is None:
                 continue
-            out.add_term(new_pre, f, m, s, new_post, c * c2)
+            out.add((new_pre, f, m, s, new_post), c * c2)
     return out
 
 
 def tensor_differential(table, x):
     """(d (x) id)x + (-1)^(left homological degree) (id (x) d)x."""
     alg = table.algebra
-    out = TensorElement(x.degree - 1)
+    out = tensor_element(x.degree - 1)
     for (pre, f, m, s, post), c in x.terms.items():
         if s.degree >= 0:
             for dpre, r, dpost, sign in _d_terms(table, s):
@@ -124,7 +90,7 @@ def tensor_differential(table, x):
                 new_post = alg.reduce_concat(dpost, post)
                 if new_post is None:
                     continue
-                out.add_term(pre, f, new_mid, r, new_post, sign * c)
+                out.add((pre, f, new_mid, r, new_post), sign * c)
         if f.degree >= 0:
             koszul = -1 if (s.degree + 1) % 2 else 1
             for dpre, r, dpost, sign in _d_terms(table, f):
@@ -134,7 +100,7 @@ def tensor_differential(table, x):
                 new_mid = alg.reduce_concat(dpost, m)
                 if new_mid is None:
                     continue
-                out.add_term(new_pre, r, new_mid, s, post, koszul * sign * c)
+                out.add((new_pre, r, new_mid, s, post), koszul * sign * c)
     return out
 
 
@@ -181,17 +147,3 @@ def check_decomposition_lemmas(table, max_degree):
                     assert pre.is_trivial
                 if q2.degree % 2 == 1:
                     assert post.is_trivial
-
-
-def check_quadratic(table, max_degree):
-    """Quadratic algebras: one decomposition per bidegree, all outer slots trivial."""
-    assert table.algebra.is_quadratic
-    for n in range(0, max_degree + 1):
-        for amb in table.degree(n):
-            seen = {}
-            for (pre, q1, mid, q2, post), c in diagonal(table, amb).terms.items():
-                assert pre.is_trivial and mid.is_trivial and post.is_trivial
-                bideg = (q2.degree + 1, q1.degree + 1)
-                assert bideg not in seen
-                seen[bideg] = c
-                assert c == 1

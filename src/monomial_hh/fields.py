@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: the rationals and prime fields.
+"""Exact scalar arithmetic: the integers, the rationals and prime fields.
 
 A field object bundles the scalar operations used by the sparse linear
 algebra and the cochain complex.  Scalars are plain Python values:
@@ -8,8 +8,22 @@ prime field.  Floating point never appears anywhere in this package.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
+
+
+class IntegerRing:
+    """The integers, scalars of the resolution and the diagonal.
+
+    Only the ring operations a ``Combination`` needs; there is no division.
+    """
+
+    zero = 0
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)
 
 
 class RationalField:
@@ -123,6 +137,7 @@ class PrimeField:
         return f"GF({self.p})"
 
 
+ZZ = IntegerRing()
 QQ = RationalField()
 
 

@@ -23,14 +23,23 @@ class SparseMatrix:
 
     def __post_init__(self):
         assert len(self.cols) == self.ncols
-        # indices in range, no stored zeros (cheap spot check, full scan is fine
-        # at the sizes this package sees)
-        for col in self.cols:
+        # stored zeros are dropped here, once: every scalar type in ``fields``
+        # is falsy exactly at zero, and elimination assumes no stored zeros
+        cols = tuple({r: v for r, v in col.items() if v} for col in self.cols)
+        for col in cols:
             for r in col:
                 assert 0 <= r < self.nrows
+        object.__setattr__(self, "cols", cols)
 
-    def column(self, j: int) -> dict:
-        return dict(self.cols[j])
+
+def _sub_scaled(f, target: dict, factor, source: dict):
+    """target -= factor * source in place; entries that cancel are removed."""
+    for key, val in source.items():
+        cur = f.sub(target.get(key, f.zero), f.mul(factor, val))
+        if f.is_zero(cur):
+            target.pop(key, None)
+        else:
+            target[key] = cur
 
 
 class RowBasis:
@@ -68,20 +77,9 @@ class RowBasis:
             c = min(piv_cols)
             _, rvec, rcoeffs = self.rows[self._by_pivot[c]]
             factor = f.div(vec[c], rvec[c])
-            for col, val in rvec.items():
-                cur = f.sub(vec.get(col, f.zero), f.mul(factor, val))
-                if f.is_zero(cur):
-                    vec.pop(col, None)
-                else:
-                    vec[col] = cur
+            _sub_scaled(f, vec, factor, rvec)
             if coeffs is not None and rcoeffs is not None:
-                for tag, val in rcoeffs.items():
-                    cur = f.sub(coeffs.get(tag, f.zero), f.mul(factor, val))
-                    if f.is_zero(cur):
-                        coeffs.pop(tag, None)
-                    else:
-                        coeffs[tag] = cur
-        # not reached
+                _sub_scaled(f, coeffs, factor, rcoeffs)
 
     def _scale(self, vec: dict, coeffs):
         """Canonical scaling of (vec, coeffs) via the field's row normalizer."""
@@ -117,20 +115,9 @@ class RowBasis:
             if pivot not in rvec:
                 continue
             factor = f.div(rvec[pivot], vec[pivot])
-            for col, val in vec.items():
-                cur = f.sub(rvec.get(col, f.zero), f.mul(factor, val))
-                if f.is_zero(cur):
-                    rvec.pop(col, None)
-                else:
-                    rvec[col] = cur
+            _sub_scaled(f, rvec, factor, vec)
             if self.track and row[2] is not None and coeffs is not None:
-                rcoeffs = row[2]
-                for t, val in coeffs.items():
-                    cur = f.sub(rcoeffs.get(t, f.zero), f.mul(factor, val))
-                    if f.is_zero(cur):
-                        rcoeffs.pop(t, None)
-                    else:
-                        rcoeffs[t] = cur
+                _sub_scaled(f, row[2], factor, coeffs)
         self._by_pivot[pivot] = len(self.rows)
         self.rows.append([pivot, vec, coeffs])
         return True, None
@@ -182,34 +169,23 @@ def kernel_basis(field, matrix: SparseMatrix):
     return out
 
 
-def image_membership(field, matrix: SparseMatrix, vec: dict):
-    """Coefficients expressing vec over the matrix columns, or None."""
-    basis = RowBasis(field, track=True)
-    for j, col in enumerate(matrix.cols):
-        basis.insert(col, tag=j)
-    return basis.express(vec)
-
-
 def quotient_basis(field, kernel_vecs, image_vecs):
     """Representatives of span(kernel)/span(image); requires im ⊆ ker.
 
     Returns the reduced-echelon completion of the image basis inside the
-    kernel span: deterministic given the input orders.
+    kernel span: deterministic given the input orders.  The kernel vectors
+    are independent, so im ⊆ ker holds exactly when image and kernel
+    together span no more than the kernel does.
     """
-    ker_span = RowBasis(field)
-    for v in kernel_vecs:
-        ker_span.insert(v)
     combined = RowBasis(field)
     for v in image_vecs:
-        if not ker_span.contains(v):
-            raise ImageNotInKernel("image vector outside the kernel span")
         combined.insert(v)
     rep_rows = []
     for v in kernel_vecs:
-        before = combined.rank
-        combined.insert(v)
-        if combined.rank > before:
+        if combined.insert(v)[0]:
             rep_rows.append(combined.rank - 1)
+    if combined.rank != len(kernel_vecs):
+        raise ImageNotInKernel("image vector outside the kernel span")
     # snapshot after all insertions: rows are then fully back-substituted,
     # i.e. the reduced-echelon completion of the image basis
     return [dict(combined.rows[i][1]) for i in rep_rows]

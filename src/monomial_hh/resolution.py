@@ -13,71 +13,23 @@ integers; coefficients only meet the base field later, in the cochain
 matrices.
 """
 
-from .ambiguities import Ambiguity, AmbiguityTable
+from .ambiguities import Ambiguity
+from .combination import Combination
 from .errors import WrongDegree
-from .quivers import Path, concat
+from .fields import ZZ
+from .quivers import concat
 
 
-class BimoduleElement:
-    """Sparse combination of composable (pre, amb, post) triples."""
+def _check_triple(key, degree):
+    pre, amb, post = key
+    assert isinstance(amb, Ambiguity) and amb.degree == degree
+    assert pre.target == amb.path.source
+    assert amb.path.target == post.source
 
-    __slots__ = ("degree", "terms")
 
-    def __init__(self, degree, terms=None):
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for (pre, amb, post), c in terms.items():
-                self.add_term(pre, amb, post, c)
-
-    def add_term(self, pre, amb, post, coeff):
-        assert isinstance(amb, Ambiguity) and amb.degree == self.degree
-        assert pre.target == amb.path.source
-        assert amb.path.target == post.source
-        if not coeff:
-            return
-        key = (pre, amb, post)
-        c = self.terms.get(key, 0) + coeff
-        if c:
-            self.terms[key] = c
-        else:
-            del self.terms[key]
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        assert self.degree == other.degree
-        out = BimoduleElement(self.degree, self.terms)
-        for (pre, amb, post), c in other.terms.items():
-            out.add_term(pre, amb, post, c)
-        return out
-
-    def __sub__(self, other):
-        assert self.degree == other.degree
-        out = BimoduleElement(self.degree, self.terms)
-        for (pre, amb, post), c in other.terms.items():
-            out.add_term(pre, amb, post, -c)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, BimoduleElement):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("BimoduleElement is mutable")
-
-    def __repr__(self):
-        if not self.terms:
-            return "BimoduleElement(%d, 0)" % self.degree
-        bits = []
-        for (pre, amb, post), c in sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][1].path.sort_key(), kv[0][0].sort_key(), kv[0][2].sort_key()),
-        ):
-            bits.append("%+d (%s | %s | %s)" % (c, pre.display(), amb.path.display(), post.display()))
-        return "BimoduleElement(%d, %s)" % (self.degree, " ".join(bits))
+def bimodule_element(degree, terms=None):
+    """Sparse integer combination of composable (pre, amb, post) triples."""
+    return Combination(ZZ, _check_triple, degree, terms)
 
 
 def generator(table, degree, path):
@@ -87,7 +39,7 @@ def generator(table, degree, path):
     q = table.algebra.quiver
     pre = q.trivial_path_at(amb.path.source)
     post = q.trivial_path_at(amb.path.target)
-    return BimoduleElement(amb.degree, {(pre, amb, post): 1})
+    return bimodule_element(amb.degree, {(pre, amb, post): 1})
 
 
 def _d_terms(table, amb):
@@ -117,7 +69,7 @@ def differential(table, x):
     if x.degree < 0:
         raise WrongDegree("no differential below degree 0; use augmentation")
     alg = table.algebra
-    out = BimoduleElement(x.degree - 1)
+    out = bimodule_element(x.degree - 1)
     for (pre, amb, post), c in x.terms.items():
         for dpre, q, dpost, sign in _d_terms(table, amb):
             new_pre = alg.reduce_concat(pre, dpre)
@@ -126,7 +78,7 @@ def differential(table, x):
             new_post = alg.reduce_concat(dpost, post)
             if new_post is None:
                 continue
-            out.add_term(new_pre, q, new_post, sign * c)
+            out.add((new_pre, q, new_post), sign * c)
     return out
 
 
@@ -149,12 +101,12 @@ def augmentation(table, x):
 
 def iota(table, a):
     """Section of the augmentation: b goes to the tensor keyed (b, e_t(b), trivial)."""
-    out = BimoduleElement(-1)
+    out = bimodule_element(-1)
     q = table.algebra.quiver
     for path, c in a.items():
         assert table.algebra.is_basis(path)
         e = q.trivial_path_at(path.target)
-        out.add_term(path, table.by_path(-1, e), e, c)
+        out.add((path, table.by_path(-1, e), e), c)
     return out
 
 
@@ -162,7 +114,7 @@ def homotopy_sigma(table, x):
     """Contracting homotopy; right-linear, scans the unreduced word amb*post."""
     alg = table.algebra
     higher = table.degree(x.degree + 1)
-    out = BimoduleElement(x.degree + 1)
+    out = bimodule_element(x.degree + 1)
     for (pre, amb, post), c in x.terms.items():
         if len(amb.path) + len(post) == 0:
             continue
@@ -179,7 +131,7 @@ def homotopy_sigma(table, x):
                 tail = word.segment(k + len(qa), len(arrows))
                 if not alg.is_basis(tail):
                     continue
-                out.add_term(new_pre, q, tail, c)
+                out.add((new_pre, q, tail), c)
     return out
 
 
@@ -191,7 +143,7 @@ def right_spanning_set(table, degree):
         triv = alg.quiver.trivial_path_at(amb.path.source)
         for b in alg.basis:
             if b.source == amb.path.target:
-                out.append(BimoduleElement(degree, {(triv, amb, b): 1}))
+                out.append(bimodule_element(degree, {(triv, amb, b): 1}))
     return out
 
 

@@ -13,11 +13,11 @@ import pytest
 
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import (
-    Cochain,
     class_vector,
     cochain_differential,
     hochschild_cohomology,
     is_cocycle,
+    new_cochain,
     pair_cochain,
 )
 from monomial_hh.cup import cup_cochain
@@ -67,9 +67,9 @@ def test_criterion_2_cone_cup_products(cone):
         one = cone.field.one
         spaces = hochschild_cohomology(t, 4)
 
-        w = Cochain(t, 2)
-        w.add_pair(t.by_path(1, path_from_word(q, "alpha zeta alpha")), q.arrow_path("alpha"), one)
-        w.add_pair(t.by_path(1, path_from_word(q, "zeta alpha zeta")), q.arrow_path("zeta"), one)
+        w = new_cochain(t, 2)
+        w.add((t.by_path(1, path_from_word(q, "alpha zeta alpha")), q.arrow_path("alpha")), one)
+        w.add((t.by_path(1, path_from_word(q, "zeta alpha zeta")), q.arrow_path("zeta")), one)
         f = pair_cochain(t, t.by_path(0, q.arrow_path("alpha")), q.arrow_path("alpha"))
         g = pair_cochain(t, t.by_path(0, q.arrow_path("zeta")), q.arrow_path("zeta"))
         for c in (w, f, g):
@@ -81,15 +81,13 @@ def test_criterion_2_cone_cup_products(cone):
         za2 = pair_cochain(
             t, t.by_path(2, path_from_word(q, "zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")
         )
-        ww_target = Cochain(t, 4)
-        ww_target.add_pair(
-            t.by_path(3, path_from_word(q, "alpha zeta alpha zeta alpha zeta")),
-            path_from_word(q, "alpha zeta"),
+        ww_target = new_cochain(t, 4)
+        ww_target.add(
+            (t.by_path(3, path_from_word(q, "alpha zeta alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")),
             one,
         )
-        ww_target.add_pair(
-            t.by_path(3, path_from_word(q, "zeta alpha zeta alpha zeta alpha")),
-            path_from_word(q, "zeta alpha"),
+        ww_target.add(
+            (t.by_path(3, path_from_word(q, "zeta alpha zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")),
             one,
         )
 
@@ -104,12 +102,12 @@ def test_criterion_3_one_order_is_a_coboundary(triangular_a6):
         t = AmbiguityTable(triangular_a6)
         q = triangular_a6.quiver
         one = triangular_a6.field.one
-        x = Cochain(t, 2)
-        x.add_pair(t.by_path(1, path_from_word(q, "a4 a3")), path_from_word(q, "g a3"), one)
-        x.add_pair(t.by_path(1, path_from_word(q, "a5 a4")), path_from_word(q, "a5 g"), one)
-        y = Cochain(t, 2)
-        y.add_pair(t.by_path(1, path_from_word(q, "a2 a1")), path_from_word(q, "b a1"), one)
-        y.add_pair(t.by_path(1, path_from_word(q, "a3 a2")), path_from_word(q, "a3 b"), one)
+        x = new_cochain(t, 2)
+        x.add((t.by_path(1, path_from_word(q, "a4 a3")), path_from_word(q, "g a3")), one)
+        x.add((t.by_path(1, path_from_word(q, "a5 a4")), path_from_word(q, "a5 g")), one)
+        y = new_cochain(t, 2)
+        y.add((t.by_path(1, path_from_word(q, "a2 a1")), path_from_word(q, "b a1")), one)
+        y.add((t.by_path(1, path_from_word(q, "a3 a2")), path_from_word(q, "a3 b")), one)
         assert is_cocycle(t, x) and is_cocycle(t, y)
 
         yx = cup_cochain(t, y, x)

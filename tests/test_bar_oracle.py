@@ -2,13 +2,35 @@ import pytest
 
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.bar_oracle import (
+    bar_differential_matrix,
     bar_hh_dimensions,
     bar_pairs,
     bar_tuples,
-    check_bar_delta_squared,
 )
 from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.errors import BudgetExceeded
+
+
+def check_bar_delta_squared(algebra, max_degree):
+    """delta o delta = 0 as matrices, degree by degree."""
+    field = algebra.field
+    pairs = [bar_pairs(algebra, n) for n in range(max_degree + 2)]
+    mats = [
+        bar_differential_matrix(algebra, pairs[n], pairs[n + 1])
+        for n in range(max_degree + 1)
+    ]
+    for n in range(max_degree):
+        lo, hi = mats[n], mats[n + 1]
+        for j in range(lo.ncols):
+            acc = {}
+            for r, c in lo.cols[j].items():
+                for i, c2 in hi.cols[r].items():
+                    cur = field.add(acc.get(i, field.zero), field.mul(c2, c))
+                    if field.is_zero(cur):
+                        acc.pop(i, None)
+                    else:
+                        acc[i] = cur
+            assert not acc, "delta^2 != 0 at degree %d column %d" % (n, j)
 
 
 def test_point_dims(point):

@@ -1,5 +1,6 @@
 from monomial_hh.checks import (
     ORACLE_DIM_CAP,
+    _run,
     algebra_summary,
     run_checks,
     run_random_suite,
@@ -43,6 +44,15 @@ def test_failures_are_reported_not_raised(cone):
     by_name = {r.name: r for r in reports}
     assert not by_name["triangular-vanishing"].ok
     assert "acyclic" in by_name["triangular-vanishing"].detail
+
+
+def test_unexpected_exception_is_a_failing_row():
+    def thunk():
+        raise ValueError("base is not invertible")
+
+    report = _run("crashes", thunk)
+    assert (report.name, report.ok) == ("crashes", False)
+    assert report.detail == "ValueError: base is not invertible"
 
 
 def test_oracle_skip_message():

@@ -79,6 +79,14 @@ def test_check_commands_pass():
         assert all(c["ok"] for c in doc["checks"])
 
 
+def test_oracle_over_gf2_cubic(tmp_path):
+    # k[x]/(x^3) over GF(2): the bar differential has coefficients 2 = 0
+    alg = tmp_path / "cubic_gf2.alg"
+    alg.write_text("field fp:2\nvertices 1\narrow a1: 1 -> 1\nrelation a1 a1 a1\n")
+    out = run_cli("verify", str(alg), "--oracle", "--max-degree", "4")
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
 def test_cup_blocks():
     doc = run_json("cup", CONE, "--max-total-degree", "3")
     blocks = {(b["i"], b["j"]): b["table"] for b in doc["blocks"]}

@@ -1,14 +1,27 @@
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.diagonal import (
-    TensorElement,
     check_chain_map,
     check_counit,
     check_decomposition_lemmas,
-    check_quadratic,
     counit,
     diagonal,
+    tensor_element,
 )
 from monomial_hh.quivers import path_from_word
+
+
+def check_quadratic(table, max_degree):
+    """Quadratic algebras: one decomposition per bidegree, all outer slots trivial."""
+    assert table.algebra.is_quadratic
+    for n in range(0, max_degree + 1):
+        for amb in table.degree(n):
+            seen = {}
+            for (pre, q1, mid, q2, post), c in diagonal(table, amb).terms.items():
+                assert pre.is_trivial and mid.is_trivial and post.is_trivial
+                bideg = (q2.degree + 1, q1.degree + 1)
+                assert bideg not in seen
+                seen[bideg] = c
+                assert c == 1
 
 
 def test_diagonal_of_vertex(cone):
@@ -99,7 +112,7 @@ def test_wrong_koszul_sign_fails(cone):
     lhs = dmod.diagonal_of_element(t, differential(t, generator(t, 2, amb)))
     rhs = dmod.tensor_differential(t, dmod.diagonal(t, amb))
     assert lhs == rhs
-    flipped = TensorElement(rhs.degree)
+    flipped = tensor_element(rhs.degree)
     # rebuild rhs with the opposite Koszul convention by hand
     from monomial_hh.resolution import _d_terms
 
@@ -111,7 +124,7 @@ def test_wrong_koszul_sign_fails(cone):
                 new_post = alg.reduce_concat(dpost, post)
                 if new_mid is None or new_post is None:
                     continue
-                flipped.add_term(pre, f, new_mid, r, new_post, sign * c)
+                flipped.add((pre, f, new_mid, r, new_post), sign * c)
         if f.degree >= 0:
             koszul = 1 if (s.degree + 1) % 2 else -1
             for dpre, r, dpost, sign in _d_terms(t, f):
@@ -119,5 +132,5 @@ def test_wrong_koszul_sign_fails(cone):
                 new_mid = alg.reduce_concat(dpost, m)
                 if new_pre is None or new_mid is None:
                     continue
-                flipped.add_term(new_pre, r, new_mid, s, post, koszul * sign * c)
+                flipped.add((new_pre, r, new_mid, s, post), koszul * sign * c)
     assert flipped != lhs
