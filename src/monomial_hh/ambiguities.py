@@ -18,19 +18,20 @@ that they agree, which downstream modules rely on.
 from __future__ import annotations
 
 from .errors import DegreeUnderflow
-from .quivers import MonomialAlgebra, Path, divisor_occurrences
+from .quivers import DivisorOccurrence, MonomialAlgebra, Path
 
 
 class Ambiguity:
     """A path with its left/right chain factorizations; hash/eq by path."""
 
-    __slots__ = ("path", "degree", "left_pieces", "right_pieces")
+    __slots__ = ("path", "degree", "left_pieces", "right_pieces", "_hash")
 
     def __init__(self, path: Path, degree: int, left_pieces, right_pieces):
         self.path = path
         self.degree = degree
         self.left_pieces = left_pieces  # traversal order: (u_n, ..., u_0)
         self.right_pieces = right_pieces  # traversal order: (v_0, ..., v_n)
+        self._hash = hash((degree, path))
 
     def __eq__(self, other):
         return (
@@ -40,7 +41,7 @@ class Ambiguity:
         )
 
     def __hash__(self):
-        return hash((self.degree, self.path))
+        return self._hash
 
     def display_left(self) -> str:
         """Written word with piece separators, e.g. ``alpha|deltagamma|betaalpha``."""
@@ -88,6 +89,12 @@ class AmbiguityTable:
 
     Generation of degree n reads only degree n−1; once a degree is stored it
     is never mutated, so concurrent readers are safe after that point.
+
+    On top of Γ_n sits the incidence index that every layer reads:
+    ``occurrences`` finds the ambiguities inside a word by hash lookups of
+    its windows, and ``cofaces`` inverts the differential.  Their per-degree
+    lookups are built lazily, on first use, from the stored degrees alone;
+    they are idempotent caches, so building one twice gives the same map.
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -108,6 +115,8 @@ class AmbiguityTable:
             {a.path: a for a in base},
             {a.path: a for a in arrows},
         ]
+        self._windows = {}  # degree m >= 0 -> ({arrows: ambiguity}, sorted lengths)
+        self._cofaces = {}  # degree n -> {(n-1)-ambiguity: [(q, position, sign)]}
 
     def degree(self, n: int):
         """The tuple of n-ambiguities, sorted by path; computed on demand."""
@@ -220,12 +229,65 @@ class AmbiguityTable:
         n = amb.degree
         if n < 0:
             raise DegreeUnderflow("sub() needs degree >= 0")
-        hits = []
-        for lower in self.degree(n - 1):
-            for occ in divisor_occurrences(lower.path, amb.path):
-                hits.append((lower, occ))
-        hits.sort(key=lambda t: t[1].position)
+        p = amb.path
+        end = len(p.arrows)
+        hits = [
+            (lower, DivisorOccurrence(p.segment(0, k), lower.path, p.segment(k + len(lower.path), end), k))
+            for lower, k in self.occurrences(n - 1, p)
+        ]
         # distinct members occupy distinct positions (same-degree divisors
         # of an ambiguity cannot nest)
         assert len({occ.position for _, occ in hits}) == len(hits)
         return hits
+
+    # -- incidence index -------------------------------------------------------
+
+    def occurrences(self, m: int, path: Path):
+        """Every (m-ambiguity, position) inside path's arrow word, by position.
+
+        The word may contain relations.  Degree −1 yields the vertex at each
+        of the len(path) + 1 positions.
+        """
+        if m == -1:
+            vertices = self.degree(-1)  # sorted by path, hence by vertex index
+            return [(vertices[path.vertex_at(k)], k) for k in range(len(path.arrows) + 1)]
+        window = self._windows.get(m)
+        if window is None:
+            ambs = self.degree(m)
+            window = ({a.path.arrows: a for a in ambs}, sorted({len(a.path.arrows) for a in ambs}))
+            self._windows[m] = window
+        lookup, lengths = window
+        arrows = path.arrows
+        end = len(arrows)
+        hits = []
+        for k in range(end):
+            for length in lengths:
+                if k + length > end:
+                    break
+                amb = lookup.get(arrows[k : k + length])
+                if amb is not None:
+                    hits.append((amb, k))
+        return hits
+
+    def cofaces(self, n: int):
+        """{(n−1)-ambiguity p: [(q, position, sign)]} over the n-ambiguities q
+        whose differential reaches p, with p at that position of q.
+
+        Even n takes the two truncations, head (+1) then tail (−1); odd n
+        takes every positioned divisor (+1).  Each list runs in Γ_n order,
+        then by position.
+        """
+        out = self._cofaces.get(n)
+        if out is None:
+            out = {}
+            for q in self.degree(n):
+                if n % 2 == 0:
+                    head = self.amb_prefix(q, n - 1)
+                    tail = self.amb_suffix(q, n - 1)
+                    hits = ((head, 0, 1), (tail, len(q.path) - len(tail.path), -1))
+                else:
+                    hits = ((p, k, 1) for p, k in self.occurrences(n - 1, q.path))
+                for p, k, sign in hits:
+                    out.setdefault(p, []).append((q, k, sign))
+            self._cofaces[n] = out
+        return out

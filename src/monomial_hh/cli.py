@@ -3,7 +3,8 @@
 Every subcommand that reads an algebra takes the .alg file as its first
 positional argument.  Output is an aligned text table by default and JSON
 with ``--json``; both are byte-deterministic for a fixed input (and seed).
-Exit codes: 0 success, 1 a verification failed, 2 bad input.
+Exit codes: 0 success, 1 a verification failed, 2 bad input, 3 an internal
+error (a bug, reported as one line on stderr).
 """
 
 import argparse
@@ -377,6 +378,9 @@ def main(argv=None):
     except MonomialHHError as exc:
         print("error: %s: %s" % (exc.__class__.__name__, exc), file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input: keep it apart from exits 1 and 2
+        print("internal error: %s: %s" % (exc.__class__.__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Hochschild cochains on parallel pairs, their differentials, and cohomology.
 
 A degree-m cochain assigns scalars to pairs (p, b) with p an ambiguity of
-degree m-1 and b a parallel basis path.  The differential against an output
-ambiguity q branches on the parity of q's degree, mirroring the resolution
+degree m-1 and b a parallel basis path.  The differential of a pair reads the
+cofaces of its ambiguity from the table's incidence index (truncations in
+even output degree, positioned divisors in odd), mirroring the resolution
 differential; `differential_via_resolution` computes the same map by
 composing with the resolution's d and is kept as an independent route.
 """
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field as dc_field
 from .combination import Combination
 from .errors import NotACocycle, WrongDegree
 from .linalg import RowBasis, SparseMatrix, kernel_basis, quotient_basis
-from .quivers import divisor_occurrences
 from .resolution import differential, generator
 
 
@@ -72,33 +72,20 @@ def unit_cochain(table):
 
 
 def _pair_differential_terms(table, amb, b):
-    """Direct evaluation of the differential of the basis pair (amb, b)."""
+    """Direct evaluation of the differential of the basis pair (amb, b).
+
+    Each coface q of amb, with amb at position k, contributes
+    sign · (q, q[:k]·b·q[k+len(amb):]) when that product is nonzero.
+    """
     alg = table.algebra
-    m = amb.degree + 1  # degree of the output ambiguities
-    p = amb.path
+    length = len(amb.path)
     out = {}
-
-    def bump(q, value, sign):
-        if value is None:
-            return
-        key = (q, value)
-        out[key] = out.get(key, 0) + sign
-
-    if m % 2 == 0:
-        for q in table.degree(m):
-            qp = q.path
-            head_amb = table.amb_prefix(q, m - 1)
-            if head_amb.path == p:
-                tail = qp.segment(len(p), len(qp))
-                bump(q, alg.reduce_concat(b, tail), 1)
-            tail_amb = table.amb_suffix(q, m - 1)
-            if tail_amb.path == p:
-                head = qp.segment(0, len(qp) - len(p))
-                bump(q, alg.reduce_concat(head, b), -1)
-    else:
-        for q in table.degree(m):
-            for occ in divisor_occurrences(p, q.path):
-                bump(q, alg.reduce_concat(occ.prefix, b, occ.suffix), 1)
+    for q, k, sign in table.cofaces(amb.degree + 1).get(amb, ()):
+        qp = q.path
+        value = alg.reduce_concat(qp.segment(0, k), b, qp.segment(k + length, len(qp)))
+        if value is not None:
+            key = (q, value)
+            out[key] = out.get(key, 0) + sign
     return {k: c for k, c in out.items() if c}
 
 

@@ -12,7 +12,15 @@ from .cochains import class_vector, cochain_differential, is_cocycle, new_cochai
 from .diagonal import diagonal
 from .errors import NotACocycle, NotTriangular
 from .linalg import RowBasis, SparseMatrix, kernel_basis
-from .quivers import divisor_occurrences, is_triangular
+from .quivers import is_triangular
+
+
+def _terms_by_ambiguity(x):
+    """{ambiguity: [(parallel path, scalar)]} over the terms of a cochain."""
+    out = {}
+    for (amb, b), c in x.terms.items():
+        out.setdefault(amb, []).append((b, c))
+    return out
 
 
 def cup_cochain(table, f, g):
@@ -20,21 +28,28 @@ def cup_cochain(table, f, g):
     field = alg.field
     total = f.degree + g.degree
     out = new_cochain(table, total)
-    if f.is_zero() or g.is_zero():
+    outputs = table.degree(total - 1)
+    if not outputs or f.is_zero() or g.is_zero():
         return out
-    for q in table.degree(total - 1):
+    f_terms = _terms_by_ambiguity(f)
+    g_terms = _terms_by_ambiguity(g)
+    for q in outputs:
         qp = q.path
-        for (pf, bf), cf in f.terms.items():
-            for occ1 in divisor_occurrences(pf.path, qp):
-                end1 = occ1.position + len(pf.path)
-                for (pg, bg), cg in g.terms.items():
-                    for occ2 in divisor_occurrences(pg.path, qp):
-                        k2 = occ2.position
-                        if k2 < end1:
-                            continue
-                        gap_a = qp.segment(0, occ1.position)
-                        gap_c = qp.segment(end1, k2)
-                        gap_e = qp.segment(k2 + len(pg.path), len(qp))
+        seconds = [(pg, k2) for pg, k2 in table.occurrences(g.degree - 1, qp) if pg in g_terms]
+        if not seconds:
+            continue
+        for pf, k1 in table.occurrences(f.degree - 1, qp):
+            if pf not in f_terms:
+                continue
+            end1 = k1 + len(pf.path)
+            gap_a = qp.segment(0, k1)
+            for pg, k2 in seconds:
+                if k2 < end1:
+                    continue
+                gap_c = qp.segment(end1, k2)
+                gap_e = qp.segment(k2 + len(pg.path), len(qp))
+                for bf, cf in f_terms[pf]:
+                    for bg, cg in g_terms[pg]:
                         value = alg.reduce_concat(gap_a, bf, gap_c, bg, gap_e)
                         if value is None:
                             continue
@@ -72,6 +87,17 @@ def cup_classes(table, spaces, f, g):
         raise NotACocycle("left cup factor")
     if not is_cocycle(table, g):
         raise NotACocycle("right cup factor")
+    return _product_class(table, spaces, f, g)
+
+
+def _require_cocycles(table, xs, what):
+    for x in xs:
+        if not is_cocycle(table, x):
+            raise NotACocycle(what)
+
+
+def _product_class(table, spaces, f, g):
+    """cup_classes for factors already known to be cocycles."""
     total = f.degree + g.degree
     assert total < len(spaces)
     return class_vector(spaces[total], table, cup_cochain(table, f, g))
@@ -81,7 +107,9 @@ def cup_table(table, spaces, i, j):
     """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b]."""
     reps_i = spaces[i].rep_cochains(table)
     reps_j = spaces[j].rep_cochains(table)
-    return [[cup_classes(table, spaces, f, g) for g in reps_j] for f in reps_i]
+    _require_cocycles(table, reps_i, "left cup factor")
+    _require_cocycles(table, reps_j, "right cup factor")
+    return [[_product_class(table, spaces, f, g) for g in reps_j] for f in reps_i]
 
 
 def verify_graded_commutativity(table, spaces, max_total_degree):
@@ -107,14 +135,15 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
     """Nonzero positive-degree class products on a triangular algebra (expect none)."""
     if not is_triangular(table.algebra):
         raise NotTriangular("vanishing theorem needs an acyclic quiver")
+    reps = {m: spaces[m].rep_cochains(table) for m in range(1, max_total_degree)}
+    for xs in reps.values():
+        _require_cocycles(table, xs, "cup factor")
     failures = []
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
-            reps_m = spaces[m].rep_cochains(table)
-            reps_n = spaces[n].rep_cochains(table)
-            for a, x in enumerate(reps_m):
-                for b, y in enumerate(reps_n):
-                    cls = cup_classes(table, spaces, x, y)
+            for a, x in enumerate(reps[m]):
+                for b, y in enumerate(reps[n]):
+                    cls = _product_class(table, spaces, x, y)
                     if cls:
                         failures.append({"degrees": [m, n], "classes": [a, b], "product_class": sorted(cls)})
     return failures

@@ -10,7 +10,7 @@ second.degree + 1.  That degree drives the Koszul sign.
 
 from .combination import Combination
 from .fields import ZZ
-from .quivers import concat, divisor_occurrences
+from .quivers import concat
 from .resolution import _d_terms, differential, generator
 
 
@@ -32,22 +32,19 @@ def _decompositions(table, amb, i, j):
     """Positioned (q1 at k1) then (q2 at k2 >= k1+len) splits of amb.path."""
     alg = table.algebra
     p = amb.path
+    seconds = table.occurrences(j, p)
     out = []
-    for q1 in table.degree(i):
-        for occ1 in divisor_occurrences(q1.path, p):
-            k1 = occ1.position
-            end1 = k1 + len(q1.path)
-            for q2 in table.degree(j):
-                for occ2 in divisor_occurrences(q2.path, p):
-                    k2 = occ2.position
-                    if k2 < end1:
-                        continue
-                    pre = p.segment(0, k1)
-                    mid = p.segment(end1, k2)
-                    post = p.segment(k2 + len(q2.path), len(p))
-                    if not (alg.is_basis(pre) and alg.is_basis(mid) and alg.is_basis(post)):
-                        continue
-                    out.append((pre, q1, mid, q2, post))
+    for q1, k1 in table.occurrences(i, p):
+        end1 = k1 + len(q1.path)
+        for q2, k2 in seconds:
+            if k2 < end1:
+                continue
+            pre = p.segment(0, k1)
+            mid = p.segment(end1, k2)
+            post = p.segment(k2 + len(q2.path), len(p))
+            if not (alg.is_basis(pre) and alg.is_basis(mid) and alg.is_basis(post)):
+                continue
+            out.append((pre, q1, mid, q2, post))
     return out
 
 

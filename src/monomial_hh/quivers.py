@@ -235,27 +235,6 @@ class DivisorOccurrence:
     position: int
 
 
-def divisor_occurrences(q: Path, p: Path):
-    """All positioned occurrences of q in p, by increasing prefix length."""
-    out = []
-    lq = len(q.arrows)
-    if lq == 0:
-        for k in range(len(p.arrows) + 1):
-            if p.vertex_at(k) == q.source:
-                out.append(
-                    DivisorOccurrence(p.segment(0, k), q, p.segment(k, len(p.arrows)), k)
-                )
-        return out
-    for k in range(len(p.arrows) - lq + 1):
-        if p.arrows[k : k + lq] == q.arrows:
-            out.append(
-                DivisorOccurrence(
-                    p.segment(0, k), p.segment(k, k + lq), p.segment(k + lq, len(p.arrows)), k
-                )
-            )
-    return out
-
-
 class MonomialAlgebra:
     """kQ/I for a monomial ideal I, with the relation-free path basis B.
 

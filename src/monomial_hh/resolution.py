@@ -113,25 +113,20 @@ def iota(table, a):
 def homotopy_sigma(table, x):
     """Contracting homotopy; right-linear, scans the unreduced word amb*post."""
     alg = table.algebra
-    higher = table.degree(x.degree + 1)
     out = bimodule_element(x.degree + 1)
     for (pre, amb, post), c in x.terms.items():
         if len(amb.path) + len(post) == 0:
             continue
         word = concat(amb.path, post)  # may contain relations on purpose
-        arrows = word.arrows
-        for q in higher:
-            qa = q.path.arrows
-            for k in range(len(arrows) - len(qa) + 1):
-                if arrows[k : k + len(qa)] != qa:
-                    continue
-                new_pre = alg.reduce_concat(pre, word.segment(0, k))
-                if new_pre is None:
-                    continue
-                tail = word.segment(k + len(qa), len(arrows))
-                if not alg.is_basis(tail):
-                    continue
-                out.add((new_pre, q, tail), c)
+        end = len(word.arrows)
+        for q, k in table.occurrences(x.degree + 1, word):
+            new_pre = alg.reduce_concat(pre, word.segment(0, k))
+            if new_pre is None:
+                continue
+            tail = word.segment(k + len(q.path), end)
+            if not alg.is_basis(tail):
+                continue
+            out.add((new_pre, q, tail), c)
     return out
 
 

@@ -1,0 +1,96 @@
+"""Brute-force scans that the incidence index of ``AmbiguityTable`` replaced.
+
+Each one tests every ambiguity of a whole degree against a word, so its
+cost grows with |Γ_m|.  They stay here as the reference that
+``occurrences``, ``cofaces``, ``sub`` and the pair differential are
+compared against.
+"""
+
+from monomial_hh.quivers import DivisorOccurrence
+
+
+def divisor_occurrences(q, p):
+    """All positioned occurrences of q in p, by increasing prefix length."""
+    out = []
+    lq = len(q.arrows)
+    if lq == 0:
+        for k in range(len(p.arrows) + 1):
+            if p.vertex_at(k) == q.source:
+                out.append(
+                    DivisorOccurrence(p.segment(0, k), q, p.segment(k, len(p.arrows)), k)
+                )
+        return out
+    for k in range(len(p.arrows) - lq + 1):
+        if p.arrows[k : k + lq] == q.arrows:
+            out.append(
+                DivisorOccurrence(
+                    p.segment(0, k), p.segment(k, k + lq), p.segment(k + lq, len(p.arrows)), k
+                )
+            )
+    return out
+
+
+def scan_occurrences(table, m, word):
+    """(m-ambiguity, position) for every occurrence in word, by position."""
+    hits = [(a, occ.position) for a in table.degree(m) for occ in divisor_occurrences(a.path, word)]
+    hits.sort(key=lambda t: t[1])
+    return hits
+
+
+def scan_sub(table, amb):
+    """Positioned (n−1)-ambiguity divisors, by increasing prefix length."""
+    hits = []
+    for lower in table.degree(amb.degree - 1):
+        for occ in divisor_occurrences(lower.path, amb.path):
+            hits.append((lower, occ))
+    hits.sort(key=lambda t: t[1].position)
+    return hits
+
+
+def scan_cofaces(table, n):
+    """{p: [(q, position, sign)]}: every p of Γ_{n-1} tested against every q of Γ_n."""
+    out = {}
+    for p in table.degree(n - 1):
+        hits = []
+        for q in table.degree(n):
+            if n % 2 == 0:
+                if table.amb_prefix(q, n - 1) == p:
+                    hits.append((q, 0, 1))
+                if table.amb_suffix(q, n - 1) == p:
+                    hits.append((q, len(q.path) - len(p.path), -1))
+            else:
+                hits.extend((q, occ.position, 1) for occ in divisor_occurrences(p.path, q.path))
+        if hits:
+            out[p] = hits
+    return out
+
+
+def scan_pair_differential_terms(table, amb, b):
+    """Differential of the basis pair (amb, b) by a scan of every output ambiguity."""
+    alg = table.algebra
+    m = amb.degree + 1  # degree of the output ambiguities
+    p = amb.path
+    out = {}
+
+    def bump(q, value, sign):
+        if value is None:
+            return
+        key = (q, value)
+        out[key] = out.get(key, 0) + sign
+
+    if m % 2 == 0:
+        for q in table.degree(m):
+            qp = q.path
+            head_amb = table.amb_prefix(q, m - 1)
+            if head_amb.path == p:
+                tail = qp.segment(len(p), len(qp))
+                bump(q, alg.reduce_concat(b, tail), 1)
+            tail_amb = table.amb_suffix(q, m - 1)
+            if tail_amb.path == p:
+                head = qp.segment(0, len(qp) - len(p))
+                bump(q, alg.reduce_concat(head, b), -1)
+    else:
+        for q in table.degree(m):
+            for occ in divisor_occurrences(p, q.path):
+                bump(q, alg.reduce_concat(occ.prefix, b, occ.suffix), 1)
+    return {k: c for k, c in out.items() if c}

@@ -5,6 +5,8 @@ from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.errors import DegreeUnderflow
 from monomial_hh.quivers import concat, path_from_word
 
+from reference_scans import divisor_occurrences
+
 
 def words(ambs):
     return {a.path.word() for a in ambs}
@@ -172,8 +174,6 @@ def test_no_proper_divisor_same_degree(cone, square):
                 for b in ambs:
                     if a.path == b.path:
                         continue
-                    from monomial_hh.quivers import divisor_occurrences
-
                     assert divisor_occurrences(b.path, a.path) == []
 
 

@@ -1,11 +1,13 @@
 """End-to-end runs of the installed command line, JSON parsed from stdout."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 import types
 
+from monomial_hh import cli
 from monomial_hh.checks import CheckReport
 from monomial_hh.cli import _report_command
 
@@ -14,11 +16,17 @@ CONE = str(FIXTURES / "example_cone.alg")
 A6 = str(FIXTURES / "triangular_a6.alg")
 
 
+# the subprocess imports the same package as this test, however it was found
+PACKAGE_ROOT = str(pathlib.Path(cli.__file__).resolve().parents[1])
+
+
 def run_cli(*argv):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "monomial_hh", *argv],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -151,3 +159,14 @@ def test_failing_check_exits_1():
     reports = [CheckReport("good", True, ""), CheckReport("bad", False, "boom")]
     assert _report_command(args, reports, "verify") == 1
     assert _report_command(args, reports[:1], "verify") == 0
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(table, max_degree):
+        raise AssertionError("table corrupt")
+
+    monkeypatch.setattr(cli, "hochschild_cohomology", broken)
+    assert cli.main(["hh", CONE, "--max-degree", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: AssertionError: table corrupt\n"
+    assert "Traceback" not in err

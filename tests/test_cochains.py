@@ -15,7 +15,9 @@ from monomial_hh.cochains import (
     unit_cochain,
 )
 from monomial_hh.errors import NotACocycle, NotTriangular
-from monomial_hh.quivers import divisor_occurrences, is_triangular, path_from_word
+from monomial_hh.quivers import is_triangular, path_from_word
+
+from reference_scans import divisor_occurrences
 
 
 def check_triangular_structure(table, max_degree):

@@ -1,5 +1,6 @@
 import pytest
 
+from monomial_hh import cochains, cup
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import (
     class_vector,
@@ -218,6 +219,24 @@ def test_cup_table_degree0(cone):
     table01 = cup_table(t, spaces, 0, 1)
     assert len(table01) == spaces[0].dimension
     assert all(len(row) == spaces[1].dimension for row in table01)
+
+
+def test_cup_table_checks_each_factor_once(cone, monkeypatch):
+    t = AmbiguityTable(cone)
+    spaces = hochschild_cohomology(t, 4)
+    calls = []
+
+    def counting(table, x):
+        calls.append(x)
+        return is_cocycle(table, x)
+
+    monkeypatch.setattr(cochains, "is_cocycle", counting)  # class_vector's check of the product
+    monkeypatch.setattr(cup, "is_cocycle", counting)  # the factor checks
+    reps_i, reps_j = spaces[1].rep_cochains(t), spaces[2].rep_cochains(t)
+    entries = cup_table(t, spaces, 1, 2)
+    assert len(reps_i) == 3 and len(reps_j) == 2
+    assert sum(map(len, entries)) == len(reps_i) * len(reps_j)
+    assert len(calls) == len(reps_i) + len(reps_j) + len(reps_i) * len(reps_j)
 
 
 def test_delta_route_signs_all_plus_one(cone, triangular_a6, truncated_cycle):

@@ -1,0 +1,64 @@
+"""The incidence index of AmbiguityTable against the brute-force scans it replaced."""
+
+import pytest
+
+from monomial_hh.ambiguities import AmbiguityTable
+from monomial_hh.cochains import _pair_differential_terms, pair_basis
+from monomial_hh.fields import parse_field_spec
+from monomial_hh.quivers import Quiver, build_algebra, concat
+from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
+
+from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
+from reference_scans import scan_cofaces, scan_occurrences, scan_pair_differential_terms, scan_sub
+
+DEGREE = 6
+SEEDS = range(1000, 1020)
+
+
+def make_rsz2():
+    """One vertex, loops x1 and x2, all four length-2 relations: |Γ_n| = 2^(n+1)."""
+    q = Quiver(["1"], [("x1", "1", "1"), ("x2", "1", "1")])
+    return build_algebra(q, [q.path([a, b]) for a in ("x1", "x2") for b in ("x1", "x2")])
+
+
+def tables(spec):
+    """The four fixtures, rsz(2), and seeded random algebras, general and triangular."""
+    field = parse_field_spec(spec)
+    for make in (make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2, make_rsz2):
+        alg = make()
+        yield AmbiguityTable(build_algebra(alg.quiver, alg.relations, field))
+    for triangular in (False, True):
+        cfg = RandomAlgebraConfig(triangular=triangular, field=field)
+        for seed in SEEDS:
+            yield AmbiguityTable(random_algebra(cfg, seed))
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_occurrences_match_scan(spec):
+    # ambiguity paths, and the unreduced words amb*post that homotopy_sigma scans
+    for t in tables(spec):
+        alg = t.algebra
+        for n in range(-1, DEGREE):
+            for amb in t.degree(n):
+                words = [amb.path] + [concat(amb.path, post) for post in alg.basis if post.source == amb.path.target]
+                for m in range(-1, n + 2):
+                    for word in words:
+                        assert t.occurrences(m, word) == scan_occurrences(t, m, word)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_cofaces_and_sub_match_scan(spec):
+    for t in tables(spec):
+        for n in range(0, DEGREE + 1):
+            assert t.cofaces(n) == scan_cofaces(t, n)
+            for amb in t.degree(n):
+                assert t.sub(amb) == scan_sub(t, amb)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_pair_differential_matches_scan(spec):
+    for t in tables(spec):
+        for m in range(0, DEGREE + 1):
+            for amb, b in pair_basis(t, m):
+                got = _pair_differential_terms(t, amb, b)
+                assert list(got.items()) == list(scan_pair_differential_terms(t, amb, b).items())

@@ -9,12 +9,12 @@ from monomial_hh.quivers import (
     Quiver,
     build_algebra,
     concat,
-    divisor_occurrences,
     is_triangular,
     path_from_word,
 )
 
 from conftest import make_cone, make_square
+from reference_scans import divisor_occurrences
 
 
 def test_word_conversion_reverses_traversal():
