@@ -16,7 +16,7 @@ with the last degree that finished.
 """
 
 from .errors import BudgetExceeded
-from .linalg import SparseMatrix, kernel_basis, rank
+from .linalg import SparseMatrix, kernel_basis
 
 DEFAULT_PAIR_BUDGET = 150_000
 
@@ -120,7 +120,8 @@ def bar_hh_dimensions(algebra, max_degree, budget=DEFAULT_PAIR_BUDGET):
             ker = len(kernel_basis(field, mat))
             assert prev_rank <= ker
             dims.append(ker - prev_rank)
-            prev_rank = rank(field, mat)
+            # rank-nullity, which kernel_basis asserts
+            prev_rank = mat.ncols - ker
             pairs = pairs_hi
     except BudgetExceeded as exc:
         raise BudgetExceeded(

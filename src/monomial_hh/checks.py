@@ -43,6 +43,22 @@ def _expect_empty(failures):
     assert failures == [], "%d failing products: %r" % (len(failures), failures[:3])
 
 
+def oracle_report(algebra, spaces, degree):
+    """The oracle-dims row: bar-complex dimensions against ``spaces``.
+
+    The oracle runs through degree min(degree, ORACLE_DEGREE); whether to
+    run it at all is the caller's choice.
+    """
+    top = min(degree, ORACLE_DEGREE)
+
+    def oracle():
+        want = [spaces[n].dimension for n in range(top + 1)]
+        got = bar_oracle.bar_hh_dimensions(algebra, top)
+        assert got == want, "oracle dims %r != %r" % (got, want)
+
+    return _run("oracle-dims", oracle)
+
+
 def run_checks(algebra, degree=6, with_oracle=True, triangular_theorems=False):
     """The full per-algebra battery; returns a list of CheckReport rows.
 
@@ -73,14 +89,7 @@ def run_checks(algebra, degree=6, with_oracle=True, triangular_theorems=False):
     )
     if with_oracle:
         if algebra.dim <= ORACLE_DIM_CAP:
-            oracle_degree = min(degree, ORACLE_DEGREE)
-
-            def oracle():
-                want = [spaces[n].dimension for n in range(oracle_degree + 1)]
-                got = bar_oracle.bar_hh_dimensions(algebra, oracle_degree)
-                assert got == want, "oracle dims %r != %r" % (got, want)
-
-            reports.append(_run("oracle-dims", oracle))
+            reports.append(oracle_report(algebra, spaces, degree))
         else:
             reports.append(CheckReport("oracle-dims", True, "skipped: dim %d > %d" % (algebra.dim, ORACLE_DIM_CAP)))
     if triangular_theorems:

@@ -62,15 +62,6 @@ def pair_cochain(table, amb, b, coeff=1):
     return new_cochain(table, amb.degree + 1, {(amb, b): field.from_int(coeff) if isinstance(coeff, int) else coeff})
 
 
-def unit_cochain(table):
-    """The sum of all vertex pairs; a cocycle representing the unit class."""
-    out = new_cochain(table, 0)
-    one = table.algebra.field.one
-    for amb in table.degree(-1):
-        out.add((amb, amb.path), one)
-    return out
-
-
 def _pair_differential_terms(table, amb, b):
     """Direct evaluation of the differential of the basis pair (amb, b).
 
@@ -139,17 +130,10 @@ class CohomologySpace:
     representatives: list
     dimension: int
     _solver: object = dc_field(default=None, repr=False, compare=False)
+    _index: object = dc_field(default=None, repr=False, compare=False)
 
     def rep_cochains(self, table):
         return [vector_to_cochain(table, self.degree, self.pairs, v) for v in self.representatives]
-
-
-def cochain_to_vector(pairs, x):
-    index = {pair: i for i, pair in enumerate(pairs)}
-    out = {}
-    for key, c in x.terms.items():
-        out[index[key]] = c
-    return out
 
 
 def vector_to_cochain(table, degree, pairs, vec):
@@ -191,11 +175,14 @@ def is_cocycle(table, x):
 
 
 def class_vector(space, table, x):
-    """Coefficients of x's class over space.representatives; NotACocycle if not one."""
+    """Coefficients of x's class over space.representatives; NotACocycle if not one.
+
+    Coboundaries and representatives together span exactly the cocycles
+    (``kernel_basis`` asserts rank + nullity, ``quotient_basis`` that the
+    image lies in the kernel), so the solve itself is the cocycle test.
+    """
     if x.degree != space.degree:
         raise WrongDegree("cochain degree %d vs space degree %d" % (x.degree, space.degree))
-    if not is_cocycle(table, x):
-        raise NotACocycle("not killed by the differential: %s" % display_cochain(x))
     field = table.algebra.field
     if space._solver is None:
         solver = RowBasis(field, track=True)
@@ -206,9 +193,10 @@ def class_vector(space, table, x):
             added, _ = solver.insert(v, ("r", i))
             assert added
         space._solver = solver
-    vec = cochain_to_vector(space.pairs, x)
-    sol = space._solver.express(vec)
-    assert sol is not None, "cocycle outside the kernel span"
+        space._index = {pair: i for i, pair in enumerate(space.pairs)}
+    sol = space._solver.express({space._index[key]: c for key, c in x.terms.items()})
+    if sol is None:
+        raise NotACocycle("not killed by the differential: %s" % display_cochain(x))
     out = {}
     for (kind, i), c in sol.items():
         if kind == "r" and not field.is_zero(c):

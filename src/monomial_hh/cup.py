@@ -81,35 +81,19 @@ def delta_route_cup(table, f, g):
     return out
 
 
-def cup_classes(table, spaces, f, g):
-    """Class vector of f cup g in the degree-(m+n) class basis."""
-    if not is_cocycle(table, f):
-        raise NotACocycle("left cup factor")
-    if not is_cocycle(table, g):
-        raise NotACocycle("right cup factor")
-    return _product_class(table, spaces, f, g)
-
-
-def _require_cocycles(table, xs, what):
-    for x in xs:
-        if not is_cocycle(table, x):
-            raise NotACocycle(what)
-
-
-def _product_class(table, spaces, f, g):
-    """cup_classes for factors already known to be cocycles."""
-    total = f.degree + g.degree
-    assert total < len(spaces)
-    return class_vector(spaces[total], table, cup_cochain(table, f, g))
-
-
 def cup_table(table, spaces, i, j):
-    """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b]."""
+    """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b].
+
+    Each factor is checked once; ``class_vector``'s solve checks each product.
+    """
     reps_i = spaces[i].rep_cochains(table)
     reps_j = spaces[j].rep_cochains(table)
-    _require_cocycles(table, reps_i, "left cup factor")
-    _require_cocycles(table, reps_j, "right cup factor")
-    return [[_product_class(table, spaces, f, g) for g in reps_j] for f in reps_i]
+    for reps, what in ((reps_i, "left cup factor"), (reps_j, "right cup factor")):
+        for x in reps:
+            if not is_cocycle(table, x):
+                raise NotACocycle(what)
+    target = spaces[i + j]
+    return [[class_vector(target, table, cup_cochain(table, f, g)) for g in reps_j] for f in reps_i]
 
 
 def verify_graded_commutativity(table, spaces, max_total_degree):
@@ -135,15 +119,11 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
     """Nonzero positive-degree class products on a triangular algebra (expect none)."""
     if not is_triangular(table.algebra):
         raise NotTriangular("vanishing theorem needs an acyclic quiver")
-    reps = {m: spaces[m].rep_cochains(table) for m in range(1, max_total_degree)}
-    for xs in reps.values():
-        _require_cocycles(table, xs, "cup factor")
     failures = []
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
-            for a, x in enumerate(reps[m]):
-                for b, y in enumerate(reps[n]):
-                    cls = _product_class(table, spaces, x, y)
+            for a, row in enumerate(cup_table(table, spaces, m, n)):
+                for b, cls in enumerate(row):
                     if cls:
                         failures.append({"degrees": [m, n], "classes": [a, b], "product_class": sorted(cls)})
     return failures

@@ -147,13 +147,6 @@ class RowBasis:
         return red
 
 
-def rank(field, matrix: SparseMatrix) -> int:
-    basis = RowBasis(field)
-    for col in matrix.cols:
-        basis.insert(col)
-    return basis.rank
-
-
 def kernel_basis(field, matrix: SparseMatrix):
     """Kernel vectors (in column coordinates), deterministic order.
 

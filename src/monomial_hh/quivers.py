@@ -98,27 +98,7 @@ class Quiver:
         out = [[] for _ in range(self.n_vertices)]
         for i in range(self.n_arrows):
             out[self.arrow_source[i]].append(self.arrow_target[i])
-        color = [0] * self.n_vertices  # 0 new, 1 on stack, 2 done
-        for start in range(self.n_vertices):
-            if color[start]:
-                continue
-            stack = [(start, iter(out[start]))]
-            color[start] = 1
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if color[w] == 1:
-                        return False
-                    if color[w] == 0:
-                        color[w] = 1
-                        stack.append((w, iter(out[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[v] = 2
-                    stack.pop()
-        return True
+        return not _has_cycle(out)
 
     def __repr__(self):
         return f"Quiver({self.n_vertices} vertices, {self.n_arrows} arrows)"
@@ -256,7 +236,6 @@ class MonomialAlgebra:
             rels.append(r)
         self.relations = tuple(sorted(_minimize(rels), key=Path.sort_key))
         self._rel_arrows = tuple(r.arrows for r in self.relations)
-        self._rel_set = frozenset(self._rel_arrows)
         self.max_relation_length = max((len(r) for r in self.relations), default=0)
         self._assert_finite()
         self.basis = tuple(self._enumerate_basis())
@@ -265,18 +244,6 @@ class MonomialAlgebra:
         self.nontrivial_basis = tuple(p for p in self.basis if p.arrows)
 
     # -- construction helpers -------------------------------------------------
-
-    def contains_relation(self, arrows: tuple) -> bool:
-        """Does the arrow word contain some relation as a factor?"""
-        n = len(arrows)
-        for rel in self._rel_arrows:
-            lr = len(rel)
-            if lr > n:
-                continue
-            for k in range(n - lr + 1):
-                if arrows[k : k + lr] == rel:
-                    return True
-        return False
 
     def _tail_hits_relation(self, arrows: tuple) -> bool:
         """Does some relation end exactly at the last arrow? (incremental test)"""
@@ -319,28 +286,8 @@ class MonomialAlgebra:
                 if j is not None:
                     edges[i].append(j)
         # directed cycle <=> infinite-dimensional
-        color = [0] * len(level)
-        for start in range(len(level)):
-            if color[start]:
-                continue
-            stack = [(start, iter(edges[start]))]
-            color[start] = 1
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if color[w] == 1:
-                        raise InfiniteDimensional(
-                            "arbitrarily long relation-free paths exist"
-                        )
-                    if color[w] == 0:
-                        color[w] = 1
-                        stack.append((w, iter(edges[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[v] = 2
-                    stack.pop()
+        if _has_cycle(edges):
+            raise InfiniteDimensional("arbitrarily long relation-free paths exist")
 
     def _enumerate_basis(self):
         q = self.quiver
@@ -367,25 +314,45 @@ class MonomialAlgebra:
     def is_basis(self, p: Path) -> bool:
         return p in self.basis_set
 
-    def reduce_arrows(self, source: int, arrows: tuple):
-        """The basis path for an arrow word, or None when it dies in A."""
-        p = Path(self.quiver, source, arrows)
-        return p if p in self.basis_set else None
-
     def reduce_concat(self, *paths: Path):
         """Concatenate (traversal order) and reduce in A; None when zero."""
         p = concat(*paths)
         return p if p in self.basis_set else None
-
-    @property
-    def is_quadratic(self) -> bool:
-        return all(len(r) == 2 for r in self.relations)
 
     def __repr__(self):
         return (
             f"MonomialAlgebra(dim {self.dim}, {len(self.relations)} relations, "
             f"field {self.field.name})"
         )
+
+
+def _has_cycle(edges) -> bool:
+    """Does the digraph ``edges[v] = [successors]`` have an oriented cycle?
+
+    Iterative three-colour depth-first search, so deep graphs cannot hit
+    the recursion limit.
+    """
+    color = [0] * len(edges)  # 0 new, 1 on stack, 2 done
+    for start in range(len(edges)):
+        if color[start]:
+            continue
+        stack = [(start, iter(edges[start]))]
+        color[start] = 1
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if color[w] == 1:
+                    return True
+                if color[w] == 0:
+                    color[w] = 1
+                    stack.append((w, iter(edges[w])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[v] = 2
+                stack.pop()
+    return False
 
 
 def _minimize(relations):

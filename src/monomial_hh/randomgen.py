@@ -14,15 +14,15 @@ from .fields import QQ
 from .quivers import Quiver, build_algebra
 
 MAX_ATTEMPTS = 5000
+MAX_VERTICES = 6
+MAX_ARROWS = 10
+MAX_RELATIONS = 5
+MIN_RELATION_LENGTH = 2
+MAX_RELATION_LENGTH = 4
 
 
 @dataclass(frozen=True)
 class RandomAlgebraConfig:
-    max_vertices: int = 6
-    max_arrows: int = 10
-    max_relations: int = 5
-    min_relation_length: int = 2
-    max_relation_length: int = 4
     triangular: bool = False
     field: object = dc_field(default=QQ)
 
@@ -52,25 +52,25 @@ def _sample_relation(rng, quiver, length):
     return quiver.path_from_arrows(tuple(word))
 
 
-def _window_relations(rng, quiver, config, walk, count):
+def _window_relations(rng, quiver, walk, count):
     """Windows carved from one walk; overlaps are what feed deep ambiguity chains."""
     rels = []
-    top = min(config.max_relation_length, len(walk))
-    if top < config.min_relation_length:
+    top = min(MAX_RELATION_LENGTH, len(walk))
+    if top < MIN_RELATION_LENGTH:
         return rels
     if rng.random() < 0.5:
         # dense mode: same-length windows at consecutive starts chain the
         # deepest (every window overlaps the next in all but one arrow);
         # short windows chain deeper, so favor them
         if rng.random() < 0.6:
-            length = config.min_relation_length
+            length = MIN_RELATION_LENGTH
         else:
-            length = rng.randint(config.min_relation_length, top)
+            length = rng.randint(MIN_RELATION_LENGTH, top)
         for start in range(min(count, len(walk) - length + 1)):
             rels.append(quiver.path_from_arrows(tuple(walk[start : start + length])))
         return rels
     for _ in range(count):
-        length = rng.randint(config.min_relation_length, top)
+        length = rng.randint(MIN_RELATION_LENGTH, top)
         start = rng.randrange(len(walk) - length + 1)
         rels.append(quiver.path_from_arrows(tuple(walk[start : start + length])))
     return rels
@@ -79,9 +79,9 @@ def _window_relations(rng, quiver, config, walk, count):
 def _try_sample(rng, config):
     if config.triangular and rng.random() < 0.4:
         # deep DAG instances need room for a long chain
-        nv = config.max_vertices
+        nv = MAX_VERTICES
     else:
-        nv = rng.randint(1, config.max_vertices)
+        nv = rng.randint(1, MAX_VERTICES)
     vertices = [str(i + 1) for i in range(nv)]
     arrows = []  # (name, src_idx, tgt_idx)
     spine = []  # arrow indices forming a composable walk
@@ -95,14 +95,14 @@ def _try_sample(rng, config):
         else:
             steps = []
             cur = rng.randrange(nv)
-            for _ in range(rng.randint(0, 2 * config.max_relation_length)):
+            for _ in range(rng.randint(0, 2 * MAX_RELATION_LENGTH)):
                 nxt = rng.randrange(nv)
                 steps.append((cur, nxt))
                 cur = nxt
         for s, t in steps:
             spine.append(len(arrows))
             arrows.append(("a%d" % (len(arrows) + 1), s, t))
-    for _ in range(rng.randint(0, max(0, config.max_arrows - len(arrows)))):
+    for _ in range(rng.randint(0, max(0, MAX_ARROWS - len(arrows)))):
         if config.triangular:
             if nv < 2:
                 break
@@ -112,18 +112,18 @@ def _try_sample(rng, config):
             s = rng.randrange(nv)
             t = rng.randrange(nv)
         arrows.append(("a%d" % (len(arrows) + 1), s, t))
-    if len(arrows) > config.max_arrows:
+    if len(arrows) > MAX_ARROWS:
         return None
     quiver = Quiver(vertices, [(n, vertices[s], vertices[t]) for n, s, t in arrows])
     relations = []
     if arrows:
         # max of two draws: biased toward several relations, zero still possible
-        nr = max(rng.randint(0, config.max_relations), rng.randint(0, config.max_relations))
+        nr = max(rng.randint(0, MAX_RELATIONS), rng.randint(0, MAX_RELATIONS))
         if nr and spine and rng.random() < 0.7:
-            relations = _window_relations(rng, quiver, config, spine, nr)
+            relations = _window_relations(rng, quiver, spine, nr)
         if nr and not relations:
             for _ in range(nr):
-                length = rng.randint(config.min_relation_length, config.max_relation_length)
+                length = rng.randint(MIN_RELATION_LENGTH, MAX_RELATION_LENGTH)
                 rel = _sample_relation(rng, quiver, length)
                 if rel is not None:
                     relations.append(rel)

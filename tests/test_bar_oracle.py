@@ -9,6 +9,7 @@ from monomial_hh.bar_oracle import (
 )
 from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.errors import BudgetExceeded
+from monomial_hh.linalg import RowBasis
 
 
 def check_bar_delta_squared(algebra, max_degree):
@@ -67,6 +68,21 @@ def test_routes_agree(cone, square, triangular_a6, truncated_cycle, a2):
         spaces = hochschild_cohomology(t, 4)
         resolution_dims = [spaces[n].dimension for n in range(5)]
         assert bar_hh_dimensions(alg, 4) == resolution_dims
+
+
+def test_each_bar_column_inserted_once(cone, monkeypatch):
+    # the rank of each bar matrix comes from its kernel pass, not a second elimination
+    ncols = sum(len(bar_pairs(cone, n)) for n in range(4))
+    calls = []
+    real = RowBasis.insert
+
+    def counting(self, vec, tag=None):
+        calls.append(tag)
+        return real(self, vec, tag)
+
+    monkeypatch.setattr(RowBasis, "insert", counting)
+    assert bar_hh_dimensions(cone, 3) == [3, 3, 2, 2]
+    assert len(calls) == ncols
 
 
 def test_budget(cone):

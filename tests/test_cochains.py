@@ -1,5 +1,6 @@
 import pytest
 
+from monomial_hh import cochains
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import (
     check_differential_routes_agree,
@@ -12,11 +13,11 @@ from monomial_hh.cochains import (
     new_cochain,
     pair_basis,
     pair_cochain,
-    unit_cochain,
 )
 from monomial_hh.errors import NotACocycle, NotTriangular
 from monomial_hh.quivers import is_triangular, path_from_word
 
+from helpers import unit_cochain
 from reference_scans import divisor_occurrences
 
 
@@ -114,6 +115,30 @@ def test_class_vector_rejects_non_cocycle(triangular_a6):
     assert not is_cocycle(t, x)
     with pytest.raises(NotACocycle):
         class_vector(spaces[1], t, x)
+
+
+def test_class_vector_runs_no_differential(triangular_a6, cone, monkeypatch):
+    t = AmbiguityTable(triangular_a6)
+    q = triangular_a6.quiver
+    spaces = hochschild_cohomology(t, 1)
+    x = pair_cochain(t, t.by_path(0, q.arrow_path("a2")), q.arrow_path("b"))
+    assert not is_cocycle(t, x)
+    tc = AmbiguityTable(cone)
+    cone_spaces = hochschild_cohomology(tc, 3)
+    calls = []
+    real = cochains.cochain_differential
+
+    def counting(table, y):
+        calls.append(y)
+        return real(table, y)
+
+    monkeypatch.setattr(cochains, "cochain_differential", counting)
+    with pytest.raises(NotACocycle, match="not killed by the differential"):
+        class_vector(spaces[1], t, x)
+    for sp in cone_spaces:
+        for j, rep in enumerate(sp.rep_cochains(tc)):
+            assert class_vector(sp, tc, rep) == {j: cone.field.one}
+    assert calls == []
 
 
 def test_triangular_structure(triangular_a6, cone):

@@ -10,13 +10,11 @@ from monomial_hh.cochains import (
     new_cochain,
     pair_basis,
     pair_cochain,
-    unit_cochain,
 )
 from monomial_hh.cup import (
     _support_kernel,
     check_cup_closure,
     check_one_sided_vanishing,
-    cup_classes,
     cup_cochain,
     cup_table,
     delta_route_cup,
@@ -27,6 +25,8 @@ from monomial_hh.cup import (
 )
 from monomial_hh.errors import NotACocycle, NotTriangular
 from monomial_hh.quivers import concat, path_from_word
+
+from helpers import is_quadratic, unit_cochain
 
 
 def record_delta_route_signs(table, max_total_degree):
@@ -104,7 +104,7 @@ def common_factor(table, x):
 def check_quadratic_cup(table, max_total_degree):
     """Quadratic algebras: basis cups concatenate or vanish."""
     alg = table.algebra
-    assert alg.is_quadratic
+    assert is_quadratic(alg)
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
             for ambf, bf in pair_basis(table, m):
@@ -202,15 +202,19 @@ def test_cone_w_squared_exact(cone):
 
 
 def test_unit_is_identity(cone, triangular_a6):
+    def product_class(t, spaces, f, g):
+        return class_vector(spaces[f.degree + g.degree], t, cup_cochain(t, f, g))
+
     for alg in (cone, triangular_a6):
         t = AmbiguityTable(alg)
         spaces = hochschild_cohomology(t, 4)
         u = unit_cochain(t)
+        assert is_cocycle(t, u)
         one = alg.field.one
         for n in range(0, 5):
             for j, rep in enumerate(spaces[n].rep_cochains(t)):
-                assert cup_classes(t, spaces, u, rep) == {j: one}
-                assert cup_classes(t, spaces, rep, u) == {j: one}
+                assert product_class(t, spaces, u, rep) == {j: one}
+                assert product_class(t, spaces, rep, u) == {j: one}
 
 
 def test_cup_table_degree0(cone):
@@ -230,13 +234,14 @@ def test_cup_table_checks_each_factor_once(cone, monkeypatch):
         calls.append(x)
         return is_cocycle(table, x)
 
-    monkeypatch.setattr(cochains, "is_cocycle", counting)  # class_vector's check of the product
+    monkeypatch.setattr(cochains, "is_cocycle", counting)  # would count a separate check of the product
     monkeypatch.setattr(cup, "is_cocycle", counting)  # the factor checks
     reps_i, reps_j = spaces[1].rep_cochains(t), spaces[2].rep_cochains(t)
     entries = cup_table(t, spaces, 1, 2)
     assert len(reps_i) == 3 and len(reps_j) == 2
     assert sum(map(len, entries)) == len(reps_i) * len(reps_j)
-    assert len(calls) == len(reps_i) + len(reps_j) + len(reps_i) * len(reps_j)
+    # the products are checked by class_vector's solve, not by is_cocycle
+    assert len(calls) == len(reps_i) + len(reps_j)
 
 
 def test_delta_route_signs_all_plus_one(cone, triangular_a6, truncated_cycle):

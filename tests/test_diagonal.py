@@ -9,10 +9,12 @@ from monomial_hh.diagonal import (
 )
 from monomial_hh.quivers import path_from_word
 
+from helpers import is_quadratic
+
 
 def check_quadratic(table, max_degree):
     """Quadratic algebras: one decomposition per bidegree, all outer slots trivial."""
-    assert table.algebra.is_quadratic
+    assert is_quadratic(table.algebra)
     for n in range(0, max_degree + 1):
         for amb in table.degree(n):
             seen = {}
@@ -98,7 +100,7 @@ def test_decomposition_lemmas(cone, square):
 
 def test_quadratic_specialization(triangular_a6, truncated_cycle):
     for alg in (triangular_a6, truncated_cycle):
-        assert alg.is_quadratic
+        assert is_quadratic(alg)
         check_quadratic(AmbiguityTable(alg), 5)
 
 

@@ -14,6 +14,7 @@ from monomial_hh.quivers import (
 )
 
 from conftest import make_cone, make_square
+from helpers import is_quadratic
 from reference_scans import divisor_occurrences
 
 
@@ -47,7 +48,7 @@ def test_square_dimension(square):
 
 def test_truncated_cycle_dimension(truncated_cycle):
     assert truncated_cycle.dim == 6
-    assert truncated_cycle.is_quadratic
+    assert is_quadratic(truncated_cycle)
 
 
 def test_point_and_a2(point, a2):

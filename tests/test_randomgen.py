@@ -1,3 +1,4 @@
+from monomial_hh import randomgen
 from monomial_hh.quivers import is_triangular
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra, shrink_algebra
 
@@ -26,10 +27,10 @@ def test_bounds_and_finiteness():
     for seed in range(60):
         alg = random_algebra(cfg, seed)
         q = alg.quiver
-        assert 1 <= q.n_vertices <= cfg.max_vertices
-        assert q.n_arrows <= cfg.max_arrows
-        assert len(alg.relations) <= cfg.max_relations
-        assert all(2 <= len(r) <= 4 for r in alg.relations)
+        assert 1 <= q.n_vertices <= randomgen.MAX_VERTICES
+        assert q.n_arrows <= randomgen.MAX_ARROWS
+        assert len(alg.relations) <= randomgen.MAX_RELATIONS
+        assert all(randomgen.MIN_RELATION_LENGTH <= len(r) <= randomgen.MAX_RELATION_LENGTH for r in alg.relations)
         assert alg.dim >= 1  # finite by construction, counts at least the vertices
 
 
