@@ -95,6 +95,9 @@ class AmbiguityTable:
     its windows, and ``cofaces`` inverts the differential.  Their per-degree
     lookups are built lazily, on first use, from the stored degrees alone;
     they are idempotent caches, so building one twice gives the same map.
+    The cup structure constants and the diagonals, which read only this
+    index, are cached here the same way, one slot each, by the modules that
+    build them.
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -117,6 +120,8 @@ class AmbiguityTable:
         ]
         self._windows = {}  # degree m >= 0 -> ({arrows: ambiguity}, sorted lengths)
         self._cofaces = {}  # degree n -> {(n-1)-ambiguity: [(q, position, sign)]}
+        self._cup = {}  # bidegree (m, n) -> cup structure constants, see cup._constants
+        self._diagonals = {}  # ambiguity -> its diagonal, see diagonal.diagonal
 
     def degree(self, n: int):
         """The tuple of n-ambiguities, sorted by path; computed on demand."""

@@ -43,6 +43,13 @@ def _table(headers, rows):
         print(fmt % tuple(row))
 
 
+def _field(spec):
+    try:
+        return parse_field_spec(spec)
+    except ValueError as exc:
+        raise BadInput(str(exc)) from None
+
+
 def _load(path, field_spec=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -51,11 +58,7 @@ def _load(path, field_spec=None):
         raise BadInput("cannot read %s: %s" % (path, exc)) from None
     algebra = parse_algebra_file(text)
     if field_spec:
-        try:
-            field = parse_field_spec(field_spec)
-        except ValueError as exc:
-            raise BadInput(str(exc)) from None
-        algebra = build_algebra(algebra.quiver, algebra.relations, field)
+        algebra = build_algebra(algebra.quiver, algebra.relations, _field(field_spec))
     return algebra
 
 
@@ -258,7 +261,7 @@ def cmd_verify(args):
 
 
 def cmd_random(args):
-    config = RandomAlgebraConfig(triangular=args.triangular)
+    config = RandomAlgebraConfig(triangular=args.triangular, field=_field(args.field))
     out = run_random_suite(config, args.trials, args.seed, degree=args.max_degree)
     if args.json:
         _emit_json(
@@ -351,6 +354,7 @@ def build_parser():
 
     p = add("random", cmd_random, help="seeded random suite with shrinking")
     p.add_argument("--triangular", action="store_true")
+    p.add_argument("--field", default="q", help="field of the random algebras: q or fp:<prime>")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--max-degree", type=int, default=4)

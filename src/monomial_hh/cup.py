@@ -5,6 +5,18 @@ stretch of q and g's the traversal-final one, with the three gaps filled
 by basis paths.  The worked products of the source material pin this
 orientation down; the diagonal route below reproduces it exactly with
 the operands swapped (left tensor factor = traversal-later slot).
+
+The cup product is bilinear, so ``cup_cochain`` contracts its operands
+against structure constants on basis pairs.  For a bidegree (m, n) they
+map f's pair (pf, bf), then g's pair (pg, bg), to the list of output pairs
+(q, value) of their product, {(pf, bf): {(pg, bg): [(q, value), ...]}}:
+q runs over Γ_{m+n−1}, pf and pg are found in it through the table's
+incidence index, and value is the reduced product of the gaps and the
+parallel paths.  Only keys are stored, never scalars, so one table serves
+every field.  ``_constants`` builds it in one pass over Γ_{m+n−1}, on first
+use, and caches it on the AmbiguityTable.  ``delta_route_cup`` computes
+the same products from the diagonal without these constants and is the
+independent route the tests compare against.
 """
 
 from . import cochains
@@ -15,32 +27,24 @@ from .linalg import RowBasis, SparseMatrix, kernel_basis
 from .quivers import is_triangular
 
 
-def _terms_by_ambiguity(x):
-    """{ambiguity: [(parallel path, scalar)]} over the terms of a cochain."""
-    out = {}
-    for (amb, b), c in x.terms.items():
-        out.setdefault(amb, []).append((b, c))
-    return out
+def _constants(table, m, n):
+    """Structure constants of degree-m cup degree-n cochains (module docstring).
 
-
-def cup_cochain(table, f, g):
+    (pf, bf) cup (pg, bg) is the sum, with coefficient 1 each, of the
+    pairs (q, value) in constants[(pf, bf)][(pg, bg)].
+    """
+    constants = table._cup.get((m, n))
+    if constants is not None:
+        return constants
     alg = table.algebra
-    field = alg.field
-    total = f.degree + g.degree
-    out = new_cochain(table, total)
-    outputs = table.degree(total - 1)
-    if not outputs or f.is_zero() or g.is_zero():
-        return out
-    f_terms = _terms_by_ambiguity(f)
-    g_terms = _terms_by_ambiguity(g)
-    for q in outputs:
+    parallel = {}
+    for b in alg.basis:
+        parallel.setdefault((b.source, b.target), []).append(b)
+    constants = {}
+    for q in table.degree(m + n - 1):
         qp = q.path
-        seconds = [(pg, k2) for pg, k2 in table.occurrences(g.degree - 1, qp) if pg in g_terms]
-        if not seconds:
-            continue
-        for pf, k1 in table.occurrences(f.degree - 1, qp):
-            if pf not in f_terms:
-                continue
+        seconds = table.occurrences(n - 1, qp)
+        for pf, k1 in table.occurrences(m - 1, qp):
             end1 = k1 + len(pf.path)
             gap_a = qp.segment(0, k1)
             for pg, k2 in seconds:
@@ -48,12 +52,35 @@ def cup_cochain(table, f, g):
                     continue
                 gap_c = qp.segment(end1, k2)
                 gap_e = qp.segment(k2 + len(pg.path), len(qp))
-                for bf, cf in f_terms[pf]:
-                    for bg, cg in g_terms[pg]:
+                for bf in parallel.get((pf.path.source, pf.path.target), ()):
+                    for bg in parallel.get((pg.path.source, pg.path.target), ()):
                         value = alg.reduce_concat(gap_a, bf, gap_c, bg, gap_e)
                         if value is None:
                             continue
-                        out.add((q, value), field.mul(cf, cg))
+                        row = constants.setdefault((pf, bf), {})
+                        row.setdefault((pg, bg), []).append((q, value))
+    table._cup[(m, n)] = constants
+    return constants
+
+
+def cup_cochain(table, f, g):
+    """f cup g, contracted against the structure constants of its bidegree."""
+    field = table.algebra.field
+    out = new_cochain(table, f.degree + g.degree)
+    if f.is_zero() or g.is_zero():
+        return out
+    constants = _constants(table, f.degree, g.degree)
+    for pair_f, cf in f.terms.items():
+        row = constants.get(pair_f)
+        if row is None:
+            continue
+        for pair_g, cg in g.terms.items():
+            outputs = row.get(pair_g)
+            if outputs is None:
+                continue
+            c = field.mul(cf, cg)
+            for key in outputs:
+                out.add(key, c)
     return out
 
 
@@ -81,32 +108,37 @@ def delta_route_cup(table, f, g):
     return out
 
 
-def cup_table(table, spaces, i, j):
-    """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b].
+def _factors(table, space, what):
+    """The space's representative cochains, each checked once to be a cocycle."""
+    reps = space.rep_cochains(table)
+    for x in reps:
+        if not is_cocycle(table, x):
+            raise NotACocycle(what)
+    return reps
 
-    Each factor is checked once; ``class_vector``'s solve checks each product.
-    """
-    reps_i = spaces[i].rep_cochains(table)
-    reps_j = spaces[j].rep_cochains(table)
-    for reps, what in ((reps_i, "left cup factor"), (reps_j, "right cup factor")):
-        for x in reps:
-            if not is_cocycle(table, x):
-                raise NotACocycle(what)
-    target = spaces[i + j]
+
+def _class_products(table, target, reps_i, reps_j):
+    """entry[a][b] = class of reps_i[a] cup reps_j[b]; the solve checks each product."""
     return [[class_vector(target, table, cup_cochain(table, f, g)) for g in reps_j] for f in reps_i]
+
+
+def cup_table(table, spaces, i, j):
+    """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b]."""
+    reps_i = _factors(table, spaces[i], "left cup factor")
+    reps_j = _factors(table, spaces[j], "right cup factor")
+    return _class_products(table, spaces[i + j], reps_i, reps_j)
 
 
 def verify_graded_commutativity(table, spaces, max_total_degree):
     """Failures of x cup y = (-1)^(mn) y cup x modulo coboundaries."""
     field = table.algebra.field
+    reps = [spaces[d].rep_cochains(table) for d in range(max_total_degree + 1)]
     failures = []
     for m in range(0, max_total_degree + 1):
         for n in range(m, max_total_degree + 1 - m):
-            reps_m = spaces[m].rep_cochains(table)
-            reps_n = spaces[n].rep_cochains(table)
             sign = -1 if (m * n) % 2 else 1
-            for a, x in enumerate(reps_m):
-                for b, y in enumerate(reps_n):
+            for a, x in enumerate(reps[m]):
+                for b, y in enumerate(reps[n]):
                     lhs = cup_cochain(table, x, y)
                     rhs = cup_cochain(table, y, x).scale(field.from_int(sign))
                     cls = class_vector(spaces[m + n], table, lhs - rhs)
@@ -119,10 +151,11 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
     """Nonzero positive-degree class products on a triangular algebra (expect none)."""
     if not is_triangular(table.algebra):
         raise NotTriangular("vanishing theorem needs an acyclic quiver")
+    reps = {d: _factors(table, spaces[d], "cup factor") for d in range(1, max_total_degree)}
     failures = []
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
-            for a, row in enumerate(cup_table(table, spaces, m, n)):
+            for a, row in enumerate(_class_products(table, spaces[m + n], reps[m], reps[n])):
                 for b, cls in enumerate(row):
                     if cls:
                         failures.append({"degrees": [m, n], "classes": [a, b], "product_class": sorted(cls)})
@@ -210,16 +243,16 @@ def refine_to_irreducible(table, x):
 
 def check_cup_closure(table, spaces, max_total_degree):
     """Cocycle x cocycle is a cocycle; either order with a coboundary is one."""
-    for m in range(0, max_total_degree + 1):
+    degrees = range(0, max_total_degree + 1)
+    z = [[vector_to_cochain(table, d, spaces[d].pairs, v) for v in spaces[d].cocycles] for d in degrees]
+    b = [[vector_to_cochain(table, d, spaces[d].pairs, v) for v in spaces[d].coboundaries] for d in degrees]
+    for m in degrees:
         for n in range(0, max_total_degree + 1 - m):
             total = m + n
-            z_m = [vector_to_cochain(table, m, spaces[m].pairs, v) for v in spaces[m].cocycles]
-            z_n = [vector_to_cochain(table, n, spaces[n].pairs, v) for v in spaces[n].cocycles]
-            b_n = [vector_to_cochain(table, n, spaces[n].pairs, v) for v in spaces[n].coboundaries]
-            for f in z_m:
-                for g in z_n:
+            for f in z[m]:
+                for g in z[n]:
                     assert cochain_differential(table, cup_cochain(table, f, g)).is_zero()
-                for g in b_n:
+                for g in b[n]:
                     for prod in (cup_cochain(table, f, g), cup_cochain(table, g, f)):
                         cls = class_vector(spaces[total], table, prod)
                         assert cls == {}, "cup with a coboundary is not a coboundary"

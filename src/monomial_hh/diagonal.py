@@ -49,12 +49,16 @@ def _decompositions(table, amb, i, j):
 
 
 def diagonal(table, amb):
-    n = amb.degree
-    out = tensor_element(n)
-    for i in range(-1, n + 1):
-        j = n - 1 - i
-        for key in _decompositions(table, amb, i, j):
-            out.add(key, 1)
+    """The diagonal of amb, cached on the table: callers must not mutate it."""
+    out = table._diagonals.get(amb)
+    if out is None:
+        n = amb.degree
+        out = tensor_element(n)
+        for i in range(-1, n + 1):
+            j = n - 1 - i
+            for key in _decompositions(table, amb, i, j):
+                out.add(key, 1)
+        table._diagonals[amb] = out
     return out
 
 

@@ -3,9 +3,11 @@
 Each one tests every ambiguity of a whole degree against a word, so its
 cost grows with |Γ_m|.  They stay here as the reference that
 ``occurrences``, ``cofaces``, ``sub`` and the pair differential are
-compared against.
+compared against, and ``scan_cup_cochain`` is the product that the cup
+structure constants replaced.
 """
 
+from monomial_hh.cochains import new_cochain
 from monomial_hh.quivers import DivisorOccurrence
 
 
@@ -94,3 +96,37 @@ def scan_pair_differential_terms(table, amb, b):
             for occ in divisor_occurrences(p, q.path):
                 bump(q, alg.reduce_concat(occ.prefix, b, occ.suffix), 1)
     return {k: c for k, c in out.items() if c}
+
+
+def scan_cup_cochain(table, f, g):
+    """f cup g by a scan of every output ambiguity for the occurrences of f's and g's ambiguities."""
+    alg = table.algebra
+    field = alg.field
+    out = new_cochain(table, f.degree + g.degree)
+    if f.is_zero() or g.is_zero():
+        return out
+    f_terms = {}
+    for (amb, b), c in f.terms.items():
+        f_terms.setdefault(amb, []).append((b, c))
+    g_terms = {}
+    for (amb, b), c in g.terms.items():
+        g_terms.setdefault(amb, []).append((b, c))
+    for q in table.degree(f.degree + g.degree - 1):
+        qp = q.path
+        seconds = [(pg, k2) for pg, k2 in table.occurrences(g.degree - 1, qp) if pg in g_terms]
+        for pf, k1 in table.occurrences(f.degree - 1, qp):
+            if pf not in f_terms:
+                continue
+            end1 = k1 + len(pf.path)
+            gap_a = qp.segment(0, k1)
+            for pg, k2 in seconds:
+                if k2 < end1:
+                    continue
+                gap_c = qp.segment(end1, k2)
+                gap_e = qp.segment(k2 + len(pg.path), len(qp))
+                for bf, cf in f_terms[pf]:
+                    for bg, cg in g_terms[pg]:
+                        value = alg.reduce_concat(gap_a, bf, gap_c, bg, gap_e)
+                        if value is not None:
+                            out.add((q, value), field.mul(cf, cg))
+    return out

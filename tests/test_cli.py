@@ -8,8 +8,10 @@ import sys
 import types
 
 from monomial_hh import cli
-from monomial_hh.checks import CheckReport
+from monomial_hh.checks import CheckReport, run_random_suite
 from monomial_hh.cli import _report_command
+from monomial_hh.fields import parse_field_spec
+from monomial_hh.randomgen import RandomAlgebraConfig
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 CONE = str(FIXTURES / "example_cone.alg")
@@ -113,6 +115,20 @@ def test_random_suite_cli():
     assert [t["seed"] for t in doc["trials"]] == [7, 8, 9, 10, 11, 12]
 
 
+def test_random_suite_field(monkeypatch, capsys):
+    out = run_cli("random", "--field", "fp:2", "--trials", "3", "--seed", "1000", "--max-degree", "4", "--json")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    config = RandomAlgebraConfig(field=parse_field_spec("fp:2"))
+    expected = run_random_suite(config, 3, 1000, degree=4)
+    assert doc["trials"] == json.loads(json.dumps(expected["trials"]))
+    # the rows do not name the field, so look at the config the suite gets
+    seen = []
+    monkeypatch.setattr(cli, "run_random_suite", lambda config, *args, **kw: seen.append(config) or expected)
+    assert cli.main(["random", "--field", "fp:2", "--trials", "3", "--json"]) == 0
+    assert [c.field.name for c in seen] == ["fp:2"]
+
+
 def test_byte_identical_reruns():
     for argv in (
         ["hh", CONE, "--max-degree", "4", "--json"],
@@ -145,6 +161,9 @@ def test_input_errors_exit_2():
     assert out.returncode == 2
 
     out = run_cli("hh", CONE, "--max-degree", "1", "--field", "fp:nope")
+    assert out.returncode == 2
+
+    out = run_cli("random", "--trials", "1", "--field", "fp:4")
     assert out.returncode == 2
 
     out = run_cli("verify", CONE)  # no check selected

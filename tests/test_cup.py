@@ -244,6 +244,37 @@ def test_cup_table_checks_each_factor_once(cone, monkeypatch):
     assert len(calls) == len(reps_i) + len(reps_j)
 
 
+def test_triangular_vanishing_checks_each_factor_once(triangular_a6, monkeypatch):
+    t = AmbiguityTable(triangular_a6)
+    spaces = hochschild_cohomology(t, 6)
+    calls = []
+
+    def counting(table, x):
+        calls.append(x)
+        return is_cocycle(table, x)
+
+    monkeypatch.setattr(cochains, "is_cocycle", counting)
+    monkeypatch.setattr(cup, "is_cocycle", counting)
+    assert verify_triangular_vanishing(t, spaces, 6) == []
+    assert len(calls) == sum(spaces[d].dimension for d in range(1, 6))
+
+
+def test_constants_built_once(cone, monkeypatch):
+    t = AmbiguityTable(cone)
+    spaces = hochschild_cohomology(t, 4)
+    first = cup_table(t, spaces, 1, 2)
+    calls = []
+    occurrences = AmbiguityTable.occurrences
+
+    def counting(self, m, path):
+        calls.append((m, path))
+        return occurrences(self, m, path)
+
+    monkeypatch.setattr(AmbiguityTable, "occurrences", counting)
+    assert cup_table(t, spaces, 1, 2) == first
+    assert calls == []
+
+
 def test_delta_route_signs_all_plus_one(cone, triangular_a6, truncated_cycle):
     for alg in (cone, triangular_a6, truncated_cycle):
         t = AmbiguityTable(alg)

@@ -1,17 +1,19 @@
-"""The incidence index of AmbiguityTable against the brute-force scans it replaced."""
+"""The incidence index of AmbiguityTable, and what reads it, against the brute-force scans it replaced."""
 
 import pytest
 
 from monomial_hh.ambiguities import AmbiguityTable
-from monomial_hh.cochains import _pair_differential_terms, pair_basis
+from monomial_hh.cochains import _pair_differential_terms, new_cochain, pair_basis, pair_cochain
+from monomial_hh.cup import cup_cochain
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.quivers import Quiver, build_algebra, concat
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from reference_scans import scan_cofaces, scan_occurrences, scan_pair_differential_terms, scan_sub
+from reference_scans import scan_cofaces, scan_cup_cochain, scan_occurrences, scan_pair_differential_terms, scan_sub
 
 DEGREE = 6
+CUP_DEGREE = 4  # cup products of total degree up to this
 SEEDS = range(1000, 1020)
 
 
@@ -62,3 +64,19 @@ def test_pair_differential_matches_scan(spec):
             for amb, b in pair_basis(t, m):
                 got = _pair_differential_terms(t, amb, b)
                 assert list(got.items()) == list(scan_pair_differential_terms(t, amb, b).items())
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_cup_matches_scan(spec):
+    # every basis pair times every basis pair, then one sum of all pairs
+    # with distinct weights per side, where terms meet and may cancel
+    for t in tables(spec):
+        field = t.algebra.field
+        degrees = range(CUP_DEGREE + 1)
+        pairs = [[pair_cochain(t, amb, b) for amb, b in pair_basis(t, d)] for d in degrees]
+        sums = [new_cochain(t, d, {key: field.from_int(i + 1) for i, key in enumerate(pair_basis(t, d))}) for d in degrees]
+        for m in degrees:
+            for n in range(0, CUP_DEGREE + 1 - m):
+                for f in pairs[m] + [sums[m]]:
+                    for g in pairs[n] + [sums[n]]:
+                        assert cup_cochain(t, f, g) == scan_cup_cochain(t, f, g)
