@@ -59,7 +59,7 @@ def oracle_report(algebra, spaces, degree):
     return _run("oracle-dims", oracle)
 
 
-def run_checks(algebra, degree=6, with_oracle=True, triangular_theorems=False):
+def run_checks(algebra, degree=6, triangular_theorems=False):
     """The full per-algebra battery; returns a list of CheckReport rows.
 
     ``degree`` bounds everything: resolution/diagonal identities run through
@@ -87,11 +87,10 @@ def run_checks(algebra, degree=6, with_oracle=True, triangular_theorems=False):
             lambda: _expect_empty(cup.verify_graded_commutativity(table, spaces, degree)),
         )
     )
-    if with_oracle:
-        if algebra.dim <= ORACLE_DIM_CAP:
-            reports.append(oracle_report(algebra, spaces, degree))
-        else:
-            reports.append(CheckReport("oracle-dims", True, "skipped: dim %d > %d" % (algebra.dim, ORACLE_DIM_CAP)))
+    if algebra.dim <= ORACLE_DIM_CAP:
+        reports.append(oracle_report(algebra, spaces, degree))
+    else:
+        reports.append(CheckReport("oracle-dims", True, "skipped: dim %d > %d" % (algebra.dim, ORACLE_DIM_CAP)))
     if triangular_theorems:
         reports.append(
             _run(

@@ -26,6 +26,13 @@ from . import diagonal, resolution
 SCHEMA = "monomial-hh/1"
 
 
+def _bound(text):
+    """argparse type of degree bounds and trial counts: an int >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    return int(text)
+
+
 def _emit_json(payload):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -324,23 +331,23 @@ def build_parser():
 
     p = add("resolution-check", cmd_resolution_check, help="d^2, augmentation, homotopy")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=5)
+    p.add_argument("--max-degree", type=_bound, default=5)
     p.add_argument("--json", action="store_true")
 
     p = add("diagonal-check", cmd_diagonal_check, help="chain map, counit, decompositions")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=5)
+    p.add_argument("--max-degree", type=_bound, default=5)
     p.add_argument("--json", action="store_true")
 
     p = add("hh", cmd_hh, help="Hochschild cohomology dimensions and representatives")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_bound, required=True)
     p.add_argument("--field", help="override the file's field: q or fp:<prime>")
     p.add_argument("--json", action="store_true")
 
     p = add("cup", cmd_cup, help="class-level cup product tables")
     p.add_argument("file")
-    p.add_argument("--max-total-degree", type=int, required=True)
+    p.add_argument("--max-total-degree", type=_bound, required=True)
     p.add_argument("--json", action="store_true")
 
     p = add("verify", cmd_verify, help="run verification suites on one algebra")
@@ -349,15 +356,15 @@ def build_parser():
     p.add_argument("--triangular-vanishing", action="store_true")
     p.add_argument("--graded-commutativity", action="store_true")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--max-degree", type=int, default=5)
+    p.add_argument("--max-degree", type=_bound, default=5)
     p.add_argument("--json", action="store_true")
 
     p = add("random", cmd_random, help="seeded random suite with shrinking")
     p.add_argument("--triangular", action="store_true")
     p.add_argument("--field", default="q", help="field of the random algebras: q or fp:<prime>")
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=_bound, default=25)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_bound, default=4)
     p.add_argument("--json", action="store_true")
 
     p = add("write", cmd_write, help="parse a file and print its canonical form")

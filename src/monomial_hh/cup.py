@@ -19,11 +19,9 @@ the same products from the diagonal without these constants and is the
 independent route the tests compare against.
 """
 
-from . import cochains
 from .cochains import class_vector, cochain_differential, is_cocycle, new_cochain, vector_to_cochain
 from .diagonal import diagonal
 from .errors import NotACocycle, NotTriangular
-from .linalg import RowBasis, SparseMatrix, kernel_basis
 from .quivers import is_triangular
 
 
@@ -162,85 +160,6 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
     return failures
 
 
-def _overlap_components(table, x):
-    supp = list(x.terms)
-    footprints = [set(cochains._pair_differential_terms(table, amb, b)) for amb, b in supp]
-    parent = list(range(len(supp)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(supp)):
-        for j in range(i + 1, len(supp)):
-            if footprints[i] & footprints[j]:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(len(supp)):
-        groups.setdefault(find(i), []).append(i)
-    comps = []
-    for members in groups.values():
-        comps.append(new_cochain(table, x.degree, {supp[i]: x.terms[supp[i]] for i in members}))
-    comps.sort(key=lambda c: min(map(cochains._pair_key, c.terms)))
-    return comps
-
-
-def irreducible_components(table, x):
-    """Split a cocycle along connected components of the overlap graph."""
-    if not is_cocycle(table, x):
-        raise NotACocycle("can only split cocycles")
-    comps = _overlap_components(table, x)
-    for c in comps:
-        assert is_cocycle(table, c)
-    return comps
-
-
-def _support_kernel(table, supp):
-    """Reduced-echelon kernel of the differential restricted to span(supp)."""
-    field = table.algebra.field
-    cols = []
-    rows = {}
-    for amb, b in supp:
-        col = {}
-        for key, n in cochains._pair_differential_terms(table, amb, b).items():
-            row = rows.setdefault(key, len(rows))
-            col[row] = field.from_int(n)
-        cols.append(col)
-    mat = SparseMatrix(len(rows), len(cols), tuple(cols))
-    return kernel_basis(field, mat)
-
-
-def refine_to_irreducible(table, x):
-    """Overlap components refined until the sub-support kernel is a line."""
-    out = []
-    for comp in irreducible_components(table, x):
-        supp = sorted(comp.terms, key=cochains._pair_key)
-        ker = _support_kernel(table, supp)
-        if len(ker) == 1:
-            out.append(comp)
-            continue
-        # express comp over the reduced kernel basis; every basis vector
-        # misses the other pivots, so supports strictly shrink
-        field = table.algebra.field
-        solver = RowBasis(field, track=True)
-        for i, v in enumerate(ker):
-            added, _ = solver.insert(v, i)
-            assert added
-        sol = solver.express({i: comp.terms[pair] for i, pair in enumerate(supp)})
-        assert sol is not None
-        for i, c in sol.items():
-            if field.is_zero(c):
-                continue
-            piece = new_cochain(table, x.degree)
-            for idx, s in ker[i].items():
-                piece.add(supp[idx], field.mul(c, s))
-            assert len(piece.terms) < len(comp.terms)
-            out.extend(refine_to_irreducible(table, piece))
-    return out
-
-
 def check_cup_closure(table, spaces, max_total_degree):
     """Cocycle x cocycle is a cocycle; either order with a coboundary is one."""
     degrees = range(0, max_total_degree + 1)
@@ -262,15 +181,17 @@ def check_cup_closure(table, spaces, max_total_degree):
 def check_one_sided_vanishing(table, spaces, max_total_degree):
     """Triangular: for irreducible pieces, at least one product order is zero.
 
-    Zero here means zero as a cochain, not merely as a class.
+    Zero here means zero as a cochain, not merely as a class.  The pieces
+    are the kernel vectors of ``spaces``, which are already irreducible:
+    each is one column's dependency on independent columns before it, so
+    every cocycle on its support is a multiple of it, and no nonzero
+    cocycle lives on a proper sub-support.
     """
     if not is_triangular(table.algebra):
         raise NotTriangular("one-sided vanishing needs an acyclic quiver")
     pieces = []
     for m in range(1, max_total_degree):
-        for v in spaces[m].cocycles:
-            z = vector_to_cochain(table, m, spaces[m].pairs, v)
-            pieces.extend(refine_to_irreducible(table, z))
+        pieces.extend(vector_to_cochain(table, m, spaces[m].pairs, v) for v in spaces[m].cocycles)
     failures = []
     for f in pieces:
         for g in pieces:

@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over a field object from ``fields``.
 
 Vectors are sparse dicts ``{index: scalar}`` with no explicit zeros.
-Matrices are column-major tuples of such dicts.  Everything is exact; the
-elimination keeps a fully reduced row-echelon basis, so results depend only
-on insertion order, which callers fix deterministically.
+Matrices are column-major tuples of such dicts.  Everything is exact.  The
+elimination keeps row-echelon rows and never edits a stored row; every
+result it hands out (kernel vectors, expressions, reductions, quotient
+representatives) is the unique normal form of its span, so results depend
+only on insertion order, which callers fix deterministically.
 """
 
 from __future__ import annotations
@@ -43,13 +45,19 @@ def _sub_scaled(f, target: dict, factor, source: dict):
 
 
 class RowBasis:
-    """Incremental reduced row-echelon span of sparse vectors.
+    """Incremental row-echelon span of sparse vectors.
 
-    Rows are kept fully reduced against one another: each stored row has a
-    pivot (its leftmost nonzero index) and every other stored row is zero at
-    that pivot.  With ``track=True`` each row also carries its expression in
-    terms of the original inserted vectors, which is what kernel extraction
-    and membership certificates need.
+    Each stored row has a pivot, its smallest index, no two rows share one,
+    and a row is never edited once stored: rows are reduced only against
+    the rows before them, so they are echelon, not fully reduced.  The
+    results are canonical all the same.  Reduction clears every pivot index
+    from a vector and the pivot set depends only on the span, so
+    ``reduce_mod`` returns the one member of the coset that is zero at every
+    pivot; and coefficients over the independent inserted vectors are
+    unique, so ``express`` and the dependencies from ``insert`` are too.
+    With ``track=True`` each row also carries its expression in terms of the
+    original inserted vectors, which is what kernel extraction and
+    membership certificates need.
     """
 
     QUERY = object()  # tag used by express() for the queried vector
@@ -57,8 +65,7 @@ class RowBasis:
     def __init__(self, field, track: bool = False):
         self.field = field
         self.track = track
-        self.rows = []  # list of [pivot, vec, coeffs|None]
-        self._by_pivot = {}  # pivot index -> position in rows
+        self.rows = {}  # pivot index -> (vec, coeffs|None), in insertion order
         self.n_inserted = 0
 
     @property
@@ -66,16 +73,17 @@ class RowBasis:
         return len(self.rows)
 
     def _reduce(self, vec: dict, coeffs):
-        """Fully reduce vec against the basis; mutates and returns (vec, coeffs)."""
+        """Clear every pivot index from vec; mutates and returns (vec, coeffs)."""
         f = self.field
         while True:
-            piv_cols = [c for c in vec if c in self._by_pivot]
+            piv_cols = [c for c in vec if c in self.rows]
             if not piv_cols:
                 return vec, coeffs
-            # smallest pivot first: eliminations only introduce entries to
-            # the right, so this terminates after at most rank rounds
+            # smallest pivot first: a row has no entries left of its pivot,
+            # so eliminations only introduce entries to the right and this
+            # terminates after at most rank rounds
             c = min(piv_cols)
-            _, rvec, rcoeffs = self.rows[self._by_pivot[c]]
+            rvec, rcoeffs = self.rows[c]
             factor = f.div(vec[c], rvec[c])
             _sub_scaled(f, vec, factor, rvec)
             if coeffs is not None and rcoeffs is not None:
@@ -108,18 +116,7 @@ class RowBasis:
         if not vec:
             return False, (coeffs if self.track else {})
         vec, coeffs = self._scale(vec, coeffs)
-        pivot = min(vec)
-        # back-substitute so older rows are zero at the new pivot
-        for row in self.rows:
-            rvec = row[1]
-            if pivot not in rvec:
-                continue
-            factor = f.div(rvec[pivot], vec[pivot])
-            _sub_scaled(f, rvec, factor, vec)
-            if self.track and row[2] is not None and coeffs is not None:
-                _sub_scaled(f, row[2], factor, coeffs)
-        self._by_pivot[pivot] = len(self.rows)
-        self.rows.append([pivot, vec, coeffs])
+        self.rows[min(vec)] = (vec, coeffs)
         return True, None
 
     def contains(self, vec: dict) -> bool:
@@ -150,7 +147,9 @@ class RowBasis:
 def kernel_basis(field, matrix: SparseMatrix):
     """Kernel vectors (in column coordinates), deterministic order.
 
-    Satisfies rank + len(kernel) = ncols by construction; asserted.
+    One vector per dependent column j: j's dependency on the independent
+    columns before it, which is unique up to scale.  Satisfies
+    rank + len(kernel) = ncols by construction; asserted.
     """
     basis = RowBasis(field, track=True)
     out = []
@@ -173,12 +172,19 @@ def quotient_basis(field, kernel_vecs, image_vecs):
     combined = RowBasis(field)
     for v in image_vecs:
         combined.insert(v)
-    rep_rows = []
+    rep_pivots = []
     for v in kernel_vecs:
         if combined.insert(v)[0]:
-            rep_rows.append(combined.rank - 1)
+            rep_pivots.append(next(reversed(combined.rows)))
     if combined.rank != len(kernel_vecs):
         raise ImageNotInKernel("image vector outside the kernel span")
-    # snapshot after all insertions: rows are then fully back-substituted,
-    # i.e. the reduced-echelon completion of the image basis
-    return [dict(combined.rows[i][1]) for i in rep_rows]
+    # only the rows returned are fully reduced, once every vector is in: the
+    # pivot entry plus the rest of the row reduced modulo the span is the
+    # one row of the span with that pivot entry and zeros at the other pivots
+    reps = []
+    for p in rep_pivots:
+        vec = combined.rows[p][0]
+        rep = {p: vec[p]}
+        rep.update(combined.reduce_mod({c: v for c, v in vec.items() if c != p}))
+        reps.append(rep)
+    return reps

@@ -22,14 +22,18 @@ A6 = str(FIXTURES / "triangular_a6.alg")
 PACKAGE_ROOT = str(pathlib.Path(cli.__file__).resolve().parents[1])
 
 
-def run_cli(*argv):
+def run_python(*argv):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "monomial_hh", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_cli(*argv):
+    return run_python("-m", "monomial_hh", *argv)
 
 
 def run_json(*argv):
@@ -171,6 +175,20 @@ def test_input_errors_exit_2():
 
     out = run_cli("verify", CONE, "--triangular-vanishing", "--max-degree", "2")
     assert out.returncode == 2  # cone has a cycle, the flag does not apply
+
+    # negative bounds and trial counts are bad input, not a crash or a no-op
+    for argv in (
+        ["hh", CONE, "--max-degree", "-1"],
+        ["cup", CONE, "--max-total-degree", "-1"],
+        ["verify", A6, "--all", "--max-degree", "-1"],
+        ["random", "--trials", "1", "--max-degree", "-1"],
+        ["resolution-check", CONE, "--max-degree", "-1"],
+        ["diagonal-check", CONE, "--max-degree", "-1"],
+        ["random", "--trials", "-3"],
+    ):
+        out = run_cli(*argv)
+        assert out.returncode == 2, argv
+        assert "expected an integer >= 0, got '-" in out.stderr
 
 
 def test_failing_check_exits_1():

@@ -10,21 +10,22 @@ from monomial_hh.cochains import (
     new_cochain,
     pair_basis,
     pair_cochain,
+    vector_to_cochain,
 )
 from monomial_hh.cup import (
-    _support_kernel,
     check_cup_closure,
     check_one_sided_vanishing,
     cup_cochain,
     cup_table,
     delta_route_cup,
-    irreducible_components,
-    refine_to_irreducible,
     verify_graded_commutativity,
     verify_triangular_vanishing,
 )
 from monomial_hh.errors import NotACocycle, NotTriangular
-from monomial_hh.quivers import concat, path_from_word
+from monomial_hh.fields import parse_field_spec
+from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis
+from monomial_hh.quivers import build_algebra, concat, path_from_word
+from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from helpers import is_quadratic, unit_cochain
 
@@ -55,6 +56,85 @@ def record_delta_route_signs(table, max_total_degree):
                     prev = signs.setdefault((m, n), sign)
                     assert prev == sign, "route sign flips within bidegree (%d, %d)" % (m, n)
     return signs
+
+
+def _overlap_components(table, x):
+    supp = list(x.terms)
+    footprints = [set(cochains._pair_differential_terms(table, amb, b)) for amb, b in supp]
+    parent = list(range(len(supp)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(supp)):
+        for j in range(i + 1, len(supp)):
+            if footprints[i] & footprints[j]:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(supp)):
+        groups.setdefault(find(i), []).append(i)
+    comps = []
+    for members in groups.values():
+        comps.append(new_cochain(table, x.degree, {supp[i]: x.terms[supp[i]] for i in members}))
+    comps.sort(key=lambda c: min(map(cochains._pair_key, c.terms)))
+    return comps
+
+
+def irreducible_components(table, x):
+    """Split a cocycle along connected components of the overlap graph."""
+    if not is_cocycle(table, x):
+        raise NotACocycle("can only split cocycles")
+    comps = _overlap_components(table, x)
+    for c in comps:
+        assert is_cocycle(table, c)
+    return comps
+
+
+def _support_kernel(table, supp):
+    """Reduced-echelon kernel of the differential restricted to span(supp)."""
+    field = table.algebra.field
+    cols = []
+    rows = {}
+    for amb, b in supp:
+        col = {}
+        for key, n in cochains._pair_differential_terms(table, amb, b).items():
+            row = rows.setdefault(key, len(rows))
+            col[row] = field.from_int(n)
+        cols.append(col)
+    mat = SparseMatrix(len(rows), len(cols), tuple(cols))
+    return kernel_basis(field, mat)
+
+
+def refine_to_irreducible(table, x):
+    """Overlap components refined until the sub-support kernel is a line."""
+    out = []
+    for comp in irreducible_components(table, x):
+        supp = sorted(comp.terms, key=cochains._pair_key)
+        ker = _support_kernel(table, supp)
+        if len(ker) == 1:
+            out.append(comp)
+            continue
+        # express comp over the reduced kernel basis; every basis vector
+        # misses the other pivots, so supports strictly shrink
+        field = table.algebra.field
+        solver = RowBasis(field, track=True)
+        for i, v in enumerate(ker):
+            added, _ = solver.insert(v, i)
+            assert added
+        sol = solver.express({i: comp.terms[pair] for i, pair in enumerate(supp)})
+        assert sol is not None
+        for i, c in sol.items():
+            if field.is_zero(c):
+                continue
+            piece = new_cochain(table, x.degree)
+            for idx, s in ker[i].items():
+                piece.add(supp[idx], field.mul(c, s))
+            assert len(piece.terms) < len(comp.terms)
+            out.extend(refine_to_irreducible(table, piece))
+    return out
 
 
 def is_irreducible(table, x):
@@ -354,3 +434,21 @@ def test_refine_matches_components_here(triangular_a6):
     assert len(pieces) == 2
     for p in pieces:
         assert is_irreducible(t, p)
+
+
+@pytest.mark.parametrize("fieldspec", ["q", "fp:2"])
+def test_kernel_vectors_are_irreducible(fieldspec, cone, square, triangular_a6, truncated_cycle):
+    # check_one_sided_vanishing takes the kernel vectors as its pieces
+    # without refining them; the refinement must leave each one whole
+    field = parse_field_spec(fieldspec)
+    algebras = [build_algebra(a.quiver, a.relations, field) for a in (cone, square, triangular_a6, truncated_cycle)]
+    for triangular in (False, True):
+        config = RandomAlgebraConfig(triangular=triangular, field=field)
+        algebras.extend(random_algebra(config, seed) for seed in range(1000, 1020))
+    for alg in algebras:
+        t = AmbiguityTable(alg)
+        spaces = hochschild_cohomology(t, 5)
+        for m in range(1, 6):
+            for v in spaces[m].cocycles:
+                z = vector_to_cochain(t, m, spaces[m].pairs, v)
+                assert refine_to_irreducible(t, z) == [z]

@@ -192,6 +192,86 @@ def test_determinism(rows):
     assert rank(QQ, m1) == rank(QQ, m2)
 
 
+def gauss_jordan(field, rows, ncols):
+    """Textbook Gauss-Jordan on dense rows: (reduced rows, pivot columns).
+
+    Each reduced row is 1 at its pivot and 0 at every other pivot.
+    """
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        r = next((i for i in range(top, len(a)) if not field.is_zero(a[i][c])), None)
+        if r is None:
+            continue
+        a[top], a[r] = a[r], a[top]
+        inv = field.div(field.one, a[top][c])
+        a[top] = [field.mul(inv, v) for v in a[top]]
+        for i in range(len(a)):
+            if i != top and not field.is_zero(a[i][c]):
+                factor = a[i][c]
+                a[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(a[i], a[top])]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def sparse(field, values):
+    return {i: v for i, v in enumerate(values) if not field.is_zero(v)}
+
+
+def dense(field, vec, n):
+    return [vec.get(i, field.zero) for i in range(n)]
+
+
+def test_stored_rows_never_change():
+    rb = RowBasis(QQ, track=True)
+    seen = {}
+    for vec in ({0: 1, 1: 1}, {1: 1}, {1: 2, 2: 1}, {0: 1, 2: 3, 3: 1}):
+        rb.insert({i: Fraction(v) for i, v in vec.items()})
+        for pivot, (row, coeffs) in rb.rows.items():
+            snapshot = (dict(row), dict(coeffs))
+            assert seen.setdefault(pivot, snapshot) == snapshot
+    assert rb.rows[0][0] == {0: Fraction(1), 1: Fraction(1)}
+    assert rb.rank == len(seen) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrix(), int_matrix(), st.sampled_from(["q", "fp:2", "fp:3"]))
+def test_elimination_matches_dense_gauss_jordan(rows, mixing, fieldspec):
+    field = parse_field_spec(fieldspec)
+    m = mat(field, rows)
+    reduced, pivots = gauss_jordan(field, [[field.from_int(v) for v in row] for row in rows], m.ncols)
+    # the kernel vector of free column j is 1 at j and -reduced[i][j] at pivots[i]
+    expected = []
+    for j in range(m.ncols):
+        if j in pivots:
+            continue
+        vec = [field.zero] * m.ncols
+        vec[j] = field.one
+        for i, p in enumerate(pivots):
+            vec[p] = field.neg(reduced[i][j])
+        expected.append(field.normalize_row(sparse(field, vec)))
+    ker = kernel_basis(field, m)
+    assert ker == expected
+
+    # image: combinations of the kernel vectors, with coefficients from mixing
+    ker_dense = [dense(field, v, m.ncols) for v in ker]
+    image = []
+    for coeffs in mixing:
+        vec = [field.zero] * m.ncols
+        for c, k in zip(coeffs, ker_dense):
+            vec = [field.add(v, field.mul(field.from_int(c), w)) for v, w in zip(vec, k)]
+        image.append(sparse(field, vec))
+    _, image_pivots = gauss_jordan(field, [dense(field, v, m.ncols) for v in image], m.ncols)
+    both, both_pivots = gauss_jordan(field, ker_dense, m.ncols)
+    completion = {p: sparse(field, r) for r, p in zip(both, both_pivots) if p not in image_pivots}
+    reps = quotient_basis(field, ker, image)
+    assert len(reps) == len(completion)
+    for rep in reps:
+        lead = rep[min(rep)]
+        assert {i: field.div(v, lead) for i, v in rep.items()} == completion[min(rep)]
+
+
 def test_fp_and_q_ranks_agree_on_small_int_matrix():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert rank(QQ, mat(QQ, rows)) == rank(F5, mat(F5, rows))

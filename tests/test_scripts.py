@@ -1,0 +1,19 @@
+"""The scripts under scripts/ run as subprocesses against this package."""
+
+import pathlib
+
+from test_cli import run_python
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_cone_tables():
+    out = run_python(str(SCRIPTS / "cone_tables.py"))
+    assert out.returncode == 0, out.stderr
+    assert "dims: 3 3 2 2 3 3 2 2 3" in out.stdout.splitlines()
+
+
+def test_random_survey():
+    out = run_python(str(SCRIPTS / "random_survey.py"), "--trials", "2", "--degree", "3")
+    assert out.returncode == 0, out.stderr
+    assert "suite: 2 trials, 0 failures" in out.stdout
