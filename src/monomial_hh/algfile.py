@@ -18,7 +18,7 @@ import re
 
 from .errors import NonComposableRelation, ParseError
 from .fields import parse_field_spec
-from .quivers import Quiver, build_algebra
+from .quivers import Quiver, build_algebra, path_from_word
 
 _TOKEN = re.compile(r"\S+")
 
@@ -108,9 +108,9 @@ def parse_algebra_file(text):
     quiver = Quiver(vertices, arrows)
     rel_paths = []
     for lineno, head_col, named in relations:
-        order = named if writing != "functional" else list(reversed(named))
+        names = [name for name, _ in named]
         try:
-            rel_paths.append(quiver.path([name for name, _ in order]))
+            rel_paths.append(path_from_word(quiver, names) if writing == "functional" else quiver.path(names))
         except NonComposableRelation as exc:
             raise ParseError(lineno, head_col, str(exc)) from None
     field = field_spec if field_spec is not None else parse_field_spec("q")

@@ -26,7 +26,7 @@ def bar_tuples(algebra, n, budget=DEFAULT_PAIR_BUDGET):
     assert n >= 0
     if n == 0:
         return [()]
-    base = sorted(algebra.nontrivial_basis, key=lambda p: p.sort_key())
+    base = algebra.nontrivial_basis
     tuples = [(p,) for p in base]
     for _ in range(n - 1):
         nxt = []
@@ -41,22 +41,20 @@ def bar_tuples(algebra, n, budget=DEFAULT_PAIR_BUDGET):
 
 
 def bar_pairs(algebra, n, budget=DEFAULT_PAIR_BUDGET):
-    """Cochain basis in degree n: (tuple, value) with matching endpoints."""
+    """Cochain basis in degree n: (tuple, value) with matching endpoints.
+
+    The tuples come in lexicographic order and each value list in basis
+    order, so the pairs are already sorted by (tuple, value).
+    """
     pairs = []
     for t in bar_tuples(algebra, n, budget):
         if t:
-            src, tgt = t[-1].source, t[0].target
+            values = algebra.parallel[(t[-1].source, t[0].target)]
         else:
-            src = tgt = None
-        for b in algebra.basis:
-            if t:
-                if b.source == src and b.target == tgt:
-                    pairs.append((t, b))
-            elif b.source == b.target:
-                pairs.append((t, b))
+            values = [b for b in algebra.basis if b.source == b.target]
+        pairs.extend((t, b) for b in values)
     if len(pairs) > budget:
         raise BudgetExceeded(-1, "pair count passed %d" % budget)
-    pairs.sort(key=lambda tb: (tuple(p.sort_key() for p in tb[0]), tb[1].sort_key()))
     return pairs
 
 

@@ -4,8 +4,9 @@ A degree-m cochain assigns scalars to pairs (p, b) with p an ambiguity of
 degree m-1 and b a parallel basis path.  The differential of a pair reads the
 cofaces of its ambiguity from the table's incidence index (truncations in
 even output degree, positioned divisors in odd), mirroring the resolution
-differential; `differential_via_resolution` computes the same map by
-composing with the resolution's d and is kept as an independent route.
+differential; `differential_via_resolution` computes the same map, one
+degree at a time, by composing with the resolution's d and is kept as an
+independent route.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -21,17 +22,14 @@ def _pair_key(pair):
 
 
 def pair_basis(table, degree):
-    """Ordered (ambiguity, parallel basis path) pairs spanning degree-m cochains."""
+    """Ordered (ambiguity, parallel basis path) pairs spanning degree-m cochains.
+
+    Γ_{m-1} and every ``algebra.parallel`` tuple are sorted by path, so the
+    nested loop already yields the pairs in ``_pair_key`` order.
+    """
     assert degree >= 0
-    alg = table.algebra
-    out = []
-    for amb in table.degree(degree - 1):
-        p = amb.path
-        for b in alg.basis:
-            if b.source == p.source and b.target == p.target:
-                out.append((amb, b))
-    out.sort(key=_pair_key)
-    return out
+    parallel = table.algebra.parallel
+    return [(amb, b) for amb in table.degree(degree - 1) for b in parallel[(amb.path.source, amb.path.target)]]
 
 
 def new_cochain(table, degree, terms=None):
@@ -89,23 +87,24 @@ def cochain_differential(table, x):
     return out
 
 
-def differential_via_resolution(table, x):
-    """The same differential as Hom(d, A); independent of the direct formula."""
+def differential_via_resolution(table, m):
+    """The degree-m differential as Hom(d, A), independent of the direct formula.
+
+    Returns {pair: {(q, value): n}} over the degree-m pairs, in integers:
+    each term n·(pre, r, post) of the resolution differential of q in Γ_m
+    sends every pair (r, b) to n·(q, pre·b·post) when that product is
+    nonzero.  Each generator's differential is computed once.
+    """
     alg = table.algebra
-    field = alg.field
-    m = x.degree
-    out = new_cochain(table, m + 1)
+    out = {pair: {} for pair in pair_basis(table, m)}
     for q in table.degree(m):
-        dq = differential(table, generator(table, m, q))
-        for (pre, r, post), n in dq.terms.items():
-            for (amb, b), c in x.terms.items():
-                if amb != r:
-                    continue
+        for (pre, r, post), n in differential(table, generator(table, m, q)).terms.items():
+            for b in alg.parallel[(r.path.source, r.path.target)]:
                 value = alg.reduce_concat(pre, b, post)
-                if value is None:
-                    continue
-                out.add((q, value), field.mul(c, field.from_int(n)))
-    return out
+                if value is not None:
+                    terms = out[(r, b)]
+                    terms[(q, value)] = terms.get((q, value), 0) + n
+    return {pair: {key: n for key, n in terms.items() if n} for pair, terms in out.items()}
 
 
 def differential_matrix(table, m):
@@ -214,6 +213,7 @@ def check_partial_squared(table, max_degree):
 
 def check_differential_routes_agree(table, max_degree):
     for m in range(0, max_degree + 1):
-        for amb, b in pair_basis(table, m):
-            x = pair_cochain(table, amb, b)
-            assert cochain_differential(table, x) == differential_via_resolution(table, x)
+        for (amb, b), terms in differential_via_resolution(table, m).items():
+            assert _pair_differential_terms(table, amb, b) == terms, (
+                "differential routes disagree at %s" % display_cochain(pair_cochain(table, amb, b))
+            )

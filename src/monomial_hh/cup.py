@@ -35,9 +35,7 @@ def _constants(table, m, n):
     if constants is not None:
         return constants
     alg = table.algebra
-    parallel = {}
-    for b in alg.basis:
-        parallel.setdefault((b.source, b.target), []).append(b)
+    parallel = alg.parallel
     constants = {}
     for q in table.degree(m + n - 1):
         qp = q.path
@@ -50,8 +48,8 @@ def _constants(table, m, n):
                     continue
                 gap_c = qp.segment(end1, k2)
                 gap_e = qp.segment(k2 + len(pg.path), len(qp))
-                for bf in parallel.get((pf.path.source, pf.path.target), ()):
-                    for bg in parallel.get((pg.path.source, pg.path.target), ()):
+                for bf in parallel[(pf.path.source, pf.path.target)]:
+                    for bg in parallel[(pg.path.source, pg.path.target)]:
                         value = alg.reduce_concat(gap_a, bf, gap_c, bg, gap_e)
                         if value is None:
                             continue
@@ -197,8 +195,6 @@ def check_one_sided_vanishing(table, spaces, max_total_degree):
         for g in pieces:
             if f.degree + g.degree > max_total_degree:
                 continue
-            fg = cup_cochain(table, f, g)
-            gf = cup_cochain(table, g, f)
-            if not (fg.is_zero() or gf.is_zero()):
+            if not (cup_cochain(table, f, g).is_zero() or cup_cochain(table, g, f).is_zero()):
                 failures.append((f, g))
     return failures

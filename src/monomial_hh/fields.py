@@ -30,7 +30,6 @@ class RationalField:
     """The field of rational numbers, scalars are ``Fraction``."""
 
     name = "q"
-    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -93,7 +92,6 @@ class PrimeField:
             raise ValueError(f"not a prime: {p}")
         self.p = p
         self.name = f"fp:{p}"
-        self.characteristic = p
         self.zero = 0
         self.one = 1 % p
 

@@ -29,6 +29,7 @@ class Quiver:
 
     Names are user-facing; internally everything is dense integer indices
     in declaration order, which also fixes all deterministic orderings.
+    ``out_arrows[v]`` holds the arrows leaving vertex ``v``, in that order.
     """
 
     def __init__(self, vertices, arrows):
@@ -52,6 +53,10 @@ class Quiver:
         self.arrow_index = {a: i for i, a in enumerate(self.arrow_names)}
         self.arrow_source = tuple(src)
         self.arrow_target = tuple(tgt)
+        out = [[] for _ in self.vertex_names]
+        for a, s in enumerate(src):
+            out[s].append(a)
+        self.out_arrows = tuple(map(tuple, out))
 
     @property
     def n_vertices(self) -> int:
@@ -95,10 +100,7 @@ class Quiver:
 
     def is_acyclic(self) -> bool:
         """True iff the digraph has no oriented cycle (triangular quiver)."""
-        out = [[] for _ in range(self.n_vertices)]
-        for i in range(self.n_arrows):
-            out[self.arrow_source[i]].append(self.arrow_target[i])
-        return not _has_cycle(out)
+        return not _has_cycle([[self.arrow_target[a] for a in out] for out in self.out_arrows])
 
     def __repr__(self):
         return f"Quiver({self.n_vertices} vertices, {self.n_arrows} arrows)"
@@ -220,8 +222,10 @@ class MonomialAlgebra:
 
     Immutable after construction.  ``basis`` is sorted by (length, arrow
     indices, source); ``relations`` is the minimized generating set, sorted
-    the same way.  Construction certifies finite-dimensionality first (see
-    ``_assert_finite``), then enumerates B.
+    the same way.  ``parallel[(source, target)]`` holds the basis paths
+    between two vertex indices, a tuple in basis order for every pair of
+    vertices (empty when none).  Construction certifies finite-dimensionality
+    first (see ``_assert_finite``), then enumerates B.
     """
 
     def __init__(self, quiver: Quiver, relations, field=QQ):
@@ -242,6 +246,10 @@ class MonomialAlgebra:
         self.basis_set = frozenset(self.basis)
         self.dim = len(self.basis)
         self.nontrivial_basis = tuple(p for p in self.basis if p.arrows)
+        parallel = {(s, t): [] for s in range(quiver.n_vertices) for t in range(quiver.n_vertices)}
+        for p in self.basis:
+            parallel[(p.source, p.target)].append(p)
+        self.parallel = {ends: tuple(paths) for ends, paths in parallel.items()}
 
     # -- construction helpers -------------------------------------------------
 
@@ -264,9 +272,7 @@ class MonomialAlgebra:
         for _ in range(ell):
             nxt = []
             for arrows, at in level:
-                for a in range(q.n_arrows):
-                    if q.arrow_source[a] != at:
-                        continue
+                for a in q.out_arrows[at]:
                     ext = arrows + (a,)
                     if not self._tail_hits_relation(ext):
                         nxt.append((ext, q.arrow_target[a]))
@@ -275,9 +281,7 @@ class MonomialAlgebra:
         edges = [[] for _ in level]
         for key, i in node_ids.items():
             arrows, at = key
-            for a in range(q.n_arrows):
-                if q.arrow_source[a] != at:
-                    continue
+            for a in q.out_arrows[at]:
                 ext = arrows + (a,)
                 if self._tail_hits_relation(ext):
                     continue
@@ -296,10 +300,7 @@ class MonomialAlgebra:
         while frontier:
             nxt = []
             for p in frontier:
-                at = p.target
-                for a in range(q.n_arrows):
-                    if q.arrow_source[a] != at:
-                        continue
+                for a in q.out_arrows[p.target]:
                     ext = p.arrows + (a,)
                     if self._tail_hits_relation(ext):
                         continue

@@ -29,14 +29,11 @@ class RandomAlgebraConfig:
 
 def _sample_walk(rng, quiver, length):
     # a random composable arrow word, traversal order; shorter if the walk dies
-    out_by_vertex = [[] for _ in range(quiver.n_vertices)]
-    for i in range(quiver.n_arrows):
-        out_by_vertex[quiver.arrow_source[i]].append(i)
     first = rng.randrange(quiver.n_arrows)
     word = [first]
     cur = quiver.arrow_target[first]
     while len(word) < length:
-        step = out_by_vertex[cur]
+        step = quiver.out_arrows[cur]
         if not step:
             break
         a = rng.choice(step)

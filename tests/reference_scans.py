@@ -4,9 +4,12 @@ Each one tests every ambiguity of a whole degree against a word, so its
 cost grows with |Γ_m|.  They stay here as the reference that
 ``occurrences``, ``cofaces``, ``sub`` and the pair differential are
 compared against, and ``scan_cup_cochain`` is the product that the cup
-structure constants replaced.
+structure constants replaced.  The adjacency scans at the end, over every
+arrow or every basis path, are the reference for ``Quiver.out_arrows``,
+``MonomialAlgebra.parallel`` and the pair lists that read them.
 """
 
+from monomial_hh.bar_oracle import bar_tuples
 from monomial_hh.cochains import new_cochain
 from monomial_hh.quivers import DivisorOccurrence
 
@@ -129,4 +132,42 @@ def scan_cup_cochain(table, f, g):
                         value = alg.reduce_concat(gap_a, bf, gap_c, bg, gap_e)
                         if value is not None:
                             out.add((q, value), field.mul(cf, cg))
+    return out
+
+
+def scan_out_arrows(quiver):
+    """Arrows leaving each vertex, by a scan of every arrow."""
+    return tuple(
+        tuple(a for a in range(quiver.n_arrows) if quiver.arrow_source[a] == v) for v in range(quiver.n_vertices)
+    )
+
+
+def scan_parallel(algebra):
+    """{(source, target): basis paths between them}, by a scan of the basis per vertex pair."""
+    n = algebra.quiver.n_vertices
+    return {
+        (s, t): tuple(b for b in algebra.basis if b.source == s and b.target == t) for s in range(n) for t in range(n)
+    }
+
+
+def scan_pair_basis(table, m):
+    """Degree-m (ambiguity, parallel basis path) pairs, by a scan of the basis per ambiguity."""
+    return [
+        (amb, b)
+        for amb in table.degree(m - 1)
+        for b in table.algebra.basis
+        if b.source == amb.path.source and b.target == amb.path.target
+    ]
+
+
+def scan_bar_pairs(algebra, n):
+    """Degree-n bar cochain pairs, by a scan of the basis per tuple."""
+    out = []
+    for t in bar_tuples(algebra, n):
+        for b in algebra.basis:
+            if t:
+                if b.source == t[-1].source and b.target == t[0].target:
+                    out.append((t, b))
+            elif b.source == b.target:
+                out.append((t, b))
     return out

@@ -1,0 +1,77 @@
+"""The adjacency indexes of Quiver and MonomialAlgebra, and what reads them, against the scans they replaced."""
+
+import re
+
+import pytest
+
+from monomial_hh import cochains
+from monomial_hh.ambiguities import AmbiguityTable
+from monomial_hh.bar_oracle import bar_pairs
+from monomial_hh.cochains import check_differential_routes_agree, differential_via_resolution, pair_basis
+from monomial_hh.fields import parse_field_spec
+from monomial_hh.quivers import build_algebra
+
+from conftest import make_cone
+from reference_scans import scan_bar_pairs, scan_out_arrows, scan_pair_basis, scan_parallel
+from test_incidence import DEGREE, tables
+
+BAR_DEGREE = 2
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_out_arrows_and_parallel_match_scan(spec):
+    for t in tables(spec):
+        alg = t.algebra
+        out_arrows = alg.quiver.out_arrows
+        # tuple equality also pins the types: a list never equals a tuple
+        assert out_arrows == scan_out_arrows(alg.quiver)
+        assert all(type(a) is int for arrows in out_arrows for a in arrows)
+        assert alg.parallel == scan_parallel(alg)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_pair_lists_are_sorted_scans(spec):
+    for t in tables(spec):
+        for m in range(0, DEGREE + 1):
+            assert pair_basis(t, m) == sorted(scan_pair_basis(t, m), key=cochains._pair_key)
+        for n in range(0, BAR_DEGREE + 1):
+            want = sorted(
+                scan_bar_pairs(t.algebra, n), key=lambda tb: (tuple(p.sort_key() for p in tb[0]), tb[1].sort_key())
+            )
+            assert bar_pairs(t.algebra, n) == want
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_routes_check_takes_each_resolution_differential_once(spec, monkeypatch):
+    calls = []
+    differential = cochains.differential
+
+    def counting(table, x):
+        calls.append(x)
+        return differential(table, x)
+
+    monkeypatch.setattr(cochains, "differential", counting)
+    for t in tables(spec):
+        calls.clear()
+        check_differential_routes_agree(t, DEGREE)
+        assert len(calls) == sum(len(t.degree(m)) for m in range(DEGREE + 1))
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_routes_check_names_a_flipped_sign(spec, monkeypatch):
+    cone = make_cone()
+    t = AmbiguityTable(build_algebra(cone.quiver, cone.relations, parse_field_spec(spec)))
+    (amb, b), terms = next((pair, terms) for pair, terms in differential_via_resolution(t, 2).items() if terms)
+    direct = cochains._pair_differential_terms
+
+    def flipped(table, amb_, b_):
+        out = direct(table, amb_, b_)
+        if (amb_, b_) == (amb, b):
+            key = next(iter(out))
+            out[key] = -out[key]
+        return out
+
+    monkeypatch.setattr(cochains, "_pair_differential_terms", flipped)
+    # integer terms, so the flip shows over GF(2) too
+    with pytest.raises(AssertionError, match=re.escape("[%s || %s]" % (amb.path.word(), b.word()))):
+        check_differential_routes_agree(t, 2)

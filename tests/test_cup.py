@@ -428,6 +428,25 @@ def test_one_sided_vanishing_suite_check(triangular_a6, truncated_cycle):
     assert check_one_sided_vanishing(t, spaces, 5) == []
 
 
+def test_one_sided_vanishing_takes_second_order_only_when_needed(triangular_a6, monkeypatch):
+    # g cup f is computed only when f cup g is nonzero
+    t = AmbiguityTable(triangular_a6)
+    spaces = hochschild_cohomology(t, 5)
+    pieces = [vector_to_cochain(t, m, spaces[m].pairs, v) for m in range(1, 5) for v in spaces[m].cocycles]
+    ordered = [(f, g) for f in pieces for g in pieces if f.degree + g.degree <= 5]
+    nonzero = sum(not cup_cochain(t, f, g).is_zero() for f, g in ordered)
+    calls = []
+
+    def counting(table, f, g):
+        calls.append((f, g))
+        return cup_cochain(table, f, g)
+
+    monkeypatch.setattr(cup, "cup_cochain", counting)
+    assert check_one_sided_vanishing(t, spaces, 5) == []
+    assert (len(ordered), nonzero) == (183, 9)
+    assert len(calls) == len(ordered) + nonzero
+
+
 def test_refine_matches_components_here(triangular_a6):
     t, x, y = _a6_xy(triangular_a6)
     pieces = refine_to_irreducible(t, x + y)
