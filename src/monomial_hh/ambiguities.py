@@ -95,9 +95,9 @@ class AmbiguityTable:
     its windows, and ``cofaces`` inverts the differential.  Their per-degree
     lookups are built lazily, on first use, from the stored degrees alone;
     they are idempotent caches, so building one twice gives the same map.
-    The cup structure constants and the diagonals, which read only this
-    index, are cached here the same way, one slot each, by the modules that
-    build them.
+    The diagonals, which read only this index, and the cup structure
+    constants, which read only the diagonals, are cached here the same way,
+    one slot each, by the modules that build them.
     """
 
     def __init__(self, algebra: MonomialAlgebra):

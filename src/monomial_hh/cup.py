@@ -3,20 +3,21 @@
 Convention: in (f cup g)(q), f's pair occupies the traversal-initial
 stretch of q and g's the traversal-final one, with the three gaps filled
 by basis paths.  The worked products of the source material pin this
-orientation down; the diagonal route below reproduces it exactly with
-the operands swapped (left tensor factor = traversal-later slot).
+orientation down.  It makes f cup g = mu (g (x) f) Delta, with Delta the
+diagonal of ``diagonal.py``, whose written-left tensor factor is the
+traversal-later slot.
 
 The cup product is bilinear, so ``cup_cochain`` contracts its operands
 against structure constants on basis pairs.  For a bidegree (m, n) they
 map f's pair (pf, bf), then g's pair (pg, bg), to the list of output pairs
 (q, value) of their product, {(pf, bf): {(pg, bg): [(q, value), ...]}}:
-q runs over Γ_{m+n−1}, pf and pg are found in it through the table's
-incidence index, and value is the reduced product of the gaps and the
-parallel paths.  Only keys are stored, never scalars, so one table serves
-every field.  ``_constants`` builds it in one pass over Γ_{m+n−1}, on first
-use, and caches it on the AmbiguityTable.  ``delta_route_cup`` computes
-the same products from the diagonal without these constants and is the
-independent route the tests compare against.
+q runs over Γ_{m+n−1}, each term (pre, pf, mid, pg, post) of q's cached
+diagonal with pf of degree m−1 places the two factors, and value is the
+reduced product pre·bf·mid·bg·post.  So the split enumeration lives only
+in the diagonal, and the product inherits its chain-map and counit
+certificate.  Only keys are stored, never scalars, so one table serves
+every field.  ``_constants`` builds it in one pass over Γ_{m+n−1}, on
+first use, and caches it on the AmbiguityTable.
 """
 
 from .cochains import class_vector, cochain_differential, is_cocycle, new_cochain, vector_to_cochain
@@ -38,23 +39,17 @@ def _constants(table, m, n):
     parallel = alg.parallel
     constants = {}
     for q in table.degree(m + n - 1):
-        qp = q.path
-        seconds = table.occurrences(n - 1, qp)
-        for pf, k1 in table.occurrences(m - 1, qp):
-            end1 = k1 + len(pf.path)
-            gap_a = qp.segment(0, k1)
-            for pg, k2 in seconds:
-                if k2 < end1:
-                    continue
-                gap_c = qp.segment(end1, k2)
-                gap_e = qp.segment(k2 + len(pg.path), len(qp))
-                for bf in parallel[(pf.path.source, pf.path.target)]:
-                    for bg in parallel[(pg.path.source, pg.path.target)]:
-                        value = alg.reduce_concat(gap_a, bf, gap_c, bg, gap_e)
-                        if value is None:
-                            continue
-                        row = constants.setdefault((pf, bf), {})
-                        row.setdefault((pg, bg), []).append((q, value))
+        for (pre, pf, mid, pg, post), c in diagonal(table, q).terms.items():
+            if pf.degree != m - 1:
+                continue
+            assert c == 1, "the diagonal adds each positioned split once"
+            for bf in parallel[(pf.path.source, pf.path.target)]:
+                for bg in parallel[(pg.path.source, pg.path.target)]:
+                    value = alg.reduce_concat(pre, bf, mid, bg, post)
+                    if value is None:
+                        continue
+                    row = constants.setdefault((pf, bf), {})
+                    row.setdefault((pg, bg), []).append((q, value))
     table._cup[(m, n)] = constants
     return constants
 
@@ -77,30 +72,6 @@ def cup_cochain(table, f, g):
             c = field.mul(cf, cg)
             for key in outputs:
                 out.add(key, c)
-    return out
-
-
-def delta_route_cup(table, f, g):
-    """mu (f (x) g) Delta; lands where cup_cochain(g, f) does."""
-    alg = table.algebra
-    field = alg.field
-    total = f.degree + g.degree
-    out = new_cochain(table, total)
-    for q in table.degree(total - 1):
-        for (pre, q1, mid, q2, post), n in diagonal(table, q).terms.items():
-            if q1.degree != g.degree - 1 or q2.degree != f.degree - 1:
-                continue
-            for (pg, bg), cg in g.terms.items():
-                if pg != q1:
-                    continue
-                for (pf, bf), cf in f.terms.items():
-                    if pf != q2:
-                        continue
-                    value = alg.reduce_concat(pre, bg, mid, bf, post)
-                    if value is None:
-                        continue
-                    coeff = field.mul(field.mul(cf, cg), field.from_int(n))
-                    out.add((q, value), coeff)
     return out
 
 

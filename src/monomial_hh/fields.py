@@ -84,11 +84,35 @@ class RationalField:
         return "QQ"
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve primes, which is exact for n < 2**64."""
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The field with p elements; scalars are ints in ``range(p)``."""
+    """The field with p elements, p < 2**64; scalars are ints in ``range(p)``."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= 2**64:
+            raise ValueError("prime modulus must be below 2^64")
+        if not _is_prime(p):
             raise ValueError(f"not a prime: {p}")
         self.p = p
         self.name = f"fp:{p}"
@@ -140,7 +164,7 @@ QQ = RationalField()
 
 
 def parse_field_spec(spec: str):
-    """Parse a field descriptor: ``q`` or ``fp:<prime>``."""
+    """Parse a field descriptor: ``q`` or ``fp:<prime>``, the prime below 2**64."""
     s = spec.strip().lower()
     if s == "q":
         return QQ

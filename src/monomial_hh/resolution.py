@@ -133,12 +133,14 @@ def homotopy_sigma(table, x):
 def right_spanning_set(table, degree):
     """Generators b (x) p (x) 1 of the degree-n term as a right module."""
     alg = table.algebra
+    leaving = {}  # vertex -> basis paths that start there, in basis order
+    for b in alg.basis:
+        leaving.setdefault(b.source, []).append(b)
     out = []
     for amb in table.degree(degree):
         triv = alg.quiver.trivial_path_at(amb.path.source)
-        for b in alg.basis:
-            if b.source == amb.path.target:
-                out.append(bimodule_element(degree, {(triv, amb, b): 1}))
+        for b in leaving.get(amb.path.target, ()):
+            out.append(bimodule_element(degree, {(triv, amb, b): 1}))
     return out
 
 

@@ -4,14 +4,17 @@ Each one tests every ambiguity of a whole degree against a word, so its
 cost grows with |Γ_m|.  They stay here as the reference that
 ``occurrences``, ``cofaces``, ``sub`` and the pair differential are
 compared against, and ``scan_cup_cochain`` is the product that the cup
-structure constants replaced.  The adjacency scans at the end, over every
-arrow or every basis path, are the reference for ``Quiver.out_arrows``,
-``MonomialAlgebra.parallel`` and the pair lists that read them.
+structure constants replaced; unlike the product, it does not read the
+diagonal.  The adjacency scans at the end, over every arrow or every basis
+path, are the reference for ``Quiver.out_arrows``,
+``MonomialAlgebra.parallel``, the pair lists that read them and
+``resolution.right_spanning_set``.
 """
 
 from monomial_hh.bar_oracle import bar_tuples
 from monomial_hh.cochains import new_cochain
 from monomial_hh.quivers import DivisorOccurrence
+from monomial_hh.resolution import bimodule_element
 
 
 def divisor_occurrences(q, p):
@@ -170,4 +173,16 @@ def scan_bar_pairs(algebra, n):
                     out.append((t, b))
             elif b.source == b.target:
                 out.append((t, b))
+    return out
+
+
+def scan_right_spanning_set(table, degree):
+    """Right-module generators 1 (x) p (x) b, by a scan of the basis per ambiguity."""
+    alg = table.algebra
+    out = []
+    for amb in table.degree(degree):
+        triv = alg.quiver.trivial_path_at(amb.path.source)
+        for b in alg.basis:
+            if b.source == amb.path.target:
+                out.append(bimodule_element(degree, {(triv, amb, b): 1}))
     return out

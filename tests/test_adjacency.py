@@ -10,9 +10,16 @@ from monomial_hh.bar_oracle import bar_pairs
 from monomial_hh.cochains import check_differential_routes_agree, differential_via_resolution, pair_basis
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.quivers import build_algebra
+from monomial_hh.resolution import right_spanning_set
 
 from conftest import make_cone
-from reference_scans import scan_bar_pairs, scan_out_arrows, scan_pair_basis, scan_parallel
+from reference_scans import (
+    scan_bar_pairs,
+    scan_out_arrows,
+    scan_pair_basis,
+    scan_parallel,
+    scan_right_spanning_set,
+)
 from test_incidence import DEGREE, tables
 
 BAR_DEGREE = 2
@@ -39,6 +46,14 @@ def test_pair_lists_are_sorted_scans(spec):
                 scan_bar_pairs(t.algebra, n), key=lambda tb: (tuple(p.sort_key() for p in tb[0]), tb[1].sort_key())
             )
             assert bar_pairs(t.algebra, n) == want
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_right_spanning_set_matches_scan(spec):
+    for t in tables(spec):
+        for n in range(-1, DEGREE + 1):
+            # list equality: the same generators in the same order
+            assert right_spanning_set(t, n) == scan_right_spanning_set(t, n)
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])

@@ -170,6 +170,16 @@ def test_input_errors_exit_2():
     out = run_cli("random", "--trials", "1", "--field", "fp:4")
     assert out.returncode == 2
 
+    # a modulus at or above 2^64 is refused at once, by --field and by the file's field line
+    for modulus in (10**30 + 57, 10**399 + 7):
+        out = run_cli("hh", CONE, "--max-degree", "1", "--field", "fp:%d" % modulus)
+        assert out.returncode == 2
+        assert "below 2^64" in out.stderr
+    bad.write_text("field fp:%d\nvertices 1\n" % (10**30 + 57))
+    out = run_cli("basis", str(bad))
+    assert out.returncode == 2
+    assert "line 1, col 7" in out.stderr
+
     out = run_cli("verify", CONE)  # no check selected
     assert out.returncode == 2
 

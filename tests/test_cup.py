@@ -1,6 +1,7 @@
 import pytest
 
 from monomial_hh import cochains, cup
+from monomial_hh import diagonal as diagonal_module
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import (
     class_vector,
@@ -17,10 +18,10 @@ from monomial_hh.cup import (
     check_one_sided_vanishing,
     cup_cochain,
     cup_table,
-    delta_route_cup,
     verify_graded_commutativity,
     verify_triangular_vanishing,
 )
+from monomial_hh.diagonal import check_chain_map, diagonal
 from monomial_hh.errors import NotACocycle, NotTriangular
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis
@@ -28,6 +29,35 @@ from monomial_hh.quivers import build_algebra, concat, path_from_word
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from helpers import is_quadratic, unit_cochain
+
+
+def delta_route_cup(table, f, g):
+    """mu (f (x) g) Delta term by term; lands where cup_cochain(g, f) does.
+
+    Both read the same diagonal, so this pins the operand order and the
+    contraction of the structure constants; the product's reference that
+    does not use Delta is ``reference_scans.scan_cup_cochain``.
+    """
+    alg = table.algebra
+    field = alg.field
+    total = f.degree + g.degree
+    out = new_cochain(table, total)
+    for q in table.degree(total - 1):
+        for (pre, q1, mid, q2, post), n in diagonal(table, q).terms.items():
+            if q1.degree != g.degree - 1 or q2.degree != f.degree - 1:
+                continue
+            for (pg, bg), cg in g.terms.items():
+                if pg != q1:
+                    continue
+                for (pf, bf), cf in f.terms.items():
+                    if pf != q2:
+                        continue
+                    value = alg.reduce_concat(pre, bg, mid, bf, post)
+                    if value is None:
+                        continue
+                    coeff = field.mul(field.mul(cf, cg), field.from_int(n))
+                    out.add((q, value), coeff)
+    return out
 
 
 def record_delta_route_signs(table, max_total_degree):
@@ -353,6 +383,47 @@ def test_constants_built_once(cone, monkeypatch):
     monkeypatch.setattr(AmbiguityTable, "occurrences", counting)
     assert cup_table(t, spaces, 1, 2) == first
     assert calls == []
+
+
+def test_constants_read_off_the_cached_diagonals(cone, monkeypatch):
+    # once Δ of every q in Γ_{m+n-1} is cached, no incidence lookup is left to do
+    t = AmbiguityTable(cone)
+    for total in range(-1, 4):
+        for q in t.degree(total):
+            diagonal(t, q)
+    calls = []
+    occurrences = AmbiguityTable.occurrences
+
+    def counting(self, m, path):
+        calls.append((m, path))
+        return occurrences(self, m, path)
+
+    monkeypatch.setattr(AmbiguityTable, "occurrences", counting)
+    constants = [cup._constants(t, m, n) for m in range(5) for n in range(5 - m)]
+    assert calls == []
+    assert any(constants)
+
+
+def test_cup_product_reads_the_diagonal(cone, monkeypatch):
+    # one planted bug in the split enumeration breaks Δ's chain-map identity
+    # and the cup product alike, so the product carries Δ's certificate; on
+    # the cone it changes the products of basis pairs in bidegrees (1, 3) and
+    # (3, 1), not the class-level tables
+    def products():
+        t = AmbiguityTable(cone)
+        pairs = [[pair_cochain(t, amb, b) for amb, b in pair_basis(t, d)] for d in range(5)]
+        return [cup_cochain(t, f, g) for m in range(5) for n in range(5 - m) for f in pairs[m] for g in pairs[n]]
+
+    before = products()
+    decompositions = diagonal_module._decompositions
+
+    def adjacent_only(table, amb, i, j):
+        return [key for key in decompositions(table, amb, i, j) if key[2].is_trivial]
+
+    monkeypatch.setattr(diagonal_module, "_decompositions", adjacent_only)
+    with pytest.raises(AssertionError, match="chain-map"):
+        check_chain_map(AmbiguityTable(cone), 4)
+    assert products() != before
 
 
 def test_delta_route_signs_all_plus_one(cone, triangular_a6, truncated_cycle):

@@ -1,7 +1,8 @@
 """Byte-identical CLI output: SHA-256 digests of the JSON on every fixture.
 
 The digests pin the regression contract of every refactor: ``hh``,
-``cup`` and ``verify --all`` must print exactly these bytes.  A change
+``cup`` and ``verify --all`` on every fixture, and the seeded ``random``
+suite, must print exactly these bytes.  A change
 that is meant to alter the output has to re-record them, on purpose.
 """
 
@@ -38,6 +39,15 @@ GOLDEN = {
 }
 
 
+# the rows do not name the field, so both fields print the same bytes
+RANDOM_GOLDEN = {
+    ("general", "q"): "987b1f2e98e79bc1a899c77c718eac5303815547be8bd945f1b1160bc620e401",
+    ("general", "fp:2"): "987b1f2e98e79bc1a899c77c718eac5303815547be8bd945f1b1160bc620e401",
+    ("triangular", "q"): "fe354a4fe611d5032b52e4f5225fcf781255aea98448bc2313fa5ab744a772d5",
+    ("triangular", "fp:2"): "fe354a4fe611d5032b52e4f5225fcf781255aea98448bc2313fa5ab744a772d5",
+}
+
+
 @pytest.mark.parametrize("fixture, command", sorted(GOLDEN))
 def test_cli_json_digest(fixture, command):
     argv = COMMANDS[command]
@@ -47,3 +57,16 @@ def test_cli_json_digest(fixture, command):
     assert code == 0
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == GOLDEN[fixture, command]
+
+
+@pytest.mark.parametrize("kind, field", sorted(RANDOM_GOLDEN))
+def test_random_suite_digest(kind, field):
+    # the suite runs every cup check: closure, commutativity, vanishing, one-sided
+    argv = ["random", "--json", "--trials", "6", "--seed", "1000", "--max-degree", "5", "--field", field]
+    if kind == "triangular":
+        argv.append("--triangular")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == RANDOM_GOLDEN[kind, field]

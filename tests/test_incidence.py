@@ -66,7 +66,7 @@ def test_pair_differential_matches_scan(spec):
                 assert list(got.items()) == list(scan_pair_differential_terms(t, amb, b).items())
 
 
-@pytest.mark.parametrize("spec", ["q", "fp:2"])
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
 def test_cup_matches_scan(spec):
     # every basis pair times every basis pair, then one sum of all pairs
     # with distinct weights per side, where terms meet and may cancel

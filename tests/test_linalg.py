@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,30 @@ def test_field_specs():
         parse_field_spec("fp:6")
     with pytest.raises(ValueError):
         parse_field_spec("r")
+
+
+def _accepted(p):
+    try:
+        PrimeField(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_prime_modulus_matches_trial_division():
+    for n in range(20000):
+        prime = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+        assert _accepted(n) == prime, n
+
+
+def test_prime_modulus_rejects_strong_pseudoprimes():
+    # composites that pass Miller-Rabin on ever longer prefixes of 2, 3, 5, ...
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051):
+        assert not _accepted(n), n
+    assert _accepted(2**61 - 1) and _accepted(2**64 - 59)  # the largest prime below 2^64
+    for p in (2**64, 10**30 + 57, 10**399 + 7):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            PrimeField(p)
 
 
 def test_rational_normalize_row():

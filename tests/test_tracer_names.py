@@ -8,7 +8,7 @@ in the package would break a traced benchmark run rather than a test.
 import importlib.util
 import pathlib
 
-from monomial_hh import bar_oracle, cochains
+from monomial_hh import bar_oracle, cochains, cup
 from monomial_hh.ambiguities import AmbiguityTable
 
 from conftest import make_cone
@@ -49,3 +49,22 @@ def test_degree_is_the_second_argument():
         tracer.apply(patches, False)
     assert detail["pairs"] == {"2": mat.ncols}
     assert detail["bar_pairs"] == {"1": len(pairs)}
+
+
+def test_cup_table_enters_the_diagonal_layer():
+    # the cup constants are read off Δ, so instrument must re-bind cup.diagonal
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    patches = tracer.instrument(tr)
+    t = AmbiguityTable(make_cone())
+    spaces = cochains.hochschild_cohomology(t, 3)
+    tracer.apply(patches, True)
+    try:
+        tr.begin_op(0)
+        cup.cup_table(t, spaces, 1, 2)
+        tr.end_op()
+    finally:
+        tracer.apply(patches, False)
+    calls, _, _ = tr.self_times()
+    assert calls[tracer.LAYERS.index("diagonal")] > 0
+    assert tr.totals["diagonal.calls"] > 0
