@@ -1,8 +1,9 @@
 """Byte-identical CLI output: SHA-256 digests of the JSON on every fixture.
 
 The digests pin the regression contract of every refactor: ``hh``,
-``cup`` and ``verify --all`` on every fixture, and the seeded ``random``
-suite, must print exactly these bytes.  A change
+``cup`` and ``verify --all`` on every fixture, ``hh`` on every fixture over
+three prime fields, and the seeded ``random`` suite, must print exactly
+these bytes.  A change
 that is meant to alter the output has to re-record them, on purpose.
 """
 
@@ -39,6 +40,23 @@ GOLDEN = {
 }
 
 
+# ``hh`` with ``--field`` overriding the fixtures' ``field q``: the prime-field
+# elimination, pinned on small, large and characteristic-2 moduli
+FIELD_GOLDEN = {
+    ("example_cone.alg", "fp:2"): "7a83d7a75125b7e8c613e99ba576ed7058d620e2b7f82da3692203a3e73dae81",
+    ("example_cone.alg", "fp:3"): "eaae1a543cb8df9256f080040a258b3fcf9ec100f86b0fffeebfffa73ed83908",
+    ("example_cone.alg", "fp:2305843009213693951"): "dca21654eb18df145dd1a048c35f38188bac2557894a8f2e5ac1bbf9621788ba",
+    ("square.alg", "fp:2"): "69056ac7cf6378f58944b401c194a760eab96b3989210ed8fdf166dc59973b27",
+    ("square.alg", "fp:3"): "ba9bc43789dda4b15f9699184a06cfee436f0425a9306835fc9d508d9ec0419f",
+    ("square.alg", "fp:2305843009213693951"): "6b79becc448e8a1cca794d277485b1fe05ea38c005dbed058ea3cf10a1f30f49",
+    ("triangular_a6.alg", "fp:2"): "f982c392007d1a61436623c4cb961422af0e919f7af7a9f195a6f9300cd2c576",
+    ("triangular_a6.alg", "fp:3"): "899667a376df4a2d8686a1397e2598b313572fe1d06877adbc7522d404dae70e",
+    ("triangular_a6.alg", "fp:2305843009213693951"): "b99440e93d6f98891636356f3e57074ace6bb48c1ae153ff48c9e15de6113fba",
+    ("truncated_cycle_3_2.alg", "fp:2"): "ea7745b2f31f66ec8706d6b4ebbb325cf2fd4599ed44cd2abba8b0f4a9df15fb",
+    ("truncated_cycle_3_2.alg", "fp:3"): "e1a52c1bfa63f440080eea7aea3d3e7c1e0c62e379619c85e393b2191c729fe3",
+    ("truncated_cycle_3_2.alg", "fp:2305843009213693951"): "87542f3e0dd84204ec07e1940cfc599194d7f72e1166ad4edd6cec9b846fb87b",
+}
+
 # the rows do not name the field, so both fields print the same bytes
 RANDOM_GOLDEN = {
     ("general", "q"): "987b1f2e98e79bc1a899c77c718eac5303815547be8bd945f1b1160bc620e401",
@@ -70,3 +88,12 @@ def test_random_suite_digest(kind, field):
         code = cli.main(argv)
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == RANDOM_GOLDEN[kind, field]
+
+
+@pytest.mark.parametrize("fixture, field", sorted(FIELD_GOLDEN))
+def test_hh_prime_field_digest(fixture, field):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["hh", str(FIXTURES / fixture), "--json", "--max-degree", "6", "--field", field])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == FIELD_GOLDEN[fixture, field]
