@@ -1,16 +1,27 @@
 """Exact scalar arithmetic: the integers, the rationals and prime fields.
 
-A field object bundles the scalar operations used by the sparse linear
-algebra and the cochain complex.  Scalars are plain Python values:
-``fractions.Fraction`` over the rationals, ``int`` in ``range(p)`` over a
-prime field.  Floating point never appears anywhere in this package.
+A field object bundles the scalar operations of the cochain complex and the
+row kernels of the sparse elimination in ``linalg``.  Scalars are plain
+Python values: ``fractions.Fraction`` over the rationals, ``int`` in
+``range(p)`` over a prime field.  Floating point never appears anywhere in
+this package.
+
+The elimination never touches a scalar: its rows are dicts of plain ints,
+and the field converts at the boundary.  ``to_row`` clears the denominators
+of an input vector, ``pivot_step`` and ``combine`` make one reduction step
+``vec ← a·vec − b·row``, ``canonical`` scales a row before it is stored, and
+``from_row`` and ``normalize_row`` turn integer rows back into scalars.  Over
+the rationals a row is an integer vector, reduced fraction-free (the a·vec
+step of Bareiss, *Math. Comp.* 22, 1968) and stored primitive with a positive
+pivot; over a prime field its ints lie in ``range(p)``, the pivot is 1 and a
+is always 1, so a step is ``vec − b·row`` mod p.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class IntegerRing:
@@ -39,40 +50,91 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
 
-    def div(self, a, b):
-        return a / b
-
     def is_zero(self, a) -> bool:
         return a == 0
+
+    @staticmethod
+    def to_row(vec: dict):
+        """(row, d): the integer row d·vec, d the lcm of the denominators.
+
+        Entries may be ``Fraction`` or ``int``; the input is not modified.
+        """
+        row = {}
+        d = 1
+        for c, v in vec.items():
+            row[c], den = v.as_integer_ratio()  # one call, not two properties
+            if den != 1:
+                d = lcm(d, den)
+        if d != 1:
+            for c, v in vec.items():
+                n, den = v.as_integer_ratio()
+                row[c] = n * (d // den)
+        return row, d
+
+    @staticmethod
+    def pivot_step(vc: int, rp: int):
+        """(a, b), coprime with a > 0, such that a·vc = b·rp; rp > 0."""
+        g = gcd(vc, rp)
+        return rp // g, vc // g
+
+    @staticmethod
+    def combine(target: dict, a: int, b: int, source: dict):
+        """target ← a·target − b·source in place; cancelled entries are removed."""
+        if a != 1:
+            for c in target:
+                target[c] *= a
+        get = target.get
+        for c, v in source.items():
+            x = get(c, 0) - b * v
+            if x:
+                target[c] = x
+            else:
+                del target[c]
+
+    @staticmethod
+    def canonical(vec: dict, coeffs, pivot):
+        """Divide (vec, coeffs) by their common content, signed so vec[pivot] > 0.
+
+        Only a common factor keeps vec = Σ coeffs·originals; coeffs is None
+        for an untracked row, which then comes out primitive.
+        """
+        g = gcd(*vec.values(), *(coeffs or {}).values())
+        if vec[pivot] < 0:
+            g = -g
+        if g == 1:
+            return vec, coeffs
+        vec = {c: v // g for c, v in vec.items()}
+        if coeffs is not None:
+            coeffs = {t: v // g for t, v in coeffs.items()}
+        return vec, coeffs
+
+    @staticmethod
+    def from_row(row: dict, d: int):
+        """The rational vector row / d."""
+        if d == 1:
+            return {c: Fraction(v) for c, v in row.items()}
+        return {c: Fraction(v, d) for c, v in row.items()}
 
     def normalize_row(self, vec: dict):
         """Scale a sparse vector to a primitive integer vector.
 
         The result has integer entries with content 1 and a positive entry
-        at the smallest index.  Returns a new dict; input is not modified.
+        at the smallest index, as ``Fraction``.  Entries may be ``Fraction``
+        or ``int``.  Returns a new dict; input is not modified.
         """
         if not vec:
             return {}
-        denom_lcm = 1
-        for v in vec.values():
-            d = v.denominator
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-        content = 0
-        for v in vec.values():
-            content = gcd(content, abs(v.numerator * (denom_lcm // v.denominator)))
-        scale = Fraction(denom_lcm, content)
-        if vec[min(vec)] < 0:
-            scale = -scale
-        return {c: v * scale for c, v in vec.items()}
+        row, _ = self.to_row(vec)
+        content = gcd(*row.values())
+        if row[min(row)] < 0:
+            content = -content
+        return {c: Fraction(v // content) for c, v in row.items()}
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -125,22 +187,55 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
 
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return (a * pow(b, -1, self.p)) % self.p
-
     def is_zero(self, a) -> bool:
         return a % self.p == 0
+
+    @staticmethod
+    def to_row(vec: dict):
+        """(row, 1): a copy of vec, whose scalars already are ints in range(p)."""
+        return dict(vec), 1
+
+    @staticmethod
+    def pivot_step(vc: int, rp: int):
+        """(1, vc): a stored row's pivot rp is 1, so vec − vc·row clears it."""
+        return 1, vc
+
+    def combine(self, target: dict, a: int, b: int, source: dict):
+        """target ← a·target − b·source mod p in place; cancelled entries are removed."""
+        p = self.p
+        if a != 1:
+            for c in target:
+                target[c] = target[c] * a % p
+        get = target.get
+        for c, v in source.items():
+            x = (get(c, 0) - b * v) % p
+            if x:
+                target[c] = x
+            else:
+                del target[c]
+
+    def canonical(self, vec: dict, coeffs, pivot):
+        """Scale (vec, coeffs) so that vec[pivot] is 1; coeffs may be None."""
+        p = self.p
+        inv = pow(vec[pivot], -1, p)
+        if inv == 1:
+            return vec, coeffs
+        vec = {c: v * inv % p for c, v in vec.items()}
+        if coeffs is not None:
+            coeffs = {t: v * inv % p for t, v in coeffs.items()}
+        return vec, coeffs
+
+    def from_row(self, row: dict, d: int):
+        """The vector row / d, entries reduced into range(p)."""
+        p = self.p
+        inv = pow(d, -1, p)
+        return {c: v * inv % p for c, v in row.items()}
 
     def normalize_row(self, vec: dict):
         """Scale so the entry at the smallest index is 1."""

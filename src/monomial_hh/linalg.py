@@ -3,9 +3,14 @@
 Vectors are sparse dicts ``{index: scalar}`` with no explicit zeros.
 Matrices are column-major tuples of such dicts.  Everything is exact.  The
 elimination keeps row-echelon rows and never edits a stored row; every
-result it hands out (kernel vectors, expressions, reductions, quotient
-representatives) is the unique normal form of its span, so results depend
-only on insertion order, which callers fix deterministically.
+result it hands out (kernel vectors, dependencies, expressions, reductions,
+quotient representatives) is the unique normal form of its span, so results
+depend only on insertion order, which callers fix deterministically.
+
+Inside the elimination a row is a dict of plain ints, never of scalars: the
+field's row kernels clear denominators on entry, make each reduction step
+``vec ← a·vec − b·row`` (fraction-free over the rationals, mod p over a
+prime field) and convert back to scalars only what is returned.
 """
 
 from __future__ import annotations
@@ -34,16 +39,6 @@ class SparseMatrix:
         object.__setattr__(self, "cols", cols)
 
 
-def _sub_scaled(f, target: dict, factor, source: dict):
-    """target -= factor * source in place; entries that cancel are removed."""
-    for key, val in source.items():
-        cur = f.sub(target.get(key, f.zero), f.mul(factor, val))
-        if f.is_zero(cur):
-            target.pop(key, None)
-        else:
-            target[key] = cur
-
-
 class RowBasis:
     """Incremental row-echelon span of sparse vectors.
 
@@ -58,6 +53,10 @@ class RowBasis:
     With ``track=True`` each row also carries its expression in terms of the
     original inserted vectors, which is what kernel extraction and
     membership certificates need.
+
+    Rows and coefficients are integer dicts in the field's row form (see
+    ``fields``); ``rows`` maps pivot index -> (vec, coeffs|None) with
+    vec = Σ coeffs[t]·original_t.
     """
 
     QUERY = object()  # tag used by express() for the queried vector
@@ -72,32 +71,29 @@ class RowBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: dict, coeffs):
-        """Clear every pivot index from vec; mutates and returns (vec, coeffs)."""
+    def _reduce(self, vec: dict, coeffs) -> int:
+        """Clear every pivot index from the row vec, in place.
+
+        Each step is vec ← a·vec − b·row, and the same on coeffs; returns
+        the product of the a's, the factor that vec now carries.
+        """
         f = self.field
+        rows = self.rows
+        scale = 1
         while True:
-            piv_cols = [c for c in vec if c in self.rows]
+            piv_cols = [c for c in vec if c in rows]
             if not piv_cols:
-                return vec, coeffs
+                return scale
             # smallest pivot first: a row has no entries left of its pivot,
             # so eliminations only introduce entries to the right and this
             # terminates after at most rank rounds
             c = min(piv_cols)
-            rvec, rcoeffs = self.rows[c]
-            factor = f.div(vec[c], rvec[c])
-            _sub_scaled(f, vec, factor, rvec)
-            if coeffs is not None and rcoeffs is not None:
-                _sub_scaled(f, coeffs, factor, rcoeffs)
-
-    def _scale(self, vec: dict, coeffs):
-        """Canonical scaling of (vec, coeffs) via the field's row normalizer."""
-        f = self.field
-        scaled = f.normalize_row(vec)
-        if coeffs:
-            pivot = min(vec)
-            factor = f.div(scaled[pivot], vec[pivot])
-            coeffs = {t: f.mul(factor, v) for t, v in coeffs.items()}
-        return scaled, coeffs
+            rvec, rcoeffs = rows[c]
+            a, b = f.pivot_step(vec[c], rvec[c])
+            f.combine(vec, a, b, rvec)
+            if coeffs is not None:
+                f.combine(coeffs, a, b, rcoeffs)
+            scale *= a
 
     def insert(self, vec: dict, tag=None):
         """Insert a vector. Returns (added, dependency).
@@ -105,23 +101,26 @@ class RowBasis:
         added is True when the rank grew; dependency is None in that case.
         When the vector is dependent, dependency maps tags of previously
         inserted vectors (plus this vector's own tag) to scalars λ with
-        Σ λ_t · original_t = 0 — a kernel certificate.
+        Σ λ_t · original_t = 0 — a kernel certificate, in the field's
+        ``normalize_row`` form.
         """
         f = self.field
         if tag is None:
             tag = self.n_inserted
         self.n_inserted += 1
-        coeffs = {tag: f.one} if self.track else None
-        vec, coeffs = self._reduce(dict(vec), coeffs)
+        vec, d = f.to_row(vec)
+        coeffs = {tag: d} if self.track else None
+        self._reduce(vec, coeffs)
         if not vec:
-            return False, (coeffs if self.track else {})
-        vec, coeffs = self._scale(vec, coeffs)
-        self.rows[min(vec)] = (vec, coeffs)
+            return False, (f.normalize_row(coeffs) if self.track else {})
+        pivot = min(vec)
+        self.rows[pivot] = f.canonical(vec, coeffs, pivot)
         return True, None
 
     def contains(self, vec: dict) -> bool:
-        red, _ = self._reduce(dict(vec), None)
-        return not red
+        vec, _ = self.field.to_row(vec)
+        self._reduce(vec, None)
+        return not vec
 
     def express(self, vec: dict):
         """Write vec as a combination of the inserted vectors.
@@ -131,17 +130,21 @@ class RowBasis:
         """
         assert self.track, "express() needs coefficient tracking"
         f = self.field
-        coeffs = {self.QUERY: f.one}
-        red, coeffs = self._reduce(dict(vec), coeffs)
-        if red:
+        vec, d = f.to_row(vec)
+        coeffs = {self.QUERY: d}
+        self._reduce(vec, coeffs)
+        if vec:
             return None
-        # 0 = vec + Σ coeffs[t]·orig_t  (coeffs[QUERY] stayed 1)
-        return {t: f.neg(v) for t, v in coeffs.items() if t is not self.QUERY}
+        # 0 = q·vec + Σ coeffs[t]·orig_t, q the scale the query now carries
+        q = coeffs.pop(self.QUERY)
+        return f.from_row({t: -v for t, v in coeffs.items()}, q)
 
     def reduce_mod(self, vec: dict) -> dict:
         """The canonical representative of vec modulo the span."""
-        red, _ = self._reduce(dict(vec), None)
-        return red
+        f = self.field
+        vec, d = f.to_row(vec)
+        scale = self._reduce(vec, None)
+        return f.from_row(vec, d * scale)
 
 
 def kernel_basis(field, matrix: SparseMatrix):
@@ -156,7 +159,7 @@ def kernel_basis(field, matrix: SparseMatrix):
     for j, col in enumerate(matrix.cols):
         added, dep = basis.insert(col, tag=j)
         if not added:
-            out.append(field.normalize_row(dep))
+            out.append(dep)
     assert basis.rank + len(out) == matrix.ncols
     return out
 
@@ -183,8 +186,8 @@ def quotient_basis(field, kernel_vecs, image_vecs):
     # one row of the span with that pivot entry and zeros at the other pivots
     reps = []
     for p in rep_pivots:
-        vec = combined.rows[p][0]
-        rep = {p: vec[p]}
+        vec = combined.rows[p][0]  # an integer row, a valid input vector too
+        rep = {p: field.from_int(vec[p])}
         rep.update(combined.reduce_mod({c: v for c, v in vec.items() if c != p}))
         reps.append(rep)
     return reps

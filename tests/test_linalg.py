@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monomial_hh.errors import ImageNotInKernel
-from monomial_hh.fields import QQ, PrimeField, parse_field_spec
+from monomial_hh.fields import QQ, PrimeField, RationalField, parse_field_spec
 from monomial_hh.linalg import (
     SparseMatrix,
     RowBasis,
@@ -217,6 +217,17 @@ def test_determinism(rows):
     assert rank(QQ, m1) == rank(QQ, m2)
 
 
+def sub(field, a, b):
+    return field.add(a, field.neg(b))
+
+
+def div(field, a, b):
+    """a / b, by hand: the field objects keep no division of their own."""
+    if field == QQ:
+        return Fraction(a) / b
+    return a * pow(b, -1, field.p) % field.p
+
+
 def gauss_jordan(field, rows, ncols):
     """Textbook Gauss-Jordan on dense rows: (reduced rows, pivot columns).
 
@@ -230,12 +241,12 @@ def gauss_jordan(field, rows, ncols):
         if r is None:
             continue
         a[top], a[r] = a[r], a[top]
-        inv = field.div(field.one, a[top][c])
+        inv = div(field, field.one, a[top][c])
         a[top] = [field.mul(inv, v) for v in a[top]]
         for i in range(len(a)):
             if i != top and not field.is_zero(a[i][c]):
                 factor = a[i][c]
-                a[i] = [field.sub(v, field.mul(factor, w)) for v, w in zip(a[i], a[top])]
+                a[i] = [sub(field, v, field.mul(factor, w)) for v, w in zip(a[i], a[top])]
         pivots.append(c)
     return a[: len(pivots)], pivots
 
@@ -294,7 +305,79 @@ def test_elimination_matches_dense_gauss_jordan(rows, mixing, fieldspec):
     assert len(reps) == len(completion)
     for rep in reps:
         lead = rep[min(rep)]
-        assert {i: field.div(v, lead) for i, v in rep.items()} == completion[min(rep)]
+        assert {i: div(field, v, lead) for i, v in rep.items()} == completion[min(rep)]
+
+
+def scalars(fieldspec):
+    """Field scalars: small non-integer fractions over Q, anything in range(p)."""
+    if fieldspec == "q":
+        return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.integers(min_value=0, max_value=parse_field_spec(fieldspec).p - 1)
+
+
+SPAN_FIELDS = ["q", "fp:2", "fp:3", "fp:2305843009213693951"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(SPAN_FIELDS))
+def test_express_matches_dense_solve(data, fieldspec):
+    field = parse_field_spec(fieldspec)
+    nrows = data.draw(st.integers(min_value=1, max_value=5))
+    ncols = data.draw(st.integers(min_value=1, max_value=5))
+    entry = scalars(fieldspec)
+    cols = [[data.draw(entry) for _ in range(nrows)] for _ in range(ncols)]
+    m = SparseMatrix(nrows, ncols, tuple(sparse(field, c) for c in cols))
+    if data.draw(st.booleans()):  # a vector in the span, most of the time outside it otherwise
+        x = mat_vec(field, m, sparse(field, [data.draw(entry) for _ in range(ncols)]))
+    else:
+        x = sparse(field, [data.draw(entry) for _ in range(nrows)])
+    # solve [M | x] densely: x is in the span iff the last column is no pivot, and
+    # the unique solution over the independent (pivot) columns is read off the rows
+    augmented = [[cols[j][i] for j in range(ncols)] + [x.get(i, field.zero)] for i in range(nrows)]
+    reduced, pivots = gauss_jordan(field, augmented, ncols + 1)
+    if ncols in pivots:
+        expected = None
+    else:
+        expected = {p: row[ncols] for row, p in zip(reduced, pivots) if not field.is_zero(row[ncols])}
+    assert image_membership(field, m, x) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(SPAN_FIELDS))
+def test_reduce_mod_matches_dense_reduction(data, fieldspec):
+    field = parse_field_spec(fieldspec)
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    entry = scalars(fieldspec)
+    vecs = [[data.draw(entry) for _ in range(n)] for _ in range(data.draw(st.integers(0, 4)))]
+    x = [data.draw(entry) for _ in range(n)]
+    rb = RowBasis(field)
+    for v in vecs:
+        rb.insert(sparse(field, v))
+    # the coset member that is zero at every pivot of the span
+    reduced, pivots = gauss_jordan(field, vecs, n)
+    expected = list(x)
+    for row, p in zip(reduced, pivots):
+        factor = expected[p]
+        expected = [sub(field, v, field.mul(factor, w)) for v, w in zip(expected, row)]
+    assert rb.reduce_mod(sparse(field, x)) == sparse(field, expected)
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(7)], ids=["q", "fp:7"])
+def test_elimination_makes_no_scalar_calls(field):
+    # every step of the elimination is a row kernel of the field: no call to a
+    # per-scalar mul, sub or div (whichever the field still has) on the way
+    m = mat(field, [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1], [3, 0, 3, 6]])
+    calls = []
+    for name in ("mul", "sub", "div"):
+        method = getattr(field, name, None)
+        if method is not None:
+            setattr(field, name, lambda *args, _name=name, _method=method: calls.append(_name) or _method(*args))
+    ker = kernel_basis(field, m)
+    assert len(ker) == 2
+    assert image_membership(field, m, m.cols[3]) is not None
+    reps = quotient_basis(field, ker, [ker[0]])
+    assert len(reps) == 1
+    assert calls == []
 
 
 def test_fp_and_q_ranks_agree_on_small_int_matrix():
