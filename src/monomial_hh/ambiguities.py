@@ -95,9 +95,9 @@ class AmbiguityTable:
     its windows, and ``cofaces`` inverts the differential.  Their per-degree
     lookups are built lazily, on first use, from the stored degrees alone;
     they are idempotent caches, so building one twice gives the same map.
-    The diagonals, which read only this index, and the cup structure
-    constants, which read only the diagonals, are cached here the same way,
-    one slot each, by the modules that build them.
+    The diagonals, which read only this index, the cup structure constants,
+    which read only the diagonals, and the key check of the cochains are
+    cached here the same way, one slot each, by the modules that build them.
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -122,6 +122,7 @@ class AmbiguityTable:
         self._cofaces = {}  # degree n -> {(n-1)-ambiguity: [(q, position, sign)]}
         self._cup = {}  # bidegree (m, n) -> cup structure constants, see cup._constants
         self._diagonals = {}  # ambiguity -> its diagonal, see diagonal.diagonal
+        self._cochain_check = None  # key check of every cochain, see cochains.new_cochain
 
     def degree(self, n: int):
         """The tuple of n-ambiguities, sorted by path; computed on demand."""

@@ -35,13 +35,16 @@ def pair_basis(table, degree):
 def new_cochain(table, degree, terms=None):
     """A degree-m cochain: field scalars on pairs (ambiguity of degree m-1, parallel basis path)."""
     alg = table.algebra
+    check = table._cochain_check
+    if check is None:  # built once per table: cochains are made by the hundred thousand
 
-    def check(key, degree):
-        amb, b = key
-        assert amb.degree == degree - 1
-        assert amb.path.source == b.source and amb.path.target == b.target
-        assert alg.is_basis(b)
+        def check(key, degree):
+            amb, b = key
+            assert amb.degree == degree - 1
+            assert amb.path.source == b.source and amb.path.target == b.target
+            assert alg.is_basis(b)
 
+        table._cochain_check = check
     return Combination(alg.field, check, degree, terms)
 
 
