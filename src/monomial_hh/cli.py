@@ -275,6 +275,7 @@ def cmd_random(args):
             {
                 "schema": SCHEMA,
                 "command": "random",
+                "field": config.field.name,
                 "ok": out["ok"],
                 "seed": args.seed,
                 "trials": out["trials"],

@@ -115,6 +115,7 @@ def test_random_suite_cli():
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
     assert doc["ok"] is True
+    assert doc["field"] == "q"
     assert len(doc["trials"]) == 6
     assert [t["seed"] for t in doc["trials"]] == [7, 8, 9, 10, 11, 12]
 
@@ -125,8 +126,9 @@ def test_random_suite_field(monkeypatch, capsys):
     doc = json.loads(out.stdout)
     config = RandomAlgebraConfig(field=parse_field_spec("fp:2"))
     expected = run_random_suite(config, 3, 1000, degree=4)
+    assert doc["field"] == "fp:2"
     assert doc["trials"] == json.loads(json.dumps(expected["trials"]))
-    # the rows do not name the field, so look at the config the suite gets
+    # the document names the field of its own config; the suite must get it too
     seen = []
     monkeypatch.setattr(cli, "run_random_suite", lambda config, *args, **kw: seen.append(config) or expected)
     assert cli.main(["random", "--field", "fp:2", "--trials", "3", "--json"]) == 0

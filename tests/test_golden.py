@@ -57,12 +57,11 @@ FIELD_GOLDEN = {
     ("truncated_cycle_3_2.alg", "fp:2305843009213693951"): "87542f3e0dd84204ec07e1940cfc599194d7f72e1166ad4edd6cec9b846fb87b",
 }
 
-# the rows do not name the field, so both fields print the same bytes
 RANDOM_GOLDEN = {
-    ("general", "q"): "987b1f2e98e79bc1a899c77c718eac5303815547be8bd945f1b1160bc620e401",
-    ("general", "fp:2"): "987b1f2e98e79bc1a899c77c718eac5303815547be8bd945f1b1160bc620e401",
-    ("triangular", "q"): "fe354a4fe611d5032b52e4f5225fcf781255aea98448bc2313fa5ab744a772d5",
-    ("triangular", "fp:2"): "fe354a4fe611d5032b52e4f5225fcf781255aea98448bc2313fa5ab744a772d5",
+    ("general", "q"): "c6e6e82227ea9cf144ae362b3575f0a0c5c007fd6d0fc073ed5dd9fd1c36b2fe",
+    ("general", "fp:2"): "35d38e7d49c9fa61f6a6acac8e3398bf1c85689d9104ff59140e1f01ed2bca9b",
+    ("triangular", "q"): "93908dd9fe209f1a99d88e9eecfa5bae8bfbc433444420f39b3eeed20db06d4e",
+    ("triangular", "fp:2"): "6371bfc130138d6def914e5ca9c895fe83c83053996a414e973d1c738e1c6683",
 }
 
 
