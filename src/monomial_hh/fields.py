@@ -207,11 +207,11 @@ class PrimeField:
         return 1, vc
 
     def combine(self, target: dict, a: int, b: int, source: dict):
-        """target ← a·target − b·source mod p in place; cancelled entries are removed."""
+        """target ← target − b·source mod p in place; cancelled entries are removed.
+
+        a is always 1 here (see ``pivot_step``).
+        """
         p = self.p
-        if a != 1:
-            for c in target:
-                target[c] = target[c] * a % p
         get = target.get
         for c, v in source.items():
             x = (get(c, 0) - b * v) % p
