@@ -60,8 +60,10 @@ FIELD_GOLDEN = {
 RANDOM_GOLDEN = {
     ("general", "q"): "c6e6e82227ea9cf144ae362b3575f0a0c5c007fd6d0fc073ed5dd9fd1c36b2fe",
     ("general", "fp:2"): "35d38e7d49c9fa61f6a6acac8e3398bf1c85689d9104ff59140e1f01ed2bca9b",
+    ("general", "fp:3"): "c92eac8c9badd9f9f281b5acc49da1dee0b444e378d61adb0ab761b2cd830ab3",
     ("triangular", "q"): "93908dd9fe209f1a99d88e9eecfa5bae8bfbc433444420f39b3eeed20db06d4e",
     ("triangular", "fp:2"): "6371bfc130138d6def914e5ca9c895fe83c83053996a414e973d1c738e1c6683",
+    ("triangular", "fp:3"): "9e25ddedb4cdbaf334d586908559be3940321b2e85c7b2e7130641122ddd2712",
 }
 
 
