@@ -17,6 +17,7 @@ from monomial_hh.cup import (
     check_cup_closure,
     check_one_sided_vanishing,
     cup_cochain,
+    cup_products,
     cup_table,
     verify_graded_commutativity,
     verify_triangular_vanishing,
@@ -499,23 +500,29 @@ def test_one_sided_vanishing_suite_check(triangular_a6, truncated_cycle):
     assert check_one_sided_vanishing(t, spaces, 5) == []
 
 
-def test_one_sided_vanishing_takes_second_order_only_when_needed(triangular_a6, monkeypatch):
-    # g cup f is computed only when f cup g is nonzero
+def test_one_sided_vanishing_batches_each_bidegree(triangular_a6, monkeypatch):
+    # one cup_products call per ordered bidegree, no product taken pair by pair
     t = AmbiguityTable(triangular_a6)
     spaces = hochschild_cohomology(t, 5)
     pieces = [vector_to_cochain(t, m, spaces[m].pairs, v) for m in range(1, 5) for v in spaces[m].cocycles]
     ordered = [(f, g) for f in pieces for g in pieces if f.degree + g.degree <= 5]
     nonzero = sum(not cup_cochain(t, f, g).is_zero() for f, g in ordered)
-    calls = []
+    single, batched = [], []
 
-    def counting(table, f, g):
-        calls.append((f, g))
+    def counting_single(table, f, g):
+        single.append((f.degree, g.degree))
         return cup_cochain(table, f, g)
 
-    monkeypatch.setattr(cup, "cup_cochain", counting)
+    def counting_batched(table, fs, gs):
+        batched.append((fs[0].degree, gs[0].degree))
+        return cup_products(table, fs, gs)
+
+    monkeypatch.setattr(cup, "cup_cochain", counting_single)
+    monkeypatch.setattr(cup, "cup_products", counting_batched)
     assert check_one_sided_vanishing(t, spaces, 5) == []
     assert (len(ordered), nonzero) == (183, 9)
-    assert len(calls) == len(ordered) + nonzero
+    assert single == []
+    assert sorted(batched) == [(m, n) for m in range(1, 5) for n in range(1, 6 - m)]
 
 
 def test_refine_matches_components_here(triangular_a6):

@@ -4,7 +4,7 @@ import pytest
 
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import _pair_differential_terms, new_cochain, pair_basis, pair_cochain
-from monomial_hh.cup import cup_cochain
+from monomial_hh.cup import cup_cochain, cup_products
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.quivers import Quiver, build_algebra, concat
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
@@ -69,7 +69,8 @@ def test_pair_differential_matches_scan(spec):
 @pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
 def test_cup_matches_scan(spec):
     # every basis pair times every basis pair, then one sum of all pairs
-    # with distinct weights per side, where terms meet and may cancel
+    # with distinct weights per side, where terms meet and may cancel;
+    # cup_products over the same lists keeps exactly the nonzero products
     for t in tables(spec):
         field = t.algebra.field
         degrees = range(CUP_DEGREE + 1)
@@ -77,6 +78,12 @@ def test_cup_matches_scan(spec):
         sums = [new_cochain(t, d, {key: field.from_int(i + 1) for i, key in enumerate(pair_basis(t, d))}) for d in degrees]
         for m in degrees:
             for n in range(0, CUP_DEGREE + 1 - m):
-                for f in pairs[m] + [sums[m]]:
-                    for g in pairs[n] + [sums[n]]:
-                        assert cup_cochain(t, f, g) == scan_cup_cochain(t, f, g)
+                fs, gs = pairs[m] + [sums[m]], pairs[n] + [sums[n]]
+                products = cup_products(t, fs, gs)
+                for a, f in enumerate(fs):
+                    for b, g in enumerate(gs):
+                        want = scan_cup_cochain(t, f, g)
+                        assert cup_cochain(t, f, g) == want
+                        assert ((a, b) in products) == (not want.is_zero())
+                        if (a, b) in products:
+                            assert products[a, b] == want
