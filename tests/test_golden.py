@@ -1,10 +1,10 @@
 """Byte-identical CLI output: SHA-256 digests of the JSON on every fixture.
 
-The digests pin the regression contract of every refactor: ``hh``,
-``cup`` and ``verify --all`` on every fixture, ``hh`` on every fixture over
-three prime fields, and the seeded ``random`` suite, must print exactly
-these bytes.  A change
-that is meant to alter the output has to re-record them, on purpose.
+The digests pin the regression contract of every refactor: ``basis``,
+``hh``, ``cup`` and ``verify --all`` on every fixture, ``hh`` on every
+fixture over three prime fields, and the seeded ``random`` suite, must print
+exactly these bytes.  A change that is meant to alter the output has to
+re-record them, on purpose.
 """
 
 import contextlib
@@ -19,21 +19,26 @@ from monomial_hh import cli
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 COMMANDS = {
+    "basis": ["basis", "--json"],
     "hh": ["hh", "--json", "--max-degree", "6"],
     "cup": ["cup", "--json", "--max-total-degree", "4"],
     "verify": ["verify", "--all", "--json", "--max-degree", "4"],
 }
 
 GOLDEN = {
+    ("example_cone.alg", "basis"): "edf9558a03a0ef2807c4108a371182f77873219e69a1e84ed509bdb1228d5ca1",
     ("example_cone.alg", "hh"): "8400b57e833feb7dac22f958677e36d87066a27a4d0d1b56a138ad0639bf9e1e",
     ("example_cone.alg", "cup"): "ff668034e083504e24538357ee1247ffcf27f8183e7c791e0ccfcca284cd5cc8",
     ("example_cone.alg", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
+    ("square.alg", "basis"): "c208eaf5a2cfd37bd650e3fa08eca47763e8ebc4a91239bba8e609c52f00c908",
     ("square.alg", "hh"): "09edaa5ab225834e6f2c4c4a9e2bb57b19ad14de1c31b1795bd14c40622a5fd0",
     ("square.alg", "cup"): "9f619f17bc1bf51617afeb47cef092ff48e0c3d4cc8d752de9ba5ead0b701e7f",
     ("square.alg", "verify"): "b8df9012b934e5960c7d7b48c2af06f16ef212e35d5127fe85507c972d1c2d4f",
+    ("triangular_a6.alg", "basis"): "7cf98d32c3bd19cb591db7fbb915ad2b2a26d17b40c3d2da0443413f5f62cb58",
     ("triangular_a6.alg", "hh"): "95c3340a93591e9c64b8f6fdaae44995c06217b8279ed952a60ae8c4e3f47680",
     ("triangular_a6.alg", "cup"): "baf299a98835b73bfa1652644b80c94ef5e874e3225755b2de2c6e1875626d0a",
     ("triangular_a6.alg", "verify"): "60f81c3be8dca5767b1ebab16f67528ff4a0bf4e7b918fd7b75d6618b0c07448",
+    ("truncated_cycle_3_2.alg", "basis"): "d2e8553759dda769a1e0ca08d5ec72c183d0e9ecb9ff89407edd10ece1dc9006",
     ("truncated_cycle_3_2.alg", "hh"): "861a13b97483c1e06fb0f4343876f6b16b601690316181e6f6af33351468ab43",
     ("truncated_cycle_3_2.alg", "cup"): "7ad9f1dccce95654e1e7bd3c0b6905f6b594e60cd0df50a0bc85f181d9d96fd4",
     ("truncated_cycle_3_2.alg", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
