@@ -58,9 +58,8 @@ def display_cochain(x):
     return " + ".join(bits)
 
 
-def pair_cochain(table, amb, b, coeff=1):
-    field = table.algebra.field
-    return new_cochain(table, amb.degree + 1, {(amb, b): field.from_int(coeff) if isinstance(coeff, int) else coeff})
+def pair_cochain(table, amb, b):
+    return new_cochain(table, amb.degree + 1, {(amb, b): table.algebra.field.one})
 
 
 def _pair_differential_terms(table, amb, b):

@@ -9,12 +9,13 @@ this package.
 The elimination never touches a scalar: its rows are dicts of plain ints,
 and the field converts at the boundary.  ``to_row`` clears the denominators
 of an input vector, ``pivot_step`` and ``combine`` make one reduction step
-``vec ← a·vec − b·row``, ``canonical`` scales a row before it is stored, and
-``from_row`` and ``normalize_row`` turn integer rows back into scalars.  Over
-the rationals a row is an integer vector, reduced fraction-free (the a·vec
-step of Bareiss, *Math. Comp.* 22, 1968) and stored primitive with a positive
-pivot; over a prime field its ints lie in ``range(p)``, the pivot is 1 and a
-is always 1, so a step is ``vec − b·row`` mod p.
+``vec ← a·vec − b·row``, ``canonical`` scales a row before it is stored or
+returned as a dependency, and ``from_row`` turns integer rows back into
+scalars.  Over the rationals a row is an integer vector, reduced
+fraction-free (the a·vec step of Bareiss, *Math. Comp.* 22, 1968) and stored
+primitive with a positive pivot; over a prime field its ints lie in
+``range(p)``, the pivot is 1 and a is always 1, so a step is ``vec − b·row``
+mod p.
 """
 
 from __future__ import annotations
@@ -121,21 +122,6 @@ class RationalField:
             return {c: Fraction(v) for c, v in row.items()}
         return {c: Fraction(v, d) for c, v in row.items()}
 
-    def normalize_row(self, vec: dict):
-        """Scale a sparse vector to a primitive integer vector.
-
-        The result has integer entries with content 1 and a positive entry
-        at the smallest index, as ``Fraction``.  Entries may be ``Fraction``
-        or ``int``.  Returns a new dict; input is not modified.
-        """
-        if not vec:
-            return {}
-        row, _ = self.to_row(vec)
-        content = gcd(*row.values())
-        if row[min(row)] < 0:
-            content = -content
-        return {c: Fraction(v // content) for c, v in row.items()}
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -236,13 +222,6 @@ class PrimeField:
         p = self.p
         inv = pow(d, -1, p)
         return {c: v * inv % p for c, v in row.items()}
-
-    def normalize_row(self, vec: dict):
-        """Scale so the entry at the smallest index is 1."""
-        if not vec:
-            return {}
-        inv = pow(vec[min(vec)], -1, self.p)
-        return {c: (v * inv) % self.p for c, v in vec.items()}
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -101,8 +101,9 @@ class RowBasis:
         added is True when the rank grew; dependency is None in that case.
         When the vector is dependent, dependency maps tags of previously
         inserted vectors (plus this vector's own tag) to scalars λ with
-        Σ λ_t · original_t = 0 — a kernel certificate, in the field's
-        ``normalize_row`` form.
+        Σ λ_t · original_t = 0 — a kernel certificate, scaled by the field's
+        ``canonical`` at its smallest tag: primitive with a positive entry
+        there over the rationals, that entry 1 over a prime field.
         """
         f = self.field
         if tag is None:
@@ -112,7 +113,9 @@ class RowBasis:
         coeffs = {tag: d} if self.track else None
         self._reduce(vec, coeffs)
         if not vec:
-            return False, (f.normalize_row(coeffs) if self.track else {})
+            if not self.track:
+                return False, {}
+            return False, f.from_row(f.canonical(coeffs, None, min(coeffs))[0], 1)
         pivot = min(vec)
         self.rows[pivot] = f.canonical(vec, coeffs, pivot)
         return True, None

@@ -224,8 +224,8 @@ class MonomialAlgebra:
     indices, source); ``relations`` is the minimized generating set, sorted
     the same way.  ``parallel[(source, target)]`` holds the basis paths
     between two vertex indices, a tuple in basis order for every pair of
-    vertices (empty when none).  Construction certifies finite-dimensionality
-    first (see ``_assert_finite``), then enumerates B.
+    vertices (empty when none).  Construction reads both finite-dimensionality
+    and B off one relation automaton (see ``_read_automaton``).
     """
 
     def __init__(self, quiver: Quiver, relations, field=QQ):
@@ -240,9 +240,7 @@ class MonomialAlgebra:
             rels.append(r)
         self.relations = tuple(sorted(_minimize(rels), key=Path.sort_key))
         self._rel_arrows = tuple(r.arrows for r in self.relations)
-        self.max_relation_length = max((len(r) for r in self.relations), default=0)
-        self._assert_finite()
-        self.basis = tuple(self._enumerate_basis())
+        self.basis = tuple(self._read_automaton())
         self.basis_set = frozenset(self.basis)
         self.dim = len(self.basis)
         self.nontrivial_basis = tuple(p for p in self.basis if p.arrows)
@@ -253,62 +251,52 @@ class MonomialAlgebra:
 
     # -- construction helpers -------------------------------------------------
 
-    def _tail_hits_relation(self, arrows: tuple) -> bool:
-        """Does some relation end exactly at the last arrow? (incremental test)"""
-        n = len(arrows)
-        for rel in self._rel_arrows:
-            lr = len(rel)
-            if lr <= n and arrows[n - lr :] == rel:
-                return True
-        return False
+    def _read_automaton(self):
+        """The basis, read off the relation automaton; raises when A is infinite.
 
-    def _assert_finite(self):
-        """Ufnarovski-style cycle test on relation-free paths of length L−1."""
-        ell = max(self.max_relation_length - 1, 0)
+        A state is (w, v): w the longest suffix of the word read so far that
+        is a proper prefix of a relation, v the vertex where the word ends.
+        Any relation or proper prefix that ends at the next arrow a starts
+        inside w, so the step reads the longest suffix of w+(a,) that is
+        either.  A relation there makes the step dead.  No shorter suffix
+        can be a relation, because the relations are minimal, so a proper
+        prefix there is the next state.  The live walks from the roots
+        ((), v) are exactly the relation-free paths, so A is finite iff the
+        live states have no cycle (Ufnarovskii's criterion, Math. Notes 31,
+        1982), and then the basis is those walks.
+        """
         q = self.quiver
-        # nodes: relation-free words of length ell, keyed with their target
-        # vertex so trivial words at different vertices stay distinct
-        level = [((), v) for v in range(q.n_vertices)]
-        for _ in range(ell):
-            nxt = []
-            for arrows, at in level:
-                for a in q.out_arrows[at]:
-                    ext = arrows + (a,)
-                    if not self._tail_hits_relation(ext):
-                        nxt.append((ext, q.arrow_target[a]))
-            level = nxt
-        node_ids = {key: i for i, key in enumerate(level)}
-        edges = [[] for _ in level]
-        for key, i in node_ids.items():
-            arrows, at = key
-            for a in q.out_arrows[at]:
-                ext = arrows + (a,)
-                if self._tail_hits_relation(ext):
+        rels = set(self._rel_arrows)
+        known = rels | {r[:k] for r in rels for k in range(1, len(r))}
+        states = [((), v) for v in range(q.n_vertices)]  # root v is state v
+        index = {state: i for i, state in enumerate(states)}
+        steps = []  # steps[i]: the live (arrow, next state) pairs out of state i
+        for w, v in states:  # states grows while it is read
+            out = []
+            for a in q.out_arrows[v]:
+                word = w + (a,)
+                hit = next((word[k:] for k in range(len(word)) if word[k:] in known), ())
+                if hit in rels:
                     continue
-                succ = (ext[1:], q.arrow_target[a]) if ell else ((), q.arrow_target[a])
-                j = node_ids.get(succ)
-                if j is not None:
-                    edges[i].append(j)
-        # directed cycle <=> infinite-dimensional
-        if _has_cycle(edges):
+                state = (hit, q.arrow_target[a])
+                if state not in index:
+                    index[state] = len(states)
+                    states.append(state)
+                out.append((a, index[state]))
+            steps.append(out)
+        if _has_cycle([[j for _, j in out] for out in steps]):
             raise InfiniteDimensional("arbitrarily long relation-free paths exist")
-
-    def _enumerate_basis(self):
-        q = self.quiver
-        out = [q.trivial_path_at(v) for v in range(q.n_vertices)]
-        frontier = out[:]
+        basis = [q.trivial_path_at(v) for v in range(q.n_vertices)]
+        frontier = list(enumerate(basis))
         while frontier:
             nxt = []
-            for p in frontier:
-                for a in q.out_arrows[p.target]:
-                    ext = p.arrows + (a,)
-                    if self._tail_hits_relation(ext):
-                        continue
-                    nxt.append(Path(q, p.source, ext))
-            out.extend(nxt)
+            for i, p in frontier:
+                for a, j in steps[i]:
+                    nxt.append((j, Path(q, p.source, p.arrows + (a,))))
+            basis.extend(p for _, p in nxt)
             frontier = nxt
-        out.sort(key=Path.sort_key)
-        return out
+        basis.sort(key=Path.sort_key)
+        return basis
 
     # -- queries ---------------------------------------------------------------
 

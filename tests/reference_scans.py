@@ -8,12 +8,14 @@ structure constants replaced; unlike the product, it does not read the
 diagonal.  The adjacency scans at the end, over every arrow or every basis
 path, are the reference for ``Quiver.out_arrows``,
 ``MonomialAlgebra.parallel``, the pair lists that read them and
-``resolution.right_spanning_set``.
+``resolution.right_spanning_set``.  ``scan_is_finite`` and ``scan_basis``,
+which test every relation after every arrow step, are the reference for the
+relation automaton that ``MonomialAlgebra`` reads both answers off.
 """
 
 from monomial_hh.bar_oracle import bar_tuples
 from monomial_hh.cochains import new_cochain
-from monomial_hh.quivers import DivisorOccurrence
+from monomial_hh.quivers import DivisorOccurrence, Path, _has_cycle
 from monomial_hh.resolution import bimodule_element
 
 
@@ -185,4 +187,57 @@ def scan_right_spanning_set(table, degree):
         for b in alg.basis:
             if b.source == amb.path.target:
                 out.append(bimodule_element(degree, {(triv, amb, b): 1}))
+    return out
+
+
+def _tail_hits_relation(rel_arrows, arrows):
+    """Does some relation end exactly at the last arrow?"""
+    n = len(arrows)
+    return any(len(rel) <= n and arrows[n - len(rel) :] == rel for rel in rel_arrows)
+
+
+def scan_is_finite(quiver, rel_arrows):
+    """Ufnarovskii's cycle test on the relation-free words of length L−1.
+
+    The nodes are those words, keyed with their target vertex so trivial
+    words at different vertices stay distinct; an arrow joins two of them
+    when their overlap of length L is relation-free.
+    """
+    ell = max(max((len(r) for r in rel_arrows), default=0) - 1, 0)
+    level = [((), v) for v in range(quiver.n_vertices)]
+    for _ in range(ell):
+        nxt = []
+        for arrows, at in level:
+            for a in quiver.out_arrows[at]:
+                ext = arrows + (a,)
+                if not _tail_hits_relation(rel_arrows, ext):
+                    nxt.append((ext, quiver.arrow_target[a]))
+        level = nxt
+    node_ids = {key: i for i, key in enumerate(level)}
+    edges = [[] for _ in level]
+    for (arrows, at), i in node_ids.items():
+        for a in quiver.out_arrows[at]:
+            ext = arrows + (a,)
+            if _tail_hits_relation(rel_arrows, ext):
+                continue
+            j = node_ids.get((ext[1:] if ell else (), quiver.arrow_target[a]))
+            if j is not None:
+                edges[i].append(j)
+    return not _has_cycle(edges)
+
+
+def scan_basis(quiver, rel_arrows):
+    """The relation-free paths of a finite A, by a frontier, in basis order."""
+    out = [quiver.trivial_path_at(v) for v in range(quiver.n_vertices)]
+    frontier = out[:]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for a in quiver.out_arrows[p.target]:
+                ext = p.arrows + (a,)
+                if not _tail_hits_relation(rel_arrows, ext):
+                    nxt.append(Path(quiver, p.source, ext))
+        out.extend(nxt)
+        frontier = nxt
+    out.sort(key=Path.sort_key)
     return out

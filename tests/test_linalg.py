@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -97,16 +97,41 @@ def test_prime_modulus_rejects_strong_pseudoprimes():
             PrimeField(p)
 
 
-def test_rational_normalize_row():
-    vec = {0: Fraction(2, 3), 2: Fraction(-4, 6)}
-    assert QQ.normalize_row(vec) == {0: Fraction(1), 2: Fraction(-1)}
-    vec = {1: Fraction(-3, 4), 5: Fraction(9, 2)}
+def normal_form(field, vec):
+    """The scale of a kernel vector, computed without the package.
+
+    Over the rationals: primitive integers with a positive entry at the
+    smallest index.  Over a prime field: that entry is 1.
+    """
+    if isinstance(field, RationalField):
+        den = lcm(*(Fraction(v).denominator for v in vec.values()))
+        ints = {c: int(v * den) for c, v in vec.items()}
+        content = gcd(*ints.values())
+        if ints[min(ints)] < 0:
+            content = -content
+        return {c: Fraction(v, content) for c, v in ints.items()}
+    inv = pow(vec[min(vec)], -1, field.p)
+    return {c: v * inv % field.p for c, v in vec.items()}
+
+
+def test_rational_normal_form():
+    assert normal_form(QQ, {0: Fraction(2, 3), 2: Fraction(-4, 6)}) == {0: 1, 2: -1}
     # leading (smallest index) entry must come out positive
-    assert QQ.normalize_row(vec) == {1: Fraction(1), 5: Fraction(-6)}
+    assert normal_form(QQ, {1: Fraction(-3, 4), 5: Fraction(9, 2)}) == {1: 1, 5: -6}
+    # kernel_basis scales its vectors the same way: sign, then content
+    for rows, expected in (
+        ([[1, 0, 1]], [{1: 1}, {0: 1, 2: -1}]),
+        ([[3, 2]], [{0: 2, 1: -3}]),
+        ([[-6, 4]], [{0: 2, 1: 3}]),
+    ):
+        ker = kernel_basis(QQ, mat(QQ, rows))
+        assert ker == expected == [normal_form(QQ, v) for v in ker]
 
 
-def test_prime_field_normalize_row():
-    assert F5.normalize_row({2: 3, 4: 1}) == {2: 1, 4: 2}
+def test_prime_field_normal_form():
+    assert normal_form(F5, {2: 3, 4: 1}) == {2: 1, 4: 2}
+    ker = kernel_basis(F5, mat(F5, [[1, 2]]))  # column 1 is 2·column 0
+    assert ker == [{0: 1, 1: 2}] == [normal_form(F5, v) for v in ker]
 
 
 def test_sparse_matrix_drops_stored_zeros():
@@ -286,7 +311,7 @@ def test_elimination_matches_dense_gauss_jordan(rows, mixing, fieldspec):
         vec[j] = field.one
         for i, p in enumerate(pivots):
             vec[p] = field.neg(reduced[i][j])
-        expected.append(field.normalize_row(sparse(field, vec)))
+        expected.append(normal_form(field, sparse(field, vec)))
     ker = kernel_basis(field, m)
     assert ker == expected
 

@@ -1,12 +1,19 @@
+import pathlib
+
 import pytest
 
+from monomial_hh import randomgen
+from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.errors import (
     DuplicateArrowId,
     InfiniteDimensional,
     NonComposableRelation,
 )
+from monomial_hh.fields import QQ, PrimeField
 from monomial_hh.quivers import (
+    MonomialAlgebra,
     Quiver,
+    _minimize,
     build_algebra,
     concat,
     is_triangular,
@@ -15,7 +22,7 @@ from monomial_hh.quivers import (
 
 from conftest import make_cone, make_square
 from helpers import is_quadratic
-from reference_scans import divisor_occurrences
+from reference_scans import divisor_occurrences, scan_basis, scan_is_finite
 
 
 def test_word_conversion_reverses_traversal():
@@ -144,6 +151,54 @@ def test_two_cycle_without_relations_is_infinite():
     q = Quiver(["1", "2"], [("u", "1", "2"), ("v", "2", "1")])
     with pytest.raises(InfiniteDimensional):
         build_algebra(q, [])
+
+
+def test_automaton_falls_back_to_shorter_prefix():
+    # after y·x no relation starts with y x, so the state falls back to x
+    q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    alg = build_algebra(q, [q.path(w) for w in ("x x", "y y", "x y x")])
+    assert [p.display() for p in alg.nontrivial_basis] == ["x", "y", "x*y", "y*x", "y*x*y"]
+    assert alg.dim == 6
+    with pytest.raises(InfiniteDimensional):
+        build_algebra(q, [q.path(w) for w in ("x x", "y y")])
+
+
+def _assert_matches_scans(quiver, relations, field=QQ):
+    rel_arrows = tuple(r.arrows for r in _minimize(relations))
+    finite = scan_is_finite(quiver, rel_arrows)
+    try:
+        alg = MonomialAlgebra(quiver, relations, field)
+    except InfiniteDimensional:
+        assert not finite
+        return False
+    assert finite
+    assert alg.basis == tuple(scan_basis(quiver, rel_arrows))
+    return True
+
+
+def test_automaton_matches_scans_on_random_candidates(monkeypatch):
+    # every candidate random_algebra draws, the rejected ones included
+    candidates = []
+
+    def collect(quiver, relations, field=QQ):
+        candidates.append((quiver, relations, field))
+        return build_algebra(quiver, relations, field)
+
+    monkeypatch.setattr(randomgen, "build_algebra", collect)
+    for field in (QQ, PrimeField(2)):
+        for triangular in (False, True):
+            config = randomgen.RandomAlgebraConfig(triangular=triangular, field=field)
+            for seed in range(1000, 1060):
+                randomgen.random_algebra(config, seed)
+    accepted = [_assert_matches_scans(*c) for c in candidates]
+    assert sum(accepted) == 240 < len(accepted)
+
+
+def test_automaton_matches_scans_on_fixtures():
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    for path in sorted(fixtures.glob("*.alg")):
+        alg = parse_algebra_file(path.read_text())
+        assert _assert_matches_scans(alg.quiver, alg.relations)
 
 
 def test_duplicate_arrow_id():

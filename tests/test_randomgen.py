@@ -51,7 +51,7 @@ def test_not_all_degenerate():
 
 def test_shrink_keeps_failure(cone):
     # pretend "has a cubic relation" is the failing property
-    pred = lambda alg: alg.max_relation_length >= 3
+    pred = lambda alg: max((len(r) for r in alg.relations), default=0) >= 3
     small = shrink_algebra(cone, pred)
     assert pred(small)
     assert len(small.relations) == 1
