@@ -93,14 +93,14 @@ def _column_terms(algebra, t, b):
 
 
 def bar_differential_matrix(algebra, pairs_lo, pairs_hi):
+    """Columns: degree-n pairs; rows: degree-(n+1) pairs; integer entries, for every field."""
     index = {key: i for i, key in enumerate(pairs_hi)}
-    field = algebra.field
     cols = []
     for t, b in pairs_lo:
         col = {}
         for key, c in _column_terms(algebra, t, b).items():
             assert key in index, "differential left the cochain basis"
-            col[index[key]] = field.from_int(c)
+            col[index[key]] = c
         cols.append(col)
     return SparseMatrix(len(pairs_hi), len(pairs_lo), tuple(cols))
 

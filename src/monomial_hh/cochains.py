@@ -85,7 +85,7 @@ def cochain_differential(table, x):
     out = new_cochain(table, x.degree + 1)
     for (amb, b), c in x.terms.items():
         for key, n in _pair_differential_terms(table, amb, b).items():
-            out.add(key, field.mul(c, field.from_int(n)))
+            out.add(key, field.mul(c, n))
     return out
 
 
@@ -110,13 +110,12 @@ def differential_via_resolution(table, m):
 
 
 def differential_matrix(table, m):
-    """Columns: degree-m pairs; rows: degree-(m+1) pairs."""
-    field = table.algebra.field
+    """Columns: degree-m pairs; rows: degree-(m+1) pairs; integer entries, for every field."""
     cols_pairs = pair_basis(table, m)
     rows_pairs = pair_basis(table, m + 1)
     row_index = {pair: i for i, pair in enumerate(rows_pairs)}
     cols = tuple(
-        {row_index[key]: field.from_int(n) for key, n in _pair_differential_terms(table, amb, b).items()}
+        {row_index[key]: n for key, n in _pair_differential_terms(table, amb, b).items()}
         for amb, b in cols_pairs
     )
     return SparseMatrix(len(rows_pairs), len(cols_pairs), cols)

@@ -139,12 +139,11 @@ def cup_table(table, spaces, i, j):
 
 def verify_graded_commutativity(table, spaces, max_total_degree):
     """Failures of x cup y = (-1)^(mn) y cup x modulo coboundaries."""
-    field = table.algebra.field
     reps = [spaces[d].rep_cochains(table) for d in range(max_total_degree + 1)]
     failures = []
     for m in range(0, max_total_degree + 1):
         for n in range(m, max_total_degree + 1 - m):
-            sign = field.from_int(-1 if (m * n) % 2 else 1)
+            sign = -1 if (m * n) % 2 else 1
             xy = cup_products(table, reps[m], reps[n])
             yx = xy if m == n else cup_products(table, reps[n], reps[m])
             zero = new_cochain(table, m + n)

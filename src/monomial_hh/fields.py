@@ -2,20 +2,25 @@
 
 A field object bundles the scalar operations of the cochain complex and the
 row kernels of the sparse elimination in ``linalg``.  Scalars are plain
-Python values: ``fractions.Fraction`` over the rationals, ``int`` in
-``range(p)`` over a prime field.  Floating point never appears anywhere in
-this package.
+Python values: over the rationals any exact rational, ``int`` or
+``fractions.Fraction``; over a prime field an ``int``, reduced into
+``range(p)`` by the field's own arithmetic.  A plain ``int`` is a scalar of
+every field, so the integer coefficients of the resolution, the diagonal
+and the bar complex enter any field as they are.  Floating point never
+appears anywhere in this package.
 
 The elimination never touches a scalar: its rows are dicts of plain ints,
-and the field converts at the boundary.  ``to_row`` clears the denominators
-of an input vector, ``pivot_step`` and ``combine`` make one reduction step
+and the field converts at the boundary.  ``to_row`` is the one place a
+vector enters the elimination: it clears denominators over the rationals,
+reduces mod p over a prime field, and drops the entries that are zero in
+the field.  ``pivot_step`` and ``combine`` make one reduction step
 ``vec ← a·vec − b·row``, ``canonical`` scales a row before it is stored or
 returned as a dependency, and ``from_row`` turns integer rows back into
-scalars.  Over the rationals a row is an integer vector, reduced
-fraction-free (the a·vec step of Bareiss, *Math. Comp.* 22, 1968) and stored
-primitive with a positive pivot; over a prime field its ints lie in
-``range(p)``, the pivot is 1 and a is always 1, so a step is ``vec − b·row``
-mod p.
+scalars.  A canonical row is already a vector of scalars.  Over the
+rationals a row is an integer vector, reduced fraction-free (the a·vec step
+of Bareiss, *Math. Comp.* 22, 1968) and stored primitive with a positive
+pivot; over a prime field its ints lie in ``range(p)``, the pivot is 1 and
+a is always 1, so a step is ``vec − b·row`` mod p.
 """
 
 from __future__ import annotations
@@ -39,42 +44,32 @@ class IntegerRing:
 
 
 class RationalField:
-    """The field of rational numbers, scalars are ``Fraction``."""
+    """The field of rational numbers; scalars are ``int`` or ``Fraction``."""
 
     name = "q"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
+    zero = 0
+    one = 1
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)
 
     @staticmethod
     def to_row(vec: dict):
-        """(row, d): the integer row d·vec, d the lcm of the denominators.
+        """(row, d): the integer row d·vec without its zeros, d the lcm of the denominators.
 
-        Entries may be ``Fraction`` or ``int``; the input is not modified.
+        The input is not modified.
         """
         row = {}
         d = 1
         for c, v in vec.items():
-            row[c], den = v.as_integer_ratio()  # one call, not two properties
-            if den != 1:
-                d = lcm(d, den)
+            if v:
+                row[c], den = v.as_integer_ratio()  # one call, not two properties
+                if den != 1:
+                    d = lcm(d, den)
         if d != 1:
-            for c, v in vec.items():
-                n, den = v.as_integer_ratio()
+            for c in row:
+                n, den = vec[c].as_integer_ratio()
                 row[c] = n * (d // den)
         return row, d
 
@@ -117,9 +112,9 @@ class RationalField:
 
     @staticmethod
     def from_row(row: dict, d: int):
-        """The rational vector row / d."""
+        """The rational vector row / d; row itself when d is 1."""
         if d == 1:
-            return {c: Fraction(v) for c, v in row.items()}
+            return row
         return {c: Fraction(v, d) for c, v in row.items()}
 
     def __eq__(self, other):
@@ -167,9 +162,6 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -182,10 +174,10 @@ class PrimeField:
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
-    @staticmethod
-    def to_row(vec: dict):
-        """(row, 1): a copy of vec, whose scalars already are ints in range(p)."""
-        return dict(vec), 1
+    def to_row(self, vec: dict):
+        """(row, 1): vec reduced into range(p), without the entries that vanish."""
+        p = self.p
+        return {c: x for c, v in vec.items() if (x := v % p)}, 1
 
     @staticmethod
     def pivot_step(vc: int, rp: int):

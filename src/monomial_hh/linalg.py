@@ -1,16 +1,21 @@
 """Exact sparse linear algebra over a field object from ``fields``.
 
-Vectors are sparse dicts ``{index: scalar}`` with no explicit zeros.
-Matrices are column-major tuples of such dicts.  Everything is exact.  The
-elimination keeps row-echelon rows and never edits a stored row; every
-result it hands out (kernel vectors, dependencies, expressions, reductions,
-quotient representatives) is the unique normal form of its span, so results
-depend only on insertion order, which callers fix deterministically.
+Vectors are sparse dicts ``{index: scalar}``.  A plain ``int`` is a scalar
+of every field, so a matrix assembled from integer coefficients is a matrix
+over Z that serves every field as it is.  Matrices are column-major tuples
+of such dicts.  Everything is exact.  The elimination keeps row-echelon
+rows and never edits a stored row; every result it hands out (kernel
+vectors, dependencies, expressions, reductions, quotient representatives)
+is the unique normal form of its span, so results depend only on insertion
+order, which callers fix deterministically.
 
-Inside the elimination a row is a dict of plain ints, never of scalars: the
-field's row kernels clear denominators on entry, make each reduction step
-``vec ← a·vec − b·row`` (fraction-free over the rationals, mod p over a
-prime field) and convert back to scalars only what is returned.
+Inside the elimination a row is a dict of plain ints, never of scalars.
+The field's ``to_row`` is where every input vector enters: it reduces the
+vector into the field and drops the entries that are zero there, so "no
+stored zeros" holds from then on.  The field's row kernels then make each
+reduction step ``vec ← a·vec − b·row`` (fraction-free over the rationals,
+mod p over a prime field) and convert back to scalars only what is
+returned.
 """
 
 from __future__ import annotations
@@ -22,7 +27,12 @@ from .errors import ImageNotInKernel
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Column-major sparse matrix: cols[j] maps row index -> scalar."""
+    """Column-major sparse matrix: cols[j] maps row index -> scalar.
+
+    The assembled differentials are integer matrices, over Z for every
+    field; an entry may be zero in the field (a 2 over GF(2)), and the
+    field's ``to_row`` reduces it and drops it when a column is eliminated.
+    """
 
     nrows: int
     ncols: int
@@ -30,13 +40,9 @@ class SparseMatrix:
 
     def __post_init__(self):
         assert len(self.cols) == self.ncols
-        # stored zeros are dropped here, once: every scalar type in ``fields``
-        # is falsy exactly at zero, and elimination assumes no stored zeros
-        cols = tuple({r: v for r, v in col.items() if v} for col in self.cols)
-        for col in cols:
+        for col in self.cols:
             for r in col:
                 assert 0 <= r < self.nrows
-        object.__setattr__(self, "cols", cols)
 
 
 class RowBasis:
@@ -103,7 +109,8 @@ class RowBasis:
         inserted vectors (plus this vector's own tag) to scalars λ with
         Σ λ_t · original_t = 0 — a kernel certificate, scaled by the field's
         ``canonical`` at its smallest tag: primitive with a positive entry
-        there over the rationals, that entry 1 over a prime field.
+        there over the rationals, that entry 1 over a prime field.  It is
+        the canonical integer row as it is, which is a vector of scalars.
         """
         f = self.field
         if tag is None:
@@ -115,7 +122,7 @@ class RowBasis:
         if not vec:
             if not self.track:
                 return False, {}
-            return False, f.from_row(f.canonical(coeffs, None, min(coeffs))[0], 1)
+            return False, f.canonical(coeffs, None, min(coeffs))[0]
         pivot = min(vec)
         self.rows[pivot] = f.canonical(vec, coeffs, pivot)
         return True, None
@@ -189,8 +196,8 @@ def quotient_basis(field, kernel_vecs, image_vecs):
     # one row of the span with that pivot entry and zeros at the other pivots
     reps = []
     for p in rep_pivots:
-        vec = combined.rows[p][0]  # an integer row, a valid input vector too
-        rep = {p: field.from_int(vec[p])}
+        vec = combined.rows[p][0]  # an integer row, a vector of scalars too
+        rep = {p: vec[p]}
         rep.update(combined.reduce_mod({c: v for c, v in vec.items() if c != p}))
         reps.append(rep)
     return reps

@@ -1,7 +1,11 @@
+import pathlib
+
 import pytest
 
 from monomial_hh import cochains
+from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
+from monomial_hh.bar_oracle import bar_differential_matrix, bar_pairs
 from monomial_hh.cochains import (
     check_differential_routes_agree,
     check_partial_squared,
@@ -155,3 +159,22 @@ def test_cohomology_deterministic(cone):
     for a, b in zip(s1, s2):
         assert a.representatives == b.representatives
         assert a.cocycles == b.cocycles
+
+
+def test_assembly_is_field_free():
+    # the cone's differentials have entries 2 on both routes, which vanish
+    # over GF(2): the assembled matrices are over Z, the same for every field
+    text = (pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "example_cone.alg").read_text()
+    matrices = {}
+    for spec in ("q", "fp:2", "fp:3"):
+        alg = parse_algebra_file(text.replace("field q", "field " + spec))
+        assert alg.field.name == spec
+        table = AmbiguityTable(alg)
+        pairs = [bar_pairs(alg, n) for n in range(4)]
+        matrices[spec] = (
+            [differential_matrix(table, m).cols for m in range(6)],
+            [bar_differential_matrix(alg, pairs[n], pairs[n + 1]).cols for n in range(3)],
+        )
+    assert matrices["q"] == matrices["fp:2"] == matrices["fp:3"]
+    for route in matrices["q"]:
+        assert 2 in {v for cols in route for col in cols for v in col.values()}

@@ -56,7 +56,7 @@ def delta_route_cup(table, f, g):
                     value = alg.reduce_concat(pre, bg, mid, bf, post)
                     if value is None:
                         continue
-                    coeff = field.mul(field.mul(cf, cg), field.from_int(n))
+                    coeff = field.mul(field.mul(cf, cg), n)
                     out.add((q, value), coeff)
     return out
 
@@ -82,7 +82,7 @@ def record_delta_route_signs(table, max_total_degree):
                     if direct == routed:
                         sign = 1
                     else:
-                        assert direct == routed.scale(table.algebra.field.from_int(-1))
+                        assert direct == routed.scale(-1)
                         sign = -1
                     prev = signs.setdefault((m, n), sign)
                     assert prev == sign, "route sign flips within bidegree (%d, %d)" % (m, n)
@@ -133,7 +133,7 @@ def _support_kernel(table, supp):
         col = {}
         for key, n in cochains._pair_differential_terms(table, amb, b).items():
             row = rows.setdefault(key, len(rows))
-            col[row] = field.from_int(n)
+            col[row] = n
         cols.append(col)
     mat = SparseMatrix(len(rows), len(cols), tuple(cols))
     return kernel_basis(field, mat)

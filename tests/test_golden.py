@@ -2,8 +2,9 @@
 
 The digests pin the regression contract of every refactor: ``basis``,
 ``hh``, ``cup`` and ``verify --all`` on every fixture, ``hh`` on every
-fixture over three prime fields, and the seeded ``random`` suite, must print
-exactly these bytes.  A change that is meant to alter the output has to
+fixture over three prime fields, ``cup`` and ``verify --all`` on two fixtures
+over GF(2) and GF(3), and the seeded ``random`` suite, must print exactly
+these bytes.  A change that is meant to alter the output has to
 re-record them, on purpose.
 """
 
@@ -62,6 +63,20 @@ FIELD_GOLDEN = {
     ("truncated_cycle_3_2.alg", "fp:2305843009213693951"): "87542f3e0dd84204ec07e1940cfc599194d7f72e1166ad4edd6cec9b846fb87b",
 }
 
+# ``cup`` and ``verify`` take no ``--field``: the fixture is copied with its
+# ``field`` line swapped, so class coefficients over a prime field (``express``
+# and ``from_row``) reach the printed bytes
+PRIME_CUP_GOLDEN = {
+    ("example_cone.alg", "fp:2", "cup"): "1a473dac27b7d92fae404e6a9673bf53a7fdb51fa68c0ceb150b588ec9c9c068",
+    ("example_cone.alg", "fp:2", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
+    ("example_cone.alg", "fp:3", "cup"): "c2000df193121dd2794c427b4f59a8a7a22ae6ac0204459e324d13baac4b519c",
+    ("example_cone.alg", "fp:3", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
+    ("truncated_cycle_3_2.alg", "fp:2", "cup"): "ca67ff8f882b9d5200271a6f741a5fa5caab08567e16ccefc6f9784ca9dccebb",
+    ("truncated_cycle_3_2.alg", "fp:2", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
+    ("truncated_cycle_3_2.alg", "fp:3", "cup"): "7ad9f1dccce95654e1e7bd3c0b6905f6b594e60cd0df50a0bc85f181d9d96fd4",
+    ("truncated_cycle_3_2.alg", "fp:3", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
+}
+
 RANDOM_GOLDEN = {
     ("general", "q"): "c6e6e82227ea9cf144ae362b3575f0a0c5c007fd6d0fc073ed5dd9fd1c36b2fe",
     ("general", "fp:2"): "35d38e7d49c9fa61f6a6acac8e3398bf1c85689d9104ff59140e1f01ed2bca9b",
@@ -103,3 +118,16 @@ def test_hh_prime_field_digest(fixture, field):
         code = cli.main(["hh", str(FIXTURES / fixture), "--json", "--max-degree", "6", "--field", field])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == FIELD_GOLDEN[fixture, field]
+
+
+@pytest.mark.parametrize("fixture, field, command", sorted(PRIME_CUP_GOLDEN))
+def test_prime_field_cup_verify_digest(fixture, field, command, tmp_path):
+    lines = (FIXTURES / fixture).read_text().splitlines()
+    path = tmp_path / fixture
+    path.write_text("".join(("field " + field if line.startswith("field ") else line) + "\n" for line in lines))
+    argv = COMMANDS[command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([argv[0], str(path), *argv[1:]])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == PRIME_CUP_GOLDEN[fixture, field, command]

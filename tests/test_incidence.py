@@ -72,10 +72,9 @@ def test_cup_matches_scan(spec):
     # with distinct weights per side, where terms meet and may cancel;
     # cup_products over the same lists keeps exactly the nonzero products
     for t in tables(spec):
-        field = t.algebra.field
         degrees = range(CUP_DEGREE + 1)
         pairs = [[pair_cochain(t, amb, b) for amb, b in pair_basis(t, d)] for d in degrees]
-        sums = [new_cochain(t, d, {key: field.from_int(i + 1) for i, key in enumerate(pair_basis(t, d))}) for d in degrees]
+        sums = [new_cochain(t, d, {key: i + 1 for i, key in enumerate(pair_basis(t, d))}) for d in degrees]
         for m in degrees:
             for n in range(0, CUP_DEGREE + 1 - m):
                 fs, gs = pairs[m] + [sums[m]], pairs[n] + [sums[n]]

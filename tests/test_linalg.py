@@ -37,19 +37,12 @@ def image_membership(field, matrix, vec):
     return basis.express(vec)
 
 
-def mat(field, rows):
-    """Dense row-list of ints -> SparseMatrix over field."""
+def mat(rows):
+    """Dense row-list of ints -> SparseMatrix over Z, a matrix over every field."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    cols = []
-    for j in range(ncols):
-        col = {}
-        for i in range(nrows):
-            v = field.from_int(rows[i][j])
-            if not field.is_zero(v):
-                col[i] = v
-        cols.append(col)
-    return SparseMatrix(nrows, ncols, tuple(cols))
+    cols = tuple({i: rows[i][j] for i in range(nrows) if rows[i][j]} for j in range(ncols))
+    return SparseMatrix(nrows, ncols, cols)
 
 
 def mat_vec(field, m, x):
@@ -124,39 +117,40 @@ def test_rational_normal_form():
         ([[3, 2]], [{0: 2, 1: -3}]),
         ([[-6, 4]], [{0: 2, 1: 3}]),
     ):
-        ker = kernel_basis(QQ, mat(QQ, rows))
+        ker = kernel_basis(QQ, mat(rows))
         assert ker == expected == [normal_form(QQ, v) for v in ker]
 
 
 def test_prime_field_normal_form():
     assert normal_form(F5, {2: 3, 4: 1}) == {2: 1, 4: 2}
-    ker = kernel_basis(F5, mat(F5, [[1, 2]]))  # column 1 is 2·column 0
+    ker = kernel_basis(F5, mat([[1, 2]]))  # column 1 is 2·column 0
     assert ker == [{0: 1, 1: 2}] == [normal_form(F5, v) for v in ker]
 
 
-def test_sparse_matrix_drops_stored_zeros():
+def test_integer_entry_that_vanishes_in_the_field():
+    # 2 is zero in GF(2): to_row drops it, so column 0 is the zero column
     f2 = PrimeField(2)
-    m = SparseMatrix(2, 2, ({0: f2.from_int(2), 1: 1}, {0: f2.from_int(4)}))
-    assert m.cols == ({1: 1}, {})
-    assert kernel_basis(f2, m) == [{1: 1}]
+    m = SparseMatrix(1, 2, ({0: 2}, {0: 1}))
+    assert kernel_basis(f2, m) == [{0: 1}]
+    assert quotient_basis(f2, [{0: 2, 1: 1}], [{0: 4}]) == [{1: 1}]
 
 
 def test_zero_matrix_kernel():
-    m = mat(QQ, [[0, 0, 0], [0, 0, 0]])
+    m = mat([[0, 0, 0], [0, 0, 0]])
     assert rank(QQ, m) == 0
     ker = kernel_basis(QQ, m)
     assert ker == [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
 
 
 def test_identity_matrix():
-    m = mat(QQ, [[1, 0], [0, 1]])
+    m = mat([[1, 0], [0, 1]])
     assert rank(QQ, m) == 2
     assert kernel_basis(QQ, m) == []
 
 
 def test_known_kernel():
     # columns: c0 + c1 = c2
-    m = mat(QQ, [[1, 0, 1], [0, 1, 1]])
+    m = mat([[1, 0, 1], [0, 1, 1]])
     ker = kernel_basis(QQ, m)
     assert len(ker) == 1
     (k,) = ker
@@ -164,7 +158,7 @@ def test_known_kernel():
 
 
 def test_image_membership_positive_and_negative():
-    m = mat(QQ, [[1, 2], [0, 0], [1, 0]])
+    m = mat([[1, 2], [0, 0], [1, 0]])
     coeffs = image_membership(QQ, m, {0: Fraction(3), 2: Fraction(1)})
     assert coeffs is not None
     v = {}
@@ -209,7 +203,7 @@ def int_matrix(draw):
 @given(int_matrix(), st.sampled_from(["q", "fp:2", "fp:3", "fp:5"]))
 def test_rank_nullity_and_kernel(rows, fieldspec):
     field = parse_field_spec(fieldspec)
-    m = mat(field, rows)
+    m = mat(rows)
     r = rank(field, m)
     ker = kernel_basis(field, m)
     assert r + len(ker) == m.ncols
@@ -217,16 +211,44 @@ def test_rank_nullity_and_kernel(rows, fieldspec):
         assert mat_vec(field, m, k) == {}
 
 
+def in_field(field, vec):
+    """The field-reduced copy of an integer vector: entries reduced, zeros left out."""
+    return {i: field.add(field.zero, v) for i, v in vec.items() if not field.is_zero(v)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), int_matrix(), st.sampled_from(["q", "fp:2", "fp:3", "fp:5"]))
+def test_integer_matrix_matches_its_field_reduced_copy(data, rows, fieldspec):
+    # every entry stored, zeros included, and moved by a multiple of p
+    field = parse_field_spec(fieldspec)
+    p = 0 if field == QQ else field.p
+
+    def lift(values):
+        return {i: v + p * data.draw(small_entries) for i, v in enumerate(values)}
+
+    nrows, ncols = len(rows), len(rows[0])
+    integer = SparseMatrix(nrows, ncols, tuple(lift([row[j] for row in rows]) for j in range(ncols)))
+    reduced = SparseMatrix(nrows, ncols, tuple(in_field(field, col) for col in integer.cols))
+    ker = kernel_basis(field, reduced)
+    assert kernel_basis(field, integer) == ker
+
+    # the kernel vectors and integer combinations of them, each lifted the same way
+    dense_ker = [[k.get(i, 0) for i in range(ncols)] for k in ker]
+    image = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        coeffs = [data.draw(small_entries) for _ in ker]
+        image.append(lift([sum(c * k[i] for c, k in zip(coeffs, dense_ker)) for i in range(ncols)]))
+    lifted_ker = [lift(k) for k in dense_ker]
+    expected = quotient_basis(field, ker, [in_field(field, v) for v in image])
+    assert quotient_basis(field, lifted_ker, image) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(int_matrix(), st.lists(small_entries, min_size=1, max_size=5))
 def test_image_membership_roundtrip(rows, xs):
     field = QQ
-    m = mat(field, rows)
-    x = {
-        j: field.from_int(v)
-        for j, v in enumerate(xs[: m.ncols])
-        if not field.is_zero(field.from_int(v))
-    }
+    m = mat(rows)
+    x = {j: v for j, v in enumerate(xs[: m.ncols]) if v}
     v = mat_vec(field, m, x)
     coeffs = image_membership(field, m, v)
     assert coeffs is not None
@@ -236,8 +258,8 @@ def test_image_membership_roundtrip(rows, xs):
 @settings(max_examples=40, deadline=None)
 @given(int_matrix())
 def test_determinism(rows):
-    m1 = mat(QQ, rows)
-    m2 = mat(QQ, rows)
+    m1 = mat(rows)
+    m2 = mat(rows)
     assert kernel_basis(QQ, m1) == kernel_basis(QQ, m2)
     assert rank(QQ, m1) == rank(QQ, m2)
 
@@ -300,8 +322,8 @@ def test_stored_rows_never_change():
 @given(int_matrix(), int_matrix(), st.sampled_from(["q", "fp:2", "fp:3"]))
 def test_elimination_matches_dense_gauss_jordan(rows, mixing, fieldspec):
     field = parse_field_spec(fieldspec)
-    m = mat(field, rows)
-    reduced, pivots = gauss_jordan(field, [[field.from_int(v) for v in row] for row in rows], m.ncols)
+    m = mat(rows)
+    reduced, pivots = gauss_jordan(field, rows, m.ncols)
     # the kernel vector of free column j is 1 at j and -reduced[i][j] at pivots[i]
     expected = []
     for j in range(m.ncols):
@@ -321,7 +343,7 @@ def test_elimination_matches_dense_gauss_jordan(rows, mixing, fieldspec):
     for coeffs in mixing:
         vec = [field.zero] * m.ncols
         for c, k in zip(coeffs, ker_dense):
-            vec = [field.add(v, field.mul(field.from_int(c), w)) for v, w in zip(vec, k)]
+            vec = [field.add(v, field.mul(c, w)) for v, w in zip(vec, k)]
         image.append(sparse(field, vec))
     _, image_pivots = gauss_jordan(field, [dense(field, v, m.ncols) for v in image], m.ncols)
     both, both_pivots = gauss_jordan(field, ker_dense, m.ncols)
@@ -393,7 +415,7 @@ def test_elimination_makes_no_scalar_calls(make_field):
     # per-scalar mul, sub or div (whichever the field still has) on the way;
     # a fresh field object takes the counting wrappers
     field = make_field()
-    m = mat(field, [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1], [3, 0, 3, 6]])
+    m = mat([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1], [3, 0, 3, 6]])
     calls = []
     for name in ("mul", "sub", "div"):
         method = getattr(field, name, None)
@@ -409,4 +431,4 @@ def test_elimination_makes_no_scalar_calls(make_field):
 
 def test_fp_and_q_ranks_agree_on_small_int_matrix():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert rank(QQ, mat(QQ, rows)) == rank(F5, mat(F5, rows))
+    assert rank(QQ, mat(rows)) == rank(F5, mat(rows))
