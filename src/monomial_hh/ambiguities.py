@@ -143,13 +143,19 @@ class AmbiguityTable:
         n = len(self._degrees) - 1  # degree being generated
         prev = self._degrees[-1]
 
+        # the candidates depend only on the parent's end piece, and few pieces
+        # are distinct: each piece's are found once, with their piece paths
+        memo = {}
+
+        def extensions(candidates, end):
+            out = memo.get((candidates, end))
+            if out is None:
+                out = memo[candidates, end] = [(w, q.path_from_arrows(w)) for w in candidates(rel_arrows, end)]
+            return out
+
         left = {}
         for parent in prev:
-            first = parent.left_pieces[0].arrows if parent.left_pieces else ()
-            if not first:
-                continue  # cannot extend past a trivial piece (never happens, n>=1)
-            for u in _left_candidates(rel_arrows, first):
-                piece = q.path_from_arrows(u)
+            for u, piece in extensions(_left_candidates, parent.left_pieces[0].arrows):
                 path = Path(q, piece.source, u + parent.path.arrows)
                 pieces = (piece,) + parent.left_pieces
                 if path in left:
@@ -159,11 +165,7 @@ class AmbiguityTable:
 
         right = {}
         for parent in prev:
-            last = parent.right_pieces[-1].arrows if parent.right_pieces else ()
-            if not last:
-                continue
-            for v in _right_candidates(rel_arrows, last):
-                piece = q.path_from_arrows(v)
+            for v, piece in extensions(_right_candidates, parent.right_pieces[-1].arrows):
                 path = Path(q, parent.path.source, parent.path.arrows + v)
                 pieces = parent.right_pieces + (piece,)
                 if path in right:

@@ -4,11 +4,13 @@ Every subcommand that reads an algebra takes the .alg file as its first
 positional argument.  Output is an aligned text table by default and JSON
 with ``--json``; both are byte-deterministic for a fixed input (and seed).
 Exit codes: 0 success, 1 a verification failed, 2 bad input, 3 an internal
-error (a bug, reported as one line on stderr).
+error (a bug, reported as one line on stderr), 141 stdout closed by its
+reader (as after ``| head``; nothing on stderr).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -378,7 +380,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes nowhere, so the
+        # interpreter's flush at exit cannot raise again; 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

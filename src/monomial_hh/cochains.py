@@ -68,12 +68,13 @@ def _pair_differential_terms(table, amb, b):
     Each coface q of amb, with amb at position k, contributes
     sign · (q, q[:k]·b·q[k+len(amb):]) when that product is nonzero.
     """
-    alg = table.algebra
+    by_word = table.algebra.by_word
     length = len(amb.path)
     out = {}
     for q, k, sign in table.cofaces(amb.degree + 1).get(amb, ()):
-        qp = q.path
-        value = alg.reduce_concat(qp.segment(0, k), b, qp.segment(k + length, len(qp)))
+        # never the empty word: q strictly contains amb
+        qa = q.path.arrows
+        value = by_word.get(qa[:k] + b.arrows + qa[k + length :])
         if value is not None:
             key = (q, value)
             out[key] = out.get(key, 0) + sign

@@ -224,8 +224,10 @@ class MonomialAlgebra:
     indices, source); ``relations`` is the minimized generating set, sorted
     the same way.  ``parallel[(source, target)]`` holds the basis paths
     between two vertex indices, a tuple in basis order for every pair of
-    vertices (empty when none).  Construction reads both finite-dimensionality
-    and B off one relation automaton (see ``_read_automaton``).
+    vertices (empty when none).  ``by_word`` maps the arrow tuple of every
+    nontrivial basis path to that path, so asking whether a word is a basis
+    path is one lookup.  Construction reads both finite-dimensionality and B
+    off one relation automaton (see ``_read_automaton``).
     """
 
     def __init__(self, quiver: Quiver, relations, field=QQ):
@@ -241,9 +243,9 @@ class MonomialAlgebra:
         self.relations = tuple(sorted(_minimize(rels), key=Path.sort_key))
         self._rel_arrows = tuple(r.arrows for r in self.relations)
         self.basis = tuple(self._read_automaton())
-        self.basis_set = frozenset(self.basis)
         self.dim = len(self.basis)
         self.nontrivial_basis = tuple(p for p in self.basis if p.arrows)
+        self.by_word = {p.arrows: p for p in self.nontrivial_basis}
         parallel = {(s, t): [] for s in range(quiver.n_vertices) for t in range(quiver.n_vertices)}
         for p in self.basis:
             parallel[(p.source, p.target)].append(p)
@@ -301,12 +303,22 @@ class MonomialAlgebra:
     # -- queries ---------------------------------------------------------------
 
     def is_basis(self, p: Path) -> bool:
-        return p in self.basis_set
+        return not p.arrows or p.arrows in self.by_word
 
     def reduce_concat(self, *paths: Path):
-        """Concatenate (traversal order) and reduce in A; None when zero."""
-        p = concat(*paths)
-        return p if p in self.basis_set else None
+        """Concatenate (traversal order) and reduce in A; None when zero.
+
+        Raises when endpoints do not meet.  An empty word is the trivial
+        path of the vertex every input sits at.
+        """
+        word = ()
+        cur = paths[0].source
+        for p in paths:
+            if p.source != cur:
+                raise NonComposableRelation("paths do not compose")
+            word += p.arrows
+            cur = p.target
+        return self.by_word.get(word) if word else paths[0]
 
     def __repr__(self):
         return (

@@ -1,5 +1,7 @@
 """Small constructions that only the tests need, shared by several modules."""
 
+import itertools
+
 from monomial_hh.cochains import new_cochain
 
 
@@ -15,3 +17,14 @@ def unit_cochain(table):
 def is_quadratic(algebra):
     """Every relation has length two."""
     return all(len(r) == 2 for r in algebra.relations)
+
+
+def loops_algebra_text(k, rel_len):
+    """.alg text of one vertex with loops x1..xk and every length-rel_len word as a relation.
+
+    ``rsz(k)`` is rel_len 2, where |Γ_n| = k^(n+1); ``cub(k)`` is rel_len 3.
+    """
+    names = ["x%d" % i for i in range(1, k + 1)]
+    lines = ["field q", "vertices 1"] + ["arrow %s: 1 -> 1" % n for n in names]
+    lines += ["relation " + " ".join(w) for w in itertools.product(names, repeat=rel_len)]
+    return "".join(line + "\n" for line in lines)

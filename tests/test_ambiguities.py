@@ -3,7 +3,7 @@ import pytest
 from monomial_hh import ambiguities
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.errors import DegreeUnderflow
-from monomial_hh.quivers import concat, path_from_word
+from monomial_hh.quivers import Quiver, build_algebra, concat, path_from_word
 
 from reference_scans import divisor_occurrences
 
@@ -127,6 +127,34 @@ def test_right_generation_agrees(cone, square, truncated_cycle, monkeypatch):
     for alg in (cone, square, truncated_cycle):
         with pytest.raises(AssertionError, match="left/right ambiguity generation disagree"):
             AmbiguityTable(alg).degree(4)
+
+
+def test_candidates_once_per_piece(monkeypatch):
+    # the candidates depend only on the parent's end piece: each _extend asks
+    # for a piece's at most once, however many parents share it
+    names = ["x1", "x2", "x3"]
+    q = Quiver(["1"], [(x, "1", "1") for x in names])
+    rsz3 = build_algebra(q, [q.path([x, y]) for x in names for y in names])
+    calls = {"left": [], "right": []}
+    for side in calls:
+        honest = getattr(ambiguities, "_%s_candidates" % side)
+
+        def counted(rels, piece, honest=honest, seen=calls[side]):
+            seen.append(piece)
+            return honest(rels, piece)
+
+        monkeypatch.setattr(ambiguities, "_%s_candidates" % side, counted)
+    t = AmbiguityTable(rsz3)
+    for n in range(1, 6):
+        for seen in calls.values():
+            seen.clear()
+        assert len(t.degree(n)) == 3 ** (n + 1)
+        parents = t.degree(n - 1)
+        for seen, pieces in (
+            (calls["left"], {a.left_pieces[0].arrows for a in parents}),
+            (calls["right"], {a.right_pieces[-1].arrows for a in parents}),
+        ):
+            assert len(seen) == len(set(seen)) and set(seen) <= pieces
 
 
 def test_sub_of_arrow_endpoints_source_first(cone):

@@ -13,6 +13,8 @@ from monomial_hh.cli import _report_command
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.randomgen import RandomAlgebraConfig
 
+from helpers import loops_algebra_text
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 CONE = str(FIXTURES / "example_cone.alg")
 A6 = str(FIXTURES / "triangular_a6.alg")
@@ -219,3 +221,29 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "internal error: AssertionError: table corrupt\n"
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    rsz2 = tmp_path / "rsz2.alg"
+    rsz2.write_text(loops_algebra_text(2, 2))
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
+
+    # like `hh ... --json | head -1`: the reader leaves long before the
+    # output, about 540 kB, has been written
+    argv = [sys.executable, "-m", "monomial_hh", "hh", str(rsz2), "--max-degree", "12", "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 141
+
+    # the reader is gone before the run starts, so the whole output is still
+    # buffered when writing fails, and the exit must not flush it again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = [sys.executable, "-m", "monomial_hh", "hh", CONE, "--max-degree", "1", "--json"]
+    proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

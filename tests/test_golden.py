@@ -3,8 +3,9 @@
 The digests pin the regression contract of every refactor: ``basis``,
 ``hh``, ``cup`` and ``verify --all`` on every fixture, ``hh`` on every
 fixture over three prime fields, ``cup`` and ``verify --all`` on two fixtures
-over GF(2) and GF(3), and the seeded ``random`` suite, must print exactly
-these bytes.  A change that is meant to alter the output has to
+over GF(2) and GF(3), ``hh`` deep into the exponential families ``rsz(2)``
+and ``cub(2)`` over Q and GF(7), and the seeded ``random`` suite, must print
+exactly these bytes.  A change that is meant to alter the output has to
 re-record them, on purpose.
 """
 
@@ -16,6 +17,8 @@ import pathlib
 import pytest
 
 from monomial_hh import cli
+
+from helpers import loops_algebra_text
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -77,6 +80,16 @@ PRIME_CUP_GOLDEN = {
     ("truncated_cycle_3_2.alg", "fp:3", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
 }
 
+# ``hh`` deep into the families of ``loops_algebra_text``, ``rsz(2)`` and
+# ``cub(2)``; (family, max degree, field) -> digest
+LOOPS = {"rsz2": (2, 2), "cub2": (2, 3)}
+LOOPS_GOLDEN = {
+    ("rsz2", 8, "q"): "d07b949128a6524a60ece5f39f2baa305753f598b4c054b6f660b80cfb40363c",
+    ("rsz2", 8, "fp:7"): "e5520144bc4f716324e6fd9967b1d429a136e03cf2a68fd7b0d793c6bb4e7d93",
+    ("cub2", 5, "q"): "e9d84158101b7db4be7c0af378fd5d437fae7718518ab6a63040bee1f6810870",
+    ("cub2", 5, "fp:7"): "bb5fb5f979b22b7011802c568150c6f75edb950d9342fa73d611eaba805d0d29",
+}
+
 RANDOM_GOLDEN = {
     ("general", "q"): "c6e6e82227ea9cf144ae362b3575f0a0c5c007fd6d0fc073ed5dd9fd1c36b2fe",
     ("general", "fp:2"): "35d38e7d49c9fa61f6a6acac8e3398bf1c85689d9104ff59140e1f01ed2bca9b",
@@ -131,3 +144,14 @@ def test_prime_field_cup_verify_digest(fixture, field, command, tmp_path):
         code = cli.main([argv[0], str(path), *argv[1:]])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == PRIME_CUP_GOLDEN[fixture, field, command]
+
+
+@pytest.mark.parametrize("family, degree, field", sorted(LOOPS_GOLDEN))
+def test_hh_loops_family_digest(family, degree, field, tmp_path):
+    path = tmp_path / (family + ".alg")
+    path.write_text(loops_algebra_text(*LOOPS[family]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["hh", str(path), "--json", "--max-degree", str(degree), "--field", field])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == LOOPS_GOLDEN[family, degree, field]

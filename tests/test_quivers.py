@@ -220,12 +220,26 @@ def test_relation_too_short_rejected():
         build_algebra(q, [q.arrow_path("alpha")])
 
 
-def test_reduce_concat(cone):
+def test_reduce_concat(cone, square, triangular_a6, truncated_cycle, a2, point):
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    algebras = [cone, square, triangular_a6, truncated_cycle, a2, point]
+    algebras += [parse_algebra_file(path.read_text()) for path in sorted(fixtures.glob("*.alg"))]
+    for alg in algebras:
+        assert alg.by_word == {p.arrows: p for p in alg.nontrivial_basis}
     q = cone.quiver
     alpha = q.arrow_path("alpha")
     zeta = q.arrow_path("zeta")
-    assert cone.reduce_concat(alpha, zeta) is not None
+    e1, e2, e3 = (q.trivial_path(v) for v in "123")
+    assert cone.reduce_concat(alpha, zeta) == concat(alpha, zeta)
+    assert cone.reduce_concat(alpha, e2, zeta) == concat(alpha, zeta)
     assert cone.reduce_concat(alpha, zeta, alpha) is None  # relation
+    assert cone.reduce_concat(e1, alpha, zeta, alpha, e2) is None
+    # an empty word needs its vertex
+    assert cone.reduce_concat(e3) == e3
+    assert cone.reduce_concat(e3, e3, e3) == e3
+    for paths in ((alpha, alpha), (alpha, e1, zeta), (e1, e2), (e2, alpha), (zeta, e3)):
+        with pytest.raises(NonComposableRelation):
+            cone.reduce_concat(*paths)
 
 
 def test_path_ordering_deterministic(cone):
