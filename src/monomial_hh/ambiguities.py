@@ -3,7 +3,7 @@
 Degree −1 ambiguities are the trivial paths, degree 0 the arrows, degree 1
 the minimal relations; degree n ≥ 2 paths are built recursively by gluing a
 relation onto the traversal-initial end of a degree n−1 ambiguity.  Every
-ambiguity carries two distinguished factorizations:
+ambiguity has two distinguished factorizations:
 
 * left pieces  (u_n, …, u_0) in traversal order — u_0 is the last arrow
   traversed, and each written product u_i·u_{i+1} contains exactly one
@@ -12,7 +12,9 @@ ambiguity carries two distinguished factorizations:
 
 Both factorizations are unique and the two generation recursions produce
 the same path sets; this module generates both independently and checks
-that they agree, which downstream modules rely on.
+that they agree, which downstream modules rely on.  Each ambiguity links
+to the two (n−1)-truncations the recursions extend, and the pieces are read
+off those links: u_n is what the tail leaves, v_n what the head leaves.
 """
 
 from __future__ import annotations
@@ -22,26 +24,39 @@ from .quivers import DivisorOccurrence, MonomialAlgebra, Path
 
 
 class Ambiguity:
-    """A path with its left/right chain factorizations; hash/eq by path."""
+    """A path linked to its truncations ``head`` = v_0…v_{n−1} and ``tail`` = u_0…u_{n−1}.
 
-    __slots__ = ("path", "degree", "left_pieces", "right_pieces", "_hash")
+    An arrow's are its source and target vertex; a vertex has neither.  Built
+    once per table, ambiguities compare by identity within one table.
+    """
 
-    def __init__(self, path: Path, degree: int, left_pieces, right_pieces):
+    __slots__ = ("path", "degree", "head", "tail")
+
+    def __init__(self, path: Path, degree: int, head=None, tail=None):
         self.path = path
         self.degree = degree
-        self.left_pieces = left_pieces  # traversal order: (u_n, ..., u_0)
-        self.right_pieces = right_pieces  # traversal order: (v_0, ..., v_n)
-        self._hash = hash((degree, path))
+        self.head = head
+        self.tail = tail
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ambiguity)
-            and self.degree == other.degree
-            and self.path == other.path
-        )
+    @property
+    def left_pieces(self):
+        """(u_n, …, u_0) in traversal order: the piece before each tail link."""
+        pieces = []
+        amb = self
+        while amb.tail is not None:
+            pieces.append(amb.path.segment(0, len(amb.path) - len(amb.tail.path)))
+            amb = amb.tail
+        return tuple(pieces)
 
-    def __hash__(self):
-        return self._hash
+    @property
+    def right_pieces(self):
+        """(v_0, …, v_n) in traversal order: the piece after each head link."""
+        pieces = []
+        amb = self
+        while amb.head is not None:
+            pieces.append(amb.path.segment(len(amb.head.path), len(amb.path)))
+            amb = amb.head
+        return tuple(reversed(pieces))
 
     def display_left(self) -> str:
         """Written word with piece separators, e.g. ``alpha|deltagamma|betaalpha``."""
@@ -91,10 +106,11 @@ class AmbiguityTable:
     is never mutated, so concurrent readers are safe after that point.
 
     On top of Γ_n sits the incidence index that every layer reads:
-    ``occurrences`` finds the ambiguities inside a word by hash lookups of
-    its windows, and ``cofaces`` inverts the differential.  Their per-degree
-    lookups are built lazily, on first use, from the stored degrees alone;
-    they are idempotent caches, so building one twice gives the same map.
+    ``occurrences`` and ``by_path`` look words up in the {arrows: ambiguity}
+    dict stored with each degree, and ``cofaces`` inverts the differential.
+    The window lengths and the cofaces are built lazily, on first use, from
+    the stored degrees alone; they are idempotent caches, so building one
+    twice gives the same map.
     The diagonals, which read only this index, the cup structure constants,
     which read only the diagonals, and the key check of the cochains are
     cached here the same way, one slot each, by the modules that build them.
@@ -103,22 +119,17 @@ class AmbiguityTable:
     def __init__(self, algebra: MonomialAlgebra):
         self.algebra = algebra
         q = algebra.quiver
-        trivial = [q.trivial_path_at(v) for v in range(q.n_vertices)]
-        base = tuple(
-            Ambiguity(p, -1, (), ()) for p in sorted(trivial, key=Path.sort_key)
-        )
+        # vertex and arrow indices are already in path order
+        base = tuple(Ambiguity(q.trivial_path_at(v), -1) for v in range(q.n_vertices))
         arrows = tuple(
-            Ambiguity(q.arrow_path(name), 0, (q.arrow_path(name),), (q.arrow_path(name),))
-            for name in q.arrow_names
+            Ambiguity(q.path_from_arrows((a,)), 0, base[q.arrow_source[a]], base[q.arrow_target[a]])
+            for a in range(q.n_arrows)
         )
-        arrows = tuple(sorted(arrows, key=lambda a: a.path.sort_key()))
         # index 0 holds degree -1
         self._degrees = [base, arrows]
-        self._by_path = [
-            {a.path: a for a in base},
-            {a.path: a for a in arrows},
-        ]
-        self._windows = {}  # degree m >= 0 -> ({arrows: ambiguity}, sorted lengths)
+        # index n holds degree n's {arrows: ambiguity}; degree -1 is base, by vertex
+        self._words = [{a.path.arrows: a for a in arrows}]
+        self._windows = {}  # degree m >= 0 -> sorted lengths of its ambiguities
         self._cofaces = {}  # degree n -> {(n-1)-ambiguity: [(q, position, sign)]}
         self._cup = {}  # bidegree (m, n) -> cup structure constants, see cup._constants
         self._diagonals = {}  # ambiguity -> its diagonal, see diagonal.diagonal
@@ -134,8 +145,10 @@ class AmbiguityTable:
 
     def by_path(self, n: int, path: Path):
         """The n-ambiguity with this underlying path, or None."""
-        self.degree(n)
-        return self._by_path[n + 1].get(path)
+        ambs = self.degree(n)
+        if n == -1:
+            return None if path.arrows else ambs[path.source]
+        return self._words[n].get(path.arrows)
 
     def _extend(self):
         q = self.algebra.quiver
@@ -144,48 +157,43 @@ class AmbiguityTable:
         prev = self._degrees[-1]
 
         # the candidates depend only on the parent's end piece, and few pieces
-        # are distinct: each piece's are found once, with their piece paths
+        # are distinct: each piece's are found once
         memo = {}
 
         def extensions(candidates, end):
             out = memo.get((candidates, end))
             if out is None:
-                out = memo[candidates, end] = [(w, q.path_from_arrows(w)) for w in candidates(rel_arrows, end)]
+                out = memo[candidates, end] = candidates(rel_arrows, end)
             return out
 
-        left = {}
+        # {word: parent}: the left recursion extends tails, the right one heads
+        tails = {}
         for parent in prev:
-            for u, piece in extensions(_left_candidates, parent.left_pieces[0].arrows):
-                path = Path(q, piece.source, u + parent.path.arrows)
-                pieces = (piece,) + parent.left_pieces
-                if path in left:
-                    # factorization uniqueness: a collision must agree
-                    assert left[path] == pieces
-                left[path] = pieces
+            word = parent.path.arrows
+            for u in extensions(_left_candidates, word[: len(word) - len(parent.tail.path)]):
+                # factorization uniqueness: a collision must have the same parent
+                assert tails.get(u + word, parent) is parent
+                tails[u + word] = parent
 
-        right = {}
+        heads = {}
         for parent in prev:
-            for v, piece in extensions(_right_candidates, parent.right_pieces[-1].arrows):
-                path = Path(q, parent.path.source, parent.path.arrows + v)
-                pieces = parent.right_pieces + (piece,)
-                if path in right:
-                    assert right[path] == pieces
-                right[path] = pieces
+            word = parent.path.arrows
+            for v in extensions(_right_candidates, word[len(parent.head.path) :]):
+                assert heads.get(word + v, parent) is parent
+                heads[word + v] = parent
 
         # the two recursions must produce the same path sets
-        assert set(left) == set(right), (
+        assert set(tails) == set(heads), (
             f"left/right ambiguity generation disagree at degree {n}"
         )
         if n == 1:
             # degree 1 must reproduce the minimal relation set exactly
-            assert set(p.arrows for p in left) == set(rel_arrows)
+            assert set(tails) == set(rel_arrows)
 
-        merged = tuple(
-            Ambiguity(p, n, left[p], right[p])
-            for p in sorted(left, key=Path.sort_key)
-        )
+        words = sorted(tails, key=lambda w: (len(w), w))  # path order
+        merged = tuple(Ambiguity(q.path_from_arrows(w), n, heads[w], tails[w]) for w in words)
         self._degrees.append(merged)
-        self._by_path.append({a.path: a for a in merged})
+        self._words.append(dict(zip(words, merged)))
 
     # -- truncations and divisor structure ------------------------------------
 
@@ -194,26 +202,18 @@ class AmbiguityTable:
         n = amb.degree
         if not -1 <= m <= n:
             raise DegreeUnderflow(f"truncation degree {m} outside [-1, {n}]")
-        if m == n:
-            return amb
-        keep = sum(len(p.arrows) for p in amb.left_pieces[n - m :])
-        path = amb.path.segment(len(amb.path.arrows) - keep, len(amb.path.arrows))
-        out = self.by_path(m, path)
-        assert out is not None, "truncation is not an ambiguity; table corrupt"
-        return out
+        for _ in range(n - m):
+            amb = amb.tail
+        return amb
 
     def amb_prefix(self, amb: Ambiguity, m: int) -> Ambiguity:
         """The traversal-initial truncation v_0…v_m, itself an m-ambiguity."""
         n = amb.degree
         if not -1 <= m <= n:
             raise DegreeUnderflow(f"truncation degree {m} outside [-1, {n}]")
-        if m == n:
-            return amb
-        keep = sum(len(p.arrows) for p in amb.right_pieces[: m + 1])
-        path = amb.path.segment(0, keep)
-        out = self.by_path(m, path)
-        assert out is not None, "truncation is not an ambiguity; table corrupt"
-        return out
+        for _ in range(n - m):
+            amb = amb.head
+        return amb
 
     def split(self, amb: Ambiguity, i: int, j: int):
         """amb = prefix-part · b · suffix-part with i + j = degree − 1.
@@ -259,12 +259,10 @@ class AmbiguityTable:
         if m == -1:
             vertices = self.degree(-1)  # sorted by path, hence by vertex index
             return [(vertices[path.vertex_at(k)], k) for k in range(len(path.arrows) + 1)]
-        window = self._windows.get(m)
-        if window is None:
-            ambs = self.degree(m)
-            window = ({a.path.arrows: a for a in ambs}, sorted({len(a.path.arrows) for a in ambs}))
-            self._windows[m] = window
-        lookup, lengths = window
+        lengths = self._windows.get(m)
+        if lengths is None:
+            lengths = self._windows[m] = sorted({len(a.path) for a in self.degree(m)})
+        lookup = self._words[m]
         arrows = path.arrows
         end = len(arrows)
         hits = []
@@ -290,9 +288,7 @@ class AmbiguityTable:
             out = {}
             for q in self.degree(n):
                 if n % 2 == 0:
-                    head = self.amb_prefix(q, n - 1)
-                    tail = self.amb_suffix(q, n - 1)
-                    hits = ((head, 0, 1), (tail, len(q.path) - len(tail.path), -1))
+                    hits = ((q.head, 0, 1), (q.tail, len(q.path) - len(q.tail.path), -1))
                 else:
                     hits = ((p, k, 1) for p, k in self.occurrences(n - 1, q.path))
                 for p, k, sign in hits:

@@ -79,7 +79,10 @@ def run_checks(algebra, degree=6, triangular_theorems=False):
         _run("partial-squared", lambda: cochains.check_partial_squared(table, degree)),
         _run("differential-routes", lambda: cochains.check_differential_routes_agree(table, degree)),
     ]
-    spaces = cochains.hochschild_cohomology(table, degree)
+    spaces = []
+    cohomology = _run("cohomology", lambda: spaces.extend(cochains.hochschild_cohomology(table, degree)))
+    if not cohomology.ok:  # every row below reads the spaces; this one shows only on failure
+        return reports + [cohomology]
     reports.append(_run("cup-closure", lambda: cup.check_cup_closure(table, spaces, degree)))
     reports.append(
         _run(

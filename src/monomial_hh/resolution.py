@@ -54,14 +54,12 @@ def _d_terms(table, amb):
                 out.append((occ.prefix, q, occ.suffix, 1))
     else:
         p = amb.path
-        head_amb = table.amb_prefix(amb, n - 1)
-        tail = p.segment(len(head_amb.path), len(p))
-        if alg.is_basis(tail):
-            out.append((alg.quiver.trivial_path_at(p.source), head_amb, tail, 1))
-        tail_amb = table.amb_suffix(amb, n - 1)
-        head = p.segment(0, len(p) - len(tail_amb.path))
-        if alg.is_basis(head):
-            out.append((head, tail_amb, alg.quiver.trivial_path_at(p.target), -1))
+        after = p.segment(len(amb.head.path), len(p))
+        if alg.is_basis(after):
+            out.append((alg.quiver.trivial_path_at(p.source), amb.head, after, 1))
+        before = p.segment(0, len(p) - len(amb.tail.path))
+        if alg.is_basis(before):
+            out.append((before, amb.tail, alg.quiver.trivial_path_at(p.target), -1))
     return out
 
 

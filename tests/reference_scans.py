@@ -2,11 +2,11 @@
 
 Each one tests every ambiguity of a whole degree against a word, so its
 cost grows with |Γ_m|.  They stay here as the reference that
-``occurrences``, ``cofaces``, ``sub`` and the pair differential are
-compared against, and ``scan_cup_cochain`` is the product that the cup
-structure constants replaced; unlike the product, it does not read the
-diagonal.  The adjacency scans at the end, over every arrow or every basis
-path, are the reference for ``Quiver.out_arrows``,
+``occurrences``, ``cofaces``, ``sub``, the truncation links and the pair
+differential are compared against, and ``scan_cup_cochain`` is the product
+that the cup structure constants replaced; unlike the product, it does not
+read the diagonal.  The adjacency scans at the end, over every arrow or
+every basis path, are the reference for ``Quiver.out_arrows``,
 ``MonomialAlgebra.parallel``, the pair lists that read them and
 ``resolution.right_spanning_set``.  ``scan_is_finite`` and ``scan_basis``,
 which test every relation after every arrow step, are the reference for the
@@ -73,6 +73,20 @@ def scan_cofaces(table, n):
         if hits:
             out[p] = hits
     return out
+
+
+def scan_truncation(table, amb, m, initial):
+    """The one m-ambiguity whose path is a traversal-initial segment of amb's
+    path (traversal-final when initial is false), by a scan of Γ_m."""
+    p = amb.path
+    end = len(p)
+
+    def segment(k):
+        return p.segment(0, k) if initial else p.segment(end - k, end)
+
+    hits = [a for a in table.degree(m) if len(a.path) <= end and a.path == segment(len(a.path))]
+    assert len(hits) == 1, "%d truncations of degree %d" % (len(hits), m)
+    return hits[0]
 
 
 def scan_pair_differential_terms(table, amb, b):

@@ -1,5 +1,6 @@
 import pytest
 
+from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.bar_oracle import (
     bar_differential_matrix,
@@ -10,6 +11,8 @@ from monomial_hh.bar_oracle import (
 from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.errors import BudgetExceeded
 from monomial_hh.linalg import RowBasis
+
+from helpers import loops_algebra_text
 
 
 def check_bar_delta_squared(algebra, max_degree):
@@ -68,6 +71,16 @@ def test_routes_agree(cone, square, triangular_a6, truncated_cycle, a2):
         spaces = hochschild_cohomology(t, 4)
         resolution_dims = [spaces[n].dimension for n in range(5)]
         assert bar_hh_dimensions(alg, 4) == resolution_dims
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7"])
+def test_cub2_dims(spec):
+    # the oracle-elim algebra: pins the values, not only the pass/fail of verify --oracle
+    alg = parse_algebra_file(loops_algebra_text(2, 3).replace("field q", "field " + spec))
+    assert alg.field.name == spec
+    dims = bar_hh_dimensions(alg, 3)
+    assert dims == [5, 10, 30, 72]
+    assert dims == [sp.dimension for sp in hochschild_cohomology(AmbiguityTable(alg), 3)]
 
 
 def test_each_bar_column_inserted_once(cone, monkeypatch):

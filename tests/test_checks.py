@@ -1,3 +1,7 @@
+import json
+import pathlib
+
+from monomial_hh import cli, cochains
 from monomial_hh.checks import (
     ORACLE_DIM_CAP,
     _run,
@@ -5,7 +9,10 @@ from monomial_hh.checks import (
     run_checks,
     run_random_suite,
 )
+from monomial_hh.errors import ImageNotInKernel
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
+
+CONE = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "example_cone.alg")
 
 BATTERY = [
     "d-squared",
@@ -89,3 +96,26 @@ def test_random_suite_rows():
     for row in out["trials"]:
         assert row["ok"] and row["algebra"]["dim"] >= 1
         assert all(c["ok"] for c in row["checks"])
+
+
+def test_cohomology_failure_is_a_failing_row(monkeypatch, cone, capsys):
+    # a fault inside hochschild_cohomology ends the battery with a named
+    # failing row, which the random suite records and shrinks and verify
+    # reports with exit 1, not as an input error
+    def broken(table, max_degree):
+        raise ImageNotInKernel("image vector outside the kernel span")
+
+    monkeypatch.setattr(cochains, "hochschild_cohomology", broken)
+    failing = {"name": "cohomology", "ok": False, "detail": "image vector outside the kernel span"}
+    reports = run_checks(cone, degree=3, triangular_theorems=True)
+    assert [r.name for r in reports] == BATTERY[:9] + ["cohomology"]
+    assert all(r.ok for r in reports[:-1]) and reports[-1].as_dict() == failing
+
+    out = run_random_suite(RandomAlgebraConfig(), trials=2, base_seed=100, degree=2)
+    assert out["ok"] is False and [row["seed"] for row in out["trials"]] == [100, 101]
+    for row in out["trials"]:
+        assert not row["ok"] and row["checks"][-1] == failing and "shrunk" in row
+
+    assert cli.main(["verify", CONE, "--all", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["checks"][-1] == failing

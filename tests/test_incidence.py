@@ -10,7 +10,14 @@ from monomial_hh.quivers import Quiver, build_algebra, concat
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from reference_scans import scan_cofaces, scan_cup_cochain, scan_occurrences, scan_pair_differential_terms, scan_sub
+from reference_scans import (
+    scan_cofaces,
+    scan_cup_cochain,
+    scan_occurrences,
+    scan_pair_differential_terms,
+    scan_sub,
+    scan_truncation,
+)
 
 DEGREE = 6
 CUP_DEGREE = 4  # cup products of total degree up to this
@@ -46,6 +53,30 @@ def test_occurrences_match_scan(spec):
                 for m in range(-1, n + 2):
                     for word in words:
                         assert t.occurrences(m, word) == scan_occurrences(t, m, word)
+
+
+def test_truncation_links_match_scan():
+    for t in tables("q"):
+        for n in range(-1, DEGREE + 1):
+            for amb in t.degree(n):
+                assert t.by_path(n, amb.path) is amb
+                for m in range(-1, n + 1):
+                    assert t.amb_prefix(amb, m) is scan_truncation(t, amb, m, initial=True)
+                    assert t.amb_suffix(amb, m) is scan_truncation(t, amb, m, initial=False)
+                for pieces in (amb.left_pieces, amb.right_pieces):
+                    assert len(pieces) == n + 1 and all(p.arrows for p in pieces)
+                    assert sum((p.arrows for p in pieces), ()) == amb.path.arrows
+
+
+def test_ambiguities_compare_by_identity():
+    # each table builds its own members: equal paths, distinct ambiguities
+    alg = make_cone()
+    first, second = AmbiguityTable(alg), AmbiguityTable(alg)
+    for n in range(-1, DEGREE + 1):
+        assert [a.path for a in first.degree(n)] == [b.path for b in second.degree(n)]
+        for a, b in zip(first.degree(n), second.degree(n)):
+            assert a is not b and a != b
+            assert second.by_path(n, a.path) is b
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])

@@ -68,3 +68,19 @@ def test_cup_table_enters_the_diagonal_layer():
     calls, _, _ = tr.self_times()
     assert calls[tracer.LAYERS.index("diagonal")] > 0
     assert tr.totals["diagonal.calls"] > 0
+
+
+def test_gamma_counts_read_the_degrees():
+    # _on_table_init and _on_extend count Γ_n off AmbiguityTable._degrees
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    patches = tracer.instrument(tr)
+    tracer.apply(patches, True)
+    try:
+        tr.begin_op(0)
+        t = AmbiguityTable(make_cone())
+        t.degree(5)
+        detail = tr.end_op()
+    finally:
+        tracer.apply(patches, False)
+    assert detail["gamma"] == {str(n): len(t.degree(n)) for n in range(-1, 6)}
