@@ -1,10 +1,11 @@
 """Orchestration for the verification suites.
 
-Each named check wraps one of the module-level ``check_*`` / ``verify_*``
-functions, converts any failure, expected or not, into a report row
-instead of a crash, and the suite runners stitch those rows into
-JSON-friendly dicts.  This is what both the CLI ``verify``/``random``
-subcommands and the acceptance tests drive.
+``BATTERY`` binds each row name to its check, one of the module-level
+``check_*`` / ``verify_*`` functions.  ``run_checks`` runs a selection of
+rows, converting any failure, expected or not, into a report row instead
+of a crash, and the suite runner stitches those rows into JSON-friendly
+dicts.  Every CLI check subcommand (``resolution-check``,
+``diagonal-check``, ``verify``, ``random``) and the acceptance tests drive it.
 """
 
 from dataclasses import dataclass
@@ -29,9 +30,9 @@ class CheckReport:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def _run(name, thunk):
+def _run(name, check, *args):
     try:
-        thunk()
+        check(*args)
     except (AssertionError, MonomialHHError) as exc:
         return CheckReport(name, False, str(exc) or exc.__class__.__name__)
     except Exception as exc:  # a check that crashes is a failed check, not a failed battery
@@ -43,70 +44,67 @@ def _expect_empty(failures):
     assert failures == [], "%d failing products: %r" % (len(failures), failures[:3])
 
 
-def oracle_report(algebra, spaces, degree):
-    """The oracle-dims row: bar-complex dimensions against ``spaces``.
-
-    The oracle runs through degree min(degree, ORACLE_DEGREE); whether to
-    run it at all is the caller's choice.
-    """
+def _oracle_dims(table, spaces, degree):
+    # the bar-complex oracle runs through degree min(degree, ORACLE_DEGREE)
     top = min(degree, ORACLE_DEGREE)
-
-    def oracle():
-        want = [spaces[n].dimension for n in range(top + 1)]
-        got = bar_oracle.bar_hh_dimensions(algebra, top)
-        assert got == want, "oracle dims %r != %r" % (got, want)
-
-    return _run("oracle-dims", oracle)
+    want = [spaces[n].dimension for n in range(top + 1)]
+    got = bar_oracle.bar_hh_dimensions(table.algebra, top)
+    assert got == want, "oracle dims %r != %r" % (got, want)
 
 
-def run_checks(algebra, degree=6, triangular_theorems=False):
-    """The full per-algebra battery; returns a list of CheckReport rows.
+# Every row of the battery, in report order, with its check
+# (table, spaces, degree) -> None.  ``cohomology`` fills in the spaces that
+# every row after it reads.  The checks look their functions up when they
+# run, so a patched or traced module function is the one called.
+BATTERY = {
+    "d-squared": lambda table, spaces, n: resolution.check_d_squared(table, n),
+    "augmented": lambda table, spaces, n: resolution.check_augmented(table),
+    "minimal": lambda table, spaces, n: resolution.check_minimal(table, n),
+    "homotopy": lambda table, spaces, n: resolution.check_homotopy(table, n - 1),
+    "diagonal-chain-map": lambda table, spaces, n: diagonal.check_chain_map(table, n),
+    "counit": lambda table, spaces, n: diagonal.check_counit(table, n),
+    "decompositions": lambda table, spaces, n: diagonal.check_decomposition_lemmas(table, n),
+    "partial-squared": lambda table, spaces, n: cochains.check_partial_squared(table, n),
+    "differential-routes": lambda table, spaces, n: cochains.check_differential_routes_agree(table, n),
+    "cohomology": lambda table, spaces, n: spaces.extend(cochains.hochschild_cohomology(table, n)),
+    "cup-closure": lambda table, spaces, n: cup.check_cup_closure(table, spaces, n),
+    "graded-commutativity": lambda table, spaces, n: _expect_empty(cup.verify_graded_commutativity(table, spaces, n)),
+    "oracle-dims": _oracle_dims,
+    "triangular-vanishing": lambda table, spaces, n: _expect_empty(cup.verify_triangular_vanishing(table, spaces, n)),
+    "one-sided-vanishing": lambda table, spaces, n: _expect_empty(cup.check_one_sided_vanishing(table, spaces, n)),
+}
+_READ_SPACES = tuple(BATTERY)[tuple(BATTERY).index("cohomology") + 1 :]
+RESOLUTION_ROWS = ("d-squared", "augmented", "minimal", "homotopy")
+DIAGONAL_ROWS = ("diagonal-chain-map", "counit", "decompositions")
+TRIANGULAR_ROWS = ("triangular-vanishing", "one-sided-vanishing")
+# the battery of any algebra; a triangular one adds TRIANGULAR_ROWS
+GENERAL_ROWS = tuple(name for name in BATTERY if name != "cohomology" and name not in TRIANGULAR_ROWS)
+
+
+def run_checks(algebra, degree=6, rows=GENERAL_ROWS):
+    """The named rows of the battery, in battery order; a list of CheckReport.
 
     ``degree`` bounds everything: resolution/diagonal identities run through
     homological degree ``degree``, cup checks through total degree ``degree``.
-    The oracle comparison is skipped (reported ok with a note) for algebras
-    above the dimension cap.
+    The spaces are computed once, and only when a selected row reads them;
+    the ``cohomology`` row shows only on failure, and then ends the list.
+    A whole battery (``rows`` covers GENERAL_ROWS) skips the oracle above
+    the dimension cap, reported ok with a note; a smaller selection runs it.
     """
     table = AmbiguityTable(algebra)
-    reports = [
-        _run("d-squared", lambda: resolution.check_d_squared(table, degree)),
-        _run("augmented", lambda: resolution.check_augmented(table)),
-        _run("minimal", lambda: resolution.check_minimal(table, degree)),
-        _run("homotopy", lambda: resolution.check_homotopy(table, degree - 1)),
-        _run("diagonal-chain-map", lambda: diagonal.check_chain_map(table, degree)),
-        _run("counit", lambda: diagonal.check_counit(table, degree)),
-        _run("decompositions", lambda: diagonal.check_decomposition_lemmas(table, degree)),
-        _run("partial-squared", lambda: cochains.check_partial_squared(table, degree)),
-        _run("differential-routes", lambda: cochains.check_differential_routes_agree(table, degree)),
-    ]
     spaces = []
-    cohomology = _run("cohomology", lambda: spaces.extend(cochains.hochschild_cohomology(table, degree)))
-    if not cohomology.ok:  # every row below reads the spaces; this one shows only on failure
-        return reports + [cohomology]
-    reports.append(_run("cup-closure", lambda: cup.check_cup_closure(table, spaces, degree)))
-    reports.append(
-        _run(
-            "graded-commutativity",
-            lambda: _expect_empty(cup.verify_graded_commutativity(table, spaces, degree)),
-        )
-    )
-    if algebra.dim <= ORACLE_DIM_CAP:
-        reports.append(oracle_report(algebra, spaces, degree))
-    else:
-        reports.append(CheckReport("oracle-dims", True, "skipped: dim %d > %d" % (algebra.dim, ORACLE_DIM_CAP)))
-    if triangular_theorems:
-        reports.append(
-            _run(
-                "triangular-vanishing",
-                lambda: _expect_empty(cup.verify_triangular_vanishing(table, spaces, degree)),
-            )
-        )
-        reports.append(
-            _run(
-                "one-sided-vanishing",
-                lambda: _expect_empty(cup.check_one_sided_vanishing(table, spaces, degree)),
-            )
-        )
+    skip_oracle = algebra.dim > ORACLE_DIM_CAP and set(GENERAL_ROWS) <= set(rows)
+    reports = []
+    for name, check in BATTERY.items():
+        if name == "cohomology":
+            if any(later in rows for later in _READ_SPACES):
+                report = _run(name, check, table, spaces, degree)
+                if not report.ok:
+                    return reports + [report]
+        elif name == "oracle-dims" and skip_oracle:
+            reports.append(CheckReport(name, True, "skipped: dim %d > %d" % (algebra.dim, ORACLE_DIM_CAP)))
+        elif name in rows:
+            reports.append(_run(name, check, table, spaces, degree))
     return reports
 
 
@@ -130,14 +128,14 @@ def algebra_summary(algebra):
 
 def run_random_suite(config, trials, base_seed, degree=6):
     """Seeded trials; each runs the full battery, failures get shrunk."""
+    # the triangular rows follow the config, not the drawn quiver
+    battery = GENERAL_ROWS + TRIANGULAR_ROWS if config.triangular else GENERAL_ROWS
     rows = []
     all_ok = True
     for i in range(trials):
         seed = base_seed + i
         algebra = random_algebra(config, seed)
-        reports = run_checks(
-            algebra, degree=degree, triangular_theorems=config.triangular
-        )
+        reports = run_checks(algebra, degree, battery)
         ok = all(r.ok for r in reports)
         row = {
             "trial": i,
@@ -150,9 +148,7 @@ def run_random_suite(config, trials, base_seed, degree=6):
             all_ok = False
 
             def still_failing(candidate):
-                cand_reports = run_checks(
-                    candidate, degree=degree, triangular_theorems=config.triangular
-                )
+                cand_reports = run_checks(candidate, degree, battery)
                 return not all(r.ok for r in cand_reports)
 
             try:

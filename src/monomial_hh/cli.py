@@ -16,14 +16,13 @@ import sys
 from . import __version__
 from .algfile import parse_algebra_file, write_algebra_file
 from .ambiguities import AmbiguityTable
-from .checks import _expect_empty, _run, oracle_report, run_checks, run_random_suite
+from .checks import DIAGONAL_ROWS, GENERAL_ROWS, RESOLUTION_ROWS, TRIANGULAR_ROWS, run_checks, run_random_suite
 from .cochains import display_cochain, hochschild_cohomology
-from .cup import cup_table, verify_graded_commutativity, verify_triangular_vanishing
-from .errors import BadInput, MonomialHHError, ParseError
+from .cup import cup_table
+from .errors import BadInput, MonomialHHError, NotTriangular, ParseError
 from .fields import parse_field_spec
 from .quivers import build_algebra, is_triangular
 from .randomgen import RandomAlgebraConfig
-from . import diagonal, resolution
 
 SCHEMA = "monomial-hh/1"
 
@@ -139,27 +138,12 @@ def _report_command(args, reports, command):
 
 
 def cmd_resolution_check(args):
-    algebra = _load(args.file)
-    table = AmbiguityTable(algebra)
-    n = args.max_degree
-    reports = [
-        _run("d-squared", lambda: resolution.check_d_squared(table, n)),
-        _run("augmented", lambda: resolution.check_augmented(table)),
-        _run("minimal", lambda: resolution.check_minimal(table, n)),
-        _run("homotopy", lambda: resolution.check_homotopy(table, n - 1)),
-    ]
+    reports = run_checks(_load(args.file), args.max_degree, RESOLUTION_ROWS)
     return _report_command(args, reports, "resolution-check")
 
 
 def cmd_diagonal_check(args):
-    algebra = _load(args.file)
-    table = AmbiguityTable(algebra)
-    n = args.max_degree
-    reports = [
-        _run("chain-map", lambda: diagonal.check_chain_map(table, n)),
-        _run("counit", lambda: diagonal.check_counit(table, n)),
-        _run("decompositions", lambda: diagonal.check_decomposition_lemmas(table, n)),
-    ]
+    reports = run_checks(_load(args.file), args.max_degree, DIAGONAL_ROWS)
     return _report_command(args, reports, "diagonal-check")
 
 
@@ -241,32 +225,17 @@ def cmd_cup(args):
 
 def cmd_verify(args):
     algebra = _load(args.file)
-    n = args.max_degree
     if args.all:
-        reports = run_checks(algebra, degree=n, triangular_theorems=is_triangular(algebra))
+        rows = GENERAL_ROWS + TRIANGULAR_ROWS if is_triangular(algebra) else GENERAL_ROWS
+    elif not args.rows:
+        print("nothing selected; pass --all or a specific check", file=sys.stderr)
+        return 2
+    elif "triangular-vanishing" in args.rows and not is_triangular(algebra):
+        # an input mistake, not a failed verification
+        raise NotTriangular("vanishing theorem needs an acyclic quiver")
     else:
-        table = AmbiguityTable(algebra)
-        spaces = hochschild_cohomology(table, n)
-        reports = []
-        if args.triangular_vanishing:
-            # NotTriangular propagates: asking for this on a cyclic quiver is
-            # an input mistake, not a failed verification
-            failures = verify_triangular_vanishing(table, spaces, n)
-            reports.append(_run("triangular-vanishing", lambda: _expect_empty(failures)))
-        if args.graded_commutativity:
-            reports.append(
-                _run(
-                    "graded-commutativity",
-                    lambda: _expect_empty(verify_graded_commutativity(table, spaces, n)),
-                )
-            )
-        if args.oracle:
-            # unlike run_checks, an explicit request runs above ORACLE_DIM_CAP
-            reports.append(oracle_report(algebra, spaces, n))
-        if not reports:
-            print("nothing selected; pass --all or a specific check", file=sys.stderr)
-            return 2
-    return _report_command(args, reports, "verify")
+        rows = args.rows  # unlike the whole battery, an explicit --oracle runs above ORACLE_DIM_CAP
+    return _report_command(args, run_checks(algebra, args.max_degree, rows), "verify")
 
 
 def cmd_random(args):
@@ -356,9 +325,10 @@ def build_parser():
     p = add("verify", cmd_verify, help="run verification suites on one algebra")
     p.add_argument("file")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--triangular-vanishing", action="store_true")
-    p.add_argument("--graded-commutativity", action="store_true")
-    p.add_argument("--oracle", action="store_true")
+    # each flag selects its battery row; --all ignores them
+    p.add_argument("--triangular-vanishing", dest="rows", action="append_const", const="triangular-vanishing")
+    p.add_argument("--graded-commutativity", dest="rows", action="append_const", const="graded-commutativity")
+    p.add_argument("--oracle", dest="rows", action="append_const", const="oracle-dims")
     p.add_argument("--max-degree", type=_bound, default=5)
     p.add_argument("--json", action="store_true")
 

@@ -101,7 +101,7 @@ def differential_via_resolution(table, m):
     alg = table.algebra
     out = {pair: {} for pair in pair_basis(table, m)}
     for q in table.degree(m):
-        for (pre, r, post), n in differential(table, generator(table, m, q)).terms.items():
+        for (pre, r, post), n in differential(table, generator(q)).terms.items():
             for b in alg.parallel[(r.path.source, r.path.target)]:
                 value = alg.reduce_concat(pre, b, post)
                 if value is not None:

@@ -120,7 +120,7 @@ def counit(x):
 def check_chain_map(table, max_degree):
     for n in range(0, max_degree + 1):
         for amb in table.degree(n):
-            lhs = diagonal_of_element(table, differential(table, generator(table, n, amb)))
+            lhs = diagonal_of_element(table, differential(table, generator(amb)))
             rhs = tensor_differential(table, diagonal(table, amb))
             assert lhs == rhs, "diagonal chain-map identity fails at %s" % amb.path.display()
 

@@ -32,11 +32,9 @@ def bimodule_element(degree, terms=None):
     return Combination(ZZ, _check_triple, degree, terms)
 
 
-def generator(table, degree, path):
-    """1 (x) p (x) 1 for the ambiguity with the given path."""
-    amb = path if isinstance(path, Ambiguity) else table.by_path(degree, path)
-    assert amb is not None
-    q = table.algebra.quiver
+def generator(amb):
+    """1 (x) amb (x) 1."""
+    q = amb.path.quiver
     pre = q.trivial_path_at(amb.path.source)
     post = q.trivial_path_at(amb.path.target)
     return bimodule_element(amb.degree, {(pre, amb, post): 1})
@@ -145,13 +143,13 @@ def right_spanning_set(table, degree):
 def check_d_squared(table, max_degree):
     for n in range(1, max_degree + 1):
         for amb in table.degree(n):
-            dd = differential(table, differential(table, generator(table, n, amb)))
+            dd = differential(table, differential(table, generator(amb)))
             assert dd.is_zero(), "d^2 != 0 at %s" % amb.path.display()
 
 
 def check_augmented(table):
     for amb in table.degree(0):
-        d1 = differential(table, generator(table, 0, amb))
+        d1 = differential(table, generator(amb))
         assert augmentation(table, d1) == {}, "eps d != 0 at %s" % amb.path.display()
 
 

@@ -1,18 +1,24 @@
 import json
 import pathlib
 
-from monomial_hh import cli, cochains
+import pytest
+
+from monomial_hh import bar_oracle, checks, cli, cochains, cup, diagonal, resolution
 from monomial_hh.checks import (
+    GENERAL_ROWS,
     ORACLE_DIM_CAP,
+    TRIANGULAR_ROWS,
     _run,
     algebra_summary,
     run_checks,
     run_random_suite,
 )
-from monomial_hh.errors import ImageNotInKernel
+from monomial_hh.errors import ImageNotInKernel, NotACocycle
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
-CONE = str(pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "example_cone.alg")
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+CONE = str(FIXTURES / "example_cone.alg")
+A6 = str(FIXTURES / "triangular_a6.alg")
 
 BATTERY = [
     "d-squared",
@@ -37,7 +43,7 @@ def test_cone_battery(cone):
 
 
 def test_triangular_battery(triangular_a6):
-    reports = run_checks(triangular_a6, degree=5, triangular_theorems=True)
+    reports = run_checks(triangular_a6, degree=5, rows=GENERAL_ROWS + TRIANGULAR_ROWS)
     assert [r.name for r in reports] == BATTERY + [
         "triangular-vanishing",
         "one-sided-vanishing",
@@ -47,7 +53,7 @@ def test_triangular_battery(triangular_a6):
 
 def test_failures_are_reported_not_raised(cone):
     # asking for the triangular theorems on a cyclic quiver must not crash
-    reports = run_checks(cone, degree=3, triangular_theorems=True)
+    reports = run_checks(cone, degree=3, rows=GENERAL_ROWS + TRIANGULAR_ROWS)
     by_name = {r.name: r for r in reports}
     assert not by_name["triangular-vanishing"].ok
     assert "acyclic" in by_name["triangular-vanishing"].detail
@@ -100,14 +106,14 @@ def test_random_suite_rows():
 
 def test_cohomology_failure_is_a_failing_row(monkeypatch, cone, capsys):
     # a fault inside hochschild_cohomology ends the battery with a named
-    # failing row, which the random suite records and shrinks and verify
-    # reports with exit 1, not as an input error
+    # failing row, which the random suite records and shrinks and every
+    # verify mode reports with exit 1, not as an input error
     def broken(table, max_degree):
         raise ImageNotInKernel("image vector outside the kernel span")
 
     monkeypatch.setattr(cochains, "hochschild_cohomology", broken)
     failing = {"name": "cohomology", "ok": False, "detail": "image vector outside the kernel span"}
-    reports = run_checks(cone, degree=3, triangular_theorems=True)
+    reports = run_checks(cone, degree=3, rows=GENERAL_ROWS + TRIANGULAR_ROWS)
     assert [r.name for r in reports] == BATTERY[:9] + ["cohomology"]
     assert all(r.ok for r in reports[:-1]) and reports[-1].as_dict() == failing
 
@@ -116,6 +122,53 @@ def test_cohomology_failure_is_a_failing_row(monkeypatch, cone, capsys):
     for row in out["trials"]:
         assert not row["ok"] and row["checks"][-1] == failing and "shrunk" in row
 
-    assert cli.main(["verify", CONE, "--all", "--json"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["ok"] is False and doc["checks"][-1] == failing
+    for flag in ("--all", "--oracle", "--graded-commutativity"):
+        assert cli.main(["verify", CONE, flag, "--json"]) == 1, flag
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False and doc["checks"][-1] == failing, flag
+
+
+def test_triangular_vanishing_fault_is_a_failing_row(monkeypatch, capsys):
+    def broken(table, space, what):
+        raise NotACocycle(what)
+
+    monkeypatch.setattr(cup, "_factors", broken)
+    assert cli.main(["verify", A6, "--triangular-vanishing", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["checks"] == [{"name": "triangular-vanishing", "ok": False, "detail": "cup factor"}]
+    assert err == ""
+
+
+# the one library function each row of the triangular battery calls
+ROW_FUNCTIONS = {
+    "d-squared": (resolution, "check_d_squared"),
+    "augmented": (resolution, "check_augmented"),
+    "minimal": (resolution, "check_minimal"),
+    "homotopy": (resolution, "check_homotopy"),
+    "diagonal-chain-map": (diagonal, "check_chain_map"),
+    "counit": (diagonal, "check_counit"),
+    "decompositions": (diagonal, "check_decomposition_lemmas"),
+    "partial-squared": (cochains, "check_partial_squared"),
+    "differential-routes": (cochains, "check_differential_routes_agree"),
+    "cup-closure": (cup, "check_cup_closure"),
+    "graded-commutativity": (cup, "verify_graded_commutativity"),
+    "oracle-dims": (bar_oracle, "bar_hh_dimensions"),
+    "triangular-vanishing": (cup, "verify_triangular_vanishing"),
+    "one-sided-vanishing": (cup, "check_one_sided_vanishing"),
+}
+
+
+@pytest.mark.parametrize("row", list(ROW_FUNCTIONS))
+def test_each_row_runs_its_own_check(monkeypatch, triangular_a6, row):
+    # a row bound to the wrong check passes every digest, since a verify
+    # document holds only names and ok flags; break one function, see one row fail
+    def broken(*args):
+        raise AssertionError("broken " + row)
+
+    module, name = ROW_FUNCTIONS[row]
+    monkeypatch.setattr(module, name, broken)
+    monkeypatch.setattr(checks, "ORACLE_DIM_CAP", triangular_a6.dim)  # let the oracle run
+    reports = run_checks(triangular_a6, 3, GENERAL_ROWS + TRIANGULAR_ROWS)
+    assert [r.name for r in reports] == list(ROW_FUNCTIONS)
+    assert [r.name for r in reports if not r.ok] == [row]
+    assert [r.detail for r in reports if not r.ok] == ["broken " + row]

@@ -1,5 +1,6 @@
 """End-to-end runs of the installed command line, JSON parsed from stdout."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -93,6 +94,30 @@ def test_check_commands_pass():
         doc = run_json(*cmd)
         assert doc["ok"] is True
         assert all(c["ok"] for c in doc["checks"])
+
+
+# SHA-256 of the JSON each check subcommand printed when its rows were
+# listed by hand, before the battery became one table
+CHECK_JSON = {
+    ("resolution-check", CONE): "e4d76e02f6a5106b01a67196ea6820c1c7a90b8fd754ef6b6ffe752059e6653f",
+    ("verify", CONE, "--oracle"): "6aacd76568b4370974e2bd7b713ed2f0908851805858f62bd48e97fc4669338e",
+    ("verify", CONE, "--graded-commutativity"): "0b2a2576e079f612da14f89f7d966596b235139e65b818cd79f1a0ea6f494c54",
+    ("verify", A6, "--triangular-vanishing"): "52717062bf6f4753f63db380c5a329888a4948885f9df99ff3d73a1fe736f024",
+}
+
+
+def test_check_command_rows():
+    for argv, digest in CHECK_JSON.items():
+        out = run_cli(*argv, "--json")
+        assert out.returncode == 0, out.stderr
+        assert hashlib.sha256(out.stdout.encode("utf-8")).hexdigest() == digest, argv
+    names = [c["name"] for c in run_json("diagonal-check", CONE)["checks"]]
+    assert names == ["diagonal-chain-map", "counit", "decompositions"]
+    # rows come in battery order, whatever the order of the flags
+    doc = run_json("verify", A6, "--triangular-vanishing", "--graded-commutativity", "--oracle", "--max-degree", "3")
+    assert [c["name"] for c in doc["checks"]] == ["graded-commutativity", "oracle-dims", "triangular-vanishing"]
+    # an explicit --oracle runs above the dimension cap (a6 has dim 23): no skip note
+    assert all(c["ok"] and c["detail"] == "" for c in doc["checks"])
 
 
 def test_oracle_over_gf2_cubic(tmp_path):

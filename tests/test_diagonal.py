@@ -111,7 +111,7 @@ def test_wrong_koszul_sign_fails(cone):
 
     t = AmbiguityTable(cone)
     amb = next(iter(t.degree(2)))
-    lhs = dmod.diagonal_of_element(t, differential(t, generator(t, 2, amb)))
+    lhs = dmod.diagonal_of_element(t, differential(t, generator(amb)))
     rhs = dmod.tensor_differential(t, dmod.diagonal(t, amb))
     assert lhs == rhs
     flipped = tensor_element(rhs.degree)

@@ -21,7 +21,7 @@ def test_differential_of_relation_is_arrow_sum(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     bz = path_from_word(q, "beta zeta")
-    d = differential(t, generator(t, 1, bz))
+    d = differential(t, generator(t.by_path(1, bz)))
     expected = bimodule_element(0)
     expected.add((q.trivial_path("2"), t.by_path(0, q.arrow_path("zeta")), q.arrow_path("beta")), 1)
     expected.add((q.arrow_path("zeta"), t.by_path(0, q.arrow_path("beta")), q.trivial_path("3")), 1)
@@ -32,7 +32,7 @@ def test_differential_even_two_terms(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     zaza = path_from_word(q, "zeta alpha zeta alpha")
-    d = differential(t, generator(t, 2, zaza))
+    d = differential(t, generator(t.by_path(2, zaza)))
     aza = t.by_path(1, path_from_word(q, "alpha zeta alpha"))
     zaz = t.by_path(1, path_from_word(q, "zeta alpha zeta"))
     expected = bimodule_element(1)
@@ -57,7 +57,7 @@ def test_augmentation_and_iota(cone):
     assert augmentation(t, z) == {}
 
     with pytest.raises(WrongDegree):
-        augmentation(t, generator(t, 0, alpha))
+        augmentation(t, generator(t.by_path(0, alpha)))
     with pytest.raises(WrongDegree):
         differential(t, x)
 
@@ -68,7 +68,7 @@ def test_sigma_finds_relation_once(cone):
     x = bimodule_element(0)
     x.add((q.trivial_path("2"), t.by_path(0, q.arrow_path("zeta")), q.arrow_path("beta")), 1)
     s = homotopy_sigma(t, x)
-    assert s == generator(t, 1, path_from_word(q, "beta zeta"))
+    assert s == generator(t.by_path(1, path_from_word(q, "beta zeta")))
 
 
 def test_sigma_on_trivial_word_is_zero(cone):
@@ -105,7 +105,7 @@ def test_homotopy_plus_sign_fails(cone):
 
 def test_element_arithmetic(cone):
     t = AmbiguityTable(cone)
-    g = generator(t, 0, cone.quiver.arrow_path("alpha"))
+    g = generator(t.by_path(0, cone.quiver.arrow_path("alpha")))
     z = g - g
     assert z.is_zero()
     assert (g + z) == g
