@@ -17,7 +17,7 @@ from . import __version__
 from .algfile import parse_algebra_file, write_algebra_file
 from .ambiguities import AmbiguityTable
 from .checks import DIAGONAL_ROWS, GENERAL_ROWS, RESOLUTION_ROWS, TRIANGULAR_ROWS, run_checks, run_random_suite
-from .cochains import display_cochain, hochschild_cohomology
+from .cochains import display_vector, hochschild_cohomology
 from .cup import cup_table
 from .errors import BadInput, MonomialHHError, NotTriangular, ParseError
 from .fields import parse_field_spec
@@ -154,7 +154,7 @@ def cmd_hh(args):
     rows = []
     for n in range(args.max_degree + 1):
         sp = spaces[n]
-        reps = [display_cochain(rep) for rep in sp.rep_cochains(table)]
+        reps = [display_vector(sp.pairs, rep) for rep in sp.representatives]
         rows.append(
             {
                 "degree": n,
@@ -287,42 +287,37 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("basis", cmd_basis, help="list the relation-free paths")
+    p = sub.add_parser("basis", help="list the relation-free paths")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
 
-    p = add("ambiguities", cmd_ambiguities, help="list the degree-n ambiguities")
+    p = sub.add_parser("ambiguities", help="list the degree-n ambiguities")
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
-    p = add("resolution-check", cmd_resolution_check, help="d^2, augmentation, homotopy")
+    p = sub.add_parser("resolution-check", help="d^2, augmentation, homotopy")
     p.add_argument("file")
     p.add_argument("--max-degree", type=_bound, default=5)
     p.add_argument("--json", action="store_true")
 
-    p = add("diagonal-check", cmd_diagonal_check, help="chain map, counit, decompositions")
+    p = sub.add_parser("diagonal-check", help="chain map, counit, decompositions")
     p.add_argument("file")
     p.add_argument("--max-degree", type=_bound, default=5)
     p.add_argument("--json", action="store_true")
 
-    p = add("hh", cmd_hh, help="Hochschild cohomology dimensions and representatives")
+    p = sub.add_parser("hh", help="Hochschild cohomology dimensions and representatives")
     p.add_argument("file")
     p.add_argument("--max-degree", type=_bound, required=True)
     p.add_argument("--field", help="override the file's field: q or fp:<prime>")
     p.add_argument("--json", action="store_true")
 
-    p = add("cup", cmd_cup, help="class-level cup product tables")
+    p = sub.add_parser("cup", help="class-level cup product tables")
     p.add_argument("file")
     p.add_argument("--max-total-degree", type=_bound, required=True)
     p.add_argument("--json", action="store_true")
 
-    p = add("verify", cmd_verify, help="run verification suites on one algebra")
+    p = sub.add_parser("verify", help="run verification suites on one algebra")
     p.add_argument("file")
     p.add_argument("--all", action="store_true")
     # each flag selects its battery row; --all ignores them
@@ -332,7 +327,7 @@ def build_parser():
     p.add_argument("--max-degree", type=_bound, default=5)
     p.add_argument("--json", action="store_true")
 
-    p = add("random", cmd_random, help="seeded random suite with shrinking")
+    p = sub.add_parser("random", help="seeded random suite with shrinking")
     p.add_argument("--triangular", action="store_true")
     p.add_argument("--field", default="q", help="field of the random algebras: q or fp:<prime>")
     p.add_argument("--trials", type=_bound, default=25)
@@ -340,17 +335,24 @@ def build_parser():
     p.add_argument("--max-degree", type=_bound, default=4)
     p.add_argument("--json", action="store_true")
 
-    p = add("write", cmd_write, help="parse a file and print its canonical form")
+    p = sub.add_parser("write", help="parse a file and print its canonical form")
     p.add_argument("file")
 
     return parser
 
 
+_parser = None  # built by the first call of main and kept: it costs more than a small command
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up when it runs, so a patched or traced command is the one called
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code = args.fn(args)
+        code = run(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit
         return code
     except BrokenPipeError:

@@ -7,6 +7,11 @@ even output degree, positioned divisors in odd), mirroring the resolution
 differential; `differential_via_resolution` computes the same map, one
 degree at a time, by composing with the resolution's d and is kept as an
 independent route.
+
+The pairs of degree m run ambiguity by ambiguity, each ambiguity's block
+in the order of its ``parallel`` tuple, so a pair's index is its
+ambiguity's offset plus b's position in that tuple.  The table caches each
+degree's offsets and, where a space needs them, its pairs.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -25,11 +30,35 @@ def pair_basis(table, degree):
     """Ordered (ambiguity, parallel basis path) pairs spanning degree-m cochains.
 
     Γ_{m-1} and every ``algebra.parallel`` tuple are sorted by path, so the
-    nested loop already yields the pairs in ``_pair_key`` order.
+    nested loop already yields the pairs in ``_pair_key`` order.  A tuple,
+    built once per degree and cached on the table.
     """
     assert degree >= 0
-    parallel = table.algebra.parallel
-    return [(amb, b) for amb in table.degree(degree - 1) for b in parallel[(amb.path.source, amb.path.target)]]
+    pairs = table._pairs.get(degree)
+    if pairs is None:
+        parallel = table.algebra.parallel
+        pairs = table._pairs[degree] = tuple(
+            (amb, b) for amb in table.degree(degree - 1) for b in parallel[(amb.path.source, amb.path.target)]
+        )
+    return pairs
+
+
+def _offsets(table, degree):
+    """({ambiguity of degree m-1: index of its first pair}, number of pairs) for degree m.
+
+    Reads only Γ_{m-1} and the ``parallel`` counts, never the pairs
+    themselves; cached on the table.
+    """
+    out = table._offsets.get(degree)
+    if out is None:
+        parallel = table.algebra.parallel
+        offsets = {}
+        n = 0
+        for amb in table.degree(degree - 1):
+            offsets[amb] = n
+            n += len(parallel[(amb.path.source, amb.path.target)])
+        out = table._offsets[degree] = (offsets, n)
+    return out
 
 
 def new_cochain(table, degree, terms=None):
@@ -48,33 +77,51 @@ def new_cochain(table, degree, terms=None):
     return Combination(alg.field, check, degree, terms)
 
 
+def _display_terms(terms):
+    """``coeff [ambiguity || path]`` per (pair, coeff) of terms, in their order."""
+    bits = [
+        "%s [%s || %s]" % (c, amb.path.word() or amb.path.display(), b.word() or b.display())
+        for (amb, b), c in terms
+    ]
+    return " + ".join(bits) if bits else "0"
+
+
 def display_cochain(x):
     """The text ``hh`` prints: ``coeff [ambiguity || path]`` terms in pair order."""
-    if not x.terms:
-        return "0"
-    bits = []
-    for (amb, b), c in sorted(x.terms.items(), key=lambda kv: _pair_key(kv[0])):
-        bits.append("%s [%s || %s]" % (c, amb.path.word() or amb.path.display(), b.word() or b.display()))
-    return " + ".join(bits)
+    return _display_terms(sorted(x.terms.items(), key=lambda kv: _pair_key(kv[0])))
+
+
+def display_vector(pairs, vec):
+    """``display_cochain`` of Σ vec[i]·pairs[i]; the pairs are in pair order, and so are their indices."""
+    return _display_terms((pairs[i], c) for i, c in sorted(vec.items()))
 
 
 def pair_cochain(table, amb, b):
     return new_cochain(table, amb.degree + 1, {(amb, b): table.algebra.field.one})
 
 
-def _pair_differential_terms(table, amb, b):
-    """Direct evaluation of the differential of the basis pair (amb, b).
+def _faces(table, amb):
+    """[(q, pre, post, sign)] over the cofaces q of amb: the one formula for δ.
 
-    Each coface q of amb, with amb at position k, contributes
-    sign · (q, q[:k]·b·q[k+len(amb):]) when that product is nonzero.
+    With amb at position k of q, pre = q[:k] and post = q[k+len(amb):] are
+    arrow words, and δ(amb, b) = Σ sign · (q, pre·b·post) over the products
+    that are nonzero in A.  pre·b·post is never the empty word: q strictly
+    contains amb.  The words depend only on amb, not on b.
     """
-    by_word = table.algebra.by_word
     length = len(amb.path)
+    return [
+        (q, q.path.arrows[:k], q.path.arrows[k + length :], sign)
+        for q, k, sign in table.cofaces(amb.degree + 1).get(amb, ())
+    ]
+
+
+def _pair_differential_terms(table, amb, b):
+    """Direct evaluation of the differential of the basis pair (amb, b): {(q, value): n}."""
+    by_word = table.algebra.by_word
+    ba = b.arrows
     out = {}
-    for q, k, sign in table.cofaces(amb.degree + 1).get(amb, ()):
-        # never the empty word: q strictly contains amb
-        qa = q.path.arrows
-        value = by_word.get(qa[:k] + b.arrows + qa[k + length :])
+    for q, pre, post, sign in _faces(table, amb):
+        value = by_word.get(pre + ba + post)
         if value is not None:
             key = (q, value)
             out[key] = out.get(key, 0) + sign
@@ -111,19 +158,36 @@ def differential_via_resolution(table, m):
 
 
 def differential_matrix(table, m):
-    """Columns: degree-m pairs; rows: degree-(m+1) pairs; integer entries, for every field."""
-    cols_pairs = pair_basis(table, m)
-    rows_pairs = pair_basis(table, m + 1)
-    row_index = {pair: i for i, pair in enumerate(rows_pairs)}
-    cols = tuple(
-        {row_index[key]: n for key, n in _pair_differential_terms(table, amb, b).items()}
-        for amb, b in cols_pairs
-    )
-    return SparseMatrix(len(rows_pairs), len(cols_pairs), cols)
+    """Columns: degree-m pairs; rows: degree-(m+1) pairs; integer entries, for every field.
+
+    Assembled ambiguity by ambiguity: each one's faces are read once, with
+    the row offset of each coface, and then serve every parallel b.  The
+    row of (q, value) is q's offset plus value's position in its
+    ``parallel`` tuple.
+    """
+    alg = table.algebra
+    parallel, position = alg.parallel, alg.position
+    offsets, nrows = _offsets(table, m + 1)
+    cols = []
+    for amb in table.degree(m - 1):
+        faces = [(offsets[q], pre, post, sign) for q, pre, post, sign in _faces(table, amb)]
+        for b in parallel[(amb.path.source, amb.path.target)]:
+            ba = b.arrows
+            col = {}
+            for offset, pre, post, sign in faces:
+                i = position.get(pre + ba + post)
+                if i is not None:
+                    i += offset
+                    col[i] = col.get(i, 0) + sign
+            cols.append({i: n for i, n in col.items() if n})
+    return SparseMatrix(nrows, len(cols), tuple(cols))
 
 
 @dataclass
 class CohomologySpace:
+    """HH^m: ``cocycles`` are the kernel vectors of δ^m, ``coboundaries`` the
+    echelon rows of im δ^{m-1}, both over ``pairs``."""
+
     degree: int
     pairs: tuple
     cocycles: list
@@ -131,7 +195,6 @@ class CohomologySpace:
     representatives: list
     dimension: int
     _solver: object = dc_field(default=None, repr=False, compare=False)
-    _index: object = dc_field(default=None, repr=False, compare=False)
 
     def rep_cochains(self, table):
         return [vector_to_cochain(table, self.degree, self.pairs, v) for v in self.representatives]
@@ -145,29 +208,31 @@ def vector_to_cochain(table, degree, pairs, vec):
 
 
 def hochschild_cohomology(table, max_degree):
-    """CohomologySpace per degree 0..max_degree, with canonical representatives."""
+    """CohomologySpace per degree 0..max_degree, with canonical representatives.
+
+    One pass per degree, holding one matrix: the kernel pass of δ^m gives
+    the cocycles and hands back the echelon rows of im δ^m, which seed the
+    quotient of degree m+1, so the image is eliminated once.
+    """
     assert max_degree >= 0
     field = table.algebra.field
-    mats = [differential_matrix(table, m) for m in range(max_degree + 1)]
     spaces = []
-    image = []
+    image = []  # im δ^{-1} = 0
     for m in range(max_degree + 1):
-        kernel = kernel_basis(field, mats[m])
+        following = [] if m < max_degree else None  # no space reads im δ^max_degree
+        kernel = kernel_basis(field, differential_matrix(table, m), following)
         reps = quotient_basis(field, kernel, image)
         spaces.append(
             CohomologySpace(
                 degree=m,
-                pairs=tuple(pair_basis(table, m)),
+                pairs=pair_basis(table, m),
                 cocycles=kernel,
                 coboundaries=image,
                 representatives=reps,
                 dimension=len(reps),
             )
         )
-        # d_m's image is spanned by its pivot columns: column j is dependent
-        # exactly when it is the largest index of some kernel vector
-        dependent = {max(v) for v in kernel}
-        image = [col for j, col in enumerate(mats[m].cols) if j not in dependent]
+        image = following
     return spaces
 
 
@@ -181,28 +246,27 @@ def class_vector(space, table, x):
     Coboundaries and representatives together span exactly the cocycles
     (``kernel_basis`` asserts rank + nullity, ``quotient_basis`` that the
     image lies in the kernel), so the solve itself is the cocycle test.
+    The solver starts from the coboundary rows and tracks coefficients over
+    the representatives only.
     """
     if x.degree != space.degree:
         raise WrongDegree("cochain degree %d vs space degree %d" % (x.degree, space.degree))
-    field = table.algebra.field
+    alg = table.algebra
     if space._solver is None:
-        solver = RowBasis(field, track=True)
-        for i, v in enumerate(space.coboundaries):
-            added, _ = solver.insert(v, ("b", i))
-            assert added
+        solver = RowBasis(alg.field, track=True, seed=space.coboundaries)
         for i, v in enumerate(space.representatives):
-            added, _ = solver.insert(v, ("r", i))
+            added, _ = solver.insert(v, i)
             assert added
         space._solver = solver
-        space._index = {pair: i for i, pair in enumerate(space.pairs)}
-    sol = space._solver.express({space._index[key]: c for key, c in x.terms.items()})
+    offsets, _ = _offsets(table, space.degree)
+    position = alg.position
+    # a trivial b is first in its parallel tuple
+    vec = {offsets[amb] + (position[b.arrows] if b.arrows else 0): c for (amb, b), c in x.terms.items()}
+    sol = space._solver.express(vec)
     if sol is None:
         raise NotACocycle("not killed by the differential: %s" % display_cochain(x))
-    out = {}
-    for (kind, i), c in sol.items():
-        if kind == "r" and not field.is_zero(c):
-            out[i] = c
-    return out
+    is_zero = alg.field.is_zero
+    return {i: c for i, c in sol.items() if not is_zero(c)}
 
 
 def check_partial_squared(table, max_degree):

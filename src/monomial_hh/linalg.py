@@ -63,14 +63,21 @@ class RowBasis:
     Rows and coefficients are integer dicts in the field's row form (see
     ``fields``); ``rows`` maps pivot index -> (vec, coeffs|None) with
     vec = Σ coeffs[t]·original_t.
+
+    A basis can start from the stored rows of another, ``seed``: integer
+    rows in canonical form with distinct pivots, as ``kernel_basis`` hands
+    back the rows of a column span.  Seed rows are not inserted vectors and
+    carry no coefficients, so a tracked basis expresses vectors modulo
+    their span, over the vectors inserted after them.
     """
 
     QUERY = object()  # tag used by express() for the queried vector
 
-    def __init__(self, field, track: bool = False):
+    def __init__(self, field, track: bool = False, seed=()):
         self.field = field
         self.track = track
-        self.rows = {}  # pivot index -> (vec, coeffs|None), in insertion order
+        # pivot index -> (vec, coeffs|None), in insertion order
+        self.rows = {min(vec): (vec, {} if track else None) for vec in seed}
         self.n_inserted = 0
 
     @property
@@ -157,12 +164,17 @@ class RowBasis:
         return f.from_row(vec, d * scale)
 
 
-def kernel_basis(field, matrix: SparseMatrix):
+def kernel_basis(field, matrix: SparseMatrix, image=None):
     """Kernel vectors (in column coordinates), deterministic order.
 
     One vector per dependent column j: j's dependency on the independent
     columns before it, which is unique up to scale.  Satisfies
     rank + len(kernel) = ncols by construction; asserted.
+
+    When ``image`` is a list, it receives the echelon rows of the column
+    span, without their coefficients and scaled as an untracked basis
+    stores them: the rows that inserting the independent columns into a
+    fresh ``RowBasis`` would give, a ``seed`` for the next degree.
     """
     basis = RowBasis(field, track=True)
     out = []
@@ -171,20 +183,24 @@ def kernel_basis(field, matrix: SparseMatrix):
         if not added:
             out.append(dep)
     assert basis.rank + len(out) == matrix.ncols
+    if image is not None:
+        # each tracked row is a multiple of the untracked one: canonical
+        # without coefficients divides it back out
+        image.extend(field.canonical(vec, None, p)[0] for p, (vec, _) in basis.rows.items())
     return out
 
 
-def quotient_basis(field, kernel_vecs, image_vecs):
+def quotient_basis(field, kernel_vecs, image):
     """Representatives of span(kernel)/span(image); requires im ⊆ ker.
 
-    Returns the reduced-echelon completion of the image basis inside the
-    kernel span: deterministic given the input orders.  The kernel vectors
-    are independent, so im ⊆ ker holds exactly when image and kernel
-    together span no more than the kernel does.
+    ``image`` is the echelon rows of the image, a ``RowBasis`` seed, so only
+    the kernel vectors are eliminated here.  Returns the reduced-echelon
+    completion of the image basis inside the kernel span: deterministic
+    given the input orders.  The kernel vectors are independent, so im ⊆ ker
+    holds exactly when image and kernel together span no more than the
+    kernel does.
     """
-    combined = RowBasis(field)
-    for v in image_vecs:
-        combined.insert(v)
+    combined = RowBasis(field, seed=image)
     rep_pivots = []
     for v in kernel_vecs:
         if combined.insert(v)[0]:

@@ -226,7 +226,8 @@ class MonomialAlgebra:
     between two vertex indices, a tuple in basis order for every pair of
     vertices (empty when none).  ``by_word`` maps the arrow tuple of every
     nontrivial basis path to that path, so asking whether a word is a basis
-    path is one lookup.  Construction reads both finite-dimensionality and B
+    path is one lookup, and ``position`` maps it to the path's index in its
+    ``parallel`` tuple (a trivial path is first in its own).  Construction reads both finite-dimensionality and B
     off one relation automaton (see ``_read_automaton``).
     """
 
@@ -250,6 +251,7 @@ class MonomialAlgebra:
         for p in self.basis:
             parallel[(p.source, p.target)].append(p)
         self.parallel = {ends: tuple(paths) for ends, paths in parallel.items()}
+        self.position = {p.arrows: i for paths in parallel.values() for i, p in enumerate(paths) if p.arrows}
 
     # -- construction helpers -------------------------------------------------
 

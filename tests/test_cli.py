@@ -8,7 +8,9 @@ import subprocess
 import sys
 import types
 
-from monomial_hh import cli
+import pytest
+
+from monomial_hh import __version__, cli
 from monomial_hh.checks import CheckReport, run_random_suite
 from monomial_hh.cli import _report_command
 from monomial_hh.fields import parse_field_spec
@@ -172,6 +174,31 @@ def test_byte_identical_reruns():
         b = run_cli(*argv)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+def test_parser_kept_across_calls(monkeypatch, capsys):
+    # one process, one parser: a bad argument or --version in between leaves
+    # later calls printing the same bytes as the first
+    monkeypatch.setattr(cli, "_parser", None)
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    hh = ["hh", CONE, "--max-degree", "4", "--json"]
+    assert cli.main(hh) == 0
+    first = capsys.readouterr().out
+    assert cli.main(["cup", CONE, "--max-total-degree", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "cup"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hh", CONE, "--max-degree", "-1"])
+    assert exc.value.code == 2
+    assert "expected an integer >= 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
+    assert cli.main(hh) == 0
+    assert capsys.readouterr().out == first
+    assert built == [1]
 
 
 def test_write_is_canonical():

@@ -3,7 +3,14 @@
 import pytest
 
 from monomial_hh.ambiguities import AmbiguityTable
-from monomial_hh.cochains import _pair_differential_terms, new_cochain, pair_basis, pair_cochain
+from monomial_hh.cochains import (
+    _pair_differential_terms,
+    _pair_key,
+    differential_matrix,
+    new_cochain,
+    pair_basis,
+    pair_cochain,
+)
 from monomial_hh.cup import cup_cochain, cup_products
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.quivers import Quiver, build_algebra, concat
@@ -14,6 +21,7 @@ from reference_scans import (
     scan_cofaces,
     scan_cup_cochain,
     scan_occurrences,
+    scan_pair_basis,
     scan_pair_differential_terms,
     scan_sub,
     scan_truncation,
@@ -95,6 +103,23 @@ def test_pair_differential_matches_scan(spec):
             for amb, b in pair_basis(t, m):
                 got = _pair_differential_terms(t, amb, b)
                 assert list(got.items()) == list(scan_pair_differential_terms(t, amb, b).items())
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_differential_matrix_matches_scan(spec):
+    # column j of δ^m is the scanned differential of the j-th pair, its
+    # terms in the same order, each at the index of its pair of degree m+1
+    for t in tables(spec):
+        cols = sorted(scan_pair_basis(t, 0), key=_pair_key)
+        for m in range(0, DEGREE + 1):
+            rows = sorted(scan_pair_basis(t, m + 1), key=_pair_key)
+            index = {pair: i for i, pair in enumerate(rows)}
+            mat = differential_matrix(t, m)
+            assert (mat.nrows, mat.ncols) == (len(rows), len(cols))
+            for (amb, b), col in zip(cols, mat.cols):
+                want = [(index[key], n) for key, n in scan_pair_differential_terms(t, amb, b).items()]
+                assert list(col.items()) == want
+            cols = rows
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])

@@ -37,6 +37,14 @@ def image_membership(field, matrix, vec):
     return basis.express(vec)
 
 
+def image_rows(field, vecs):
+    """The echelon rows of span(vecs) that ``quotient_basis`` starts from, by a fresh insertion."""
+    basis = RowBasis(field)
+    for v in vecs:
+        basis.insert(v)
+    return [row for row, _ in basis.rows.values()]
+
+
 def mat(rows):
     """Dense row-list of ints -> SparseMatrix over Z, a matrix over every field."""
     nrows = len(rows)
@@ -132,7 +140,7 @@ def test_integer_entry_that_vanishes_in_the_field():
     f2 = PrimeField(2)
     m = SparseMatrix(1, 2, ({0: 2}, {0: 1}))
     assert kernel_basis(f2, m) == [{0: 1}]
-    assert quotient_basis(f2, [{0: 2, 1: 1}], [{0: 4}]) == [{1: 1}]
+    assert quotient_basis(f2, [{0: 2, 1: 1}], image_rows(f2, [{0: 4}])) == [{1: 1}]
 
 
 def test_zero_matrix_kernel():
@@ -172,10 +180,10 @@ def test_image_membership_positive_and_negative():
 def test_quotient_basis_counts():
     ker = [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
     img = [{0: Fraction(2)}]
-    reps = quotient_basis(QQ, ker, img)
+    reps = quotient_basis(QQ, ker, image_rows(QQ, img))
     assert len(reps) == 2
     with pytest.raises(ImageNotInKernel):
-        quotient_basis(QQ, [{0: Fraction(1)}], [{1: Fraction(1)}])
+        quotient_basis(QQ, [{0: Fraction(1)}], image_rows(QQ, [{1: Fraction(1)}]))
 
 
 def test_rowbasis_reduce_mod_is_canonical():
@@ -239,8 +247,8 @@ def test_integer_matrix_matches_its_field_reduced_copy(data, rows, fieldspec):
         coeffs = [data.draw(small_entries) for _ in ker]
         image.append(lift([sum(c * k[i] for c, k in zip(coeffs, dense_ker)) for i in range(ncols)]))
     lifted_ker = [lift(k) for k in dense_ker]
-    expected = quotient_basis(field, ker, [in_field(field, v) for v in image])
-    assert quotient_basis(field, lifted_ker, image) == expected
+    expected = quotient_basis(field, ker, image_rows(field, [in_field(field, v) for v in image]))
+    assert quotient_basis(field, lifted_ker, image_rows(field, image)) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,7 +356,7 @@ def test_elimination_matches_dense_gauss_jordan(rows, mixing, fieldspec):
     _, image_pivots = gauss_jordan(field, [dense(field, v, m.ncols) for v in image], m.ncols)
     both, both_pivots = gauss_jordan(field, ker_dense, m.ncols)
     completion = {p: sparse(field, r) for r, p in zip(both, both_pivots) if p not in image_pivots}
-    reps = quotient_basis(field, ker, image)
+    reps = quotient_basis(field, ker, image_rows(field, image))
     assert len(reps) == len(completion)
     for rep in reps:
         lead = rep[min(rep)]
@@ -424,7 +432,7 @@ def test_elimination_makes_no_scalar_calls(make_field):
     ker = kernel_basis(field, m)
     assert len(ker) == 2
     assert image_membership(field, m, m.cols[3]) is not None
-    reps = quotient_basis(field, ker, [ker[0]])
+    reps = quotient_basis(field, ker, image_rows(field, [ker[0]]))
     assert len(reps) == 1
     assert calls == []
 

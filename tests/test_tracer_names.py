@@ -84,3 +84,30 @@ def test_gamma_counts_read_the_degrees():
     finally:
         tracer.apply(patches, False)
     assert detail["gamma"] == {str(n): len(t.degree(n)) for n in range(-1, 6)}
+
+
+def test_cohomology_counts_every_degree():
+    # hochschild_cohomology must reach the counters through differential_matrix
+    # and kernel_basis, and enter linalg once per degree for each of the
+    # kernel and the quotient, not once per vector
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    patches = tracer.instrument(tr)
+    t = AmbiguityTable(make_cone())
+    top = 6
+    tracer.apply(patches, True)
+    try:
+        tr.begin_op(0)
+        spaces = cochains.hochschild_cohomology(t, top)
+        detail = tr.end_op()
+    finally:
+        tracer.apply(patches, False)
+    mats = [cochains.differential_matrix(t, m) for m in range(top + 1)]
+    degrees = [str(m) for m in range(top + 1)]
+    assert detail["pairs"] == {d: mat.ncols for d, mat in zip(degrees, mats)}
+    assert detail["nnz"] == {d: sum(map(len, mat.cols)) for d, mat in zip(degrees, mats)}
+    assert detail["ranks"] == [mat.ncols - len(sp.cocycles) for mat, sp in zip(mats, spaces)]
+    assert detail["dims"] == {d: sp.dimension for d, sp in zip(degrees, spaces)}
+    calls, _, _ = tr.self_times()
+    assert calls[tracer.LAYERS.index("linalg")] == 2 * (top + 1)
+    assert tr.totals["linalg.inserts"] == sum(mat.ncols + len(sp.cocycles) for mat, sp in zip(mats, spaces))
