@@ -11,115 +11,113 @@ and the differential is the classical alternating sum
 with all products reduced in the algebra.  Tuples are written in function
 order, so the composite of (a1, ..., an) traverses a_n first.
 
+A pair is (tuple, value) in positions of ``algebra.basis``; a column reads
+its rows off one ``_BarIndex`` of the algebra, reused in every degree.  Only
+ranks are computed: dim HH^n = |C^n| − rank δ^n − rank δ^{n−1}.
+
 Spaces grow fast; everything takes a pair budget and raises BudgetExceeded
 with the last degree that finished.
 """
 
+import functools
+
 from .errors import BudgetExceeded
-from .linalg import SparseMatrix, kernel_basis
+from .linalg import SparseMatrix, rank
 
 DEFAULT_PAIR_BUDGET = 150_000
 
 
-def bar_tuples(algebra, n, budget=DEFAULT_PAIR_BUDGET):
-    """Composable n-tuples of nontrivial basis paths, lexicographic order."""
-    assert n >= 0
-    if n == 0:
-        return [()]
-    base = algebra.nontrivial_basis
-    tuples = [(p,) for p in base]
-    for _ in range(n - 1):
-        nxt = []
-        for t in tuples:
-            for y in base:
-                if t[-1].source == y.target:
-                    nxt.append(t + (y,))
-            if len(nxt) > budget:
-                raise BudgetExceeded(-1, "tuple count passed %d" % budget)
-        tuples = nxt
-    return tuples
+@functools.lru_cache(maxsize=1)  # one algebra at a time, read in all its degrees
+class _BarIndex:
+    """What the bar complex of one algebra reads, by basis index.
+
+    ``parallel`` and ``loops`` list values, ``position[b]`` is b's place in
+    its ``parallel`` tuple, ``by_target[v]`` the nontrivial paths ending at v;
+    ``after[b]`` and ``before[b]`` are the nonzero products b·x and x·b,
+    x nontrivial, as (x, product); ``splits[p]`` the (u, v) with p = u·v.
+    """
+
+    def __init__(self, algebra):
+        basis = algebra.basis
+        at = {p: i for i, p in enumerate(basis)}
+        word = {p.arrows: i for i, p in enumerate(basis) if p.arrows}
+        self.source = [p.source for p in basis]
+        self.target = [p.target for p in basis]
+        self.parallel = {ends: tuple(map(at.get, paths)) for ends, paths in algebra.parallel.items()}
+        self.position = [algebra.position.get(p.arrows, 0) for p in basis]
+        self.loops = tuple(i for i, p in enumerate(basis) if p.source == p.target)
+        self.nontrivial = tuple(word.values())
+        vertices = range(algebra.quiver.n_vertices)
+        by_source = [[i for i in self.nontrivial if self.source[i] == v] for v in vertices]
+        self.by_target = [[i for i in self.nontrivial if self.target[i] == v] for v in vertices]
+        self.after = [[(x, word[w]) for x in by_source[p.target] if (w := p.arrows + basis[x].arrows) in word] for p in basis]
+        self.before = [[(x, word[w]) for x in self.by_target[p.source] if (w := basis[x].arrows + p.arrows) in word] for p in basis]
+        self.splits = [[(word[p.arrows[c:]], word[p.arrows[:c]]) for c in range(1, len(p))] for p in basis]
 
 
 def bar_pairs(algebra, n, budget=DEFAULT_PAIR_BUDGET):
-    """Cochain basis in degree n: (tuple, value) with matching endpoints.
+    """Cochain basis in degree n: (tuple, value) in basis indices, with matching endpoints.
 
-    The tuples come in lexicographic order and each value list in basis
-    order, so the pairs are already sorted by (tuple, value).
+    The composable n-tuples of nontrivial basis paths come in lexicographic
+    order and each value list in basis order, so the pairs are already
+    sorted by (tuple, value).
     """
-    pairs = []
-    for t in bar_tuples(algebra, n, budget):
-        if t:
-            values = algebra.parallel[(t[-1].source, t[0].target)]
-        else:
-            values = [b for b in algebra.basis if b.source == b.target]
-        pairs.extend((t, b) for b in values)
+    ix = _BarIndex(algebra)
+    tuples = [()]
+    for _ in range(n):
+        nxt = []
+        for t in tuples:
+            nxt.extend(t + (y,) for y in (ix.by_target[ix.source[t[-1]]] if t else ix.nontrivial))
+            if len(nxt) > budget:
+                raise BudgetExceeded(-1, "tuple count passed %d" % budget)
+        tuples = nxt
+    pairs = [(t, b) for t in tuples for b in (ix.parallel[ix.source[t[-1]], ix.target[t[0]]] if t else ix.loops)]
     if len(pairs) > budget:
         raise BudgetExceeded(-1, "pair count passed %d" % budget)
     return pairs
 
 
-def _column_terms(algebra, t, b):
-    """Rows hit by the differential of the indicator cochain at (t, b)."""
-    n = len(t)
-    out = {}
-
-    def bump(key, c):
-        cur = out.get(key, 0) + c
-        if cur:
-            out[key] = cur
-        else:
-            del out[key]
-
-    left_anchor = t[0].target if t else b.target
-    right_anchor = t[-1].source if t else b.source
-    for x in algebra.nontrivial_basis:
-        if x.source == left_anchor:
-            val = algebra.reduce_concat(b, x)
-            if val is not None:
-                bump(((x,) + t, val), 1)
-        if x.target == right_anchor:
-            val = algebra.reduce_concat(x, b)
-            if val is not None:
-                bump((t + (x,), val), -1 if n % 2 == 0 else 1)
-    for k in range(1, n + 1):
-        piece = t[k - 1]
-        sign = -1 if k % 2 else 1
-        for c in range(1, len(piece)):
-            u = piece.segment(c, len(piece))
-            v = piece.segment(0, c)
-            s = t[: k - 1] + (u, v) + t[k:]
-            bump((s, b), sign)
-    return out
-
-
 def bar_differential_matrix(algebra, pairs_lo, pairs_hi):
-    """Columns: degree-n pairs; rows: degree-(n+1) pairs; integer entries, for every field."""
-    index = {key: i for i, key in enumerate(pairs_hi)}
+    """Columns: degree-n pairs; rows: degree-(n+1) pairs; integer entries, for every field.
+
+    Row of (t, v): the row of t's first pair plus v's place in ``parallel``.
+    """
+    ix = _BarIndex(algebra)
+    place, after, before, splits = ix.position, ix.after, ix.before, ix.splits
+    first = {}
+    for i, (t, _) in enumerate(pairs_hi):
+        first.setdefault(t, i)
     cols = []
     for t, b in pairs_lo:
         col = {}
-        for key, c in _column_terms(algebra, t, b).items():
-            assert key in index, "differential left the cochain basis"
-            col[index[key]] = c
-        cols.append(col)
+        for x, v in after[b]:
+            r = first[(x,) + t] + place[v]
+            col[r] = col.get(r, 0) + 1
+        sign = 1 if len(t) % 2 else -1
+        for x, v in before[b]:
+            r = first[t + (x,)] + place[v]
+            col[r] = col.get(r, 0) + sign
+        for k, piece in enumerate(t):
+            head, tail, sign = t[:k], t[k + 1 :], 1 if k % 2 else -1
+            for split in splits[piece]:
+                r = first[head + split + tail] + place[b]
+                col[r] = col.get(r, 0) + sign
+        cols.append({r: c for r, c in col.items() if c})
     return SparseMatrix(len(pairs_hi), len(pairs_lo), tuple(cols))
 
 
 def bar_hh_dimensions(algebra, max_degree, budget=DEFAULT_PAIR_BUDGET):
     """dim HH^n for n = 0..max_degree, computed on the reduced bar complex."""
-    field = algebra.field
     dims = []
     try:
         pairs = bar_pairs(algebra, 0, budget)
         prev_rank = 0
         for n in range(max_degree + 1):
             pairs_hi = bar_pairs(algebra, n + 1, budget)
-            mat = bar_differential_matrix(algebra, pairs, pairs_hi)
-            ker = len(kernel_basis(field, mat))
-            assert prev_rank <= ker
-            dims.append(ker - prev_rank)
-            # rank-nullity, which kernel_basis asserts
-            prev_rank = mat.ncols - ker
+            r = rank(algebra.field, bar_differential_matrix(algebra, pairs, pairs_hi))
+            dims.append(len(pairs) - r - prev_rank)
+            assert dims[-1] >= 0
+            prev_rank = r
             pairs = pairs_hi
     except BudgetExceeded as exc:
         raise BudgetExceeded(

@@ -152,9 +152,10 @@ def cmd_hh(args):
     table = AmbiguityTable(algebra)
     spaces = hochschild_cohomology(table, args.max_degree)
     rows = []
+    words = {}
     for n in range(args.max_degree + 1):
         sp = spaces[n]
-        reps = [display_vector(sp.pairs, rep) for rep in sp.representatives]
+        reps = [display_vector(sp.pairs, rep, words) for rep in sp.representatives]
         rows.append(
             {
                 "degree": n,

@@ -77,23 +77,29 @@ def new_cochain(table, degree, terms=None):
     return Combination(alg.field, check, degree, terms)
 
 
-def _display_terms(terms):
-    """``coeff [ambiguity || path]`` per (pair, coeff) of terms, in their order."""
-    bits = [
-        "%s [%s || %s]" % (c, amb.path.word() or amb.path.display(), b.word() or b.display())
-        for (amb, b), c in terms
-    ]
+def _display_terms(terms, words):
+    """``coeff [ambiguity || path]`` per (pair, coeff) of terms, in their order;
+    ``words`` caches the written word of each ambiguity and basis path met."""
+    bits = []
+    for (amb, b), c in terms:
+        amb_word = words.get(amb)
+        if amb_word is None:
+            amb_word = words[amb] = amb.path.word()
+        b_word = words.get(b)
+        if b_word is None:
+            b_word = words[b] = b.word()
+        bits.append("%s [%s || %s]" % (c, amb_word, b_word))
     return " + ".join(bits) if bits else "0"
 
 
 def display_cochain(x):
     """The text ``hh`` prints: ``coeff [ambiguity || path]`` terms in pair order."""
-    return _display_terms(sorted(x.terms.items(), key=lambda kv: _pair_key(kv[0])))
+    return _display_terms(sorted(x.terms.items(), key=lambda kv: _pair_key(kv[0])), {})
 
 
-def display_vector(pairs, vec):
-    """``display_cochain`` of Σ vec[i]·pairs[i]; the pairs are in pair order, and so are their indices."""
-    return _display_terms((pairs[i], c) for i, c in sorted(vec.items()))
+def display_vector(pairs, vec, words):
+    """``display_cochain`` of Σ vec[i]·pairs[i], pairs in pair order; ``words`` kept across calls."""
+    return _display_terms(((pairs[i], c) for i, c in sorted(vec.items())), words)
 
 
 def pair_cochain(table, amb, b):

@@ -190,6 +190,14 @@ def kernel_basis(field, matrix: SparseMatrix, image=None):
     return out
 
 
+def rank(field, matrix: SparseMatrix) -> int:
+    """Rank of the column span: each column inserted once, untracked."""
+    basis = RowBasis(field)
+    for col in matrix.cols:
+        basis.insert(col)
+    return basis.rank
+
+
 def quotient_basis(field, kernel_vecs, image):
     """Representatives of span(kernel)/span(image); requires im ⊆ ker.
 

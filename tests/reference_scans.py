@@ -8,13 +8,16 @@ that the cup structure constants replaced; unlike the product, it does not
 read the diagonal.  The adjacency scans at the end, over every arrow or
 every basis path, are the reference for ``Quiver.out_arrows``,
 ``MonomialAlgebra.parallel``, the pair lists that read them and
-``resolution.right_spanning_set``.  ``scan_is_finite`` and ``scan_basis``,
+``resolution.right_spanning_set``.  ``scan_bar_pairs`` and
+``scan_bar_differential_matrix`` work on ``Path``-keyed bar pairs and scan
+the basis at each column's anchors: they are the reference for the bar
+oracle's index-form pairs and assembly.  ``scan_is_finite`` and ``scan_basis``,
 which test every relation after every arrow step, are the reference for the
 relation automaton that ``MonomialAlgebra`` reads both answers off.
 """
 
-from monomial_hh.bar_oracle import bar_tuples
 from monomial_hh.cochains import new_cochain
+from monomial_hh.linalg import SparseMatrix
 from monomial_hh.quivers import DivisorOccurrence, Path, _has_cycle
 from monomial_hh.resolution import bimodule_element
 
@@ -179,8 +182,62 @@ def scan_pair_basis(table, m):
     ]
 
 
+def bar_tuples(algebra, n):
+    """Composable n-tuples of nontrivial basis paths, lexicographic order."""
+    if n == 0:
+        return [()]
+    base = algebra.nontrivial_basis
+    tuples = [(p,) for p in base]
+    for _ in range(n - 1):
+        tuples = [t + (y,) for t in tuples for y in base if t[-1].source == y.target]
+    return tuples
+
+
+def scan_bar_column_terms(algebra, t, b):
+    """Rows hit by the bar differential of the indicator cochain at (t, b), a
+    Path-keyed pair, by a scan of the basis at each anchor."""
+    n = len(t)
+    out = {}
+
+    def bump(key, c):
+        out[key] = out.get(key, 0) + c
+
+    left_anchor = t[0].target if t else b.target
+    right_anchor = t[-1].source if t else b.source
+    for x in algebra.nontrivial_basis:
+        if x.source == left_anchor:
+            val = algebra.reduce_concat(b, x)
+            if val is not None:
+                bump(((x,) + t, val), 1)
+        if x.target == right_anchor:
+            val = algebra.reduce_concat(x, b)
+            if val is not None:
+                bump((t + (x,), val), -1 if n % 2 == 0 else 1)
+    for k in range(1, n + 1):
+        piece = t[k - 1]
+        sign = -1 if k % 2 else 1
+        for c in range(1, len(piece)):
+            u = piece.segment(c, len(piece))
+            v = piece.segment(0, c)
+            bump((t[: k - 1] + (u, v) + t[k:], b), sign)
+    return {key: c for key, c in out.items() if c}
+
+
+def scan_bar_differential_matrix(algebra, pairs_lo, pairs_hi):
+    """The bar differential on Path-keyed pairs, as ``scan_bar_pairs`` lists them."""
+    index = {key: i for i, key in enumerate(pairs_hi)}
+    cols = []
+    for t, b in pairs_lo:
+        col = {}
+        for key, c in scan_bar_column_terms(algebra, t, b).items():
+            assert key in index, "differential left the cochain basis"
+            col[index[key]] = c
+        cols.append(col)
+    return SparseMatrix(len(pairs_hi), len(pairs_lo), tuple(cols))
+
+
 def scan_bar_pairs(algebra, n):
-    """Degree-n bar cochain pairs, by a scan of the basis per tuple."""
+    """Degree-n bar cochain pairs, Path-keyed, by a scan of the basis per tuple."""
     out = []
     for t in bar_tuples(algebra, n):
         for b in algebra.basis:

@@ -12,21 +12,10 @@ from monomial_hh.linalg import (
     RowBasis,
     kernel_basis,
     quotient_basis,
+    rank,
 )
 
 F5 = PrimeField(5)
-
-
-def rank(field, matrix):
-    """An independent, untracked elimination of the columns.
-
-    The package reads ranks off ``kernel_basis`` by rank-nullity; the tests
-    below compare that against this second count.
-    """
-    basis = RowBasis(field)
-    for col in matrix.cols:
-        basis.insert(col)
-    return basis.rank
 
 
 def image_membership(field, matrix, vec):

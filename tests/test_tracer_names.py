@@ -8,7 +8,7 @@ in the package would break a traced benchmark run rather than a test.
 import importlib.util
 import pathlib
 
-from monomial_hh import bar_oracle, cochains, cup
+from monomial_hh import bar_oracle, cochains, cup, linalg
 from monomial_hh.ambiguities import AmbiguityTable
 
 from conftest import make_cone
@@ -111,3 +111,30 @@ def test_cohomology_counts_every_degree():
     calls, _, _ = tr.self_times()
     assert calls[tracer.LAYERS.index("linalg")] == 2 * (top + 1)
     assert tr.totals["linalg.inserts"] == sum(mat.ncols + len(sp.cocycles) for mat, sp in zip(mats, spaces))
+
+
+def test_bar_oracle_counts_every_degree():
+    # bar_hh_dimensions calls bar_pairs once per degree and reads each rank
+    # through linalg.rank, one linalg span per degree, each column inserted once
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    patches = tracer.instrument(tr)
+    alg = make_cone()
+    top = 3
+    tracer.apply(patches, True)
+    try:
+        tr.begin_op(0)
+        dims = bar_oracle.bar_hh_dimensions(alg, top)
+        detail = tr.end_op()
+    finally:
+        tracer.apply(patches, False)
+    pairs = [bar_oracle.bar_pairs(alg, n) for n in range(top + 2)]
+    mats = [bar_oracle.bar_differential_matrix(alg, pairs[n], pairs[n + 1]) for n in range(top + 1)]
+    ranks = [linalg.rank(alg.field, mat) for mat in mats]
+    assert detail["bar_pairs"] == {str(n): len(p) for n, p in enumerate(pairs)}
+    assert detail["ranks"] == ranks
+    assert dims == [len(pairs[n]) - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]
+    calls, _, _ = tr.self_times()
+    assert calls[tracer.LAYERS.index("linalg")] == top + 1
+    assert tr.totals["linalg.inserts"] == sum(len(p) for p in pairs[: top + 1])
+    assert tr.totals["linalg.pivots"] == tr.totals["linalg.rank_total"] == sum(ranks)
