@@ -1,5 +1,6 @@
 """The scripts under scripts/ run as subprocesses against this package."""
 
+import hashlib
 import pathlib
 
 from test_cli import run_python
@@ -11,6 +12,9 @@ def test_cone_tables():
     out = run_python(str(SCRIPTS / "cone_tables.py"))
     assert out.returncode == 0, out.stderr
     assert "dims: 3 3 2 2 3 3 2 2 3" in out.stdout.splitlines()
+    # the whole picture: dims, every representative, the three products and their classes
+    digest = hashlib.sha256(out.stdout.encode("utf-8")).hexdigest()
+    assert digest == "f5b9883e270b4e3050946df7a041abc88734bb6872bc82269f489c4be4489f7f"
 
 
 def test_random_survey():
