@@ -13,8 +13,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
-from monomial_hh.cochains import class_vector, display_cochain, hochschild_cohomology, pair_cochain
-from monomial_hh.cup import cup_cochain
+from monomial_hh.cochains import class_vector, display_vector, hochschild_cohomology, pair_basis
+from monomial_hh.cup import cup_products
 
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "example_cone.alg"
 TOP = 8
@@ -24,33 +24,34 @@ def main():
     algebra = parse_algebra_file(FIXTURE.read_text())
     table = AmbiguityTable(algebra)
     spaces = hochschild_cohomology(table, TOP)
+    words = {}
 
     print("dims:", " ".join(str(spaces[n].dimension) for n in range(TOP + 1)))
     for n in range(TOP + 1):
         print("HH^%d (dim %d)" % (n, spaces[n].dimension))
-        for i, rep in enumerate(spaces[n].rep_cochains(table)):
-            print("  z%d = %s" % (i, display_cochain(rep)))
+        for i, rep in enumerate(spaces[n].representatives):
+            print("  z%d = %s" % (i, display_vector(spaces[n].pairs, rep, words)))
 
     q = algebra.quiver
+    one = algebra.field.one
 
-    def amb(degree, word):
-        a = table.by_path(degree, q.path(word))
-        assert a is not None, word
-        return a
+    def pair(degree, word, b):
+        """Index of the pair (ambiguity on word, path b) among the cochain pairs of degree."""
+        amb = table.by_path(degree - 1, q.path(word))
+        assert amb is not None, word
+        return pair_basis(table, degree).index((amb, q.path(b)))
 
-    f = pair_cochain(table, amb(0, "alpha"), q.path("alpha"))
-    g = pair_cochain(table, amb(0, "zeta"), q.path("zeta"))
-    w = pair_cochain(table, amb(1, "alpha zeta alpha"), q.path("alpha")) + pair_cochain(
-        table, amb(1, "zeta alpha zeta"), q.path("zeta")
-    )
+    f = {pair(1, "alpha", "alpha"): one}
+    g = {pair(1, "zeta", "zeta"): one}
+    w = {pair(2, "alpha zeta alpha", "alpha"): one, pair(2, "zeta alpha zeta", "zeta"): one}
 
     print()
     print("nonzero positive-degree products:")
-    for name, x, y in (("f.w", f, w), ("g.w", g, w), ("w.w", w, w)):
-        prod = cup_cochain(table, x, y)
-        cls = class_vector(spaces[prod.degree], table, prod)
+    for name, x, m, y, n in (("f.w", f, 1, w, 2), ("g.w", g, 1, w, 2), ("w.w", w, 2, w, 2)):
+        prod = cup_products(table, m, n, [x], [y]).get((0, 0), {})
+        cls = class_vector(spaces[m + n], table, prod)
         shown = " + ".join("%s z%d" % (c, k) for k, c in sorted(cls.items()))
-        print("  %s = %s   class %s" % (name, display_cochain(prod), shown or "0"))
+        print("  %s = %s   class %s" % (name, display_vector(spaces[m + n].pairs, prod, words), shown or "0"))
 
 
 if __name__ == "__main__":

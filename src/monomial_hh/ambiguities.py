@@ -112,9 +112,9 @@ class AmbiguityTable:
     the stored degrees alone; they are idempotent caches, so building one
     twice gives the same map.
     The diagonals, which read only this index, the cup structure constants,
-    which read only the diagonals, and the key check, pairs and pair offsets
-    of the cochains are cached here the same way, one slot each, by the
-    modules that build them.
+    which read only the diagonals, and the pairs and pair offsets of the
+    cochains are cached here the same way, one slot each, by the modules
+    that build them.
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -134,7 +134,6 @@ class AmbiguityTable:
         self._cofaces = {}  # degree n -> {(n-1)-ambiguity: [(q, position, sign)]}
         self._cup = {}  # bidegree (m, n) -> cup structure constants, see cup._constants
         self._diagonals = {}  # ambiguity -> its diagonal, see diagonal.diagonal
-        self._cochain_check = None  # key check of every cochain, see cochains.new_cochain
         self._pairs = {}  # cochain degree m -> its pairs, see cochains.pair_basis
         self._offsets = {}  # cochain degree m -> row offsets of Γ_{m-1}, see cochains._offsets
 

@@ -1,37 +1,37 @@
 """Hochschild cochains on parallel pairs, their differentials, and cohomology.
 
 A degree-m cochain assigns scalars to pairs (p, b) with p an ambiguity of
-degree m-1 and b a parallel basis path.  The differential of a pair reads the
-cofaces of its ambiguity from the table's incidence index (truncations in
-even output degree, positioned divisors in odd), mirroring the resolution
-differential; `differential_via_resolution` computes the same map, one
-degree at a time, by composing with the resolution's d and is kept as an
-independent route.
+degree m-1 and b a parallel basis path.  The pairs of degree m run
+ambiguity by ambiguity, each ambiguity's block in the order of its
+``parallel`` tuple, so a pair's index is its ambiguity's offset plus b's
+position in that tuple (0 for a trivial b, which comes first).  A cochain
+is the vector {index in ``pair_basis(table, m)``: scalar}, without zeros;
+a vector carries no degree, so every function that takes one is also
+given its degree, or the space it lives in.  This module is the one place that decides how a pair is
+indexed.  The table caches each degree's offsets and, where a space needs
+them, its pairs.
 
-The pairs of degree m run ambiguity by ambiguity, each ambiguity's block
-in the order of its ``parallel`` tuple, so a pair's index is its
-ambiguity's offset plus b's position in that tuple.  The table caches each
-degree's offsets and, where a space needs them, its pairs.
+The differential of a pair reads the cofaces of its ambiguity from the
+table's incidence index (truncations in even output degree, positioned
+divisors in odd), mirroring the resolution differential;
+`differential_via_resolution` computes the same map, one degree at a
+time, by composing with the resolution's d and is kept as an independent
+route.
 """
 
 from dataclasses import dataclass, field as dc_field
 
-from .combination import Combination
-from .errors import NotACocycle, WrongDegree
+from .errors import NotACocycle
 from .linalg import RowBasis, SparseMatrix, kernel_basis, quotient_basis
 from .resolution import differential, generator
-
-
-def _pair_key(pair):
-    return (pair[0].path.sort_key(), pair[1].sort_key())
 
 
 def pair_basis(table, degree):
     """Ordered (ambiguity, parallel basis path) pairs spanning degree-m cochains.
 
     Γ_{m-1} and every ``algebra.parallel`` tuple are sorted by path, so the
-    nested loop already yields the pairs in ``_pair_key`` order.  A tuple,
-    built once per degree and cached on the table.
+    nested loop already yields the pairs sorted by ambiguity, then by b.  A
+    tuple, built once per degree and cached on the table.
     """
     assert degree >= 0
     pairs = table._pairs.get(degree)
@@ -47,7 +47,8 @@ def _offsets(table, degree):
     """({ambiguity of degree m-1: index of its first pair}, number of pairs) for degree m.
 
     Reads only Γ_{m-1} and the ``parallel`` counts, never the pairs
-    themselves; cached on the table.
+    themselves; cached on the table.  The pair (amb, b) has index
+    ``offsets[amb] + algebra.position.get(b.arrows, 0)``.
     """
     out = table._offsets.get(degree)
     if out is None:
@@ -61,27 +62,13 @@ def _offsets(table, degree):
     return out
 
 
-def new_cochain(table, degree, terms=None):
-    """A degree-m cochain: field scalars on pairs (ambiguity of degree m-1, parallel basis path)."""
-    alg = table.algebra
-    check = table._cochain_check
-    if check is None:  # built once per table: cochains are made by the hundred thousand
-
-        def check(key, degree):
-            amb, b = key
-            assert amb.degree == degree - 1
-            assert amb.path.source == b.source and amb.path.target == b.target
-            assert alg.is_basis(b)
-
-        table._cochain_check = check
-    return Combination(alg.field, check, degree, terms)
-
-
-def _display_terms(terms, words):
-    """``coeff [ambiguity || path]`` per (pair, coeff) of terms, in their order;
-    ``words`` caches the written word of each ambiguity and basis path met."""
+def display_vector(pairs, vec, words):
+    """The text ``hh`` prints for Σ vec[i]·pairs[i]: ``coeff [ambiguity || path]``
+    terms in pair order, or ``0``.  ``words`` caches the written word of each
+    ambiguity and basis path met, across calls."""
     bits = []
-    for (amb, b), c in terms:
+    for i, c in sorted(vec.items()):
+        amb, b = pairs[i]
         amb_word = words.get(amb)
         if amb_word is None:
             amb_word = words[amb] = amb.path.word()
@@ -90,20 +77,6 @@ def _display_terms(terms, words):
             b_word = words[b] = b.word()
         bits.append("%s [%s || %s]" % (c, amb_word, b_word))
     return " + ".join(bits) if bits else "0"
-
-
-def display_cochain(x):
-    """The text ``hh`` prints: ``coeff [ambiguity || path]`` terms in pair order."""
-    return _display_terms(sorted(x.terms.items(), key=lambda kv: _pair_key(kv[0])), {})
-
-
-def display_vector(pairs, vec, words):
-    """``display_cochain`` of Σ vec[i]·pairs[i], pairs in pair order; ``words`` kept across calls."""
-    return _display_terms(((pairs[i], c) for i, c in sorted(vec.items())), words)
-
-
-def pair_cochain(table, amb, b):
-    return new_cochain(table, amb.degree + 1, {(amb, b): table.algebra.field.one})
 
 
 def _faces(table, amb):
@@ -121,72 +94,98 @@ def _faces(table, amb):
     ]
 
 
-def _pair_differential_terms(table, amb, b):
-    """Direct evaluation of the differential of the basis pair (amb, b): {(q, value): n}."""
-    by_word = table.algebra.by_word
-    ba = b.arrows
-    out = {}
-    for q, pre, post, sign in _faces(table, amb):
-        value = by_word.get(pre + ba + post)
-        if value is not None:
-            key = (q, value)
-            out[key] = out.get(key, 0) + sign
-    return {k: c for k, c in out.items() if c}
+def _columns(table, amb, bs, offsets):
+    """The columns of δ at the pairs (amb, b), b in bs: {row: n}, integer, no zeros.
 
-
-def cochain_differential(table, x):
-    field = table.algebra.field
-    out = new_cochain(table, x.degree + 1)
-    for (amb, b), c in x.terms.items():
-        for key, n in _pair_differential_terms(table, amb, b).items():
-            out.add(key, field.mul(c, n))
-    return out
-
-
-def differential_via_resolution(table, m):
-    """The degree-m differential as Hom(d, A), independent of the direct formula.
-
-    Returns {pair: {(q, value): n}} over the degree-m pairs, in integers:
-    each term n·(pre, r, post) of the resolution differential of q in Γ_m
-    sends every pair (r, b) to n·(q, pre·b·post) when that product is
-    nonzero.  Each generator's differential is computed once.
+    ``offsets`` are those of the next degree, whose pairs are the rows.
+    amb's faces are read once, with the row offset of each coface, and
+    then serve every b.  The row of (q, value) is q's offset plus value's
+    position in its ``parallel`` tuple.
     """
-    alg = table.algebra
-    out = {pair: {} for pair in pair_basis(table, m)}
-    for q in table.degree(m):
-        for (pre, r, post), n in differential(table, generator(q)).terms.items():
-            for b in alg.parallel[(r.path.source, r.path.target)]:
-                value = alg.reduce_concat(pre, b, post)
-                if value is not None:
-                    terms = out[(r, b)]
-                    terms[(q, value)] = terms.get((q, value), 0) + n
-    return {pair: {key: n for key, n in terms.items() if n} for pair, terms in out.items()}
+    position = table.algebra.position
+    faces = [(offsets[q], pre, post, sign) for q, pre, post, sign in _faces(table, amb)]
+    cols = []
+    for b in bs:
+        ba = b.arrows
+        col = {}
+        for offset, pre, post, sign in faces:
+            i = position.get(pre + ba + post)
+            if i is not None:
+                i += offset
+                col[i] = col.get(i, 0) + sign
+        cols.append({i: n for i, n in col.items() if n})
+    return cols
+
+
+def _delta_columns(table, m):
+    """The columns of δ^m, one per degree-m pair, in pair order."""
+    parallel = table.algebra.parallel
+    offsets, _ = _offsets(table, m + 1)
+    cols = []
+    for amb in table.degree(m - 1):
+        cols += _columns(table, amb, parallel[(amb.path.source, amb.path.target)], offsets)
+    return cols
 
 
 def differential_matrix(table, m):
-    """Columns: degree-m pairs; rows: degree-(m+1) pairs; integer entries, for every field.
+    """Columns: degree-m pairs; rows: degree-(m+1) pairs; integer entries, for every field."""
+    cols = _delta_columns(table, m)
+    return SparseMatrix(_offsets(table, m + 1)[1], len(cols), tuple(cols))
 
-    Assembled ambiguity by ambiguity: each one's faces are read once, with
-    the row offset of each coface, and then serve every parallel b.  The
-    row of (q, value) is q's offset plus value's position in its
-    ``parallel`` tuple.
+
+def cochain_differential(table, m, vec):
+    """δ^m of the degree-m cochain vec, a cochain of degree m+1.
+
+    vec's terms are grouped by ambiguity, so each ambiguity met has its
+    faces read once, for all of its b's in vec.  The zero cochain reads
+    nothing, so it builds no Γ_m that a term would not.
+    """
+    if not vec:
+        return {}
+    field = table.algebra.field
+    add, mul, zero = field.add, field.mul, field.zero
+    pairs = pair_basis(table, m)
+    by_amb = {}  # ambiguity -> [(b, coefficient)] of vec's terms on it
+    for j, c in vec.items():
+        amb, b = pairs[j]
+        by_amb.setdefault(amb, []).append((b, c))
+    offsets, _ = _offsets(table, m + 1)
+    out = {}
+    for amb, terms in by_amb.items():
+        for (_, c), col in zip(terms, _columns(table, amb, [b for b, _ in terms], offsets)):
+            for i, n in col.items():
+                out[i] = add(out.get(i, zero), mul(c, n))
+    is_zero = field.is_zero
+    return {i: c for i, c in out.items() if not is_zero(c)}
+
+
+def is_cocycle(table, m, vec):
+    return not cochain_differential(table, m, vec)
+
+
+def differential_via_resolution(table, m):
+    """δ^m as Hom(d, A), independent of the direct formula.
+
+    Returns the integer SparseMatrix of ``differential_matrix``, rows and
+    columns in its order: each term n·(pre, r, post) of the resolution
+    differential of q in Γ_m sends every pair (r, b) to n·(q, pre·b·post)
+    when that product is nonzero.  Each generator's differential is
+    computed once.
     """
     alg = table.algebra
     parallel, position = alg.parallel, alg.position
-    offsets, nrows = _offsets(table, m + 1)
-    cols = []
-    for amb in table.degree(m - 1):
-        faces = [(offsets[q], pre, post, sign) for q, pre, post, sign in _faces(table, amb)]
-        for b in parallel[(amb.path.source, amb.path.target)]:
-            ba = b.arrows
-            col = {}
-            for offset, pre, post, sign in faces:
-                i = position.get(pre + ba + post)
-                if i is not None:
-                    i += offset
-                    col[i] = col.get(i, 0) + sign
-            cols.append({i: n for i, n in col.items() if n})
-    return SparseMatrix(nrows, len(cols), tuple(cols))
+    col_offsets, ncols = _offsets(table, m)
+    row_offsets, nrows = _offsets(table, m + 1)
+    cols = [{} for _ in range(ncols)]
+    for q in table.degree(m):
+        row = row_offsets[q]
+        for (pre, r, post), n in differential(table, generator(q)).terms.items():
+            for j, b in enumerate(parallel[(r.path.source, r.path.target)], col_offsets[r]):
+                value = alg.reduce_concat(pre, b, post)
+                if value is not None:
+                    i = row + position.get(value.arrows, 0)
+                    cols[j][i] = cols[j].get(i, 0) + n
+    return SparseMatrix(nrows, ncols, tuple({i: n for i, n in col.items() if n} for col in cols))
 
 
 @dataclass
@@ -202,15 +201,12 @@ class CohomologySpace:
     dimension: int
     _solver: object = dc_field(default=None, repr=False, compare=False)
 
-    def rep_cochains(self, table):
-        return [vector_to_cochain(table, self.degree, self.pairs, v) for v in self.representatives]
-
-
-def vector_to_cochain(table, degree, pairs, vec):
-    out = new_cochain(table, degree)
-    for i, c in vec.items():
-        out.add(pairs[i], c)
-    return out
+    def rep_cochains(self, table, what):
+        """The representatives, each checked once to be a cocycle; NotACocycle(what) if one is not."""
+        for v in self.representatives:
+            if not is_cocycle(table, self.degree, v):
+                raise NotACocycle(what)
+        return self.representatives
 
 
 def hochschild_cohomology(table, max_degree):
@@ -242,50 +238,44 @@ def hochschild_cohomology(table, max_degree):
     return spaces
 
 
-def is_cocycle(table, x):
-    return cochain_differential(table, x).is_zero()
+def class_vector(space, table, vec):
+    """Coefficients of vec's class over space.representatives; NotACocycle if not one.
 
-
-def class_vector(space, table, x):
-    """Coefficients of x's class over space.representatives; NotACocycle if not one.
-
-    Coboundaries and representatives together span exactly the cocycles
-    (``kernel_basis`` asserts rank + nullity, ``quotient_basis`` that the
-    image lies in the kernel), so the solve itself is the cocycle test.
-    The solver starts from the coboundary rows and tracks coefficients over
-    the representatives only.
+    vec is a cochain of the space's degree: a vector carries no degree, so
+    the caller answers for that.  Coboundaries and representatives together
+    span exactly the cocycles (``kernel_basis`` asserts rank + nullity,
+    ``quotient_basis`` that the image lies in the kernel), so the solve
+    itself is the cocycle test.  The solver starts from the coboundary rows
+    and tracks coefficients over the representatives only.
     """
-    if x.degree != space.degree:
-        raise WrongDegree("cochain degree %d vs space degree %d" % (x.degree, space.degree))
-    alg = table.algebra
+    field = table.algebra.field
     if space._solver is None:
-        solver = RowBasis(alg.field, track=True, seed=space.coboundaries)
+        solver = RowBasis(field, track=True, seed=space.coboundaries)
         for i, v in enumerate(space.representatives):
             added, _ = solver.insert(v, i)
             assert added
         space._solver = solver
-    offsets, _ = _offsets(table, space.degree)
-    position = alg.position
-    # a trivial b is first in its parallel tuple
-    vec = {offsets[amb] + (position[b.arrows] if b.arrows else 0): c for (amb, b), c in x.terms.items()}
     sol = space._solver.express(vec)
     if sol is None:
-        raise NotACocycle("not killed by the differential: %s" % display_cochain(x))
-    is_zero = alg.field.is_zero
+        raise NotACocycle("not killed by the differential: %s" % display_vector(space.pairs, vec, {}))
+    is_zero = field.is_zero
     return {i: c for i, c in sol.items() if not is_zero(c)}
 
 
 def check_partial_squared(table, max_degree):
+    """δ^{m+1} kills each column of δ^m, m = 0..max_degree."""
     for m in range(0, max_degree + 1):
-        for amb, b in pair_basis(table, m):
-            x = pair_cochain(table, amb, b)
-            dd = cochain_differential(table, cochain_differential(table, x))
-            assert dd.is_zero(), "partial^2 != 0 at %s" % display_cochain(x)
+        for j, col in enumerate(_delta_columns(table, m)):
+            assert not cochain_differential(table, m + 1, col), "partial^2 != 0 at %s" % display_vector(
+                pair_basis(table, m), {j: 1}, {}
+            )
 
 
 def check_differential_routes_agree(table, max_degree):
+    """The direct δ^m and ``differential_via_resolution`` agree column by column."""
     for m in range(0, max_degree + 1):
-        for (amb, b), terms in differential_via_resolution(table, m).items():
-            assert _pair_differential_terms(table, amb, b) == terms, (
-                "differential routes disagree at %s" % display_cochain(pair_cochain(table, amb, b))
+        via = differential_via_resolution(table, m).cols
+        for j, col in enumerate(_delta_columns(table, m)):
+            assert col == via[j], "differential routes disagree at %s" % display_vector(
+                pair_basis(table, m), {j: 1}, {}
             )

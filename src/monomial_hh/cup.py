@@ -7,13 +7,14 @@ orientation down.  It makes f cup g = mu (g (x) f) Delta, with Delta the
 diagonal of ``diagonal.py``, whose written-left tensor factor is the
 traversal-later slot.
 
-The cup product is bilinear, so ``cup_products`` contracts whole lists of
-cochains against structure constants on basis pairs.  For a bidegree
-(m, n) they map f's pair (pf, bf), then g's pair (pg, bg), to the list of
-output pairs (q, value) of their product,
-{(pf, bf): {(pg, bg): [(q, value), ...]}}: q runs over Γ_{m+n−1}, each
-term (pre, pf, mid, pg, post) of q's cached diagonal with pf of degree m−1
-places the two factors, and value is the reduced product
+Cochains are the pair-index vectors of ``cochains``.  The cup product is
+bilinear, so ``cup_products`` contracts whole lists of them against
+structure constants on basis pairs.  For a bidegree (m, n) they map the
+index of f's pair (pf, bf), then that of g's pair (pg, bg), to the
+indices of the output pairs (q, value) of their product,
+{f's index: {g's index: [output index, ...]}}: q runs over Γ_{m+n−1},
+each term (pre, pf, mid, pg, post) of q's cached diagonal with pf of
+degree m−1 places the two factors, and value is the reduced product
 pre·bf·mid·bg·post.  So the split enumeration lives only in the diagonal,
 and the product inherits its chain-map and counit certificate.  Only keys
 are stored, never scalars, so one table serves every field.
@@ -21,75 +22,76 @@ are stored, never scalars, so one table serves every field.
 caches it on the AmbiguityTable.
 
 One ``cup_products`` call per bidegree serves every pair of two lists and
-returns only the nonzero products; ``cup_cochain`` is its one-pair case.
-On triangular algebras nearly every positive-degree product vanishes (the
-source paper's vanishing theorem).  An absent product is zero, a cocycle
-of class 0, so the verifiers below spend their differentials and solves
-only on the few products that remain.
+returns only the nonzero products.  On triangular algebras nearly every
+positive-degree product vanishes (the source paper's vanishing theorem).
+An absent product is zero, a cocycle of class 0, so the verifiers below
+spend their differentials and solves only on the few products that remain.
 """
 
-from .cochains import class_vector, cochain_differential, is_cocycle, new_cochain, vector_to_cochain
+from .cochains import _offsets, class_vector, cochain_differential
 from .diagonal import diagonal
-from .errors import NotACocycle, NotTriangular
+from .errors import NotTriangular
 from .quivers import is_triangular
 
 
 def _constants(table, m, n):
     """Structure constants of degree-m cup degree-n cochains (module docstring).
 
-    (pf, bf) cup (pg, bg) is the sum, with coefficient 1 each, of the
-    pairs (q, value) in constants[(pf, bf)][(pg, bg)].
+    The pair of index i cup the pair of index j is the sum, with
+    coefficient 1 each, of the pairs whose indices are in constants[i][j].
     """
     constants = table._cup.get((m, n))
     if constants is not None:
         return constants
     alg = table.algebra
-    parallel = alg.parallel
+    parallel, position = alg.parallel, alg.position
+    f_offsets, g_offsets, q_offsets = (_offsets(table, d)[0] for d in (m, n, m + n))
     constants = {}
     for q in table.degree(m + n - 1):
+        row = q_offsets[q]
         for (pre, pf, mid, pg, post), c in diagonal(table, q).terms.items():
             if pf.degree != m - 1:
                 continue
             assert c == 1, "the diagonal adds each positioned split once"
-            for bf in parallel[(pf.path.source, pf.path.target)]:
-                for bg in parallel[(pg.path.source, pg.path.target)]:
+            bgs = parallel[(pg.path.source, pg.path.target)]
+            for i, bf in enumerate(parallel[(pf.path.source, pf.path.target)], f_offsets[pf]):
+                for j, bg in enumerate(bgs, g_offsets[pg]):
                     value = alg.reduce_concat(pre, bf, mid, bg, post)
                     if value is None:
                         continue
-                    row = constants.setdefault((pf, bf), {})
-                    row.setdefault((pg, bg), []).append((q, value))
+                    by_g = constants.setdefault(i, {})
+                    by_g.setdefault(j, []).append(row + position.get(value.arrows, 0))
     table._cup[(m, n)] = constants
     return constants
 
 
-def cup_products(table, fs, gs):
+def cup_products(table, m, n, fs, gs):
     """{(a, b): fs[a] cup gs[b]} for the nonzero products only, keys in (a, b) order.
 
-    Every cochain of fs has one degree, and every one of gs another.  One
-    pass contracts the lists against the structure constants of their
-    bidegree: gs is indexed by pair, and each term of fs[a] walks its row
-    of the constants, accumulating into fs[a]'s products with every gs[b]
-    that has a term there.  Sums that cancel to zero are dropped.
+    fs are cochains of degree m and gs of degree n.  One pass contracts the
+    lists against the structure constants of their bidegree: gs is indexed
+    by pair, and each term of fs[a] walks its row of the constants,
+    accumulating into fs[a]'s products with every gs[b] that has a term
+    there.  Sums that cancel to zero are dropped.
     """
-    by_pair = {}  # pair of gs -> [(b, coefficient in gs[b])]
+    by_pair = {}  # pair index of gs -> [(b, coefficient in gs[b])]
     for b, g in enumerate(gs):
-        for pair, c in g.terms.items():
-            by_pair.setdefault(pair, []).append((b, c))
-    if not by_pair or all(f.is_zero() for f in fs):
+        for j, c in g.items():
+            by_pair.setdefault(j, []).append((b, c))
+    if not by_pair or not any(fs):
         return {}
     field = table.algebra.field
     add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
-    degree = fs[0].degree + gs[0].degree
-    constants = _constants(table, fs[0].degree, gs[0].degree)
+    constants = _constants(table, m, n)
     out = {}
     for a, f in enumerate(fs):
-        acc = {}  # b -> {output pair: coefficient} of fs[a] cup gs[b]
-        for pair_f, cf in f.terms.items():
-            row = constants.get(pair_f)
+        acc = {}  # b -> {output index: coefficient} of fs[a] cup gs[b]
+        for i, cf in f.items():
+            row = constants.get(i)
             if row is None:
                 continue
-            for pair_g, outputs in row.items():
-                hits = by_pair.get(pair_g)
+            for j, outputs in row.items():
+                hits = by_pair.get(j)
                 if hits is None:
                     continue
                 for b, cg in hits:
@@ -97,33 +99,20 @@ def cup_products(table, fs, gs):
                     terms = acc.get(b)
                     if terms is None:
                         terms = acc[b] = {}
-                    for key in outputs:
-                        terms[key] = add(terms.get(key, zero), c)
+                    for k in outputs:
+                        terms[k] = add(terms.get(k, zero), c)
         for b in sorted(acc):
-            terms = {key: c for key, c in acc[b].items() if not is_zero(c)}
+            terms = {k: c for k, c in acc[b].items() if not is_zero(c)}
             if terms:
-                out[a, b] = new_cochain(table, degree, terms)
+                out[a, b] = terms
     return out
 
 
-def cup_cochain(table, f, g):
-    """f cup g: the one-pair case of ``cup_products``."""
-    product = cup_products(table, [f], [g]).get((0, 0))
-    return new_cochain(table, f.degree + g.degree) if product is None else product
-
-
-def _factors(table, space, what):
-    """The space's representative cochains, each checked once to be a cocycle."""
-    reps = space.rep_cochains(table)
-    for x in reps:
-        if not is_cocycle(table, x):
-            raise NotACocycle(what)
-    return reps
-
-
-def _class_products(table, target, reps_i, reps_j):
-    """entry[a][b] = class of reps_i[a] cup reps_j[b]; the solve checks each nonzero product."""
-    products = cup_products(table, reps_i, reps_j)
+def _class_products(table, spaces, i, j, reps_i, reps_j):
+    """entry[a][b] = class of reps_i[a] cup reps_j[b], of degrees i and j;
+    the solve checks each nonzero product."""
+    products = cup_products(table, i, j, reps_i, reps_j)
+    target = spaces[i + j]
     return [
         [class_vector(target, table, products[a, b]) if (a, b) in products else {} for b in range(len(reps_j))]
         for a in range(len(reps_i))
@@ -132,25 +121,29 @@ def _class_products(table, target, reps_i, reps_j):
 
 def cup_table(table, spaces, i, j):
     """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b]."""
-    reps_i = _factors(table, spaces[i], "left cup factor")
-    reps_j = _factors(table, spaces[j], "right cup factor")
-    return _class_products(table, spaces[i + j], reps_i, reps_j)
+    reps_i = spaces[i].rep_cochains(table, "left cup factor")
+    reps_j = spaces[j].rep_cochains(table, "right cup factor")
+    return _class_products(table, spaces, i, j, reps_i, reps_j)
 
 
 def verify_graded_commutativity(table, spaces, max_total_degree):
     """Failures of x cup y = (-1)^(mn) y cup x modulo coboundaries."""
-    reps = [spaces[d].rep_cochains(table) for d in range(max_total_degree + 1)]
+    field = table.algebra.field
+    add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
+    reps = [spaces[d].representatives for d in range(max_total_degree + 1)]
     failures = []
     for m in range(0, max_total_degree + 1):
         for n in range(m, max_total_degree + 1 - m):
             sign = -1 if (m * n) % 2 else 1
-            xy = cup_products(table, reps[m], reps[n])
-            yx = xy if m == n else cup_products(table, reps[n], reps[m])
-            zero = new_cochain(table, m + n)
+            xy = cup_products(table, m, n, reps[m], reps[n])
+            yx = xy if m == n else cup_products(table, n, m, reps[n], reps[m])
             # a zero commutator, x cup y and y cup x both zero included, has class 0
             for a, b in sorted(set(xy) | {(a, b) for b, a in yx}):
-                commutator = xy.get((a, b), zero) - yx.get((b, a), zero).scale(sign)
-                if commutator.is_zero():
+                commutator = dict(xy.get((a, b), {}))
+                for k, c in yx.get((b, a), {}).items():
+                    commutator[k] = add(commutator.get(k, zero), mul(-sign, c))
+                commutator = {k: c for k, c in commutator.items() if not is_zero(c)}
+                if not commutator:
                     continue
                 cls = class_vector(spaces[m + n], table, commutator)
                 if cls:
@@ -162,11 +155,11 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
     """Nonzero positive-degree class products on a triangular algebra (expect none)."""
     if not is_triangular(table.algebra):
         raise NotTriangular("vanishing theorem needs an acyclic quiver")
-    reps = {d: _factors(table, spaces[d], "cup factor") for d in range(1, max_total_degree)}
+    reps = {d: spaces[d].rep_cochains(table, "cup factor") for d in range(1, max_total_degree)}
     failures = []
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
-            for a, row in enumerate(_class_products(table, spaces[m + n], reps[m], reps[n])):
+            for a, row in enumerate(_class_products(table, spaces, m, n, reps[m], reps[n])):
                 for b, cls in enumerate(row):
                     if cls:
                         failures.append({"degrees": [m, n], "classes": [a, b], "product_class": sorted(cls)})
@@ -175,21 +168,19 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
 
 def check_cup_closure(table, spaces, max_total_degree):
     """Cocycle x cocycle is a cocycle; either order with a coboundary is one."""
-    degrees = range(0, max_total_degree + 1)
-    z = [[vector_to_cochain(table, d, spaces[d].pairs, v) for v in spaces[d].cocycles] for d in degrees]
-    b = [[vector_to_cochain(table, d, spaces[d].pairs, v) for v in spaces[d].coboundaries] for d in degrees]
-    for m in degrees:
+    for m in range(0, max_total_degree + 1):
+        z = spaces[m].cocycles
         for n in range(0, max_total_degree + 1 - m):
-            zz = cup_products(table, z[m], z[n])
-            zb = cup_products(table, z[m], b[n])
-            bz = cup_products(table, b[n], z[m])
+            zz = cup_products(table, m, n, z, spaces[n].cocycles)
+            zb = cup_products(table, m, n, z, spaces[n].coboundaries)
+            bz = cup_products(table, n, m, spaces[n].coboundaries, z)
             # zero products pass; the others are checked by cocycle f:
             # f cup g for each cocycle g, then f cup g and g cup f for each
             # coboundary g, so the first failure raised is a fixed one
             order = [(a, 0, c, 0) for a, c in zz] + [(a, 1, c, 0) for a, c in zb] + [(a, 1, c, 1) for c, a in bz]
             for a, with_coboundary, c, swapped in sorted(order):
                 if not with_coboundary:
-                    assert cochain_differential(table, zz[a, c]).is_zero()
+                    assert not cochain_differential(table, m + n, zz[a, c])
                 else:
                     prod = bz[c, a] if swapped else zb[a, c]
                     cls = class_vector(spaces[m + n], table, prod)
@@ -209,9 +200,12 @@ def check_one_sided_vanishing(table, spaces, max_total_degree):
     if not is_triangular(table.algebra):
         raise NotTriangular("one-sided vanishing needs an acyclic quiver")
     degrees = range(1, max_total_degree)
-    pieces = {m: [vector_to_cochain(table, m, spaces[m].pairs, v) for v in spaces[m].cocycles] for m in degrees}
+    pieces = {m: spaces[m].cocycles for m in degrees}
     products = {
-        (m, n): cup_products(table, pieces[m], pieces[n]) for m in degrees for n in degrees if m + n <= max_total_degree
+        (m, n): cup_products(table, m, n, pieces[m], pieces[n])
+        for m in degrees
+        for n in degrees
+        if m + n <= max_total_degree
     }
     # (f, g) in the order of the pieces, f by degree then index, g likewise
     both = sorted((m, a, n, b) for (m, n), prods in products.items() for a, b in prods if (b, a) in products[n, m])

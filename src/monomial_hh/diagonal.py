@@ -9,7 +9,6 @@ second.degree + 1.  That degree drives the Koszul sign.
 """
 
 from .combination import Combination
-from .fields import ZZ
 from .quivers import concat
 from .resolution import _d_terms, differential, generator
 
@@ -25,7 +24,7 @@ def _check_quintuple(key, degree):
 
 def tensor_element(degree, terms=None):
     """Sparse integer combination of quintuples at a fixed total degree."""
-    return Combination(ZZ, _check_quintuple, degree, terms)
+    return Combination(_check_quintuple, degree, terms)
 
 
 def _decompositions(table, amb, i, j):

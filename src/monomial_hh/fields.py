@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: the integers, the rationals and prime fields.
+"""Exact scalar arithmetic: the rationals and prime fields.
 
 A field object bundles the scalar operations of the cochain complex and the
 row kernels of the sparse elimination in ``linalg``.  Scalars are plain
@@ -28,19 +28,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-
-
-class IntegerRing:
-    """The integers, scalars of the resolution and the diagonal.
-
-    Only the ring operations a ``Combination`` needs; there is no division.
-    """
-
-    zero = 0
-    add = staticmethod(operator.add)
-    neg = staticmethod(operator.neg)
-    mul = staticmethod(operator.mul)
-    is_zero = staticmethod(operator.not_)
 
 
 class RationalField:
@@ -225,7 +212,6 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-ZZ = IntegerRing()
 QQ = RationalField()
 
 

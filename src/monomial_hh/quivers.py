@@ -66,15 +66,8 @@ class Quiver:
     def n_arrows(self) -> int:
         return len(self.arrow_names)
 
-    def trivial_path(self, vertex) -> "Path":
-        return Path(self, self.vertex_index[str(vertex)], ())
-
     def trivial_path_at(self, vertex_idx: int) -> "Path":
         return Path(self, vertex_idx, ())
-
-    def arrow_path(self, name) -> "Path":
-        i = self.arrow_index[str(name)]
-        return Path(self, self.arrow_source[i], (i,))
 
     def path(self, arrow_names) -> "Path":
         """Build a path from arrow names in traversal order."""
@@ -86,7 +79,7 @@ class Quiver:
                 raise NonComposableRelation(f"unknown arrow {a!r}")
             idxs.append(self.arrow_index[a])
         if not idxs:
-            raise ValueError("empty arrow list; use trivial_path for vertices")
+            raise ValueError("empty arrow list; use trivial_path_at for vertices")
         for k in range(len(idxs) - 1):
             if self.arrow_target[idxs[k]] != self.arrow_source[idxs[k + 1]]:
                 raise NonComposableRelation(

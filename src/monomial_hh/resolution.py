@@ -16,7 +16,6 @@ matrices.
 from .ambiguities import Ambiguity
 from .combination import Combination
 from .errors import WrongDegree
-from .fields import ZZ
 from .quivers import concat
 
 
@@ -29,7 +28,7 @@ def _check_triple(key, degree):
 
 def bimodule_element(degree, terms=None):
     """Sparse integer combination of composable (pre, amb, post) triples."""
-    return Combination(ZZ, _check_triple, degree, terms)
+    return Combination(_check_triple, degree, terms)
 
 
 def generator(amb):

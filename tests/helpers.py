@@ -2,16 +2,54 @@
 
 import itertools
 
-from monomial_hh.cochains import new_cochain
+from monomial_hh.cochains import pair_basis
+
+
+def vertex(quiver, name):
+    """The trivial path at the vertex called name."""
+    return quiver.trivial_path_at(quiver.vertex_index[str(name)])
+
+
+def pair_key(pair):
+    """Sort key of an (ambiguity, parallel basis path) pair: by ambiguity path, then by path."""
+    return (pair[0].path.sort_key(), pair[1].sort_key())
+
+
+def vector(table, m, terms):
+    """The degree-m cochain Σ c·(amb, b) over terms {(amb, b): c}, as a pair-index vector.
+
+    Each key must be a degree-m pair: amb of degree m-1, b a basis path
+    parallel to it.
+    """
+    alg = table.algebra
+    pairs = pair_basis(table, m)
+    out = {}
+    for (amb, b), c in terms.items():
+        assert amb.degree == m - 1
+        assert amb.path.source == b.source and amb.path.target == b.target
+        assert alg.is_basis(b)
+        out[pairs.index((amb, b))] = c
+    return out
+
+
+def keyed(table, m, vec):
+    """The pair-index vector vec of degree m as {(amb, b): c}."""
+    pairs = pair_basis(table, m)
+    return {pairs[i]: c for i, c in vec.items()}
+
+
+def difference(field, x, y):
+    """x - y for two cochains of one degree, without zeros."""
+    out = dict(x)
+    for i, c in y.items():
+        out[i] = field.add(out.get(i, field.zero), field.neg(c))
+    return {i: c for i, c in out.items() if not field.is_zero(c)}
 
 
 def unit_cochain(table):
-    """The sum of all vertex pairs; a cocycle representing the unit class."""
-    out = new_cochain(table, 0)
+    """The sum of all vertex pairs; a cocycle of degree 0 representing the unit class."""
     one = table.algebra.field.one
-    for amb in table.degree(-1):
-        out.add((amb, amb.path), one)
-    return out
+    return vector(table, 0, {(amb, amb.path): one for amb in table.degree(-1)})
 
 
 def is_quadratic(algebra):

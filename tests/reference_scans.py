@@ -16,7 +16,6 @@ which test every relation after every arrow step, are the reference for the
 relation automaton that ``MonomialAlgebra`` reads both answers off.
 """
 
-from monomial_hh.cochains import new_cochain
 from monomial_hh.linalg import SparseMatrix
 from monomial_hh.quivers import DivisorOccurrence, Path, _has_cycle
 from monomial_hh.resolution import bimodule_element
@@ -123,23 +122,25 @@ def scan_pair_differential_terms(table, amb, b):
     return {k: c for k, c in out.items() if c}
 
 
-def scan_cup_cochain(table, f, g):
-    """f cup g by a scan of every output ambiguity for the occurrences of f's and g's ambiguities."""
+def scan_cup_cochain(table, m, n, f, g):
+    """f cup g by a scan of every output ambiguity for the occurrences of f's and g's ambiguities.
+
+    f and g are keyed cochains {(amb, b): scalar} of degrees m and n; so is
+    the product, of degree m + n, without zeros.
+    """
     alg = table.algebra
     field = alg.field
-    out = new_cochain(table, f.degree + g.degree)
-    if f.is_zero() or g.is_zero():
-        return out
+    out = {}
     f_terms = {}
-    for (amb, b), c in f.terms.items():
+    for (amb, b), c in f.items():
         f_terms.setdefault(amb, []).append((b, c))
     g_terms = {}
-    for (amb, b), c in g.terms.items():
+    for (amb, b), c in g.items():
         g_terms.setdefault(amb, []).append((b, c))
-    for q in table.degree(f.degree + g.degree - 1):
+    for q in table.degree(m + n - 1):
         qp = q.path
-        seconds = [(pg, k2) for pg, k2 in table.occurrences(g.degree - 1, qp) if pg in g_terms]
-        for pf, k1 in table.occurrences(f.degree - 1, qp):
+        seconds = [(pg, k2) for pg, k2 in table.occurrences(n - 1, qp) if pg in g_terms]
+        for pf, k1 in table.occurrences(m - 1, qp):
             if pf not in f_terms:
                 continue
             end1 = k1 + len(pf.path)
@@ -153,8 +154,9 @@ def scan_cup_cochain(table, f, g):
                     for bg, cg in g_terms[pg]:
                         value = alg.reduce_concat(gap_a, bf, gap_c, bg, gap_e)
                         if value is not None:
-                            out.add((q, value), field.mul(cf, cg))
-    return out
+                            key = (q, value)
+                            out[key] = field.add(out.get(key, field.zero), field.mul(cf, cg))
+    return {key: c for key, c in out.items() if not field.is_zero(c)}
 
 
 def scan_out_arrows(quiver):

@@ -17,13 +17,13 @@ from monomial_hh.cochains import (
     cochain_differential,
     hochschild_cohomology,
     is_cocycle,
-    new_cochain,
-    pair_cochain,
 )
-from monomial_hh.cup import cup_cochain
+from monomial_hh.cup import cup_products
 from monomial_hh.quivers import path_from_word
 from monomial_hh.randomgen import RandomAlgebraConfig
 from monomial_hh.checks import run_random_suite
+
+from helpers import difference, vector
 
 GENERAL_SEED = 7
 TRIANGULAR_SEED = 7
@@ -67,34 +67,40 @@ def test_criterion_2_cone_cup_products(cone):
         one = cone.field.one
         spaces = hochschild_cohomology(t, 4)
 
-        w = new_cochain(t, 2)
-        w.add((t.by_path(1, path_from_word(q, "alpha zeta alpha")), q.arrow_path("alpha")), one)
-        w.add((t.by_path(1, path_from_word(q, "zeta alpha zeta")), q.arrow_path("zeta")), one)
-        f = pair_cochain(t, t.by_path(0, q.arrow_path("alpha")), q.arrow_path("alpha"))
-        g = pair_cochain(t, t.by_path(0, q.arrow_path("zeta")), q.arrow_path("zeta"))
-        for c in (w, f, g):
-            assert is_cocycle(t, c)
+        def word(w):
+            return path_from_word(q, w)
 
-        az2 = pair_cochain(
-            t, t.by_path(2, path_from_word(q, "alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")
+        def cup(m, n, f, g):
+            return cup_products(t, m, n, [f], [g]).get((0, 0), {})
+
+        w = vector(
+            t,
+            2,
+            {
+                (t.by_path(1, word("alpha zeta alpha")), q.path("alpha")): one,
+                (t.by_path(1, word("zeta alpha zeta")), q.path("zeta")): one,
+            },
         )
-        za2 = pair_cochain(
-            t, t.by_path(2, path_from_word(q, "zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")
-        )
-        ww_target = new_cochain(t, 4)
-        ww_target.add(
-            (t.by_path(3, path_from_word(q, "alpha zeta alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")),
-            one,
-        )
-        ww_target.add(
-            (t.by_path(3, path_from_word(q, "zeta alpha zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")),
-            one,
+        f = vector(t, 1, {(t.by_path(0, q.path("alpha")), q.path("alpha")): one})
+        g = vector(t, 1, {(t.by_path(0, q.path("zeta")), q.path("zeta")): one})
+        for c, d in ((w, 2), (f, 1), (g, 1)):
+            assert is_cocycle(t, d, c)
+
+        az2 = vector(t, 3, {(t.by_path(2, word("alpha zeta alpha zeta")), word("alpha zeta")): one})
+        za2 = vector(t, 3, {(t.by_path(2, word("zeta alpha zeta alpha")), word("zeta alpha")): one})
+        ww_target = vector(
+            t,
+            4,
+            {
+                (t.by_path(3, word("alpha zeta alpha zeta alpha zeta")), word("alpha zeta")): one,
+                (t.by_path(3, word("zeta alpha zeta alpha zeta alpha")), word("zeta alpha")): one,
+            },
         )
 
-        for lhs, rhs in ((cup_cochain(t, f, w), az2), (cup_cochain(t, g, w), za2), (cup_cochain(t, w, w), ww_target)):
-            assert is_cocycle(t, rhs)
-            assert class_vector(spaces[lhs.degree], t, lhs - rhs) == {}
-            assert class_vector(spaces[lhs.degree], t, lhs) != {}
+        for lhs, rhs, d in ((cup(1, 2, f, w), az2, 3), (cup(1, 2, g, w), za2, 3), (cup(2, 2, w, w), ww_target, 4)):
+            assert is_cocycle(t, d, rhs)
+            assert class_vector(spaces[d], t, difference(cone.field, lhs, rhs)) == {}
+            assert class_vector(spaces[d], t, lhs) != {}
 
 
 def test_criterion_3_one_order_is_a_coboundary(triangular_a6):
@@ -102,21 +108,34 @@ def test_criterion_3_one_order_is_a_coboundary(triangular_a6):
         t = AmbiguityTable(triangular_a6)
         q = triangular_a6.quiver
         one = triangular_a6.field.one
-        x = new_cochain(t, 2)
-        x.add((t.by_path(1, path_from_word(q, "a4 a3")), path_from_word(q, "g a3")), one)
-        x.add((t.by_path(1, path_from_word(q, "a5 a4")), path_from_word(q, "a5 g")), one)
-        y = new_cochain(t, 2)
-        y.add((t.by_path(1, path_from_word(q, "a2 a1")), path_from_word(q, "b a1")), one)
-        y.add((t.by_path(1, path_from_word(q, "a3 a2")), path_from_word(q, "a3 b")), one)
-        assert is_cocycle(t, x) and is_cocycle(t, y)
 
-        yx = cup_cochain(t, y, x)
-        witness = pair_cochain(
-            t, t.by_path(2, path_from_word(q, "a4 a3 a2")), path_from_word(q, "g a3 b")
+        def word(w):
+            return path_from_word(q, w)
+
+        x = vector(
+            t,
+            2,
+            {
+                (t.by_path(1, word("a4 a3")), word("g a3")): one,
+                (t.by_path(1, word("a5 a4")), word("a5 g")): one,
+            },
         )
-        assert yx == cochain_differential(t, witness)
-        assert not yx.is_zero()
-        assert cup_cochain(t, x, y).is_zero()
+        y = vector(
+            t,
+            2,
+            {
+                (t.by_path(1, word("a2 a1")), word("b a1")): one,
+                (t.by_path(1, word("a3 a2")), word("a3 b")): one,
+            },
+        )
+        assert is_cocycle(t, 2, x) and is_cocycle(t, 2, y)
+
+        products = cup_products(t, 2, 2, [x, y], [x, y])
+        yx = products[1, 0]
+        witness = vector(t, 3, {(t.by_path(2, word("a4 a3 a2")), word("g a3 b")): one})
+        assert yx == cochain_differential(t, 3, witness)
+        assert yx
+        assert (0, 1) not in products
         spaces = hochschild_cohomology(t, 4)
         assert class_vector(spaces[4], t, yx) == {}
 
@@ -129,7 +148,7 @@ def test_criterion_4_ambiguity_fixtures(square, cone, triangular_a6, truncated_c
             assert {a.path for a in t.degree(-1)} == {
                 q.trivial_path_at(v) for v in range(q.n_vertices)
             }
-            assert {a.path for a in t.degree(0)} == {q.arrow_path(n) for n in q.arrow_names}
+            assert {a.path for a in t.degree(0)} == {q.path(n) for n in q.arrow_names}
             assert {a.path for a in t.degree(1)} == set(alg.relations)
 
         t = AmbiguityTable(square)

@@ -13,6 +13,7 @@ from monomial_hh.quivers import build_algebra
 from monomial_hh.resolution import right_spanning_set
 
 from conftest import make_cone
+from helpers import pair_key
 from reference_scans import (
     scan_bar_pairs,
     scan_out_arrows,
@@ -40,7 +41,7 @@ def test_out_arrows_and_parallel_match_scan(spec):
 def test_pair_lists_are_sorted_scans(spec):
     for t in tables(spec):
         for m in range(0, DEGREE + 1):
-            assert list(pair_basis(t, m)) == sorted(scan_pair_basis(t, m), key=cochains._pair_key)
+            assert list(pair_basis(t, m)) == sorted(scan_pair_basis(t, m), key=pair_key)
         for n in range(0, BAR_DEGREE + 1):
             want = sorted(
                 scan_bar_pairs(t.algebra, n), key=lambda tb: (tuple(p.sort_key() for p in tb[0]), tb[1].sort_key())
@@ -77,17 +78,19 @@ def test_routes_check_takes_each_resolution_differential_once(spec, monkeypatch)
 def test_routes_check_names_a_flipped_sign(spec, monkeypatch):
     cone = make_cone()
     t = AmbiguityTable(build_algebra(cone.quiver, cone.relations, parse_field_spec(spec)))
-    (amb, b), terms = next((pair, terms) for pair, terms in differential_via_resolution(t, 2).items() if terms)
-    direct = cochains._pair_differential_terms
+    j = next(j for j, col in enumerate(differential_via_resolution(t, 2).cols) if col)
+    amb, b = pair_basis(t, 2)[j]
+    columns = cochains._columns
 
-    def flipped(table, amb_, b_):
-        out = direct(table, amb_, b_)
-        if (amb_, b_) == (amb, b):
-            key = next(iter(out))
-            out[key] = -out[key]
-        return out
+    def flipped(table, amb_, bs, offsets):
+        cols = columns(table, amb_, bs, offsets)
+        if amb_ is amb:
+            col = cols[bs.index(b)]
+            i = next(iter(col))
+            col[i] = -col[i]
+        return cols
 
-    monkeypatch.setattr(cochains, "_pair_differential_terms", flipped)
-    # integer terms, so the flip shows over GF(2) too
+    monkeypatch.setattr(cochains, "_columns", flipped)
+    # integer columns, so the flip shows over GF(2) too
     with pytest.raises(AssertionError, match=re.escape("[%s || %s]" % (amb.path.word(), b.word()))):
         check_differential_routes_agree(t, 2)

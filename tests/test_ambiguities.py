@@ -5,6 +5,7 @@ from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.errors import DegreeUnderflow
 from monomial_hh.quivers import Quiver, build_algebra, concat, path_from_word
 
+from helpers import vertex
 from reference_scans import divisor_occurrences
 
 
@@ -19,7 +20,7 @@ def test_low_degrees_every_fixture(cone, square, triangular_a6, truncated_cycle,
             alg.quiver.trivial_path_at(v) for v in range(alg.quiver.n_vertices)
         }
         assert {a.path for a in t.degree(0)} == {
-            alg.quiver.arrow_path(n) for n in alg.quiver.arrow_names
+            alg.quiver.path(n) for n in alg.quiver.arrow_names
         }
         assert {a.path for a in t.degree(1)} == set(alg.relations)
 
@@ -159,12 +160,12 @@ def test_candidates_once_per_piece(monkeypatch):
 
 def test_sub_of_arrow_endpoints_source_first(cone):
     t = AmbiguityTable(cone)
-    alpha = t.by_path(0, cone.quiver.arrow_path("alpha"))
+    alpha = t.by_path(0, cone.quiver.path("alpha"))
     subs = t.sub(alpha)
     assert len(subs) == 2
     (q0, o0), (q1, o1) = subs
-    assert q0.path == cone.quiver.trivial_path("1") and o0.position == 0
-    assert q1.path == cone.quiver.trivial_path("2") and o1.position == 1
+    assert q0.path == vertex(cone.quiver, "1") and o0.position == 0
+    assert q1.path == vertex(cone.quiver, "2") and o1.position == 1
 
 
 def test_sub_ordering_and_overlap(square):

@@ -129,10 +129,10 @@ def test_cohomology_failure_is_a_failing_row(monkeypatch, cone, capsys):
 
 
 def test_triangular_vanishing_fault_is_a_failing_row(monkeypatch, capsys):
-    def broken(table, space, what):
+    def broken(space, table, what):
         raise NotACocycle(what)
 
-    monkeypatch.setattr(cup, "_factors", broken)
+    monkeypatch.setattr(cochains.CohomologySpace, "rep_cochains", broken)
     assert cli.main(["verify", A6, "--triangular-vanishing", "--json"]) == 1
     out, err = capsys.readouterr()
     assert json.loads(out)["checks"] == [{"name": "triangular-vanishing", "ok": False, "detail": "cup factor"}]

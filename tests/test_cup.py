@@ -6,17 +6,14 @@ from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import (
     class_vector,
     cochain_differential,
+    differential_matrix,
     hochschild_cohomology,
     is_cocycle,
-    new_cochain,
     pair_basis,
-    pair_cochain,
-    vector_to_cochain,
 )
 from monomial_hh.cup import (
     check_cup_closure,
     check_one_sided_vanishing,
-    cup_cochain,
     cup_products,
     cup_table,
     verify_graded_commutativity,
@@ -29,69 +26,79 @@ from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis
 from monomial_hh.quivers import build_algebra, concat, path_from_word
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
-from helpers import is_quadratic, unit_cochain
+from helpers import is_quadratic, unit_cochain, vector
 
 
-def delta_route_cup(table, f, g):
-    """mu (f (x) g) Delta term by term; lands where cup_cochain(g, f) does.
+def product(table, m, n, f, g):
+    """f cup g for one cochain of degree m and one of degree n."""
+    return cup_products(table, m, n, [f], [g]).get((0, 0), {})
+
+
+def delta_route_cup(table, m, n, f, g):
+    """mu (f (x) g) Delta term by term, f of degree m and g of degree n;
+    lands where the product g cup f does.
 
     Both read the same diagonal, so this pins the operand order and the
     contraction of the structure constants; the product's reference that
     does not use Delta is ``reference_scans.scan_cup_cochain``.
     """
-    alg = table.algebra
-    field = alg.field
-    total = f.degree + g.degree
-    out = new_cochain(table, total)
-    for q in table.degree(total - 1):
-        for (pre, q1, mid, q2, post), n in diagonal(table, q).terms.items():
-            if q1.degree != g.degree - 1 or q2.degree != f.degree - 1:
+    field = table.algebra.field
+    f_pairs, g_pairs = pair_basis(table, m), pair_basis(table, n)
+    index = {pair: k for k, pair in enumerate(pair_basis(table, m + n))}
+    out = {}
+    for q in table.degree(m + n - 1):
+        for (pre, q1, mid, q2, post), coeff in diagonal(table, q).terms.items():
+            if q1.degree != n - 1 or q2.degree != m - 1:
                 continue
-            for (pg, bg), cg in g.terms.items():
+            for jg, cg in g.items():
+                pg, bg = g_pairs[jg]
                 if pg != q1:
                     continue
-                for (pf, bf), cf in f.terms.items():
+                for jf, cf in f.items():
+                    pf, bf = f_pairs[jf]
                     if pf != q2:
                         continue
-                    value = alg.reduce_concat(pre, bg, mid, bf, post)
+                    value = table.algebra.reduce_concat(pre, bg, mid, bf, post)
                     if value is None:
                         continue
-                    coeff = field.mul(field.mul(cf, cg), n)
-                    out.add((q, value), coeff)
-    return out
+                    k = index[(q, value)]
+                    out[k] = field.add(out.get(k, field.zero), field.mul(field.mul(cf, cg), coeff))
+    return {k: c for k, c in out.items() if not field.is_zero(c)}
 
 
 def record_delta_route_signs(table, max_total_degree):
     """Observed sign relating the two product routes, per bidegree.
 
     Returns {(m, n): sign} over basis pairs with a nonzero product; the
-    relation cup_cochain(g, f) == sign * delta_route_cup(f, g) must hold
-    uniformly or an assertion trips.
+    relation g cup f == sign * delta_route_cup(f, g) must hold uniformly
+    or an assertion trips.
     """
+    field = table.algebra.field
     signs = {}
     for m in range(0, max_total_degree + 1):
         for n in range(0, max_total_degree + 1 - m):
-            for ambf, bf in pair_basis(table, m):
-                f = pair_cochain(table, ambf, bf)
-                for ambg, bg in pair_basis(table, n):
-                    g = pair_cochain(table, ambg, bg)
-                    direct = cup_cochain(table, g, f)
-                    routed = delta_route_cup(table, f, g)
-                    if direct.is_zero() and routed.is_zero():
+            for i in range(len(pair_basis(table, m))):
+                f = {i: field.one}
+                for j in range(len(pair_basis(table, n))):
+                    g = {j: field.one}
+                    direct = product(table, n, m, g, f)
+                    routed = delta_route_cup(table, m, n, f, g)
+                    if not direct and not routed:
                         continue
                     if direct == routed:
                         sign = 1
                     else:
-                        assert direct == routed.scale(-1)
+                        assert direct == {k: field.mul(-1, c) for k, c in routed.items()}
                         sign = -1
                     prev = signs.setdefault((m, n), sign)
                     assert prev == sign, "route sign flips within bidegree (%d, %d)" % (m, n)
     return signs
 
 
-def _overlap_components(table, x):
-    supp = list(x.terms)
-    footprints = [set(cochains._pair_differential_terms(table, amb, b)) for amb, b in supp]
+def _overlap_components(table, m, x):
+    supp = list(x)
+    cols = differential_matrix(table, m).cols
+    footprints = [set(cols[j]) for j in supp]
     parent = list(range(len(supp)))
 
     def find(i):
@@ -109,29 +116,30 @@ def _overlap_components(table, x):
         groups.setdefault(find(i), []).append(i)
     comps = []
     for members in groups.values():
-        comps.append(new_cochain(table, x.degree, {supp[i]: x.terms[supp[i]] for i in members}))
-    comps.sort(key=lambda c: min(map(cochains._pair_key, c.terms)))
+        comps.append({supp[i]: x[supp[i]] for i in members})
+    comps.sort(key=min)  # pair order is index order
     return comps
 
 
-def irreducible_components(table, x):
-    """Split a cocycle along connected components of the overlap graph."""
-    if not is_cocycle(table, x):
+def irreducible_components(table, m, x):
+    """Split a degree-m cocycle along connected components of the overlap graph."""
+    if not is_cocycle(table, m, x):
         raise NotACocycle("can only split cocycles")
-    comps = _overlap_components(table, x)
+    comps = _overlap_components(table, m, x)
     for c in comps:
-        assert is_cocycle(table, c)
+        assert is_cocycle(table, m, c)
     return comps
 
 
-def _support_kernel(table, supp):
-    """Reduced-echelon kernel of the differential restricted to span(supp)."""
+def _support_kernel(table, m, supp):
+    """Reduced-echelon kernel of δ^m restricted to span(supp), supp pair indices."""
     field = table.algebra.field
+    delta = differential_matrix(table, m).cols
     cols = []
     rows = {}
-    for amb, b in supp:
+    for j in supp:
         col = {}
-        for key, n in cochains._pair_differential_terms(table, amb, b).items():
+        for key, n in delta[j].items():
             row = rows.setdefault(key, len(rows))
             col[row] = n
         cols.append(col)
@@ -139,12 +147,12 @@ def _support_kernel(table, supp):
     return kernel_basis(field, mat)
 
 
-def refine_to_irreducible(table, x):
+def refine_to_irreducible(table, m, x):
     """Overlap components refined until the sub-support kernel is a line."""
     out = []
-    for comp in irreducible_components(table, x):
-        supp = sorted(comp.terms, key=cochains._pair_key)
-        ker = _support_kernel(table, supp)
+    for comp in irreducible_components(table, m, x):
+        supp = sorted(comp)
+        ker = _support_kernel(table, m, supp)
         if len(ker) == 1:
             out.append(comp)
             continue
@@ -155,36 +163,38 @@ def refine_to_irreducible(table, x):
         for i, v in enumerate(ker):
             added, _ = solver.insert(v, i)
             assert added
-        sol = solver.express({i: comp.terms[pair] for i, pair in enumerate(supp)})
+        sol = solver.express({i: comp[j] for i, j in enumerate(supp)})
         assert sol is not None
         for i, c in sol.items():
             if field.is_zero(c):
                 continue
-            piece = new_cochain(table, x.degree)
+            piece = {}
             for idx, s in ker[i].items():
-                piece.add(supp[idx], field.mul(c, s))
-            assert len(piece.terms) < len(comp.terms)
-            out.extend(refine_to_irreducible(table, piece))
+                v = field.mul(c, s)
+                if not field.is_zero(v):
+                    piece[supp[idx]] = v
+            assert len(piece) < len(comp)
+            out.extend(refine_to_irreducible(table, m, piece))
     return out
 
 
-def is_irreducible(table, x):
-    """No nonzero cocycle lives on a proper sub-support of x."""
-    if not is_cocycle(table, x):
+def is_irreducible(table, m, x):
+    """No nonzero cocycle lives on a proper sub-support of the degree-m cocycle x."""
+    if not is_cocycle(table, m, x):
         raise NotACocycle("irreducibility is for cocycles")
-    supp = sorted(x.terms, key=lambda p: (p[0].path.sort_key(), p[1].sort_key()))
-    ker = _support_kernel(table, supp)
+    ker = _support_kernel(table, m, sorted(x))
     assert len(ker) >= 1
     return len(ker) == 1
 
 
-def common_factor(table, x):
+def common_factor(table, m, x):
     """Shared inner paths (p~, b~) with p_i = a_i p~ c_i and b_i = a_i b~ c_i.
 
     Returns a (p_tilde, b_tilde) pair of nontrivial paths or None.  The
     outer stretches may differ per term but must agree between p_i and b_i.
     """
-    terms = sorted(x.terms, key=lambda p: (p[0].path.sort_key(), p[1].sort_key()))
+    pairs = pair_basis(table, m)
+    terms = [pairs[i] for i in sorted(x)]
     if not terms:
         return None
 
@@ -215,35 +225,45 @@ def common_factor(table, x):
 def check_quadratic_cup(table, max_total_degree):
     """Quadratic algebras: basis cups concatenate or vanish."""
     alg = table.algebra
+    one = alg.field.one
     assert is_quadratic(alg)
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
-            for ambf, bf in pair_basis(table, m):
-                f = pair_cochain(table, ambf, bf)
-                for ambg, bg in pair_basis(table, n):
-                    g = pair_cochain(table, ambg, bg)
-                    got = cup_cochain(table, f, g)
-                    expected = new_cochain(table, m + n)
+            index = {pair: k for k, pair in enumerate(pair_basis(table, m + n))}
+            for i, (ambf, bf) in enumerate(pair_basis(table, m)):
+                for j, (ambg, bg) in enumerate(pair_basis(table, n)):
+                    got = product(table, m, n, {i: one}, {j: one})
+                    expected = {}
                     if ambf.path.target == ambg.path.source:
                         pq = concat(ambf.path, ambg.path)
                         q = table.by_path(m + n - 1, pq)
                         if q is not None and bf.target == bg.source:
                             value = alg.reduce_concat(bf, bg)
                             if value is not None:
-                                expected.add((q, value), alg.field.one)
-                    assert got == expected, "quadratic cup shape fails at %r, %r" % (f, g)
+                                expected[index[(q, value)]] = one
+                    assert got == expected, "quadratic cup shape fails at %r, %r" % ((ambf, bf), (ambg, bg))
 
 
 def _a6_xy(alg):
     t = AmbiguityTable(alg)
     q = alg.quiver
     one = alg.field.one
-    x = new_cochain(t, 2)
-    x.add((t.by_path(1, path_from_word(q, "a4 a3")), path_from_word(q, "g a3")), one)
-    x.add((t.by_path(1, path_from_word(q, "a5 a4")), path_from_word(q, "a5 g")), one)
-    y = new_cochain(t, 2)
-    y.add((t.by_path(1, path_from_word(q, "a2 a1")), path_from_word(q, "b a1")), one)
-    y.add((t.by_path(1, path_from_word(q, "a3 a2")), path_from_word(q, "a3 b")), one)
+    x = vector(
+        t,
+        2,
+        {
+            (t.by_path(1, path_from_word(q, "a4 a3")), path_from_word(q, "g a3")): one,
+            (t.by_path(1, path_from_word(q, "a5 a4")), path_from_word(q, "a5 g")): one,
+        },
+    )
+    y = vector(
+        t,
+        2,
+        {
+            (t.by_path(1, path_from_word(q, "a2 a1")), path_from_word(q, "b a1")): one,
+            (t.by_path(1, path_from_word(q, "a3 a2")), path_from_word(q, "a3 b")): one,
+        },
+    )
     return t, x, y
 
 
@@ -251,22 +271,29 @@ def _cone_w(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     one = cone.field.one
-    w = new_cochain(t, 2)
-    w.add((t.by_path(1, path_from_word(q, "alpha zeta alpha")), q.arrow_path("alpha")), one)
-    w.add((t.by_path(1, path_from_word(q, "zeta alpha zeta")), q.arrow_path("zeta")), one)
+    w = vector(
+        t,
+        2,
+        {
+            (t.by_path(1, path_from_word(q, "alpha zeta alpha")), q.path("alpha")): one,
+            (t.by_path(1, path_from_word(q, "zeta alpha zeta")), q.path("zeta")): one,
+        },
+    )
     return t, w
 
 
 def test_final_example_one_order_vanishes(triangular_a6):
     t, x, y = _a6_xy(triangular_a6)
-    assert is_cocycle(t, x) and is_cocycle(t, y)
+    assert is_cocycle(t, 2, x) and is_cocycle(t, 2, y)
     q = triangular_a6.quiver
-    yx = cup_cochain(t, y, x)
+    yx = product(t, 2, 2, y, x)
     # y cup x is exactly the differential of the parallel pair from the text
-    witness = pair_cochain(t, t.by_path(2, path_from_word(q, "a4 a3 a2")), path_from_word(q, "g a3 b"))
-    assert yx == cochain_differential(t, witness)
-    assert not yx.is_zero()
-    assert cup_cochain(t, x, y).is_zero()
+    witness = vector(
+        t, 3, {(t.by_path(2, path_from_word(q, "a4 a3 a2")), path_from_word(q, "g a3 b")): triangular_a6.field.one}
+    )
+    assert yx == cochain_differential(t, 3, witness)
+    assert yx
+    assert product(t, 2, 2, x, y) == {}
     # class level: the nonzero order is a coboundary, so both classes vanish
     spaces = hochschild_cohomology(t, 4)
     assert class_vector(spaces[4], t, yx) == {}
@@ -275,20 +302,21 @@ def test_final_example_one_order_vanishes(triangular_a6):
 def test_cone_degree1_times_w(cone):
     t, w = _cone_w(cone)
     q = cone.quiver
-    assert is_cocycle(t, w)
-    f = pair_cochain(t, t.by_path(0, q.arrow_path("alpha")), q.arrow_path("alpha"))
-    assert is_cocycle(t, f)
-    fw = cup_cochain(t, f, w)
-    expected = pair_cochain(
-        t, t.by_path(2, path_from_word(q, "zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")
+    one = cone.field.one
+    assert is_cocycle(t, 2, w)
+    f = vector(t, 1, {(t.by_path(0, q.path("alpha")), q.path("alpha")): one})
+    assert is_cocycle(t, 1, f)
+    fw = product(t, 1, 2, f, w)
+    expected = vector(
+        t, 3, {(t.by_path(2, path_from_word(q, "zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")): one}
     )
     assert fw == expected
     # as classes this equals the (alpha zeta)^2 representative
     spaces = hochschild_cohomology(t, 3)
-    target = pair_cochain(
-        t, t.by_path(2, path_from_word(q, "alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")
+    target = vector(
+        t, 3, {(t.by_path(2, path_from_word(q, "alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")): one}
     )
-    assert is_cocycle(t, target)
+    assert is_cocycle(t, 3, target)
     assert class_vector(spaces[3], t, fw) == class_vector(spaces[3], t, target)
     assert class_vector(spaces[3], t, fw) != {}
 
@@ -296,16 +324,15 @@ def test_cone_degree1_times_w(cone):
 def test_cone_w_squared_exact(cone):
     t, w = _cone_w(cone)
     q = cone.quiver
-    ww = cup_cochain(t, w, w)
-    expected = new_cochain(t, 4)
+    ww = product(t, 2, 2, w, w)
     one = cone.field.one
-    expected.add(
-        (t.by_path(3, path_from_word(q, "alpha zeta alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")),
-        one,
-    )
-    expected.add(
-        (t.by_path(3, path_from_word(q, "zeta alpha zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")),
-        one,
+    expected = vector(
+        t,
+        4,
+        {
+            (t.by_path(3, path_from_word(q, "alpha zeta alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")): one,
+            (t.by_path(3, path_from_word(q, "zeta alpha zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")): one,
+        },
     )
     assert ww == expected
     spaces = hochschild_cohomology(t, 4)
@@ -313,19 +340,19 @@ def test_cone_w_squared_exact(cone):
 
 
 def test_unit_is_identity(cone, triangular_a6):
-    def product_class(t, spaces, f, g):
-        return class_vector(spaces[f.degree + g.degree], t, cup_cochain(t, f, g))
+    def product_class(t, spaces, m, n, f, g):
+        return class_vector(spaces[m + n], t, product(t, m, n, f, g))
 
     for alg in (cone, triangular_a6):
         t = AmbiguityTable(alg)
         spaces = hochschild_cohomology(t, 4)
         u = unit_cochain(t)
-        assert is_cocycle(t, u)
+        assert is_cocycle(t, 0, u)
         one = alg.field.one
         for n in range(0, 5):
-            for j, rep in enumerate(spaces[n].rep_cochains(t)):
-                assert product_class(t, spaces, u, rep) == {j: one}
-                assert product_class(t, spaces, rep, u) == {j: one}
+            for j, rep in enumerate(spaces[n].representatives):
+                assert product_class(t, spaces, 0, n, u, rep) == {j: one}
+                assert product_class(t, spaces, n, 0, rep, u) == {j: one}
 
 
 def test_cup_table_degree0(cone):
@@ -341,13 +368,13 @@ def test_cup_table_checks_each_factor_once(cone, monkeypatch):
     spaces = hochschild_cohomology(t, 4)
     calls = []
 
-    def counting(table, x):
+    def counting(table, m, x):
         calls.append(x)
-        return is_cocycle(table, x)
+        return is_cocycle(table, m, x)
 
-    monkeypatch.setattr(cochains, "is_cocycle", counting)  # would count a separate check of the product
-    monkeypatch.setattr(cup, "is_cocycle", counting)  # the factor checks
-    reps_i, reps_j = spaces[1].rep_cochains(t), spaces[2].rep_cochains(t)
+    # the factor checks, and any separate check of the product
+    monkeypatch.setattr(cochains, "is_cocycle", counting)
+    reps_i, reps_j = spaces[1].representatives, spaces[2].representatives
     entries = cup_table(t, spaces, 1, 2)
     assert len(reps_i) == 3 and len(reps_j) == 2
     assert sum(map(len, entries)) == len(reps_i) * len(reps_j)
@@ -360,12 +387,11 @@ def test_triangular_vanishing_checks_each_factor_once(triangular_a6, monkeypatch
     spaces = hochschild_cohomology(t, 6)
     calls = []
 
-    def counting(table, x):
+    def counting(table, m, x):
         calls.append(x)
-        return is_cocycle(table, x)
+        return is_cocycle(table, m, x)
 
     monkeypatch.setattr(cochains, "is_cocycle", counting)
-    monkeypatch.setattr(cup, "is_cocycle", counting)
     assert verify_triangular_vanishing(t, spaces, 6) == []
     assert len(calls) == sum(spaces[d].dimension for d in range(1, 6))
 
@@ -412,8 +438,9 @@ def test_cup_product_reads_the_diagonal(cone, monkeypatch):
     # (3, 1), not the class-level tables
     def products():
         t = AmbiguityTable(cone)
-        pairs = [[pair_cochain(t, amb, b) for amb, b in pair_basis(t, d)] for d in range(5)]
-        return [cup_cochain(t, f, g) for m in range(5) for n in range(5 - m) for f in pairs[m] for g in pairs[n]]
+        one = cone.field.one
+        units = [[{i: one} for i in range(len(pair_basis(t, d)))] for d in range(5)]
+        return [product(t, m, n, f, g) for m in range(5) for n in range(5 - m) for f in units[m] for g in units[n]]
 
     before = products()
     decompositions = diagonal_module._decompositions
@@ -454,7 +481,7 @@ def test_cone_has_nonzero_positive_products(cone):
     # contrast with the triangular theorem: the cone's positive classes multiply
     t, w = _cone_w(cone)
     spaces = hochschild_cohomology(t, 4)
-    assert class_vector(spaces[4], t, cup_cochain(t, w, w)) != {}
+    assert class_vector(spaces[4], t, product(t, 2, 2, w, w)) != {}
 
 
 def test_quadratic_cup_shape(triangular_a6, truncated_cycle):
@@ -471,27 +498,33 @@ def test_cup_closure(cone, triangular_a6):
 
 def test_irreducible_components(triangular_a6):
     t, x, y = _a6_xy(triangular_a6)
-    assert irreducible_components(t, x) == [x]
-    assert is_irreducible(t, x)
-    both = irreducible_components(t, x + y)
+    assert irreducible_components(t, 2, x) == [x]
+    assert is_irreducible(t, 2, x)
+    assert not set(x) & set(y)
+    both = irreducible_components(t, 2, {**x, **y})
     assert len(both) == 2
     assert x in both and y in both
-    single = pair_cochain(
+    single = vector(
         t,
-        t.by_path(2, path_from_word(triangular_a6.quiver, "a4 a3 a2")),
-        path_from_word(triangular_a6.quiver, "g a3 b"),
+        3,
+        {
+            (
+                t.by_path(2, path_from_word(triangular_a6.quiver, "a4 a3 a2")),
+                path_from_word(triangular_a6.quiver, "g a3 b"),
+            ): triangular_a6.field.one
+        },
     )
     # not a cocycle: refuse to split
     with pytest.raises(NotACocycle):
-        irreducible_components(t, single)
+        irreducible_components(t, 3, single)
 
 
 def test_common_factor(triangular_a6):
     t, x, y = _a6_xy(triangular_a6)
     q = triangular_a6.quiver
-    got = common_factor(t, x)
-    assert got == (q.arrow_path("a4"), q.arrow_path("g"))
-    assert common_factor(t, y) == (q.arrow_path("a2"), q.arrow_path("b"))
+    got = common_factor(t, 2, x)
+    assert got == (q.path("a4"), q.path("g"))
+    assert common_factor(t, 2, y) == (q.path("a2"), q.path("b"))
 
 
 def test_one_sided_vanishing_suite_check(triangular_a6, truncated_cycle):
@@ -504,33 +537,28 @@ def test_one_sided_vanishing_batches_each_bidegree(triangular_a6, monkeypatch):
     # one cup_products call per ordered bidegree, no product taken pair by pair
     t = AmbiguityTable(triangular_a6)
     spaces = hochschild_cohomology(t, 5)
-    pieces = [vector_to_cochain(t, m, spaces[m].pairs, v) for m in range(1, 5) for v in spaces[m].cocycles]
-    ordered = [(f, g) for f in pieces for g in pieces if f.degree + g.degree <= 5]
-    nonzero = sum(not cup_cochain(t, f, g).is_zero() for f, g in ordered)
-    single, batched = [], []
+    pieces = [(m, v) for m in range(1, 5) for v in spaces[m].cocycles]
+    ordered = [(m, f, n, g) for m, f in pieces for n, g in pieces if m + n <= 5]
+    nonzero = sum(bool(product(t, m, n, f, g)) for m, f, n, g in ordered)
+    batched = []
 
-    def counting_single(table, f, g):
-        single.append((f.degree, g.degree))
-        return cup_cochain(table, f, g)
+    def counting_batched(table, m, n, fs, gs):
+        batched.append((m, n))
+        return cup_products(table, m, n, fs, gs)
 
-    def counting_batched(table, fs, gs):
-        batched.append((fs[0].degree, gs[0].degree))
-        return cup_products(table, fs, gs)
-
-    monkeypatch.setattr(cup, "cup_cochain", counting_single)
     monkeypatch.setattr(cup, "cup_products", counting_batched)
     assert check_one_sided_vanishing(t, spaces, 5) == []
     assert (len(ordered), nonzero) == (183, 9)
-    assert single == []
     assert sorted(batched) == [(m, n) for m in range(1, 5) for n in range(1, 6 - m)]
 
 
 def test_refine_matches_components_here(triangular_a6):
     t, x, y = _a6_xy(triangular_a6)
-    pieces = refine_to_irreducible(t, x + y)
+    assert not set(x) & set(y)
+    pieces = refine_to_irreducible(t, 2, {**x, **y})
     assert len(pieces) == 2
     for p in pieces:
-        assert is_irreducible(t, p)
+        assert is_irreducible(t, 2, p)
 
 
 @pytest.mark.parametrize("fieldspec", ["q", "fp:2"])
@@ -547,5 +575,4 @@ def test_kernel_vectors_are_irreducible(fieldspec, cone, square, triangular_a6, 
         spaces = hochschild_cohomology(t, 5)
         for m in range(1, 6):
             for v in spaces[m].cocycles:
-                z = vector_to_cochain(t, m, spaces[m].pairs, v)
-                assert refine_to_irreducible(t, z) == [z]
+                assert refine_to_irreducible(t, m, v) == [v]

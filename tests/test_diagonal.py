@@ -9,7 +9,7 @@ from monomial_hh.diagonal import (
 )
 from monomial_hh.quivers import path_from_word
 
-from helpers import is_quadratic
+from helpers import is_quadratic, vertex
 
 
 def check_quadratic(table, max_degree):
@@ -28,7 +28,7 @@ def check_quadratic(table, max_degree):
 
 def test_diagonal_of_vertex(cone):
     t = AmbiguityTable(cone)
-    e = cone.quiver.trivial_path("1")
+    e = vertex(cone.quiver, "1")
     amb = t.by_path(-1, e)
     d = diagonal(t, amb)
     assert d.terms == {(e, amb, e, amb, e): 1}
@@ -38,10 +38,10 @@ def test_diagonal_of_vertex(cone):
 def test_diagonal_of_arrow(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
-    alpha = q.arrow_path("alpha")
+    alpha = q.path("alpha")
     amb = t.by_path(0, alpha)
-    e1 = q.trivial_path("1")
-    e2 = q.trivial_path("2")
+    e1 = vertex(q, "1")
+    e2 = vertex(q, "2")
     ev1 = t.by_path(-1, e1)
     ev2 = t.by_path(-1, e2)
     d = diagonal(t, amb)
@@ -56,11 +56,11 @@ def test_diagonal_of_quadratic_relation(cone):
     q = cone.quiver
     bz = path_from_word(q, "beta zeta")
     amb = t.by_path(1, bz)
-    e1, e2, e3 = (q.trivial_path(v) for v in "123")
+    e1, e2, e3 = (vertex(q, v) for v in "123")
     d = diagonal(t, amb)
     assert d.terms == {
         (e2, t.by_path(-1, e2), e2, amb, e3): 1,
-        (e2, t.by_path(0, q.arrow_path("zeta")), e1, t.by_path(0, q.arrow_path("beta")), e3): 1,
+        (e2, t.by_path(0, q.path("zeta")), e1, t.by_path(0, q.path("beta")), e3): 1,
         (e2, amb, e3, t.by_path(-1, e3), e3): 1,
     }
 
@@ -72,14 +72,14 @@ def test_diagonal_of_cubic_relation(cone):
     amb = t.by_path(1, aza)
     d = diagonal(t, amb)
     assert len(d.terms) == 5
-    e1 = q.trivial_path("1")
-    alpha = q.arrow_path("alpha")
-    zeta = q.arrow_path("zeta")
+    e1 = vertex(q, "1")
+    alpha = q.path("alpha")
+    zeta = q.path("zeta")
     # the middle slot can be a nontrivial basis path
-    key = (e1, t.by_path(0, alpha), zeta, t.by_path(0, alpha), q.trivial_path("2"))
+    key = (e1, t.by_path(0, alpha), zeta, t.by_path(0, alpha), vertex(q, "2"))
     assert d.terms[key] == 1
     # and so can pre
-    key2 = (alpha, t.by_path(0, zeta), e1, t.by_path(0, alpha), q.trivial_path("2"))
+    key2 = (alpha, t.by_path(0, zeta), e1, t.by_path(0, alpha), vertex(q, "2"))
     assert d.terms[key2] == 1
 
 

@@ -4,19 +4,18 @@ import pytest
 
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import (
-    _pair_differential_terms,
-    _pair_key,
+    cochain_differential,
     differential_matrix,
-    new_cochain,
+    differential_via_resolution,
     pair_basis,
-    pair_cochain,
 )
-from monomial_hh.cup import cup_cochain, cup_products
+from monomial_hh.cup import cup_products
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.quivers import Quiver, build_algebra, concat
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
+from helpers import keyed, pair_key, vector
 from reference_scans import (
     scan_cofaces,
     scan_cup_cochain,
@@ -98,11 +97,38 @@ def test_cofaces_and_sub_match_scan(spec):
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])
 def test_pair_differential_matches_scan(spec):
+    # the column of each single pair is its scanned integer differential,
+    # terms in the same order, and δ of the pair in the field is that
+    # column reduced into the field
     for t in tables(spec):
+        field = t.algebra.field
         for m in range(0, DEGREE + 1):
-            for amb, b in pair_basis(t, m):
-                got = _pair_differential_terms(t, amb, b)
-                assert list(got.items()) == list(scan_pair_differential_terms(t, amb, b).items())
+            index = {pair: i for i, pair in enumerate(pair_basis(t, m + 1))}
+            cols = differential_matrix(t, m).cols
+            for j, (amb, b) in enumerate(pair_basis(t, m)):
+                want = [(index[key], n) for key, n in scan_pair_differential_terms(t, amb, b).items()]
+                assert list(cols[j].items()) == want
+                reduced = [(i, c) for i, n in want if not field.is_zero(c := field.mul(field.one, n))]
+                assert list(cochain_differential(t, m, {j: field.one}).items()) == reduced
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
+def test_vector_differential_matches_matrix(spec):
+    # δ of a sum of all pairs with distinct weights, where terms meet and may
+    # cancel, is the same sum of the matrix columns; the resolution route
+    # gives the same matrix
+    for t in tables(spec):
+        field = t.algebra.field
+        add, mul, zero = field.add, field.mul, field.zero
+        for m in range(0, DEGREE + 1):
+            mat = differential_matrix(t, m)
+            weights = {j: c for j in range(mat.ncols) if not field.is_zero(c := add(zero, j + 1))}
+            want = {}
+            for j, c in weights.items():
+                for i, n in mat.cols[j].items():
+                    want[i] = add(want.get(i, zero), mul(c, n))
+            assert cochain_differential(t, m, weights) == {i: c for i, c in want.items() if not field.is_zero(c)}
+            assert differential_via_resolution(t, m) == mat
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])
@@ -110,9 +136,9 @@ def test_differential_matrix_matches_scan(spec):
     # column j of δ^m is the scanned differential of the j-th pair, its
     # terms in the same order, each at the index of its pair of degree m+1
     for t in tables(spec):
-        cols = sorted(scan_pair_basis(t, 0), key=_pair_key)
+        cols = sorted(scan_pair_basis(t, 0), key=pair_key)
         for m in range(0, DEGREE + 1):
-            rows = sorted(scan_pair_basis(t, m + 1), key=_pair_key)
+            rows = sorted(scan_pair_basis(t, m + 1), key=pair_key)
             index = {pair: i for i, pair in enumerate(rows)}
             mat = differential_matrix(t, m)
             assert (mat.nrows, mat.ncols) == (len(rows), len(cols))
@@ -126,19 +152,23 @@ def test_differential_matrix_matches_scan(spec):
 def test_cup_matches_scan(spec):
     # every basis pair times every basis pair, then one sum of all pairs
     # with distinct weights per side, where terms meet and may cancel;
-    # cup_products over the same lists keeps exactly the nonzero products
+    # cup_products over the same lists keeps exactly the nonzero products,
+    # and so does each one-pair call
     for t in tables(spec):
+        field = t.algebra.field
         degrees = range(CUP_DEGREE + 1)
-        pairs = [[pair_cochain(t, amb, b) for amb, b in pair_basis(t, d)] for d in degrees]
-        sums = [new_cochain(t, d, {key: i + 1 for i, key in enumerate(pair_basis(t, d))}) for d in degrees]
+        lists = []
+        for d in degrees:
+            n_pairs = len(pair_basis(t, d))
+            weights = {i: c for i in range(n_pairs) if not field.is_zero(c := field.add(field.zero, i + 1))}
+            lists.append([{i: field.one} for i in range(n_pairs)] + [weights])
         for m in degrees:
             for n in range(0, CUP_DEGREE + 1 - m):
-                fs, gs = pairs[m] + [sums[m]], pairs[n] + [sums[n]]
-                products = cup_products(t, fs, gs)
+                fs, gs = lists[m], lists[n]
+                products = cup_products(t, m, n, fs, gs)
                 for a, f in enumerate(fs):
                     for b, g in enumerate(gs):
-                        want = scan_cup_cochain(t, f, g)
-                        assert cup_cochain(t, f, g) == want
-                        assert ((a, b) in products) == (not want.is_zero())
-                        if (a, b) in products:
-                            assert products[a, b] == want
+                        want = vector(t, m + n, scan_cup_cochain(t, m, n, keyed(t, m, f), keyed(t, n, g)))
+                        assert cup_products(t, m, n, [f], [g]).get((0, 0), {}) == want
+                        assert products.get((a, b), {}) == want
+                        assert ((a, b) in products) == bool(want)

@@ -21,7 +21,7 @@ from monomial_hh.quivers import (
 )
 
 from conftest import make_cone, make_square
-from helpers import is_quadratic
+from helpers import is_quadratic, vertex
 from reference_scans import divisor_occurrences, scan_basis, scan_is_finite
 
 
@@ -35,7 +35,7 @@ def test_word_conversion_reverses_traversal():
 
 def test_trivial_path_basics():
     q = make_cone().quiver
-    e = q.trivial_path("2")
+    e = vertex(q, "2")
     assert e.is_trivial and len(e) == 0
     assert e.source == e.target == q.vertex_index["2"]
     assert e.display() == "e(2)"
@@ -102,7 +102,7 @@ def test_divisor_occurrences_identity(cone):
 def test_divisor_occurrences_two_positions(square):
     q = square.quiver
     host = path_from_word(q, "alpha delta gamma beta alpha")
-    occs = divisor_occurrences(q.arrow_path("alpha"), host)
+    occs = divisor_occurrences(q.path("alpha"), host)
     assert [o.position for o in occs] == [0, 4]
     for o in occs:
         assert concat(o.prefix, o.divisor, o.suffix) == host
@@ -111,16 +111,16 @@ def test_divisor_occurrences_two_positions(square):
 def test_divisor_occurrences_trivial_divisor(square):
     q = square.quiver
     host = path_from_word(q, "gamma beta alpha")  # 1 -> 4
-    e1 = q.trivial_path("1")
+    e1 = vertex(q, "1")
     occs = divisor_occurrences(e1, host)
     assert [o.position for o in occs] == [0]
-    e2 = q.trivial_path("2")
+    e2 = vertex(q, "2")
     assert [o.position for o in divisor_occurrences(e2, host)] == [1]
 
 
 def test_divisor_occurrences_absent(cone):
     q = cone.quiver
-    assert divisor_occurrences(q.arrow_path("beta"), q.arrow_path("alpha")) == []
+    assert divisor_occurrences(q.path("beta"), q.path("alpha")) == []
 
 
 def test_is_triangular(cone, square, triangular_a6):
@@ -217,7 +217,7 @@ def test_non_composable_relation():
 def test_relation_too_short_rejected():
     q = make_cone().quiver
     with pytest.raises(ValueError):
-        build_algebra(q, [q.arrow_path("alpha")])
+        build_algebra(q, [q.path("alpha")])
 
 
 def test_reduce_concat(cone, square, triangular_a6, truncated_cycle, a2, point):
@@ -227,9 +227,9 @@ def test_reduce_concat(cone, square, triangular_a6, truncated_cycle, a2, point):
     for alg in algebras:
         assert alg.by_word == {p.arrows: p for p in alg.nontrivial_basis}
     q = cone.quiver
-    alpha = q.arrow_path("alpha")
-    zeta = q.arrow_path("zeta")
-    e1, e2, e3 = (q.trivial_path(v) for v in "123")
+    alpha = q.path("alpha")
+    zeta = q.path("zeta")
+    e1, e2, e3 = (vertex(q, v) for v in "123")
     assert cone.reduce_concat(alpha, zeta) == concat(alpha, zeta)
     assert cone.reduce_concat(alpha, e2, zeta) == concat(alpha, zeta)
     assert cone.reduce_concat(alpha, zeta, alpha) is None  # relation
