@@ -172,18 +172,20 @@ def differential_via_resolution(table, m):
     when that product is nonzero.  Each generator's differential is
     computed once.
     """
-    alg = table.algebra
-    parallel, position = alg.parallel, alg.position
+    index = table.basis_index()
+    mul, parallel, position = index.mul, index.parallel, index.position
     col_offsets, ncols = _offsets(table, m)
     row_offsets, nrows = _offsets(table, m + 1)
     cols = [{} for _ in range(ncols)]
     for q in table.degree(m):
         row = row_offsets[q]
-        for (pre, r, post), n in differential(table, generator(q)).terms.items():
+        for (pre, r, post), n in differential(table, generator(table, q)).terms.items():
             for j, b in enumerate(parallel[(r.path.source, r.path.target)], col_offsets[r]):
-                value = alg.reduce_concat(pre, b, post)
+                value = mul(pre, b)
                 if value is not None:
-                    i = row + position.get(value.arrows, 0)
+                    value = mul(value, post)
+                if value is not None:
+                    i = row + position[value]
                     cols[j][i] = cols[j].get(i, 0) + n
     return SparseMatrix(nrows, ncols, tuple({i: n for i, n in col.items() if n} for col in cols))
 

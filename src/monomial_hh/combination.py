@@ -1,10 +1,13 @@
 """Finite sparse integer combinations of keyed terms.
 
 The resolution's (pre, amb, post) triples and the diagonal's quintuples
-are the elements built this way; cochains are plain vectors over the pair
-basis (see ``cochains``).  The kind of an element is its key check,
+are the elements built this way, their path slots held as indices into
+``algebra.basis``; cochains are plain vectors over the pair basis (see
+``cochains``).  The kind of an element is its key check,
 ``check(key, degree)``, which asserts that a key belongs to that kind at
-that degree.  The check runs when a key first enters an element; the
+that degree, endpoints included: the resolution and the diagonal bind
+their checks to the table's ``BasisIndex``, which knows each index's
+endpoints.  The check runs when a key first enters an element; the
 arithmetic between two elements of one kind takes their keys as valid.
 """
 

@@ -15,7 +15,8 @@ indices of the output pairs (q, value) of their product,
 {f's index: {g's index: [output index, ...]}}: q runs over Γ_{m+n−1},
 each term (pre, pf, mid, pg, post) of q's cached diagonal with pf of
 degree m−1 places the two factors, and value is the reduced product
-pre·bf·mid·bg·post.  So the split enumeration lives only in the diagonal,
+pre·bf·mid·bg·post, read from the product table of the table's
+``BasisIndex`` (the diagonal's pre, mid and post are basis indices).  So the split enumeration lives only in the diagonal,
 and the product inherits its chain-map and counit certificate.  Only keys
 are stored, never scalars, so one table serves every field.
 ``_constants`` builds it in one pass over Γ_{m+n−1}, on first use, and
@@ -43,8 +44,8 @@ def _constants(table, m, n):
     constants = table._cup.get((m, n))
     if constants is not None:
         return constants
-    alg = table.algebra
-    parallel, position = alg.parallel, alg.position
+    index = table.basis_index()
+    mul, parallel, position = index.mul, index.parallel, index.position
     f_offsets, g_offsets, q_offsets = (_offsets(table, d)[0] for d in (m, n, m + n))
     constants = {}
     for q in table.degree(m + n - 1):
@@ -55,12 +56,19 @@ def _constants(table, m, n):
             assert c == 1, "the diagonal adds each positioned split once"
             bgs = parallel[(pg.path.source, pg.path.target)]
             for i, bf in enumerate(parallel[(pf.path.source, pf.path.target)], f_offsets[pf]):
+                left = mul(pre, bf)
+                if left is not None:
+                    left = mul(left, mid)
+                if left is None:
+                    continue
                 for j, bg in enumerate(bgs, g_offsets[pg]):
-                    value = alg.reduce_concat(pre, bf, mid, bg, post)
+                    value = mul(left, bg)
+                    if value is not None:
+                        value = mul(value, post)
                     if value is None:
                         continue
                     by_g = constants.setdefault(i, {})
-                    by_g.setdefault(j, []).append(row + position.get(value.arrows, 0))
+                    by_g.setdefault(j, []).append(row + position[value])
     table._cup[(m, n)] = constants
     return constants
 

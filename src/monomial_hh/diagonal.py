@@ -2,46 +2,54 @@
 
 A term of the tensor square is a quintuple (pre, first, mid, second, post)
 composing in traversal order; `first` is the traversal-earlier ambiguity
-factor and `second` the later one.  In the written form c (x) q2 (x) b
-(x) q1 (x) a the slots are a = pre, q1 = first, b = mid, q2 = second,
-c = post, so the homological degree of the written-left factor is
-second.degree + 1.  That degree drives the Koszul sign.
+factor and `second` the later one, and pre, mid and post are indices into
+``algebra.basis``, whose words and products come from the table's
+``BasisIndex``.  In the written form c (x) q2 (x) b (x) q1 (x) a the slots
+are a = pre, q1 = first, b = mid, q2 = second, c = post, so the
+homological degree of the written-left factor is second.degree + 1.  That
+degree drives the Koszul sign.
 """
 
+from functools import partial
+
 from .combination import Combination
-from .quivers import concat
 from .resolution import _d_terms, differential, generator
 
 
-def _check_quintuple(key, degree):
+def _check_quintuple(index, key, degree):
     pre, first, mid, second, post = key
     assert first.degree + second.degree + 1 == degree
-    assert pre.target == first.path.source
-    assert first.path.target == mid.source
-    assert mid.target == second.path.source
-    assert second.path.target == post.source
+    assert index.target[pre] == first.path.source
+    assert first.path.target == index.source[mid]
+    assert index.target[mid] == second.path.source
+    assert second.path.target == index.source[post]
 
 
-def tensor_element(degree, terms=None):
+def tensor_element(table, degree, terms=None):
     """Sparse integer combination of quintuples at a fixed total degree."""
-    return Combination(_check_quintuple, degree, terms)
+    return Combination(partial(_check_quintuple, table.basis_index()), degree, terms)
 
 
 def _decompositions(table, amb, i, j):
     """Positioned (q1 at k1) then (q2 at k2 >= k1+len) splits of amb.path."""
-    alg = table.algebra
+    find = table.basis_index().find
     p = amb.path
+    arrows = p.arrows
     seconds = table.occurrences(j, p)
     out = []
     for q1, k1 in table.occurrences(i, p):
         end1 = k1 + len(q1.path)
+        pre = find(arrows[:k1], p.source)
+        if pre is None:
+            continue
         for q2, k2 in seconds:
             if k2 < end1:
                 continue
-            pre = p.segment(0, k1)
-            mid = p.segment(end1, k2)
-            post = p.segment(k2 + len(q2.path), len(p))
-            if not (alg.is_basis(pre) and alg.is_basis(mid) and alg.is_basis(post)):
+            mid = find(arrows[end1:k2], q1.path.target)
+            if mid is None:
+                continue
+            post = find(arrows[k2 + len(q2.path) :], q2.path.target)
+            if post is None:
                 continue
             out.append((pre, q1, mid, q2, post))
     return out
@@ -52,7 +60,7 @@ def diagonal(table, amb):
     out = table._diagonals.get(amb)
     if out is None:
         n = amb.degree
-        out = tensor_element(n)
+        out = tensor_element(table, n)
         for i in range(-1, n + 1):
             j = n - 1 - i
             for key in _decompositions(table, amb, i, j):
@@ -63,14 +71,14 @@ def diagonal(table, amb):
 
 def diagonal_of_element(table, x):
     """Bilinear extension of the diagonal over outer multiplication."""
-    alg = table.algebra
-    out = tensor_element(x.degree)
+    mul = table.basis_index().mul
+    out = tensor_element(table, x.degree)
     for (pre_t, amb, post_t), c in x.terms.items():
         for (pre, f, m, s, post), c2 in diagonal(table, amb).terms.items():
-            new_pre = alg.reduce_concat(pre_t, pre)
+            new_pre = mul(pre_t, pre)
             if new_pre is None:
                 continue
-            new_post = alg.reduce_concat(post, post_t)
+            new_post = mul(post, post_t)
             if new_post is None:
                 continue
             out.add((new_pre, f, m, s, new_post), c * c2)
@@ -79,62 +87,69 @@ def diagonal_of_element(table, x):
 
 def tensor_differential(table, x):
     """(d (x) id)x + (-1)^(left homological degree) (id (x) d)x."""
-    alg = table.algebra
-    out = tensor_element(x.degree - 1)
+    mul = table.basis_index().mul
+    out = tensor_element(table, x.degree - 1)
     for (pre, f, m, s, post), c in x.terms.items():
         if s.degree >= 0:
             for dpre, r, dpost, sign in _d_terms(table, s):
-                new_mid = alg.reduce_concat(m, dpre)
+                new_mid = mul(m, dpre)
                 if new_mid is None:
                     continue
-                new_post = alg.reduce_concat(dpost, post)
+                new_post = mul(dpost, post)
                 if new_post is None:
                     continue
                 out.add((pre, f, new_mid, r, new_post), sign * c)
         if f.degree >= 0:
             koszul = -1 if (s.degree + 1) % 2 else 1
             for dpre, r, dpost, sign in _d_terms(table, f):
-                new_pre = alg.reduce_concat(pre, dpre)
+                new_pre = mul(pre, dpre)
                 if new_pre is None:
                     continue
-                new_mid = alg.reduce_concat(dpost, m)
+                new_mid = mul(dpost, m)
                 if new_mid is None:
                     continue
                 out.add((new_pre, r, new_mid, s, post), koszul * sign * c)
     return out
 
 
-def counit(x):
-    """mu (eps (x) eps): keeps quintuples with both factors at degree -1."""
+def counit(table, x):
+    """mu (eps (x) eps): the products pre*mid*post in A of the quintuples
+    with both factors at degree -1, as {basis index: int}."""
+    mul = table.basis_index().mul
     out = {}
     for (pre, f, m, s, post), c in x.terms.items():
         if f.degree != -1 or s.degree != -1:
             continue
         # both ambiguity slots are vertices, so the word is pre*mid*post
-        word = concat(pre, m, post)
-        out[word] = out.get(word, 0) + c
-    return {p: c for p, c in out.items() if c}
+        b = mul(pre, m)
+        if b is None:
+            continue
+        b = mul(b, post)
+        if b is None:
+            continue
+        out[b] = out.get(b, 0) + c
+    return {b: c for b, c in out.items() if c}
 
 
 def check_chain_map(table, max_degree):
     for n in range(0, max_degree + 1):
         for amb in table.degree(n):
-            lhs = diagonal_of_element(table, differential(table, generator(amb)))
+            lhs = diagonal_of_element(table, differential(table, generator(table, amb)))
             rhs = tensor_differential(table, diagonal(table, amb))
             assert lhs == rhs, "diagonal chain-map identity fails at %s" % amb.path.display()
 
 
 def check_counit(table, max_degree):
-    alg = table.algebra
     for n in range(-1, max_degree + 1):
         for amb in table.degree(n):
-            lhs = {p: c for p, c in counit(diagonal(table, amb)).items() if alg.is_basis(p)}
-            rhs = {amb.path: 1} if n == -1 else {}
+            lhs = counit(table, diagonal(table, amb))
+            rhs = {amb.path.source: 1} if n == -1 else {}
             assert lhs == rhs, "counit fails at %s" % amb.path.display()
 
 
 def check_decomposition_lemmas(table, max_degree):
     """No decomposition above the antidiagonal; odd factors pin their ends."""
+    words = table.basis_index().words
     for n in range(0, max_degree + 1):
         for amb in table.degree(n):
             for i in range(-1, n + 1):
@@ -144,6 +159,6 @@ def check_decomposition_lemmas(table, max_degree):
                     assert _decompositions(table, amb, i, j) == []
             for (pre, q1, mid, q2, post), _ in diagonal(table, amb).terms.items():
                 if q1.degree % 2 == 1:
-                    assert pre.is_trivial
+                    assert not words[pre]
                 if q2.degree % 2 == 1:
-                    assert post.is_trivial
+                    assert not words[post]

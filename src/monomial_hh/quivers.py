@@ -7,9 +7,9 @@ Mathematical writing usually composes right-to-left like functions, so a
 written word names the *reverse* of its traversal sequence.  The helper
 ``path_from_word`` is the single place in this package where the written
 convention is converted; everything else speaks traversal order.  Under
-this dictionary, a written product ``q·p`` is ``concat(p, q)`` here, a
-written "prefix" divisor is a traversal-initial segment and a written
-"suffix" is a traversal-final segment.
+this dictionary, a written product ``q·p`` traverses p first, a written
+"prefix" divisor is a traversal-initial segment and a written "suffix" is
+a traversal-final segment.
 """
 
 from __future__ import annotations
@@ -170,20 +170,6 @@ class Path:
         return f"Path({self.display()})"
 
 
-def concat(*paths: Path) -> Path:
-    """Concatenate in traversal order; raises when endpoints do not meet."""
-    assert paths
-    first = paths[0]
-    arrows = list(first.arrows)
-    cur = first.target
-    for p in paths[1:]:
-        if p.source != cur:
-            raise NonComposableRelation("paths do not compose")
-        arrows.extend(p.arrows)
-        cur = p.target
-    return Path(first.quiver, first.source, tuple(arrows))
-
-
 def path_from_word(quiver: Quiver, word) -> Path:
     """Build a path from arrow names in *written* order (right-to-left).
 
@@ -299,21 +285,6 @@ class MonomialAlgebra:
 
     def is_basis(self, p: Path) -> bool:
         return not p.arrows or p.arrows in self.by_word
-
-    def reduce_concat(self, *paths: Path):
-        """Concatenate (traversal order) and reduce in A; None when zero.
-
-        Raises when endpoints do not meet.  An empty word is the trivial
-        path of the vertex every input sits at.
-        """
-        word = ()
-        cur = paths[0].source
-        for p in paths:
-            if p.source != cur:
-                raise NonComposableRelation("paths do not compose")
-            word += p.arrows
-            cur = p.target
-        return self.by_word.get(word) if word else paths[0]
 
     def __repr__(self):
         return (

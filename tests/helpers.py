@@ -10,6 +10,23 @@ def vertex(quiver, name):
     return quiver.trivial_path_at(quiver.vertex_index[str(name)])
 
 
+def index_of(table, path):
+    """The position of a basis path in ``algebra.basis``."""
+    basis = table.algebra.basis
+    assert path in basis, "%r is not a basis path" % path
+    return basis.index(path)
+
+
+def triple(table, pre, amb, post):
+    """The resolution key of pre (x) amb (x) post, pre and post basis paths."""
+    return (index_of(table, pre), amb, index_of(table, post))
+
+
+def quintuple(table, pre, first, mid, second, post):
+    """The diagonal key of (pre, first, mid, second, post), pre, mid and post basis paths."""
+    return (index_of(table, pre), first, index_of(table, mid), second, index_of(table, post))
+
+
 def pair_key(pair):
     """Sort key of an (ambiguity, parallel basis path) pair: by ambiguity path, then by path."""
     return (pair[0].path.sort_key(), pair[1].sort_key())

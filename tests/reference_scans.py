@@ -14,11 +14,42 @@ the basis at each column's anchors: they are the reference for the bar
 oracle's index-form pairs and assembly.  ``scan_is_finite`` and ``scan_basis``,
 which test every relation after every arrow step, are the reference for the
 relation automaton that ``MonomialAlgebra`` reads both answers off.
+The ``path_*`` functions are the resolution and the diagonal on ``Path``
+keys, built from path segments and ``reduce_concat``: they are the
+reference for the index-keyed elements of ``resolution`` and
+``diagonal``, which ``to_paths`` maps onto them.  ``concat`` and
+``reduce_concat`` are the path products that the ``BasisIndex`` product
+table replaced.
 """
 
+from monomial_hh.ambiguities import Ambiguity
+from monomial_hh.combination import Combination
+from monomial_hh.errors import NonComposableRelation
 from monomial_hh.linalg import SparseMatrix
 from monomial_hh.quivers import DivisorOccurrence, Path, _has_cycle
-from monomial_hh.resolution import bimodule_element
+
+
+def concat(*paths):
+    """Concatenate in traversal order; raises when endpoints do not meet."""
+    first = paths[0]
+    arrows = list(first.arrows)
+    cur = first.target
+    for p in paths[1:]:
+        if p.source != cur:
+            raise NonComposableRelation("paths do not compose")
+        arrows.extend(p.arrows)
+        cur = p.target
+    return Path(first.quiver, first.source, tuple(arrows))
+
+
+def reduce_concat(algebra, *paths):
+    """Concatenate (traversal order) and reduce in A; None when zero.
+
+    Raises when endpoints do not meet.  An empty word is the trivial
+    path of the vertex every input sits at.
+    """
+    word = concat(*paths).arrows
+    return algebra.by_word.get(word) if word else paths[0]
 
 
 def divisor_occurrences(q, p):
@@ -110,15 +141,15 @@ def scan_pair_differential_terms(table, amb, b):
             head_amb = table.amb_prefix(q, m - 1)
             if head_amb.path == p:
                 tail = qp.segment(len(p), len(qp))
-                bump(q, alg.reduce_concat(b, tail), 1)
+                bump(q, reduce_concat(alg, b, tail), 1)
             tail_amb = table.amb_suffix(q, m - 1)
             if tail_amb.path == p:
                 head = qp.segment(0, len(qp) - len(p))
-                bump(q, alg.reduce_concat(head, b), -1)
+                bump(q, reduce_concat(alg, head, b), -1)
     else:
         for q in table.degree(m):
             for occ in divisor_occurrences(p, q.path):
-                bump(q, alg.reduce_concat(occ.prefix, b, occ.suffix), 1)
+                bump(q, reduce_concat(alg, occ.prefix, b, occ.suffix), 1)
     return {k: c for k, c in out.items() if c}
 
 
@@ -152,7 +183,7 @@ def scan_cup_cochain(table, m, n, f, g):
                 gap_e = qp.segment(k2 + len(pg.path), len(qp))
                 for bf, cf in f_terms[pf]:
                     for bg, cg in g_terms[pg]:
-                        value = alg.reduce_concat(gap_a, bf, gap_c, bg, gap_e)
+                        value = reduce_concat(alg, gap_a, bf, gap_c, bg, gap_e)
                         if value is not None:
                             key = (q, value)
                             out[key] = field.add(out.get(key, field.zero), field.mul(cf, cg))
@@ -208,11 +239,11 @@ def scan_bar_column_terms(algebra, t, b):
     right_anchor = t[-1].source if t else b.source
     for x in algebra.nontrivial_basis:
         if x.source == left_anchor:
-            val = algebra.reduce_concat(b, x)
+            val = reduce_concat(algebra, b, x)
             if val is not None:
                 bump(((x,) + t, val), 1)
         if x.target == right_anchor:
-            val = algebra.reduce_concat(x, b)
+            val = reduce_concat(algebra, x, b)
             if val is not None:
                 bump((t + (x,), val), -1 if n % 2 == 0 else 1)
     for k in range(1, n + 1):
@@ -252,14 +283,177 @@ def scan_bar_pairs(algebra, n):
 
 
 def scan_right_spanning_set(table, degree):
-    """Right-module generators 1 (x) p (x) b, by a scan of the basis per ambiguity."""
+    """Right-module generators 1 (x) p (x) b, Path-keyed, by a scan of the basis per ambiguity."""
     alg = table.algebra
     out = []
     for amb in table.degree(degree):
         triv = alg.quiver.trivial_path_at(amb.path.source)
         for b in alg.basis:
             if b.source == amb.path.target:
-                out.append(bimodule_element(degree, {(triv, amb, b): 1}))
+                out.append(path_triples(degree, {(triv, amb, b): 1}))
+    return out
+
+
+# -- the Path-keyed resolution and diagonal -------------------------------------
+
+
+def _check_path_triple(key, degree):
+    pre, amb, post = key
+    assert isinstance(amb, Ambiguity) and amb.degree == degree
+    assert pre.target == amb.path.source
+    assert amb.path.target == post.source
+
+
+def _check_path_quintuple(key, degree):
+    pre, first, mid, second, post = key
+    assert first.degree + second.degree + 1 == degree
+    assert pre.target == first.path.source
+    assert first.path.target == mid.source
+    assert mid.target == second.path.source
+    assert second.path.target == post.source
+
+
+def path_triples(degree, terms=None):
+    """Sparse integer combination of composable (pre, amb, post) triples of paths."""
+    return Combination(_check_path_triple, degree, terms)
+
+
+def path_quintuples(degree, terms=None):
+    """Sparse integer combination of composable quintuples of paths and ambiguities."""
+    return Combination(_check_path_quintuple, degree, terms)
+
+
+def to_paths(table, x):
+    """The index-keyed element x with each basis index replaced by its path.
+
+    The kind follows the key length; an empty element equals the empty
+    element of either kind.
+    """
+    basis = table.algebra.basis
+    out = {}
+    for key, c in x.terms.items():
+        out[tuple(part if isinstance(part, Ambiguity) else basis[part] for part in key)] = c
+    if all(len(key) == 3 for key in out):
+        return path_triples(x.degree, out)
+    return path_quintuples(x.degree, out)
+
+
+def path_generator(amb):
+    q = amb.path.quiver
+    pre = q.trivial_path_at(amb.path.source)
+    post = q.trivial_path_at(amb.path.target)
+    return path_triples(amb.degree, {(pre, amb, post): 1})
+
+
+def path_d_terms(table, amb):
+    """Differential of 1 (x) amb (x) 1, as (pre, sub_amb, post, sign) with Path ends."""
+    n = amb.degree
+    assert n >= 0
+    alg = table.algebra
+    out = []
+    if n % 2 == 1:
+        for q, occ in table.sub(amb):
+            if alg.is_basis(occ.prefix) and alg.is_basis(occ.suffix):
+                out.append((occ.prefix, q, occ.suffix, 1))
+    else:
+        p = amb.path
+        after = p.segment(len(amb.head.path), len(p))
+        if alg.is_basis(after):
+            out.append((alg.quiver.trivial_path_at(p.source), amb.head, after, 1))
+        before = p.segment(0, len(p) - len(amb.tail.path))
+        if alg.is_basis(before):
+            out.append((before, amb.tail, alg.quiver.trivial_path_at(p.target), -1))
+    return out
+
+
+def path_differential(table, x):
+    alg = table.algebra
+    out = path_triples(x.degree - 1)
+    for (pre, amb, post), c in x.terms.items():
+        for dpre, q, dpost, sign in path_d_terms(table, amb):
+            new_pre = reduce_concat(alg, pre, dpre)
+            if new_pre is None:
+                continue
+            new_post = reduce_concat(alg, dpost, post)
+            if new_post is None:
+                continue
+            out.add((new_pre, q, new_post), sign * c)
+    return out
+
+
+def path_homotopy_sigma(table, x):
+    """Contracting homotopy; right-linear, scans the unreduced word amb*post."""
+    alg = table.algebra
+    out = path_triples(x.degree + 1)
+    for (pre, amb, post), c in x.terms.items():
+        if len(amb.path) + len(post) == 0:
+            continue
+        word = concat(amb.path, post)  # may contain relations on purpose
+        end = len(word.arrows)
+        for q, k in table.occurrences(x.degree + 1, word):
+            new_pre = reduce_concat(alg, pre, word.segment(0, k))
+            if new_pre is None:
+                continue
+            tail = word.segment(k + len(q.path), end)
+            if not alg.is_basis(tail):
+                continue
+            out.add((new_pre, q, tail), c)
+    return out
+
+
+def path_decompositions(table, amb, i, j):
+    """Positioned (q1 at k1) then (q2 at k2 >= k1+len) splits of amb.path, Path-keyed."""
+    alg = table.algebra
+    p = amb.path
+    seconds = table.occurrences(j, p)
+    out = []
+    for q1, k1 in table.occurrences(i, p):
+        end1 = k1 + len(q1.path)
+        for q2, k2 in seconds:
+            if k2 < end1:
+                continue
+            pre = p.segment(0, k1)
+            mid = p.segment(end1, k2)
+            post = p.segment(k2 + len(q2.path), len(p))
+            if not (alg.is_basis(pre) and alg.is_basis(mid) and alg.is_basis(post)):
+                continue
+            out.append((pre, q1, mid, q2, post))
+    return out
+
+
+def path_diagonal(table, amb):
+    n = amb.degree
+    out = path_quintuples(n)
+    for i in range(-1, n + 1):
+        for key in path_decompositions(table, amb, i, n - 1 - i):
+            out.add(key, 1)
+    return out
+
+
+def path_tensor_differential(table, x):
+    """(d (x) id)x + (-1)^(left homological degree) (id (x) d)x, Path-keyed."""
+    alg = table.algebra
+    out = path_quintuples(x.degree - 1)
+    for (pre, f, m, s, post), c in x.terms.items():
+        if s.degree >= 0:
+            for dpre, r, dpost, sign in path_d_terms(table, s):
+                new_mid = reduce_concat(alg, m, dpre)
+                if new_mid is None:
+                    continue
+                new_post = reduce_concat(alg, dpost, post)
+                if new_post is None:
+                    continue
+                out.add((pre, f, new_mid, r, new_post), sign * c)
+        if f.degree >= 0:
+            koszul = -1 if (s.degree + 1) % 2 else 1
+            for dpre, r, dpost, sign in path_d_terms(table, f):
+                new_pre = reduce_concat(alg, pre, dpre)
+                if new_pre is None:
+                    continue
+                new_mid = reduce_concat(alg, dpost, m)
+                if new_mid is None:
+                    continue
+                out.add((new_pre, r, new_mid, s, post), koszul * sign * c)
     return out
 
 

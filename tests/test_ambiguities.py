@@ -3,10 +3,10 @@ import pytest
 from monomial_hh import ambiguities
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.errors import DegreeUnderflow
-from monomial_hh.quivers import Quiver, build_algebra, concat, path_from_word
+from monomial_hh.quivers import Quiver, build_algebra, path_from_word
 
 from helpers import vertex
-from reference_scans import divisor_occurrences
+from reference_scans import concat, divisor_occurrences
 
 
 def words(ambs):

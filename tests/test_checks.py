@@ -172,3 +172,33 @@ def test_each_row_runs_its_own_check(monkeypatch, triangular_a6, row):
     assert [r.name for r in reports] == list(ROW_FUNCTIONS)
     assert [r.name for r in reports if not r.ok] == [row]
     assert [r.detail for r in reports if not r.ok] == ["broken " + row]
+
+
+def _flip_one_even_face(monkeypatch):
+    """Patch _d_terms, where resolution and diagonal read it, so that the first
+    face of the first 2-ambiguity has the wrong sign."""
+    original = resolution._d_terms
+
+    def flipped(table, amb):
+        faces = original(table, amb)
+        if amb is not table.degree(2)[0]:
+            return faces
+        (pre, q, post, sign), *rest = faces
+        return [(pre, q, post, -sign)] + rest
+
+    monkeypatch.setattr(resolution, "_d_terms", flipped)
+    monkeypatch.setattr(diagonal, "_d_terms", flipped)
+
+
+def test_a_planted_face_sign_fails_its_rows(monkeypatch, cone):
+    # a fault inside the differential, not a swapped-out check: every row
+    # that reads the faces sees it, however they are cached
+    _flip_one_even_face(monkeypatch)
+    reports = run_checks(cone, 4, checks.RESOLUTION_ROWS + checks.DIAGONAL_ROWS)
+    assert [r.name for r in reports if not r.ok] == ["d-squared", "homotopy", "diagonal-chain-map"]
+
+
+def test_homotopy_failure_names_its_generator(monkeypatch, cone):
+    _flip_one_even_face(monkeypatch)
+    (report,) = run_checks(cone, 4, ("homotopy",))
+    assert report.detail == "homotopy identity fails at [e(3) || zetagamma || beta]"

@@ -23,10 +23,11 @@ from monomial_hh.diagonal import check_chain_map, diagonal
 from monomial_hh.errors import NotACocycle, NotTriangular
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis
-from monomial_hh.quivers import build_algebra, concat, path_from_word
+from monomial_hh.quivers import build_algebra, path_from_word
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from helpers import is_quadratic, unit_cochain, vector
+from reference_scans import concat, reduce_concat, to_paths
 
 
 def product(table, m, n, f, g):
@@ -47,7 +48,7 @@ def delta_route_cup(table, m, n, f, g):
     index = {pair: k for k, pair in enumerate(pair_basis(table, m + n))}
     out = {}
     for q in table.degree(m + n - 1):
-        for (pre, q1, mid, q2, post), coeff in diagonal(table, q).terms.items():
+        for (pre, q1, mid, q2, post), coeff in to_paths(table, diagonal(table, q)).terms.items():
             if q1.degree != n - 1 or q2.degree != m - 1:
                 continue
             for jg, cg in g.items():
@@ -58,7 +59,7 @@ def delta_route_cup(table, m, n, f, g):
                     pf, bf = f_pairs[jf]
                     if pf != q2:
                         continue
-                    value = table.algebra.reduce_concat(pre, bg, mid, bf, post)
+                    value = reduce_concat(table.algebra, pre, bg, mid, bf, post)
                     if value is None:
                         continue
                     k = index[(q, value)]
@@ -238,7 +239,7 @@ def check_quadratic_cup(table, max_total_degree):
                         pq = concat(ambf.path, ambg.path)
                         q = table.by_path(m + n - 1, pq)
                         if q is not None and bf.target == bg.source:
-                            value = alg.reduce_concat(bf, bg)
+                            value = reduce_concat(alg, bf, bg)
                             if value is not None:
                                 expected[index[(q, value)]] = one
                     assert got == expected, "quadratic cup shape fails at %r, %r" % ((ambf, bf), (ambg, bg))
@@ -446,7 +447,7 @@ def test_cup_product_reads_the_diagonal(cone, monkeypatch):
     decompositions = diagonal_module._decompositions
 
     def adjacent_only(table, amb, i, j):
-        return [key for key in decompositions(table, amb, i, j) if key[2].is_trivial]
+        return [key for key in decompositions(table, amb, i, j) if table.algebra.basis[key[2]].is_trivial]
 
     monkeypatch.setattr(diagonal_module, "_decompositions", adjacent_only)
     with pytest.raises(AssertionError, match="chain-map"):

@@ -1,3 +1,5 @@
+import pytest
+
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.diagonal import (
     check_chain_map,
@@ -9,7 +11,8 @@ from monomial_hh.diagonal import (
 )
 from monomial_hh.quivers import path_from_word
 
-from helpers import is_quadratic, vertex
+from helpers import index_of, is_quadratic, quintuple, vertex
+from reference_scans import path_d_terms, reduce_concat, to_paths
 
 
 def check_quadratic(table, max_degree):
@@ -18,8 +21,9 @@ def check_quadratic(table, max_degree):
     for n in range(0, max_degree + 1):
         for amb in table.degree(n):
             seen = {}
+            basis = table.algebra.basis
             for (pre, q1, mid, q2, post), c in diagonal(table, amb).terms.items():
-                assert pre.is_trivial and mid.is_trivial and post.is_trivial
+                assert basis[pre].is_trivial and basis[mid].is_trivial and basis[post].is_trivial
                 bideg = (q2.degree + 1, q1.degree + 1)
                 assert bideg not in seen
                 seen[bideg] = c
@@ -31,8 +35,8 @@ def test_diagonal_of_vertex(cone):
     e = vertex(cone.quiver, "1")
     amb = t.by_path(-1, e)
     d = diagonal(t, amb)
-    assert d.terms == {(e, amb, e, amb, e): 1}
-    assert counit(d) == {e: 1}
+    assert d.terms == {quintuple(t, e, amb, e, amb, e): 1}
+    assert counit(t, d) == {index_of(t, e): 1}
 
 
 def test_diagonal_of_arrow(cone):
@@ -46,8 +50,8 @@ def test_diagonal_of_arrow(cone):
     ev2 = t.by_path(-1, e2)
     d = diagonal(t, amb)
     assert d.terms == {
-        (e1, ev1, e1, amb, e2): 1,
-        (e1, amb, e2, ev2, e2): 1,
+        quintuple(t, e1, ev1, e1, amb, e2): 1,
+        quintuple(t, e1, amb, e2, ev2, e2): 1,
     }
 
 
@@ -59,9 +63,9 @@ def test_diagonal_of_quadratic_relation(cone):
     e1, e2, e3 = (vertex(q, v) for v in "123")
     d = diagonal(t, amb)
     assert d.terms == {
-        (e2, t.by_path(-1, e2), e2, amb, e3): 1,
-        (e2, t.by_path(0, q.path("zeta")), e1, t.by_path(0, q.path("beta")), e3): 1,
-        (e2, amb, e3, t.by_path(-1, e3), e3): 1,
+        quintuple(t, e2, t.by_path(-1, e2), e2, amb, e3): 1,
+        quintuple(t, e2, t.by_path(0, q.path("zeta")), e1, t.by_path(0, q.path("beta")), e3): 1,
+        quintuple(t, e2, amb, e3, t.by_path(-1, e3), e3): 1,
     }
 
 
@@ -76,10 +80,10 @@ def test_diagonal_of_cubic_relation(cone):
     alpha = q.path("alpha")
     zeta = q.path("zeta")
     # the middle slot can be a nontrivial basis path
-    key = (e1, t.by_path(0, alpha), zeta, t.by_path(0, alpha), vertex(q, "2"))
+    key = quintuple(t, e1, t.by_path(0, alpha), zeta, t.by_path(0, alpha), vertex(q, "2"))
     assert d.terms[key] == 1
     # and so can pre
-    key2 = (alpha, t.by_path(0, zeta), e1, t.by_path(0, alpha), vertex(q, "2"))
+    key2 = quintuple(t, alpha, t.by_path(0, zeta), e1, t.by_path(0, alpha), vertex(q, "2"))
     assert d.terms[key2] == 1
 
 
@@ -111,28 +115,37 @@ def test_wrong_koszul_sign_fails(cone):
 
     t = AmbiguityTable(cone)
     amb = next(iter(t.degree(2)))
-    lhs = dmod.diagonal_of_element(t, differential(t, generator(amb)))
+    lhs = dmod.diagonal_of_element(t, differential(t, generator(t, amb)))
     rhs = dmod.tensor_differential(t, dmod.diagonal(t, amb))
     assert lhs == rhs
-    flipped = tensor_element(rhs.degree)
-    # rebuild rhs with the opposite Koszul convention by hand
-    from monomial_hh.resolution import _d_terms
-
+    flipped = tensor_element(t, rhs.degree)
+    # rebuild rhs with the opposite Koszul convention by hand, on paths
     alg = t.algebra
-    for (pre, f, m, s, post), c in dmod.diagonal(t, amb).terms.items():
+    for (pre, f, m, s, post), c in to_paths(t, dmod.diagonal(t, amb)).terms.items():
         if s.degree >= 0:
-            for dpre, r, dpost, sign in _d_terms(t, s):
-                new_mid = alg.reduce_concat(m, dpre)
-                new_post = alg.reduce_concat(dpost, post)
+            for dpre, r, dpost, sign in path_d_terms(t, s):
+                new_mid = reduce_concat(alg, m, dpre)
+                new_post = reduce_concat(alg, dpost, post)
                 if new_mid is None or new_post is None:
                     continue
-                flipped.add((pre, f, new_mid, r, new_post), sign * c)
+                flipped.add(quintuple(t, pre, f, new_mid, r, new_post), sign * c)
         if f.degree >= 0:
             koszul = 1 if (s.degree + 1) % 2 else -1
-            for dpre, r, dpost, sign in _d_terms(t, f):
-                new_pre = alg.reduce_concat(pre, dpre)
-                new_mid = alg.reduce_concat(dpost, m)
+            for dpre, r, dpost, sign in path_d_terms(t, f):
+                new_pre = reduce_concat(alg, pre, dpre)
+                new_mid = reduce_concat(alg, dpost, m)
                 if new_pre is None or new_mid is None:
                     continue
-                flipped.add((new_pre, r, new_mid, s, post), koszul * sign * c)
+                flipped.add(quintuple(t, new_pre, r, new_mid, s, post), koszul * sign * c)
     assert flipped != lhs
+
+
+def test_quintuple_keys_must_compose(cone):
+    t = AmbiguityTable(cone)
+    q = cone.quiver
+    e1, e2 = vertex(q, "1"), vertex(q, "2")
+    ev1, alpha = t.by_path(-1, e1), t.by_path(0, q.path("alpha"))
+    tensor_element(t, 0, {quintuple(t, e1, ev1, e1, alpha, e2): 1})
+    for bad in ((e2, ev1, e1, alpha, e2), (e1, ev1, e2, alpha, e2), (e1, ev1, e1, alpha, e1)):
+        with pytest.raises(AssertionError):
+            tensor_element(t, 0, {tuple(index_of(t, x) if x in cone.basis else x for x in bad): 1})

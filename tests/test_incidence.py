@@ -11,12 +11,13 @@ from monomial_hh.cochains import (
 )
 from monomial_hh.cup import cup_products
 from monomial_hh.fields import parse_field_spec
-from monomial_hh.quivers import Quiver, build_algebra, concat
+from monomial_hh.quivers import Quiver, build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
 from helpers import keyed, pair_key, vector
 from reference_scans import (
+    concat,
     scan_cofaces,
     scan_cup_cochain,
     scan_occurrences,

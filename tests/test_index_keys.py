@@ -1,0 +1,141 @@
+"""The resolution and the diagonal on basis indices, against the Path-keyed reference route.
+
+Every element is mapped through ``algebra.basis`` and compared term for
+term with the same arithmetic on Path keys in ``reference_scans``.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+from monomial_hh.ambiguities import AmbiguityTable
+from monomial_hh.cochains import hochschild_cohomology
+from monomial_hh.diagonal import _decompositions, diagonal, tensor_differential
+from monomial_hh.resolution import _d_terms, differential, generator, homotopy_sigma, right_spanning_set
+
+from reference_scans import (
+    path_d_terms,
+    path_decompositions,
+    path_diagonal,
+    path_differential,
+    path_generator,
+    path_homotopy_sigma,
+    path_tensor_differential,
+    reduce_concat,
+    to_paths,
+)
+from test_incidence import tables
+
+DEGREE = 5
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "monomial_hh"
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
+def test_resolution_matches_path_reference(spec):
+    for t in tables(spec):
+        basis = t.algebra.basis
+        for n in range(0, DEGREE + 1):
+            for amb in t.degree(n):
+                faces = [(basis[pre], q, basis[post], sign) for pre, q, post, sign in _d_terms(t, amb)]
+                assert faces == path_d_terms(t, amb)
+                assert to_paths(t, differential(t, generator(t, amb))) == path_differential(t, path_generator(amb))
+        for n in range(-1, DEGREE + 1):
+            for x in right_spanning_set(t, n):
+                sx = homotopy_sigma(t, x)
+                assert to_paths(t, sx) == path_homotopy_sigma(t, to_paths(t, x))
+                assert to_paths(t, differential(t, sx)) == path_differential(t, to_paths(t, sx))
+                if n >= 0:
+                    # d(x) has nontrivial outer slots, which sigma must multiply through
+                    dx = differential(t, x)
+                    assert to_paths(t, dx) == path_differential(t, to_paths(t, x))
+                    assert to_paths(t, homotopy_sigma(t, dx)) == path_homotopy_sigma(t, to_paths(t, dx))
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
+def test_diagonal_matches_path_reference(spec):
+    for t in tables(spec):
+        basis = t.algebra.basis
+        for n in range(-1, DEGREE + 1):
+            for amb in t.degree(n):
+                for i in range(-1, n + 1):
+                    for j in range(-1, n + 1):
+                        got = [
+                            (basis[pre], q1, basis[mid], q2, basis[post])
+                            for pre, q1, mid, q2, post in _decompositions(t, amb, i, j)
+                        ]
+                        assert got == path_decompositions(t, amb, i, j)
+                delta = diagonal(t, amb)
+                reference = path_diagonal(t, amb)
+                assert to_paths(t, delta) == reference
+                if n >= 0:
+                    assert to_paths(t, tensor_differential(t, delta)) == path_tensor_differential(t, reference)
+
+
+def test_basis_index_matches_paths():
+    for t in tables("q"):
+        alg = t.algebra
+        basis = alg.basis
+        index = t.basis_index()
+        assert [basis[v] for v in range(alg.quiver.n_vertices)] == [
+            alg.quiver.trivial_path_at(v) for v in range(alg.quiver.n_vertices)
+        ]
+        assert [basis[i] for i in range(alg.dim) if index.find(index.words[i], index.source[i]) != i] == []
+        assert {ends: tuple(basis[i] for i in indices) for ends, indices in index.parallel.items()} == alg.parallel
+        assert [index.parallel[(index.source[i], index.target[i])].index(i) for i in range(alg.dim)] == list(
+            index.position
+        )
+        assert [[basis[i] for i in leaving] for leaving in index.leaving] == [
+            [b for b in basis if b.source == v] for v in range(alg.quiver.n_vertices)
+        ]
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                if x.target != y.source:
+                    with pytest.raises(KeyError):
+                        index.mul(i, j)
+                else:
+                    product = index.mul(i, j)
+                    assert (None if product is None else basis[product]) == reduce_concat(alg, x, y)
+
+
+def _calls(module):
+    """Names of the functions and methods a module's source calls."""
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            out.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    return out
+
+
+@pytest.mark.parametrize("module", ["resolution", "diagonal", "cup", "cochains"])
+def test_no_path_arithmetic(module):
+    # words and products come from the BasisIndex, not from paths built per term
+    assert not {"reduce_concat", "segment", "concat"} & _calls(module)
+
+
+def test_faces_are_cached_per_ambiguity(cone, monkeypatch):
+    t = AmbiguityTable(cone)
+    first = {amb: _d_terms(t, amb) for n in range(5) for amb in t.degree(n)}
+    calls = []
+    sub = AmbiguityTable.sub
+
+    def counting(self, amb):
+        calls.append(amb)
+        return sub(self, amb)
+
+    monkeypatch.setattr(AmbiguityTable, "sub", counting)
+    assert all(_d_terms(t, amb) is faces for amb, faces in first.items())
+    assert calls == []
+
+
+
+def test_basis_index_is_built_on_first_use(cone):
+    # the direct cochain route never reads it, so hh builds none
+    t = AmbiguityTable(cone)
+    assert t._index is None
+    hochschild_cohomology(t, 3)
+    assert t._index is None
+    index = t.basis_index()
+    assert t.basis_index() is index

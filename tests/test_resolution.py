@@ -16,21 +16,21 @@ from monomial_hh.resolution import (
     iota,
 )
 
-from helpers import vertex
+from helpers import index_of, triple, vertex
 
 
-def negative(x):
-    return bimodule_element(x.degree, {key: -c for key, c in x.terms.items()})
+def negative(table, x):
+    return bimodule_element(table, x.degree, {key: -c for key, c in x.terms.items()})
 
 
 def test_differential_of_relation_is_arrow_sum(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     bz = path_from_word(q, "beta zeta")
-    d = differential(t, generator(t.by_path(1, bz)))
-    expected = bimodule_element(0)
-    expected.add((vertex(q, "2"), t.by_path(0, q.path("zeta")), q.path("beta")), 1)
-    expected.add((q.path("zeta"), t.by_path(0, q.path("beta")), vertex(q, "3")), 1)
+    d = differential(t, generator(t, t.by_path(1, bz)))
+    expected = bimodule_element(t, 0)
+    expected.add(triple(t, vertex(q, "2"), t.by_path(0, q.path("zeta")), q.path("beta")), 1)
+    expected.add(triple(t, q.path("zeta"), t.by_path(0, q.path("beta")), vertex(q, "3")), 1)
     assert d == expected
 
 
@@ -38,12 +38,12 @@ def test_differential_even_two_terms(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     zaza = path_from_word(q, "zeta alpha zeta alpha")
-    d = differential(t, generator(t.by_path(2, zaza)))
+    d = differential(t, generator(t, t.by_path(2, zaza)))
     aza = t.by_path(1, path_from_word(q, "alpha zeta alpha"))
     zaz = t.by_path(1, path_from_word(q, "zeta alpha zeta"))
-    expected = bimodule_element(1)
-    expected.add((vertex(q, "1"), aza, q.path("zeta")), 1)
-    expected.add((q.path("alpha"), zaz, vertex(q, "1")), -1)
+    expected = bimodule_element(t, 1)
+    expected.add(triple(t, vertex(q, "1"), aza, q.path("zeta")), 1)
+    expected.add(triple(t, q.path("alpha"), zaz, vertex(q, "1")), -1)
     assert d == expected
 
 
@@ -51,19 +51,19 @@ def test_augmentation_and_iota(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     alpha = q.path("alpha")
-    x = bimodule_element(-1)
-    x.add((vertex(q, "1"), t.by_path(-1, vertex(q, "1")), alpha), 2)
-    assert augmentation(t, x) == {alpha: 2}
+    x = bimodule_element(t, -1)
+    x.add(triple(t, vertex(q, "1"), t.by_path(-1, vertex(q, "1")), alpha), 2)
+    assert augmentation(t, x) == {index_of(t, alpha): 2}
     back = iota(t, augmentation(t, x))
-    assert back.terms == {(alpha, t.by_path(-1, vertex(q, "2")), vertex(q, "2")): 2}
+    assert back.terms == {triple(t, alpha, t.by_path(-1, vertex(q, "2")), vertex(q, "2")): 2}
 
     # a composite running through a relation multiplies to zero
-    z = bimodule_element(-1)
-    z.add((q.path("zeta"), t.by_path(-1, vertex(q, "1")), q.path("beta")), 1)
+    z = bimodule_element(t, -1)
+    z.add(triple(t, q.path("zeta"), t.by_path(-1, vertex(q, "1")), q.path("beta")), 1)
     assert augmentation(t, z) == {}
 
     with pytest.raises(WrongDegree):
-        augmentation(t, generator(t.by_path(0, alpha)))
+        augmentation(t, generator(t, t.by_path(0, alpha)))
     with pytest.raises(WrongDegree):
         differential(t, x)
 
@@ -71,18 +71,18 @@ def test_augmentation_and_iota(cone):
 def test_sigma_finds_relation_once(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
-    x = bimodule_element(0)
-    x.add((vertex(q, "2"), t.by_path(0, q.path("zeta")), q.path("beta")), 1)
+    x = bimodule_element(t, 0)
+    x.add(triple(t, vertex(q, "2"), t.by_path(0, q.path("zeta")), q.path("beta")), 1)
     s = homotopy_sigma(t, x)
-    assert s == generator(t.by_path(1, path_from_word(q, "beta zeta")))
+    assert s == generator(t, t.by_path(1, path_from_word(q, "beta zeta")))
 
 
 def test_sigma_on_trivial_word_is_zero(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
-    x = bimodule_element(-1)
+    x = bimodule_element(t, -1)
     e = vertex(q, "1")
-    x.add((e, t.by_path(-1, e), e), 1)
+    x.add(triple(t, e, t.by_path(-1, e), e), 1)
     assert homotopy_sigma(t, x).is_zero()
 
 
@@ -103,20 +103,27 @@ def test_homotopy_plus_sign_fails(cone):
     # the identity holds with id - iota.eps; the variant with a plus does not
     t = AmbiguityTable(cone)
     q = cone.quiver
-    x = bimodule_element(-1)
-    x.add((vertex(q, "1"), t.by_path(-1, vertex(q, "1")), q.path("alpha")), 1)
-    lhs_plus = differential(t, homotopy_sigma(t, x)) + negative(iota(t, augmentation(t, x)))
+    x = bimodule_element(t, -1)
+    x.add(triple(t, vertex(q, "1"), t.by_path(-1, vertex(q, "1")), q.path("alpha")), 1)
+    lhs_plus = differential(t, homotopy_sigma(t, x)) + negative(t, iota(t, augmentation(t, x)))
     assert lhs_plus != x
 
 
 def test_element_arithmetic(cone):
     t = AmbiguityTable(cone)
-    g = generator(t.by_path(0, cone.quiver.path("alpha")))
-    z = g + negative(g)
+    g = generator(t, t.by_path(0, cone.quiver.path("alpha")))
+    z = g + negative(t, g)
     assert z.is_zero()
     assert (g + z) == g
     with pytest.raises(TypeError):
         hash(g)
     # a key enters only at its own degree
     with pytest.raises(AssertionError):
-        bimodule_element(1, g.terms)
+        bimodule_element(t, 1, g.terms)
+    # and only where its basis indices compose with the ambiguity
+    q = cone.quiver
+    alpha = t.by_path(0, q.path("alpha"))
+    with pytest.raises(AssertionError):
+        bimodule_element(t, 0, {(index_of(t, q.path("beta")), alpha, index_of(t, vertex(q, "2"))): 1})
+    with pytest.raises(AssertionError):
+        bimodule_element(t, 0, {(index_of(t, vertex(q, "1")), alpha, index_of(t, vertex(q, "1"))): 1})
