@@ -82,11 +82,13 @@ def cup_products(table, m, n, fs, gs):
     accumulating into fs[a]'s products with every gs[b] that has a term
     there.  Sums that cancel to zero are dropped.
     """
+    if not any(fs):
+        return {}
     by_pair = {}  # pair index of gs -> [(b, coefficient in gs[b])]
     for b, g in enumerate(gs):
         for j, c in g.items():
             by_pair.setdefault(j, []).append((b, c))
-    if not by_pair or not any(fs):
+    if not by_pair:
         return {}
     field = table.algebra.field
     add, mul, is_zero, zero = field.add, field.mul, field.is_zero, field.zero
@@ -178,7 +180,11 @@ def check_cup_closure(table, spaces, max_total_degree):
     """Cocycle x cocycle is a cocycle; either order with a coboundary is one."""
     for m in range(0, max_total_degree + 1):
         z = spaces[m].cocycles
+        if not z:
+            continue
         for n in range(0, max_total_degree + 1 - m):
+            if not spaces[n].cocycles and not spaces[n].coboundaries:
+                continue  # every product below is empty
             zz = cup_products(table, m, n, z, spaces[n].cocycles)
             zb = cup_products(table, m, n, z, spaces[n].coboundaries)
             bz = cup_products(table, n, m, spaces[n].coboundaries, z)

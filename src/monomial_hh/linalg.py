@@ -16,6 +16,20 @@ stored zeros" holds from then on.  The field's row kernels then make each
 reduction step ``vec ← a·vec − b·row`` (fraction-free over the rationals,
 mod p over a prime field) and convert back to scalars only what is
 returned.
+
+The cohomology passes eliminate only where vectors meet, by three
+shortcuts that the uniqueness above makes exact:
+
+- ``kernel_basis`` gives an empty integer column j the dependency
+  ``{j: 1}`` without inserting it, which is what ``canonical`` makes of
+  the coefficient {j: 1} it would carry (a column that is nonzero over Z
+  but zero in the field is still inserted);
+- ``quotient_basis`` stores a kernel vector that has no index at a current
+  pivot as it is, in canonical form: reducing it would change nothing;
+- the kernel vectors are independent, so one with a single entry puts e_j
+  in the span, and j is dropped from a representative's rest before it is
+  reduced: the coset, and so its normal form, stays the same, and a rest
+  left empty needs no reduction at all.
 """
 
 from __future__ import annotations
@@ -179,6 +193,9 @@ def kernel_basis(field, matrix: SparseMatrix, image=None):
     basis = RowBasis(field, track=True)
     out = []
     for j, col in enumerate(matrix.cols):
+        if not col:
+            out.append({j: 1})  # what inserting it would give: canonical {j: 1}
+            continue
         added, dep = basis.insert(col, tag=j)
         if not added:
             out.append(dep)
@@ -209,19 +226,33 @@ def quotient_basis(field, kernel_vecs, image):
     kernel does.
     """
     combined = RowBasis(field, seed=image)
+    rows = combined.rows
     rep_pivots = []
     for v in kernel_vecs:
-        if combined.insert(v)[0]:
-            rep_pivots.append(next(reversed(combined.rows)))
+        if rows.keys().isdisjoint(v):
+            # nothing to reduce: store the row that insert would store
+            row = field.to_row(v)[0]
+            if row:
+                p = min(row)
+                rows[p] = field.canonical(row, None, p)
+                rep_pivots.append(p)
+        elif combined.insert(v)[0]:
+            rep_pivots.append(next(reversed(rows)))
     if combined.rank != len(kernel_vecs):
         raise ImageNotInKernel("image vector outside the kernel span")
+    # the kernel vectors are independent, so a one-entry one puts e_j in
+    # the span: dropping j from a rest leaves its coset, and so its
+    # reduction, unchanged
+    units = {j for v in kernel_vecs if len(v) == 1 for j in v}
     # only the rows returned are fully reduced, once every vector is in: the
     # pivot entry plus the rest of the row reduced modulo the span is the
     # one row of the span with that pivot entry and zeros at the other pivots
     reps = []
     for p in rep_pivots:
-        vec = combined.rows[p][0]  # an integer row, a vector of scalars too
+        vec = rows[p][0]  # an integer row, a vector of scalars too
         rep = {p: vec[p]}
-        rep.update(combined.reduce_mod({c: v for c, v in vec.items() if c != p}))
+        rest = {c: v for c, v in vec.items() if c != p and c not in units}
+        if rest:
+            rep.update(combined.reduce_mod(rest))
         reps.append(rep)
     return reps

@@ -19,13 +19,17 @@ keys, built from path segments and ``reduce_concat``: they are the
 reference for the index-keyed elements of ``resolution`` and
 ``diagonal``, which ``to_paths`` maps onto them.  ``concat`` and
 ``reduce_concat`` are the path products that the ``BasisIndex`` product
-table replaced.
+table replaced.  ``insert_kernel_basis`` and ``insert_quotient_basis`` are
+the elimination before its shortcuts: every column and every kernel vector
+goes through ``RowBasis.insert`` and every representative's rest through
+``reduce_mod``, the reference for ``linalg.kernel_basis`` and
+``linalg.quotient_basis``.
 """
 
 from monomial_hh.ambiguities import Ambiguity
 from monomial_hh.combination import Combination
-from monomial_hh.errors import NonComposableRelation
-from monomial_hh.linalg import SparseMatrix
+from monomial_hh.errors import ImageNotInKernel, NonComposableRelation
+from monomial_hh.linalg import RowBasis, SparseMatrix
 from monomial_hh.quivers import DivisorOccurrence, Path, _has_cycle
 
 
@@ -508,3 +512,35 @@ def scan_basis(quiver, rel_arrows):
         frontier = nxt
     out.sort(key=Path.sort_key)
     return out
+
+
+def insert_kernel_basis(field, matrix, image=None):
+    """``linalg.kernel_basis`` with every column inserted, zero columns too."""
+    basis = RowBasis(field, track=True)
+    out = []
+    for j, col in enumerate(matrix.cols):
+        added, dep = basis.insert(col, tag=j)
+        if not added:
+            out.append(dep)
+    assert basis.rank + len(out) == matrix.ncols
+    if image is not None:
+        image.extend(field.canonical(vec, None, p)[0] for p, (vec, _) in basis.rows.items())
+    return out
+
+
+def insert_quotient_basis(field, kernel_vecs, image):
+    """``linalg.quotient_basis`` with every kernel vector inserted and every rest reduced."""
+    combined = RowBasis(field, seed=image)
+    rep_pivots = []
+    for v in kernel_vecs:
+        if combined.insert(v)[0]:
+            rep_pivots.append(next(reversed(combined.rows)))
+    if combined.rank != len(kernel_vecs):
+        raise ImageNotInKernel("image vector outside the kernel span")
+    reps = []
+    for p in rep_pivots:
+        vec = combined.rows[p][0]
+        rep = {p: vec[p]}
+        rep.update(combined.reduce_mod({c: v for c, v in vec.items() if c != p}))
+        reps.append(rep)
+    return reps
