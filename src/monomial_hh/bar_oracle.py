@@ -80,28 +80,42 @@ def bar_pairs(algebra, n, budget=DEFAULT_PAIR_BUDGET):
 def bar_differential_matrix(algebra, pairs_lo, pairs_hi):
     """Columns: degree-n pairs; rows: degree-(n+1) pairs; integer entries, for every field.
 
-    Row of (t, v): the row of t's first pair plus v's place in ``parallel``.
+    Row of (t, v): the row of t's first pair plus v's place in ``parallel``,
+    so a tuple's pairs must be adjacent (asserted).  The inner faces of (t, b)
+    merge adjacent pieces of t and keep b, so their rows less ``place[b]``
+    are read once per tuple.
     """
     ix = _BarIndex(algebra)
     place, after, before, splits = ix.position, ix.after, ix.before, ix.splits
     first = {}
+    t_prev = None
     for i, (t, _) in enumerate(pairs_hi):
-        first.setdefault(t, i)
+        if t != t_prev:
+            assert t not in first, "the pairs of a tuple are not adjacent"
+            first[t] = i
+            t_prev = t
     cols = []
+    t_prev = None
     for t, b in pairs_lo:
+        if t != t_prev:
+            t_prev = t
+            sign = 1 if len(t) % 2 else -1
+            inner = [
+                (first[t[:k] + split + t[k + 1 :]], 1 if k % 2 else -1)
+                for k, piece in enumerate(t)
+                for split in splits[piece]
+            ]
         col = {}
         for x, v in after[b]:
             r = first[(x,) + t] + place[v]
             col[r] = col.get(r, 0) + 1
-        sign = 1 if len(t) % 2 else -1
         for x, v in before[b]:
             r = first[t + (x,)] + place[v]
             col[r] = col.get(r, 0) + sign
-        for k, piece in enumerate(t):
-            head, tail, sign = t[:k], t[k + 1 :], 1 if k % 2 else -1
-            for split in splits[piece]:
-                r = first[head + split + tail] + place[b]
-                col[r] = col.get(r, 0) + sign
+        p = place[b]
+        for r, c in inner:
+            r += p
+            col[r] = col.get(r, 0) + c
         cols.append({r: c for r, c in col.items() if c})
     return SparseMatrix(len(pairs_hi), len(pairs_lo), tuple(cols))
 

@@ -202,12 +202,16 @@ class CohomologySpace:
     representatives: list
     dimension: int
     _solver: object = dc_field(default=None, repr=False, compare=False)
+    _certified: bool = dc_field(default=False, repr=False, compare=False)
 
     def rep_cochains(self, table, what):
-        """The representatives, each checked once to be a cocycle; NotACocycle(what) if one is not."""
-        for v in self.representatives:
-            if not is_cocycle(table, self.degree, v):
-                raise NotACocycle(what)
+        """The representatives, checked to be cocycles on the first call that
+        passes and not again; NotACocycle(what) on every call if one is not."""
+        if not self._certified:
+            for v in self.representatives:
+                if not is_cocycle(table, self.degree, v):
+                    raise NotACocycle(what)
+            self._certified = True
         return self.representatives
 
 

@@ -7,7 +7,11 @@ of such dicts.  Everything is exact.  The elimination keeps row-echelon
 rows and never edits a stored row; every result it hands out (kernel
 vectors, dependencies, expressions, reductions, quotient representatives)
 is the unique normal form of its span, so results depend only on insertion
-order, which callers fix deterministically.
+order, which callers fix deterministically.  ``rank`` is the one pass whose
+order is free: it returns a number that depends on the column span alone,
+so it inserts the columns last first, the order that fills in least on the
+bar matrices.  ``kernel_basis`` and ``quotient_basis`` keep their order,
+because their outputs depend on it.
 
 Inside the elimination a row is a dict of plain ints, never of scalars.
 The field's ``to_row`` is where every input vector enters: it reduces the
@@ -208,9 +212,14 @@ def kernel_basis(field, matrix: SparseMatrix, image=None):
 
 
 def rank(field, matrix: SparseMatrix) -> int:
-    """Rank of the column span: each column inserted once, untracked."""
+    """Rank of the column span: each column inserted once, untracked, last first.
+
+    A rank depends only on the span, so any column order gives it exactly.
+    The last columns come first because on the bar matrices, whose columns
+    are in lexicographic tuple order, that order fills in far less.
+    """
     basis = RowBasis(field)
-    for col in matrix.cols:
+    for col in reversed(matrix.cols):
         basis.insert(col)
     return basis.rank
 

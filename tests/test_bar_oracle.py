@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import random
 
 import pytest
 
@@ -14,22 +15,30 @@ from monomial_hh.bar_oracle import (
 from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.errors import BudgetExceeded
 from monomial_hh.fields import parse_field_spec
-from monomial_hh.linalg import RowBasis
+from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis, rank
 from monomial_hh.quivers import build_algebra
+from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
+from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
 from helpers import loops_algebra_text
 from reference_scans import scan_bar_differential_matrix, scan_bar_pairs
 from test_incidence import tables
 
 
+def cub2(spec):
+    return parse_algebra_file(loops_algebra_text(2, 3).replace("field q", "field " + spec))
+
+
+def bar_matrices(algebra, top):
+    """The bar differentials of degrees 0..top, as ``bar_hh_dimensions`` builds them."""
+    pairs = [bar_pairs(algebra, n) for n in range(top + 2)]
+    return [bar_differential_matrix(algebra, pairs[n], pairs[n + 1]) for n in range(top + 1)]
+
+
 def check_bar_delta_squared(algebra, max_degree):
     """delta o delta = 0 as matrices, degree by degree."""
     field = algebra.field
-    pairs = [bar_pairs(algebra, n) for n in range(max_degree + 2)]
-    mats = [
-        bar_differential_matrix(algebra, pairs[n], pairs[n + 1])
-        for n in range(max_degree + 1)
-    ]
+    mats = bar_matrices(algebra, max_degree)
     for n in range(max_degree):
         lo, hi = mats[n], mats[n + 1]
         for j in range(lo.ncols):
@@ -115,7 +124,7 @@ def test_matrices_match_reference(spec):
 
 @pytest.mark.parametrize("spec", ["q", "fp:7"])
 def test_cub2_matrices_match_reference(spec):
-    check_matrices_match_reference(parse_algebra_file(loops_algebra_text(2, 3).replace("field q", "field " + spec)))
+    check_matrices_match_reference(cub2(spec))
 
 
 def test_oracle_imports_no_gamma_layer():
@@ -137,11 +146,75 @@ def test_oracle_imports_no_gamma_layer():
 @pytest.mark.parametrize("spec", ["q", "fp:7"])
 def test_cub2_dims(spec):
     # the oracle-elim algebra: pins the values, not only the pass/fail of verify --oracle
-    alg = parse_algebra_file(loops_algebra_text(2, 3).replace("field q", "field " + spec))
+    alg = cub2(spec)
     assert alg.field.name == spec
     dims = bar_hh_dimensions(alg, 3)
     assert dims == [5, 10, 30, 72]
     assert dims == [sp.dimension for sp in hochschild_cohomology(AmbiguityTable(alg), 3)]
+
+
+def rank_inputs():
+    """(algebra, top degree): the fixtures, cub(2), and seeded algebras of dim <= 12."""
+    for spec in ("q", "fp:2", "fp:3"):
+        field = parse_field_spec(spec)
+        for make in (make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2):
+            alg = make()
+            yield build_algebra(alg.quiver, alg.relations, field), 4
+    for spec in ("q", "fp:7"):
+        yield cub2(spec), 3
+    for spec in ("q", "fp:2"):
+        for triangular in (False, True):
+            cfg = RandomAlgebraConfig(triangular=triangular, field=parse_field_spec(spec))
+            for seed in range(1000, 1020):
+                alg = random_algebra(cfg, seed)
+                if alg.dim <= 12:
+                    yield alg, 4
+
+
+def test_rank_does_not_depend_on_the_column_order():
+    # rank inserts the columns in an order of its own; the forward tracked
+    # elimination and a shuffle of the columns must give the same number
+    rng = random.Random(21)
+    for alg, top in rank_inputs():
+        field = alg.field
+        for n, mat in enumerate(bar_matrices(alg, top)):
+            r = rank(field, mat)
+            assert r == mat.ncols - len(kernel_basis(field, mat)), (field.name, n)
+            cols = list(mat.cols)
+            rng.shuffle(cols)
+            assert rank(field, SparseMatrix(mat.nrows, mat.ncols, tuple(cols))) == r, (field.name, n)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:7"])
+def test_rank_elimination_steps_on_cub2(spec, monkeypatch):
+    # the work of the last-first order, pinned: reduction steps per degree
+    alg = cub2(spec)
+    field = alg.field
+    steps = []
+    combine = field.combine
+
+    def counting(target, a, b, source):
+        steps[-1] += 1
+        combine(target, a, b, source)
+
+    monkeypatch.setattr(field, "combine", counting)
+    for mat in bar_matrices(alg, 3):
+        steps.append(0)
+        rank(field, mat)
+    assert steps == [0, 17, 165, 1310]
+
+
+def test_a_tuple_with_pairs_apart_is_refused():
+    # a row is the row of its tuple's first pair plus the value's place, so
+    # the pairs of a tuple must be adjacent
+    alg = cub2("q")
+    pairs = bar_pairs(alg, 1)
+    tuple_size = sum(1 for t, _ in pairs if t == pairs[0][0])
+    assert tuple_size == 7
+    moved = pairs[:3] + pairs[4:] + pairs[3:4]
+    bar_differential_matrix(alg, bar_pairs(alg, 0), pairs)
+    with pytest.raises(AssertionError):
+        bar_differential_matrix(alg, bar_pairs(alg, 0), moved)
 
 
 def test_each_bar_column_inserted_once(cone, monkeypatch):

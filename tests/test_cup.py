@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from monomial_hh import cochains, cup
@@ -381,6 +383,35 @@ def test_cup_table_checks_each_factor_once(cone, monkeypatch):
     assert sum(map(len, entries)) == len(reps_i) * len(reps_j)
     # the products are checked by class_vector's solve, not by is_cocycle
     assert len(calls) == len(reps_i) + len(reps_j)
+
+
+def test_representatives_are_certified_once(cone, monkeypatch):
+    # a second table over the same spaces checks no factor again
+    t = AmbiguityTable(cone)
+    spaces = hochschild_cohomology(t, 4)
+    calls = []
+
+    def counting(table, m, x):
+        calls.append(x)
+        return is_cocycle(table, m, x)
+
+    monkeypatch.setattr(cochains, "is_cocycle", counting)
+    first = cup_table(t, spaces, 1, 2)
+    assert cup_table(t, spaces, 1, 2) == first
+    assert len(calls) == spaces[1].dimension + spaces[2].dimension == 5
+
+
+def test_a_failing_representative_raises_on_every_call(cone):
+    # only a space whose representatives all pass is certified: a planted
+    # non-cocycle after the good ones raises on the first and the second call
+    t = AmbiguityTable(cone)
+    spaces = hochschild_cohomology(t, 3)
+    j = next(j for j in range(len(spaces[2].pairs)) if not is_cocycle(t, 2, {j: 1}))
+    spaces[2] = dataclasses.replace(spaces[2], representatives=spaces[2].representatives + [{j: 1}])
+    for _ in range(2):
+        with pytest.raises(NotACocycle, match="right cup factor"):
+            cup_table(t, spaces, 1, 2)
+    assert not spaces[2]._certified
 
 
 def test_triangular_vanishing_checks_each_factor_once(triangular_a6, monkeypatch):
