@@ -30,7 +30,7 @@ def main():
     for n in range(TOP + 1):
         print("HH^%d (dim %d)" % (n, spaces[n].dimension))
         for i, rep in enumerate(spaces[n].representatives):
-            print("  z%d = %s" % (i, display_vector(spaces[n].pairs, rep, words)))
+            print("  z%d = %s" % (i, display_vector(algebra, spaces[n].pairs, rep, words)))
 
     q = algebra.quiver
     one = algebra.field.one
@@ -39,7 +39,7 @@ def main():
         """Index of the pair (ambiguity on word, path b) among the cochain pairs of degree."""
         amb = table.by_path(degree - 1, q.path(word))
         assert amb is not None, word
-        return pair_basis(table, degree).index((amb, q.path(b)))
+        return pair_basis(table, degree).index((amb, algebra.basis.index(q.path(b))))
 
     f = {pair(1, "alpha", "alpha"): one}
     g = {pair(1, "zeta", "zeta"): one}
@@ -51,7 +51,7 @@ def main():
         prod = cup_products(table, m, n, [x], [y]).get((0, 0), {})
         cls = class_vector(spaces[m + n], table, prod)
         shown = " + ".join("%s z%d" % (c, k) for k, c in sorted(cls.items()))
-        print("  %s = %s   class %s" % (name, display_vector(spaces[m + n].pairs, prod, words), shown or "0"))
+        print("  %s = %s   class %s" % (name, display_vector(algebra, spaces[m + n].pairs, prod, words), shown or "0"))
 
 
 if __name__ == "__main__":

@@ -69,58 +69,6 @@ class Ambiguity:
         return f"Ambiguity({self.path.display()}, degree {self.degree})"
 
 
-class BasisIndex:
-    """The basis of A by position: index i names ``algebra.basis[i]``.
-
-    ``words``, ``source`` and ``target`` give each index's arrow word and
-    endpoints; ``leaving[v]`` the indices that start at vertex v, and
-    ``parallel[(s, t)]`` those from s to t, both in basis order;
-    ``position[i]`` is i's place in its ``parallel`` tuple.  The basis sorts
-    by length first, so the trivial path at vertex v is index v.  ``mul``
-    reads a product table that is filled one row per left factor, the first
-    time a product with that factor is asked.
-    """
-
-    __slots__ = ("words", "source", "target", "leaving", "parallel", "position", "_of_word", "_rows")
-
-    def __init__(self, algebra: MonomialAlgebra):
-        basis = algebra.basis
-        n = algebra.quiver.n_vertices
-        assert all(basis[v].source == v and not basis[v].arrows for v in range(n)), "vertex v is not index v"
-        self.words = tuple(p.arrows for p in basis)
-        self.source = tuple(p.source for p in basis)
-        self.target = tuple(p.target for p in basis)
-        self._of_word = {w: i for i, w in enumerate(self.words) if w}
-        leaving = [[] for _ in range(n)]
-        for i, v in enumerate(self.source):
-            leaving[v].append(i)
-        self.leaving = tuple(map(tuple, leaving))
-        self.parallel = {
-            ends: tuple(self.find(p.arrows, p.source) for p in paths) for ends, paths in algebra.parallel.items()
-        }
-        self.position = tuple(algebra.position.get(w, 0) for w in self.words)
-        self._rows = [None] * len(basis)
-
-    def find(self, word: tuple, vertex: int):
-        """The index of the basis path with this arrow word, or None when the
-        word is not one; the empty word is the trivial path at vertex."""
-        return self._of_word.get(word) if word else vertex
-
-    def mul(self, i: int, j: int):
-        """The index of the product of i then j (traversal order), or None when
-        it is zero in A; a KeyError when j does not start where i ends."""
-        row = self._rows[i]
-        if row is None:
-            word = self.words[i]
-            if word:
-                of_word, words = self._of_word, self.words
-                row = {k: of_word.get(word + words[k]) for k in self.leaving[self.target[i]]}
-            else:
-                row = {k: k for k in self.leaving[i]}
-            self._rows[i] = row
-        return row[j]
-
-
 def _left_candidates(rel_arrows, first_piece: tuple):
     """u_n candidates for extending a left chain whose u_{n-1} is first_piece."""
     cands = set()
@@ -163,12 +111,11 @@ class AmbiguityTable:
     The window lengths and the cofaces are built lazily, on first use, from
     the stored degrees alone; they are idempotent caches, so building one
     twice gives the same map.
-    The ``BasisIndex`` of the algebra (words, endpoints and products of
-    basis paths by position) is built on first use too.  The faces of the
-    resolution differential and the diagonals, which read only these two
-    indexes, the cup structure constants, which read only the diagonals,
-    and the pairs and pair offsets of the cochains are cached here the same
-    way, one slot each, by the modules that build them.
+    The faces of the resolution differential and the diagonals, which read
+    only this index and the algebra's basis index, the cup structure
+    constants, which read only the diagonals, and the pairs and pair
+    offsets of the cochains are cached here the same way, one slot each, by
+    the modules that build them.
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -189,16 +136,8 @@ class AmbiguityTable:
         self._cup = {}  # bidegree (m, n) -> cup structure constants, see cup._constants
         self._diagonals = {}  # ambiguity -> its diagonal, see diagonal.diagonal
         self._faces = {}  # ambiguity -> its differential's faces, see resolution._d_terms
-        self._index = None  # the algebra's BasisIndex, see basis_index
         self._pairs = {}  # cochain degree m -> its pairs, see cochains.pair_basis
         self._offsets = {}  # cochain degree m -> row offsets of Γ_{m-1}, see cochains._offsets
-
-    def basis_index(self):
-        """The algebra's ``BasisIndex``, built on first use."""
-        index = self._index
-        if index is None:
-            index = self._index = BasisIndex(self.algebra)
-        return index
 
     def degree(self, n: int):
         """The tuple of n-ambiguities, sorted by path; computed on demand."""
@@ -294,7 +233,7 @@ class AmbiguityTable:
         hi = len(amb.path.arrows) - len(suf.path.arrows)
         assert lo <= hi, "prefix/suffix truncations overlap"
         b = amb.path.segment(lo, hi)
-        assert self.algebra.is_basis(b)
+        assert self.algebra.find(b.arrows, b.source) is not None
         return pre, b, suf
 
     def sub(self, amb: Ambiguity):

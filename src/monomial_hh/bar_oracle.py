@@ -11,8 +11,11 @@ and the differential is the classical alternating sum
 with all products reduced in the algebra.  Tuples are written in function
 order, so the composite of (a1, ..., an) traverses a_n first.
 
-A pair is (tuple, value) in positions of ``algebra.basis``; a column reads
-its rows off one ``_BarIndex`` of the algebra, reused in every degree.  Only
+A pair is (tuple, value) in indices of ``algebra.basis``, and a pair's
+row is placed by the algebra's ``parallel`` and ``position``.  The
+products a column reads come from concatenating basis words here, once
+per algebra and reused in every degree; the algebra's product table is
+not read, so the oracle shares only the numbering of the basis.  Only
 ranks are computed: dim HH^n = |C^n| − rank δ^n − rank δ^{n−1}.
 
 Spaces grow fast; everything takes a pair budget and raises BudgetExceeded
@@ -28,31 +31,27 @@ DEFAULT_PAIR_BUDGET = 150_000
 
 
 @functools.lru_cache(maxsize=1)  # one algebra at a time, read in all its degrees
-class _BarIndex:
-    """What the bar complex of one algebra reads, by basis index.
+def _products(algebra):
+    """The products the bar differential reads, by concatenating basis words.
 
-    ``parallel`` and ``loops`` list values, ``position[b]`` is b's place in
-    its ``parallel`` tuple, ``by_target[v]`` the nontrivial paths ending at v;
     ``after[b]`` and ``before[b]`` are the nonzero products b·x and x·b,
     x nontrivial, as (x, product); ``splits[p]`` the (u, v) with p = u·v.
+    The oracle shares the algebra's numbering of the basis, not its
+    product table.
     """
-
-    def __init__(self, algebra):
-        basis = algebra.basis
-        at = {p: i for i, p in enumerate(basis)}
-        word = {p.arrows: i for i, p in enumerate(basis) if p.arrows}
-        self.source = [p.source for p in basis]
-        self.target = [p.target for p in basis]
-        self.parallel = {ends: tuple(map(at.get, paths)) for ends, paths in algebra.parallel.items()}
-        self.position = [algebra.position.get(p.arrows, 0) for p in basis]
-        self.loops = tuple(i for i, p in enumerate(basis) if p.source == p.target)
-        self.nontrivial = tuple(word.values())
-        vertices = range(algebra.quiver.n_vertices)
-        by_source = [[i for i in self.nontrivial if self.source[i] == v] for v in vertices]
-        self.by_target = [[i for i in self.nontrivial if self.target[i] == v] for v in vertices]
-        self.after = [[(x, word[w]) for x in by_source[p.target] if (w := p.arrows + basis[x].arrows) in word] for p in basis]
-        self.before = [[(x, word[w]) for x in self.by_target[p.source] if (w := basis[x].arrows + p.arrows) in word] for p in basis]
-        self.splits = [[(word[p.arrows[c:]], word[p.arrows[:c]]) for c in range(1, len(p))] for p in basis]
+    words, word_index, source, target = algebra.words, algebra.word_index, algebra.source, algebra.target
+    basis = range(algebra.dim)
+    nontrivial = basis[algebra.quiver.n_vertices :]  # vertex v is index v
+    after = [
+        [(x, word_index[w]) for x in nontrivial if source[x] == target[b] and (w := words[b] + words[x]) in word_index]
+        for b in basis
+    ]
+    before = [
+        [(x, word_index[w]) for x in nontrivial if target[x] == source[b] and (w := words[x] + words[b]) in word_index]
+        for b in basis
+    ]
+    splits = [[(word_index[w[c:]], word_index[w[:c]]) for c in range(1, len(w))] for w in words]
+    return after, before, splits
 
 
 def bar_pairs(algebra, n, budget=DEFAULT_PAIR_BUDGET):
@@ -62,16 +61,19 @@ def bar_pairs(algebra, n, budget=DEFAULT_PAIR_BUDGET):
     order and each value list in basis order, so the pairs are already
     sorted by (tuple, value).
     """
-    ix = _BarIndex(algebra)
+    source, target, parallel = algebra.source, algebra.target, algebra.parallel
+    nontrivial = range(algebra.quiver.n_vertices, algebra.dim)  # vertex v is index v
+    ending = [[x for x in nontrivial if target[x] == v] for v in range(algebra.quiver.n_vertices)]
     tuples = [()]
     for _ in range(n):
         nxt = []
         for t in tuples:
-            nxt.extend(t + (y,) for y in (ix.by_target[ix.source[t[-1]]] if t else ix.nontrivial))
+            nxt.extend(t + (y,) for y in (ending[source[t[-1]]] if t else nontrivial))
             if len(nxt) > budget:
                 raise BudgetExceeded(-1, "tuple count passed %d" % budget)
         tuples = nxt
-    pairs = [(t, b) for t in tuples for b in (ix.parallel[ix.source[t[-1]], ix.target[t[0]]] if t else ix.loops)]
+    loops = [b for b in range(algebra.dim) if source[b] == target[b]]
+    pairs = [(t, b) for t in tuples for b in (parallel[source[t[-1]], target[t[0]]] if t else loops)]
     if len(pairs) > budget:
         raise BudgetExceeded(-1, "pair count passed %d" % budget)
     return pairs
@@ -85,8 +87,8 @@ def bar_differential_matrix(algebra, pairs_lo, pairs_hi):
     merge adjacent pieces of t and keep b, so their rows less ``place[b]``
     are read once per tuple.
     """
-    ix = _BarIndex(algebra)
-    place, after, before, splits = ix.position, ix.after, ix.before, ix.splits
+    place = algebra.position
+    after, before, splits = _products(algebra)
     first = {}
     t_prev = None
     for i, (t, _) in enumerate(pairs_hi):

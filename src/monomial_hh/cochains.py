@@ -1,15 +1,15 @@
 """Hochschild cochains on parallel pairs, their differentials, and cohomology.
 
 A degree-m cochain assigns scalars to pairs (p, b) with p an ambiguity of
-degree m-1 and b a parallel basis path.  The pairs of degree m run
-ambiguity by ambiguity, each ambiguity's block in the order of its
-``parallel`` tuple, so a pair's index is its ambiguity's offset plus b's
-position in that tuple (0 for a trivial b, which comes first).  A cochain
-is the vector {index in ``pair_basis(table, m)``: scalar}, without zeros;
-a vector carries no degree, so every function that takes one is also
-given its degree, or the space it lives in.  This module is the one place that decides how a pair is
-indexed.  The table caches each degree's offsets and, where a space needs
-them, its pairs.
+degree m-1 and b the index of a parallel basis path in ``algebra.basis``.
+The pairs of degree m run ambiguity by ambiguity, each ambiguity's block
+in the order of its ``parallel`` tuple, so a pair's index is its
+ambiguity's offset plus ``algebra.position[b]`` (0 for a trivial b, which
+comes first).  A cochain is the vector {index in ``pair_basis(table, m)``:
+scalar}, without zeros; a vector carries no degree, so every function
+that takes one is also given its degree, or the space it lives in.  This
+module is the one place that decides how a pair is indexed.  The table
+caches each degree's offsets and, where a space needs them, its pairs.
 
 The differential of a pair reads the cofaces of its ambiguity from the
 table's incidence index (truncations in even output degree, positioned
@@ -27,7 +27,7 @@ from .resolution import differential, generator
 
 
 def pair_basis(table, degree):
-    """Ordered (ambiguity, parallel basis path) pairs spanning degree-m cochains.
+    """Ordered (ambiguity, parallel basis index) pairs spanning degree-m cochains.
 
     Γ_{m-1} and every ``algebra.parallel`` tuple are sorted by path, so the
     nested loop already yields the pairs sorted by ambiguity, then by b.  A
@@ -48,7 +48,7 @@ def _offsets(table, degree):
 
     Reads only Γ_{m-1} and the ``parallel`` counts, never the pairs
     themselves; cached on the table.  The pair (amb, b) has index
-    ``offsets[amb] + algebra.position.get(b.arrows, 0)``.
+    ``offsets[amb] + algebra.position[b]``.
     """
     out = table._offsets.get(degree)
     if out is None:
@@ -62,10 +62,11 @@ def _offsets(table, degree):
     return out
 
 
-def display_vector(pairs, vec, words):
+def display_vector(algebra, pairs, vec, words):
     """The text ``hh`` prints for Σ vec[i]·pairs[i]: ``coeff [ambiguity || path]``
     terms in pair order, or ``0``.  ``words`` caches the written word of each
-    ambiguity and basis path met, across calls."""
+    ambiguity and basis index met, across calls."""
+    basis = algebra.basis
     bits = []
     for i, c in sorted(vec.items()):
         amb, b = pairs[i]
@@ -74,7 +75,7 @@ def display_vector(pairs, vec, words):
             amb_word = words[amb] = amb.path.word()
         b_word = words.get(b)
         if b_word is None:
-            b_word = words[b] = b.word()
+            b_word = words[b] = basis[b].word()
         bits.append("%s [%s || %s]" % (c, amb_word, b_word))
     return " + ".join(bits) if bits else "0"
 
@@ -102,16 +103,17 @@ def _columns(table, amb, bs, offsets):
     then serve every b.  The row of (q, value) is q's offset plus value's
     position in its ``parallel`` tuple.
     """
-    position = table.algebra.position
+    algebra = table.algebra
+    words, word_index, position = algebra.words, algebra.word_index, algebra.position
     faces = [(offsets[q], pre, post, sign) for q, pre, post, sign in _faces(table, amb)]
     cols = []
     for b in bs:
-        ba = b.arrows
+        ba = words[b]
         col = {}
         for offset, pre, post, sign in faces:
-            i = position.get(pre + ba + post)
+            i = word_index.get(pre + ba + post)
             if i is not None:
-                i += offset
+                i = offset + position[i]
                 col[i] = col.get(i, 0) + sign
         cols.append({i: n for i, n in col.items() if n})
     return cols
@@ -172,8 +174,8 @@ def differential_via_resolution(table, m):
     when that product is nonzero.  Each generator's differential is
     computed once.
     """
-    index = table.basis_index()
-    mul, parallel, position = index.mul, index.parallel, index.position
+    algebra = table.algebra
+    mul, parallel, position = algebra.mul, algebra.parallel, algebra.position
     col_offsets, ncols = _offsets(table, m)
     row_offsets, nrows = _offsets(table, m + 1)
     cols = [{} for _ in range(ncols)]
@@ -263,7 +265,7 @@ def class_vector(space, table, vec):
         space._solver = solver
     sol = space._solver.express(vec)
     if sol is None:
-        raise NotACocycle("not killed by the differential: %s" % display_vector(space.pairs, vec, {}))
+        raise NotACocycle("not killed by the differential: %s" % display_vector(table.algebra, space.pairs, vec, {}))
     is_zero = field.is_zero
     return {i: c for i, c in sol.items() if not is_zero(c)}
 
@@ -273,7 +275,7 @@ def check_partial_squared(table, max_degree):
     for m in range(0, max_degree + 1):
         for j, col in enumerate(_delta_columns(table, m)):
             assert not cochain_differential(table, m + 1, col), "partial^2 != 0 at %s" % display_vector(
-                pair_basis(table, m), {j: 1}, {}
+                table.algebra, pair_basis(table, m), {j: 1}, {}
             )
 
 
@@ -283,5 +285,5 @@ def check_differential_routes_agree(table, max_degree):
         via = differential_via_resolution(table, m).cols
         for j, col in enumerate(_delta_columns(table, m)):
             assert col == via[j], "differential routes disagree at %s" % display_vector(
-                pair_basis(table, m), {j: 1}, {}
+                table.algebra, pair_basis(table, m), {j: 1}, {}
             )

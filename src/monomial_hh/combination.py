@@ -6,9 +6,9 @@ are the elements built this way, their path slots held as indices into
 ``cochains``).  The kind of an element is its key check,
 ``check(key, degree)``, which asserts that a key belongs to that kind at
 that degree, endpoints included: the resolution and the diagonal bind
-their checks to the table's ``BasisIndex``, which knows each index's
-endpoints.  The check runs when a key first enters an element; the
-arithmetic between two elements of one kind takes their keys as valid.
+their checks to the algebra, which knows each basis index's endpoints.
+The check runs when a key first enters an element; the arithmetic
+between two elements of one kind takes their keys as valid.
 """
 
 

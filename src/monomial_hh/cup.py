@@ -15,12 +15,12 @@ indices of the output pairs (q, value) of their product,
 {f's index: {g's index: [output index, ...]}}: q runs over Γ_{m+n−1},
 each term (pre, pf, mid, pg, post) of q's cached diagonal with pf of
 degree m−1 places the two factors, and value is the reduced product
-pre·bf·mid·bg·post, read from the product table of the table's
-``BasisIndex`` (the diagonal's pre, mid and post are basis indices).  So the split enumeration lives only in the diagonal,
-and the product inherits its chain-map and counit certificate.  Only keys
-are stored, never scalars, so one table serves every field.
-``_constants`` builds it in one pass over Γ_{m+n−1}, on first use, and
-caches it on the AmbiguityTable.
+pre·bf·mid·bg·post, read from the algebra's product table (the
+diagonal's pre, mid and post are basis indices).  So the split
+enumeration lives only in the diagonal, and the product inherits its
+chain-map and counit certificate.  Only keys are stored, never scalars,
+so one table serves every field.  ``_constants`` builds it in one pass
+over Γ_{m+n−1}, on first use, and caches it on the AmbiguityTable.
 
 One ``cup_products`` call per bidegree serves every pair of two lists and
 returns only the nonzero products.  On triangular algebras nearly every
@@ -44,8 +44,8 @@ def _constants(table, m, n):
     constants = table._cup.get((m, n))
     if constants is not None:
         return constants
-    index = table.basis_index()
-    mul, parallel, position = index.mul, index.parallel, index.position
+    algebra = table.algebra
+    mul, parallel, position = algebra.mul, algebra.parallel, algebra.position
     f_offsets, g_offsets, q_offsets = (_offsets(table, d)[0] for d in (m, n, m + n))
     constants = {}
     for q in table.degree(m + n - 1):

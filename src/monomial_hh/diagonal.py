@@ -3,8 +3,8 @@
 A term of the tensor square is a quintuple (pre, first, mid, second, post)
 composing in traversal order; `first` is the traversal-earlier ambiguity
 factor and `second` the later one, and pre, mid and post are indices into
-``algebra.basis``, whose words and products come from the table's
-``BasisIndex``.  In the written form c (x) q2 (x) b (x) q1 (x) a the slots
+``algebra.basis``, whose words and products come from the algebra's
+basis index.  In the written form c (x) q2 (x) b (x) q1 (x) a the slots
 are a = pre, q1 = first, b = mid, q2 = second, c = post, so the
 homological degree of the written-left factor is second.degree + 1.  That
 degree drives the Koszul sign.
@@ -16,23 +16,23 @@ from .combination import Combination
 from .resolution import _d_terms, differential, generator
 
 
-def _check_quintuple(index, key, degree):
+def _check_quintuple(algebra, key, degree):
     pre, first, mid, second, post = key
     assert first.degree + second.degree + 1 == degree
-    assert index.target[pre] == first.path.source
-    assert first.path.target == index.source[mid]
-    assert index.target[mid] == second.path.source
-    assert second.path.target == index.source[post]
+    assert algebra.target[pre] == first.path.source
+    assert first.path.target == algebra.source[mid]
+    assert algebra.target[mid] == second.path.source
+    assert second.path.target == algebra.source[post]
 
 
 def tensor_element(table, degree, terms=None):
     """Sparse integer combination of quintuples at a fixed total degree."""
-    return Combination(partial(_check_quintuple, table.basis_index()), degree, terms)
+    return Combination(partial(_check_quintuple, table.algebra), degree, terms)
 
 
 def _decompositions(table, amb, i, j):
     """Positioned (q1 at k1) then (q2 at k2 >= k1+len) splits of amb.path."""
-    find = table.basis_index().find
+    find = table.algebra.find
     p = amb.path
     arrows = p.arrows
     seconds = table.occurrences(j, p)
@@ -71,7 +71,7 @@ def diagonal(table, amb):
 
 def diagonal_of_element(table, x):
     """Bilinear extension of the diagonal over outer multiplication."""
-    mul = table.basis_index().mul
+    mul = table.algebra.mul
     out = tensor_element(table, x.degree)
     for (pre_t, amb, post_t), c in x.terms.items():
         for (pre, f, m, s, post), c2 in diagonal(table, amb).terms.items():
@@ -87,7 +87,7 @@ def diagonal_of_element(table, x):
 
 def tensor_differential(table, x):
     """(d (x) id)x + (-1)^(left homological degree) (id (x) d)x."""
-    mul = table.basis_index().mul
+    mul = table.algebra.mul
     out = tensor_element(table, x.degree - 1)
     for (pre, f, m, s, post), c in x.terms.items():
         if s.degree >= 0:
@@ -115,7 +115,7 @@ def tensor_differential(table, x):
 def counit(table, x):
     """mu (eps (x) eps): the products pre*mid*post in A of the quintuples
     with both factors at degree -1, as {basis index: int}."""
-    mul = table.basis_index().mul
+    mul = table.algebra.mul
     out = {}
     for (pre, f, m, s, post), c in x.terms.items():
         if f.degree != -1 or s.degree != -1:
@@ -149,7 +149,7 @@ def check_counit(table, max_degree):
 
 def check_decomposition_lemmas(table, max_degree):
     """No decomposition above the antidiagonal; odd factors pin their ends."""
-    words = table.basis_index().words
+    words = table.algebra.words
     for n in range(0, max_degree + 1):
         for amb in table.degree(n):
             for i in range(-1, n + 1):

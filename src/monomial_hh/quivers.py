@@ -199,15 +199,22 @@ class DivisorOccurrence:
 class MonomialAlgebra:
     """kQ/I for a monomial ideal I, with the relation-free path basis B.
 
-    Immutable after construction.  ``basis`` is sorted by (length, arrow
-    indices, source); ``relations`` is the minimized generating set, sorted
-    the same way.  ``parallel[(source, target)]`` holds the basis paths
-    between two vertex indices, a tuple in basis order for every pair of
-    vertices (empty when none).  ``by_word`` maps the arrow tuple of every
-    nontrivial basis path to that path, so asking whether a word is a basis
-    path is one lookup, and ``position`` maps it to the path's index in its
-    ``parallel`` tuple (a trivial path is first in its own).  Construction reads both finite-dimensionality and B
-    off one relation automaton (see ``_read_automaton``).
+    ``basis`` is sorted by (length, arrow indices, source); ``relations`` is
+    the minimized generating set, sorted the same way.  Construction reads
+    both finite-dimensionality and B off one relation automaton (see
+    ``_read_automaton``).
+
+    The basis is indexed here, once, and every layer reads the index:
+    index i names ``basis[i]``, and since B sorts by length first, the
+    trivial path at vertex v is index v.  ``words``, ``source`` and
+    ``target`` give each index's arrow word and endpoints, and
+    ``word_index`` maps the word of each nontrivial basis path back to its
+    index.  ``leaving[v]`` holds the indices that start at vertex v, and
+    ``parallel[(s, t)]`` those from s to t for every pair of vertices
+    (empty when none), both in basis order; ``position[i]`` is i's place in
+    its ``parallel`` tuple.  Nothing changes after construction except the
+    product table that ``mul`` fills, one row per left factor, the first
+    time a product with that factor is asked.
     """
 
     def __init__(self, quiver: Quiver, relations, field=QQ):
@@ -224,13 +231,21 @@ class MonomialAlgebra:
         self._rel_arrows = tuple(r.arrows for r in self.relations)
         self.basis = tuple(self._read_automaton())
         self.dim = len(self.basis)
-        self.nontrivial_basis = tuple(p for p in self.basis if p.arrows)
-        self.by_word = {p.arrows: p for p in self.nontrivial_basis}
-        parallel = {(s, t): [] for s in range(quiver.n_vertices) for t in range(quiver.n_vertices)}
-        for p in self.basis:
-            parallel[(p.source, p.target)].append(p)
-        self.parallel = {ends: tuple(paths) for ends, paths in parallel.items()}
-        self.position = {p.arrows: i for paths in parallel.values() for i, p in enumerate(paths) if p.arrows}
+        n = quiver.n_vertices
+        self.words = tuple(p.arrows for p in self.basis)
+        self.source = tuple(p.source for p in self.basis)
+        self.target = tuple(p.target for p in self.basis)
+        assert self.words[:n] == ((),) * n and self.source[:n] == tuple(range(n)), "vertex v is not index v"
+        self.word_index = {w: i for i, w in enumerate(self.words) if w}
+        leaving = [[] for _ in range(n)]
+        parallel = {(s, t): [] for s in range(n) for t in range(n)}
+        for i, (s, t) in enumerate(zip(self.source, self.target)):
+            leaving[s].append(i)
+            parallel[(s, t)].append(i)
+        self.leaving = tuple(map(tuple, leaving))
+        self.parallel = {ends: tuple(indices) for ends, indices in parallel.items()}
+        self.position = tuple(parallel[(s, t)].index(i) for i, (s, t) in enumerate(zip(self.source, self.target)))
+        self._rows = [None] * self.dim  # the product table, see mul
 
     # -- construction helpers -------------------------------------------------
 
@@ -283,8 +298,24 @@ class MonomialAlgebra:
 
     # -- queries ---------------------------------------------------------------
 
-    def is_basis(self, p: Path) -> bool:
-        return not p.arrows or p.arrows in self.by_word
+    def find(self, word: tuple, vertex: int):
+        """The index of the basis path with this arrow word, or None when the
+        word is not one; the empty word is the trivial path at vertex."""
+        return self.word_index.get(word) if word else vertex
+
+    def mul(self, i: int, j: int):
+        """The index of the product of i then j (traversal order), or None when
+        it is zero in A; a KeyError when j does not start where i ends."""
+        row = self._rows[i]
+        if row is None:
+            word = self.words[i]
+            if word:
+                word_index, words = self.word_index, self.words
+                row = {k: word_index.get(word + words[k]) for k in self.leaving[self.target[i]]}
+            else:
+                row = {k: k for k in self.leaving[i]}
+            self._rows[i] = row
+        return row[j]
 
     def __repr__(self):
         return (

@@ -6,7 +6,7 @@ into ``algebra.basis``, composing traversal-first to traversal-last as
 pre * amb * post.  The homological index of that term is n + 1; the bottom
 term (n = -1) is spanned by (pre, e_v, post) triples and augments onto the
 algebra, whose elements are {basis index: int}.  Words, endpoints and
-products of basis paths are read from the table's ``BasisIndex``, so no
+products of basis paths are read from the algebra's basis index, so no
 layer here builds a path per term.
 
 The differential splits on the parity of n: odd degrees sum over all
@@ -24,16 +24,16 @@ from .combination import Combination
 from .errors import WrongDegree
 
 
-def _check_triple(index, key, degree):
+def _check_triple(algebra, key, degree):
     pre, amb, post = key
     assert isinstance(amb, Ambiguity) and amb.degree == degree
-    assert index.target[pre] == amb.path.source
-    assert amb.path.target == index.source[post]
+    assert algebra.target[pre] == amb.path.source
+    assert amb.path.target == algebra.source[post]
 
 
 def bimodule_element(table, degree, terms=None):
     """Sparse integer combination of composable (pre, amb, post) triples."""
-    return Combination(partial(_check_triple, table.basis_index()), degree, terms)
+    return Combination(partial(_check_triple, table.algebra), degree, terms)
 
 
 def generator(table, amb):
@@ -48,7 +48,7 @@ def _d_terms(table, amb):
         return out
     n = amb.degree
     assert n >= 0
-    find = table.basis_index().find
+    find = table.algebra.find
     out = []
     if n % 2 == 1:
         for q, occ in table.sub(amb):
@@ -71,7 +71,7 @@ def _d_terms(table, amb):
 def differential(table, x):
     if x.degree < 0:
         raise WrongDegree("no differential below degree 0; use augmentation")
-    mul = table.basis_index().mul
+    mul = table.algebra.mul
     out = bimodule_element(table, x.degree - 1)
     for (pre, amb, post), c in x.terms.items():
         for dpre, q, dpost, sign in _d_terms(table, amb):
@@ -93,7 +93,7 @@ def augmentation(table, x):
     """
     if x.degree != -1:
         raise WrongDegree("augmentation needs degree -1 keys, got %d" % x.degree)
-    mul = table.basis_index().mul
+    mul = table.algebra.mul
     out = {}
     for (pre, amb, post), c in x.terms.items():
         b = mul(pre, post)
@@ -106,7 +106,7 @@ def augmentation(table, x):
 def iota(table, a):
     """Section of the augmentation: b goes to the tensor keyed (b, e_t(b), trivial)."""
     out = bimodule_element(table, -1)
-    target = table.basis_index().target
+    target = table.algebra.target
     vertices = table.degree(-1)
     for b, c in a.items():
         v = target[b]
@@ -116,8 +116,8 @@ def iota(table, a):
 
 def homotopy_sigma(table, x):
     """Contracting homotopy; right-linear, scans the unreduced word amb*post."""
-    index = table.basis_index()
-    words, find, mul = index.words, index.find, index.mul
+    algebra = table.algebra
+    words, find, mul = algebra.words, algebra.find, algebra.mul
     m = x.degree + 1
     out = bimodule_element(table, m)
     for (pre, amb, post), c in x.terms.items():
@@ -140,7 +140,7 @@ def homotopy_sigma(table, x):
 
 def right_spanning_set(table, degree):
     """Generators b (x) p (x) 1 of the degree-n term as a right module."""
-    leaving = table.basis_index().leaving
+    leaving = table.algebra.leaving
     out = []
     for amb in table.degree(degree):
         pre = amb.path.source
@@ -187,7 +187,7 @@ def check_homotopy(table, max_degree):
 
 def check_minimal(table, max_degree):
     # every differential coefficient lies in the radical
-    words = table.basis_index().words
+    words = table.algebra.words
     for n in range(0, max_degree + 1):
         for amb in table.degree(n):
             for dpre, _, dpost, _ in _d_terms(table, amb):

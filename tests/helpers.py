@@ -32,26 +32,35 @@ def pair_key(pair):
     return (pair[0].path.sort_key(), pair[1].sort_key())
 
 
+def path_pairs(table, m):
+    """``pair_basis(table, m)`` with each basis index replaced by its path: (amb, b) with b a ``Path``.
+
+    The one place the tests translate between the library's index-keyed
+    pairs and the path-keyed pairs that test bodies write.
+    """
+    basis = table.algebra.basis
+    return [(amb, basis[b]) for amb, b in pair_basis(table, m)]
+
+
 def vector(table, m, terms):
     """The degree-m cochain Σ c·(amb, b) over terms {(amb, b): c}, as a pair-index vector.
 
     Each key must be a degree-m pair: amb of degree m-1, b a basis path
     parallel to it.
     """
-    alg = table.algebra
-    pairs = pair_basis(table, m)
+    pairs = path_pairs(table, m)
     out = {}
     for (amb, b), c in terms.items():
         assert amb.degree == m - 1
         assert amb.path.source == b.source and amb.path.target == b.target
-        assert alg.is_basis(b)
+        assert b in table.algebra.basis
         out[pairs.index((amb, b))] = c
     return out
 
 
 def keyed(table, m, vec):
-    """The pair-index vector vec of degree m as {(amb, b): c}."""
-    pairs = pair_basis(table, m)
+    """The pair-index vector vec of degree m as {(amb, b): c}, b a ``Path``."""
+    pairs = path_pairs(table, m)
     return {pairs[i]: c for i, c in vec.items()}
 
 

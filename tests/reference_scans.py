@@ -18,12 +18,13 @@ The ``path_*`` functions are the resolution and the diagonal on ``Path``
 keys, built from path segments and ``reduce_concat``: they are the
 reference for the index-keyed elements of ``resolution`` and
 ``diagonal``, which ``to_paths`` maps onto them.  ``concat`` and
-``reduce_concat`` are the path products that the ``BasisIndex`` product
-table replaced.  ``insert_kernel_basis`` and ``insert_quotient_basis`` are
-the elimination before its shortcuts: every column and every kernel vector
-goes through ``RowBasis.insert`` and every representative's rest through
-``reduce_mod``, the reference for ``linalg.kernel_basis`` and
-``linalg.quotient_basis``.
+``reduce_concat`` are the path products that the algebra's product
+table replaced; ``is_basis`` and ``nontrivial_basis`` ask the algebra's
+basis index about paths.  ``insert_kernel_basis`` and
+``insert_quotient_basis`` are the elimination before its shortcuts: every
+column and every kernel vector goes through ``RowBasis.insert`` and every
+representative's rest through ``reduce_mod``, the reference for
+``linalg.kernel_basis`` and ``linalg.quotient_basis``.
 """
 
 from monomial_hh.ambiguities import Ambiguity
@@ -52,8 +53,18 @@ def reduce_concat(algebra, *paths):
     Raises when endpoints do not meet.  An empty word is the trivial
     path of the vertex every input sits at.
     """
-    word = concat(*paths).arrows
-    return algebra.by_word.get(word) if word else paths[0]
+    i = algebra.find(concat(*paths).arrows, paths[0].source)
+    return None if i is None else algebra.basis[i]
+
+
+def is_basis(algebra, p):
+    """Is the path p relation-free, that is, a basis path of A?"""
+    return algebra.find(p.arrows, p.source) is not None
+
+
+def nontrivial_basis(algebra):
+    """The basis paths of positive length, in basis order."""
+    return tuple(p for p in algebra.basis if p.arrows)
 
 
 def divisor_occurrences(q, p):
@@ -202,10 +213,12 @@ def scan_out_arrows(quiver):
 
 
 def scan_parallel(algebra):
-    """{(source, target): basis paths between them}, by a scan of the basis per vertex pair."""
+    """{(source, target): indices of the basis paths between them}, by a scan of the basis per vertex pair."""
     n = algebra.quiver.n_vertices
     return {
-        (s, t): tuple(b for b in algebra.basis if b.source == s and b.target == t) for s in range(n) for t in range(n)
+        (s, t): tuple(i for i, b in enumerate(algebra.basis) if b.source == s and b.target == t)
+        for s in range(n)
+        for t in range(n)
     }
 
 
@@ -223,7 +236,7 @@ def bar_tuples(algebra, n):
     """Composable n-tuples of nontrivial basis paths, lexicographic order."""
     if n == 0:
         return [()]
-    base = algebra.nontrivial_basis
+    base = nontrivial_basis(algebra)
     tuples = [(p,) for p in base]
     for _ in range(n - 1):
         tuples = [t + (y,) for t in tuples for y in base if t[-1].source == y.target]
@@ -241,7 +254,7 @@ def scan_bar_column_terms(algebra, t, b):
 
     left_anchor = t[0].target if t else b.target
     right_anchor = t[-1].source if t else b.source
-    for x in algebra.nontrivial_basis:
+    for x in nontrivial_basis(algebra):
         if x.source == left_anchor:
             val = reduce_concat(algebra, b, x)
             if val is not None:
@@ -357,15 +370,15 @@ def path_d_terms(table, amb):
     out = []
     if n % 2 == 1:
         for q, occ in table.sub(amb):
-            if alg.is_basis(occ.prefix) and alg.is_basis(occ.suffix):
+            if is_basis(alg, occ.prefix) and is_basis(alg, occ.suffix):
                 out.append((occ.prefix, q, occ.suffix, 1))
     else:
         p = amb.path
         after = p.segment(len(amb.head.path), len(p))
-        if alg.is_basis(after):
+        if is_basis(alg, after):
             out.append((alg.quiver.trivial_path_at(p.source), amb.head, after, 1))
         before = p.segment(0, len(p) - len(amb.tail.path))
-        if alg.is_basis(before):
+        if is_basis(alg, before):
             out.append((before, amb.tail, alg.quiver.trivial_path_at(p.target), -1))
     return out
 
@@ -399,7 +412,7 @@ def path_homotopy_sigma(table, x):
             if new_pre is None:
                 continue
             tail = word.segment(k + len(q.path), end)
-            if not alg.is_basis(tail):
+            if not is_basis(alg, tail):
                 continue
             out.add((new_pre, q, tail), c)
     return out
@@ -419,7 +432,7 @@ def path_decompositions(table, amb, i, j):
             pre = p.segment(0, k1)
             mid = p.segment(end1, k2)
             post = p.segment(k2 + len(q2.path), len(p))
-            if not (alg.is_basis(pre) and alg.is_basis(mid) and alg.is_basis(post)):
+            if not (is_basis(alg, pre) and is_basis(alg, mid) and is_basis(alg, post)):
                 continue
             out.append((pre, q1, mid, q2, post))
     return out

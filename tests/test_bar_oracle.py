@@ -23,6 +23,7 @@ from conftest import make_cone, make_square, make_triangular_a6, make_truncated_
 from helpers import loops_algebra_text
 from reference_scans import scan_bar_differential_matrix, scan_bar_pairs
 from test_incidence import tables
+from test_index_keys import _calls
 
 
 def cub2(spec):
@@ -141,6 +142,15 @@ def test_oracle_imports_no_gamma_layer():
     hit = {name for name in names if forbidden & set(name.split("."))}
     assert not hit, hit
     assert "linalg" in names  # the walk sees the package's relative imports
+
+
+def test_oracle_multiplies_by_its_own_words():
+    # the oracle shares the basis numbering with the other routes, but no
+    # product: it concatenates words itself and never asks the algebra's
+    # product table or a path product
+    calls = _calls("bar_oracle")
+    assert not {"mul", "segment", "concat", "reduce_concat"} & calls
+    assert "rank" in calls  # the walk sees the calls
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:7"])

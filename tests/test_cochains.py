@@ -21,7 +21,7 @@ from monomial_hh.errors import NotACocycle, NotTriangular
 from monomial_hh.linalg import quotient_basis
 from monomial_hh.quivers import is_triangular, path_from_word
 
-from helpers import unit_cochain, vector
+from helpers import path_pairs, unit_cochain, vector
 from reference_scans import divisor_occurrences
 from test_incidence import tables
 from test_linalg import image_rows
@@ -43,7 +43,7 @@ def check_triangular_structure(table, max_degree):
 
 def test_pair_basis_degree0(cone):
     t = AmbiguityTable(cone)
-    pairs = pair_basis(t, 0)
+    pairs = path_pairs(t, 0)
     # vertices paired with parallel loops: e1 with e1 and zeta*alpha,
     # e2 with e2 and alpha*zeta, e3 with itself
     assert len(pairs) == 5

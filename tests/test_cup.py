@@ -28,7 +28,7 @@ from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis
 from monomial_hh.quivers import build_algebra, path_from_word
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
-from helpers import is_quadratic, unit_cochain, vector
+from helpers import is_quadratic, path_pairs, unit_cochain, vector
 from reference_scans import concat, reduce_concat, to_paths
 
 
@@ -46,8 +46,8 @@ def delta_route_cup(table, m, n, f, g):
     does not use Delta is ``reference_scans.scan_cup_cochain``.
     """
     field = table.algebra.field
-    f_pairs, g_pairs = pair_basis(table, m), pair_basis(table, n)
-    index = {pair: k for k, pair in enumerate(pair_basis(table, m + n))}
+    f_pairs, g_pairs = path_pairs(table, m), path_pairs(table, n)
+    index = {pair: k for k, pair in enumerate(path_pairs(table, m + n))}
     out = {}
     for q in table.degree(m + n - 1):
         for (pre, q1, mid, q2, post), coeff in to_paths(table, diagonal(table, q)).terms.items():
@@ -196,7 +196,7 @@ def common_factor(table, m, x):
     Returns a (p_tilde, b_tilde) pair of nontrivial paths or None.  The
     outer stretches may differ per term but must agree between p_i and b_i.
     """
-    pairs = pair_basis(table, m)
+    pairs = path_pairs(table, m)
     terms = [pairs[i] for i in sorted(x)]
     if not terms:
         return None
@@ -232,9 +232,9 @@ def check_quadratic_cup(table, max_total_degree):
     assert is_quadratic(alg)
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
-            index = {pair: k for k, pair in enumerate(pair_basis(table, m + n))}
-            for i, (ambf, bf) in enumerate(pair_basis(table, m)):
-                for j, (ambg, bg) in enumerate(pair_basis(table, n)):
+            index = {pair: k for k, pair in enumerate(path_pairs(table, m + n))}
+            for i, (ambf, bf) in enumerate(path_pairs(table, m)):
+                for j, (ambg, bg) in enumerate(path_pairs(table, n)):
                     got = product(table, m, n, {i: one}, {j: one})
                     expected = {}
                     if ambf.path.target == ambg.path.source:

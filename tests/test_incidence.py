@@ -15,7 +15,7 @@ from monomial_hh.quivers import Quiver, build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import keyed, pair_key, vector
+from helpers import keyed, pair_key, path_pairs, vector
 from reference_scans import (
     concat,
     scan_cofaces,
@@ -104,9 +104,9 @@ def test_pair_differential_matches_scan(spec):
     for t in tables(spec):
         field = t.algebra.field
         for m in range(0, DEGREE + 1):
-            index = {pair: i for i, pair in enumerate(pair_basis(t, m + 1))}
+            index = {pair: i for i, pair in enumerate(path_pairs(t, m + 1))}
             cols = differential_matrix(t, m).cols
-            for j, (amb, b) in enumerate(pair_basis(t, m)):
+            for j, (amb, b) in enumerate(path_pairs(t, m)):
                 want = [(index[key], n) for key, n in scan_pair_differential_terms(t, amb, b).items()]
                 assert list(cols[j].items()) == want
                 reduced = [(i, c) for i, n in want if not field.is_zero(c := field.mul(field.one, n))]

@@ -14,6 +14,7 @@ from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.diagonal import _decompositions, diagonal, tensor_differential
 from monomial_hh.resolution import _d_terms, differential, generator, homotopy_sigma, right_spanning_set
 
+from conftest import make_cone
 from reference_scans import (
     path_d_terms,
     path_decompositions,
@@ -23,6 +24,7 @@ from reference_scans import (
     path_homotopy_sigma,
     path_tensor_differential,
     reduce_concat,
+    scan_parallel,
     to_paths,
 )
 from test_incidence import tables
@@ -73,29 +75,28 @@ def test_diagonal_matches_path_reference(spec):
 
 
 def test_basis_index_matches_paths():
-    for t in tables("q"):
-        alg = t.algebra
-        basis = alg.basis
-        index = t.basis_index()
-        assert [basis[v] for v in range(alg.quiver.n_vertices)] == [
-            alg.quiver.trivial_path_at(v) for v in range(alg.quiver.n_vertices)
-        ]
-        assert [basis[i] for i in range(alg.dim) if index.find(index.words[i], index.source[i]) != i] == []
-        assert {ends: tuple(basis[i] for i in indices) for ends, indices in index.parallel.items()} == alg.parallel
-        assert [index.parallel[(index.source[i], index.target[i])].index(i) for i in range(alg.dim)] == list(
-            index.position
-        )
-        assert [[basis[i] for i in leaving] for leaving in index.leaving] == [
-            [b for b in basis if b.source == v] for v in range(alg.quiver.n_vertices)
-        ]
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                if x.target != y.source:
-                    with pytest.raises(KeyError):
-                        index.mul(i, j)
-                else:
-                    product = index.mul(i, j)
-                    assert (None if product is None else basis[product]) == reduce_concat(alg, x, y)
+    for spec in ("q", "fp:2"):
+        for t in tables(spec):
+            alg = t.algebra
+            basis = alg.basis
+            assert [basis[v] for v in range(alg.quiver.n_vertices)] == [
+                alg.quiver.trivial_path_at(v) for v in range(alg.quiver.n_vertices)
+            ]
+            assert [(p.arrows, p.source, p.target) for p in basis] == list(zip(alg.words, alg.source, alg.target))
+            assert [basis[i] for i in range(alg.dim) if alg.find(alg.words[i], alg.source[i]) != i] == []
+            assert alg.parallel == scan_parallel(alg)
+            assert [alg.parallel[(alg.source[i], alg.target[i])].index(i) for i in range(alg.dim)] == list(alg.position)
+            assert [[basis[i] for i in leaving] for leaving in alg.leaving] == [
+                [b for b in basis if b.source == v] for v in range(alg.quiver.n_vertices)
+            ]
+            for i, x in enumerate(basis):
+                for j, y in enumerate(basis):
+                    if x.target != y.source:
+                        with pytest.raises(KeyError):
+                            alg.mul(i, j)
+                    else:
+                        product = alg.mul(i, j)
+                        assert (None if product is None else basis[product]) == reduce_concat(alg, x, y)
 
 
 def _calls(module):
@@ -111,7 +112,7 @@ def _calls(module):
 
 @pytest.mark.parametrize("module", ["resolution", "diagonal", "cup", "cochains"])
 def test_no_path_arithmetic(module):
-    # words and products come from the BasisIndex, not from paths built per term
+    # words and products come from the algebra's basis index, not from paths built per term
     assert not {"reduce_concat", "segment", "concat"} & _calls(module)
 
 
@@ -131,11 +132,13 @@ def test_faces_are_cached_per_ambiguity(cone, monkeypatch):
 
 
 
-def test_basis_index_is_built_on_first_use(cone):
-    # the direct cochain route never reads it, so hh builds none
+def test_product_rows_are_filled_on_first_use():
+    # the direct cochain route never multiplies, so hh fills no row; a
+    # product fills the row of its left factor and no other
+    cone = make_cone()
     t = AmbiguityTable(cone)
-    assert t._index is None
     hochschild_cohomology(t, 3)
-    assert t._index is None
-    index = t.basis_index()
-    assert t.basis_index() is index
+    assert cone._rows == [None] * cone.dim
+    i = cone.word_index[cone.quiver.path("alpha").arrows]
+    cone.mul(i, cone.target[i])
+    assert [k for k, row in enumerate(cone._rows) if row is not None] == [i]
