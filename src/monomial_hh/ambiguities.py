@@ -115,7 +115,13 @@ class AmbiguityTable:
     only this index and the algebra's basis index, the cup structure
     constants, which read only the diagonals, and the pairs and pair
     offsets of the cochains are cached here the same way, one slot each, by
-    the modules that build them.
+    the modules that build them.  So are three pieces that the check
+    battery would otherwise rebuild row after row: the δ columns of each
+    ambiguity's pairs, filled only by ``cochains.cochain_differential``
+    (matrix assembly reads them but stores nothing, so ``hh`` holds one
+    matrix at a time); each ambiguity's divisor occurrences in every
+    degree up to its own, filled by ``diagonal._decompositions``; and the
+    splits of each word amb·post, filled by ``resolution.homotopy_sigma``.
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -138,6 +144,9 @@ class AmbiguityTable:
         self._faces = {}  # ambiguity -> its differential's faces, see resolution._d_terms
         self._pairs = {}  # cochain degree m -> its pairs, see cochains.pair_basis
         self._offsets = {}  # cochain degree m -> row offsets of Γ_{m-1}, see cochains._offsets
+        self._delta = {}  # ambiguity -> δ columns of its pairs, see cochains.cochain_differential
+        self._divisors = {}  # ambiguity -> its occurrences by degree, see diagonal._decompositions
+        self._splits = {}  # (ambiguity, post) -> homotopy splits, see resolution.homotopy_sigma
 
     def degree(self, n: int):
         """The tuple of n-ambiguities, sorted by path; computed on demand."""

@@ -11,6 +11,14 @@ that takes one is also given its degree, or the space it lives in.  This
 module is the one place that decides how a pair is indexed.  The table
 caches each degree's offsets and, where a space needs them, its pairs.
 
+``_columns`` is the one builder of δ columns.  ``cochain_differential``
+caches on the table, per ambiguity it meets, the columns of all that
+ambiguity's pairs, so the battery rows that apply δ (∂² = 0, the cup
+closure, the cocycle certificates) share one build.  Matrix assembly
+reads the columns already cached and builds the rest without storing
+them: ``hh`` keeps one matrix at a time.  The columns are shared, so no
+caller may mutate one.
+
 The differential of a pair reads the cofaces of its ambiguity from the
 table's incidence index (truncations in even output degree, positioned
 divisors in odd), mirroring the resolution differential;
@@ -120,12 +128,20 @@ def _columns(table, amb, bs, offsets):
 
 
 def _delta_columns(table, m):
-    """The columns of δ^m, one per degree-m pair, in pair order."""
+    """The columns of δ^m, one per degree-m pair, in pair order.
+
+    An ambiguity whose columns ``cochain_differential`` has cached is read
+    from the table; the others are built and not stored.
+    """
     parallel = table.algebra.parallel
+    cached = table._delta
     offsets, _ = _offsets(table, m + 1)
     cols = []
     for amb in table.degree(m - 1):
-        cols += _columns(table, amb, parallel[(amb.path.source, amb.path.target)], offsets)
+        amb_cols = cached.get(amb)
+        if amb_cols is None:
+            amb_cols = _columns(table, amb, parallel[(amb.path.source, amb.path.target)], offsets)
+        cols += amb_cols
     return cols
 
 
@@ -138,25 +154,27 @@ def differential_matrix(table, m):
 def cochain_differential(table, m, vec):
     """δ^m of the degree-m cochain vec, a cochain of degree m+1.
 
-    vec's terms are grouped by ambiguity, so each ambiguity met has its
-    faces read once, for all of its b's in vec.  The zero cochain reads
-    nothing, so it builds no Γ_m that a term would not.
+    Each ambiguity that a term of vec meets has the columns of all its
+    pairs built once per table and cached there (module docstring); the
+    term adds c·col.  The zero cochain reads nothing, so it builds no Γ_m
+    that a term would not.
     """
     if not vec:
         return {}
-    field = table.algebra.field
+    algebra = table.algebra
+    field, parallel, position = algebra.field, algebra.parallel, algebra.position
     add, mul, zero = field.add, field.mul, field.zero
     pairs = pair_basis(table, m)
-    by_amb = {}  # ambiguity -> [(b, coefficient)] of vec's terms on it
-    for j, c in vec.items():
-        amb, b = pairs[j]
-        by_amb.setdefault(amb, []).append((b, c))
+    cached = table._delta
     offsets, _ = _offsets(table, m + 1)
     out = {}
-    for amb, terms in by_amb.items():
-        for (_, c), col in zip(terms, _columns(table, amb, [b for b, _ in terms], offsets)):
-            for i, n in col.items():
-                out[i] = add(out.get(i, zero), mul(c, n))
+    for j, c in vec.items():
+        amb, b = pairs[j]
+        amb_cols = cached.get(amb)
+        if amb_cols is None:
+            amb_cols = cached[amb] = _columns(table, amb, parallel[(amb.path.source, amb.path.target)], offsets)
+        for i, n in amb_cols[position[b]].items():
+            out[i] = add(out.get(i, zero), mul(c, n))
     is_zero = field.is_zero
     return {i: c for i, c in out.items() if not is_zero(c)}
 

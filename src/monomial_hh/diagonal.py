@@ -8,6 +8,11 @@ basis index.  In the written form c (x) q2 (x) b (x) q1 (x) a the slots
 are a = pre, q1 = first, b = mid, q2 = second, c = post, so the
 homological degree of the written-left factor is second.degree + 1.  That
 degree drives the Koszul sign.
+
+Each ambiguity's diagonal is cached on the table, and so are the divisor
+occurrences it is read from: amb's path is scanned once per degree
+−1…n, and every (i, j) split of amb, in ``diagonal`` and in the
+decomposition lemmas alike, reads those lists.
 """
 
 from functools import partial
@@ -30,14 +35,24 @@ def tensor_element(table, degree, terms=None):
     return Combination(partial(_check_quintuple, table.algebra), degree, terms)
 
 
+def _divisors(table, amb):
+    """[occurrences of degree d in amb.path for d = −1…amb.degree], stored on the table."""
+    p = amb.path
+    out = table._divisors[amb] = [table.occurrences(d, p) for d in range(-1, amb.degree + 1)]
+    return out
+
+
 def _decompositions(table, amb, i, j):
     """Positioned (q1 at k1) then (q2 at k2 >= k1+len) splits of amb.path."""
     find = table.algebra.find
     p = amb.path
     arrows = p.arrows
-    seconds = table.occurrences(j, p)
+    divisors = table._divisors.get(amb)
+    if divisors is None:
+        divisors = _divisors(table, amb)
+    seconds = divisors[j + 1]
     out = []
-    for q1, k1 in table.occurrences(i, p):
+    for q1, k1 in divisors[i + 1]:
         end1 = k1 + len(q1.path)
         pre = find(arrows[:k1], p.source)
         if pre is None:

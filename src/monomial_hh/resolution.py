@@ -12,9 +12,10 @@ layer here builds a path per term.
 The differential splits on the parity of n: odd degrees sum over all
 positioned divisors one degree down, even degrees take the two boundary
 truncations with opposite signs.  Each ambiguity's faces are computed
-once and cached on the table.  All maps here are defined over the
-integers; coefficients only meet the base field later, in the cochain
-matrices.
+once and cached on the table, and so are the contracting homotopy's
+splits of each word amb·post it scans.  All maps here are defined over
+the integers; coefficients only meet the base field later, in the
+cochain matrices.
 """
 
 from functools import partial
@@ -114,27 +115,41 @@ def iota(table, a):
     return out
 
 
-def homotopy_sigma(table, x):
-    """Contracting homotopy; right-linear, scans the unreduced word amb*post."""
-    algebra = table.algebra
-    words, find, mul = algebra.words, algebra.find, algebra.mul
-    m = x.degree + 1
-    out = bimodule_element(table, m)
-    for (pre, amb, post), c in x.terms.items():
-        word = amb.path.arrows + words[post]  # may contain relations on purpose
-        if not word:
-            continue
-        for q, k in table.word_occurrences(m, word):
+def _splits(table, amb, post):
+    """[(head, q, tail)] with amb·post = head·q·tail, q one degree up and
+    head, tail basis indices, by position of q; stored on the table."""
+    find = table.algebra.find
+    word = amb.path.arrows + table.algebra.words[post]  # may contain relations on purpose
+    out = []
+    if word:
+        for q, k in table.word_occurrences(amb.degree + 1, word):
             head = find(word[:k], amb.path.source)
             if head is None:
                 continue
-            new_pre = mul(pre, head)
-            if new_pre is None:
-                continue
             tail = find(word[k + len(q.path) :], q.path.target)
-            if tail is None:
-                continue
-            out.add((new_pre, q, tail), c)
+            if tail is not None:
+                out.append((head, q, tail))
+    table._splits[amb, post] = out
+    return out
+
+
+def homotopy_sigma(table, x):
+    """Contracting homotopy; right-linear, scans the unreduced word amb*post.
+
+    The splits of each amb·post are found once per table; each term then
+    multiplies its pre into the split's head.
+    """
+    mul = table.algebra.mul
+    cached = table._splits
+    out = bimodule_element(table, x.degree + 1)
+    for (pre, amb, post), c in x.terms.items():
+        splits = cached.get((amb, post))
+        if splits is None:
+            splits = _splits(table, amb, post)
+        for head, q, tail in splits:
+            new_pre = mul(pre, head)
+            if new_pre is not None:
+                out.add((new_pre, q, tail), c)
     return out
 
 

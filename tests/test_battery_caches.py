@@ -1,0 +1,147 @@
+"""The per-table caches that the check battery shares, against fresh builds.
+
+``cochain_differential`` caches the δ columns of each ambiguity it meets,
+``diagonal._decompositions`` each ambiguity's divisor occurrences and
+``homotopy_sigma`` the splits of each word amb·post.  The columns are
+shared with every matrix and kernel pass, so a caller that mutated one
+would corrupt every later reader; and a cache is worth keeping only if
+it is filled once and holds what a fresh build gives.
+"""
+
+import pytest
+
+from monomial_hh import checks, cochains, cup
+from monomial_hh.algfile import parse_algebra_file
+from monomial_hh.ambiguities import AmbiguityTable
+from monomial_hh.cochains import _columns, _offsets, hochschild_cohomology
+from monomial_hh.diagonal import _decompositions
+from monomial_hh.quivers import is_triangular
+from monomial_hh.resolution import differential, homotopy_sigma, right_spanning_set
+
+from conftest import make_cone
+from helpers import loops_algebra_text
+from reference_scans import path_decompositions, path_homotopy_sigma, to_paths
+from test_incidence import tables
+
+DEGREE = 6
+LOOPS = ((2, 2), (3, 2), (2, 3))  # rsz(2), rsz(3), cub(2)
+
+
+def record_tables(monkeypatch):
+    """The list that every table ``run_checks`` makes from now on is appended to."""
+    made = []
+
+    def recording(algebra):
+        made.append(AmbiguityTable(algebra))
+        return made[-1]
+
+    monkeypatch.setattr(checks, "AmbiguityTable", recording)
+    return made
+
+
+def battery_tables(spec, monkeypatch):
+    """The table each full battery ran on, for the incidence set and the loop families."""
+    made = record_tables(monkeypatch)
+    algebras = [t.algebra for t in tables(spec)]
+    algebras += [parse_algebra_file(loops_algebra_text(k, n).replace("field q", "field " + spec)) for k, n in LOOPS]
+    for alg in algebras:
+        rows = checks.GENERAL_ROWS + checks.TRIANGULAR_ROWS if is_triangular(alg) else checks.GENERAL_ROWS
+        reports = checks.run_checks(alg, DEGREE, rows)
+        assert all(r.ok for r in reports), [r for r in reports if not r.ok]
+        yield made[-1]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
+def test_cached_columns_equal_a_fresh_build(spec, monkeypatch):
+    checked = 0
+    for t in battery_tables(spec, monkeypatch):
+        fresh = AmbiguityTable(t.algebra)
+        parallel = t.algebra.parallel
+        for amb, cols in t._delta.items():
+            twin = fresh.by_path(amb.degree, amb.path)
+            offsets, _ = _offsets(fresh, amb.degree + 2)
+            assert cols == _columns(fresh, twin, parallel[(amb.path.source, amb.path.target)], offsets)
+            checked += 1
+    assert checked
+
+
+def test_cohomology_alone_caches_no_columns():
+    # hh keeps one matrix at a time: assembly reads the cache but never fills it
+    for alg in (make_cone(), parse_algebra_file(loops_algebra_text(2, 2))):
+        t = AmbiguityTable(alg)
+        hochschild_cohomology(t, DEGREE)
+        assert t._delta == {}
+
+
+def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
+    built = []  # ambiguities whose columns cochain_differential built
+    inside = []
+    columns, differential_ = cochains._columns, cochains.cochain_differential
+
+    def counting_columns(table, amb, bs, offsets):
+        if inside:
+            built.append(amb)
+        return columns(table, amb, bs, offsets)
+
+    def flagged(table, m, vec):
+        inside.append(m)
+        try:
+            return differential_(table, m, vec)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cochains, "_columns", counting_columns)
+    monkeypatch.setattr(cochains, "cochain_differential", flagged)
+    monkeypatch.setattr(cup, "cochain_differential", flagged)
+    made = record_tables(monkeypatch)
+    assert all(r.ok for r in checks.run_checks(make_cone(), DEGREE))
+    assert built, "the battery applies δ to some cochain"
+    assert len(built) == len(set(built))
+    assert set(built) == set(made[0]._delta)
+
+
+def test_warm_homotopy_equals_cold_and_reference(monkeypatch):
+    scans = []
+    word_occurrences = AmbiguityTable.word_occurrences
+
+    def counting(self, m, arrows):
+        scans.append(arrows)
+        return word_occurrences(self, m, arrows)
+
+    monkeypatch.setattr(AmbiguityTable, "word_occurrences", counting)
+    for spec in ("q", "fp:2"):
+        for t in tables(spec):
+            for n in range(-1, DEGREE):
+                for x in right_spanning_set(t, n):
+                    for y in (x, differential(t, x)) if n >= 0 else (x,):
+                        t._splits.clear()
+                        cold = homotopy_sigma(t, y)
+                        scans.clear()
+                        assert homotopy_sigma(t, y) == cold
+                        assert scans == []
+                        assert to_paths(t, cold) == path_homotopy_sigma(t, to_paths(t, y))
+
+
+def test_warm_decompositions_equal_cold_and_reference(monkeypatch):
+    scans = []
+    occurrences = AmbiguityTable.occurrences
+
+    def counting(self, m, path):
+        scans.append((m, path))
+        return occurrences(self, m, path)
+
+    monkeypatch.setattr(AmbiguityTable, "occurrences", counting)
+    for spec in ("q", "fp:2"):
+        for t in tables(spec):
+            basis = t.algebra.basis
+            for n in range(-1, DEGREE):
+                for amb in t.degree(n):
+                    for i in range(-1, n + 1):
+                        for j in range(-1, n + 1):
+                            t._divisors.clear()
+                            cold = _decompositions(t, amb, i, j)
+                            scans.clear()
+                            assert _decompositions(t, amb, i, j) == cold
+                            assert scans == []
+                            want = path_decompositions(t, amb, i, j)
+                            assert [(basis[a], q1, basis[b], q2, basis[c]) for a, q1, b, q2, c in cold] == want
