@@ -202,3 +202,13 @@ def test_homotopy_failure_names_its_generator(monkeypatch, cone):
     _flip_one_even_face(monkeypatch)
     (report,) = run_checks(cone, 4, ("homotopy",))
     assert report.detail == "homotopy identity fails at [e(3) || zetagamma || beta]"
+
+
+def test_chain_map_failure_names_its_ambiguity(monkeypatch, cone):
+    # the failing ambiguity is rendered in traversal order, arrows joined by *
+    _flip_one_even_face(monkeypatch)
+    reports = run_checks(cone, 4, ("d-squared", "diagonal-chain-map"))
+    assert [r.detail for r in reports] == [
+        "d^2 != 0 at gamma*zeta*beta",
+        "diagonal chain-map identity fails at gamma*zeta*beta",
+    ]

@@ -4,8 +4,9 @@ The digests pin the regression contract of every refactor: ``basis``,
 ``hh``, ``cup`` and ``verify --all`` on every fixture, ``hh`` on every
 fixture over three prime fields, ``cup`` and ``verify --all`` on two fixtures
 over GF(2) and GF(3), ``hh`` deep into the exponential families ``rsz(2)``,
-``rsz(3)`` and ``cub(2)`` over Q, GF(2) and GF(7), and the seeded ``random``
-suite, must print exactly these bytes.  A change that is meant to alter the output has to
+``rsz(3)`` and ``cub(2)`` over Q, GF(2) and GF(7), ``ambiguities`` with its
+left and right pieces on every fixture and on ``rsz(2)`` and ``cub(2)``, and the
+seeded ``random`` suite, must print exactly these bytes.  A change that is meant to alter the output has to
 re-record them, on purpose.
 """
 
@@ -93,6 +94,37 @@ LOOPS_GOLDEN = {
     ("cub2", 5, "fp:2"): "274774963e1e748160d846481aea82bfd8a7525d0a126adc6fd5704753d0778a",
 }
 
+# ``ambiguities --json`` at one degree: each member's written word and its left
+# and right pieces; (fixture or family of ``LOOPS``, degree) -> digest
+AMBIGUITIES_GOLDEN = {
+    ("example_cone.alg", -1): "780bf85d91bf5b3c799f2afbf3932ee329cd8af3c05ad308fef23deed052e9bb",
+    ("example_cone.alg", 0): "402ed0b9930870c78e0a643edd4618acbdaece4ae3642639b9c1953ded360be8",
+    ("example_cone.alg", 1): "5c0a342d83e9077ffc01d5e9d50be9ee2f978d3c99c54653a5eb42fbdd37938c",
+    ("example_cone.alg", 2): "dfade88af6a63d02ed442bb471e7579ed2c283f6e9c34b313202a7fb86c48c13",
+    ("example_cone.alg", 3): "55c037ff2134a8abe74e6ea6118276bb838f221e71498e42cc2203d118506e44",
+    ("example_cone.alg", 4): "db18792600b00c4c06436814820fb426446d843352f170d07eba12caa6ea91d7",
+    ("square.alg", -1): "05315654fef5e71fb238cb70f45f402c0a456886b6b1eef9ec2ea284d825f82e",
+    ("square.alg", 0): "01e6d6e71220bc06e4fce24485264edb70c92e1963ea159a7266e6bb653409a7",
+    ("square.alg", 1): "be518eb61fa3bc0c637b19e6bc33026df1d137cd07d461c3cfcc9997cb9c1415",
+    ("square.alg", 2): "547d9b53a49ecc92a8a8a2f72313bea1dae656c943f736a95837ac1617c43d23",
+    ("square.alg", 3): "729a8d903271c6a8f280d90130993cc187adea3fb92035a26fef0e0c88277b1c",
+    ("square.alg", 4): "4266002d283f14debc4abbf51a56781c26979be78934ee75ae5906a63530b55b",
+    ("triangular_a6.alg", -1): "273868e1eb8f8bb2b764db66f440bc8f281e0b3cd13bb510a2125450a0b412a9",
+    ("triangular_a6.alg", 0): "2fce2173bf451b784da79be18790efecb2ee63adae7aeda7bcbfb662626032a9",
+    ("triangular_a6.alg", 1): "efc9f486379a77979e737505a62074ae3b36a92db8347b777e3b0b41fecc423f",
+    ("triangular_a6.alg", 2): "1ae9d7794f0577d3073bd1b6fe6660e2bbbef2ce8b93a68aa9d4246937469b64",
+    ("triangular_a6.alg", 3): "c1562b1aafa6da2ba2b3a6aff3b2945b61e73acc78cf6e8bda1d45516918bbdf",
+    ("triangular_a6.alg", 4): "c2c3cd35ec574259ce3da27e929c248d7ca8554ea6c50fbcfb65af953090ccde",
+    ("truncated_cycle_3_2.alg", -1): "780bf85d91bf5b3c799f2afbf3932ee329cd8af3c05ad308fef23deed052e9bb",
+    ("truncated_cycle_3_2.alg", 0): "d99cd3162cc87aa5eda899f7fa4ae1e4210ffeb89ba2366728ac293b38d54b54",
+    ("truncated_cycle_3_2.alg", 1): "f89156f7ce71952695fe0b59ac72cb1a3b40c82d463c9ae6896f95e7dc9ae0bf",
+    ("truncated_cycle_3_2.alg", 2): "9dc0dc4805da86281abccb1c9c4805090d805817b1245692d2dd4a51d4db9454",
+    ("truncated_cycle_3_2.alg", 3): "ebacdf75fb6bbb40a6faee22b8eb00154a1cd993c3a25004a002d5c7dfe09cb8",
+    ("truncated_cycle_3_2.alg", 4): "96fd2effa313af8435e0d6596b9c016aa0313776ec74e41e277cf9e427405bf6",
+    ("rsz2", 4): "d8a2306a6e149cc36b06237e5c094776ba70be86f85250615f0e3c57aafdfba1",
+    ("cub2", 4): "c165dd7638bca1a120fe88deecf86a4cd5cd3ccc93d117d6c9670a34ad364a09",
+}
+
 RANDOM_GOLDEN = {
     ("general", "q"): "c6e6e82227ea9cf144ae362b3575f0a0c5c007fd6d0fc073ed5dd9fd1c36b2fe",
     ("general", "fp:2"): "35d38e7d49c9fa61f6a6acac8e3398bf1c85689d9104ff59140e1f01ed2bca9b",
@@ -158,3 +190,17 @@ def test_hh_loops_family_digest(family, degree, field, tmp_path):
         code = cli.main(["hh", str(path), "--json", "--max-degree", str(degree), "--field", field])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == LOOPS_GOLDEN[family, degree, field]
+
+
+@pytest.mark.parametrize("name, degree", sorted(AMBIGUITIES_GOLDEN))
+def test_ambiguities_digest(name, degree, tmp_path):
+    if name in LOOPS:
+        path = tmp_path / (name + ".alg")
+        path.write_text(loops_algebra_text(*LOOPS[name]))
+    else:
+        path = FIXTURES / name
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["ambiguities", str(path), "--json", "--degree", str(degree)])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == AMBIGUITIES_GOLDEN[name, degree]
