@@ -1,9 +1,11 @@
 """n-ambiguities (overlap chains) of a monomial algebra.
 
-Degree −1 ambiguities are the trivial paths, degree 0 the arrows, degree 1
-the minimal relations; degree n ≥ 2 paths are built recursively by gluing a
-relation onto the traversal-initial end of a degree n−1 ambiguity.  Every
-ambiguity has two distinguished factorizations:
+Degree −1 ambiguities are the vertices, degree 0 the arrows, degree 1 the
+minimal relations; degree n ≥ 2 words are built recursively by gluing a
+relation onto the traversal-initial end of a degree n−1 ambiguity.  An
+ambiguity is its arrow word and end vertices, like a basis index of the
+algebra, and every layer reads those.  Every ambiguity has two
+distinguished factorizations:
 
 * left pieces  (u_n, …, u_0) in traversal order — u_0 is the last arrow
   traversed, and each written product u_i·u_{i+1} contains exactly one
@@ -11,7 +13,7 @@ ambiguity has two distinguished factorizations:
 * right pieces (v_0, …, v_n) in traversal order — the mirror image.
 
 Both factorizations are unique and the two generation recursions produce
-the same path sets; this module generates both independently and checks
+the same words; this module generates both independently and checks
 that they agree, which downstream modules rely on.  Each ambiguity links
 to the two (n−1)-truncations the recursions extend, and the pieces are read
 off those links: u_n is what the tail leaves, v_n what the head leaves.
@@ -20,53 +22,50 @@ off those links: u_n is what the tail leaves, v_n what the head leaves.
 from __future__ import annotations
 
 from .errors import DegreeUnderflow
-from .quivers import DivisorOccurrence, MonomialAlgebra, Path
+from .quivers import MonomialAlgebra, Path
 
 
 class Ambiguity:
-    """A path linked to its truncations ``head`` = v_0…v_{n−1} and ``tail`` = u_0…u_{n−1}.
+    """The arrow word ``arrows`` from vertex ``source`` to ``target``, linked to
+    its truncations ``head`` = v_0…v_{n−1} and ``tail`` = u_0…u_{n−1}.
 
-    An arrow's are its source and target vertex; a vertex has neither.  Built
-    once per table, ambiguities compare by identity within one table.
+    A vertex v has the empty word and ends v, v, and no links; an arrow's
+    links are its source and target vertex.  Built once per table,
+    ambiguities compare by identity within one table.
     """
 
-    __slots__ = ("path", "degree", "head", "tail")
+    __slots__ = ("arrows", "source", "target", "degree", "head", "tail")
 
-    def __init__(self, path: Path, degree: int, head=None, tail=None):
-        self.path = path
+    def __init__(self, arrows: tuple, source: int, target: int, degree: int, head=None, tail=None):
+        self.arrows = arrows
+        self.source = source
+        self.target = target
         self.degree = degree
         self.head = head
         self.tail = tail
 
     @property
     def left_pieces(self):
-        """(u_n, …, u_0) in traversal order: the piece before each tail link."""
+        """(u_n, …, u_0) in traversal order, as arrow words: the piece before each tail link."""
         pieces = []
         amb = self
         while amb.tail is not None:
-            pieces.append(amb.path.segment(0, len(amb.path) - len(amb.tail.path)))
+            pieces.append(amb.arrows[: len(amb.arrows) - len(amb.tail.arrows)])
             amb = amb.tail
         return tuple(pieces)
 
     @property
     def right_pieces(self):
-        """(v_0, …, v_n) in traversal order: the piece after each head link."""
+        """(v_0, …, v_n) in traversal order, as arrow words: the piece after each head link."""
         pieces = []
         amb = self
         while amb.head is not None:
-            pieces.append(amb.path.segment(len(amb.head.path), len(amb.path)))
+            pieces.append(amb.arrows[len(amb.head.arrows) :])
             amb = amb.head
         return tuple(reversed(pieces))
 
-    def display_left(self) -> str:
-        """Written word with piece separators, e.g. ``alpha|deltagamma|betaalpha``."""
-        return "|".join(p.word() for p in reversed(self.left_pieces))
-
-    def display_right(self) -> str:
-        return "|".join(p.word() for p in reversed(self.right_pieces))
-
     def __repr__(self):
-        return f"Ambiguity({self.path.display()}, degree {self.degree})"
+        return f"Ambiguity({self.arrows} from {self.source} to {self.target}, degree {self.degree})"
 
 
 def _left_candidates(rel_arrows, first_piece: tuple):
@@ -106,8 +105,9 @@ class AmbiguityTable:
     is never mutated, so concurrent readers are safe after that point.
 
     On top of Γ_n sits the incidence index that every layer reads:
-    ``occurrences`` and ``by_path`` look words up in the {arrows: ambiguity}
-    dict stored with each degree, and ``cofaces`` inverts the differential.
+    ``occurrences`` looks arrow words up in the {arrows: ambiguity} dict
+    stored with each degree, ``by_path`` looks one up by a path of the
+    quiver, and ``cofaces`` inverts the differential.
     The window lengths and the cofaces are built lazily, on first use, from
     the stored degrees alone; they are idempotent caches, so building one
     twice gives the same map.
@@ -128,15 +128,14 @@ class AmbiguityTable:
         self.algebra = algebra
         q = algebra.quiver
         # vertex and arrow indices are already in path order
-        base = tuple(Ambiguity(q.trivial_path_at(v), -1) for v in range(q.n_vertices))
+        base = tuple(Ambiguity((), v, v, -1) for v in range(q.n_vertices))
         arrows = tuple(
-            Ambiguity(q.path_from_arrows((a,)), 0, base[q.arrow_source[a]], base[q.arrow_target[a]])
-            for a in range(q.n_arrows)
+            Ambiguity((a,), s, t, 0, base[s], base[t]) for a, (s, t) in enumerate(zip(q.arrow_source, q.arrow_target))
         )
         # index 0 holds degree -1
         self._degrees = [base, arrows]
         # index n holds degree n's {arrows: ambiguity}; degree -1 is base, by vertex
-        self._words = [{a.path.arrows: a for a in arrows}]
+        self._words = [{a.arrows: a for a in arrows}]
         self._windows = {}  # degree m >= 0 -> sorted lengths of its ambiguities
         self._cofaces = {}  # degree n -> {(n-1)-ambiguity: [(q, position, sign)]}
         self._cup = {}  # bidegree (m, n) -> cup structure constants, see cup._constants
@@ -157,7 +156,7 @@ class AmbiguityTable:
         return self._degrees[n + 1]
 
     def by_path(self, n: int, path: Path):
-        """The n-ambiguity with this underlying path, or None."""
+        """The n-ambiguity with this path's word (its vertex at n = −1), or None."""
         ambs = self.degree(n)
         if n == -1:
             return None if path.arrows else ambs[path.source]
@@ -182,20 +181,20 @@ class AmbiguityTable:
         # {word: parent}: the left recursion extends tails, the right one heads
         tails = {}
         for parent in prev:
-            word = parent.path.arrows
-            for u in extensions(_left_candidates, word[: len(word) - len(parent.tail.path)]):
+            word = parent.arrows
+            for u in extensions(_left_candidates, word[: len(word) - len(parent.tail.arrows)]):
                 # factorization uniqueness: a collision must have the same parent
                 assert tails.get(u + word, parent) is parent
                 tails[u + word] = parent
 
         heads = {}
         for parent in prev:
-            word = parent.path.arrows
-            for v in extensions(_right_candidates, word[len(parent.head.path) :]):
+            word = parent.arrows
+            for v in extensions(_right_candidates, word[len(parent.head.arrows) :]):
                 assert heads.get(word + v, parent) is parent
                 heads[word + v] = parent
 
-        # the two recursions must produce the same path sets
+        # the two recursions must produce the same words
         assert set(tails) == set(heads), (
             f"left/right ambiguity generation disagree at degree {n}"
         )
@@ -204,81 +203,61 @@ class AmbiguityTable:
             assert set(tails) == set(rel_arrows)
 
         words = sorted(tails, key=lambda w: (len(w), w))  # path order
-        merged = tuple(Ambiguity(q.path_from_arrows(w), n, heads[w], tails[w]) for w in words)
+        source, target = q.arrow_source, q.arrow_target
+        merged = tuple(Ambiguity(w, source[w[0]], target[w[-1]], n, heads[w], tails[w]) for w in words)
         self._degrees.append(merged)
         self._words.append(dict(zip(words, merged)))
 
     # -- truncations and divisor structure ------------------------------------
 
-    def amb_suffix(self, amb: Ambiguity, m: int) -> Ambiguity:
-        """The traversal-final truncation u_0…u_m, itself an m-ambiguity."""
-        n = amb.degree
-        if not -1 <= m <= n:
-            raise DegreeUnderflow(f"truncation degree {m} outside [-1, {n}]")
-        for _ in range(n - m):
-            amb = amb.tail
-        return amb
-
-    def amb_prefix(self, amb: Ambiguity, m: int) -> Ambiguity:
-        """The traversal-initial truncation v_0…v_m, itself an m-ambiguity."""
-        n = amb.degree
-        if not -1 <= m <= n:
-            raise DegreeUnderflow(f"truncation degree {m} outside [-1, {n}]")
-        for _ in range(n - m):
-            amb = amb.head
-        return amb
-
     def split(self, amb: Ambiguity, i: int, j: int):
         """amb = prefix-part · b · suffix-part with i + j = degree − 1.
 
-        Returns (amb_prefix(i), b, amb_suffix(j)); b is the middle remainder
-        in traversal order and always lies in the basis.
+        Returns (v_0…v_i, b, u_0…u_j): the prefix and suffix truncations,
+        walked along the head and tail links, and the index in
+        ``algebra.basis`` of the middle remainder b, which always lies in the
+        basis.
         """
         n = amb.degree
         assert i + j == n - 1 and i >= -1 and j >= -1
-        pre = self.amb_prefix(amb, i)
-        suf = self.amb_suffix(amb, j)
-        lo = len(pre.path.arrows)
-        hi = len(amb.path.arrows) - len(suf.path.arrows)
+        pre = suf = amb
+        for _ in range(n - i):
+            pre = pre.head
+        for _ in range(n - j):
+            suf = suf.tail
+        lo = len(pre.arrows)
+        hi = len(amb.arrows) - len(suf.arrows)
         assert lo <= hi, "prefix/suffix truncations overlap"
-        b = amb.path.segment(lo, hi)
-        assert self.algebra.find(b.arrows, b.source) is not None
+        b = self.algebra.find(amb.arrows[lo:hi], pre.target)
+        assert b is not None
         return pre, b, suf
 
     def sub(self, amb: Ambiguity):
-        """Positioned (n−1)-ambiguity divisors, by increasing prefix length."""
+        """Positioned (n−1)-ambiguity divisors [(lower, k)], by increasing position k."""
         n = amb.degree
         if n < 0:
             raise DegreeUnderflow("sub() needs degree >= 0")
-        p = amb.path
-        end = len(p.arrows)
-        hits = [
-            (lower, DivisorOccurrence(p.segment(0, k), lower.path, p.segment(k + len(lower.path), end), k))
-            for lower, k in self.occurrences(n - 1, p)
-        ]
+        hits = self.occurrences(n - 1, amb.arrows, amb.source)
         # distinct members occupy distinct positions (same-degree divisors
         # of an ambiguity cannot nest)
-        assert len({occ.position for _, occ in hits}) == len(hits)
+        assert len({k for _, k in hits}) == len(hits)
         return hits
 
     # -- incidence index -------------------------------------------------------
 
-    def occurrences(self, m: int, path: Path):
-        """Every (m-ambiguity, position) inside path's arrow word, by position.
+    def occurrences(self, m: int, arrows: tuple, source: int):
+        """Every (m-ambiguity, position) inside the arrow word from source, by position.
 
         The word may contain relations.  Degree −1 yields the vertex at each
-        of the len(path) + 1 positions.
+        of the len(arrows) + 1 positions; the source matters only there.
         """
         if m == -1:
-            vertices = self.degree(-1)  # sorted by path, hence by vertex index
-            return [(vertices[path.vertex_at(k)], k) for k in range(len(path.arrows) + 1)]
-        return self.word_occurrences(m, path.arrows)
-
-    def word_occurrences(self, m: int, arrows: tuple):
-        """``occurrences`` of degree m >= 0 inside a bare arrow word."""
+            vertices = self.degree(-1)  # sorted by vertex index
+            target = self.algebra.quiver.arrow_target
+            return [(vertices[v], k) for k, v in enumerate((source, *(target[a] for a in arrows)))]
         lengths = self._windows.get(m)
         if lengths is None:
-            lengths = self._windows[m] = sorted({len(a.path) for a in self.degree(m)})
+            lengths = self._windows[m] = sorted({len(a.arrows) for a in self.degree(m)})
         lookup = self._words[m]
         end = len(arrows)
         hits = []
@@ -304,9 +283,9 @@ class AmbiguityTable:
             out = {}
             for q in self.degree(n):
                 if n % 2 == 0:
-                    hits = ((q.head, 0, 1), (q.tail, len(q.path) - len(q.tail.path), -1))
+                    hits = ((q.head, 0, 1), (q.tail, len(q.arrows) - len(q.tail.arrows), -1))
                 else:
-                    hits = ((p, k, 1) for p, k in self.occurrences(n - 1, q.path))
+                    hits = ((p, k, 1) for p, k in self.occurrences(n - 1, q.arrows, q.source))
                 for p, k, sign in hits:
                     out.setdefault(p, []).append((q, k, sign))
             self._cofaces[n] = out

@@ -94,12 +94,18 @@ def cmd_basis(args):
     return 0
 
 
+def _pieces(quiver, pieces):
+    """Nonempty pieces in written order, joined by ``|``, e.g. ``alpha|deltagamma|betaalpha``."""
+    return "|".join(quiver.word(p, quiver.arrow_source[p[0]]) for p in reversed(pieces))
+
+
 def cmd_ambiguities(args):
     algebra = _load(args.file)
     table = AmbiguityTable(algebra)
     ambs = table.degree(args.degree)
+    q = algebra.quiver
     rows = [
-        {"word": a.path.word(), "left": a.display_left(), "right": a.display_right()}
+        {"word": q.word(a.arrows, a.source), "left": _pieces(q, a.left_pieces), "right": _pieces(q, a.right_pieces)}
         for a in ambs
     ]
     if args.json:

@@ -46,7 +46,7 @@ def pair_basis(table, degree):
     if pairs is None:
         parallel = table.algebra.parallel
         pairs = table._pairs[degree] = tuple(
-            (amb, b) for amb in table.degree(degree - 1) for b in parallel[(amb.path.source, amb.path.target)]
+            (amb, b) for amb in table.degree(degree - 1) for b in parallel[(amb.source, amb.target)]
         )
     return pairs
 
@@ -65,7 +65,7 @@ def _offsets(table, degree):
         n = 0
         for amb in table.degree(degree - 1):
             offsets[amb] = n
-            n += len(parallel[(amb.path.source, amb.path.target)])
+            n += len(parallel[(amb.source, amb.target)])
         out = table._offsets[degree] = (offsets, n)
     return out
 
@@ -74,16 +74,16 @@ def display_vector(algebra, pairs, vec, words):
     """The text ``hh`` prints for Σ vec[i]·pairs[i]: ``coeff [ambiguity || path]``
     terms in pair order, or ``0``.  ``words`` caches the written word of each
     ambiguity and basis index met, across calls."""
-    basis = algebra.basis
+    word = algebra.quiver.word
     bits = []
     for i, c in sorted(vec.items()):
         amb, b = pairs[i]
         amb_word = words.get(amb)
         if amb_word is None:
-            amb_word = words[amb] = amb.path.word()
+            amb_word = words[amb] = word(amb.arrows, amb.source)
         b_word = words.get(b)
         if b_word is None:
-            b_word = words[b] = basis[b].word()
+            b_word = words[b] = word(algebra.words[b], algebra.source[b])
         bits.append("%s [%s || %s]" % (c, amb_word, b_word))
     return " + ".join(bits) if bits else "0"
 
@@ -96,9 +96,9 @@ def _faces(table, amb):
     that are nonzero in A.  pre·b·post is never the empty word: q strictly
     contains amb.  The words depend only on amb, not on b.
     """
-    length = len(amb.path)
+    length = len(amb.arrows)
     return [
-        (q, q.path.arrows[:k], q.path.arrows[k + length :], sign)
+        (q, q.arrows[:k], q.arrows[k + length :], sign)
         for q, k, sign in table.cofaces(amb.degree + 1).get(amb, ())
     ]
 
@@ -140,7 +140,7 @@ def _delta_columns(table, m):
     for amb in table.degree(m - 1):
         amb_cols = cached.get(amb)
         if amb_cols is None:
-            amb_cols = _columns(table, amb, parallel[(amb.path.source, amb.path.target)], offsets)
+            amb_cols = _columns(table, amb, parallel[(amb.source, amb.target)], offsets)
         cols += amb_cols
     return cols
 
@@ -172,7 +172,7 @@ def cochain_differential(table, m, vec):
         amb, b = pairs[j]
         amb_cols = cached.get(amb)
         if amb_cols is None:
-            amb_cols = cached[amb] = _columns(table, amb, parallel[(amb.path.source, amb.path.target)], offsets)
+            amb_cols = cached[amb] = _columns(table, amb, parallel[(amb.source, amb.target)], offsets)
         for i, n in amb_cols[position[b]].items():
             out[i] = add(out.get(i, zero), mul(c, n))
     is_zero = field.is_zero
@@ -200,7 +200,7 @@ def differential_via_resolution(table, m):
     for q in table.degree(m):
         row = row_offsets[q]
         for (pre, r, post), n in differential(table, generator(table, q)).terms.items():
-            for j, b in enumerate(parallel[(r.path.source, r.path.target)], col_offsets[r]):
+            for j, b in enumerate(parallel[(r.source, r.target)], col_offsets[r]):
                 value = mul(pre, b)
                 if value is not None:
                     value = mul(value, post)

@@ -54,8 +54,8 @@ def _constants(table, m, n):
             if pf.degree != m - 1:
                 continue
             assert c == 1, "the diagonal adds each positioned split once"
-            bgs = parallel[(pg.path.source, pg.path.target)]
-            for i, bf in enumerate(parallel[(pf.path.source, pf.path.target)], f_offsets[pf]):
+            bgs = parallel[(pg.source, pg.target)]
+            for i, bf in enumerate(parallel[(pf.source, pf.target)], f_offsets[pf]):
                 left = mul(pre, bf)
                 if left is not None:
                     left = mul(left, mid)

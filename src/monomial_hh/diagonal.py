@@ -10,9 +10,10 @@ homological degree of the written-left factor is second.degree + 1.  That
 degree drives the Koszul sign.
 
 Each ambiguity's diagonal is cached on the table, and so are the divisor
-occurrences it is read from: amb's path is scanned once per degree
+occurrences it is read from: amb's arrow word is scanned once per degree
 −1…n, and every (i, j) split of amb, in ``diagonal`` and in the
-decomposition lemmas alike, reads those lists.
+decomposition lemmas alike, reads those lists.  Nothing here builds a
+path; the failure messages render words through the quiver.
 """
 
 from functools import partial
@@ -24,10 +25,10 @@ from .resolution import _d_terms, differential, generator
 def _check_quintuple(algebra, key, degree):
     pre, first, mid, second, post = key
     assert first.degree + second.degree + 1 == degree
-    assert algebra.target[pre] == first.path.source
-    assert first.path.target == algebra.source[mid]
-    assert algebra.target[mid] == second.path.source
-    assert second.path.target == algebra.source[post]
+    assert algebra.target[pre] == first.source
+    assert first.target == algebra.source[mid]
+    assert algebra.target[mid] == second.source
+    assert second.target == algebra.source[post]
 
 
 def tensor_element(table, degree, terms=None):
@@ -36,34 +37,32 @@ def tensor_element(table, degree, terms=None):
 
 
 def _divisors(table, amb):
-    """[occurrences of degree d in amb.path for d = −1…amb.degree], stored on the table."""
-    p = amb.path
-    out = table._divisors[amb] = [table.occurrences(d, p) for d in range(-1, amb.degree + 1)]
+    """[occurrences of degree d in amb's word for d = −1…amb.degree], stored on the table."""
+    out = table._divisors[amb] = [table.occurrences(d, amb.arrows, amb.source) for d in range(-1, amb.degree + 1)]
     return out
 
 
 def _decompositions(table, amb, i, j):
-    """Positioned (q1 at k1) then (q2 at k2 >= k1+len) splits of amb.path."""
+    """Positioned (q1 at k1) then (q2 at k2 >= k1+len) splits of amb's word."""
     find = table.algebra.find
-    p = amb.path
-    arrows = p.arrows
+    arrows = amb.arrows
     divisors = table._divisors.get(amb)
     if divisors is None:
         divisors = _divisors(table, amb)
     seconds = divisors[j + 1]
     out = []
     for q1, k1 in divisors[i + 1]:
-        end1 = k1 + len(q1.path)
-        pre = find(arrows[:k1], p.source)
+        end1 = k1 + len(q1.arrows)
+        pre = find(arrows[:k1], amb.source)
         if pre is None:
             continue
         for q2, k2 in seconds:
             if k2 < end1:
                 continue
-            mid = find(arrows[end1:k2], q1.path.target)
+            mid = find(arrows[end1:k2], q1.target)
             if mid is None:
                 continue
-            post = find(arrows[k2 + len(q2.path) :], q2.path.target)
+            post = find(arrows[k2 + len(q2.arrows) :], q2.target)
             if post is None:
                 continue
             out.append((pre, q1, mid, q2, post))
@@ -151,15 +150,15 @@ def check_chain_map(table, max_degree):
         for amb in table.degree(n):
             lhs = diagonal_of_element(table, differential(table, generator(table, amb)))
             rhs = tensor_differential(table, diagonal(table, amb))
-            assert lhs == rhs, "diagonal chain-map identity fails at %s" % amb.path.display()
+            assert lhs == rhs, "diagonal chain-map identity fails at %s" % table.algebra.quiver.display(amb.arrows, amb.source)
 
 
 def check_counit(table, max_degree):
     for n in range(-1, max_degree + 1):
         for amb in table.degree(n):
             lhs = counit(table, diagonal(table, amb))
-            rhs = {amb.path.source: 1} if n == -1 else {}
-            assert lhs == rhs, "counit fails at %s" % amb.path.display()
+            rhs = {amb.source: 1} if n == -1 else {}
+            assert lhs == rhs, "counit fails at %s" % table.algebra.quiver.display(amb.arrows, amb.source)
 
 
 def check_decomposition_lemmas(table, max_degree):

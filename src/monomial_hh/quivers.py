@@ -10,11 +10,14 @@ convention is converted; everything else speaks traversal order.  Under
 this dictionary, a written product ``q·p`` traverses p first, a written
 "prefix" divisor is a traversal-initial segment and a written "suffix" is
 a traversal-final segment.
+
+The layers below the command line carry a path as its arrow word and
+source vertex (a basis index, an ambiguity), and ``Quiver.word`` and
+``Quiver.display`` are the one place that renders such a pair as text;
+``Path`` renders through them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     DuplicateArrowId,
@@ -91,6 +94,18 @@ class Quiver:
         """Internal: trusted arrow index tuple, already composable."""
         return Path(self, self.arrow_source[idxs[0]], idxs)
 
+    def word(self, arrows: tuple, source: int) -> str:
+        """Written (right-to-left) rendering: last-traversed arrow first; ``e(v)`` if empty."""
+        if not arrows:
+            return f"e({self.vertex_names[source]})"
+        return "".join(self.arrow_names[a] for a in reversed(arrows))
+
+    def display(self, arrows: tuple, source: int) -> str:
+        """Traversal-order rendering, e.g. ``alpha*zeta``; ``e(v)`` if empty."""
+        if not arrows:
+            return f"e({self.vertex_names[source]})"
+        return "*".join(self.arrow_names[a] for a in arrows)
+
     def is_acyclic(self) -> bool:
         """True iff the digraph has no oriented cycle (triangular quiver)."""
         return not _has_cycle([[self.arrow_target[a] for a in out] for out in self.out_arrows])
@@ -123,21 +138,6 @@ class Path:
     def __len__(self):
         return len(self.arrows)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.arrows
-
-    def vertex_at(self, k: int) -> int:
-        """Vertex index after traversing k arrows (0 ≤ k ≤ len)."""
-        if k == 0:
-            return self.source
-        return self.quiver.arrow_target[self.arrows[k - 1]]
-
-    def segment(self, i: int, j: int) -> "Path":
-        """Sub-path spanning traversal positions [i, j)."""
-        assert 0 <= i <= j <= len(self.arrows)
-        return Path(self.quiver, self.vertex_at(i), self.arrows[i:j])
-
     def sort_key(self):
         return (len(self.arrows), self.arrows, self.source)
 
@@ -155,16 +155,10 @@ class Path:
         return self.sort_key() < other.sort_key()
 
     def display(self) -> str:
-        """Traversal-order rendering, e.g. ``alpha*zeta``; ``e(v)`` if trivial."""
-        if not self.arrows:
-            return f"e({self.quiver.vertex_names[self.source]})"
-        return "*".join(self.quiver.arrow_names[a] for a in self.arrows)
+        return self.quiver.display(self.arrows, self.source)
 
     def word(self) -> str:
-        """Written (right-to-left) rendering: last-traversed arrow first."""
-        if not self.arrows:
-            return f"e({self.quiver.vertex_names[self.source]})"
-        return "".join(self.quiver.arrow_names[a] for a in reversed(self.arrows))
+        return self.quiver.word(self.arrows, self.source)
 
     def __repr__(self):
         return f"Path({self.display()})"
@@ -180,20 +174,6 @@ def path_from_word(quiver: Quiver, word) -> Path:
     if isinstance(word, str):
         word = word.split()
     return quiver.path(list(reversed(list(word))))
-
-
-@dataclass(frozen=True)
-class DivisorOccurrence:
-    """One positioned occurrence of a divisor: host = prefix · divisor · suffix
-
-    (traversal order).  ``position`` is the traversal offset of the divisor,
-    i.e. len(prefix); for trivial divisors it is the vertex slot.
-    """
-
-    prefix: Path
-    divisor: Path
-    suffix: Path
-    position: int
 
 
 class MonomialAlgebra:

@@ -6,8 +6,9 @@ into ``algebra.basis``, composing traversal-first to traversal-last as
 pre * amb * post.  The homological index of that term is n + 1; the bottom
 term (n = -1) is spanned by (pre, e_v, post) triples and augments onto the
 algebra, whose elements are {basis index: int}.  Words, endpoints and
-products of basis paths are read from the algebra's basis index, so no
-layer here builds a path per term.
+products of basis paths are read from the algebra's basis index, and an
+ambiguity is its own word and endpoints, so nothing here builds a path;
+the failure messages render words through the quiver.
 
 The differential splits on the parity of n: odd degrees sum over all
 positioned divisors one degree down, even degrees take the two boundary
@@ -28,8 +29,8 @@ from .errors import WrongDegree
 def _check_triple(algebra, key, degree):
     pre, amb, post = key
     assert isinstance(amb, Ambiguity) and amb.degree == degree
-    assert algebra.target[pre] == amb.path.source
-    assert amb.path.target == algebra.source[post]
+    assert algebra.target[pre] == amb.source
+    assert amb.target == algebra.source[post]
 
 
 def bimodule_element(table, degree, terms=None):
@@ -39,7 +40,7 @@ def bimodule_element(table, degree, terms=None):
 
 def generator(table, amb):
     """1 (x) amb (x) 1: the trivial path at vertex v is basis index v."""
-    return bimodule_element(table, amb.degree, {(amb.path.source, amb, amb.path.target): 1})
+    return bimodule_element(table, amb.degree, {(amb.source, amb, amb.target): 1})
 
 
 def _d_terms(table, amb):
@@ -50,21 +51,21 @@ def _d_terms(table, amb):
     n = amb.degree
     assert n >= 0
     find = table.algebra.find
+    arrows = amb.arrows
     out = []
     if n % 2 == 1:
-        for q, occ in table.sub(amb):
-            pre = find(occ.prefix.arrows, occ.prefix.source)
-            post = find(occ.suffix.arrows, occ.suffix.source)
+        for q, k in table.sub(amb):
+            pre = find(arrows[:k], amb.source)
+            post = find(arrows[k + len(q.arrows) :], q.target)
             if pre is not None and post is not None:
                 out.append((pre, q, post, 1))
     else:
-        p = amb.path
-        after = find(p.arrows[len(amb.head.path) :], amb.head.path.target)
+        after = find(arrows[len(amb.head.arrows) :], amb.head.target)
         if after is not None:
-            out.append((p.source, amb.head, after, 1))
-        before = find(p.arrows[: len(p) - len(amb.tail.path)], p.source)
+            out.append((amb.source, amb.head, after, 1))
+        before = find(arrows[: len(arrows) - len(amb.tail.arrows)], amb.source)
         if before is not None:
-            out.append((before, amb.tail, p.target, -1))
+            out.append((before, amb.tail, amb.target, -1))
     table._faces[amb] = out
     return out
 
@@ -119,14 +120,14 @@ def _splits(table, amb, post):
     """[(head, q, tail)] with amb·post = head·q·tail, q one degree up and
     head, tail basis indices, by position of q; stored on the table."""
     find = table.algebra.find
-    word = amb.path.arrows + table.algebra.words[post]  # may contain relations on purpose
+    word = amb.arrows + table.algebra.words[post]  # may contain relations on purpose
     out = []
     if word:
-        for q, k in table.word_occurrences(amb.degree + 1, word):
-            head = find(word[:k], amb.path.source)
+        for q, k in table.occurrences(amb.degree + 1, word, amb.source):
+            head = find(word[:k], amb.source)
             if head is None:
                 continue
-            tail = find(word[k + len(q.path) :], q.path.target)
+            tail = find(word[k + len(q.arrows) :], q.target)
             if tail is not None:
                 out.append((head, q, tail))
     table._splits[amb, post] = out
@@ -158,8 +159,8 @@ def right_spanning_set(table, degree):
     leaving = table.algebra.leaving
     out = []
     for amb in table.degree(degree):
-        pre = amb.path.source
-        for b in leaving[amb.path.target]:
+        pre = amb.source
+        for b in leaving[amb.target]:
             out.append(bimodule_element(table, degree, {(pre, amb, b): 1}))
     return out
 
@@ -167,21 +168,22 @@ def right_spanning_set(table, degree):
 def _display_triple(table, key):
     """``[pre || amb || post]`` in written words, for failure messages."""
     pre, amb, post = key
-    basis = table.algebra.basis
-    return "[%s || %s || %s]" % (basis[pre].word(), amb.path.word(), basis[post].word())
+    algebra = table.algebra
+    word, words, source = algebra.quiver.word, algebra.words, algebra.source
+    return "[%s || %s || %s]" % (word(words[pre], source[pre]), word(amb.arrows, amb.source), word(words[post], source[post]))
 
 
 def check_d_squared(table, max_degree):
     for n in range(1, max_degree + 1):
         for amb in table.degree(n):
             dd = differential(table, differential(table, generator(table, amb)))
-            assert dd.is_zero(), "d^2 != 0 at %s" % amb.path.display()
+            assert dd.is_zero(), "d^2 != 0 at %s" % table.algebra.quiver.display(amb.arrows, amb.source)
 
 
 def check_augmented(table):
     for amb in table.degree(0):
         d1 = differential(table, generator(table, amb))
-        assert augmentation(table, d1) == {}, "eps d != 0 at %s" % amb.path.display()
+        assert augmentation(table, d1) == {}, "eps d != 0 at %s" % table.algebra.quiver.display(amb.arrows, amb.source)
 
 
 def check_homotopy(table, max_degree):

@@ -3,11 +3,19 @@
 import itertools
 
 from monomial_hh.cochains import pair_basis
+from monomial_hh.quivers import Path
 
 
 def vertex(quiver, name):
     """The trivial path at the vertex called name."""
     return quiver.trivial_path_at(quiver.vertex_index[str(name)])
+
+
+def amb_path(table, amb):
+    """The path of the quiver that amb's arrow word and ends spell."""
+    p = Path(table.algebra.quiver, amb.source, amb.arrows)
+    assert p.target == amb.target
+    return p
 
 
 def index_of(table, path):
@@ -29,7 +37,8 @@ def quintuple(table, pre, first, mid, second, post):
 
 def pair_key(pair):
     """Sort key of an (ambiguity, parallel basis path) pair: by ambiguity path, then by path."""
-    return (pair[0].path.sort_key(), pair[1].sort_key())
+    amb, b = pair
+    return ((len(amb.arrows), amb.arrows, amb.source), b.sort_key())
 
 
 def path_pairs(table, m):
@@ -52,7 +61,7 @@ def vector(table, m, terms):
     out = {}
     for (amb, b), c in terms.items():
         assert amb.degree == m - 1
-        assert amb.path.source == b.source and amb.path.target == b.target
+        assert amb.source == b.source and amb.target == b.target
         assert b in table.algebra.basis
         out[pairs.index((amb, b))] = c
     return out
@@ -75,7 +84,7 @@ def difference(field, x, y):
 def unit_cochain(table):
     """The sum of all vertex pairs; a cocycle of degree 0 representing the unit class."""
     one = table.algebra.field.one
-    return vector(table, 0, {(amb, amb.path): one for amb in table.degree(-1)})
+    return vector(table, 0, {(amb, amb_path(table, amb)): one for amb in table.degree(-1)})
 
 
 def is_quadratic(algebra):

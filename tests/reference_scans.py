@@ -20,7 +20,10 @@ reference for the index-keyed elements of ``resolution`` and
 ``diagonal``, which ``to_paths`` maps onto them.  ``concat`` and
 ``reduce_concat`` are the path products that the algebra's product
 table replaced; ``is_basis`` and ``nontrivial_basis`` ask the algebra's
-basis index about paths.  ``insert_kernel_basis`` and
+basis index about paths, and ``vertex_at``, ``segment`` and ``is_trivial``
+cut and inspect them.  ``amb_prefix`` and ``amb_suffix`` walk an
+ambiguity's head and tail links down to a given degree, the truncations
+that ``AmbiguityTable.split`` reads.  ``insert_kernel_basis`` and
 ``insert_quotient_basis`` are the elimination before its shortcuts: every
 column and every kernel vector goes through ``RowBasis.insert`` and every
 representative's rest through ``reduce_mod``, the reference for
@@ -29,9 +32,48 @@ representative's rest through ``reduce_mod``, the reference for
 
 from monomial_hh.ambiguities import Ambiguity
 from monomial_hh.combination import Combination
-from monomial_hh.errors import ImageNotInKernel, NonComposableRelation
+from monomial_hh.errors import DegreeUnderflow, ImageNotInKernel, NonComposableRelation
 from monomial_hh.linalg import RowBasis, SparseMatrix
-from monomial_hh.quivers import DivisorOccurrence, Path, _has_cycle
+from monomial_hh.quivers import Path, _has_cycle
+
+from helpers import amb_path
+
+
+def vertex_at(p, k):
+    """Vertex index after traversing k arrows of p (0 ≤ k ≤ len)."""
+    if k == 0:
+        return p.source
+    return p.quiver.arrow_target[p.arrows[k - 1]]
+
+
+def segment(p, i, j):
+    """Sub-path of p spanning traversal positions [i, j)."""
+    assert 0 <= i <= j <= len(p.arrows)
+    return Path(p.quiver, vertex_at(p, i), p.arrows[i:j])
+
+
+def is_trivial(p):
+    return not p.arrows
+
+
+def amb_suffix(amb, m):
+    """The traversal-final truncation u_0…u_m, itself an m-ambiguity."""
+    n = amb.degree
+    if not -1 <= m <= n:
+        raise DegreeUnderflow(f"truncation degree {m} outside [-1, {n}]")
+    for _ in range(n - m):
+        amb = amb.tail
+    return amb
+
+
+def amb_prefix(amb, m):
+    """The traversal-initial truncation v_0…v_m, itself an m-ambiguity."""
+    n = amb.degree
+    if not -1 <= m <= n:
+        raise DegreeUnderflow(f"truncation degree {m} outside [-1, {n}]")
+    for _ in range(n - m):
+        amb = amb.head
+    return amb
 
 
 def concat(*paths):
@@ -68,41 +110,23 @@ def nontrivial_basis(algebra):
 
 
 def divisor_occurrences(q, p):
-    """All positioned occurrences of q in p, by increasing prefix length."""
-    out = []
+    """Every position k at which the path q divides the path p, p = p[:k]·q·p[k+len(q):], increasing."""
     lq = len(q.arrows)
     if lq == 0:
-        for k in range(len(p.arrows) + 1):
-            if p.vertex_at(k) == q.source:
-                out.append(
-                    DivisorOccurrence(p.segment(0, k), q, p.segment(k, len(p.arrows)), k)
-                )
-        return out
-    for k in range(len(p.arrows) - lq + 1):
-        if p.arrows[k : k + lq] == q.arrows:
-            out.append(
-                DivisorOccurrence(
-                    p.segment(0, k), p.segment(k, k + lq), p.segment(k + lq, len(p.arrows)), k
-                )
-            )
-    return out
+        return [k for k in range(len(p.arrows) + 1) if vertex_at(p, k) == q.source]
+    return [k for k in range(len(p.arrows) - lq + 1) if p.arrows[k : k + lq] == q.arrows]
 
 
 def scan_occurrences(table, m, word):
-    """(m-ambiguity, position) for every occurrence in word, by position."""
-    hits = [(a, occ.position) for a in table.degree(m) for occ in divisor_occurrences(a.path, word)]
+    """(m-ambiguity, position) for every occurrence in the path word, by position."""
+    hits = [(a, k) for a in table.degree(m) for k in divisor_occurrences(amb_path(table, a), word)]
     hits.sort(key=lambda t: t[1])
     return hits
 
 
 def scan_sub(table, amb):
-    """Positioned (n−1)-ambiguity divisors, by increasing prefix length."""
-    hits = []
-    for lower in table.degree(amb.degree - 1):
-        for occ in divisor_occurrences(lower.path, amb.path):
-            hits.append((lower, occ))
-    hits.sort(key=lambda t: t[1].position)
-    return hits
+    """Positioned (n−1)-ambiguity divisors (lower, k), by increasing position k."""
+    return scan_occurrences(table, amb.degree - 1, amb_path(table, amb))
 
 
 def scan_cofaces(table, n):
@@ -112,12 +136,12 @@ def scan_cofaces(table, n):
         hits = []
         for q in table.degree(n):
             if n % 2 == 0:
-                if table.amb_prefix(q, n - 1) == p:
+                if amb_prefix(q, n - 1) == p:
                     hits.append((q, 0, 1))
-                if table.amb_suffix(q, n - 1) == p:
-                    hits.append((q, len(q.path) - len(p.path), -1))
+                if amb_suffix(q, n - 1) == p:
+                    hits.append((q, len(q.arrows) - len(p.arrows), -1))
             else:
-                hits.extend((q, occ.position, 1) for occ in divisor_occurrences(p.path, q.path))
+                hits.extend((q, k, 1) for k in divisor_occurrences(amb_path(table, p), amb_path(table, q)))
         if hits:
             out[p] = hits
     return out
@@ -126,13 +150,13 @@ def scan_cofaces(table, n):
 def scan_truncation(table, amb, m, initial):
     """The one m-ambiguity whose path is a traversal-initial segment of amb's
     path (traversal-final when initial is false), by a scan of Γ_m."""
-    p = amb.path
+    p = amb_path(table, amb)
     end = len(p)
 
-    def segment(k):
-        return p.segment(0, k) if initial else p.segment(end - k, end)
+    def end_piece(k):
+        return segment(p, 0, k) if initial else segment(p, end - k, end)
 
-    hits = [a for a in table.degree(m) if len(a.path) <= end and a.path == segment(len(a.path))]
+    hits = [a for a in table.degree(m) if len(a.arrows) <= end and amb_path(table, a) == end_piece(len(a.arrows))]
     assert len(hits) == 1, "%d truncations of degree %d" % (len(hits), m)
     return hits[0]
 
@@ -141,7 +165,7 @@ def scan_pair_differential_terms(table, amb, b):
     """Differential of the basis pair (amb, b) by a scan of every output ambiguity."""
     alg = table.algebra
     m = amb.degree + 1  # degree of the output ambiguities
-    p = amb.path
+    p = amb_path(table, amb)
     out = {}
 
     def bump(q, value, sign):
@@ -152,19 +176,18 @@ def scan_pair_differential_terms(table, amb, b):
 
     if m % 2 == 0:
         for q in table.degree(m):
-            qp = q.path
-            head_amb = table.amb_prefix(q, m - 1)
-            if head_amb.path == p:
-                tail = qp.segment(len(p), len(qp))
+            qp = amb_path(table, q)
+            if amb_path(table, amb_prefix(q, m - 1)) == p:
+                tail = segment(qp, len(p), len(qp))
                 bump(q, reduce_concat(alg, b, tail), 1)
-            tail_amb = table.amb_suffix(q, m - 1)
-            if tail_amb.path == p:
-                head = qp.segment(0, len(qp) - len(p))
+            if amb_path(table, amb_suffix(q, m - 1)) == p:
+                head = segment(qp, 0, len(qp) - len(p))
                 bump(q, reduce_concat(alg, head, b), -1)
     else:
         for q in table.degree(m):
-            for occ in divisor_occurrences(p, q.path):
-                bump(q, reduce_concat(alg, occ.prefix, b, occ.suffix), 1)
+            qp = amb_path(table, q)
+            for k in divisor_occurrences(p, qp):
+                bump(q, reduce_concat(alg, segment(qp, 0, k), b, segment(qp, k + len(p), len(qp))), 1)
     return {k: c for k, c in out.items() if c}
 
 
@@ -184,18 +207,18 @@ def scan_cup_cochain(table, m, n, f, g):
     for (amb, b), c in g.items():
         g_terms.setdefault(amb, []).append((b, c))
     for q in table.degree(m + n - 1):
-        qp = q.path
-        seconds = [(pg, k2) for pg, k2 in table.occurrences(n - 1, qp) if pg in g_terms]
-        for pf, k1 in table.occurrences(m - 1, qp):
+        qp = amb_path(table, q)
+        seconds = [(pg, k2) for pg, k2 in table.occurrences(n - 1, q.arrows, q.source) if pg in g_terms]
+        for pf, k1 in table.occurrences(m - 1, q.arrows, q.source):
             if pf not in f_terms:
                 continue
-            end1 = k1 + len(pf.path)
-            gap_a = qp.segment(0, k1)
+            end1 = k1 + len(pf.arrows)
+            gap_a = segment(qp, 0, k1)
             for pg, k2 in seconds:
                 if k2 < end1:
                     continue
-                gap_c = qp.segment(end1, k2)
-                gap_e = qp.segment(k2 + len(pg.path), len(qp))
+                gap_c = segment(qp, end1, k2)
+                gap_e = segment(qp, k2 + len(pg.arrows), len(qp))
                 for bf, cf in f_terms[pf]:
                     for bg, cg in g_terms[pg]:
                         value = reduce_concat(alg, gap_a, bf, gap_c, bg, gap_e)
@@ -228,7 +251,7 @@ def scan_pair_basis(table, m):
         (amb, b)
         for amb in table.degree(m - 1)
         for b in table.algebra.basis
-        if b.source == amb.path.source and b.target == amb.path.target
+        if b.source == amb.source and b.target == amb.target
     ]
 
 
@@ -267,8 +290,8 @@ def scan_bar_column_terms(algebra, t, b):
         piece = t[k - 1]
         sign = -1 if k % 2 else 1
         for c in range(1, len(piece)):
-            u = piece.segment(c, len(piece))
-            v = piece.segment(0, c)
+            u = segment(piece, c, len(piece))
+            v = segment(piece, 0, c)
             bump((t[: k - 1] + (u, v) + t[k:], b), sign)
     return {key: c for key, c in out.items() if c}
 
@@ -304,9 +327,9 @@ def scan_right_spanning_set(table, degree):
     alg = table.algebra
     out = []
     for amb in table.degree(degree):
-        triv = alg.quiver.trivial_path_at(amb.path.source)
+        triv = alg.quiver.trivial_path_at(amb.source)
         for b in alg.basis:
-            if b.source == amb.path.target:
+            if b.source == amb.target:
                 out.append(path_triples(degree, {(triv, amb, b): 1}))
     return out
 
@@ -317,17 +340,17 @@ def scan_right_spanning_set(table, degree):
 def _check_path_triple(key, degree):
     pre, amb, post = key
     assert isinstance(amb, Ambiguity) and amb.degree == degree
-    assert pre.target == amb.path.source
-    assert amb.path.target == post.source
+    assert pre.target == amb.source
+    assert amb.target == post.source
 
 
 def _check_path_quintuple(key, degree):
     pre, first, mid, second, post = key
     assert first.degree + second.degree + 1 == degree
-    assert pre.target == first.path.source
-    assert first.path.target == mid.source
-    assert mid.target == second.path.source
-    assert second.path.target == post.source
+    assert pre.target == first.source
+    assert first.target == mid.source
+    assert mid.target == second.source
+    assert second.target == post.source
 
 
 def path_triples(degree, terms=None):
@@ -355,10 +378,10 @@ def to_paths(table, x):
     return path_quintuples(x.degree, out)
 
 
-def path_generator(amb):
-    q = amb.path.quiver
-    pre = q.trivial_path_at(amb.path.source)
-    post = q.trivial_path_at(amb.path.target)
+def path_generator(table, amb):
+    q = table.algebra.quiver
+    pre = q.trivial_path_at(amb.source)
+    post = q.trivial_path_at(amb.target)
     return path_triples(amb.degree, {(pre, amb, post): 1})
 
 
@@ -368,16 +391,17 @@ def path_d_terms(table, amb):
     assert n >= 0
     alg = table.algebra
     out = []
+    p = amb_path(table, amb)
     if n % 2 == 1:
-        for q, occ in table.sub(amb):
-            if is_basis(alg, occ.prefix) and is_basis(alg, occ.suffix):
-                out.append((occ.prefix, q, occ.suffix, 1))
+        for q, k in table.sub(amb):
+            prefix, suffix = segment(p, 0, k), segment(p, k + len(q.arrows), len(p))
+            if is_basis(alg, prefix) and is_basis(alg, suffix):
+                out.append((prefix, q, suffix, 1))
     else:
-        p = amb.path
-        after = p.segment(len(amb.head.path), len(p))
+        after = segment(p, len(amb.head.arrows), len(p))
         if is_basis(alg, after):
             out.append((alg.quiver.trivial_path_at(p.source), amb.head, after, 1))
-        before = p.segment(0, len(p) - len(amb.tail.path))
+        before = segment(p, 0, len(p) - len(amb.tail.arrows))
         if is_basis(alg, before):
             out.append((before, amb.tail, alg.quiver.trivial_path_at(p.target), -1))
     return out
@@ -403,15 +427,15 @@ def path_homotopy_sigma(table, x):
     alg = table.algebra
     out = path_triples(x.degree + 1)
     for (pre, amb, post), c in x.terms.items():
-        if len(amb.path) + len(post) == 0:
+        if len(amb.arrows) + len(post) == 0:
             continue
-        word = concat(amb.path, post)  # may contain relations on purpose
+        word = concat(amb_path(table, amb), post)  # may contain relations on purpose
         end = len(word.arrows)
-        for q, k in table.occurrences(x.degree + 1, word):
-            new_pre = reduce_concat(alg, pre, word.segment(0, k))
+        for q, k in table.occurrences(x.degree + 1, word.arrows, word.source):
+            new_pre = reduce_concat(alg, pre, segment(word, 0, k))
             if new_pre is None:
                 continue
-            tail = word.segment(k + len(q.path), end)
+            tail = segment(word, k + len(q.arrows), end)
             if not is_basis(alg, tail):
                 continue
             out.add((new_pre, q, tail), c)
@@ -419,19 +443,19 @@ def path_homotopy_sigma(table, x):
 
 
 def path_decompositions(table, amb, i, j):
-    """Positioned (q1 at k1) then (q2 at k2 >= k1+len) splits of amb.path, Path-keyed."""
+    """Positioned (q1 at k1) then (q2 at k2 >= k1+len) splits of amb's path, Path-keyed."""
     alg = table.algebra
-    p = amb.path
-    seconds = table.occurrences(j, p)
+    p = amb_path(table, amb)
+    seconds = table.occurrences(j, amb.arrows, amb.source)
     out = []
-    for q1, k1 in table.occurrences(i, p):
-        end1 = k1 + len(q1.path)
+    for q1, k1 in table.occurrences(i, amb.arrows, amb.source):
+        end1 = k1 + len(q1.arrows)
         for q2, k2 in seconds:
             if k2 < end1:
                 continue
-            pre = p.segment(0, k1)
-            mid = p.segment(end1, k2)
-            post = p.segment(k2 + len(q2.path), len(p))
+            pre = segment(p, 0, k1)
+            mid = segment(p, end1, k2)
+            post = segment(p, k2 + len(q2.arrows), len(p))
             if not (is_basis(alg, pre) and is_basis(alg, mid) and is_basis(alg, post)):
                 continue
             out.append((pre, q1, mid, q2, post))

@@ -22,8 +22,10 @@ from monomial_hh.cup import cup_products
 from monomial_hh.quivers import path_from_word
 from monomial_hh.randomgen import RandomAlgebraConfig
 from monomial_hh.checks import run_random_suite
+from monomial_hh.cli import _pieces
 
-from helpers import difference, vector
+from helpers import amb_path, difference, vector
+from reference_scans import amb_suffix
 
 GENERAL_SEED = 7
 TRIANGULAR_SEED = 7
@@ -145,24 +147,25 @@ def test_criterion_4_ambiguity_fixtures(square, cone, triangular_a6, truncated_c
         for alg in (square, cone, triangular_a6, truncated_cycle, a2, point):
             t = AmbiguityTable(alg)
             q = alg.quiver
-            assert {a.path for a in t.degree(-1)} == {
+            assert {amb_path(t, a) for a in t.degree(-1)} == {
                 q.trivial_path_at(v) for v in range(q.n_vertices)
             }
-            assert {a.path for a in t.degree(0)} == {q.path(n) for n in q.arrow_names}
-            assert {a.path for a in t.degree(1)} == set(alg.relations)
+            assert {amb_path(t, a) for a in t.degree(0)} == {q.path(n) for n in q.arrow_names}
+            assert {amb_path(t, a) for a in t.degree(1)} == set(alg.relations)
 
         t = AmbiguityTable(square)
         q = square.quiver
         adgba = t.by_path(2, path_from_word(q, "alpha delta gamma beta alpha"))
         assert adgba is not None
-        assert adgba.display_left() == "alpha|deltagamma|betaalpha"
+        assert _pieces(q, adgba.left_pieces) == "alpha|deltagamma|betaalpha"
 
         p = t.by_path(3, path_from_word(q, "gamma beta alpha delta gamma beta alpha"))
         assert p is not None
-        assert p.display_left() == "gamma|betaalpha|deltagamma|betaalpha"
-        assert p.display_right() == "gammabeta|alphadelta|gammabeta|alpha"
-        assert t.amb_suffix(p, 1).path.word() == "gammabetaalpha"
+        assert _pieces(q, p.left_pieces) == "gamma|betaalpha|deltagamma|betaalpha"
+        assert _pieces(q, p.right_pieces) == "gammabeta|alphadelta|gammabeta|alpha"
+        assert amb_path(t, amb_suffix(p, 1)).word() == "gammabetaalpha"
         _, b, _ = t.split(p, 1, 1)
+        b = square.basis[b]
         assert b.word() == "delta"
         assert len(b) == 1
 

@@ -19,7 +19,7 @@ from monomial_hh.quivers import is_triangular
 from monomial_hh.resolution import differential, homotopy_sigma, right_spanning_set
 
 from conftest import make_cone
-from helpers import loops_algebra_text
+from helpers import amb_path, loops_algebra_text
 from reference_scans import path_decompositions, path_homotopy_sigma, to_paths
 from test_incidence import tables
 
@@ -58,9 +58,9 @@ def test_cached_columns_equal_a_fresh_build(spec, monkeypatch):
         fresh = AmbiguityTable(t.algebra)
         parallel = t.algebra.parallel
         for amb, cols in t._delta.items():
-            twin = fresh.by_path(amb.degree, amb.path)
+            twin = fresh.by_path(amb.degree, amb_path(t, amb))
             offsets, _ = _offsets(fresh, amb.degree + 2)
-            assert cols == _columns(fresh, twin, parallel[(amb.path.source, amb.path.target)], offsets)
+            assert cols == _columns(fresh, twin, parallel[(amb.source, amb.target)], offsets)
             checked += 1
     assert checked
 
@@ -102,13 +102,13 @@ def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
 
 def test_warm_homotopy_equals_cold_and_reference(monkeypatch):
     scans = []
-    word_occurrences = AmbiguityTable.word_occurrences
+    occurrences = AmbiguityTable.occurrences
 
-    def counting(self, m, arrows):
-        scans.append(arrows)
-        return word_occurrences(self, m, arrows)
+    def counting(self, m, arrows, source):
+        scans.append((m, arrows, source))
+        return occurrences(self, m, arrows, source)
 
-    monkeypatch.setattr(AmbiguityTable, "word_occurrences", counting)
+    monkeypatch.setattr(AmbiguityTable, "occurrences", counting)
     for spec in ("q", "fp:2"):
         for t in tables(spec):
             for n in range(-1, DEGREE):
@@ -126,9 +126,9 @@ def test_warm_decompositions_equal_cold_and_reference(monkeypatch):
     scans = []
     occurrences = AmbiguityTable.occurrences
 
-    def counting(self, m, path):
-        scans.append((m, path))
-        return occurrences(self, m, path)
+    def counting(self, m, arrows, source):
+        scans.append((m, arrows, source))
+        return occurrences(self, m, arrows, source)
 
     monkeypatch.setattr(AmbiguityTable, "occurrences", counting)
     for spec in ("q", "fp:2"):

@@ -12,7 +12,7 @@ from monomial_hh.diagonal import (
 from monomial_hh.quivers import path_from_word
 
 from helpers import index_of, is_quadratic, quintuple, vertex
-from reference_scans import path_d_terms, reduce_concat, to_paths
+from reference_scans import is_trivial, path_d_terms, reduce_concat, to_paths
 
 
 def check_quadratic(table, max_degree):
@@ -23,7 +23,7 @@ def check_quadratic(table, max_degree):
             seen = {}
             basis = table.algebra.basis
             for (pre, q1, mid, q2, post), c in diagonal(table, amb).terms.items():
-                assert basis[pre].is_trivial and basis[mid].is_trivial and basis[post].is_trivial
+                assert is_trivial(basis[pre]) and is_trivial(basis[mid]) and is_trivial(basis[post])
                 bideg = (q2.degree + 1, q1.degree + 1)
                 assert bideg not in seen
                 seen[bideg] = c

@@ -15,8 +15,10 @@ from monomial_hh.quivers import Quiver, build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import keyed, pair_key, path_pairs, vector
+from helpers import amb_path, keyed, pair_key, path_pairs, vector
 from reference_scans import (
+    amb_prefix,
+    amb_suffix,
     concat,
     scan_cofaces,
     scan_cup_cochain,
@@ -25,6 +27,7 @@ from reference_scans import (
     scan_pair_differential_terms,
     scan_sub,
     scan_truncation,
+    segment,
 )
 
 DEGREE = 6
@@ -57,34 +60,47 @@ def test_occurrences_match_scan(spec):
         alg = t.algebra
         for n in range(-1, DEGREE):
             for amb in t.degree(n):
-                words = [amb.path] + [concat(amb.path, post) for post in alg.basis if post.source == amb.path.target]
+                p = amb_path(t, amb)
+                words = [p] + [concat(p, post) for post in alg.basis if post.source == amb.target]
                 for m in range(-1, n + 2):
                     for word in words:
-                        assert t.occurrences(m, word) == scan_occurrences(t, m, word)
+                        assert t.occurrences(m, word.arrows, word.source) == scan_occurrences(t, m, word)
 
 
 def test_truncation_links_match_scan():
     for t in tables("q"):
+        q = t.algebra.quiver
         for n in range(-1, DEGREE + 1):
             for amb in t.degree(n):
-                assert t.by_path(n, amb.path) is amb
+                if n == -1:
+                    assert (amb.arrows, amb.target) == ((), amb.source) and t.degree(-1)[amb.source] is amb
+                else:
+                    scanned = q.path([q.arrow_names[a] for a in amb.arrows])  # raises unless the word composes
+                    assert (amb.arrows, amb.source, amb.target) == (scanned.arrows, scanned.source, scanned.target)
+                p = amb_path(t, amb)
+                assert t.by_path(n, p) is amb
                 for m in range(-1, n + 1):
-                    assert t.amb_prefix(amb, m) is scan_truncation(t, amb, m, initial=True)
-                    assert t.amb_suffix(amb, m) is scan_truncation(t, amb, m, initial=False)
+                    assert amb_prefix(amb, m) is scan_truncation(t, amb, m, initial=True)
+                    assert amb_suffix(amb, m) is scan_truncation(t, amb, m, initial=False)
+                    # split walks the links itself: the same truncations, and b between them
+                    pre, b, suf = t.split(amb, m, n - 1 - m)
+                    assert pre is scan_truncation(t, amb, m, initial=True)
+                    assert suf is scan_truncation(t, amb, n - 1 - m, initial=False)
+                    assert t.algebra.basis[b] == segment(p, len(pre.arrows), len(p) - len(suf.arrows))
                 for pieces in (amb.left_pieces, amb.right_pieces):
-                    assert len(pieces) == n + 1 and all(p.arrows for p in pieces)
-                    assert sum((p.arrows for p in pieces), ()) == amb.path.arrows
+                    assert len(pieces) == n + 1 and all(pieces)
+                    assert sum(pieces, ()) == amb.arrows
 
 
 def test_ambiguities_compare_by_identity():
-    # each table builds its own members: equal paths, distinct ambiguities
+    # each table builds its own members: equal words and ends, distinct ambiguities
     alg = make_cone()
     first, second = AmbiguityTable(alg), AmbiguityTable(alg)
     for n in range(-1, DEGREE + 1):
-        assert [a.path for a in first.degree(n)] == [b.path for b in second.degree(n)]
+        assert [amb_path(first, a) for a in first.degree(n)] == [amb_path(second, b) for b in second.degree(n)]
         for a, b in zip(first.degree(n), second.degree(n)):
             assert a is not b and a != b
-            assert second.by_path(n, a.path) is b
+            assert second.by_path(n, amb_path(first, a)) is b
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])

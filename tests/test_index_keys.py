@@ -41,7 +41,7 @@ def test_resolution_matches_path_reference(spec):
             for amb in t.degree(n):
                 faces = [(basis[pre], q, basis[post], sign) for pre, q, post, sign in _d_terms(t, amb)]
                 assert faces == path_d_terms(t, amb)
-                assert to_paths(t, differential(t, generator(t, amb))) == path_differential(t, path_generator(amb))
+                assert to_paths(t, differential(t, generator(t, amb))) == path_differential(t, path_generator(t, amb))
         for n in range(-1, DEGREE + 1):
             for x in right_spanning_set(t, n):
                 sx = homotopy_sigma(t, x)
@@ -110,10 +110,12 @@ def _calls(module):
     return out
 
 
-@pytest.mark.parametrize("module", ["resolution", "diagonal", "cup", "cochains"])
+@pytest.mark.parametrize("module", ["ambiguities", "resolution", "diagonal", "cup", "cochains"])
 def test_no_path_arithmetic(module):
-    # words and products come from the algebra's basis index, not from paths built per term
-    assert not {"reduce_concat", "segment", "concat"} & _calls(module)
+    # words and products come from the algebra's basis index and Γ_n's own
+    # arrow words, not from paths built or cut per term
+    forbidden = {"reduce_concat", "segment", "concat", "vertex_at", "Path", "path_from_arrows", "trivial_path_at"}
+    assert not forbidden & _calls(module)
 
 
 def test_faces_are_cached_per_ambiguity(cone, monkeypatch):
