@@ -101,8 +101,11 @@ def _right_candidates(rel_arrows, last_piece: tuple):
 class AmbiguityTable:
     """Lazy per-degree cache of the ambiguities of one algebra.
 
-    Generation of degree n reads only degree n−1; once a degree is stored it
-    is never mutated, so concurrent readers are safe after that point.
+    Generation of degree n reads degree n−1 and the table's candidate memo:
+    the pieces that can extend a parent depend only on the relations and
+    the parent's end piece, so each end piece's are found once per table,
+    whichever degree first meets it.  Once a degree is stored it is never
+    mutated, so concurrent readers are safe after that point.
 
     On top of Γ_n sits the incidence index that every layer reads:
     ``occurrences`` looks arrow words up in the {arrows: ambiguity} dict
@@ -110,18 +113,22 @@ class AmbiguityTable:
     quiver, and ``cofaces`` inverts the differential.
     The window lengths and the cofaces are built lazily, on first use, from
     the stored degrees alone; they are idempotent caches, so building one
-    twice gives the same map.
-    The faces of the resolution differential and the diagonals, which read
-    only this index and the algebra's basis index, the cup structure
-    constants, which read only the diagonals, and the pairs and pair
-    offsets of the cochains are cached here the same way, one slot each, by
-    the modules that build them.  So are three pieces that the check
-    battery would otherwise rebuild row after row: the δ columns of each
-    ambiguity's pairs, filled only by ``cochains.cochain_differential``
-    (matrix assembly reads them but stores nothing, so ``hh`` holds one
-    matrix at a time); each ambiguity's divisor occurrences in every
-    degree up to its own, filled by ``diagonal._decompositions``; and the
-    splits of each word amb·post, filled by ``resolution.homotopy_sigma``.
+    twice gives the same map.  The other layers cache what they build
+    here too, one slot each, and each slot is filled by one module:
+
+    * ``resolution``: each ambiguity's faces (``_d_terms``), its boundary
+      d(1 ⊗ amb ⊗ 1) (``boundary``), and the splits of each word amb·post
+      (``homotopy_sigma``);
+    * ``diagonal``: each ambiguity's diagonal, and its divisor occurrences
+      in every degree up to its own (``_decompositions``);
+    * ``cup``: the structure constants of each bidegree, read off the
+      diagonals;
+    * ``cochains``: each degree's pairs and pair offsets; the nonzero
+      products pre·b·post of each face class (pre, post, source, target),
+      which every δ column reads (``_columns``); and the δ columns of each
+      ambiguity's pairs, filled only by ``cochain_differential``, so that
+      the battery rows that apply δ share one build (matrix assembly reads
+      them but stores nothing, so ``hh`` holds one matrix at a time).
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -136,6 +143,8 @@ class AmbiguityTable:
         self._degrees = [base, arrows]
         # index n holds degree n's {arrows: ambiguity}; degree -1 is base, by vertex
         self._words = [{a.arrows: a for a in arrows}]
+        # (candidate finder, end piece) -> the pieces that extend it, see _extend
+        self._candidates = {}
         self._windows = {}  # degree m >= 0 -> sorted lengths of its ambiguities
         self._cofaces = {}  # degree n -> {(n-1)-ambiguity: [(q, position, sign)]}
         self._cup = {}  # bidegree (m, n) -> cup structure constants, see cup._constants
@@ -143,9 +152,11 @@ class AmbiguityTable:
         self._faces = {}  # ambiguity -> its differential's faces, see resolution._d_terms
         self._pairs = {}  # cochain degree m -> its pairs, see cochains.pair_basis
         self._offsets = {}  # cochain degree m -> row offsets of Γ_{m-1}, see cochains._offsets
+        self._classes = {}  # (pre, post, source, target) -> nonzero products, see cochains._columns
         self._delta = {}  # ambiguity -> δ columns of its pairs, see cochains.cochain_differential
         self._divisors = {}  # ambiguity -> its occurrences by degree, see diagonal._decompositions
         self._splits = {}  # (ambiguity, post) -> homotopy splits, see resolution.homotopy_sigma
+        self._boundaries = {}  # ambiguity -> d(1 ⊗ amb ⊗ 1), see resolution.boundary
 
     def degree(self, n: int):
         """The tuple of n-ambiguities, sorted by path; computed on demand."""
@@ -167,10 +178,7 @@ class AmbiguityTable:
         rel_arrows = self.algebra._rel_arrows
         n = len(self._degrees) - 1  # degree being generated
         prev = self._degrees[-1]
-
-        # the candidates depend only on the parent's end piece, and few pieces
-        # are distinct: each piece's are found once
-        memo = {}
+        memo = self._candidates
 
         def extensions(candidates, end):
             out = memo.get((candidates, end))
@@ -184,25 +192,24 @@ class AmbiguityTable:
             word = parent.arrows
             for u in extensions(_left_candidates, word[: len(word) - len(parent.tail.arrows)]):
                 # factorization uniqueness: a collision must have the same parent
-                assert tails.get(u + word, parent) is parent
-                tails[u + word] = parent
+                kept = tails.setdefault(u + word, parent)
+                assert kept is parent
 
         heads = {}
         for parent in prev:
             word = parent.arrows
             for v in extensions(_right_candidates, word[len(parent.head.arrows) :]):
-                assert heads.get(word + v, parent) is parent
-                heads[word + v] = parent
+                kept = heads.setdefault(word + v, parent)
+                assert kept is parent
 
         # the two recursions must produce the same words
-        assert set(tails) == set(heads), (
-            f"left/right ambiguity generation disagree at degree {n}"
-        )
+        assert tails.keys() == heads.keys(), f"left/right ambiguity generation disagree at degree {n}"
         if n == 1:
             # degree 1 must reproduce the minimal relation set exactly
-            assert set(tails) == set(rel_arrows)
+            assert tails.keys() == set(rel_arrows)
 
-        words = sorted(tails, key=lambda w: (len(w), w))  # path order
+        words = sorted(tails)
+        words.sort(key=len)  # stable: path order, by length then word
         source, target = q.arrow_source, q.arrow_target
         merged = tuple(Ambiguity(w, source[w[0]], target[w[-1]], n, heads[w], tails[w]) for w in words)
         self._degrees.append(merged)

@@ -11,7 +11,11 @@ that takes one is also given its degree, or the space it lives in.  This
 module is the one place that decides how a pair is indexed.  The table
 caches each degree's offsets and, where a space needs them, its pairs.
 
-``_columns`` is the one builder of δ columns.  ``cochain_differential``
+``_columns`` is the one builder of δ columns.  It assembles δ per face
+class: the product pre·b·post of a face depends only on the face's
+(pre, post) and the ambiguity's endpoints, so the table caches per class
+which b give a nonzero product and where it lands, and a column adds one
+entry per hit, not one lookup per face and b.  ``cochain_differential``
 caches on the table, per ambiguity it meets, the columns of all that
 ambiguity's pairs, so the battery rows that apply δ (∂² = 0, the cup
 closure, the cocycle certificates) share one build.  Matrix assembly
@@ -23,15 +27,15 @@ The differential of a pair reads the cofaces of its ambiguity from the
 table's incidence index (truncations in even output degree, positioned
 divisors in odd), mirroring the resolution differential;
 `differential_via_resolution` computes the same map, one degree at a
-time, by composing with the resolution's d and is kept as an independent
-route.
+time, by composing with the resolution's d, and is kept as an
+independent route: it reads no face class.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NotACocycle
 from .linalg import RowBasis, SparseMatrix, kernel_basis, quotient_basis
-from .resolution import differential, generator
+from .resolution import boundary
 
 
 def pair_basis(table, degree):
@@ -88,43 +92,51 @@ def display_vector(algebra, pairs, vec, words):
     return " + ".join(bits) if bits else "0"
 
 
-def _faces(table, amb):
-    """[(q, pre, post, sign)] over the cofaces q of amb: the one formula for δ.
+def _columns(table, amb, offsets):
+    """The columns of δ at every pair (amb, b), in pair order: {row: n}, integer, no zeros.
 
-    With amb at position k of q, pre = q[:k] and post = q[k+len(amb):] are
-    arrow words, and δ(amb, b) = Σ sign · (q, pre·b·post) over the products
-    that are nonzero in A.  pre·b·post is never the empty word: q strictly
-    contains amb.  The words depend only on amb, not on b.
-    """
-    length = len(amb.arrows)
-    return [
-        (q, q.arrows[:k], q.arrows[k + length :], sign)
-        for q, k, sign in table.cofaces(amb.degree + 1).get(amb, ())
-    ]
-
-
-def _columns(table, amb, bs, offsets):
-    """The columns of δ at the pairs (amb, b), b in bs: {row: n}, integer, no zeros.
-
-    ``offsets`` are those of the next degree, whose pairs are the rows.
-    amb's faces are read once, with the row offset of each coface, and
-    then serve every b.  The row of (q, value) is q's offset plus value's
-    position in its ``parallel`` tuple.
+    δ(amb, b) = Σ sign · (q, pre·b·post) over the cofaces q of amb, with amb
+    at position k of q, pre = q[:k] and post = q[k+len(amb):], and over the
+    products that are nonzero in A; ``offsets`` are those of the next
+    degree, whose pairs are the rows.  The products depend only on the face
+    class (pre, post, amb.source, amb.target), not on q or b, so the table
+    caches per class the (place of b, position of pre·b·post) of the
+    nonzero ones, and a face adds q's offset plus that position to the
+    column of each b its class reaches.  pre·b·post is never the empty
+    word: q strictly contains amb.
     """
     algebra = table.algebra
+    source, target = amb.source, amb.target
+    bs = algebra.parallel[(source, target)]
+    classes = table._classes
+    length = len(amb.arrows)
+    n = amb.degree + 1
+    cols = [{} for _ in bs]
+    for q, k, sign in table.cofaces(n).get(amb, ()):
+        arrows = q.arrows
+        key = (arrows[:k], arrows[k + length :], source, target)
+        hits = classes.get(key)
+        if hits is None:
+            hits = classes[key] = _face_class(algebra, key[0], key[1], bs)
+        offset = offsets[q]
+        for place, i in hits:
+            col = cols[place]
+            i += offset
+            col[i] = col.get(i, 0) + sign
+    if n % 2:
+        return cols  # an odd coface has sign +1, so nothing cancels
+    return [{i: c for i, c in col.items() if c} for col in cols]
+
+
+def _face_class(algebra, pre, post, bs):
+    """((place of b in bs, position of pre·b·post), ...) over the b whose product is nonzero."""
     words, word_index, position = algebra.words, algebra.word_index, algebra.position
-    faces = [(offsets[q], pre, post, sign) for q, pre, post, sign in _faces(table, amb)]
-    cols = []
-    for b in bs:
-        ba = words[b]
-        col = {}
-        for offset, pre, post, sign in faces:
-            i = word_index.get(pre + ba + post)
-            if i is not None:
-                i = offset + position[i]
-                col[i] = col.get(i, 0) + sign
-        cols.append({i: n for i, n in col.items() if n})
-    return cols
+    hits = []
+    for place, b in enumerate(bs):
+        i = word_index.get(pre + words[b] + post)
+        if i is not None:
+            hits.append((place, position[i]))
+    return tuple(hits)
 
 
 def _delta_columns(table, m):
@@ -133,14 +145,13 @@ def _delta_columns(table, m):
     An ambiguity whose columns ``cochain_differential`` has cached is read
     from the table; the others are built and not stored.
     """
-    parallel = table.algebra.parallel
     cached = table._delta
     offsets, _ = _offsets(table, m + 1)
     cols = []
     for amb in table.degree(m - 1):
         amb_cols = cached.get(amb)
         if amb_cols is None:
-            amb_cols = _columns(table, amb, parallel[(amb.source, amb.target)], offsets)
+            amb_cols = _columns(table, amb, offsets)
         cols += amb_cols
     return cols
 
@@ -162,7 +173,7 @@ def cochain_differential(table, m, vec):
     if not vec:
         return {}
     algebra = table.algebra
-    field, parallel, position = algebra.field, algebra.parallel, algebra.position
+    field, position = algebra.field, algebra.position
     add, mul, zero = field.add, field.mul, field.zero
     pairs = pair_basis(table, m)
     cached = table._delta
@@ -172,7 +183,7 @@ def cochain_differential(table, m, vec):
         amb, b = pairs[j]
         amb_cols = cached.get(amb)
         if amb_cols is None:
-            amb_cols = cached[amb] = _columns(table, amb, parallel[(amb.source, amb.target)], offsets)
+            amb_cols = cached[amb] = _columns(table, amb, offsets)
         for i, n in amb_cols[position[b]].items():
             out[i] = add(out.get(i, zero), mul(c, n))
     is_zero = field.is_zero
@@ -189,8 +200,9 @@ def differential_via_resolution(table, m):
     Returns the integer SparseMatrix of ``differential_matrix``, rows and
     columns in its order: each term n·(pre, r, post) of the resolution
     differential of q in Γ_m sends every pair (r, b) to n·(q, pre·b·post)
-    when that product is nonzero.  Each generator's differential is
-    computed once.
+    when that product is nonzero.  Each generator's differential is read
+    from ``resolution.boundary``, which computes it once per table; the
+    face classes that ``_columns`` caches are not read.
     """
     algebra = table.algebra
     mul, parallel, position = algebra.mul, algebra.parallel, algebra.position
@@ -199,7 +211,7 @@ def differential_via_resolution(table, m):
     cols = [{} for _ in range(ncols)]
     for q in table.degree(m):
         row = row_offsets[q]
-        for (pre, r, post), n in differential(table, generator(table, q)).terms.items():
+        for (pre, r, post), n in boundary(table, q).terms.items():
             for j, b in enumerate(parallel[(r.source, r.target)], col_offsets[r]):
                 value = mul(pre, b)
                 if value is not None:

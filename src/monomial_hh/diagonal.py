@@ -19,7 +19,7 @@ path; the failure messages render words through the quiver.
 from functools import partial
 
 from .combination import Combination
-from .resolution import _d_terms, differential, generator
+from .resolution import _d_terms, boundary
 
 
 def _check_quintuple(algebra, key, degree):
@@ -148,7 +148,7 @@ def counit(table, x):
 def check_chain_map(table, max_degree):
     for n in range(0, max_degree + 1):
         for amb in table.degree(n):
-            lhs = diagonal_of_element(table, differential(table, generator(table, amb)))
+            lhs = diagonal_of_element(table, boundary(table, amb))
             rhs = tensor_differential(table, diagonal(table, amb))
             assert lhs == rhs, "diagonal chain-map identity fails at %s" % table.algebra.quiver.display(amb.arrows, amb.source)
 

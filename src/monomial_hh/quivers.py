@@ -241,15 +241,20 @@ class MonomialAlgebra:
         prefix there is the next state.  The live walks from the roots
         ((), v) are exactly the relation-free paths, so A is finite iff the
         live states have no cycle (Ufnarovskii's criterion, Math. Notes 31,
-        1982), and then the basis is those walks.
+        1982), and then the basis is those walks.  The states are built
+        depth first and coloured on the way, so an infinite A is refused at
+        the first back edge, before the rest of its automaton is built.
         """
         q = self.quiver
         rels = set(self._rel_arrows)
         known = rels | {r[:k] for r in rels for k in range(1, len(r))}
         states = [((), v) for v in range(q.n_vertices)]  # root v is state v
         index = {state: i for i, state in enumerate(states)}
-        steps = []  # steps[i]: the live (arrow, next state) pairs out of state i
-        for w, v in states:  # states grows while it is read
+        steps = [None] * len(states)  # steps[i]: the live (arrow, next state) pairs out of state i
+        colour = [0] * len(states)  # 0 new, 1 on the stack, 2 done
+
+        def expand(i):
+            w, v = states[i]
             out = []
             for a in q.out_arrows[v]:
                 word = w + (a,)
@@ -257,13 +262,32 @@ class MonomialAlgebra:
                 if hit in rels:
                     continue
                 state = (hit, q.arrow_target[a])
-                if state not in index:
-                    index[state] = len(states)
+                j = index.get(state)
+                if j is None:
+                    j = index[state] = len(states)
                     states.append(state)
-                out.append((a, index[state]))
-            steps.append(out)
-        if _has_cycle([[j for _, j in out] for out in steps]):
-            raise InfiniteDimensional("arbitrarily long relation-free paths exist")
+                    steps.append(None)
+                    colour.append(0)
+                out.append((a, j))
+            steps[i] = out
+            colour[i] = 1
+            return iter(out)
+
+        for root in range(q.n_vertices):
+            if colour[root]:
+                continue
+            stack = [(root, expand(root))]
+            while stack:
+                i, it = stack[-1]
+                for _, j in it:
+                    if colour[j] == 1:
+                        raise InfiniteDimensional("arbitrarily long relation-free paths exist")
+                    if colour[j] == 0:
+                        stack.append((j, expand(j)))
+                        break
+                else:
+                    colour[i] = 2
+                    stack.pop()
         basis = [q.trivial_path_at(v) for v in range(q.n_vertices)]
         frontier = list(enumerate(basis))
         while frontier:

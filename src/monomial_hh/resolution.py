@@ -13,10 +13,11 @@ the failure messages render words through the quiver.
 The differential splits on the parity of n: odd degrees sum over all
 positioned divisors one degree down, even degrees take the two boundary
 truncations with opposite signs.  Each ambiguity's faces are computed
-once and cached on the table, and so are the contracting homotopy's
-splits of each word amb·post it scans.  All maps here are defined over
-the integers; coefficients only meet the base field later, in the
-cochain matrices.
+once and cached on the table, and so are each generator's boundary
+d(1 (x) amb (x) 1), which every check and the cochains' resolution route
+read, and the contracting homotopy's splits of each word amb·post it
+scans.  All maps here are defined over the integers; coefficients only
+meet the base field later, in the cochain matrices.
 """
 
 from functools import partial
@@ -84,6 +85,14 @@ def differential(table, x):
             if new_post is None:
                 continue
             out.add((new_pre, q, new_post), sign * c)
+    return out
+
+
+def boundary(table, amb):
+    """d(1 (x) amb (x) 1), cached on the table: callers must not mutate it."""
+    out = table._boundaries.get(amb)
+    if out is None:
+        out = table._boundaries[amb] = differential(table, generator(table, amb))
     return out
 
 
@@ -176,27 +185,30 @@ def _display_triple(table, key):
 def check_d_squared(table, max_degree):
     for n in range(1, max_degree + 1):
         for amb in table.degree(n):
-            dd = differential(table, differential(table, generator(table, amb)))
+            dd = differential(table, boundary(table, amb))
             assert dd.is_zero(), "d^2 != 0 at %s" % table.algebra.quiver.display(amb.arrows, amb.source)
 
 
 def check_augmented(table):
     for amb in table.degree(0):
-        d1 = differential(table, generator(table, amb))
-        assert augmentation(table, d1) == {}, "eps d != 0 at %s" % table.algebra.quiver.display(amb.arrows, amb.source)
+        eps_d = augmentation(table, boundary(table, amb))
+        assert eps_d == {}, "eps d != 0 at %s" % table.algebra.quiver.display(amb.arrows, amb.source)
 
 
 def check_homotopy(table, max_degree):
     """d sigma + sigma d = id - iota eps, on right-module spanning sets.
 
     Below degree 0 the differential is the augmentation and the identity
-    reads d(sigma(x)) + iota(eps(x)) = x.
+    reads d(sigma(x)) + iota(eps(x)) = x.  The generator 1 (x) amb (x) 1,
+    whose post is trivial, reads its boundary off the table.
     """
     for n in range(-1, max_degree + 1):
         for x in right_spanning_set(table, n):
             lhs = differential(table, homotopy_sigma(table, x))
             if n >= 0:
-                lhs = lhs + homotopy_sigma(table, differential(table, x))
+                (_, amb, post), = x.terms
+                dx = boundary(table, amb) if post == amb.target else differential(table, x)
+                lhs = lhs + homotopy_sigma(table, dx)
             else:
                 lhs = lhs + iota(table, augmentation(table, x))
             assert lhs == x, "homotopy identity fails at %s" % _display_triple(table, next(iter(x.terms)))

@@ -32,7 +32,7 @@ representative's rest through ``reduce_mod``, the reference for
 
 from monomial_hh.ambiguities import Ambiguity
 from monomial_hh.combination import Combination
-from monomial_hh.errors import DegreeUnderflow, ImageNotInKernel, NonComposableRelation
+from monomial_hh.errors import DegreeUnderflow, ImageNotInKernel, InfiniteDimensional, NonComposableRelation
 from monomial_hh.linalg import RowBasis, SparseMatrix
 from monomial_hh.quivers import Path, _has_cycle
 
@@ -549,6 +549,64 @@ def scan_basis(quiver, rel_arrows):
         frontier = nxt
     out.sort(key=Path.sort_key)
     return out
+
+
+def bfs_read_automaton(quiver, rel_arrows):
+    """The basis of a finite A off the whole relation automaton, built breadth
+    first; InfiniteDimensional when its live states have a cycle."""
+    rels = set(rel_arrows)
+    known = rels | {r[:k] for r in rels for k in range(1, len(r))}
+    states = [((), v) for v in range(quiver.n_vertices)]  # root v is state v
+    index = {state: i for i, state in enumerate(states)}
+    steps = []  # steps[i]: the live (arrow, next state) pairs out of state i
+    for w, v in states:  # states grows while it is read
+        out = []
+        for a in quiver.out_arrows[v]:
+            word = w + (a,)
+            hit = next((word[k:] for k in range(len(word)) if word[k:] in known), ())
+            if hit in rels:
+                continue
+            state = (hit, quiver.arrow_target[a])
+            if state not in index:
+                index[state] = len(states)
+                states.append(state)
+            out.append((a, index[state]))
+        steps.append(out)
+    if _has_cycle([[j for _, j in out] for out in steps]):
+        raise InfiniteDimensional("arbitrarily long relation-free paths exist")
+    basis = [quiver.trivial_path_at(v) for v in range(quiver.n_vertices)]
+    frontier = list(enumerate(basis))
+    while frontier:
+        nxt = []
+        for i, p in frontier:
+            for a, j in steps[i]:
+                nxt.append((j, Path(quiver, p.source, p.arrows + (a,))))
+        basis.extend(p for _, p in nxt)
+        frontier = nxt
+    basis.sort(key=Path.sort_key)
+    return basis
+
+
+def lookup_columns(table, amb, offsets):
+    """``cochains._columns`` with one word lookup per face and parallel b."""
+    algebra = table.algebra
+    words, word_index, position = algebra.words, algebra.word_index, algebra.position
+    length = len(amb.arrows)
+    faces = [
+        (offsets[q], q.arrows[:k], q.arrows[k + length :], sign)
+        for q, k, sign in table.cofaces(amb.degree + 1).get(amb, ())
+    ]
+    cols = []
+    for b in algebra.parallel[(amb.source, amb.target)]:
+        ba = words[b]
+        col = {}
+        for offset, pre, post, sign in faces:
+            i = word_index.get(pre + ba + post)
+            if i is not None:
+                i = offset + position[i]
+                col[i] = col.get(i, 0) + sign
+        cols.append({i: n for i, n in col.items() if n})
+    return cols
 
 
 def insert_kernel_basis(field, matrix, image=None):

@@ -1,12 +1,14 @@
 import pytest
 
 from monomial_hh import ambiguities
+from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cli import _pieces
 from monomial_hh.errors import DegreeUnderflow
 from monomial_hh.quivers import Quiver, build_algebra, path_from_word
 
-from helpers import amb_path, vertex
+from conftest import make_cone, make_truncated_cycle_3_2
+from helpers import amb_path, loops_algebra_text, vertex
 from reference_scans import amb_prefix, amb_suffix, concat, divisor_occurrences
 
 
@@ -159,6 +161,32 @@ def test_candidates_once_per_piece(monkeypatch):
             (calls["right"], {a.right_pieces[-1] for a in parents}),
         ):
             assert len(seen) == len(set(seen)) and set(seen) <= pieces
+
+
+@pytest.mark.parametrize(
+    "make, top, asked",
+    [
+        (make_cone, 24, 12),  # 192 when each degree found its own
+        (make_truncated_cycle_3_2, 24, 6),  # 144 then
+        (lambda: parse_algebra_file(loops_algebra_text(2, 2)), 8, 4),  # 32 then
+    ],
+    ids=["cone", "truncated_cycle", "rsz2"],
+)
+def test_candidates_once_per_table(make, top, asked, monkeypatch):
+    # the memo lives on the table: one call per (side, end piece) over all degrees
+    calls = []
+    for side in ("left", "right"):
+        honest = getattr(ambiguities, "_%s_candidates" % side)
+
+        def counted(rels, piece, honest=honest, side=side):
+            calls.append((side, piece))
+            return honest(rels, piece)
+
+        monkeypatch.setattr(ambiguities, "_%s_candidates" % side, counted)
+    t = AmbiguityTable(make())
+    t.degree(top)
+    assert len(calls) == len(set(calls)) == asked
+    assert len(t._candidates) == asked
 
 
 def test_sub_of_arrow_endpoints_source_first(cone):

@@ -1,8 +1,9 @@
 """The per-table caches that the check battery shares, against fresh builds.
 
 ``cochain_differential`` caches the δ columns of each ambiguity it meets,
-``diagonal._decompositions`` each ambiguity's divisor occurrences and
-``homotopy_sigma`` the splits of each word amb·post.  The columns are
+``diagonal._decompositions`` each ambiguity's divisor occurrences,
+``homotopy_sigma`` the splits of each word amb·post and
+``resolution.boundary`` each generator's differential.  The columns are
 shared with every matrix and kernel pass, so a caller that mutated one
 would corrupt every later reader; and a cache is worth keeping only if
 it is filled once and holds what a fresh build gives.
@@ -10,7 +11,7 @@ it is filled once and holds what a fresh build gives.
 
 import pytest
 
-from monomial_hh import checks, cochains, cup
+from monomial_hh import checks, cochains, cup, diagonal, resolution
 from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import _columns, _offsets, hochschild_cohomology
@@ -56,11 +57,10 @@ def test_cached_columns_equal_a_fresh_build(spec, monkeypatch):
     checked = 0
     for t in battery_tables(spec, monkeypatch):
         fresh = AmbiguityTable(t.algebra)
-        parallel = t.algebra.parallel
         for amb, cols in t._delta.items():
             twin = fresh.by_path(amb.degree, amb_path(t, amb))
             offsets, _ = _offsets(fresh, amb.degree + 2)
-            assert cols == _columns(fresh, twin, parallel[(amb.source, amb.target)], offsets)
+            assert cols == _columns(fresh, twin, offsets)
             checked += 1
     assert checked
 
@@ -78,10 +78,10 @@ def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
     inside = []
     columns, differential_ = cochains._columns, cochains.cochain_differential
 
-    def counting_columns(table, amb, bs, offsets):
+    def counting_columns(table, amb, offsets):
         if inside:
             built.append(amb)
-        return columns(table, amb, bs, offsets)
+        return columns(table, amb, offsets)
 
     def flagged(table, m, vec):
         inside.append(m)
@@ -98,6 +98,32 @@ def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
     assert built, "the battery applies δ to some cochain"
     assert len(built) == len(set(built))
     assert set(built) == set(made[0]._delta)
+
+
+def test_battery_takes_each_generator_differential_once(monkeypatch):
+    # d(1 ⊗ amb ⊗ 1) is read off resolution.boundary by every row that needs it
+    built = []  # the generators 1 ⊗ amb ⊗ 1, as built
+    taken = []  # the ambiguities whose generator went through d
+    generator_, differential_ = resolution.generator, resolution.differential
+
+    def counting_generator(table, amb):
+        built.append(generator_(table, amb))
+        return built[-1]
+
+    def counting_differential(table, x):
+        if any(x is g for g in built):
+            taken.append(next(iter(x.terms))[1])
+        return differential_(table, x)
+
+    for module in (resolution, cochains, diagonal):  # wherever the names are bound
+        for name, counting in (("generator", counting_generator), ("differential", counting_differential)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    for alg in (make_cone(), parse_algebra_file(loops_algebra_text(2, 2))):
+        built.clear()
+        taken.clear()
+        assert all(r.ok for r in checks.run_checks(alg, DEGREE))
+        assert taken and len(taken) == len(set(taken)) == len(built)
 
 
 def test_warm_homotopy_equals_cold_and_reference(monkeypatch):

@@ -18,12 +18,15 @@ from monomial_hh.cochains import (
     pair_basis,
 )
 from monomial_hh.errors import NotACocycle, NotTriangular
+from monomial_hh.fields import parse_field_spec
 from monomial_hh.linalg import quotient_basis
-from monomial_hh.quivers import is_triangular, path_from_word
+from monomial_hh.quivers import build_algebra, is_triangular, path_from_word
 
-from helpers import amb_path, path_pairs, unit_cochain, vector
-from reference_scans import amb_prefix, amb_suffix, divisor_occurrences
-from test_incidence import tables
+from conftest import make_cone
+from helpers import amb_path, loops_algebra_text, path_pairs, unit_cochain, vector
+from reference_scans import amb_prefix, amb_suffix, divisor_occurrences, lookup_columns
+from test_battery_caches import LOOPS
+from test_incidence import DEGREE, tables
 from test_linalg import image_rows
 
 
@@ -78,6 +81,35 @@ def test_partial_squared_and_routes(cone, square, triangular_a6, truncated_cycle
         t = AmbiguityTable(alg)
         check_partial_squared(t, 4)
         check_differential_routes_agree(t, 4)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "loops"])
+def test_face_class_columns_equal_lookups(spec):
+    # key order included: the matrices, and so the eliminations, see the same columns
+    if spec == "loops":
+        made = [AmbiguityTable(parse_algebra_file(loops_algebra_text(k, n))) for k, n in LOOPS]
+    else:
+        made = tables(spec)
+    for t in made:
+        for m in range(0, DEGREE + 1):
+            offsets, _ = cochains._offsets(t, m + 1)
+            for amb in t.degree(m - 1):
+                got = cochains._columns(t, amb, offsets)
+                want = lookup_columns(t, amb, offsets)
+                assert [list(col.items()) for col in got] == [list(col.items()) for col in want]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_routes_check_fails_on_a_planted_face_class(spec):
+    # the route through the resolution reads no face class, so a wrong one shows
+    cone = make_cone()
+    t = AmbiguityTable(build_algebra(cone.quiver, cone.relations, parse_field_spec(spec)))
+    check_differential_routes_agree(t, 3)
+    key, hits = next((key, hits) for key, hits in t._classes.items() if hits)
+    (place, position), rest = hits[0], hits[1:]
+    t._classes[key] = ((place, position + 1),) + rest
+    with pytest.raises(AssertionError, match="differential routes disagree"):
+        check_differential_routes_agree(t, 3)
 
 
 def test_final_example_differential(triangular_a6):

@@ -22,6 +22,7 @@ from monomial_hh.quivers import (
 from conftest import make_cone, make_square
 from helpers import is_quadratic, vertex
 from reference_scans import (
+    bfs_read_automaton,
     concat,
     divisor_occurrences,
     is_basis,
@@ -174,15 +175,20 @@ def test_automaton_falls_back_to_shorter_prefix():
 
 
 def _assert_matches_scans(quiver, relations, field=QQ):
+    """The automaton's verdict and basis against the word scans and the breadth-first reader."""
     rel_arrows = tuple(r.arrows for r in _minimize(relations))
     finite = scan_is_finite(quiver, rel_arrows)
     try:
+        bfs = tuple(bfs_read_automaton(quiver, rel_arrows))
+    except InfiniteDimensional:
+        bfs = None
+    try:
         alg = MonomialAlgebra(quiver, relations, field)
     except InfiniteDimensional:
-        assert not finite
+        assert not finite and bfs is None
         return False
     assert finite
-    assert alg.basis == tuple(scan_basis(quiver, rel_arrows))
+    assert alg.basis == tuple(scan_basis(quiver, rel_arrows)) == bfs
     return True
 
 

@@ -21,3 +21,11 @@ def test_random_survey():
     out = run_python(str(SCRIPTS / "random_survey.py"), "--trials", "2", "--degree", "3")
     assert out.returncode == 0, out.stderr
     assert "suite: 2 trials, 0 failures" in out.stdout
+
+
+def test_deep_hh_quick():
+    out = run_python(str(SCRIPTS / "deep_hh.py"), "--quick")
+    assert out.returncode == 0, out.stdout + out.stderr
+    (line,) = out.stdout.splitlines()
+    assert line.startswith("rsz(2) D=8: ") and line.endswith(" ok")
+    assert "exit 0, sha256 d07b949128a6524a60ece5f39f2baa305753f598b4c054b6f660b80cfb40363c" in line
