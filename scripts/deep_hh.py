@@ -1,14 +1,16 @@
-"""Run deep ``hh --json`` and check that its output has not changed.
+"""Run deep ``hh --json`` and ``cup --json`` and check that their output has not changed.
 
-Each run is ``python -m monomial_hh hh <file> --max-degree D --json`` in a
+Each run is ``python -m monomial_hh hh <file> --max-degree D --json`` or
+``python -m monomial_hh cup <file> --max-total-degree T --json`` in a
 subprocess of its own, on an algebra with one vertex and loops x1..xk whose
 relations are every word of one length: ``rsz(k)`` has length 2 and
 ``cub(k)`` length 3.  For each run the script prints the seconds, the
 child's peak RSS (``ru_maxrss`` from ``os.wait4``) and the SHA-256 of its
 stdout, and it exits 1 if a digest differs from the recorded one.
 
-    python3 scripts/deep_hh.py            # rsz(2) D=12, rsz(3) D=8, cub(2) D=9
-    python3 scripts/deep_hh.py --quick    # rsz(2) D=8
+    python3 scripts/deep_hh.py            # hh: rsz(2) D=12, rsz(3) D=8, cub(2) D=9
+                                          # cup: cub(2) T=6, rsz(2) T=8
+    python3 scripts/deep_hh.py --quick    # hh: rsz(2) D=8
 """
 
 import argparse
@@ -27,13 +29,15 @@ sys.path.insert(0, str(SRC))
 from monomial_hh.algfile import write_algebra_file
 from monomial_hh.quivers import Quiver, build_algebra
 
-# (name, loops, relation length, max degree, SHA-256 of the stdout)
+# (command, name, loops, relation length, max degree, SHA-256 of the stdout)
 DEEP = (
-    ("rsz(2)", 2, 2, 12, "fa49ee203d8cda6af63e5f2366812d43bffee26a891af34a97c26a01d727a34d"),
-    ("rsz(3)", 3, 2, 8, "c820766ccb86266804bbdd1767c7d19ae1c238ce5906ec66262990510ae2589d"),
-    ("cub(2)", 2, 3, 9, "9b37094bbb1ddb1223f1aec9f911582e2b31ab4a966849a925c7c921634ec728"),
+    ("hh", "rsz(2)", 2, 2, 12, "fa49ee203d8cda6af63e5f2366812d43bffee26a891af34a97c26a01d727a34d"),
+    ("hh", "rsz(3)", 3, 2, 8, "c820766ccb86266804bbdd1767c7d19ae1c238ce5906ec66262990510ae2589d"),
+    ("hh", "cub(2)", 2, 3, 9, "9b37094bbb1ddb1223f1aec9f911582e2b31ab4a966849a925c7c921634ec728"),
+    ("cup", "cub(2)", 2, 3, 6, "1f9af52f99acede9fdac40e60b451d29170a3aaed112bf600b351f34bf80c259"),
+    ("cup", "rsz(2)", 2, 2, 8, "374cb2e01b5daf871ec78f198a3e6dd1b43efaaada5b61c5e7c79b61580d35af"),
 )
-QUICK = (("rsz(2)", 2, 2, 8, "d07b949128a6524a60ece5f39f2baa305753f598b4c054b6f660b80cfb40363c"),)
+QUICK = (("hh", "rsz(2)", 2, 2, 8, "d07b949128a6524a60ece5f39f2baa305753f598b4c054b6f660b80cfb40363c"),)
 
 
 def loops_algebra_text(k, rel_len):
@@ -43,10 +47,14 @@ def loops_algebra_text(k, rel_len):
     return write_algebra_file(build_algebra(quiver, relations))
 
 
-def run_hh(path, degree):
-    """(stdout bytes, exit code, seconds, peak RSS in MB) of one ``hh --json`` child."""
+# the degree option of each command
+DEGREE_FLAG = {"hh": ("--max-degree", "D"), "cup": ("--max-total-degree", "T")}
+
+
+def run_child(command, path, degree):
+    """(stdout bytes, exit code, seconds, peak RSS in MB) of one ``--json`` child."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "monomial_hh", "hh", path, "--max-degree", str(degree), "--json"]
+    argv = [sys.executable, "-m", "monomial_hh", command, path, DEGREE_FLAG[command][0], str(degree), "--json"]
     start = time.perf_counter()
     child = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
     out = child.stdout.read()
@@ -63,15 +71,19 @@ def main():
     args = ap.parse_args()
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        for name, k, rel_len, degree, want in QUICK if args.quick else DEEP:
+        for command, name, k, rel_len, degree, want in QUICK if args.quick else DEEP:
             path = os.path.join(tmp, "loops_%d_%d.alg" % (k, rel_len))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(loops_algebra_text(k, rel_len))
-            out, code, seconds, rss = run_hh(path, degree)
+            out, code, seconds, rss = run_child(command, path, degree)
             digest = hashlib.sha256(out).hexdigest()
             verdict = "ok" if code == 0 and digest == want else "MISMATCH"
             ok = ok and verdict == "ok"
-            print("%s D=%d: %.2f s, %.1f MB, exit %d, sha256 %s %s" % (name, degree, seconds, rss, code, digest, verdict))
+            label = name if command == "hh" else "%s %s" % (command, name)
+            print(
+                "%s %s=%d: %.2f s, %.1f MB, exit %d, sha256 %s %s"
+                % (label, DEGREE_FLAG[command][1], degree, seconds, rss, code, digest, verdict)
+            )
     return 0 if ok else 1
 
 

@@ -22,6 +22,12 @@ chain-map and counit certificate.  Only keys are stored, never scalars,
 so one table serves every field.  ``_constants`` builds it in one pass
 over Γ_{m+n−1}, on first use, and caches it on the AmbiguityTable.
 
+The products of a term depend only on its gap class (pre, mid, post),
+so the pass finds the nonzero ones once per class and each term adds its
+offsets to them: it costs the distinct classes plus the entries it
+writes, not one product per term and parallel pair (bf, bg).  The class
+table lives for one bidegree's pass only.
+
 One ``cup_products`` call per bidegree serves every pair of two lists and
 returns only the nonzero products.  On triangular algebras nearly every
 positive-degree product vanishes (the source paper's vanishing theorem).
@@ -40,13 +46,18 @@ def _constants(table, m, n):
 
     The pair of index i cup the pair of index j is the sum, with
     coefficient 1 each, of the pairs whose indices are in constants[i][j].
+    The products of a Δ term depend only on its gap class (pre, mid,
+    post): the ends of pf are target[pre] and source[mid], those of pg
+    target[mid] and source[post] (``diagonal._check_quintuple``), so the
+    class fixes both ``parallel`` tuples.  Each class's hits are found once
+    per call, by ``_gap_class``, and a term adds its offsets to them; the
+    pass costs the distinct classes plus the entries it writes.
     """
     constants = table._cup.get((m, n))
     if constants is not None:
         return constants
-    algebra = table.algebra
-    mul, parallel, position = algebra.mul, algebra.parallel, algebra.position
     f_offsets, g_offsets, q_offsets = (_offsets(table, d)[0] for d in (m, n, m + n))
+    classes = {}  # (pre, mid, post) -> hits, see _gap_class
     constants = {}
     for q in table.degree(m + n - 1):
         row = q_offsets[q]
@@ -54,23 +65,42 @@ def _constants(table, m, n):
             if pf.degree != m - 1:
                 continue
             assert c == 1, "the diagonal adds each positioned split once"
-            bgs = parallel[(pg.source, pg.target)]
-            for i, bf in enumerate(parallel[(pf.source, pf.target)], f_offsets[pf]):
-                left = mul(pre, bf)
-                if left is not None:
-                    left = mul(left, mid)
-                if left is None:
-                    continue
-                for j, bg in enumerate(bgs, g_offsets[pg]):
-                    value = mul(left, bg)
-                    if value is not None:
-                        value = mul(value, post)
-                    if value is None:
-                        continue
-                    by_g = constants.setdefault(i, {})
-                    by_g.setdefault(j, []).append(row + position[value])
+            key = (pre, mid, post)
+            hits = classes.get(key)
+            if hits is None:
+                hits = classes[key] = _gap_class(table.algebra, pre, mid, post)
+            f_offset, g_offset = f_offsets[pf], g_offsets[pg]
+            for place_f, by_place_g in hits:
+                by_g = constants.setdefault(f_offset + place_f, {})
+                for place_g, k in by_place_g:
+                    by_g.setdefault(g_offset + place_g, []).append(row + k)
     table._cup[(m, n)] = constants
     return constants
+
+
+def _gap_class(algebra, pre, mid, post):
+    """((place of bf, ((place of bg, position of pre·bf·mid·bg·post), ...)), ...)
+    over the nonzero products only, bf and bg in ``parallel`` order."""
+    mul, parallel, position = algebra.mul, algebra.parallel, algebra.position
+    target, source = algebra.target, algebra.source
+    bgs = parallel[(target[mid], source[post])]
+    hits = []
+    for place_f, bf in enumerate(parallel[(target[pre], source[mid])]):
+        left = mul(pre, bf)
+        if left is not None:
+            left = mul(left, mid)
+        if left is None:
+            continue
+        by_place_g = []
+        for place_g, bg in enumerate(bgs):
+            value = mul(left, bg)
+            if value is not None:
+                value = mul(value, post)
+            if value is not None:
+                by_place_g.append((place_g, position[value]))
+        if by_place_g:
+            hits.append((place_f, tuple(by_place_g)))
+    return tuple(hits)
 
 
 def cup_products(table, m, n, fs, gs):

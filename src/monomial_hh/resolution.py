@@ -195,20 +195,31 @@ def check_augmented(table):
         assert eps_d == {}, "eps d != 0 at %s" % table.algebra.quiver.display(amb.arrows, amb.source)
 
 
+def _d(table, x):
+    """d(x), read off the table's boundaries when x is exactly 1 (x) q (x) 1.
+
+    The cached element is returned as is: callers only add to it, which
+    builds a new one.
+    """
+    if len(x.terms) == 1:
+        ((pre, q, post), c), = x.terms.items()
+        if c == 1 and pre == q.source and post == q.target:
+            return boundary(table, q)
+    return differential(table, x)
+
+
 def check_homotopy(table, max_degree):
     """d sigma + sigma d = id - iota eps, on right-module spanning sets.
 
     Below degree 0 the differential is the augmentation and the identity
-    reads d(sigma(x)) + iota(eps(x)) = x.  The generator 1 (x) amb (x) 1,
-    whose post is trivial, reads its boundary off the table.
+    reads d(sigma(x)) + iota(eps(x)) = x.  A generator 1 (x) q (x) 1, be it
+    x itself or sigma(x), reads its boundary off the table.
     """
     for n in range(-1, max_degree + 1):
         for x in right_spanning_set(table, n):
-            lhs = differential(table, homotopy_sigma(table, x))
+            lhs = _d(table, homotopy_sigma(table, x))
             if n >= 0:
-                (_, amb, post), = x.terms
-                dx = boundary(table, amb) if post == amb.target else differential(table, x)
-                lhs = lhs + homotopy_sigma(table, dx)
+                lhs = lhs + homotopy_sigma(table, _d(table, x))
             else:
                 lhs = lhs + iota(table, augmentation(table, x))
             assert lhs == x, "homotopy identity fails at %s" % _display_triple(table, next(iter(x.terms)))

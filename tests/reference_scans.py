@@ -27,11 +27,16 @@ that ``AmbiguityTable.split`` reads.  ``insert_kernel_basis`` and
 ``insert_quotient_basis`` are the elimination before its shortcuts: every
 column and every kernel vector goes through ``RowBasis.insert`` and every
 representative's rest through ``reduce_mod``, the reference for
-``linalg.kernel_basis`` and ``linalg.quotient_basis``.
+``linalg.kernel_basis`` and ``linalg.quotient_basis``.  ``term_constants``
+is the cup structure constants before their gap classes: every Δ term
+looks up the product of every parallel pair (bf, bg), the reference for
+``cup._constants``.
 """
 
 from monomial_hh.ambiguities import Ambiguity
+from monomial_hh.cochains import _offsets
 from monomial_hh.combination import Combination
+from monomial_hh.diagonal import diagonal
 from monomial_hh.errors import DegreeUnderflow, ImageNotInKernel, InfiniteDimensional, NonComposableRelation
 from monomial_hh.linalg import RowBasis, SparseMatrix
 from monomial_hh.quivers import Path, _has_cycle
@@ -607,6 +612,36 @@ def lookup_columns(table, amb, offsets):
                 col[i] = col.get(i, 0) + sign
         cols.append({i: n for i, n in col.items() if n})
     return cols
+
+
+def term_constants(table, m, n):
+    """``cup._constants`` with the products of every Δ term looked up afresh, not cached."""
+    algebra = table.algebra
+    mul, parallel, position = algebra.mul, algebra.parallel, algebra.position
+    f_offsets, g_offsets, q_offsets = (_offsets(table, d)[0] for d in (m, n, m + n))
+    constants = {}
+    for q in table.degree(m + n - 1):
+        row = q_offsets[q]
+        for (pre, pf, mid, pg, post), c in diagonal(table, q).terms.items():
+            if pf.degree != m - 1:
+                continue
+            assert c == 1, "the diagonal adds each positioned split once"
+            bgs = parallel[(pg.source, pg.target)]
+            for i, bf in enumerate(parallel[(pf.source, pf.target)], f_offsets[pf]):
+                left = mul(pre, bf)
+                if left is not None:
+                    left = mul(left, mid)
+                if left is None:
+                    continue
+                for j, bg in enumerate(bgs, g_offsets[pg]):
+                    value = mul(left, bg)
+                    if value is not None:
+                        value = mul(value, post)
+                    if value is None:
+                        continue
+                    by_g = constants.setdefault(i, {})
+                    by_g.setdefault(j, []).append(row + position[value])
+    return constants
 
 
 def insert_kernel_basis(field, matrix, image=None):

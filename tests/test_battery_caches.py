@@ -9,6 +9,8 @@ would corrupt every later reader; and a cache is worth keeping only if
 it is filled once and holds what a fresh build gives.
 """
 
+import sys
+
 import pytest
 
 from monomial_hh import checks, cochains, cup, diagonal, resolution
@@ -124,6 +126,25 @@ def test_battery_takes_each_generator_differential_once(monkeypatch):
         taken.clear()
         assert all(r.ok for r in checks.run_checks(alg, DEGREE))
         assert taken and len(taken) == len(set(taken)) == len(built)
+
+
+def test_homotopy_check_reads_generator_differentials_off_boundary(monkeypatch):
+    # σ of a spanning element is often exactly 1 ⊗ q ⊗ 1, and so is the
+    # element itself: d of either is read off resolution.boundary
+    outside = []  # generator-shaped inputs of d whose caller is not boundary
+    differential_ = resolution.differential
+
+    def counting(table, x):
+        if len(x.terms) == 1:
+            ((pre, q, post), c), = x.terms.items()
+            if c == 1 and (pre, post) == (q.source, q.target) and sys._getframe(1).f_code.co_name != "boundary":
+                outside.append(q)
+        return differential_(table, x)
+
+    monkeypatch.setattr(resolution, "differential", counting)
+    for alg in (make_cone(), parse_algebra_file(loops_algebra_text(2, 2))):
+        resolution.check_homotopy(AmbiguityTable(alg), DEGREE)
+    assert outside == []  # 546 of them before σ(x) read boundary too
 
 
 def test_warm_homotopy_equals_cold_and_reference(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from monomial_hh import cochains, cup
 from monomial_hh import diagonal as diagonal_module
+from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import (
     class_vector,
@@ -28,8 +29,10 @@ from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis
 from monomial_hh.quivers import build_algebra, path_from_word
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
-from helpers import amb_path, is_quadratic, path_pairs, unit_cochain, vector
-from reference_scans import concat, is_trivial, reduce_concat, segment, to_paths
+from conftest import make_cone
+from helpers import amb_path, is_quadratic, loops_algebra_text, path_pairs, unit_cochain, vector
+from reference_scans import concat, is_trivial, reduce_concat, segment, term_constants, to_paths
+from test_incidence import CUP_DEGREE, tables
 
 
 def product(table, m, n, f, g):
@@ -484,6 +487,72 @@ def test_cup_product_reads_the_diagonal(cone, monkeypatch):
     with pytest.raises(AssertionError, match="chain-map"):
         check_chain_map(AmbiguityTable(cone), 4)
     assert products() != before
+
+
+def in_order(constants):
+    """The constants with the order of every key and list made visible."""
+    return [(i, list(row.items())) for i, row in constants.items()]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3", "cub2"])
+def test_gap_class_constants_equal_term_constants(spec):
+    # key and list order included: cup_products accumulates in that order
+    if spec == "cub2":
+        made, top = [AmbiguityTable(parse_algebra_file(loops_algebra_text(2, 3)))], 5
+    else:
+        made, top = tables(spec), CUP_DEGREE
+    for t in made:
+        for m in range(top + 1):
+            for n in range(top + 1 - m):
+                assert in_order(cup._constants(t, m, n)) == in_order(term_constants(t, m, n)), (m, n)
+
+
+@pytest.mark.parametrize(
+    "make, top, lookups",
+    [
+        # the per-term loop made 6,420, 4,402 and 431 lookups
+        (lambda: parse_algebra_file(loops_algebra_text(2, 2)), 5, 420),
+        (lambda: parse_algebra_file(loops_algebra_text(3, 2)), 3, 310),
+        (make_cone, 4, 431),  # every term of the cone is its own gap class
+    ],
+    ids=["rsz2", "rsz3", "cone"],
+)
+def test_constants_product_lookups(make, top, lookups, monkeypatch):
+    # the work of the gap classes, pinned: algebra.mul calls with Δ prebuilt
+    alg = make()
+    t = AmbiguityTable(alg)
+    for d in range(-1, top):
+        for q in t.degree(d):
+            diagonal(t, q)
+    calls = []
+    mul = alg.mul
+
+    def counting(i, j):
+        calls.append((i, j))
+        return mul(i, j)
+
+    monkeypatch.setattr(alg, "mul", counting)
+    for m in range(top + 1):
+        for n in range(top + 1 - m):
+            cup._constants(t, m, n)
+    assert len(calls) == lookups
+
+
+def test_cup_tables_of_a_truncated_polynomial_over_gf2():
+    # seed 1027 is k[x]/(x^4) over GF(2), HH^n of dimension 4 in every
+    # degree: every table multiplies like k[x]/(x^4), except that odd times
+    # odd is 0; a plant that skips the Δ terms whose pre and post are both
+    # nontrivial changes the odd-by-odd tables, and no golden digest sees it
+    alg = random_algebra(RandomAlgebraConfig(triangular=False, field=parse_field_spec("fp:2")), 1027)
+    assert (alg.dim, alg.quiver.n_vertices, len(alg.relations)) == (4, 1, 1)
+    t = AmbiguityTable(alg)
+    spaces = hochschild_cohomology(t, 6)
+    assert [s.dimension for s in spaces] == [4] * 7
+    one = alg.field.one
+    for i in range(7):
+        for j in range(7 - i):
+            want = [[{a + b: one} if a + b < 4 and (i % 2 == 0 or j % 2 == 0) else {} for b in range(4)] for a in range(4)]
+            assert cup_table(t, spaces, i, j) == want, (i, j)
 
 
 def test_delta_route_signs_all_plus_one(cone, triangular_a6, truncated_cycle):
