@@ -37,8 +37,8 @@ def main():
 
     def pair(degree, word, b):
         """Index of the pair (ambiguity on word, path b) among the cochain pairs of degree."""
-        amb = table.by_path(degree - 1, q.path(word))
-        assert amb is not None, word
+        path = q.path(word)
+        [amb] = [a for a in table.degree(degree - 1) if (a.arrows, a.source) == (path.arrows, path.source)]
         return pair_basis(table, degree).index((amb, algebra.basis.index(q.path(b))))
 
     f = {pair(1, "alpha", "alpha"): one}

@@ -21,8 +21,45 @@ off those links: u_n is what the tail leaves, v_n what the head leaves.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import wraps
+
 from .errors import DegreeUnderflow
-from .quivers import MonomialAlgebra, Path
+from .quivers import MonomialAlgebra
+
+MEMOS = {}  # name -> builder of every per-table memo; None where its module fills the memo itself
+
+
+def declare(name):
+    """Enter in ``MEMOS`` a memo that its module fills by its own rule; returns its name."""
+    MEMOS[name] = None
+    return name
+
+
+def memoized(build):
+    """build(table, key), or build(table, a, b) keyed by (a, b), computed once per table.
+
+    Each result is stored in the table's memo ``<module>.<qualname>`` of the
+    builder, so a hit is one call and one dict lookup, and the memo's length
+    is its number of builds.  Results are shared: no caller may mutate one.
+    """
+    name = "%s.%s" % (build.__module__.rpartition(".")[2], build.__qualname__)
+    if build.__code__.co_argcount == 2:
+        def get(table, key):
+            memo = table._memos[name]
+            out = memo.get(key)
+            if out is None:  # no builder returns None
+                out = memo[key] = build(table, key)
+            return out
+    else:
+        def get(table, a, b):
+            memo = table._memos[name]
+            out = memo.get((a, b))
+            if out is None:
+                out = memo[a, b] = build(table, a, b)
+            return out
+    MEMOS[name] = get
+    return wraps(build)(get)
 
 
 class Ambiguity:
@@ -99,36 +136,22 @@ def _right_candidates(rel_arrows, last_piece: tuple):
 
 
 class AmbiguityTable:
-    """Lazy per-degree cache of the ambiguities of one algebra.
+    """Lazy per-degree cache of the ambiguities of one algebra, and its memos.
 
-    Generation of degree n reads degree n−1 and the table's candidate memo:
-    the pieces that can extend a parent depend only on the relations and
-    the parent's end piece, so each end piece's are found once per table,
+    Generation of degree n reads degree n−1 and the candidate memo: the
+    pieces that can extend a parent depend only on the relations and the
+    parent's end piece, so each end piece's are found once per table,
     whichever degree first meets it.  Once a degree is stored it is never
     mutated, so concurrent readers are safe after that point.
 
     On top of Γ_n sits the incidence index that every layer reads:
     ``occurrences`` looks arrow words up in the {arrows: ambiguity} dict
-    stored with each degree, ``by_path`` looks one up by a path of the
-    quiver, and ``cofaces`` inverts the differential.
-    The window lengths and the cofaces are built lazily, on first use, from
-    the stored degrees alone; they are idempotent caches, so building one
-    twice gives the same map.  The other layers cache what they build
-    here too, one slot each, and each slot is filled by one module:
+    stored with each degree, and ``cofaces`` inverts the differential.
 
-    * ``resolution``: each ambiguity's faces (``_d_terms``), its boundary
-      d(1 ⊗ amb ⊗ 1) (``boundary``), and the splits of each word amb·post
-      (``homotopy_sigma``);
-    * ``diagonal``: each ambiguity's diagonal, and its divisor occurrences
-      in every degree up to its own (``_decompositions``);
-    * ``cup``: the structure constants of each bidegree, read off the
-      diagonals;
-    * ``cochains``: each degree's pairs and pair offsets; the nonzero
-      products pre·b·post of each face class (pre, post, source, target),
-      which every δ column reads (``_columns``); and the δ columns of each
-      ambiguity's pairs, filled only by ``cochain_differential``, so that
-      the battery rows that apply δ share one build (matrix assembly reads
-      them but stores nothing, so ``hh`` holds one matrix at a time).
+    Besides Γ_n the table holds one registry, {memo name: {key: value}}.
+    Each module declares its memos in ``MEMOS`` where it builds them: a
+    builder under ``memoized`` computes each key once per table, and
+    ``memo(name)`` hands over a memo that its module fills by its own rule.
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -143,20 +166,11 @@ class AmbiguityTable:
         self._degrees = [base, arrows]
         # index n holds degree n's {arrows: ambiguity}; degree -1 is base, by vertex
         self._words = [{a.arrows: a for a in arrows}]
-        # (candidate finder, end piece) -> the pieces that extend it, see _extend
-        self._candidates = {}
-        self._windows = {}  # degree m >= 0 -> sorted lengths of its ambiguities
-        self._cofaces = {}  # degree n -> {(n-1)-ambiguity: [(q, position, sign)]}
-        self._cup = {}  # bidegree (m, n) -> cup structure constants, see cup._constants
-        self._diagonals = {}  # ambiguity -> its diagonal, see diagonal.diagonal
-        self._faces = {}  # ambiguity -> its differential's faces, see resolution._d_terms
-        self._pairs = {}  # cochain degree m -> its pairs, see cochains.pair_basis
-        self._offsets = {}  # cochain degree m -> row offsets of Γ_{m-1}, see cochains._offsets
-        self._classes = {}  # (pre, post, source, target) -> nonzero products, see cochains._columns
-        self._delta = {}  # ambiguity -> δ columns of its pairs, see cochains.cochain_differential
-        self._divisors = {}  # ambiguity -> its occurrences by degree, see diagonal._decompositions
-        self._splits = {}  # (ambiguity, post) -> homotopy splits, see resolution.homotopy_sigma
-        self._boundaries = {}  # ambiguity -> d(1 ⊗ amb ⊗ 1), see resolution.boundary
+        self._memos = defaultdict(dict)  # memo name -> {key: value}, see MEMOS
+
+    def memo(self, name):
+        """The {key: value} memo declared as name, empty until it is filled."""
+        return self._memos[name]
 
     def degree(self, n: int):
         """The tuple of n-ambiguities, sorted by path; computed on demand."""
@@ -166,25 +180,12 @@ class AmbiguityTable:
             self._extend()
         return self._degrees[n + 1]
 
-    def by_path(self, n: int, path: Path):
-        """The n-ambiguity with this path's word (its vertex at n = −1), or None."""
-        ambs = self.degree(n)
-        if n == -1:
-            return None if path.arrows else ambs[path.source]
-        return self._words[n].get(path.arrows)
-
     def _extend(self):
         q = self.algebra.quiver
         rel_arrows = self.algebra._rel_arrows
         n = len(self._degrees) - 1  # degree being generated
         prev = self._degrees[-1]
-        memo = self._candidates
-
-        def extensions(candidates, end):
-            out = memo.get((candidates, end))
-            if out is None:
-                out = memo[candidates, end] = candidates(rel_arrows, end)
-            return out
+        extensions = self._extensions
 
         # {word: parent}: the left recursion extends tails, the right one heads
         tails = {}
@@ -214,6 +215,12 @@ class AmbiguityTable:
         merged = tuple(Ambiguity(w, source[w[0]], target[w[-1]], n, heads[w], tails[w]) for w in words)
         self._degrees.append(merged)
         self._words.append(dict(zip(words, merged)))
+
+    @memoized
+    def _extensions(self, candidates, end):
+        """candidates(relations, end): the pieces that extend a chain whose end
+        piece is end, on the side that candidates finds; computed once per table."""
+        return candidates(self.algebra._rel_arrows, end)
 
     # -- truncations and divisor structure ------------------------------------
 
@@ -262,9 +269,7 @@ class AmbiguityTable:
             vertices = self.degree(-1)  # sorted by vertex index
             target = self.algebra.quiver.arrow_target
             return [(vertices[v], k) for k, v in enumerate((source, *(target[a] for a in arrows)))]
-        lengths = self._windows.get(m)
-        if lengths is None:
-            lengths = self._windows[m] = sorted({len(a.arrows) for a in self.degree(m)})
+        lengths = self._windows(m)
         lookup = self._words[m]
         end = len(arrows)
         hits = []
@@ -277,23 +282,26 @@ class AmbiguityTable:
                     hits.append((amb, k))
         return hits
 
+    @memoized
+    def _windows(self, m):
+        """The sorted lengths of the m-ambiguities, m >= 0; computed once per table."""
+        return sorted({len(a.arrows) for a in self.degree(m)})
+
+    @memoized
     def cofaces(self, n: int):
         """{(n−1)-ambiguity p: [(q, position, sign)]} over the n-ambiguities q
         whose differential reaches p, with p at that position of q.
 
         Even n takes the two truncations, head (+1) then tail (−1); odd n
         takes every positioned divisor (+1).  Each list runs in Γ_n order,
-        then by position.
+        then by position.  Computed once per table.
         """
-        out = self._cofaces.get(n)
-        if out is None:
-            out = {}
-            for q in self.degree(n):
-                if n % 2 == 0:
-                    hits = ((q.head, 0, 1), (q.tail, len(q.arrows) - len(q.tail.arrows), -1))
-                else:
-                    hits = ((p, k, 1) for p, k in self.occurrences(n - 1, q.arrows, q.source))
-                for p, k, sign in hits:
-                    out.setdefault(p, []).append((q, k, sign))
-            self._cofaces[n] = out
+        out = {}
+        for q in self.degree(n):
+            if n % 2 == 0:
+                hits = ((q.head, 0, 1), (q.tail, len(q.arrows) - len(q.tail.arrows), -1))
+            else:
+                hits = ((p, k, 1) for p, k in self.occurrences(n - 1, q.arrows, q.source))
+            for p, k, sign in hits:
+                out.setdefault(p, []).append((q, k, sign))
         return out

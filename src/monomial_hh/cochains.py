@@ -8,19 +8,19 @@ ambiguity's offset plus ``algebra.position[b]`` (0 for a trivial b, which
 comes first).  A cochain is the vector {index in ``pair_basis(table, m)``:
 scalar}, without zeros; a vector carries no degree, so every function
 that takes one is also given its degree, or the space it lives in.  This
-module is the one place that decides how a pair is indexed.  The table
-caches each degree's offsets and, where a space needs them, its pairs.
+module is the one place that decides how a pair is indexed.  Each degree's
+offsets and, where a space needs them, its pairs are memoized per table.
 
 ``_columns`` is the one builder of δ columns.  It assembles δ per face
 class: the product pre·b·post of a face depends only on the face's
-(pre, post) and the ambiguity's endpoints, so the table caches per class
+(pre, post) and the ambiguity's endpoints, so the table memoizes per class
 which b give a nonzero product and where it lands, and a column adds one
 entry per hit, not one lookup per face and b.  ``cochain_differential``
-caches on the table, per ambiguity it meets, the columns of all that
-ambiguity's pairs, so the battery rows that apply δ (∂² = 0, the cup
-closure, the cocycle certificates) share one build.  Matrix assembly
-reads the columns already cached and builds the rest without storing
-them: ``hh`` keeps one matrix at a time.  The columns are shared, so no
+memoizes, per ambiguity it meets, the columns of all that ambiguity's
+pairs, so the battery rows that apply δ (∂² = 0, the cup closure, the
+cocycle certificates) share one build.  Matrix assembly reads the columns
+already memoized and builds the rest without storing them: ``hh`` keeps
+one matrix at a time.  The columns are shared, so no
 caller may mutate one.
 
 The differential of a pair reads the cofaces of its ambiguity from the
@@ -33,45 +33,43 @@ independent route: it reads no face class.
 
 from dataclasses import dataclass, field as dc_field
 
+from .ambiguities import declare, memoized
 from .errors import NotACocycle
 from .linalg import RowBasis, SparseMatrix, kernel_basis, quotient_basis
 from .resolution import boundary
 
+_CLASSES = declare("cochains._classes")  # (pre, post, source, target) -> its nonzero products, see _columns
+_DELTA = declare("cochains._delta")  # ambiguity -> δ columns of its pairs, filled by cochain_differential alone
 
+
+@memoized
 def pair_basis(table, degree):
     """Ordered (ambiguity, parallel basis index) pairs spanning degree-m cochains.
 
     Γ_{m-1} and every ``algebra.parallel`` tuple are sorted by path, so the
     nested loop already yields the pairs sorted by ambiguity, then by b.  A
-    tuple, built once per degree and cached on the table.
+    tuple, computed once per table.
     """
     assert degree >= 0
-    pairs = table._pairs.get(degree)
-    if pairs is None:
-        parallel = table.algebra.parallel
-        pairs = table._pairs[degree] = tuple(
-            (amb, b) for amb in table.degree(degree - 1) for b in parallel[(amb.source, amb.target)]
-        )
-    return pairs
+    parallel = table.algebra.parallel
+    return tuple((amb, b) for amb in table.degree(degree - 1) for b in parallel[(amb.source, amb.target)])
 
 
+@memoized
 def _offsets(table, degree):
     """({ambiguity of degree m-1: index of its first pair}, number of pairs) for degree m.
 
     Reads only Γ_{m-1} and the ``parallel`` counts, never the pairs
-    themselves; cached on the table.  The pair (amb, b) has index
+    themselves; computed once per table.  The pair (amb, b) has index
     ``offsets[amb] + algebra.position[b]``.
     """
-    out = table._offsets.get(degree)
-    if out is None:
-        parallel = table.algebra.parallel
-        offsets = {}
-        n = 0
-        for amb in table.degree(degree - 1):
-            offsets[amb] = n
-            n += len(parallel[(amb.source, amb.target)])
-        out = table._offsets[degree] = (offsets, n)
-    return out
+    parallel = table.algebra.parallel
+    offsets = {}
+    n = 0
+    for amb in table.degree(degree - 1):
+        offsets[amb] = n
+        n += len(parallel[(amb.source, amb.target)])
+    return offsets, n
 
 
 def display_vector(algebra, pairs, vec, words):
@@ -100,7 +98,7 @@ def _columns(table, amb, offsets):
     products that are nonzero in A; ``offsets`` are those of the next
     degree, whose pairs are the rows.  The products depend only on the face
     class (pre, post, amb.source, amb.target), not on q or b, so the table
-    caches per class the (place of b, position of pre·b·post) of the
+    memoizes per class the (place of b, position of pre·b·post) of the
     nonzero ones, and a face adds q's offset plus that position to the
     column of each b its class reaches.  pre·b·post is never the empty
     word: q strictly contains amb.
@@ -108,7 +106,7 @@ def _columns(table, amb, offsets):
     algebra = table.algebra
     source, target = amb.source, amb.target
     bs = algebra.parallel[(source, target)]
-    classes = table._classes
+    classes = table.memo(_CLASSES)
     length = len(amb.arrows)
     n = amb.degree + 1
     cols = [{} for _ in bs]
@@ -142,10 +140,10 @@ def _face_class(algebra, pre, post, bs):
 def _delta_columns(table, m):
     """The columns of δ^m, one per degree-m pair, in pair order.
 
-    An ambiguity whose columns ``cochain_differential`` has cached is read
-    from the table; the others are built and not stored.
+    An ambiguity whose columns ``cochain_differential`` has memoized is
+    read from the table; the others are built and not stored.
     """
-    cached = table._delta
+    cached = table.memo(_DELTA)
     offsets, _ = _offsets(table, m + 1)
     cols = []
     for amb in table.degree(m - 1):
@@ -166,7 +164,7 @@ def cochain_differential(table, m, vec):
     """δ^m of the degree-m cochain vec, a cochain of degree m+1.
 
     Each ambiguity that a term of vec meets has the columns of all its
-    pairs built once per table and cached there (module docstring); the
+    pairs computed once per table (module docstring); the
     term adds c·col.  The zero cochain reads nothing, so it builds no Γ_m
     that a term would not.
     """
@@ -176,7 +174,7 @@ def cochain_differential(table, m, vec):
     field, position = algebra.field, algebra.position
     add, mul, zero = field.add, field.mul, field.zero
     pairs = pair_basis(table, m)
-    cached = table._delta
+    cached = table.memo(_DELTA)
     offsets, _ = _offsets(table, m + 1)
     out = {}
     for j, c in vec.items():
@@ -202,7 +200,7 @@ def differential_via_resolution(table, m):
     differential of q in Γ_m sends every pair (r, b) to n·(q, pre·b·post)
     when that product is nonzero.  Each generator's differential is read
     from ``resolution.boundary``, which computes it once per table; the
-    face classes that ``_columns`` caches are not read.
+    face classes that ``_columns`` memoizes are not read.
     """
     algebra = table.algebra
     mul, parallel, position = algebra.mul, algebra.parallel, algebra.position

@@ -20,7 +20,7 @@ diagonal's pre, mid and post are basis indices).  So the split
 enumeration lives only in the diagonal, and the product inherits its
 chain-map and counit certificate.  Only keys are stored, never scalars,
 so one table serves every field.  ``_constants`` builds it in one pass
-over Γ_{m+n−1}, on first use, and caches it on the AmbiguityTable.
+over Γ_{m+n−1}, once per AmbiguityTable.
 
 The products of a term depend only on its gap class (pre, mid, post),
 so the pass finds the nonzero ones once per class and each term adds its
@@ -35,12 +35,14 @@ An absent product is zero, a cocycle of class 0, so the verifiers below
 spend their differentials and solves only on the few products that remain.
 """
 
+from .ambiguities import memoized
 from .cochains import _offsets, class_vector, cochain_differential
 from .diagonal import diagonal
 from .errors import NotTriangular
 from .quivers import is_triangular
 
 
+@memoized
 def _constants(table, m, n):
     """Structure constants of degree-m cup degree-n cochains (module docstring).
 
@@ -51,11 +53,9 @@ def _constants(table, m, n):
     target[mid] and source[post] (``diagonal._check_quintuple``), so the
     class fixes both ``parallel`` tuples.  Each class's hits are found once
     per call, by ``_gap_class``, and a term adds its offsets to them; the
-    pass costs the distinct classes plus the entries it writes.
+    pass costs the distinct classes plus the entries it writes, and it is
+    computed once per table.
     """
-    constants = table._cup.get((m, n))
-    if constants is not None:
-        return constants
     f_offsets, g_offsets, q_offsets = (_offsets(table, d)[0] for d in (m, n, m + n))
     classes = {}  # (pre, mid, post) -> hits, see _gap_class
     constants = {}
@@ -74,7 +74,6 @@ def _constants(table, m, n):
                 by_g = constants.setdefault(f_offset + place_f, {})
                 for place_g, k in by_place_g:
                     by_g.setdefault(g_offset + place_g, []).append(row + k)
-    table._cup[(m, n)] = constants
     return constants
 
 

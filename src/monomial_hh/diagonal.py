@@ -9,7 +9,7 @@ are a = pre, q1 = first, b = mid, q2 = second, c = post, so the
 homological degree of the written-left factor is second.degree + 1.  That
 degree drives the Koszul sign.
 
-Each ambiguity's diagonal is cached on the table, and so are the divisor
+Each ambiguity's diagonal is memoized per table, and so are the divisor
 occurrences it is read from: amb's arrow word is scanned once per degree
 −1…n, and every (i, j) split of amb, in ``diagonal`` and in the
 decomposition lemmas alike, reads those lists.  Nothing here builds a
@@ -18,6 +18,7 @@ path; the failure messages render words through the quiver.
 
 from functools import partial
 
+from .ambiguities import memoized
 from .combination import Combination
 from .resolution import _d_terms, boundary
 
@@ -36,19 +37,17 @@ def tensor_element(table, degree, terms=None):
     return Combination(partial(_check_quintuple, table.algebra), degree, terms)
 
 
+@memoized
 def _divisors(table, amb):
-    """[occurrences of degree d in amb's word for d = −1…amb.degree], stored on the table."""
-    out = table._divisors[amb] = [table.occurrences(d, amb.arrows, amb.source) for d in range(-1, amb.degree + 1)]
-    return out
+    """[occurrences of degree d in amb's word for d = −1…amb.degree], computed once per table."""
+    return [table.occurrences(d, amb.arrows, amb.source) for d in range(-1, amb.degree + 1)]
 
 
 def _decompositions(table, amb, i, j):
     """Positioned (q1 at k1) then (q2 at k2 >= k1+len) splits of amb's word."""
     find = table.algebra.find
     arrows = amb.arrows
-    divisors = table._divisors.get(amb)
-    if divisors is None:
-        divisors = _divisors(table, amb)
+    divisors = _divisors(table, amb)
     seconds = divisors[j + 1]
     out = []
     for q1, k1 in divisors[i + 1]:
@@ -69,17 +68,14 @@ def _decompositions(table, amb, i, j):
     return out
 
 
+@memoized
 def diagonal(table, amb):
-    """The diagonal of amb, cached on the table: callers must not mutate it."""
-    out = table._diagonals.get(amb)
-    if out is None:
-        n = amb.degree
-        out = tensor_element(table, n)
-        for i in range(-1, n + 1):
-            j = n - 1 - i
-            for key in _decompositions(table, amb, i, j):
-                out.add(key, 1)
-        table._diagonals[amb] = out
+    """The diagonal of amb, computed once per table: callers must not mutate it."""
+    n = amb.degree
+    out = tensor_element(table, n)
+    for i in range(-1, n + 1):
+        for key in _decompositions(table, amb, i, n - 1 - i):
+            out.add(key, 1)
     return out
 
 

@@ -12,8 +12,8 @@ the failure messages render words through the quiver.
 
 The differential splits on the parity of n: odd degrees sum over all
 positioned divisors one degree down, even degrees take the two boundary
-truncations with opposite signs.  Each ambiguity's faces are computed
-once and cached on the table, and so are each generator's boundary
+truncations with opposite signs.  Each ambiguity's faces are memoized
+per table, and so are each generator's boundary
 d(1 (x) amb (x) 1), which every check and the cochains' resolution route
 read, and the contracting homotopy's splits of each word amb·post it
 scans.  All maps here are defined over the integers; coefficients only
@@ -22,7 +22,7 @@ meet the base field later, in the cochain matrices.
 
 from functools import partial
 
-from .ambiguities import Ambiguity
+from .ambiguities import Ambiguity, memoized
 from .combination import Combination
 from .errors import WrongDegree
 
@@ -44,11 +44,9 @@ def generator(table, amb):
     return bimodule_element(table, amb.degree, {(amb.source, amb, amb.target): 1})
 
 
+@memoized
 def _d_terms(table, amb):
-    """Differential of 1 (x) amb (x) 1 as [(pre, sub_amb, post, sign)], cached on the table."""
-    out = table._faces.get(amb)
-    if out is not None:
-        return out
+    """Differential of 1 (x) amb (x) 1 as [(pre, sub_amb, post, sign)], computed once per table."""
     n = amb.degree
     assert n >= 0
     find = table.algebra.find
@@ -67,7 +65,6 @@ def _d_terms(table, amb):
         before = find(arrows[: len(arrows) - len(amb.tail.arrows)], amb.source)
         if before is not None:
             out.append((before, amb.tail, amb.target, -1))
-    table._faces[amb] = out
     return out
 
 
@@ -88,12 +85,10 @@ def differential(table, x):
     return out
 
 
+@memoized
 def boundary(table, amb):
-    """d(1 (x) amb (x) 1), cached on the table: callers must not mutate it."""
-    out = table._boundaries.get(amb)
-    if out is None:
-        out = table._boundaries[amb] = differential(table, generator(table, amb))
-    return out
+    """d(1 (x) amb (x) 1), computed once per table: callers must not mutate it."""
+    return differential(table, generator(table, amb))
 
 
 def augmentation(table, x):
@@ -125,9 +120,10 @@ def iota(table, a):
     return out
 
 
+@memoized
 def _splits(table, amb, post):
     """[(head, q, tail)] with amb·post = head·q·tail, q one degree up and
-    head, tail basis indices, by position of q; stored on the table."""
+    head, tail basis indices, by position of q; computed once per table."""
     find = table.algebra.find
     word = amb.arrows + table.algebra.words[post]  # may contain relations on purpose
     out = []
@@ -139,7 +135,6 @@ def _splits(table, amb, post):
             tail = find(word[k + len(q.arrows) :], q.target)
             if tail is not None:
                 out.append((head, q, tail))
-    table._splits[amb, post] = out
     return out
 
 
@@ -150,13 +145,9 @@ def homotopy_sigma(table, x):
     multiplies its pre into the split's head.
     """
     mul = table.algebra.mul
-    cached = table._splits
     out = bimodule_element(table, x.degree + 1)
     for (pre, amb, post), c in x.terms.items():
-        splits = cached.get((amb, post))
-        if splits is None:
-            splits = _splits(table, amb, post)
-        for head, q, tail in splits:
+        for head, q, tail in _splits(table, amb, post):
             new_pre = mul(pre, head)
             if new_pre is not None:
                 out.add((new_pre, q, tail), c)

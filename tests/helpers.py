@@ -18,6 +18,12 @@ def amb_path(table, amb):
     return p
 
 
+def by_path(table, n, path):
+    """The n-ambiguity spelled by path (at n = −1, the vertex of a trivial path), or None."""
+    hits = table.occurrences(n, path.arrows, path.source)
+    return next((amb for amb, k in hits if k == 0 and len(amb.arrows) == len(path.arrows)), None)
+
+
 def index_of(table, path):
     """The position of a basis path in ``algebra.basis``."""
     basis = table.algebra.basis

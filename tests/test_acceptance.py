@@ -24,7 +24,7 @@ from monomial_hh.randomgen import RandomAlgebraConfig
 from monomial_hh.checks import run_random_suite
 from monomial_hh.cli import _pieces
 
-from helpers import amb_path, difference, vector
+from helpers import amb_path, by_path, difference, vector
 from reference_scans import amb_suffix
 
 GENERAL_SEED = 7
@@ -79,23 +79,23 @@ def test_criterion_2_cone_cup_products(cone):
             t,
             2,
             {
-                (t.by_path(1, word("alpha zeta alpha")), q.path("alpha")): one,
-                (t.by_path(1, word("zeta alpha zeta")), q.path("zeta")): one,
+                (by_path(t, 1, word("alpha zeta alpha")), q.path("alpha")): one,
+                (by_path(t, 1, word("zeta alpha zeta")), q.path("zeta")): one,
             },
         )
-        f = vector(t, 1, {(t.by_path(0, q.path("alpha")), q.path("alpha")): one})
-        g = vector(t, 1, {(t.by_path(0, q.path("zeta")), q.path("zeta")): one})
+        f = vector(t, 1, {(by_path(t, 0, q.path("alpha")), q.path("alpha")): one})
+        g = vector(t, 1, {(by_path(t, 0, q.path("zeta")), q.path("zeta")): one})
         for c, d in ((w, 2), (f, 1), (g, 1)):
             assert is_cocycle(t, d, c)
 
-        az2 = vector(t, 3, {(t.by_path(2, word("alpha zeta alpha zeta")), word("alpha zeta")): one})
-        za2 = vector(t, 3, {(t.by_path(2, word("zeta alpha zeta alpha")), word("zeta alpha")): one})
+        az2 = vector(t, 3, {(by_path(t, 2, word("alpha zeta alpha zeta")), word("alpha zeta")): one})
+        za2 = vector(t, 3, {(by_path(t, 2, word("zeta alpha zeta alpha")), word("zeta alpha")): one})
         ww_target = vector(
             t,
             4,
             {
-                (t.by_path(3, word("alpha zeta alpha zeta alpha zeta")), word("alpha zeta")): one,
-                (t.by_path(3, word("zeta alpha zeta alpha zeta alpha")), word("zeta alpha")): one,
+                (by_path(t, 3, word("alpha zeta alpha zeta alpha zeta")), word("alpha zeta")): one,
+                (by_path(t, 3, word("zeta alpha zeta alpha zeta alpha")), word("zeta alpha")): one,
             },
         )
 
@@ -118,23 +118,23 @@ def test_criterion_3_one_order_is_a_coboundary(triangular_a6):
             t,
             2,
             {
-                (t.by_path(1, word("a4 a3")), word("g a3")): one,
-                (t.by_path(1, word("a5 a4")), word("a5 g")): one,
+                (by_path(t, 1, word("a4 a3")), word("g a3")): one,
+                (by_path(t, 1, word("a5 a4")), word("a5 g")): one,
             },
         )
         y = vector(
             t,
             2,
             {
-                (t.by_path(1, word("a2 a1")), word("b a1")): one,
-                (t.by_path(1, word("a3 a2")), word("a3 b")): one,
+                (by_path(t, 1, word("a2 a1")), word("b a1")): one,
+                (by_path(t, 1, word("a3 a2")), word("a3 b")): one,
             },
         )
         assert is_cocycle(t, 2, x) and is_cocycle(t, 2, y)
 
         products = cup_products(t, 2, 2, [x, y], [x, y])
         yx = products[1, 0]
-        witness = vector(t, 3, {(t.by_path(2, word("a4 a3 a2")), word("g a3 b")): one})
+        witness = vector(t, 3, {(by_path(t, 2, word("a4 a3 a2")), word("g a3 b")): one})
         assert yx == cochain_differential(t, 3, witness)
         assert yx
         assert (0, 1) not in products
@@ -155,11 +155,11 @@ def test_criterion_4_ambiguity_fixtures(square, cone, triangular_a6, truncated_c
 
         t = AmbiguityTable(square)
         q = square.quiver
-        adgba = t.by_path(2, path_from_word(q, "alpha delta gamma beta alpha"))
+        adgba = by_path(t, 2, path_from_word(q, "alpha delta gamma beta alpha"))
         assert adgba is not None
         assert _pieces(q, adgba.left_pieces) == "alpha|deltagamma|betaalpha"
 
-        p = t.by_path(3, path_from_word(q, "gamma beta alpha delta gamma beta alpha"))
+        p = by_path(t, 3, path_from_word(q, "gamma beta alpha delta gamma beta alpha"))
         assert p is not None
         assert _pieces(q, p.left_pieces) == "gamma|betaalpha|deltagamma|betaalpha"
         assert _pieces(q, p.right_pieces) == "gammabeta|alphadelta|gammabeta|alpha"

@@ -1,28 +1,30 @@
-"""The per-table caches that the check battery shares, against fresh builds.
+"""The per-table memos that the check battery shares, against fresh builds.
 
-``cochain_differential`` caches the δ columns of each ambiguity it meets,
-``diagonal._decompositions`` each ambiguity's divisor occurrences,
-``homotopy_sigma`` the splits of each word amb·post and
-``resolution.boundary`` each generator's differential.  The columns are
-shared with every matrix and kernel pass, so a caller that mutated one
-would corrupt every later reader; and a cache is worth keeping only if
-it is filled once and holds what a fresh build gives.
+Every memo in ``ambiguities.MEMOS`` is checked warm against cold after a
+full battery.  The other tests pin how the battery fills the memos it
+shares: the δ columns of each ambiguity that ``cochain_differential``
+meets, each ambiguity's divisor occurrences, the splits of each word
+amb·post and each generator's differential ``resolution.boundary``.  The
+columns are shared with every matrix and kernel pass, so a caller that
+mutated one would corrupt every later reader; and a memo is worth keeping
+only if it is filled once and holds what a fresh build gives.
 """
 
+import inspect
 import sys
 
 import pytest
 
 from monomial_hh import checks, cochains, cup, diagonal, resolution
 from monomial_hh.algfile import parse_algebra_file
-from monomial_hh.ambiguities import AmbiguityTable
-from monomial_hh.cochains import _columns, _offsets, hochschild_cohomology
+from monomial_hh.ambiguities import MEMOS, AmbiguityTable
+from monomial_hh.cochains import _columns, _face_class, _offsets, hochschild_cohomology
 from monomial_hh.diagonal import _decompositions
 from monomial_hh.quivers import is_triangular
 from monomial_hh.resolution import differential, homotopy_sigma, right_spanning_set
 
 from conftest import make_cone
-from helpers import amb_path, loops_algebra_text
+from helpers import loops_algebra_text
 from reference_scans import path_decompositions, path_homotopy_sigma, to_paths
 from test_incidence import tables
 
@@ -54,16 +56,34 @@ def battery_tables(spec, monkeypatch):
         yield made[-1]
 
 
-@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
-def test_cached_columns_equal_a_fresh_build(spec, monkeypatch):
+@pytest.fixture(scope="module", params=["q", "fp:2", "fp:3"])
+def battery(request):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return list(battery_tables(request.param, monkeypatch))
+
+
+REBUILD = {  # the memos that their module fills by its own rule, and a fresh build of one key
+    "cochains._delta": lambda t, amb: _columns(t, amb, _offsets(t, amb.degree + 2)[0]),
+    "cochains._classes": lambda t, key: _face_class(t.algebra, key[0], key[1], t.algebra.parallel[key[2:]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOS))
+def test_warm_memo_equals_cold(name, battery):
+    # every value the battery left in the memo is what a cold build of its key gives
+    build = MEMOS[name] or REBUILD[name]
+    pair_keyed = len(inspect.signature(build).parameters) == 3
     checked = 0
-    for t in battery_tables(spec, monkeypatch):
-        fresh = AmbiguityTable(t.algebra)
-        for amb, cols in t._delta.items():
-            twin = fresh.by_path(amb.degree, amb_path(t, amb))
-            offsets, _ = _offsets(fresh, amb.degree + 2)
-            assert cols == _columns(fresh, twin, offsets)
-            checked += 1
+    for t in battery:
+        memo = t.memo(name)
+        warm = dict(memo)
+        memo.clear()
+        for key, value in warm.items():
+            assert (build(t, *key) if pair_keyed else build(t, key)) == value, (name, key)
+        if MEMOS[name] is not None:
+            assert memo.keys() == warm.keys()  # each build is stored
+        memo.update(warm)
+        checked += len(warm)
     assert checked
 
 
@@ -72,7 +92,7 @@ def test_cohomology_alone_caches_no_columns():
     for alg in (make_cone(), parse_algebra_file(loops_algebra_text(2, 2))):
         t = AmbiguityTable(alg)
         hochschild_cohomology(t, DEGREE)
-        assert t._delta == {}
+        assert t.memo("cochains._delta") == {}
 
 
 def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
@@ -99,7 +119,7 @@ def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
     assert all(r.ok for r in checks.run_checks(make_cone(), DEGREE))
     assert built, "the battery applies δ to some cochain"
     assert len(built) == len(set(built))
-    assert set(built) == set(made[0]._delta)
+    assert set(built) == set(made[0].memo("cochains._delta"))
 
 
 def test_battery_takes_each_generator_differential_once(monkeypatch):
@@ -161,7 +181,7 @@ def test_warm_homotopy_equals_cold_and_reference(monkeypatch):
             for n in range(-1, DEGREE):
                 for x in right_spanning_set(t, n):
                     for y in (x, differential(t, x)) if n >= 0 else (x,):
-                        t._splits.clear()
+                        t.memo("resolution._splits").clear()
                         cold = homotopy_sigma(t, y)
                         scans.clear()
                         assert homotopy_sigma(t, y) == cold
@@ -185,7 +205,7 @@ def test_warm_decompositions_equal_cold_and_reference(monkeypatch):
                 for amb in t.degree(n):
                     for i in range(-1, n + 1):
                         for j in range(-1, n + 1):
-                            t._divisors.clear()
+                            t.memo("diagonal._divisors").clear()
                             cold = _decompositions(t, amb, i, j)
                             scans.clear()
                             assert _decompositions(t, amb, i, j) == cold

@@ -30,7 +30,7 @@ from monomial_hh.quivers import build_algebra, path_from_word
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone
-from helpers import amb_path, is_quadratic, loops_algebra_text, path_pairs, unit_cochain, vector
+from helpers import amb_path, by_path, is_quadratic, loops_algebra_text, path_pairs, unit_cochain, vector
 from reference_scans import concat, is_trivial, reduce_concat, segment, term_constants, to_paths
 from test_incidence import CUP_DEGREE, tables
 
@@ -242,7 +242,7 @@ def check_quadratic_cup(table, max_total_degree):
                     expected = {}
                     if ambf.target == ambg.source:
                         pq = concat(amb_path(table, ambf), amb_path(table, ambg))
-                        q = table.by_path(m + n - 1, pq)
+                        q = by_path(table, m + n - 1, pq)
                         if q is not None and bf.target == bg.source:
                             value = reduce_concat(alg, bf, bg)
                             if value is not None:
@@ -258,16 +258,16 @@ def _a6_xy(alg):
         t,
         2,
         {
-            (t.by_path(1, path_from_word(q, "a4 a3")), path_from_word(q, "g a3")): one,
-            (t.by_path(1, path_from_word(q, "a5 a4")), path_from_word(q, "a5 g")): one,
+            (by_path(t, 1, path_from_word(q, "a4 a3")), path_from_word(q, "g a3")): one,
+            (by_path(t, 1, path_from_word(q, "a5 a4")), path_from_word(q, "a5 g")): one,
         },
     )
     y = vector(
         t,
         2,
         {
-            (t.by_path(1, path_from_word(q, "a2 a1")), path_from_word(q, "b a1")): one,
-            (t.by_path(1, path_from_word(q, "a3 a2")), path_from_word(q, "a3 b")): one,
+            (by_path(t, 1, path_from_word(q, "a2 a1")), path_from_word(q, "b a1")): one,
+            (by_path(t, 1, path_from_word(q, "a3 a2")), path_from_word(q, "a3 b")): one,
         },
     )
     return t, x, y
@@ -281,8 +281,8 @@ def _cone_w(cone):
         t,
         2,
         {
-            (t.by_path(1, path_from_word(q, "alpha zeta alpha")), q.path("alpha")): one,
-            (t.by_path(1, path_from_word(q, "zeta alpha zeta")), q.path("zeta")): one,
+            (by_path(t, 1, path_from_word(q, "alpha zeta alpha")), q.path("alpha")): one,
+            (by_path(t, 1, path_from_word(q, "zeta alpha zeta")), q.path("zeta")): one,
         },
     )
     return t, w
@@ -295,7 +295,7 @@ def test_final_example_one_order_vanishes(triangular_a6):
     yx = product(t, 2, 2, y, x)
     # y cup x is exactly the differential of the parallel pair from the text
     witness = vector(
-        t, 3, {(t.by_path(2, path_from_word(q, "a4 a3 a2")), path_from_word(q, "g a3 b")): triangular_a6.field.one}
+        t, 3, {(by_path(t, 2, path_from_word(q, "a4 a3 a2")), path_from_word(q, "g a3 b")): triangular_a6.field.one}
     )
     assert yx == cochain_differential(t, 3, witness)
     assert yx
@@ -310,17 +310,17 @@ def test_cone_degree1_times_w(cone):
     q = cone.quiver
     one = cone.field.one
     assert is_cocycle(t, 2, w)
-    f = vector(t, 1, {(t.by_path(0, q.path("alpha")), q.path("alpha")): one})
+    f = vector(t, 1, {(by_path(t, 0, q.path("alpha")), q.path("alpha")): one})
     assert is_cocycle(t, 1, f)
     fw = product(t, 1, 2, f, w)
     expected = vector(
-        t, 3, {(t.by_path(2, path_from_word(q, "zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")): one}
+        t, 3, {(by_path(t, 2, path_from_word(q, "zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")): one}
     )
     assert fw == expected
     # as classes this equals the (alpha zeta)^2 representative
     spaces = hochschild_cohomology(t, 3)
     target = vector(
-        t, 3, {(t.by_path(2, path_from_word(q, "alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")): one}
+        t, 3, {(by_path(t, 2, path_from_word(q, "alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")): one}
     )
     assert is_cocycle(t, 3, target)
     assert class_vector(spaces[3], t, fw) == class_vector(spaces[3], t, target)
@@ -336,8 +336,8 @@ def test_cone_w_squared_exact(cone):
         t,
         4,
         {
-            (t.by_path(3, path_from_word(q, "alpha zeta alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")): one,
-            (t.by_path(3, path_from_word(q, "zeta alpha zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")): one,
+            (by_path(t, 3, path_from_word(q, "alpha zeta alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")): one,
+            (by_path(t, 3, path_from_word(q, "zeta alpha zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")): one,
         },
     )
     assert ww == expected
@@ -610,7 +610,7 @@ def test_irreducible_components(triangular_a6):
         3,
         {
             (
-                t.by_path(2, path_from_word(triangular_a6.quiver, "a4 a3 a2")),
+                by_path(t, 2, path_from_word(triangular_a6.quiver, "a4 a3 a2")),
                 path_from_word(triangular_a6.quiver, "g a3 b"),
             ): triangular_a6.field.one
         },

@@ -11,7 +11,7 @@ from monomial_hh.diagonal import (
 )
 from monomial_hh.quivers import path_from_word
 
-from helpers import index_of, is_quadratic, quintuple, vertex
+from helpers import by_path, index_of, is_quadratic, quintuple, vertex
 from reference_scans import is_trivial, path_d_terms, reduce_concat, to_paths
 
 
@@ -33,7 +33,7 @@ def check_quadratic(table, max_degree):
 def test_diagonal_of_vertex(cone):
     t = AmbiguityTable(cone)
     e = vertex(cone.quiver, "1")
-    amb = t.by_path(-1, e)
+    amb = by_path(t, -1, e)
     d = diagonal(t, amb)
     assert d.terms == {quintuple(t, e, amb, e, amb, e): 1}
     assert counit(t, d) == {index_of(t, e): 1}
@@ -43,11 +43,11 @@ def test_diagonal_of_arrow(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     alpha = q.path("alpha")
-    amb = t.by_path(0, alpha)
+    amb = by_path(t, 0, alpha)
     e1 = vertex(q, "1")
     e2 = vertex(q, "2")
-    ev1 = t.by_path(-1, e1)
-    ev2 = t.by_path(-1, e2)
+    ev1 = by_path(t, -1, e1)
+    ev2 = by_path(t, -1, e2)
     d = diagonal(t, amb)
     assert d.terms == {
         quintuple(t, e1, ev1, e1, amb, e2): 1,
@@ -59,13 +59,13 @@ def test_diagonal_of_quadratic_relation(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     bz = path_from_word(q, "beta zeta")
-    amb = t.by_path(1, bz)
+    amb = by_path(t, 1, bz)
     e1, e2, e3 = (vertex(q, v) for v in "123")
     d = diagonal(t, amb)
     assert d.terms == {
-        quintuple(t, e2, t.by_path(-1, e2), e2, amb, e3): 1,
-        quintuple(t, e2, t.by_path(0, q.path("zeta")), e1, t.by_path(0, q.path("beta")), e3): 1,
-        quintuple(t, e2, amb, e3, t.by_path(-1, e3), e3): 1,
+        quintuple(t, e2, by_path(t, -1, e2), e2, amb, e3): 1,
+        quintuple(t, e2, by_path(t, 0, q.path("zeta")), e1, by_path(t, 0, q.path("beta")), e3): 1,
+        quintuple(t, e2, amb, e3, by_path(t, -1, e3), e3): 1,
     }
 
 
@@ -73,17 +73,17 @@ def test_diagonal_of_cubic_relation(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     aza = path_from_word(q, "alpha zeta alpha")
-    amb = t.by_path(1, aza)
+    amb = by_path(t, 1, aza)
     d = diagonal(t, amb)
     assert len(d.terms) == 5
     e1 = vertex(q, "1")
     alpha = q.path("alpha")
     zeta = q.path("zeta")
     # the middle slot can be a nontrivial basis path
-    key = quintuple(t, e1, t.by_path(0, alpha), zeta, t.by_path(0, alpha), vertex(q, "2"))
+    key = quintuple(t, e1, by_path(t, 0, alpha), zeta, by_path(t, 0, alpha), vertex(q, "2"))
     assert d.terms[key] == 1
     # and so can pre
-    key2 = quintuple(t, alpha, t.by_path(0, zeta), e1, t.by_path(0, alpha), vertex(q, "2"))
+    key2 = quintuple(t, alpha, by_path(t, 0, zeta), e1, by_path(t, 0, alpha), vertex(q, "2"))
     assert d.terms[key2] == 1
 
 
@@ -144,7 +144,7 @@ def test_quintuple_keys_must_compose(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     e1, e2 = vertex(q, "1"), vertex(q, "2")
-    ev1, alpha = t.by_path(-1, e1), t.by_path(0, q.path("alpha"))
+    ev1, alpha = by_path(t, -1, e1), by_path(t, 0, q.path("alpha"))
     tensor_element(t, 0, {quintuple(t, e1, ev1, e1, alpha, e2): 1})
     for bad in ((e2, ev1, e1, alpha, e2), (e1, ev1, e2, alpha, e2), (e1, ev1, e1, alpha, e1)):
         with pytest.raises(AssertionError):

@@ -15,7 +15,7 @@ from monomial_hh.quivers import Quiver, build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import amb_path, keyed, pair_key, path_pairs, vector
+from helpers import amb_path, by_path, keyed, pair_key, path_pairs, vector
 from reference_scans import (
     amb_prefix,
     amb_suffix,
@@ -78,7 +78,7 @@ def test_truncation_links_match_scan():
                     scanned = q.path([q.arrow_names[a] for a in amb.arrows])  # raises unless the word composes
                     assert (amb.arrows, amb.source, amb.target) == (scanned.arrows, scanned.source, scanned.target)
                 p = amb_path(t, amb)
-                assert t.by_path(n, p) is amb
+                assert by_path(t, n, p) is amb
                 for m in range(-1, n + 1):
                     assert amb_prefix(amb, m) is scan_truncation(t, amb, m, initial=True)
                     assert amb_suffix(amb, m) is scan_truncation(t, amb, m, initial=False)
@@ -100,7 +100,7 @@ def test_ambiguities_compare_by_identity():
         assert [amb_path(first, a) for a in first.degree(n)] == [amb_path(second, b) for b in second.degree(n)]
         for a, b in zip(first.degree(n), second.degree(n)):
             assert a is not b and a != b
-            assert second.by_path(n, amb_path(first, a)) is b
+            assert by_path(second, n, amb_path(first, a)) is b
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])

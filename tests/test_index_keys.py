@@ -9,6 +9,7 @@ import pathlib
 
 import pytest
 
+from monomial_hh import checks
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.diagonal import _decompositions, diagonal, tensor_differential
@@ -27,6 +28,7 @@ from reference_scans import (
     scan_parallel,
     to_paths,
 )
+from test_battery_caches import record_tables
 from test_incidence import tables
 
 DEGREE = 5
@@ -116,6 +118,40 @@ def test_no_path_arithmetic(module):
     # arrow words, not from paths built or cut per term
     forbidden = {"reduce_concat", "segment", "concat", "vertex_at", "Path", "path_from_arrows", "trivial_path_at"}
     assert not forbidden & _calls(module)
+
+
+def _private_table_attributes(module):
+    """(line, attribute) of each private attribute a module's source reads or writes on a table.
+
+    A table is a name bound by ``AmbiguityTable(...)``, a ``table``
+    parameter or variable, or an attribute called ``table``.
+    """
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    names = {"table"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if getattr(node.value.func, "id", None) == "AmbiguityTable":
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            if getattr(owner, "id", None) in names or getattr(owner, "attr", None) == "table":
+                out.append((node.lineno, node.attr))
+    return out
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "ambiguities"))
+def test_no_private_table_attributes(module):
+    # each layer keeps its per-table state in a memo of the table's registry,
+    # declared where it is built, not in a slot of its own on the table
+    assert _private_table_attributes(module) == []
+
+
+def test_table_holds_gamma_and_the_memo_registry(monkeypatch):
+    made = record_tables(monkeypatch)
+    assert all(r.ok for r in checks.run_checks(make_cone(), 4))
+    assert set(vars(made[0])) == {"algebra", "_degrees", "_words", "_memos"}
 
 
 def test_faces_are_cached_per_ambiguity(cone, monkeypatch):
