@@ -37,9 +37,9 @@ def main():
 
     def pair(degree, word, b):
         """Index of the pair (ambiguity on word, path b) among the cochain pairs of degree."""
-        path = q.path(word)
-        [amb] = [a for a in table.degree(degree - 1) if (a.arrows, a.source) == (path.arrows, path.source)]
-        return pair_basis(table, degree).index((amb, algebra.basis.index(q.path(b))))
+        arrows = q.path(word)
+        [amb] = [a for a in table.degree(degree - 1) if a.arrows == arrows]
+        return pair_basis(table, degree).index((amb, algebra.find(q.path(b), amb.source)))
 
     f = {pair(1, "alpha", "alpha"): one}
     g = {pair(1, "zeta", "zeta"): one}

@@ -132,5 +132,5 @@ def write_algebra_file(algebra):
             )
         )
     for r in algebra.relations:
-        lines.append("relation %s" % " ".join(q.arrow_names[a] for a in r.arrows))
+        lines.append("relation %s" % " ".join(q.arrow_names[a] for a in r))
     return "\n".join(lines) + "\n"

@@ -182,7 +182,6 @@ class AmbiguityTable:
 
     def _extend(self):
         q = self.algebra.quiver
-        rel_arrows = self.algebra._rel_arrows
         n = len(self._degrees) - 1  # degree being generated
         prev = self._degrees[-1]
         extensions = self._extensions
@@ -207,7 +206,7 @@ class AmbiguityTable:
         assert tails.keys() == heads.keys(), f"left/right ambiguity generation disagree at degree {n}"
         if n == 1:
             # degree 1 must reproduce the minimal relation set exactly
-            assert tails.keys() == set(rel_arrows)
+            assert tails.keys() == set(self.algebra.relations)
 
         words = sorted(tails)
         words.sort(key=len)  # stable: path order, by length then word
@@ -220,7 +219,7 @@ class AmbiguityTable:
     def _extensions(self, candidates, end):
         """candidates(relations, end): the pieces that extend a chain whose end
         piece is end, on the side that candidates finds; computed once per table."""
-        return candidates(self.algebra._rel_arrows, end)
+        return candidates(self.algebra.relations, end)
 
     # -- truncations and divisor structure ------------------------------------
 
@@ -228,9 +227,8 @@ class AmbiguityTable:
         """amb = prefix-part · b · suffix-part with i + j = degree − 1.
 
         Returns (v_0…v_i, b, u_0…u_j): the prefix and suffix truncations,
-        walked along the head and tail links, and the index in
-        ``algebra.basis`` of the middle remainder b, which always lies in the
-        basis.
+        walked along the head and tail links, and the basis index b of the
+        middle remainder, which always lies in the basis.
         """
         n = amb.degree
         assert i + j == n - 1 and i >= -1 and j >= -1

@@ -11,7 +11,7 @@ and the differential is the classical alternating sum
 with all products reduced in the algebra.  Tuples are written in function
 order, so the composite of (a1, ..., an) traverses a_n first.
 
-A pair is (tuple, value) in indices of ``algebra.basis``, and a pair's
+A pair is (tuple, value) in basis indices of the algebra, and a pair's
 row is placed by the algebra's ``parallel`` and ``position``.  The
 products a column reads come from concatenating basis words here, once
 per algebra and reused in every degree; the algebra's product table is

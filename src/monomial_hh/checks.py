@@ -120,7 +120,7 @@ def algebra_summary(algebra):
             }
             for i in range(q.n_arrows)
         ],
-        "relations": [r.word() for r in algebra.relations],
+        "relations": [q.word(r, q.arrow_source[r[0]]) for r in algebra.relations],
         "dim": algebra.dim,
         "triangular": is_triangular(algebra),
     }

@@ -70,19 +70,13 @@ def _load(path, field_spec=None):
     return algebra
 
 
-def _path_row(p):
-    q = p.quiver
-    return {
-        "word": p.word(),
-        "source": q.vertex_names[p.source],
-        "target": q.vertex_names[p.target],
-        "length": len(p),
-    }
-
-
 def cmd_basis(args):
     algebra = _load(args.file)
-    rows = [_path_row(p) for p in algebra.basis]
+    q = algebra.quiver
+    rows = [
+        {"word": q.word(w, s), "source": q.vertex_names[s], "target": q.vertex_names[t], "length": len(w)}
+        for w, s, t in zip(algebra.words, algebra.source, algebra.target)
+    ]
     if args.json:
         _emit_json({"schema": SCHEMA, "command": "basis", "dim": algebra.dim, "basis": rows})
     else:

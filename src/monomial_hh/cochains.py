@@ -1,7 +1,8 @@
 """Hochschild cochains on parallel pairs, their differentials, and cohomology.
 
 A degree-m cochain assigns scalars to pairs (p, b) with p an ambiguity of
-degree m-1 and b the index of a parallel basis path in ``algebra.basis``.
+degree m-1 and b the basis index of a parallel path (``words[b]`` from
+``source[b]`` to ``target[b]``).
 The pairs of degree m run ambiguity by ambiguity, each ambiguity's block
 in the order of its ``parallel`` tuple, so a pair's index is its
 ambiguity's offset plus ``algebra.position[b]`` (0 for a trivial b, which

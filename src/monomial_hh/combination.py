@@ -1,8 +1,9 @@
 """Finite sparse integer combinations of keyed terms.
 
 The resolution's (pre, amb, post) triples and the diagonal's quintuples
-are the elements built this way, their path slots held as indices into
-``algebra.basis``; cochains are plain vectors over the pair basis (see
+are the elements built this way, their path slots held as basis indices
+i of the algebra (``words[i]``, ``source[i]``, ``target[i]``); cochains
+are plain vectors over the pair basis (see
 ``cochains``).  The kind of an element is its key check,
 ``check(key, degree)``, which asserts that a key belongs to that kind at
 that degree, endpoints included: the resolution and the diagonal bind

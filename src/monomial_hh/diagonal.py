@@ -2,9 +2,9 @@
 
 A term of the tensor square is a quintuple (pre, first, mid, second, post)
 composing in traversal order; `first` is the traversal-earlier ambiguity
-factor and `second` the later one, and pre, mid and post are indices into
-``algebra.basis``, whose words and products come from the algebra's
-basis index.  In the written form c (x) q2 (x) b (x) q1 (x) a the slots
+factor and `second` the later one, and pre, mid and post are basis
+indices i of the algebra, whose words (``words[i]``), endpoints and
+products come from the algebra's basis index.  In the written form c (x) q2 (x) b (x) q1 (x) a the slots
 are a = pre, q1 = first, b = mid, q2 = second, c = post, so the
 homological degree of the written-left factor is second.degree + 1.  That
 degree drives the Koszul sign.

@@ -2,7 +2,7 @@
 
 Orientation convention
 ----------------------
-Paths are stored in traversal order: ``arrows[0]`` is traversed first.
+Arrow words are stored in traversal order: ``word[0]`` is traversed first.
 Mathematical writing usually composes right-to-left like functions, so a
 written word names the *reverse* of its traversal sequence.  The helper
 ``path_from_word`` is the single place in this package where the written
@@ -11,10 +11,11 @@ this dictionary, a written product ``q·p`` traverses p first, a written
 "prefix" divisor is a traversal-initial segment and a written "suffix" is
 a traversal-final segment.
 
-The layers below the command line carry a path as its arrow word and
-source vertex (a basis index, an ambiguity), and ``Quiver.word`` and
-``Quiver.display`` are the one place that renders such a pair as text;
-``Path`` renders through them.
+A path is its arrow-index word in traversal order plus its end vertices:
+a basis index of the algebra, an ambiguity or a relation.  ``Quiver.path``
+and ``path_from_word`` parse arrow names into a word, and ``Quiver.word``
+and ``Quiver.display`` are the one place that renders a word and its
+source vertex as text.
 """
 
 from __future__ import annotations
@@ -69,11 +70,8 @@ class Quiver:
     def n_arrows(self) -> int:
         return len(self.arrow_names)
 
-    def trivial_path_at(self, vertex_idx: int) -> "Path":
-        return Path(self, vertex_idx, ())
-
-    def path(self, arrow_names) -> "Path":
-        """Build a path from arrow names in traversal order."""
+    def path(self, arrow_names) -> tuple:
+        """The arrow-index word of arrow names in traversal order."""
         if isinstance(arrow_names, str):
             arrow_names = arrow_names.split()
         idxs = []
@@ -82,17 +80,13 @@ class Quiver:
                 raise NonComposableRelation(f"unknown arrow {a!r}")
             idxs.append(self.arrow_index[a])
         if not idxs:
-            raise ValueError("empty arrow list; use trivial_path_at for vertices")
+            raise ValueError("empty arrow list; a vertex has no arrow word")
         for k in range(len(idxs) - 1):
             if self.arrow_target[idxs[k]] != self.arrow_source[idxs[k + 1]]:
                 raise NonComposableRelation(
                     f"arrows {arrow_names[k]!r} and {arrow_names[k+1]!r} do not compose"
                 )
-        return Path(self, self.arrow_source[idxs[0]], tuple(idxs))
-
-    def path_from_arrows(self, idxs: tuple) -> "Path":
-        """Internal: trusted arrow index tuple, already composable."""
-        return Path(self, self.arrow_source[idxs[0]], idxs)
+        return tuple(idxs)
 
     def word(self, arrows: tuple, source: int) -> str:
         """Written (right-to-left) rendering: last-traversed arrow first; ``e(v)`` if empty."""
@@ -114,58 +108,8 @@ class Quiver:
         return f"Quiver({self.n_vertices} vertices, {self.n_arrows} arrows)"
 
 
-class Path:
-    """An oriented path; immutable, hashable, ordered deterministically.
-
-    ``arrows`` holds arrow indices in traversal order; a trivial path has
-    an empty tuple and remembers its vertex in ``source``.
-    """
-
-    __slots__ = ("quiver", "source", "arrows", "_hash")
-
-    def __init__(self, quiver: Quiver, source: int, arrows: tuple):
-        self.quiver = quiver
-        self.source = source
-        self.arrows = arrows
-        self._hash = hash((source, arrows))
-
-    @property
-    def target(self) -> int:
-        if self.arrows:
-            return self.quiver.arrow_target[self.arrows[-1]]
-        return self.source
-
-    def __len__(self):
-        return len(self.arrows)
-
-    def sort_key(self):
-        return (len(self.arrows), self.arrows, self.source)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Path)
-            and self.source == other.source
-            and self.arrows == other.arrows
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def display(self) -> str:
-        return self.quiver.display(self.arrows, self.source)
-
-    def word(self) -> str:
-        return self.quiver.word(self.arrows, self.source)
-
-    def __repr__(self):
-        return f"Path({self.display()})"
-
-
-def path_from_word(quiver: Quiver, word) -> Path:
-    """Build a path from arrow names in *written* order (right-to-left).
+def path_from_word(quiver: Quiver, word) -> tuple:
+    """The arrow-index word of arrow names in *written* order (right-to-left).
 
     This is the only conversion point between the written convention and
     traversal order: ``path_from_word(q, "beta zeta")`` traverses ``zeta``
@@ -179,42 +123,31 @@ def path_from_word(quiver: Quiver, word) -> Path:
 class MonomialAlgebra:
     """kQ/I for a monomial ideal I, with the relation-free path basis B.
 
-    ``basis`` is sorted by (length, arrow indices, source); ``relations`` is
-    the minimized generating set, sorted the same way.  Construction reads
-    both finite-dimensionality and B off one relation automaton (see
-    ``_read_automaton``).
+    ``relations`` is the minimized generating set of arrow-index words,
+    sorted by (length, word).  Construction reads both finite-dimensionality
+    and B off one relation automaton (see ``_read_automaton``).
 
     The basis is indexed here, once, and every layer reads the index:
-    index i names ``basis[i]``, and since B sorts by length first, the
-    trivial path at vertex v is index v.  ``words``, ``source`` and
-    ``target`` give each index's arrow word and endpoints, and
-    ``word_index`` maps the word of each nontrivial basis path back to its
-    index.  ``leaving[v]`` holds the indices that start at vertex v, and
-    ``parallel[(s, t)]`` those from s to t for every pair of vertices
-    (empty when none), both in basis order; ``position[i]`` is i's place in
-    its ``parallel`` tuple.  Nothing changes after construction except the
-    product table that ``mul`` fills, one row per left factor, the first
-    time a product with that factor is asked.
+    index i names the path with arrow word ``words[i]`` from ``source[i]``
+    to ``target[i]``.  B is sorted by (length, word, source), so the
+    trivial path at vertex v is index v.  ``word_index`` maps the word of
+    each nontrivial basis path back to its index.  ``leaving[v]`` holds the
+    indices that start at vertex v, and ``parallel[(s, t)]`` those from s
+    to t for every pair of vertices (empty when none), both in basis order;
+    ``position[i]`` is i's place in its ``parallel`` tuple.  Nothing changes
+    after construction except the product table that ``mul`` fills, one row
+    per left factor, the first time a product with that factor is asked.
     """
 
     def __init__(self, quiver: Quiver, relations, field=QQ):
         self.quiver = quiver
         self.field = field
-        rels = []
-        for r in relations:
-            if not isinstance(r, Path):
-                r = quiver.path(r)
-            if len(r.arrows) < 2:
-                raise ValueError(f"relation {r!r} has length < 2")
-            rels.append(r)
-        self.relations = tuple(sorted(_minimize(rels), key=Path.sort_key))
-        self._rel_arrows = tuple(r.arrows for r in self.relations)
-        self.basis = tuple(self._read_automaton())
-        self.dim = len(self.basis)
+        self.relations = tuple(sorted(_minimize(relations), key=lambda r: (len(r), r)))
+        if self.relations and len(self.relations[0]) < 2:  # the shortest relation comes first
+            raise ValueError(f"relation {self.relations[0]!r} has length < 2")
+        self.words, self.source, self.target = map(tuple, zip(*self._read_automaton()))
+        self.dim = len(self.words)
         n = quiver.n_vertices
-        self.words = tuple(p.arrows for p in self.basis)
-        self.source = tuple(p.source for p in self.basis)
-        self.target = tuple(p.target for p in self.basis)
         assert self.words[:n] == ((),) * n and self.source[:n] == tuple(range(n)), "vertex v is not index v"
         self.word_index = {w: i for i, w in enumerate(self.words) if w}
         leaving = [[] for _ in range(n)]
@@ -230,7 +163,8 @@ class MonomialAlgebra:
     # -- construction helpers -------------------------------------------------
 
     def _read_automaton(self):
-        """The basis, read off the relation automaton; raises when A is infinite.
+        """The basis as (word, source, target), read off the relation automaton;
+        raises when A is infinite.
 
         A state is (w, v): w the longest suffix of the word read so far that
         is a proper prefix of a relation, v the vertex where the word ends.
@@ -246,7 +180,7 @@ class MonomialAlgebra:
         the first back edge, before the rest of its automaton is built.
         """
         q = self.quiver
-        rels = set(self._rel_arrows)
+        rels = set(self.relations)
         known = rels | {r[:k] for r in rels for k in range(1, len(r))}
         states = [((), v) for v in range(q.n_vertices)]  # root v is state v
         index = {state: i for i, state in enumerate(states)}
@@ -288,16 +222,12 @@ class MonomialAlgebra:
                 else:
                     colour[i] = 2
                     stack.pop()
-        basis = [q.trivial_path_at(v) for v in range(q.n_vertices)]
-        frontier = list(enumerate(basis))
+        basis = [((), v, v) for v in range(q.n_vertices)]
+        frontier = [(v, (), v) for v in range(q.n_vertices)]  # (state, word, source)
         while frontier:
-            nxt = []
-            for i, p in frontier:
-                for a, j in steps[i]:
-                    nxt.append((j, Path(q, p.source, p.arrows + (a,))))
-            basis.extend(p for _, p in nxt)
-            frontier = nxt
-        basis.sort(key=Path.sort_key)
+            frontier = [(j, w + (a,), s) for i, w, s in frontier for a, j in steps[i]]
+            basis.extend((w, s, states[j][1]) for j, w, s in frontier)
+        basis.sort(key=lambda p: (len(p[0]), p[0], p[1]))
         return basis
 
     # -- queries ---------------------------------------------------------------
@@ -359,23 +289,15 @@ def _has_cycle(edges) -> bool:
 
 def _minimize(relations):
     """Drop duplicates and any relation containing another as a factor."""
-    uniq = []
-    seen = set()
-    for r in relations:
-        if r.arrows not in seen:
-            seen.add(r.arrows)
-            uniq.append(r)
+    uniq = list(dict.fromkeys(relations))
     out = []
     for r in uniq:
         redundant = False
         for s in uniq:
-            if s.arrows == r.arrows or len(s.arrows) > len(r.arrows):
+            if s == r or len(s) > len(r):
                 continue
-            ls = len(s.arrows)
-            if any(
-                r.arrows[k : k + ls] == s.arrows
-                for k in range(len(r.arrows) - ls + 1)
-            ):
+            ls = len(s)
+            if any(r[k : k + ls] == s for k in range(len(r) - ls + 1)):
                 redundant = True
                 break
         if not redundant:

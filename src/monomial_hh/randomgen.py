@@ -46,10 +46,10 @@ def _sample_relation(rng, quiver, length):
     word = _sample_walk(rng, quiver, length)
     if len(word) < length:
         return None
-    return quiver.path_from_arrows(tuple(word))
+    return tuple(word)
 
 
-def _window_relations(rng, quiver, walk, count):
+def _window_relations(rng, walk, count):
     """Windows carved from one walk; overlaps are what feed deep ambiguity chains."""
     rels = []
     top = min(MAX_RELATION_LENGTH, len(walk))
@@ -64,12 +64,12 @@ def _window_relations(rng, quiver, walk, count):
         else:
             length = rng.randint(MIN_RELATION_LENGTH, top)
         for start in range(min(count, len(walk) - length + 1)):
-            rels.append(quiver.path_from_arrows(tuple(walk[start : start + length])))
+            rels.append(tuple(walk[start : start + length]))
         return rels
     for _ in range(count):
         length = rng.randint(MIN_RELATION_LENGTH, top)
         start = rng.randrange(len(walk) - length + 1)
-        rels.append(quiver.path_from_arrows(tuple(walk[start : start + length])))
+        rels.append(tuple(walk[start : start + length]))
     return rels
 
 
@@ -117,7 +117,7 @@ def _try_sample(rng, config):
         # max of two draws: biased toward several relations, zero still possible
         nr = max(rng.randint(0, MAX_RELATIONS), rng.randint(0, MAX_RELATIONS))
         if nr and spine and rng.random() < 0.7:
-            relations = _window_relations(rng, quiver, spine, nr)
+            relations = _window_relations(rng, spine, nr)
         if nr and not relations:
             for _ in range(nr):
                 length = rng.randint(MIN_RELATION_LENGTH, MAX_RELATION_LENGTH)
@@ -148,12 +148,8 @@ def _rebuild_without_arrow(algebra, idx):
         for j in keep
     ]
     new_q = Quiver(q.vertex_names, arrows)
-    rel_words = []
-    for r in algebra.relations:
-        if idx in r.arrows:
-            continue
-        rel_words.append([q.arrow_names[a] for a in r.arrows])
-    return build_algebra(new_q, [new_q.path(w) for w in rel_words], algebra.field)
+    relations = [new_q.path([q.arrow_names[a] for a in r]) for r in algebra.relations if idx not in r]
+    return build_algebra(new_q, relations, algebra.field)
 
 
 def shrink_algebra(algebra, predicate):

@@ -1,8 +1,9 @@
 """Minimal bimodule resolution built on the ambiguity chains.
 
 Elements of the degree-n term are sparse integer combinations of triples
-(pre, amb, post) with amb an ambiguity of degree n and pre, post indices
-into ``algebra.basis``, composing traversal-first to traversal-last as
+(pre, amb, post) with amb an ambiguity of degree n and pre, post basis
+indices i of the algebra (``words[i]`` from ``source[i]`` to
+``target[i]``), composing traversal-first to traversal-last as
 pre * amb * post.  The homological index of that term is n + 1; the bottom
 term (n = -1) is spanned by (pre, e_v, post) triples and augments onto the
 algebra, whose elements are {basis index: int}.  Words, endpoints and

@@ -1,14 +1,89 @@
 """Small constructions that only the tests need, shared by several modules."""
 
+import functools
 import itertools
 
 from monomial_hh.cochains import pair_basis
-from monomial_hh.quivers import Path
+from monomial_hh.quivers import path_from_word
+
+
+class Path:
+    """An oriented path; immutable, hashable, ordered deterministically.
+
+    The library carries a path as its arrow word and end vertices; this is
+    the key type of the Path-keyed reference route in ``reference_scans``
+    and of the test bodies that write paths.  ``arrows`` holds arrow
+    indices in traversal order; a trivial path has an empty tuple and
+    remembers its vertex in ``source``.
+    """
+
+    __slots__ = ("quiver", "source", "arrows", "_hash")
+
+    def __init__(self, quiver, source, arrows):
+        self.quiver = quiver
+        self.source = source
+        self.arrows = arrows
+        self._hash = hash((source, arrows))
+
+    @property
+    def target(self):
+        if self.arrows:
+            return self.quiver.arrow_target[self.arrows[-1]]
+        return self.source
+
+    def __len__(self):
+        return len(self.arrows)
+
+    def sort_key(self):
+        return (len(self.arrows), self.arrows, self.source)
+
+    def __eq__(self, other):
+        return isinstance(other, Path) and self.source == other.source and self.arrows == other.arrows
+
+    def __hash__(self):
+        return self._hash
+
+    def __lt__(self, other):
+        return self.sort_key() < other.sort_key()
+
+    def display(self):
+        return self.quiver.display(self.arrows, self.source)
+
+    def word(self):
+        return self.quiver.word(self.arrows, self.source)
+
+    def __repr__(self):
+        return f"Path({self.display()})"
+
+
+def word_path(quiver, word):
+    """The path of a nonempty arrow-index word, such as a relation."""
+    return Path(quiver, quiver.arrow_source[word[0]], tuple(word))
+
+
+def path(quiver, names):
+    """The path of arrow names in traversal order, checked by ``Quiver.path``."""
+    return word_path(quiver, quiver.path(names))
+
+
+def written(quiver, word):
+    """The path of arrow names in written (right-to-left) order, checked by ``path_from_word``."""
+    return word_path(quiver, path_from_word(quiver, word))
 
 
 def vertex(quiver, name):
     """The trivial path at the vertex called name."""
-    return quiver.trivial_path_at(quiver.vertex_index[str(name)])
+    return Path(quiver, quiver.vertex_index[str(name)], ())
+
+
+@functools.lru_cache(maxsize=64)
+def basis_paths(algebra):
+    """The basis as paths, in basis order: index i is ``words[i]`` from ``source[i]``.
+
+    Cached per algebra, since the test bodies map pairs through it again and
+    again; a path is immutable, so the tuple is shared.
+    """
+    return tuple(Path(algebra.quiver, s, w) for w, s in zip(algebra.words, algebra.source))
 
 
 def amb_path(table, amb):
@@ -25,8 +100,8 @@ def by_path(table, n, path):
 
 
 def index_of(table, path):
-    """The position of a basis path in ``algebra.basis``."""
-    basis = table.algebra.basis
+    """The basis index of a basis path."""
+    basis = basis_paths(table.algebra)
     assert path in basis, "%r is not a basis path" % path
     return basis.index(path)
 
@@ -53,7 +128,7 @@ def path_pairs(table, m):
     The one place the tests translate between the library's index-keyed
     pairs and the path-keyed pairs that test bodies write.
     """
-    basis = table.algebra.basis
+    basis = basis_paths(table.algebra)
     return [(amb, basis[b]) for amb, b in pair_basis(table, m)]
 
 
@@ -68,7 +143,7 @@ def vector(table, m, terms):
     for (amb, b), c in terms.items():
         assert amb.degree == m - 1
         assert amb.source == b.source and amb.target == b.target
-        assert b in table.algebra.basis
+        assert b in basis_paths(table.algebra)
         out[pairs.index((amb, b))] = c
     return out
 

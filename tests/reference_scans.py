@@ -39,9 +39,9 @@ from monomial_hh.combination import Combination
 from monomial_hh.diagonal import diagonal
 from monomial_hh.errors import DegreeUnderflow, ImageNotInKernel, InfiniteDimensional, NonComposableRelation
 from monomial_hh.linalg import RowBasis, SparseMatrix
-from monomial_hh.quivers import Path, _has_cycle
+from monomial_hh.quivers import _has_cycle
 
-from helpers import amb_path
+from helpers import Path, amb_path, basis_paths
 
 
 def vertex_at(p, k):
@@ -101,7 +101,7 @@ def reduce_concat(algebra, *paths):
     path of the vertex every input sits at.
     """
     i = algebra.find(concat(*paths).arrows, paths[0].source)
-    return None if i is None else algebra.basis[i]
+    return None if i is None else Path(algebra.quiver, algebra.source[i], algebra.words[i])
 
 
 def is_basis(algebra, p):
@@ -111,7 +111,7 @@ def is_basis(algebra, p):
 
 def nontrivial_basis(algebra):
     """The basis paths of positive length, in basis order."""
-    return tuple(p for p in algebra.basis if p.arrows)
+    return tuple(p for p in basis_paths(algebra) if p.arrows)
 
 
 def divisor_occurrences(q, p):
@@ -243,8 +243,9 @@ def scan_out_arrows(quiver):
 def scan_parallel(algebra):
     """{(source, target): indices of the basis paths between them}, by a scan of the basis per vertex pair."""
     n = algebra.quiver.n_vertices
+    basis = basis_paths(algebra)
     return {
-        (s, t): tuple(i for i, b in enumerate(algebra.basis) if b.source == s and b.target == t)
+        (s, t): tuple(i for i, b in enumerate(basis) if b.source == s and b.target == t)
         for s in range(n)
         for t in range(n)
     }
@@ -252,12 +253,8 @@ def scan_parallel(algebra):
 
 def scan_pair_basis(table, m):
     """Degree-m (ambiguity, parallel basis path) pairs, by a scan of the basis per ambiguity."""
-    return [
-        (amb, b)
-        for amb in table.degree(m - 1)
-        for b in table.algebra.basis
-        if b.source == amb.source and b.target == amb.target
-    ]
+    basis = basis_paths(table.algebra)
+    return [(amb, b) for amb in table.degree(m - 1) for b in basis if b.source == amb.source and b.target == amb.target]
 
 
 def bar_tuples(algebra, n):
@@ -317,8 +314,9 @@ def scan_bar_differential_matrix(algebra, pairs_lo, pairs_hi):
 def scan_bar_pairs(algebra, n):
     """Degree-n bar cochain pairs, Path-keyed, by a scan of the basis per tuple."""
     out = []
+    basis = basis_paths(algebra)
     for t in bar_tuples(algebra, n):
-        for b in algebra.basis:
+        for b in basis:
             if t:
                 if b.source == t[-1].source and b.target == t[0].target:
                     out.append((t, b))
@@ -331,9 +329,10 @@ def scan_right_spanning_set(table, degree):
     """Right-module generators 1 (x) p (x) b, Path-keyed, by a scan of the basis per ambiguity."""
     alg = table.algebra
     out = []
+    basis = basis_paths(alg)
     for amb in table.degree(degree):
-        triv = alg.quiver.trivial_path_at(amb.source)
-        for b in alg.basis:
+        triv = Path(alg.quiver, amb.source, ())
+        for b in basis:
             if b.source == amb.target:
                 out.append(path_triples(degree, {(triv, amb, b): 1}))
     return out
@@ -374,7 +373,7 @@ def to_paths(table, x):
     The kind follows the key length; an empty element equals the empty
     element of either kind.
     """
-    basis = table.algebra.basis
+    basis = basis_paths(table.algebra)
     out = {}
     for key, c in x.terms.items():
         out[tuple(part if isinstance(part, Ambiguity) else basis[part] for part in key)] = c
@@ -385,8 +384,8 @@ def to_paths(table, x):
 
 def path_generator(table, amb):
     q = table.algebra.quiver
-    pre = q.trivial_path_at(amb.source)
-    post = q.trivial_path_at(amb.target)
+    pre = Path(q, amb.source, ())
+    post = Path(q, amb.target, ())
     return path_triples(amb.degree, {(pre, amb, post): 1})
 
 
@@ -405,10 +404,10 @@ def path_d_terms(table, amb):
     else:
         after = segment(p, len(amb.head.arrows), len(p))
         if is_basis(alg, after):
-            out.append((alg.quiver.trivial_path_at(p.source), amb.head, after, 1))
+            out.append((Path(alg.quiver, p.source, ()), amb.head, after, 1))
         before = segment(p, 0, len(p) - len(amb.tail.arrows))
         if is_basis(alg, before):
-            out.append((before, amb.tail, alg.quiver.trivial_path_at(p.target), -1))
+            out.append((before, amb.tail, Path(alg.quiver, p.target, ()), -1))
     return out
 
 
@@ -541,7 +540,7 @@ def scan_is_finite(quiver, rel_arrows):
 
 def scan_basis(quiver, rel_arrows):
     """The relation-free paths of a finite A, by a frontier, in basis order."""
-    out = [quiver.trivial_path_at(v) for v in range(quiver.n_vertices)]
+    out = [Path(quiver, v, ()) for v in range(quiver.n_vertices)]
     frontier = out[:]
     while frontier:
         nxt = []
@@ -579,7 +578,7 @@ def bfs_read_automaton(quiver, rel_arrows):
         steps.append(out)
     if _has_cycle([[j for _, j in out] for out in steps]):
         raise InfiniteDimensional("arbitrarily long relation-free paths exist")
-    basis = [quiver.trivial_path_at(v) for v in range(quiver.n_vertices)]
+    basis = [Path(quiver, v, ()) for v in range(quiver.n_vertices)]
     frontier = list(enumerate(basis))
     while frontier:
         nxt = []

@@ -19,12 +19,11 @@ from monomial_hh.cochains import (
     is_cocycle,
 )
 from monomial_hh.cup import cup_products
-from monomial_hh.quivers import path_from_word
 from monomial_hh.randomgen import RandomAlgebraConfig
 from monomial_hh.checks import run_random_suite
 from monomial_hh.cli import _pieces
 
-from helpers import amb_path, by_path, difference, vector
+from helpers import Path, amb_path, basis_paths, by_path, difference, path, vector, word_path, written
 from reference_scans import amb_suffix
 
 GENERAL_SEED = 7
@@ -70,7 +69,7 @@ def test_criterion_2_cone_cup_products(cone):
         spaces = hochschild_cohomology(t, 4)
 
         def word(w):
-            return path_from_word(q, w)
+            return written(q, w)
 
         def cup(m, n, f, g):
             return cup_products(t, m, n, [f], [g]).get((0, 0), {})
@@ -79,12 +78,12 @@ def test_criterion_2_cone_cup_products(cone):
             t,
             2,
             {
-                (by_path(t, 1, word("alpha zeta alpha")), q.path("alpha")): one,
-                (by_path(t, 1, word("zeta alpha zeta")), q.path("zeta")): one,
+                (by_path(t, 1, word("alpha zeta alpha")), path(q, "alpha")): one,
+                (by_path(t, 1, word("zeta alpha zeta")), path(q, "zeta")): one,
             },
         )
-        f = vector(t, 1, {(by_path(t, 0, q.path("alpha")), q.path("alpha")): one})
-        g = vector(t, 1, {(by_path(t, 0, q.path("zeta")), q.path("zeta")): one})
+        f = vector(t, 1, {(by_path(t, 0, path(q, "alpha")), path(q, "alpha")): one})
+        g = vector(t, 1, {(by_path(t, 0, path(q, "zeta")), path(q, "zeta")): one})
         for c, d in ((w, 2), (f, 1), (g, 1)):
             assert is_cocycle(t, d, c)
 
@@ -112,7 +111,7 @@ def test_criterion_3_one_order_is_a_coboundary(triangular_a6):
         one = triangular_a6.field.one
 
         def word(w):
-            return path_from_word(q, w)
+            return written(q, w)
 
         x = vector(
             t,
@@ -147,25 +146,23 @@ def test_criterion_4_ambiguity_fixtures(square, cone, triangular_a6, truncated_c
         for alg in (square, cone, triangular_a6, truncated_cycle, a2, point):
             t = AmbiguityTable(alg)
             q = alg.quiver
-            assert {amb_path(t, a) for a in t.degree(-1)} == {
-                q.trivial_path_at(v) for v in range(q.n_vertices)
-            }
-            assert {amb_path(t, a) for a in t.degree(0)} == {q.path(n) for n in q.arrow_names}
-            assert {amb_path(t, a) for a in t.degree(1)} == set(alg.relations)
+            assert {amb_path(t, a) for a in t.degree(-1)} == {Path(q, v, ()) for v in range(q.n_vertices)}
+            assert {amb_path(t, a) for a in t.degree(0)} == {path(q, n) for n in q.arrow_names}
+            assert {amb_path(t, a) for a in t.degree(1)} == {word_path(q, r) for r in alg.relations}
 
         t = AmbiguityTable(square)
         q = square.quiver
-        adgba = by_path(t, 2, path_from_word(q, "alpha delta gamma beta alpha"))
+        adgba = by_path(t, 2, written(q, "alpha delta gamma beta alpha"))
         assert adgba is not None
         assert _pieces(q, adgba.left_pieces) == "alpha|deltagamma|betaalpha"
 
-        p = by_path(t, 3, path_from_word(q, "gamma beta alpha delta gamma beta alpha"))
+        p = by_path(t, 3, written(q, "gamma beta alpha delta gamma beta alpha"))
         assert p is not None
         assert _pieces(q, p.left_pieces) == "gamma|betaalpha|deltagamma|betaalpha"
         assert _pieces(q, p.right_pieces) == "gammabeta|alphadelta|gammabeta|alpha"
         assert amb_path(t, amb_suffix(p, 1)).word() == "gammabetaalpha"
         _, b, _ = t.split(p, 1, 1)
-        b = square.basis[b]
+        b = basis_paths(square)[b]
         assert b.word() == "delta"
         assert len(b) == 1
 

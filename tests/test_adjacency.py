@@ -13,7 +13,7 @@ from monomial_hh.quivers import build_algebra
 from monomial_hh.resolution import right_spanning_set
 
 from conftest import make_cone
-from helpers import amb_path, pair_key, path_pairs
+from helpers import amb_path, basis_paths, pair_key, path_pairs
 from reference_scans import (
     scan_bar_pairs,
     scan_out_arrows,
@@ -47,7 +47,7 @@ def test_pair_lists_are_sorted_scans(spec):
             want = sorted(
                 scan_bar_pairs(t.algebra, n), key=lambda tb: (tuple(p.sort_key() for p in tb[0]), tb[1].sort_key())
             )
-            basis = t.algebra.basis
+            basis = basis_paths(t.algebra)
             assert [(tuple(basis[i] for i in tb), basis[b]) for tb, b in bar_pairs(t.algebra, n)] == want
 
 
@@ -96,5 +96,5 @@ def test_routes_check_names_a_flipped_sign(spec, monkeypatch):
 
     monkeypatch.setattr(cochains, "_columns", flipped)
     # integer columns, so the flip shows over GF(2) too
-    with pytest.raises(AssertionError, match=re.escape("[%s || %s]" % (amb_path(t, amb).word(), t.algebra.basis[b].word()))):
+    with pytest.raises(AssertionError, match=re.escape("[%s || %s]" % (amb_path(t, amb).word(), basis_paths(t.algebra)[b].word()))):
         check_differential_routes_agree(t, 2)

@@ -6,13 +6,15 @@ from monomial_hh.algfile import parse_algebra_file, write_algebra_file
 from monomial_hh.errors import InfiniteDimensional, ParseError
 from monomial_hh.fields import PrimeField
 
+from helpers import word_path
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_cone_fixture_parses():
     alg = parse_algebra_file((FIXTURES / "example_cone.alg").read_text())
     assert alg.dim == 10
-    assert sorted(r.word() for r in alg.relations) == sorted(
+    assert sorted(word_path(alg.quiver, r).word() for r in alg.relations) == sorted(
         ["betazeta", "zetagamma", "alphazetaalpha", "zetaalphazeta"]
     )
 
@@ -20,7 +22,9 @@ def test_cone_fixture_parses():
 def test_a6_fixture_uses_functional_writing(triangular_a6):
     alg = parse_algebra_file((FIXTURES / "triangular_a6.alg").read_text())
     assert alg.dim == triangular_a6.dim
-    assert [r.word() for r in alg.relations] == [r.word() for r in triangular_a6.relations]
+    assert [word_path(alg.quiver, r).word() for r in alg.relations] == [
+        word_path(triangular_a6.quiver, r).word() for r in triangular_a6.relations
+    ]
 
 
 def test_all_fixture_files_round_trip():
@@ -36,7 +40,9 @@ def test_writing_flag_flips_order():
     base = "field q\nvertices 1 2 3\narrow x: 1 -> 2\narrow y: 2 -> 3\n"
     trav = parse_algebra_file(base + "relation x y\n")
     func = parse_algebra_file(base + "writing functional\nrelation y x\n")
-    assert [r.word() for r in trav.relations] == [r.word() for r in func.relations] == ["yx"]
+    assert [word_path(trav.quiver, r).word() for r in trav.relations] == [
+        word_path(func.quiver, r).word() for r in func.relations
+    ] == ["yx"]
 
 
 def test_field_line():

@@ -5,10 +5,10 @@ from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cli import _pieces
 from monomial_hh.errors import DegreeUnderflow
-from monomial_hh.quivers import Quiver, build_algebra, path_from_word
+from monomial_hh.quivers import Quiver, build_algebra
 
 from conftest import make_cone, make_truncated_cycle_3_2
-from helpers import amb_path, by_path, loops_algebra_text, vertex
+from helpers import Path, amb_path, basis_paths, by_path, loops_algebra_text, path, vertex, word_path, written
 from reference_scans import amb_prefix, amb_suffix, concat, divisor_occurrences
 
 
@@ -19,13 +19,10 @@ def words(t, n):
 def test_low_degrees_every_fixture(cone, square, triangular_a6, truncated_cycle, a2):
     for alg in (cone, square, triangular_a6, truncated_cycle, a2):
         t = AmbiguityTable(alg)
-        assert {amb_path(t, a) for a in t.degree(-1)} == {
-            alg.quiver.trivial_path_at(v) for v in range(alg.quiver.n_vertices)
-        }
-        assert {amb_path(t, a) for a in t.degree(0)} == {
-            alg.quiver.path(n) for n in alg.quiver.arrow_names
-        }
-        assert {amb_path(t, a) for a in t.degree(1)} == set(alg.relations)
+        q = alg.quiver
+        assert {amb_path(t, a) for a in t.degree(-1)} == {Path(q, v, ()) for v in range(q.n_vertices)}
+        assert {amb_path(t, a) for a in t.degree(0)} == {path(q, n) for n in q.arrow_names}
+        assert {amb_path(t, a) for a in t.degree(1)} == {word_path(q, r) for r in alg.relations}
 
 
 def test_degree_underflow(cone):
@@ -54,11 +51,11 @@ def test_cone_gamma2_and_gamma3(cone):
 def test_cone_left_pieces_examples(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
-    zaza = path_from_word(q, "zeta alpha zeta alpha")
+    zaza = written(q, "zeta alpha zeta alpha")
     amb = by_path(t, 2, zaza)
     assert amb is not None
     assert _pieces(q, amb.left_pieces) == "zeta|alphazeta|alpha"
-    azazazg = path_from_word(q, "alpha zeta alpha zeta alpha zeta gamma")
+    azazazg = written(q, "alpha zeta alpha zeta alpha zeta gamma")
     amb4 = by_path(t, 4, azazazg)
     assert amb4 is not None
     assert _pieces(q, amb4.left_pieces) == "alpha|zetaalpha|zeta|alphazeta|gamma"
@@ -68,14 +65,14 @@ def test_square_decompositions(square):
     t = AmbiguityTable(square)
     q = square.quiver
     assert words(t, 2) == {"gammabetaalphadeltagamma", "alphadeltagammabetaalpha"}
-    adgba = by_path(t, 2, path_from_word(q, "alpha delta gamma beta alpha"))
+    adgba = by_path(t, 2, written(q, "alpha delta gamma beta alpha"))
     assert _pieces(q, adgba.left_pieces) == "alpha|deltagamma|betaalpha"
 
     assert words(t, 3) == {
         "gammabetaalphadeltagammabetaalpha",
         "alphadeltagammabetaalphadeltagamma",
     }
-    p = by_path(t, 3, path_from_word(q, "gamma beta alpha delta gamma beta alpha"))
+    p = by_path(t, 3, written(q, "gamma beta alpha delta gamma beta alpha"))
     assert _pieces(q, p.left_pieces) == "gamma|betaalpha|deltagamma|betaalpha"
     assert _pieces(q, p.right_pieces) == "gammabeta|alphadelta|gammabeta|alpha"
 
@@ -85,7 +82,7 @@ def test_square_decompositions(square):
     assert amb_path(t, amb_prefix(p, 1)).word() == "gammabetaalpha"
     pre, b, suf = t.split(p, 1, 1)
     assert (pre, suf) == (amb_prefix(p, 1), amb_suffix(p, 1))
-    b = square.basis[b]
+    b = basis_paths(square)[b]
     assert b.word() == "delta"
     assert len(b) == 1
 
@@ -93,6 +90,7 @@ def test_square_decompositions(square):
 def test_split_reassembles(square, cone):
     for alg in (square, cone):
         t = AmbiguityTable(alg)
+        basis = basis_paths(alg)
         for n in range(0, 4):
             for amb in t.degree(n):
                 for i in range(-1, n + 1):
@@ -100,7 +98,7 @@ def test_split_reassembles(square, cone):
                     if j < -1 or j > n:
                         continue
                     pre, b, suf = t.split(amb, i, j)
-                    assert concat(amb_path(t, pre), alg.basis[b], amb_path(t, suf)) == amb_path(t, amb)
+                    assert concat(amb_path(t, pre), basis[b], amb_path(t, suf)) == amb_path(t, amb)
 
 
 def test_truncated_cycle_counts(truncated_cycle):
@@ -191,7 +189,7 @@ def test_candidates_once_per_table(make, top, asked, monkeypatch):
 
 def test_sub_of_arrow_endpoints_source_first(cone):
     t = AmbiguityTable(cone)
-    alpha = by_path(t, 0, cone.quiver.path("alpha"))
+    alpha = by_path(t, 0, path(cone.quiver, "alpha"))
     subs = t.sub(alpha)
     assert len(subs) == 2
     (q0, k0), (q1, k1) = subs
@@ -201,7 +199,7 @@ def test_sub_of_arrow_endpoints_source_first(cone):
 
 def test_sub_ordering_and_overlap(square):
     t = AmbiguityTable(square)
-    p = by_path(t, 3, path_from_word(square.quiver, "gamma beta alpha delta gamma beta alpha"))
+    p = by_path(t, 3, written(square.quiver, "gamma beta alpha delta gamma beta alpha"))
     subs = t.sub(p)
     positions = [k for _, k in subs]
     assert positions == sorted(positions)

@@ -20,7 +20,7 @@ from monomial_hh.quivers import build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import loops_algebra_text
+from helpers import basis_paths, loops_algebra_text
 from reference_scans import scan_bar_differential_matrix, scan_bar_pairs
 from test_incidence import tables
 from test_index_keys import _calls
@@ -68,7 +68,7 @@ def test_cone_dims(cone):
 
 def as_paths(algebra, pairs):
     """Index-form bar pairs as (tuple of basis paths, basis path)."""
-    basis = algebra.basis
+    basis = basis_paths(algebra)
     return [(tuple(basis[i] for i in t), basis[b]) for t, b in pairs]
 
 

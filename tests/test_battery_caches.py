@@ -24,7 +24,7 @@ from monomial_hh.quivers import is_triangular
 from monomial_hh.resolution import differential, homotopy_sigma, right_spanning_set
 
 from conftest import make_cone
-from helpers import loops_algebra_text
+from helpers import basis_paths, loops_algebra_text
 from reference_scans import path_decompositions, path_homotopy_sigma, to_paths
 from test_incidence import tables
 
@@ -200,7 +200,7 @@ def test_warm_decompositions_equal_cold_and_reference(monkeypatch):
     monkeypatch.setattr(AmbiguityTable, "occurrences", counting)
     for spec in ("q", "fp:2"):
         for t in tables(spec):
-            basis = t.algebra.basis
+            basis = basis_paths(t.algebra)
             for n in range(-1, DEGREE):
                 for amb in t.degree(n):
                     for i in range(-1, n + 1):

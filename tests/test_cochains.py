@@ -20,10 +20,10 @@ from monomial_hh.cochains import (
 from monomial_hh.errors import NotACocycle, NotTriangular
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.linalg import quotient_basis
-from monomial_hh.quivers import build_algebra, is_triangular, path_from_word
+from monomial_hh.quivers import build_algebra, is_triangular
 
 from conftest import make_cone
-from helpers import amb_path, by_path, loops_algebra_text, path_pairs, unit_cochain, vector
+from helpers import amb_path, by_path, loops_algebra_text, path, path_pairs, unit_cochain, vector, written
 from reference_scans import amb_prefix, amb_suffix, divisor_occurrences, lookup_columns
 from test_battery_caches import LOOPS
 from test_incidence import DEGREE, tables
@@ -116,8 +116,8 @@ def test_routes_check_fails_on_a_planted_face_class(spec):
 def test_final_example_differential(triangular_a6):
     t = AmbiguityTable(triangular_a6)
     q = triangular_a6.quiver
-    p = by_path(t, 2, path_from_word(q, "a4 a3 a2"))
-    b = path_from_word(q, "g a3 b")
+    p = by_path(t, 2, written(q, "a4 a3 a2"))
+    b = written(q, "g a3 b")
     one = triangular_a6.field.one
     x = vector(t, 3, {(p, b): one})
     dx = cochain_differential(t, 3, x)
@@ -125,8 +125,8 @@ def test_final_example_differential(triangular_a6):
         t,
         4,
         {
-            (by_path(t, 3, path_from_word(q, "a4 a3 a2 a1")), path_from_word(q, "g a3 b a1")): one,
-            (by_path(t, 3, path_from_word(q, "a5 a4 a3 a2")), path_from_word(q, "a5 g a3 b")): one,
+            (by_path(t, 3, written(q, "a4 a3 a2 a1")), written(q, "g a3 b a1")): one,
+            (by_path(t, 3, written(q, "a5 a4 a3 a2")), written(q, "a5 g a3 b")): one,
         },
     )
     assert dx == expected
@@ -137,8 +137,8 @@ def test_unsupported_pair_differential_is_zero(triangular_a6):
     # the top ambiguity divides nothing higher
     t = AmbiguityTable(triangular_a6)
     q = triangular_a6.quiver
-    top = by_path(t, 4, path_from_word(q, "a5 a4 a3 a2 a1"))
-    x = vector(t, 5, {(top, path_from_word(q, "a5 g a3 b a1")): triangular_a6.field.one})
+    top = by_path(t, 4, written(q, "a5 a4 a3 a2 a1"))
+    x = vector(t, 5, {(top, written(q, "a5 g a3 b a1")): triangular_a6.field.one})
     assert cochain_differential(t, 5, x) == {}
 
 
@@ -155,7 +155,7 @@ def test_class_vector_rejects_non_cocycle(triangular_a6):
     spaces = hochschild_cohomology(t, 1)
     # swapping a2 for its parallel arrow b is not a cocycle: the relations
     # a3*a2 and a2*a1 deform to basis paths
-    x = vector(t, 1, {(by_path(t, 0, q.path("a2")), q.path("b")): triangular_a6.field.one})
+    x = vector(t, 1, {(by_path(t, 0, path(q, "a2")), path(q, "b")): triangular_a6.field.one})
     assert not is_cocycle(t, 1, x)
     with pytest.raises(NotACocycle):
         class_vector(spaces[1], t, x)
@@ -165,7 +165,7 @@ def test_class_vector_runs_no_differential(triangular_a6, cone, monkeypatch):
     t = AmbiguityTable(triangular_a6)
     q = triangular_a6.quiver
     spaces = hochschild_cohomology(t, 1)
-    x = vector(t, 1, {(by_path(t, 0, q.path("a2")), q.path("b")): triangular_a6.field.one})
+    x = vector(t, 1, {(by_path(t, 0, path(q, "a2")), path(q, "b")): triangular_a6.field.one})
     assert not is_cocycle(t, 1, x)
     tc = AmbiguityTable(cone)
     cone_spaces = hochschild_cohomology(tc, 3)

@@ -26,12 +26,12 @@ from monomial_hh.diagonal import check_chain_map, diagonal
 from monomial_hh.errors import NotACocycle, NotTriangular
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis
-from monomial_hh.quivers import build_algebra, path_from_word
+from monomial_hh.quivers import build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone
-from helpers import amb_path, by_path, is_quadratic, loops_algebra_text, path_pairs, unit_cochain, vector
-from reference_scans import concat, is_trivial, reduce_concat, segment, term_constants, to_paths
+from helpers import amb_path, by_path, is_quadratic, loops_algebra_text, path, path_pairs, unit_cochain, vector, written
+from reference_scans import concat, reduce_concat, segment, term_constants, to_paths
 from test_incidence import CUP_DEGREE, tables
 
 
@@ -258,16 +258,16 @@ def _a6_xy(alg):
         t,
         2,
         {
-            (by_path(t, 1, path_from_word(q, "a4 a3")), path_from_word(q, "g a3")): one,
-            (by_path(t, 1, path_from_word(q, "a5 a4")), path_from_word(q, "a5 g")): one,
+            (by_path(t, 1, written(q, "a4 a3")), written(q, "g a3")): one,
+            (by_path(t, 1, written(q, "a5 a4")), written(q, "a5 g")): one,
         },
     )
     y = vector(
         t,
         2,
         {
-            (by_path(t, 1, path_from_word(q, "a2 a1")), path_from_word(q, "b a1")): one,
-            (by_path(t, 1, path_from_word(q, "a3 a2")), path_from_word(q, "a3 b")): one,
+            (by_path(t, 1, written(q, "a2 a1")), written(q, "b a1")): one,
+            (by_path(t, 1, written(q, "a3 a2")), written(q, "a3 b")): one,
         },
     )
     return t, x, y
@@ -281,8 +281,8 @@ def _cone_w(cone):
         t,
         2,
         {
-            (by_path(t, 1, path_from_word(q, "alpha zeta alpha")), q.path("alpha")): one,
-            (by_path(t, 1, path_from_word(q, "zeta alpha zeta")), q.path("zeta")): one,
+            (by_path(t, 1, written(q, "alpha zeta alpha")), path(q, "alpha")): one,
+            (by_path(t, 1, written(q, "zeta alpha zeta")), path(q, "zeta")): one,
         },
     )
     return t, w
@@ -295,7 +295,7 @@ def test_final_example_one_order_vanishes(triangular_a6):
     yx = product(t, 2, 2, y, x)
     # y cup x is exactly the differential of the parallel pair from the text
     witness = vector(
-        t, 3, {(by_path(t, 2, path_from_word(q, "a4 a3 a2")), path_from_word(q, "g a3 b")): triangular_a6.field.one}
+        t, 3, {(by_path(t, 2, written(q, "a4 a3 a2")), written(q, "g a3 b")): triangular_a6.field.one}
     )
     assert yx == cochain_differential(t, 3, witness)
     assert yx
@@ -310,17 +310,17 @@ def test_cone_degree1_times_w(cone):
     q = cone.quiver
     one = cone.field.one
     assert is_cocycle(t, 2, w)
-    f = vector(t, 1, {(by_path(t, 0, q.path("alpha")), q.path("alpha")): one})
+    f = vector(t, 1, {(by_path(t, 0, path(q, "alpha")), path(q, "alpha")): one})
     assert is_cocycle(t, 1, f)
     fw = product(t, 1, 2, f, w)
     expected = vector(
-        t, 3, {(by_path(t, 2, path_from_word(q, "zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")): one}
+        t, 3, {(by_path(t, 2, written(q, "zeta alpha zeta alpha")), written(q, "zeta alpha")): one}
     )
     assert fw == expected
     # as classes this equals the (alpha zeta)^2 representative
     spaces = hochschild_cohomology(t, 3)
     target = vector(
-        t, 3, {(by_path(t, 2, path_from_word(q, "alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")): one}
+        t, 3, {(by_path(t, 2, written(q, "alpha zeta alpha zeta")), written(q, "alpha zeta")): one}
     )
     assert is_cocycle(t, 3, target)
     assert class_vector(spaces[3], t, fw) == class_vector(spaces[3], t, target)
@@ -336,8 +336,8 @@ def test_cone_w_squared_exact(cone):
         t,
         4,
         {
-            (by_path(t, 3, path_from_word(q, "alpha zeta alpha zeta alpha zeta")), path_from_word(q, "alpha zeta")): one,
-            (by_path(t, 3, path_from_word(q, "zeta alpha zeta alpha zeta alpha")), path_from_word(q, "zeta alpha")): one,
+            (by_path(t, 3, written(q, "alpha zeta alpha zeta alpha zeta")), written(q, "alpha zeta")): one,
+            (by_path(t, 3, written(q, "zeta alpha zeta alpha zeta alpha")), written(q, "zeta alpha")): one,
         },
     )
     assert ww == expected
@@ -481,7 +481,7 @@ def test_cup_product_reads_the_diagonal(cone, monkeypatch):
     decompositions = diagonal_module._decompositions
 
     def adjacent_only(table, amb, i, j):
-        return [key for key in decompositions(table, amb, i, j) if is_trivial(table.algebra.basis[key[2]])]
+        return [key for key in decompositions(table, amb, i, j) if not table.algebra.words[key[2]]]
 
     monkeypatch.setattr(diagonal_module, "_decompositions", adjacent_only)
     with pytest.raises(AssertionError, match="chain-map"):
@@ -610,8 +610,8 @@ def test_irreducible_components(triangular_a6):
         3,
         {
             (
-                by_path(t, 2, path_from_word(triangular_a6.quiver, "a4 a3 a2")),
-                path_from_word(triangular_a6.quiver, "g a3 b"),
+                by_path(t, 2, written(triangular_a6.quiver, "a4 a3 a2")),
+                written(triangular_a6.quiver, "g a3 b"),
             ): triangular_a6.field.one
         },
     )
@@ -624,8 +624,8 @@ def test_common_factor(triangular_a6):
     t, x, y = _a6_xy(triangular_a6)
     q = triangular_a6.quiver
     got = common_factor(t, 2, x)
-    assert got == (q.path("a4"), q.path("g"))
-    assert common_factor(t, 2, y) == (q.path("a2"), q.path("b"))
+    assert got == (path(q, "a4"), path(q, "g"))
+    assert common_factor(t, 2, y) == (path(q, "a2"), path(q, "b"))
 
 
 def test_one_sided_vanishing_suite_check(triangular_a6, truncated_cycle):

@@ -15,7 +15,7 @@ from monomial_hh.quivers import Quiver, build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import amb_path, by_path, keyed, pair_key, path_pairs, vector
+from helpers import amb_path, basis_paths, by_path, keyed, pair_key, path, path_pairs, vector
 from reference_scans import (
     amb_prefix,
     amb_suffix,
@@ -57,11 +57,11 @@ def tables(spec):
 def test_occurrences_match_scan(spec):
     # ambiguity paths, and the unreduced words amb*post that homotopy_sigma scans
     for t in tables(spec):
-        alg = t.algebra
+        basis = basis_paths(t.algebra)
         for n in range(-1, DEGREE):
             for amb in t.degree(n):
                 p = amb_path(t, amb)
-                words = [p] + [concat(p, post) for post in alg.basis if post.source == amb.target]
+                words = [p] + [concat(p, post) for post in basis if post.source == amb.target]
                 for m in range(-1, n + 2):
                     for word in words:
                         assert t.occurrences(m, word.arrows, word.source) == scan_occurrences(t, m, word)
@@ -70,12 +70,13 @@ def test_occurrences_match_scan(spec):
 def test_truncation_links_match_scan():
     for t in tables("q"):
         q = t.algebra.quiver
+        basis = basis_paths(t.algebra)
         for n in range(-1, DEGREE + 1):
             for amb in t.degree(n):
                 if n == -1:
                     assert (amb.arrows, amb.target) == ((), amb.source) and t.degree(-1)[amb.source] is amb
                 else:
-                    scanned = q.path([q.arrow_names[a] for a in amb.arrows])  # raises unless the word composes
+                    scanned = path(q, [q.arrow_names[a] for a in amb.arrows])  # raises unless the word composes
                     assert (amb.arrows, amb.source, amb.target) == (scanned.arrows, scanned.source, scanned.target)
                 p = amb_path(t, amb)
                 assert by_path(t, n, p) is amb
@@ -86,7 +87,7 @@ def test_truncation_links_match_scan():
                     pre, b, suf = t.split(amb, m, n - 1 - m)
                     assert pre is scan_truncation(t, amb, m, initial=True)
                     assert suf is scan_truncation(t, amb, n - 1 - m, initial=False)
-                    assert t.algebra.basis[b] == segment(p, len(pre.arrows), len(p) - len(suf.arrows))
+                    assert basis[b] == segment(p, len(pre.arrows), len(p) - len(suf.arrows))
                 for pieces in (amb.left_pieces, amb.right_pieces):
                     assert len(pieces) == n + 1 and all(pieces)
                     assert sum(pieces, ()) == amb.arrows

@@ -1,7 +1,9 @@
 """The resolution and the diagonal on basis indices, against the Path-keyed reference route.
 
-Every element is mapped through ``algebra.basis`` and compared term for
-term with the same arithmetic on Path keys in ``reference_scans``.
+Every element is mapped through ``helpers.basis_paths`` and compared term
+for term with the same arithmetic on Path keys in ``reference_scans``.  The
+ast guards at the end keep paths out of the library: it holds arrow words
+and basis indices only.
 """
 
 import ast
@@ -16,6 +18,7 @@ from monomial_hh.diagonal import _decompositions, diagonal, tensor_differential
 from monomial_hh.resolution import _d_terms, differential, generator, homotopy_sigma, right_spanning_set
 
 from conftest import make_cone
+from helpers import Path, basis_paths
 from reference_scans import (
     path_d_terms,
     path_decompositions,
@@ -38,7 +41,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "monomial_hh"
 @pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
 def test_resolution_matches_path_reference(spec):
     for t in tables(spec):
-        basis = t.algebra.basis
+        basis = basis_paths(t.algebra)
         for n in range(0, DEGREE + 1):
             for amb in t.degree(n):
                 faces = [(basis[pre], q, basis[post], sign) for pre, q, post, sign in _d_terms(t, amb)]
@@ -59,7 +62,7 @@ def test_resolution_matches_path_reference(spec):
 @pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
 def test_diagonal_matches_path_reference(spec):
     for t in tables(spec):
-        basis = t.algebra.basis
+        basis = basis_paths(t.algebra)
         for n in range(-1, DEGREE + 1):
             for amb in t.degree(n):
                 for i in range(-1, n + 1):
@@ -80,9 +83,9 @@ def test_basis_index_matches_paths():
     for spec in ("q", "fp:2"):
         for t in tables(spec):
             alg = t.algebra
-            basis = alg.basis
+            basis = basis_paths(alg)
             assert [basis[v] for v in range(alg.quiver.n_vertices)] == [
-                alg.quiver.trivial_path_at(v) for v in range(alg.quiver.n_vertices)
+                Path(alg.quiver, v, ()) for v in range(alg.quiver.n_vertices)
             ]
             assert [(p.arrows, p.source, p.target) for p in basis] == list(zip(alg.words, alg.source, alg.target))
             assert [basis[i] for i in range(alg.dim) if alg.find(alg.words[i], alg.source[i]) != i] == []
@@ -112,12 +115,94 @@ def _calls(module):
     return out
 
 
-@pytest.mark.parametrize("module", ["ambiguities", "resolution", "diagonal", "cup", "cochains"])
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_no_path_arithmetic(module):
     # words and products come from the algebra's basis index and Γ_n's own
     # arrow words, not from paths built or cut per term
     forbidden = {"reduce_concat", "segment", "concat", "vertex_at", "Path", "path_from_arrows", "trivial_path_at"}
     assert not forbidden & _calls(module)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_path_class(module):
+    # a path in the library is its arrow word and end vertices; the Path
+    # class lives in the tests, as the key type of the reference route
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "Path"] == []
+
+
+# calls whose result is an algebra
+ALGEBRA_MAKERS = {
+    "build_algebra",
+    "MonomialAlgebra",
+    "parse_algebra_file",
+    "random_algebra",
+    "shrink_algebra",
+    "_rebuild_without_arrow",
+    "_load",
+}
+
+
+def _private_algebra_attributes(module):
+    """(line, attribute) of each private attribute a module's source reads or writes on an algebra.
+
+    An algebra is a name called ``algebra`` or ``alg``, a name bound by a
+    call in ``ALGEBRA_MAKERS`` or by another algebra name, or an attribute
+    called ``algebra``.
+    """
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    names = {"algebra", "alg"}
+    assigns = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)]
+    grown = True
+    while grown:
+        grown = False
+        for node in assigns:
+            value = node.value
+            if isinstance(value, ast.Call):
+                func = value.func
+                bound = (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in ALGEBRA_MAKERS
+            else:
+                bound = getattr(value, "id", None) in names
+            new = {t.id for t in node.targets if isinstance(t, ast.Name)} - names if bound else set()
+            if new:
+                names |= new
+                grown = True
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            if getattr(owner, "id", None) in names or getattr(owner, "attr", None) == "algebra":
+                out.append((node.lineno, node.attr))
+    return out
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "quivers"])
+def test_no_private_algebra_attributes(module):
+    # every layer reads the algebra's public words, relations and index
+    assert _private_algebra_attributes(module) == []
+
+
+def test_algebra_holds_words_only():
+    cone = make_cone()
+    assert all(r.ok for r in checks.run_checks(cone, 4))
+    assert set(vars(cone)) == {
+        "quiver",
+        "field",
+        "relations",
+        "dim",
+        "words",
+        "source",
+        "target",
+        "word_index",
+        "leaving",
+        "parallel",
+        "position",
+        "_rows",
+    }
+    assert all(type(r) is tuple for r in cone.relations)
 
 
 def _private_table_attributes(module):
@@ -141,7 +226,7 @@ def _private_table_attributes(module):
     return out
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "ambiguities"))
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "ambiguities"])
 def test_no_private_table_attributes(module):
     # each layer keeps its per-table state in a memo of the table's registry,
     # declared where it is built, not in a slot of its own on the table
@@ -177,6 +262,6 @@ def test_product_rows_are_filled_on_first_use():
     t = AmbiguityTable(cone)
     hochschild_cohomology(t, 3)
     assert cone._rows == [None] * cone.dim
-    i = cone.word_index[cone.quiver.path("alpha").arrows]
+    i = cone.word_index[cone.quiver.path("alpha")]
     cone.mul(i, cone.target[i])
     assert [k for k, row in enumerate(cone._rows) if row is not None] == [i]

@@ -20,7 +20,7 @@ from monomial_hh.quivers import (
 )
 
 from conftest import make_cone, make_square
-from helpers import is_quadratic, vertex
+from helpers import basis_paths, is_quadratic, path, vertex, word_path, written
 from reference_scans import (
     bfs_read_automaton,
     concat,
@@ -38,10 +38,14 @@ from reference_scans import (
 
 def test_word_conversion_reverses_traversal():
     q = make_cone().quiver
-    p = path_from_word(q, "beta zeta")
-    assert [q.arrow_names[a] for a in p.arrows] == ["zeta", "beta"]
-    assert p.word() == q.word(p.arrows, p.source) == "betazeta"
-    assert p.display() == q.display(p.arrows, p.source) == "zeta*beta"
+    word = path_from_word(q, "beta zeta")
+    assert [q.arrow_names[a] for a in word] == ["zeta", "beta"]
+    source = q.vertex_index["2"]  # zeta leaves vertex 2
+    # the test helper's Path renders through the quiver
+    p = written(q, "beta zeta")
+    assert (p.arrows, p.source) == (word, source)
+    assert p.word() == q.word(word, source) == "betazeta"
+    assert p.display() == q.display(word, source) == "zeta*beta"
 
 
 def test_trivial_path_basics():
@@ -76,7 +80,7 @@ def test_point_and_a2(point, a2):
 
 
 def test_basis_division_closed(cone):
-    for p in cone.basis:
+    for p in basis_paths(cone):
         for i in range(len(p) + 1):
             for j in range(i, len(p) + 1):
                 assert is_basis(cone, segment(p, i, j))
@@ -84,7 +88,7 @@ def test_basis_division_closed(cone):
 
 def test_relations_minimal(cone, square):
     for alg in (cone, square):
-        for r in alg.relations:
+        for r in (word_path(alg.quiver, w) for w in alg.relations):
             assert not is_basis(alg, r)
             # every proper divisor is relation-free
             for i in range(len(r) + 1):
@@ -101,19 +105,19 @@ def test_relation_minimization_drops_redundant():
     # contains "beta zeta" as a factor, so it is redundant
     rels.append(path_from_word(q, "beta zeta alpha zeta"))
     alg = build_algebra(q, rels)
-    assert [r.word() for r in alg.relations] == [r.word() for r in base.relations]
+    assert alg.relations == base.relations
 
 
 def test_divisor_occurrences_identity(cone):
-    p = path_from_word(cone.quiver, "alpha zeta")
+    p = written(cone.quiver, "alpha zeta")
     # one occurrence, at 0 with nothing left over on either side
     assert divisor_occurrences(p, p) == [0]
 
 
 def test_divisor_occurrences_two_positions(square):
     q = square.quiver
-    host = path_from_word(q, "alpha delta gamma beta alpha")
-    alpha = q.path("alpha")
+    host = written(q, "alpha delta gamma beta alpha")
+    alpha = path(q, "alpha")
     occs = divisor_occurrences(alpha, host)
     assert occs == [0, 4]
     for k in occs:
@@ -122,7 +126,7 @@ def test_divisor_occurrences_two_positions(square):
 
 def test_divisor_occurrences_trivial_divisor(square):
     q = square.quiver
-    host = path_from_word(q, "gamma beta alpha")  # 1 -> 4
+    host = written(q, "gamma beta alpha")  # 1 -> 4
     e1 = vertex(q, "1")
     assert divisor_occurrences(e1, host) == [0]
     e2 = vertex(q, "2")
@@ -131,7 +135,7 @@ def test_divisor_occurrences_trivial_divisor(square):
 
 def test_divisor_occurrences_absent(cone):
     q = cone.quiver
-    assert divisor_occurrences(q.path("beta"), q.path("alpha")) == []
+    assert divisor_occurrences(path(q, "beta"), path(q, "alpha")) == []
 
 
 def test_is_triangular(cone, square, triangular_a6):
@@ -141,7 +145,7 @@ def test_is_triangular(cone, square, triangular_a6):
 
 
 def test_triangular_basis_has_distinct_vertices(triangular_a6):
-    for p in triangular_a6.basis:
+    for p in basis_paths(triangular_a6):
         verts = [vertex_at(p, k) for k in range(len(p) + 1)]
         assert len(set(verts)) == len(verts)
 
@@ -176,7 +180,7 @@ def test_automaton_falls_back_to_shorter_prefix():
 
 def _assert_matches_scans(quiver, relations, field=QQ):
     """The automaton's verdict and basis against the word scans and the breadth-first reader."""
-    rel_arrows = tuple(r.arrows for r in _minimize(relations))
+    rel_arrows = tuple(_minimize(relations))
     finite = scan_is_finite(quiver, rel_arrows)
     try:
         bfs = tuple(bfs_read_automaton(quiver, rel_arrows))
@@ -188,7 +192,7 @@ def _assert_matches_scans(quiver, relations, field=QQ):
         assert not finite and bfs is None
         return False
     assert finite
-    assert alg.basis == tuple(scan_basis(quiver, rel_arrows)) == bfs
+    assert basis_paths(alg) == tuple(scan_basis(quiver, rel_arrows)) == bfs
     return True
 
 
@@ -241,10 +245,10 @@ def test_reduce_concat(cone, square, triangular_a6, truncated_cycle, a2, point):
     algebras = [cone, square, triangular_a6, truncated_cycle, a2, point]
     algebras += [parse_algebra_file(path.read_text()) for path in sorted(fixtures.glob("*.alg"))]
     for alg in algebras:
-        assert alg.word_index == {p.arrows: i for i, p in enumerate(alg.basis) if p.arrows}
+        assert alg.word_index == {p.arrows: i for i, p in enumerate(basis_paths(alg)) if p.arrows}
     q = cone.quiver
-    alpha = q.path("alpha")
-    zeta = q.path("zeta")
+    alpha = path(q, "alpha")
+    zeta = path(q, "zeta")
     e1, e2, e3 = (vertex(q, v) for v in "123")
     assert reduce_concat(cone, alpha, zeta) == concat(alpha, zeta)
     assert reduce_concat(cone, alpha, e2, zeta) == concat(alpha, zeta)
@@ -259,5 +263,5 @@ def test_reduce_concat(cone, square, triangular_a6, truncated_cycle, a2, point):
 
 
 def test_path_ordering_deterministic(cone):
-    ks = [p.sort_key() for p in cone.basis]
+    ks = [p.sort_key() for p in basis_paths(cone)]
     assert ks == sorted(ks)

@@ -1,4 +1,9 @@
+import hashlib
+
+import pytest
+
 from monomial_hh import randomgen
+from monomial_hh.fields import parse_field_spec
 from monomial_hh.quivers import is_triangular
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra, shrink_algebra
 
@@ -10,7 +15,7 @@ def _signature(alg):
         q.arrow_names,
         q.arrow_source,
         q.arrow_target,
-        tuple(r.arrows for r in alg.relations),
+        alg.relations,
     )
 
 
@@ -64,3 +69,28 @@ def test_shrink_noop_when_minimal(a2):
     small = shrink_algebra(a2, pred)
     assert small.quiver.n_arrows == 1
     assert not small.relations
+
+
+# SHA-256 over the benchmark's random pool, seeds 1000-1059 in each config:
+# per algebra, its arrows' end vertices, its relation words and its
+# (word, source) basis list, in basis order.  The field draws nothing, so
+# the q and fp:2 pools agree.
+POOL_GOLDEN = {
+    ("q", False): "773e62da77bc4aa4cefd72b6a68d24fd6418c74ccfdc7d334a442d0fb96001d1",
+    ("q", True): "a7a56bffca4f3ffeac90ec7e8ea64324177e8d0bbd15a57c9de5947b6fa620cf",
+    ("fp:2", False): "773e62da77bc4aa4cefd72b6a68d24fd6418c74ccfdc7d334a442d0fb96001d1",
+    ("fp:2", True): "a7a56bffca4f3ffeac90ec7e8ea64324177e8d0bbd15a57c9de5947b6fa620cf",
+}
+
+
+@pytest.mark.parametrize("spec, triangular", sorted(POOL_GOLDEN))
+def test_pool_digest(spec, triangular):
+    # the RNG stream, the relations drawn and the basis order are unchanged
+    config = RandomAlgebraConfig(triangular=triangular, field=parse_field_spec(spec))
+    digest = hashlib.sha256()
+    for seed in range(1000, 1060):
+        alg = random_algebra(config, seed)
+        q = alg.quiver
+        digest.update(repr((q.arrow_source, q.arrow_target, alg.relations, list(zip(alg.words, alg.source)))).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == POOL_GOLDEN[spec, triangular]

@@ -2,7 +2,6 @@ import pytest
 
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.errors import WrongDegree
-from monomial_hh.quivers import path_from_word
 from monomial_hh.resolution import (
     augmentation,
     bimodule_element,
@@ -16,7 +15,7 @@ from monomial_hh.resolution import (
     iota,
 )
 
-from helpers import by_path, index_of, triple, vertex
+from helpers import by_path, index_of, path, triple, vertex, written
 
 
 def negative(table, x):
@@ -26,31 +25,31 @@ def negative(table, x):
 def test_differential_of_relation_is_arrow_sum(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
-    bz = path_from_word(q, "beta zeta")
+    bz = written(q, "beta zeta")
     d = differential(t, generator(t, by_path(t, 1, bz)))
     expected = bimodule_element(t, 0)
-    expected.add(triple(t, vertex(q, "2"), by_path(t, 0, q.path("zeta")), q.path("beta")), 1)
-    expected.add(triple(t, q.path("zeta"), by_path(t, 0, q.path("beta")), vertex(q, "3")), 1)
+    expected.add(triple(t, vertex(q, "2"), by_path(t, 0, path(q, "zeta")), path(q, "beta")), 1)
+    expected.add(triple(t, path(q, "zeta"), by_path(t, 0, path(q, "beta")), vertex(q, "3")), 1)
     assert d == expected
 
 
 def test_differential_even_two_terms(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
-    zaza = path_from_word(q, "zeta alpha zeta alpha")
+    zaza = written(q, "zeta alpha zeta alpha")
     d = differential(t, generator(t, by_path(t, 2, zaza)))
-    aza = by_path(t, 1, path_from_word(q, "alpha zeta alpha"))
-    zaz = by_path(t, 1, path_from_word(q, "zeta alpha zeta"))
+    aza = by_path(t, 1, written(q, "alpha zeta alpha"))
+    zaz = by_path(t, 1, written(q, "zeta alpha zeta"))
     expected = bimodule_element(t, 1)
-    expected.add(triple(t, vertex(q, "1"), aza, q.path("zeta")), 1)
-    expected.add(triple(t, q.path("alpha"), zaz, vertex(q, "1")), -1)
+    expected.add(triple(t, vertex(q, "1"), aza, path(q, "zeta")), 1)
+    expected.add(triple(t, path(q, "alpha"), zaz, vertex(q, "1")), -1)
     assert d == expected
 
 
 def test_augmentation_and_iota(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
-    alpha = q.path("alpha")
+    alpha = path(q, "alpha")
     x = bimodule_element(t, -1)
     x.add(triple(t, vertex(q, "1"), by_path(t, -1, vertex(q, "1")), alpha), 2)
     assert augmentation(t, x) == {index_of(t, alpha): 2}
@@ -59,7 +58,7 @@ def test_augmentation_and_iota(cone):
 
     # a composite running through a relation multiplies to zero
     z = bimodule_element(t, -1)
-    z.add(triple(t, q.path("zeta"), by_path(t, -1, vertex(q, "1")), q.path("beta")), 1)
+    z.add(triple(t, path(q, "zeta"), by_path(t, -1, vertex(q, "1")), path(q, "beta")), 1)
     assert augmentation(t, z) == {}
 
     with pytest.raises(WrongDegree):
@@ -72,9 +71,9 @@ def test_sigma_finds_relation_once(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     x = bimodule_element(t, 0)
-    x.add(triple(t, vertex(q, "2"), by_path(t, 0, q.path("zeta")), q.path("beta")), 1)
+    x.add(triple(t, vertex(q, "2"), by_path(t, 0, path(q, "zeta")), path(q, "beta")), 1)
     s = homotopy_sigma(t, x)
-    assert s == generator(t, by_path(t, 1, path_from_word(q, "beta zeta")))
+    assert s == generator(t, by_path(t, 1, written(q, "beta zeta")))
 
 
 def test_sigma_on_trivial_word_is_zero(cone):
@@ -104,14 +103,14 @@ def test_homotopy_plus_sign_fails(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
     x = bimodule_element(t, -1)
-    x.add(triple(t, vertex(q, "1"), by_path(t, -1, vertex(q, "1")), q.path("alpha")), 1)
+    x.add(triple(t, vertex(q, "1"), by_path(t, -1, vertex(q, "1")), path(q, "alpha")), 1)
     lhs_plus = differential(t, homotopy_sigma(t, x)) + negative(t, iota(t, augmentation(t, x)))
     assert lhs_plus != x
 
 
 def test_element_arithmetic(cone):
     t = AmbiguityTable(cone)
-    g = generator(t, by_path(t, 0, cone.quiver.path("alpha")))
+    g = generator(t, by_path(t, 0, path(cone.quiver, "alpha")))
     z = g + negative(t, g)
     assert z.is_zero()
     assert (g + z) == g
@@ -122,8 +121,8 @@ def test_element_arithmetic(cone):
         bimodule_element(t, 1, g.terms)
     # and only where its basis indices compose with the ambiguity
     q = cone.quiver
-    alpha = by_path(t, 0, q.path("alpha"))
+    alpha = by_path(t, 0, path(q, "alpha"))
     with pytest.raises(AssertionError):
-        bimodule_element(t, 0, {(index_of(t, q.path("beta")), alpha, index_of(t, vertex(q, "2"))): 1})
+        bimodule_element(t, 0, {(index_of(t, path(q, "beta")), alpha, index_of(t, vertex(q, "2"))): 1})
     with pytest.raises(AssertionError):
         bimodule_element(t, 0, {(index_of(t, vertex(q, "1")), alpha, index_of(t, vertex(q, "1"))): 1})
