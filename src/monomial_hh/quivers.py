@@ -15,7 +15,13 @@ A path is its arrow-index word in traversal order plus its end vertices:
 a basis index of the algebra, an ambiguity or a relation.  ``Quiver.path``
 and ``path_from_word`` parse arrow names into a word, and ``Quiver.word``
 and ``Quiver.display`` are the one place that renders a word and its
-source vertex as text.
+source vertex as text.  ``Quiver.check_word`` is the one place that decides
+whether an arrow-index word is a path; the name parsers and the algebra's
+constructor both go through it.
+
+``_has_cycle`` is the one oriented-cycle search: on the relation
+automaton it decides whether A is finite, on the quiver whether A is
+triangular.
 """
 
 from __future__ import annotations
@@ -74,19 +80,28 @@ class Quiver:
         """The arrow-index word of arrow names in traversal order."""
         if isinstance(arrow_names, str):
             arrow_names = arrow_names.split()
-        idxs = []
-        for a in arrow_names:
-            if a not in self.arrow_index:
-                raise NonComposableRelation(f"unknown arrow {a!r}")
-            idxs.append(self.arrow_index[a])
-        if not idxs:
+        # an unknown name stays text, which names no arrow index
+        return self.check_word([self.arrow_index.get(a, str(a)) for a in arrow_names])
+
+    def check_word(self, word) -> tuple:
+        """``word`` as a tuple, once it is nonempty, each entry is an arrow
+        index and each arrow ends where the next one starts."""
+        word = tuple(word)
+        if not word:
             raise ValueError("empty arrow list; a vertex has no arrow word")
-        for k in range(len(idxs) - 1):
-            if self.arrow_target[idxs[k]] != self.arrow_source[idxs[k + 1]]:
+        arrows = range(self.n_arrows)
+        for a in word:
+            if a not in arrows:
+                raise NonComposableRelation(f"unknown arrow {a!r}")
+        source, target = self.arrow_source, self.arrow_target
+        prev = word[0]
+        for a in word[1:]:
+            if target[prev] != source[a]:
                 raise NonComposableRelation(
-                    f"arrows {arrow_names[k]!r} and {arrow_names[k+1]!r} do not compose"
+                    f"arrows {self.arrow_names[prev]!r} and {self.arrow_names[a]!r} do not compose"
                 )
-        return tuple(idxs)
+            prev = a
+        return word
 
     def word(self, arrows: tuple, source: int) -> str:
         """Written (right-to-left) rendering: last-traversed arrow first; ``e(v)`` if empty."""
@@ -99,10 +114,6 @@ class Quiver:
         if not arrows:
             return f"e({self.vertex_names[source]})"
         return "*".join(self.arrow_names[a] for a in arrows)
-
-    def is_acyclic(self) -> bool:
-        """True iff the digraph has no oriented cycle (triangular quiver)."""
-        return not _has_cycle([[self.arrow_target[a] for a in out] for out in self.out_arrows])
 
     def __repr__(self):
         return f"Quiver({self.n_vertices} vertices, {self.n_arrows} arrows)"
@@ -124,8 +135,11 @@ class MonomialAlgebra:
     """kQ/I for a monomial ideal I, with the relation-free path basis B.
 
     ``relations`` is the minimized generating set of arrow-index words,
-    sorted by (length, word).  Construction reads both finite-dimensionality
-    and B off one relation automaton (see ``_read_automaton``).
+    sorted by (length, word).  Every given word is checked by
+    ``Quiver.check_word`` before minimization, so a word that names no
+    arrow or does not compose is refused even when a shorter relation
+    divides it.  Construction reads both finite-dimensionality and B off
+    one relation automaton (see ``_read_automaton``).
 
     The basis is indexed here, once, and every layer reads the index:
     index i names the path with arrow word ``words[i]`` from ``source[i]``
@@ -142,7 +156,7 @@ class MonomialAlgebra:
     def __init__(self, quiver: Quiver, relations, field=QQ):
         self.quiver = quiver
         self.field = field
-        self.relations = tuple(sorted(_minimize(relations), key=lambda r: (len(r), r)))
+        self.relations = tuple(sorted(_minimize(map(quiver.check_word, relations)), key=lambda r: (len(r), r)))
         if self.relations and len(self.relations[0]) < 2:  # the shortest relation comes first
             raise ValueError(f"relation {self.relations[0]!r} has length < 2")
         self.words, self.source, self.target = map(tuple, zip(*self._read_automaton()))
@@ -175,21 +189,21 @@ class MonomialAlgebra:
         prefix there is the next state.  The live walks from the roots
         ((), v) are exactly the relation-free paths, so A is finite iff the
         live states have no cycle (Ufnarovskii's criterion, Math. Notes 31,
-        1982), and then the basis is those walks.  The states are built
-        depth first and coloured on the way, so an infinite A is refused at
-        the first back edge, before the rest of its automaton is built.
+        1982), and then the basis is those walks.  ``_has_cycle`` walks the
+        states depth first and ``expand`` builds each one's steps when the
+        walk reaches it, so an infinite A is refused at the first back edge,
+        before the rest of its automaton is built.
         """
         q = self.quiver
         rels = set(self.relations)
         known = rels | {r[:k] for r in rels for k in range(1, len(r))}
         states = [((), v) for v in range(q.n_vertices)]  # root v is state v
         index = {state: i for i, state in enumerate(states)}
-        steps = [None] * len(states)  # steps[i]: the live (arrow, next state) pairs out of state i
-        colour = [0] * len(states)  # 0 new, 1 on the stack, 2 done
+        steps = {}  # steps[i]: the live (arrow, next state) pairs out of state i
 
         def expand(i):
             w, v = states[i]
-            out = []
+            out = steps[i] = []
             for a in q.out_arrows[v]:
                 word = w + (a,)
                 hit = next((word[k:] for k in range(len(word)) if word[k:] in known), ())
@@ -200,28 +214,11 @@ class MonomialAlgebra:
                 if j is None:
                     j = index[state] = len(states)
                     states.append(state)
-                    steps.append(None)
-                    colour.append(0)
                 out.append((a, j))
-            steps[i] = out
-            colour[i] = 1
-            return iter(out)
+            return [j for _, j in out]
 
-        for root in range(q.n_vertices):
-            if colour[root]:
-                continue
-            stack = [(root, expand(root))]
-            while stack:
-                i, it = stack[-1]
-                for _, j in it:
-                    if colour[j] == 1:
-                        raise InfiniteDimensional("arbitrarily long relation-free paths exist")
-                    if colour[j] == 0:
-                        stack.append((j, expand(j)))
-                        break
-                else:
-                    colour[i] = 2
-                    stack.pop()
+        if _has_cycle(range(q.n_vertices), expand):
+            raise InfiniteDimensional("arbitrarily long relation-free paths exist")
         basis = [((), v, v) for v in range(q.n_vertices)]
         frontier = [(v, (), v) for v in range(q.n_vertices)]  # (state, word, source)
         while frontier:
@@ -258,31 +255,32 @@ class MonomialAlgebra:
         )
 
 
-def _has_cycle(edges) -> bool:
-    """Does the digraph ``edges[v] = [successors]`` have an oriented cycle?
+def _has_cycle(roots, successors) -> bool:
+    """Does the digraph reached from ``roots`` have an oriented cycle?
 
     Iterative three-colour depth-first search, so deep graphs cannot hit
-    the recursion limit.
+    the recursion limit.  ``successors(v)`` is asked once per node reached,
+    and the search stops at the first back edge, so a graph built by
+    ``successors`` is built no further than that.
     """
-    color = [0] * len(edges)  # 0 new, 1 on stack, 2 done
-    for start in range(len(edges)):
-        if color[start]:
+    colour = {}  # absent new, 1 on the stack, 2 done
+    for root in roots:
+        if root in colour:
             continue
-        stack = [(start, iter(edges[start]))]
-        color[start] = 1
+        colour[root] = 1
+        stack = [(root, iter(successors(root)))]
         while stack:
             v, it = stack[-1]
-            advanced = False
             for w in it:
-                if color[w] == 1:
+                c = colour.get(w)
+                if c == 1:
                     return True
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, iter(edges[w])))
-                    advanced = True
+                if c is None:
+                    colour[w] = 1
+                    stack.append((w, iter(successors(w))))
                     break
-            if not advanced:
-                color[v] = 2
+            else:
+                colour[v] = 2
                 stack.pop()
     return False
 
@@ -310,4 +308,6 @@ def build_algebra(quiver: Quiver, relations, field=QQ) -> MonomialAlgebra:
 
 
 def is_triangular(algebra: MonomialAlgebra) -> bool:
-    return algebra.quiver.is_acyclic()
+    """True iff the quiver has no oriented cycle."""
+    q = algebra.quiver
+    return not _has_cycle(range(q.n_vertices), lambda v: [q.arrow_target[a] for a in q.out_arrows[v]])

@@ -42,13 +42,6 @@ def _sample_walk(rng, quiver, length):
     return word
 
 
-def _sample_relation(rng, quiver, length):
-    word = _sample_walk(rng, quiver, length)
-    if len(word) < length:
-        return None
-    return tuple(word)
-
-
 def _window_relations(rng, walk, count):
     """Windows carved from one walk; overlaps are what feed deep ambiguity chains."""
     rels = []
@@ -121,9 +114,9 @@ def _try_sample(rng, config):
         if nr and not relations:
             for _ in range(nr):
                 length = rng.randint(MIN_RELATION_LENGTH, MAX_RELATION_LENGTH)
-                rel = _sample_relation(rng, quiver, length)
-                if rel is not None:
-                    relations.append(rel)
+                word = _sample_walk(rng, quiver, length)
+                if len(word) == length:
+                    relations.append(tuple(word))
     try:
         return build_algebra(quiver, relations, config.field)
     except InfiniteDimensional:
@@ -140,46 +133,30 @@ def random_algebra(config, seed):
     raise RuntimeError("rejection sampling did not terminate; bounds too tight?")
 
 
-def _rebuild_without_arrow(algebra, idx):
-    q = algebra.quiver
-    keep = [j for j in range(q.n_arrows) if j != idx]
-    arrows = [
-        (q.arrow_names[j], q.vertex_names[q.arrow_source[j]], q.vertex_names[q.arrow_target[j]])
-        for j in keep
-    ]
-    new_q = Quiver(q.vertex_names, arrows)
-    relations = [new_q.path([q.arrow_names[a] for a in r]) for r in algebra.relations if idx not in r]
-    return build_algebra(new_q, relations, algebra.field)
+def _drops(algebra):
+    """(quiver, relations) with one relation dropped, then with one arrow
+    and the relations through it dropped; later arrows are renumbered."""
+    q, rels = algebra.quiver, algebra.relations
+    for i in range(len(rels)):
+        yield q, rels[:i] + rels[i + 1 :]
+    ends = list(zip(q.arrow_names, q.arrow_source, q.arrow_target))
+    for idx in range(q.n_arrows):
+        arrows = [(name, q.vertex_names[s], q.vertex_names[t]) for name, s, t in ends[:idx] + ends[idx + 1 :]]
+        yield Quiver(q.vertex_names, arrows), [tuple(a - (a > idx) for a in r) for r in rels if idx not in r]
 
 
 def shrink_algebra(algebra, predicate):
     """Greedy minimization keeping predicate true: relations first, then arrows."""
     assert predicate(algebra), "predicate must hold on the input"
     current = algebra
-    changed = True
-    while changed:
-        changed = False
-        rels = list(current.relations)
-        for i in range(len(rels)):
+    while True:
+        for quiver, relations in _drops(current):
             try:
-                cand = build_algebra(
-                    current.quiver, rels[:i] + rels[i + 1 :], current.field
-                )
+                cand = build_algebra(quiver, relations, current.field)
             except InfiniteDimensional:
                 continue
             if predicate(cand):
                 current = cand
-                changed = True
                 break
-        if changed:
-            continue
-        for i in range(current.quiver.n_arrows):
-            try:
-                cand = _rebuild_without_arrow(current, i)
-            except InfiniteDimensional:
-                continue
-            if predicate(cand):
-                current = cand
-                changed = True
-                break
-    return current
+        else:
+            return current

@@ -535,7 +535,7 @@ def scan_is_finite(quiver, rel_arrows):
             j = node_ids.get((ext[1:] if ell else (), quiver.arrow_target[a]))
             if j is not None:
                 edges[i].append(j)
-    return not _has_cycle(edges)
+    return not _has_cycle(range(len(edges)), edges.__getitem__)
 
 
 def scan_basis(quiver, rel_arrows):
@@ -576,7 +576,7 @@ def bfs_read_automaton(quiver, rel_arrows):
                 states.append(state)
             out.append((a, index[state]))
         steps.append(out)
-    if _has_cycle([[j for _, j in out] for out in steps]):
+    if _has_cycle(range(len(steps)), lambda i: [j for _, j in steps[i]]):
         raise InfiniteDimensional("arbitrarily long relation-free paths exist")
     basis = [Path(quiver, v, ()) for v in range(quiver.n_vertices)]
     frontier = list(enumerate(basis))

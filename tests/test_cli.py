@@ -201,23 +201,23 @@ def test_parser_kept_across_calls(monkeypatch, capsys):
     assert built == [1]
 
 
-def test_write_is_canonical():
+def test_write_is_canonical(tmp_path):
     first = run_cli("write", A6)
     assert first.returncode == 0
-    tmp = pathlib.Path("/tmp/canon_a6.alg")
+    tmp = tmp_path / "canon_a6.alg"
     tmp.write_text(first.stdout)
     second = run_cli("write", str(tmp))
     assert second.stdout == first.stdout
 
 
-def test_input_errors_exit_2():
-    bad = pathlib.Path("/tmp/cli_bad.alg")
+def test_input_errors_exit_2(tmp_path):
+    bad = tmp_path / "cli_bad.alg"
     bad.write_text("vertices 1 2\narrow a: 1 -> 2\nrelation a nope\n")
     out = run_cli("basis", str(bad))
     assert out.returncode == 2
     assert "line 3, col 12" in out.stderr
 
-    out = run_cli("basis", "/tmp/does_not_exist.alg")
+    out = run_cli("basis", str(tmp_path / "does_not_exist.alg"))
     assert out.returncode == 2
 
     out = run_cli("hh", CONE, "--max-degree", "1", "--field", "fp:nope")

@@ -141,7 +141,6 @@ ALGEBRA_MAKERS = {
     "parse_algebra_file",
     "random_algebra",
     "shrink_algebra",
-    "_rebuild_without_arrow",
     "_load",
 }
 

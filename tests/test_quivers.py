@@ -2,7 +2,8 @@ import pathlib
 
 import pytest
 
-from monomial_hh import randomgen
+import reference_scans
+from monomial_hh import quivers, randomgen
 from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.errors import (
     DuplicateArrowId,
@@ -13,6 +14,7 @@ from monomial_hh.fields import QQ, PrimeField
 from monomial_hh.quivers import (
     MonomialAlgebra,
     Quiver,
+    _has_cycle,
     _minimize,
     build_algebra,
     is_triangular,
@@ -178,6 +180,47 @@ def test_automaton_falls_back_to_shorter_prefix():
         build_algebra(q, [q.path(w) for w in ("x x", "y y")])
 
 
+def test_cycle_search_stops_at_first_back_edge():
+    # a 2-cycle from root 0; a 100-node acyclic tail from the later root 2
+    graph = {0: [1], 1: [0], **{v: [v + 1] for v in range(2, 102)}, 102: []}
+    asked = []
+
+    def successors(v):
+        asked.append(v)
+        return graph[v]
+
+    assert _has_cycle([0, 2], successors)
+    assert asked == [0, 1] and len(asked) < len(graph)
+    # without the back edge every node is reached and asked once
+    graph[1] = [2, 3]
+    asked.clear()
+    assert not _has_cycle([0, 2, 50], successors)
+    assert sorted(asked) == sorted(graph)
+
+
+def test_infinite_automaton_is_refused_before_it_is_built(monkeypatch):
+    # the loop x at vertex 1 is reached first; the chain past it carries
+    # relation prefixes that the whole automaton would hold as states
+    q = Quiver("12345", [("x", "1", "1"), ("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "5")])
+    relations = [q.path(w) for w in ("a b c", "b c d", "x a b")]
+    expanded, built = [], []
+
+    def counting(roots, successors):
+        return _has_cycle(roots, lambda i: expanded.append(i) or successors(i))
+
+    def sizing(roots, successors):
+        built.extend(roots)
+        return _has_cycle(roots, successors)
+
+    monkeypatch.setattr(quivers, "_has_cycle", counting)
+    monkeypatch.setattr(reference_scans, "_has_cycle", sizing)
+    with pytest.raises(InfiniteDimensional):
+        build_algebra(q, relations)
+    with pytest.raises(InfiniteDimensional):
+        bfs_read_automaton(q, tuple(_minimize(relations)))
+    assert len(set(expanded)) == len(expanded) < len(built)
+
+
 def _assert_matches_scans(quiver, relations, field=QQ):
     """The automaton's verdict and basis against the word scans and the breadth-first reader."""
     rel_arrows = tuple(_minimize(relations))
@@ -232,6 +275,23 @@ def test_non_composable_relation():
         q.path(["alpha", "alpha"])
     with pytest.raises(NonComposableRelation):
         q.path(["alpha", "nope"])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0, 99), "unknown arrow 99"),
+        ((0, 0), "arrows 'alpha' and 'alpha' do not compose"),
+        ((2, 3, 99), "unknown arrow 99"),
+    ],
+    ids=["unknown-arrow", "not-composable", "divisible"],
+)
+def test_constructor_checks_every_relation_word(cone, bad, message):
+    # (2, 3, 99) contains the relation (2, 3), so minimization would drop it
+    assert (2, 3) in cone.relations
+    with pytest.raises(NonComposableRelation) as exc:
+        build_algebra(cone.quiver, list(cone.relations) + [bad])
+    assert str(exc.value) == message
 
 
 def test_relation_too_short_rejected():

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from monomial_hh import randomgen
+from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.quivers import is_triangular
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra, shrink_algebra
@@ -94,3 +95,29 @@ def test_pool_digest(spec, triangular):
         digest.update(repr((q.arrow_source, q.arrow_target, alg.relations, list(zip(alg.words, alg.source)))).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == POOL_GOLDEN[spec, triangular]
+
+
+# SHA-256 over shrunk pool algebras under two planted predicates: per
+# algebra, its arrow names with their end vertices and its relation words.
+# It pins which candidate the greedy shrinker takes and how a dropped
+# arrow renumbers the relations.
+SHRINK_PREDICATES = {
+    "dim>=5": lambda alg: alg.dim >= 5,
+    "gamma2": lambda alg: bool(AmbiguityTable(alg).degree(2)),
+}
+SHRINK_SEEDS = {False: (1002, 1003, 1004, 1006, 1008, 1009), True: (1004, 1007, 1009, 1012, 1016, 1017)}
+SHRINK_GOLDEN = "0cc96145be7d4fef6cb78a1cdf90d3711cc6b82e7b4a8843fd63da8837c77ccf"
+
+
+def test_shrink_digest():
+    digest = hashlib.sha256()
+    for triangular, seeds in sorted(SHRINK_SEEDS.items()):
+        config = RandomAlgebraConfig(triangular=triangular)
+        for name, pred in sorted(SHRINK_PREDICATES.items()):
+            for seed in seeds:
+                small = shrink_algebra(random_algebra(config, seed), pred)
+                q = small.quiver
+                ends = [q.vertex_names[v] for v in q.arrow_source], [q.vertex_names[v] for v in q.arrow_target]
+                digest.update(repr((list(zip(q.arrow_names, *ends)), small.relations)).encode())
+                digest.update(b"\n")
+    assert digest.hexdigest() == SHRINK_GOLDEN
