@@ -19,10 +19,12 @@ which b give a nonzero product and where it lands, and a column adds one
 entry per hit, not one lookup per face and b.  ``cochain_differential``
 memoizes, per ambiguity it meets, the columns of all that ambiguity's
 pairs, so the battery rows that apply δ (∂² = 0, the cup closure, the
-cocycle certificates) share one build.  Matrix assembly reads the columns
-already memoized and builds the rest without storing them: ``hh`` keeps
-one matrix at a time.  The columns are shared, so no
-caller may mutate one.
+cocycle certificates) share one build; ``check_partial_squared``, the
+first row that reads δ^0, memoizes the vertices' columns, which no row
+applies to a vector before the cup closure.  Matrix assembly reads the
+columns already memoized and builds the rest without storing them: ``hh``
+keeps one matrix at a time.  The columns are shared, so no caller may
+mutate one.
 
 The differential of a pair reads the cofaces of its ambiguity from the
 table's incidence index (truncations in even output degree, positioned
@@ -40,7 +42,7 @@ from .linalg import RowBasis, SparseMatrix, kernel_basis, quotient_basis
 from .resolution import boundary
 
 _CLASSES = declare("cochains._classes")  # (pre, post, source, target) -> its nonzero products, see _columns
-_DELTA = declare("cochains._delta")  # ambiguity -> δ columns of its pairs, filled by cochain_differential alone
+_DELTA = declare("cochains._delta")  # ambiguity -> its pairs' δ columns; filled by cochain_differential, check_partial_squared
 
 
 @memoized
@@ -300,7 +302,18 @@ def class_vector(space, table, vec):
 
 
 def check_partial_squared(table, max_degree):
-    """δ^{m+1} kills each column of δ^m, m = 0..max_degree."""
+    """δ^{m+1} kills each column of δ^m, m = 0..max_degree.
+
+    The first battery row that reads δ^0, and no row applies δ^0 to a
+    vector before ``cup-closure``: so this one stores the vertices'
+    columns, which ``differential-routes``, ``cohomology`` and
+    ``cup-closure`` then read.
+    """
+    cached = table.memo(_DELTA)
+    offsets, _ = _offsets(table, 1)
+    for vertex in table.degree(-1):
+        if vertex not in cached:
+            cached[vertex] = _columns(table, vertex, offsets)
     for m in range(0, max_degree + 1):
         for j, col in enumerate(_delta_columns(table, m)):
             assert not cochain_differential(table, m + 1, col), "partial^2 != 0 at %s" % display_vector(

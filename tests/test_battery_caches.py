@@ -3,8 +3,9 @@
 Every memo in ``ambiguities.MEMOS`` is checked warm against cold after a
 full battery.  The other tests pin how the battery fills the memos it
 shares: the δ columns of each ambiguity that ``cochain_differential``
-meets, each ambiguity's divisor occurrences, the splits of each word
-amb·post and each generator's differential ``resolution.boundary``.  The
+meets and of each vertex, each ambiguity's divisor occurrences, the
+splits of each word amb·post and each generator's differential
+``resolution.boundary``.  The
 columns are shared with every matrix and kernel pass, so a caller that
 mutated one would corrupt every later reader; and a memo is worth keeping
 only if it is filled once and holds what a fresh build gives.
@@ -97,12 +98,15 @@ def test_cohomology_alone_caches_no_columns():
 
 def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
     built = []  # ambiguities whose columns cochain_differential built
+    vertices = []  # every build of a vertex's δ^0 columns, by any row
     inside = []
     columns, differential_ = cochains._columns, cochains.cochain_differential
 
     def counting_columns(table, amb, offsets):
         if inside:
             built.append(amb)
+        if amb.degree == -1:
+            vertices.append(amb)
         return columns(table, amb, offsets)
 
     def flagged(table, m, vec):
@@ -119,7 +123,10 @@ def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
     assert all(r.ok for r in checks.run_checks(make_cone(), DEGREE))
     assert built, "the battery applies δ to some cochain"
     assert len(built) == len(set(built))
-    assert set(built) == set(made[0].memo("cochains._delta"))
+    # partial-squared, differential-routes, cohomology and cup-closure all
+    # read δ^0; the first stores the vertices' columns for the other three
+    assert sorted(v.source for v in vertices) == list(range(make_cone().quiver.n_vertices))
+    assert set(built) | set(vertices) == set(made[0].memo("cochains._delta"))
 
 
 def test_battery_takes_each_generator_differential_once(monkeypatch):

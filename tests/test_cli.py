@@ -1,6 +1,7 @@
 """End-to-end runs of the installed command line, JSON parsed from stdout."""
 
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,8 +10,10 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monomial_hh import __version__, cli
+from monomial_hh import __version__, checks, cli
 from monomial_hh.checks import CheckReport, run_random_suite
 from monomial_hh.cli import _report_command
 from monomial_hh.fields import parse_field_spec
@@ -162,6 +165,84 @@ def test_random_suite_field(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_random_suite", lambda config, *args, **kw: seen.append(config) or expected)
     assert cli.main(["random", "--field", "fp:2", "--trials", "3", "--json"]) == 0
     assert [c.field.name for c in seen] == ["fp:2"]
+
+
+# every code point, lone surrogates included, and the characters JSON escapes
+CHARS = st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\ud800\udfff\U0001f600'),
+)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(CHARS),
+)
+JSON_LIKE = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(CHARS), inner),
+        st.dictionaries(st.integers(), inner),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(JSON_LIKE)
+def test_json_writer_is_the_stdlib_rendering(value):
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    assert cli._json_text(value) == expected
+    out = io.StringIO()
+    cli._write_json(out.write, value, "\n", 2)  # the top two levels item by item, as _emit_json writes
+    assert out.getvalue() == expected
+
+
+FIXTURE_COMMANDS = (
+    ["basis"],
+    ["ambiguities", "--degree", "2"],
+    ["resolution-check", "--max-degree", "3"],
+    ["diagonal-check", "--max-degree", "3"],
+    ["hh", "--max-degree", "6"],
+    ["cup", "--max-total-degree", "4"],
+    ["verify", "--all", "--max-degree", "3"],
+)
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.alg")))
+def test_every_json_payload_prints_the_stdlib_rendering(fixture, monkeypatch, capsys):
+    payloads = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda payload: payloads.append(payload) or emit(payload))
+    runs = [[argv[0], str(FIXTURES / fixture), *argv[1:]] for argv in FIXTURE_COMMANDS]
+    runs.append(["random", "--triangular", "--trials", "2", "--seed", "1000", "--max-degree", "3"])
+    for argv in runs:
+        assert cli.main([*argv, "--json"]) == 0, argv
+    assert len(payloads) == len(runs)
+    assert capsys.readouterr().out == "".join(json.dumps(p, indent=2, sort_keys=True) + "\n" for p in payloads)
+
+
+def test_random_text_prints_the_shrunk_counterexample(monkeypatch, capsys):
+    def planted(table, spaces, n):
+        assert table.algebra.dim < 3, "planted"
+
+    monkeypatch.setitem(checks.BATTERY, "augmented", planted)
+    expected = run_random_suite(RandomAlgebraConfig(), 2, 7, degree=2)
+    shrunk = [row for row in expected["trials"] if "shrunk" in row]
+    assert shrunk, "the planted row fails and each failure is shrunk"
+    assert cli.main(["random", "--trials", "2", "--seed", "7", "--max-degree", "2"]) == 1
+    out = capsys.readouterr().out
+    blocks = "".join(
+        "shrunk counterexample for trial %d:\n%s\n"
+        % (row["trial"], json.dumps(row["shrunk"], indent=2, sort_keys=True))
+        for row in shrunk
+    )
+    assert out.endswith(blocks)
 
 
 def test_byte_identical_reruns():

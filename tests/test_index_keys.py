@@ -3,7 +3,7 @@
 Every element is mapped through ``helpers.basis_paths`` and compared term
 for term with the same arithmetic on Path keys in ``reference_scans``.  The
 ast guards at the end keep paths out of the library: it holds arrow words
-and basis indices only.
+and basis indices only.  One more keeps JSON writing in ``cli``.
 """
 
 import ast
@@ -132,6 +132,32 @@ def test_no_path_class(module):
     # class lives in the tests, as the key type of the reference route
     tree = ast.parse((SRC / (module + ".py")).read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "Path"] == []
+
+
+def test_json_is_written_by_cli_alone():
+    # one writer: only cli imports json, and its one json.dumps call is the
+    # writer's fallback for the values it does not lay out itself
+    importers = []
+    for module in MODULES:
+        for node in ast.walk(ast.parse((SRC / (module + ".py")).read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.append(module)
+    assert importers == ["cli"]
+    tree = ast.parse((SRC / "cli.py").read_text())
+    dumps = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("dump", "dumps")
+    ]
+    assert dumps == ["_json_text"]
 
 
 # calls whose result is an algebra
