@@ -226,14 +226,14 @@ def differential_via_resolution(table, m):
 @dataclass
 class CohomologySpace:
     """HH^m: ``cocycles`` are the kernel vectors of δ^m, ``coboundaries`` the
-    echelon rows of im δ^{m-1}, both over ``pairs``."""
+    echelon rows of im δ^{m-1}, both over ``pairs``; its dimension is the
+    number of ``representatives``."""
 
     degree: int
     pairs: tuple
     cocycles: list
     coboundaries: list
     representatives: list
-    dimension: int
     _solver: object = dc_field(default=None, repr=False, compare=False)
     _certified: bool = dc_field(default=False, repr=False, compare=False)
 
@@ -246,6 +246,10 @@ class CohomologySpace:
                     raise NotACocycle(what)
             self._certified = True
         return self.representatives
+
+    @property
+    def dimension(self):
+        return len(self.representatives)
 
 
 def hochschild_cohomology(table, max_degree):
@@ -262,15 +266,13 @@ def hochschild_cohomology(table, max_degree):
     for m in range(max_degree + 1):
         following = [] if m < max_degree else None  # no space reads im δ^max_degree
         kernel = kernel_basis(field, differential_matrix(table, m), following)
-        reps = quotient_basis(field, kernel, image)
         spaces.append(
             CohomologySpace(
                 degree=m,
                 pairs=pair_basis(table, m),
                 cocycles=kernel,
                 coboundaries=image,
-                representatives=reps,
-                dimension=len(reps),
+                representatives=quotient_basis(field, kernel, image),
             )
         )
         image = following

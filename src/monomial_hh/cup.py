@@ -147,22 +147,17 @@ def cup_products(table, m, n, fs, gs):
     return out
 
 
-def _class_products(table, spaces, i, j, reps_i, reps_j):
-    """entry[a][b] = class of reps_i[a] cup reps_j[b], of degrees i and j;
+def cup_table(table, spaces, i, j):
+    """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b];
     the solve checks each nonzero product."""
+    reps_i = spaces[i].rep_cochains(table, "left cup factor")
+    reps_j = spaces[j].rep_cochains(table, "right cup factor")
     products = cup_products(table, i, j, reps_i, reps_j)
     target = spaces[i + j]
     return [
         [class_vector(target, table, products[a, b]) if (a, b) in products else {} for b in range(len(reps_j))]
         for a in range(len(reps_i))
     ]
-
-
-def cup_table(table, spaces, i, j):
-    """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b]."""
-    reps_i = spaces[i].rep_cochains(table, "left cup factor")
-    reps_j = spaces[j].rep_cochains(table, "right cup factor")
-    return _class_products(table, spaces, i, j, reps_i, reps_j)
 
 
 def verify_graded_commutativity(table, spaces, max_total_degree):
@@ -198,10 +193,11 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
     failures = []
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
-            for a, row in enumerate(_class_products(table, spaces, m, n, reps[m], reps[n])):
-                for b, cls in enumerate(row):
-                    if cls:
-                        failures.append({"degrees": [m, n], "classes": [a, b], "product_class": sorted(cls)})
+            # an absent product is zero, of class 0; the others are solved in (a, b) order
+            for (a, b), product in cup_products(table, m, n, reps[m], reps[n]).items():
+                cls = class_vector(spaces[m + n], table, product)
+                if cls:
+                    failures.append({"degrees": [m, n], "classes": [a, b], "product_class": sorted(cls)})
     return failures
 
 

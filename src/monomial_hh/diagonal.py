@@ -12,15 +12,17 @@ degree drives the Koszul sign.
 Each ambiguity's diagonal is memoized per table, and so are the divisor
 occurrences it is read from: amb's arrow word is scanned once per degree
 −1…n, and every (i, j) split of amb, in ``diagonal`` and in the
-decomposition lemmas alike, reads those lists.  Nothing here builds a
-path; the failure messages render words through the quiver.
+decomposition lemmas alike, reads those lists.  Faces are read off
+``resolution.boundary``, the one stored form of d(1 (x) amb (x) 1).
+Nothing here builds a path; the failure messages render words through
+the quiver.
 """
 
 from functools import partial
 
 from .ambiguities import memoized
 from .combination import Combination
-from .resolution import _d_terms, boundary
+from .resolution import boundary
 
 
 def _check_quintuple(algebra, key, degree):
@@ -101,7 +103,7 @@ def tensor_differential(table, x):
     out = tensor_element(table, x.degree - 1)
     for (pre, f, m, s, post), c in x.terms.items():
         if s.degree >= 0:
-            for dpre, r, dpost, sign in _d_terms(table, s):
+            for (dpre, r, dpost), sign in boundary(table, s).terms.items():
                 new_mid = mul(m, dpre)
                 if new_mid is None:
                     continue
@@ -111,7 +113,7 @@ def tensor_differential(table, x):
                 out.add((pre, f, new_mid, r, new_post), sign * c)
         if f.degree >= 0:
             koszul = -1 if (s.degree + 1) % 2 else 1
-            for dpre, r, dpost, sign in _d_terms(table, f):
+            for (dpre, r, dpost), sign in boundary(table, f).terms.items():
                 new_pre = mul(pre, dpre)
                 if new_pre is None:
                     continue

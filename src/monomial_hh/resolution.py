@@ -13,12 +13,13 @@ the failure messages render words through the quiver.
 
 The differential splits on the parity of n: odd degrees sum over all
 positioned divisors one degree down, even degrees take the two boundary
-truncations with opposite signs.  Each ambiguity's faces are memoized
-per table, and so are each generator's boundary
-d(1 (x) amb (x) 1), which every check and the cochains' resolution route
-read, and the contracting homotopy's splits of each word amb·post it
-scans.  All maps here are defined over the integers; coefficients only
-meet the base field later, in the cochain matrices.
+truncations with opposite signs.  ``boundary`` is the one stored form of
+each generator's d(1 (x) amb (x) 1), memoized per table:
+``differential`` extends it over outer multiplication, and every check,
+the diagonal's tensor differential and the cochains' resolution route
+read its terms.  The contracting homotopy's splits of each word amb·post
+it scans are memoized too.  All maps here are defined over the integers;
+coefficients only meet the base field later, in the cochain matrices.
 """
 
 from functools import partial
@@ -40,32 +41,27 @@ def bimodule_element(table, degree, terms=None):
     return Combination(partial(_check_triple, table.algebra), degree, terms)
 
 
-def generator(table, amb):
-    """1 (x) amb (x) 1: the trivial path at vertex v is basis index v."""
-    return bimodule_element(table, amb.degree, {(amb.source, amb, amb.target): 1})
-
-
 @memoized
-def _d_terms(table, amb):
-    """Differential of 1 (x) amb (x) 1 as [(pre, sub_amb, post, sign)], computed once per table."""
+def boundary(table, amb):
+    """d(1 (x) amb (x) 1), amb's faces by parity, computed once per table: callers must not mutate it."""
     n = amb.degree
     assert n >= 0
     find = table.algebra.find
     arrows = amb.arrows
-    out = []
+    out = bimodule_element(table, n - 1)
     if n % 2 == 1:
         for q, k in table.sub(amb):
             pre = find(arrows[:k], amb.source)
             post = find(arrows[k + len(q.arrows) :], q.target)
             if pre is not None and post is not None:
-                out.append((pre, q, post, 1))
+                out.add((pre, q, post), 1)
     else:
         after = find(arrows[len(amb.head.arrows) :], amb.head.target)
         if after is not None:
-            out.append((amb.source, amb.head, after, 1))
+            out.add((amb.source, amb.head, after), 1)
         before = find(arrows[: len(arrows) - len(amb.tail.arrows)], amb.source)
         if before is not None:
-            out.append((before, amb.tail, amb.target, -1))
+            out.add((before, amb.tail, amb.target), -1)
     return out
 
 
@@ -75,7 +71,7 @@ def differential(table, x):
     mul = table.algebra.mul
     out = bimodule_element(table, x.degree - 1)
     for (pre, amb, post), c in x.terms.items():
-        for dpre, q, dpost, sign in _d_terms(table, amb):
+        for (dpre, q, dpost), sign in boundary(table, amb).terms.items():
             new_pre = mul(pre, dpre)
             if new_pre is None:
                 continue
@@ -84,12 +80,6 @@ def differential(table, x):
                 continue
             out.add((new_pre, q, new_post), sign * c)
     return out
-
-
-@memoized
-def boundary(table, amb):
-    """d(1 (x) amb (x) 1), computed once per table: callers must not mutate it."""
-    return differential(table, generator(table, amb))
 
 
 def augmentation(table, x):
@@ -222,5 +212,5 @@ def check_minimal(table, max_degree):
     words = table.algebra.words
     for n in range(0, max_degree + 1):
         for amb in table.degree(n):
-            for dpre, _, dpost, _ in _d_terms(table, amb):
+            for dpre, _, dpost in boundary(table, amb).terms:
                 assert words[dpre] or words[dpost]

@@ -5,6 +5,7 @@ import itertools
 
 from monomial_hh.cochains import pair_basis
 from monomial_hh.quivers import path_from_word
+from monomial_hh.resolution import bimodule_element
 
 
 class Path:
@@ -109,6 +110,11 @@ def index_of(table, path):
 def triple(table, pre, amb, post):
     """The resolution key of pre (x) amb (x) post, pre and post basis paths."""
     return (index_of(table, pre), amb, index_of(table, post))
+
+
+def generator(table, amb):
+    """1 (x) amb (x) 1: the trivial path at vertex v is basis index v."""
+    return bimodule_element(table, amb.degree, {(amb.source, amb, amb.target): 1})
 
 
 def quintuple(table, pre, first, mid, second, post):

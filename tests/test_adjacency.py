@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from monomial_hh import cochains, resolution
+from monomial_hh import cochains
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.bar_oracle import bar_pairs
 from monomial_hh.cochains import check_differential_routes_agree, differential_via_resolution, pair_basis
@@ -60,22 +60,17 @@ def test_right_spanning_set_matches_scan(spec):
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])
-def test_routes_check_takes_each_resolution_differential_once(spec, monkeypatch):
-    # the route reads resolution.boundary, which keeps each generator's
-    # differential on the table: a second check takes none
-    calls = []
-    differential = resolution.differential
-
-    def counting(table, x):
-        calls.append(x)
-        return differential(table, x)
-
-    monkeypatch.setattr(resolution, "differential", counting)
+def test_routes_check_takes_each_resolution_differential_once(spec):
+    # the route reads resolution.boundary, which builds each generator's
+    # differential once per table: a second check builds none
     for t in tables(spec):
-        calls.clear()
-        for _ in range(2):
-            check_differential_routes_agree(t, DEGREE)
-        assert len(calls) == sum(len(t.degree(m)) for m in range(DEGREE + 1))
+        built = t.memo("resolution.boundary")
+        check_differential_routes_agree(t, DEGREE)
+        first = dict(built)
+        assert len(first) == sum(len(t.degree(m)) for m in range(DEGREE + 1))
+        check_differential_routes_agree(t, DEGREE)
+        assert built.keys() == first.keys()
+        assert all(built[amb] is d for amb, d in first.items())
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])

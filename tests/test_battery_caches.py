@@ -12,7 +12,6 @@ only if it is filled once and holds what a fresh build gives.
 """
 
 import inspect
-import sys
 
 import pytest
 
@@ -130,41 +129,28 @@ def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
 
 
 def test_battery_takes_each_generator_differential_once(monkeypatch):
-    # d(1 ⊗ amb ⊗ 1) is read off resolution.boundary by every row that needs it
-    built = []  # the generators 1 ⊗ amb ⊗ 1, as built
-    taken = []  # the ambiguities whose generator went through d
-    generator_, differential_ = resolution.generator, resolution.differential
-
-    def counting_generator(table, amb):
-        built.append(generator_(table, amb))
-        return built[-1]
-
-    def counting_differential(table, x):
-        if any(x is g for g in built):
-            taken.append(next(iter(x.terms))[1])
-        return differential_(table, x)
-
-    for module in (resolution, cochains, diagonal):  # wherever the names are bound
-        for name, counting in (("generator", counting_generator), ("differential", counting_differential)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting)
+    # d(1 ⊗ amb ⊗ 1) is read off resolution.boundary by every row that needs
+    # it, and the memo's length is its number of builds: one per ambiguity
+    # of Γ_0…Γ_DEGREE, the generators that the rows differentiate
+    made = record_tables(monkeypatch)
     for alg in (make_cone(), parse_algebra_file(loops_algebra_text(2, 2))):
-        built.clear()
-        taken.clear()
         assert all(r.ok for r in checks.run_checks(alg, DEGREE))
-        assert taken and len(taken) == len(set(taken)) == len(built)
+        t = made[-1]
+        built = t.memo("resolution.boundary")
+        assert len(built) == sum(len(t.degree(n)) for n in range(DEGREE + 1))
+        assert set(built) == {amb for n in range(DEGREE + 1) for amb in t.degree(n)}
 
 
 def test_homotopy_check_reads_generator_differentials_off_boundary(monkeypatch):
     # σ of a spanning element is often exactly 1 ⊗ q ⊗ 1, and so is the
     # element itself: d of either is read off resolution.boundary
-    outside = []  # generator-shaped inputs of d whose caller is not boundary
+    outside = []  # generator-shaped inputs of d, which boundary answers instead
     differential_ = resolution.differential
 
     def counting(table, x):
         if len(x.terms) == 1:
             ((pre, q, post), c), = x.terms.items()
-            if c == 1 and (pre, post) == (q.source, q.target) and sys._getframe(1).f_code.co_name != "boundary":
+            if c == 1 and (pre, post) == (q.source, q.target):
                 outside.append(q)
         return differential_(table, x)
 

@@ -175,19 +175,19 @@ def test_each_row_runs_its_own_check(monkeypatch, triangular_a6, row):
 
 
 def _flip_one_even_face(monkeypatch):
-    """Patch _d_terms, where resolution and diagonal read it, so that the first
-    face of the first 2-ambiguity has the wrong sign."""
-    original = resolution._d_terms
+    """Patch boundary, wherever it is read, so that the first face of the
+    first 2-ambiguity has the wrong sign."""
+    original = resolution.boundary
 
     def flipped(table, amb):
         faces = original(table, amb)
         if amb is not table.degree(2)[0]:
             return faces
-        (pre, q, post, sign), *rest = faces
-        return [(pre, q, post, -sign)] + rest
+        (key, sign), *rest = faces.terms.items()
+        return resolution.bimodule_element(table, faces.degree, dict([(key, -sign)] + rest))
 
-    monkeypatch.setattr(resolution, "_d_terms", flipped)
-    monkeypatch.setattr(diagonal, "_d_terms", flipped)
+    for module in (resolution, diagonal, cochains):
+        monkeypatch.setattr(module, "boundary", flipped)
 
 
 def test_a_planted_face_sign_fails_its_rows(monkeypatch, cone):

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -101,16 +102,24 @@ def test_face_class_columns_equal_lookups(spec):
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])
 def test_routes_check_fails_on_a_planted_face_class(spec):
-    # the route through the resolution reads no face class, so a wrong one shows
+    # the route through the resolution reads no face class, so a wrong one
+    # shows; the plant goes into a class that no vertex reads (pre·post has
+    # at least 2 arrows), so it shows again once the vertices' δ^0 columns
+    # are stored, as check_partial_squared stores them
     cone = make_cone()
-    t = AmbiguityTable(build_algebra(cone.quiver, cone.relations, parse_field_spec(spec)))
-    check_differential_routes_agree(t, 3)
-    classes = t.memo("cochains._classes")
-    key, hits = next((key, hits) for key, hits in classes.items() if hits)
-    (place, position), rest = hits[0], hits[1:]
-    classes[key] = ((place, position + 1),) + rest
-    with pytest.raises(AssertionError, match="differential routes disagree"):
+    for vertices_stored in (False, True):
+        t = AmbiguityTable(build_algebra(cone.quiver, cone.relations, parse_field_spec(spec)))
+        if vertices_stored:
+            cached, offsets = t.memo("cochains._delta"), cochains._offsets(t, 1)[0]
+            for vertex in t.degree(-1):
+                cached[vertex] = cochains._columns(t, vertex, offsets)
         check_differential_routes_agree(t, 3)
+        classes = t.memo("cochains._classes")
+        key, hits = next((key, hits) for key, hits in classes.items() if hits and len(key[0]) + len(key[1]) >= 2)
+        (place, position), rest = hits[0], hits[1:]
+        classes[key] = ((place, position + 1),) + rest
+        with pytest.raises(AssertionError, match=re.escape("differential routes disagree at 1 [zetaalphazetaalpha || e(1)]")):
+            check_differential_routes_agree(t, 3)
 
 
 def test_final_example_differential(triangular_a6):

@@ -10,7 +10,7 @@ from monomial_hh.diagonal import (
     tensor_element,
 )
 
-from helpers import basis_paths, by_path, index_of, is_quadratic, path, quintuple, vertex, written
+from helpers import basis_paths, by_path, generator, index_of, is_quadratic, path, quintuple, vertex, written
 from reference_scans import is_trivial, path_d_terms, reduce_concat, to_paths
 
 
@@ -110,7 +110,7 @@ def test_quadratic_specialization(triangular_a6, truncated_cycle):
 def test_wrong_koszul_sign_fails(cone):
     # flipping the sign on the id (x) d branch breaks the chain identity
     from monomial_hh import diagonal as dmod
-    from monomial_hh.resolution import differential, generator
+    from monomial_hh.resolution import differential
 
     t = AmbiguityTable(cone)
     amb = next(iter(t.degree(2)))

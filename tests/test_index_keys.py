@@ -15,10 +15,10 @@ from monomial_hh import checks
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.diagonal import _decompositions, diagonal, tensor_differential
-from monomial_hh.resolution import _d_terms, differential, generator, homotopy_sigma, right_spanning_set
+from monomial_hh.resolution import boundary, differential, homotopy_sigma, right_spanning_set
 
 from conftest import make_cone
-from helpers import Path, basis_paths
+from helpers import Path, basis_paths, generator
 from reference_scans import (
     path_d_terms,
     path_decompositions,
@@ -44,7 +44,7 @@ def test_resolution_matches_path_reference(spec):
         basis = basis_paths(t.algebra)
         for n in range(0, DEGREE + 1):
             for amb in t.degree(n):
-                faces = [(basis[pre], q, basis[post], sign) for pre, q, post, sign in _d_terms(t, amb)]
+                faces = [(basis[pre], q, basis[post], sign) for (pre, q, post), sign in boundary(t, amb).terms.items()]
                 assert faces == path_d_terms(t, amb)
                 assert to_paths(t, differential(t, generator(t, amb))) == path_differential(t, path_generator(t, amb))
         for n in range(-1, DEGREE + 1):
@@ -266,7 +266,7 @@ def test_table_holds_gamma_and_the_memo_registry(monkeypatch):
 
 def test_faces_are_cached_per_ambiguity(cone, monkeypatch):
     t = AmbiguityTable(cone)
-    first = {amb: _d_terms(t, amb) for n in range(5) for amb in t.degree(n)}
+    first = {amb: boundary(t, amb) for n in range(5) for amb in t.degree(n)}
     calls = []
     sub = AmbiguityTable.sub
 
@@ -275,7 +275,7 @@ def test_faces_are_cached_per_ambiguity(cone, monkeypatch):
         return sub(self, amb)
 
     monkeypatch.setattr(AmbiguityTable, "sub", counting)
-    assert all(_d_terms(t, amb) is faces for amb, faces in first.items())
+    assert all(boundary(t, amb) is faces for amb, faces in first.items())
     assert calls == []
 
 

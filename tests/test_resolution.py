@@ -10,12 +10,11 @@ from monomial_hh.resolution import (
     check_homotopy,
     check_minimal,
     differential,
-    generator,
     homotopy_sigma,
     iota,
 )
 
-from helpers import by_path, index_of, path, triple, vertex, written
+from helpers import by_path, generator, index_of, path, triple, vertex, written
 
 
 def negative(table, x):
