@@ -11,8 +11,11 @@ and the differential is the classical alternating sum
 with all products reduced in the algebra.  Tuples are written in function
 order, so the composite of (a1, ..., an) traverses a_n first.
 
-A pair is (tuple, value) in basis indices of the algebra, and a pair's
-row is placed by the algebra's ``parallel`` and ``position``.  The
+A pair is (tuple, value) in basis indices of the algebra.  A degree is
+held per tuple, as a ``BarBasis``: its tuples, each tuple's values (the
+algebra's ``parallel`` tuple at the tuple's ends) and each tuple's first
+row, so the row of (t, v) is ``first[t] + place[v]``, v's ``position``
+in ``parallel``; no list of pairs is built.  The
 products a column reads come from concatenating basis words here, once
 per algebra and reused in every degree; the algebra's product table is
 not read, so the oracle shares only the numbering of the basis.  Only
@@ -54,12 +57,42 @@ def _products(algebra):
     return after, before, splits
 
 
-def bar_pairs(algebra, n, budget=DEFAULT_PAIR_BUDGET):
-    """Cochain basis in degree n: (tuple, value) in basis indices, with matching endpoints.
+class BarBasis:
+    """The cochain basis of one degree, held per tuple.
 
-    The composable n-tuples of nontrivial basis paths come in lexicographic
-    order and each value list in basis order, so the pairs are already
-    sorted by (tuple, value).
+    ``tuples`` are the composable n-tuples in lexicographic order,
+    ``values[i]`` the basis indices parallel to ``tuples[i]`` in basis
+    order (the algebra's own ``parallel`` tuple, not a copy; degree 0 is
+    the one empty tuple with every loop), and ``first[t]`` the row of t's
+    first pair.  The pairs are (t, v) in that order, so at degree n > 0 the
+    row of (t, v) is ``first[t] + place[v]``; ``len`` is the number of
+    pairs.
+    """
+
+    __slots__ = ("tuples", "values", "first", "size")
+
+    def __init__(self, tuples, values):
+        self.tuples = tuples
+        self.values = values
+        self.first = first = {}
+        size = 0
+        for t, vals in zip(tuples, values):
+            assert t not in first, "a tuple is listed twice"
+            first[t] = size
+            size += len(vals)
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+
+def bar_pairs(algebra, n, budget=DEFAULT_PAIR_BUDGET):
+    """Cochain basis in degree n, held per tuple as a ``BarBasis``.
+
+    Its pairs are (tuple, value) in basis indices with matching endpoints:
+    the composable n-tuples of nontrivial basis paths in lexicographic
+    order, each with its parallel values in basis order, so the pairs are
+    sorted by (tuple, value).  No list of the pairs is built.
     """
     source, target, parallel = algebra.source, algebra.target, algebra.parallel
     nontrivial = range(algebra.quiver.n_vertices, algebra.dim)  # vertex v is index v
@@ -72,69 +105,74 @@ def bar_pairs(algebra, n, budget=DEFAULT_PAIR_BUDGET):
             if len(nxt) > budget:
                 raise BudgetExceeded(-1, "tuple count passed %d" % budget)
         tuples = nxt
-    loops = [b for b in range(algebra.dim) if source[b] == target[b]]
-    pairs = [(t, b) for t in tuples for b in (parallel[source[t[-1]], target[t[0]]] if t else loops)]
-    if len(pairs) > budget:
+    if n:
+        values = [parallel[source[t[-1]], target[t[0]]] for t in tuples]
+    else:
+        values = [tuple(b for b in range(algebra.dim) if source[b] == target[b])]
+    basis = BarBasis(tuples, values)
+    if len(basis) > budget:
         raise BudgetExceeded(-1, "pair count passed %d" % budget)
-    return pairs
+    return basis
 
 
-def bar_differential_matrix(algebra, pairs_lo, pairs_hi):
-    """Columns: degree-n pairs; rows: degree-(n+1) pairs; integer entries, for every field.
+def bar_differential_matrix(algebra, lo, hi):
+    """Columns: degree-n pairs of lo; rows: degree-(n+1) pairs of hi; integer entries, for every field.
 
-    Row of (t, v): the row of t's first pair plus v's place in ``parallel``,
-    so a tuple's pairs must be adjacent (asserted).  The inner faces of (t, b)
-    merge adjacent pieces of t and keep b, so their rows less ``place[b]``
-    are read once per tuple.
+    The row of (t, v) is ``hi.first[t] + place[v]``, v's place in
+    ``parallel``.  The inner faces of (t, b) merge adjacent pieces of t and
+    keep b, so their rows less ``place[b]`` are read once per tuple.  An
+    entry that cancels to zero is dropped at once.
     """
     place = algebra.position
     after, before, splits = _products(algebra)
-    first = {}
-    t_prev = None
-    for i, (t, _) in enumerate(pairs_hi):
-        if t != t_prev:
-            assert t not in first, "the pairs of a tuple are not adjacent"
-            first[t] = i
-            t_prev = t
+    first = hi.first
     cols = []
-    t_prev = None
-    for t, b in pairs_lo:
-        if t != t_prev:
-            t_prev = t
-            sign = 1 if len(t) % 2 else -1
-            inner = [
-                (first[t[:k] + split + t[k + 1 :]], 1 if k % 2 else -1)
-                for k, piece in enumerate(t)
-                for split in splits[piece]
-            ]
-        col = {}
-        for x, v in after[b]:
-            r = first[(x,) + t] + place[v]
-            col[r] = col.get(r, 0) + 1
-        for x, v in before[b]:
-            r = first[t + (x,)] + place[v]
-            col[r] = col.get(r, 0) + sign
-        p = place[b]
-        for r, c in inner:
-            r += p
-            col[r] = col.get(r, 0) + c
-        cols.append({r: c for r, c in col.items() if c})
-    return SparseMatrix(len(pairs_hi), len(pairs_lo), tuple(cols))
+    for t, values in zip(lo.tuples, lo.values):
+        sign = 1 if len(t) % 2 else -1
+        inner = [
+            (first[t[:k] + split + t[k + 1 :]], 1 if k % 2 else -1)
+            for k, piece in enumerate(t)
+            for split in splits[piece]
+        ]
+        for b in values:
+            col = {}
+            get = col.get
+            for x, v in after[b]:
+                r = first[(x,) + t] + place[v]
+                if c := get(r, 0) + 1:
+                    col[r] = c
+                else:
+                    del col[r]
+            for x, v in before[b]:
+                r = first[t + (x,)] + place[v]
+                if c := get(r, 0) + sign:
+                    col[r] = c
+                else:
+                    del col[r]
+            p = place[b]
+            for r, e in inner:
+                r += p
+                if c := get(r, 0) + e:
+                    col[r] = c
+                else:
+                    del col[r]
+            cols.append(col)
+    return SparseMatrix(len(hi), len(lo), tuple(cols))
 
 
 def bar_hh_dimensions(algebra, max_degree, budget=DEFAULT_PAIR_BUDGET):
     """dim HH^n for n = 0..max_degree, computed on the reduced bar complex."""
     dims = []
     try:
-        pairs = bar_pairs(algebra, 0, budget)
+        lo = bar_pairs(algebra, 0, budget)
         prev_rank = 0
         for n in range(max_degree + 1):
-            pairs_hi = bar_pairs(algebra, n + 1, budget)
-            r = rank(algebra.field, bar_differential_matrix(algebra, pairs, pairs_hi))
-            dims.append(len(pairs) - r - prev_rank)
+            hi = bar_pairs(algebra, n + 1, budget)
+            r = rank(algebra.field, bar_differential_matrix(algebra, lo, hi))
+            dims.append(len(lo) - r - prev_rank)
             assert dims[-1] >= 0
             prev_rank = r
-            pairs = pairs_hi
+            lo = hi
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             len(dims) - 1, "budget ran out; finished degree %d" % (len(dims) - 1)

@@ -138,6 +138,15 @@ def path_pairs(table, m):
     return [(amb, basis[b]) for amb, b in pair_basis(table, m)]
 
 
+def bar_pair_list(basis):
+    """The (tuple, value) pairs of a degree's bar basis, in row order.
+
+    ``bar_oracle.bar_pairs`` holds a degree per tuple and builds no pair
+    list; this flattens it for the test bodies that compare pairs.
+    """
+    return [(t, v) for t, values in zip(basis.tuples, basis.values) for v in values]
+
+
 def vector(table, m, terms):
     """The degree-m cochain Σ c·(amb, b) over terms {(amb, b): c}, as a pair-index vector.
 

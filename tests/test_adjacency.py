@@ -13,7 +13,7 @@ from monomial_hh.quivers import build_algebra
 from monomial_hh.resolution import right_spanning_set
 
 from conftest import make_cone
-from helpers import amb_path, basis_paths, pair_key, path_pairs
+from helpers import amb_path, bar_pair_list, basis_paths, pair_key, path_pairs
 from reference_scans import (
     scan_bar_pairs,
     scan_out_arrows,
@@ -48,7 +48,8 @@ def test_pair_lists_are_sorted_scans(spec):
                 scan_bar_pairs(t.algebra, n), key=lambda tb: (tuple(p.sort_key() for p in tb[0]), tb[1].sort_key())
             )
             basis = basis_paths(t.algebra)
-            assert [(tuple(basis[i] for i in tb), basis[b]) for tb, b in bar_pairs(t.algebra, n)] == want
+            pairs = bar_pair_list(bar_pairs(t.algebra, n))
+            assert [(tuple(basis[i] for i in tb), basis[b]) for tb, b in pairs] == want
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])

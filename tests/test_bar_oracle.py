@@ -20,7 +20,7 @@ from monomial_hh.quivers import build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import basis_paths, loops_algebra_text
+from helpers import bar_pair_list, basis_paths, loops_algebra_text
 from reference_scans import scan_bar_differential_matrix, scan_bar_pairs
 from test_incidence import tables
 from test_index_keys import _calls
@@ -66,10 +66,10 @@ def test_cone_dims(cone):
     assert bar_hh_dimensions(cone, 4) == [3, 3, 2, 2, 3]
 
 
-def as_paths(algebra, pairs):
-    """Index-form bar pairs as (tuple of basis paths, basis path)."""
+def as_paths(algebra, bar_basis):
+    """A degree's bar pairs as (tuple of basis paths, basis path), in row order."""
     basis = basis_paths(algebra)
-    return [(tuple(basis[i] for i in t), basis[b]) for t, b in pairs]
+    return [(tuple(basis[i] for i in t), basis[b]) for t, b in bar_pair_list(bar_basis)]
 
 
 def test_degree0_pairs_are_loops(cone):
@@ -214,17 +214,60 @@ def test_rank_elimination_steps_on_cub2(spec, monkeypatch):
     assert steps == [0, 17, 165, 1310]
 
 
-def test_a_tuple_with_pairs_apart_is_refused():
-    # a row is the row of its tuple's first pair plus the value's place, so
-    # the pairs of a tuple must be adjacent
-    alg = cub2("q")
-    pairs = bar_pairs(alg, 1)
-    tuple_size = sum(1 for t, _ in pairs if t == pairs[0][0])
-    assert tuple_size == 7
-    moved = pairs[:3] + pairs[4:] + pairs[3:4]
-    bar_differential_matrix(alg, bar_pairs(alg, 0), pairs)
-    with pytest.raises(AssertionError):
-        bar_differential_matrix(alg, bar_pairs(alg, 0), moved)
+def path_counts(algebra):
+    """N[s][t]: the number of nontrivial basis paths from vertex s to vertex t."""
+    n = algebra.quiver.n_vertices
+    counts = [[0] * n for _ in range(n)]
+    for b in range(n, algebra.dim):  # vertex v is index v
+        counts[algebra.source[b]][algebra.target[b]] += 1
+    return counts
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def size_inputs():
+    """The four fixtures, cub(2), and the 240 algebras of the random-suite pool."""
+    for make in (make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2):
+        yield make()
+    yield cub2("q")
+    for spec in ("q", "fp:2"):
+        for triangular in (False, True):
+            cfg = RandomAlgebraConfig(triangular=triangular, field=parse_field_spec(spec))
+            for seed in range(1000, 1060):
+                yield random_algebra(cfg, seed)
+
+
+def test_bar_sizes_follow_path_counts():
+    # a composable n-tuple is a chain of n nontrivial basis paths, so degree
+    # n has Σ(N^n)[s][t] tuples from s to t, each with |parallel(s, t)|
+    # values; degree 0 holds the one empty tuple with every loop.  Under a
+    # small budget, bar_pairs refuses exactly the degrees that pass it.
+    small = 500
+    cases = refused = 0
+    for alg in size_inputs():
+        counts = path_counts(alg)
+        ends = [(s, t) for s in range(len(counts)) for t in range(len(counts))]
+        power = [[int(s == t) for t in range(len(counts))] for s in range(len(counts))]
+        most_tuples = 0
+        for n in range(6):
+            if n:
+                power = mat_mul(power, counts)
+            tuples = sum(power[s][t] for s, t in ends) if n else 1
+            pairs = sum(power[s][t] * len(alg.parallel[s, t]) for s, t in ends)
+            most_tuples = max(most_tuples, tuples)
+            basis = bar_pairs(alg, n)
+            assert (len(basis.tuples), len(basis)) == (tuples, pairs), (alg.relations, n)
+            cases += 1
+            if most_tuples > small or pairs > small:
+                with pytest.raises(BudgetExceeded):
+                    bar_pairs(alg, n, small)
+                refused += 1
+            else:
+                assert len(bar_pairs(alg, n, small)) == pairs
+    assert cases == 245 * 6
+    assert 0 < refused < cases // 2
 
 
 def test_each_bar_column_inserted_once(cone, monkeypatch):
