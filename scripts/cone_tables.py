@@ -33,7 +33,6 @@ def main():
             print("  z%d = %s" % (i, display_vector(algebra, spaces[n].pairs, rep, words)))
 
     q = algebra.quiver
-    one = algebra.field.one
 
     def pair(degree, word, b):
         """Index of the pair (ambiguity on word, path b) among the cochain pairs of degree."""
@@ -41,9 +40,9 @@ def main():
         [amb] = [a for a in table.degree(degree - 1) if a.arrows == arrows]
         return pair_basis(table, degree).index((amb, algebra.find(q.path(b), amb.source)))
 
-    f = {pair(1, "alpha", "alpha"): one}
-    g = {pair(1, "zeta", "zeta"): one}
-    w = {pair(2, "alpha zeta alpha", "alpha"): one, pair(2, "zeta alpha zeta", "zeta"): one}
+    f = {pair(1, "alpha", "alpha"): 1}
+    g = {pair(1, "zeta", "zeta"): 1}
+    w = {pair(2, "alpha zeta alpha", "alpha"): 1, pair(2, "zeta alpha zeta", "zeta"): 1}
 
     print()
     print("nonzero positive-degree products:")

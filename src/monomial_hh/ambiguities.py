@@ -17,6 +17,9 @@ the same words; this module generates both independently and checks
 that they agree, which downstream modules rely on.  Each ambiguity links
 to the two (n−1)-truncations the recursions extend, and the pieces are read
 off those links: u_n is what the tail leaves, v_n what the head leaves.
+The faces of an ambiguity in the differential are read off it too: the
+two links, and its positioned divisors of one degree less, which
+``occurrences`` finds.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ from functools import wraps
 from .errors import DegreeUnderflow
 from .quivers import MonomialAlgebra
 
-MEMOS = {}  # name -> builder of every per-table memo; None where its module fills the memo itself
-
-
-def declare(name):
-    """Enter in ``MEMOS`` a memo that its module fills by its own rule; returns its name."""
-    MEMOS[name] = None
-    return name
+MEMOS = {}  # name -> builder of every per-table memo
 
 
 def memoized(build):
@@ -146,12 +143,14 @@ class AmbiguityTable:
 
     On top of Γ_n sits the incidence index that every layer reads:
     ``occurrences`` looks arrow words up in the {arrows: ambiguity} dict
-    stored with each degree, and ``cofaces`` inverts the differential.
+    stored with each degree, and the ``head`` and ``tail`` links name the
+    truncations.  Together they give each ambiguity's faces, so no inverse
+    index is kept.
 
     Besides Γ_n the table holds one registry, {memo name: {key: value}}.
-    Each module declares its memos in ``MEMOS`` where it builds them: a
+    Each memo has its builder in ``MEMOS``, entered where it is built: a
     builder under ``memoized`` computes each key once per table, and
-    ``memo(name)`` hands over a memo that its module fills by its own rule.
+    ``memo(name)`` hands over the memo for a caller that reads a hit inline.
     """
 
     def __init__(self, algebra: MonomialAlgebra):
@@ -169,7 +168,7 @@ class AmbiguityTable:
         self._memos = defaultdict(dict)  # memo name -> {key: value}, see MEMOS
 
     def memo(self, name):
-        """The {key: value} memo declared as name, empty until it is filled."""
+        """The {key: value} memo of the builder named name in ``MEMOS``, empty until it is filled."""
         return self._memos[name]
 
     def degree(self, n: int):
@@ -284,22 +283,3 @@ class AmbiguityTable:
     def _windows(self, m):
         """The sorted lengths of the m-ambiguities, m >= 0; computed once per table."""
         return sorted({len(a.arrows) for a in self.degree(m)})
-
-    @memoized
-    def cofaces(self, n: int):
-        """{(n−1)-ambiguity p: [(q, position, sign)]} over the n-ambiguities q
-        whose differential reaches p, with p at that position of q.
-
-        Even n takes the two truncations, head (+1) then tail (−1); odd n
-        takes every positioned divisor (+1).  Each list runs in Γ_n order,
-        then by position.  Computed once per table.
-        """
-        out = {}
-        for q in self.degree(n):
-            if n % 2 == 0:
-                hits = ((q.head, 0, 1), (q.tail, len(q.arrows) - len(q.tail.arrows), -1))
-            else:
-                hits = ((p, k, 1) for p, k in self.occurrences(n - 1, q.arrows, q.source))
-            for p, k, sign in hits:
-                out.setdefault(p, []).append((q, k, sign))
-        return out

@@ -12,37 +12,30 @@ that takes one is also given its degree, or the space it lives in.  This
 module is the one place that decides how a pair is indexed.  Each degree's
 offsets and, where a space needs them, its pairs are memoized per table.
 
-``_columns`` is the one builder of δ columns.  It assembles δ per face
-class: the product pre·b·post of a face depends only on the face's
-(pre, post) and the ambiguity's endpoints, so the table memoizes per class
-which b give a nonzero product and where it lands, and a column adds one
-entry per hit, not one lookup per face and b.  ``cochain_differential``
-memoizes, per ambiguity it meets, the columns of all that ambiguity's
-pairs, so the battery rows that apply δ (∂² = 0, the cup closure, the
-cocycle certificates) share one build; ``check_partial_squared``, the
-first row that reads δ^0, memoizes the vertices' columns, which no row
-applies to a vector before the cup closure.  Matrix assembly reads the
-columns already memoized and builds the rest without storing them: ``hh``
-keeps one matrix at a time.  The columns are shared, so no caller may
-mutate one.
+``_columns(table, m)`` is the one builder of δ^m.  It walks q in Γ_m and
+reads q's own faces, as the resolution's d does (Bardzell, J. Algebra 188,
+1997): the two truncations, head (+1) and tail (−1), in even m, and the
+positioned divisors of degree m−1 (+1) in odd m.  The product pre·b·post
+of a face depends only on its class (pre, post, source, target), so the
+table memoizes per class which b give a nonzero product and where it
+lands, and a face adds one entry per hit to the columns of its pairs.
 
-The differential of a pair reads the cofaces of its ambiguity from the
-table's incidence index (truncations in even output degree, positioned
-divisors in odd), mirroring the resolution differential;
-`differential_via_resolution` computes the same map, one degree at a
-time, by composing with the resolution's d, and is kept as an
-independent route: it reads no face class.
+One per-degree store holds δ^m once a caller has applied it:
+``cochain_differential`` and the check rows read it, so the battery
+builds each δ^m once.  ``differential_matrix`` reads the store when a row
+has filled it and otherwise builds δ^m without storing it, so ``hh``
+holds one matrix at a time.  The columns are shared, so no caller may
+mutate one.  ``differential_via_resolution`` computes the same map by
+composing with the resolution's d, one degree at a time, and is kept as
+an independent route: it reads no face class.
 """
 
 from dataclasses import dataclass, field as dc_field
 
-from .ambiguities import declare, memoized
+from .ambiguities import memoized
 from .errors import NotACocycle
 from .linalg import RowBasis, SparseMatrix, kernel_basis, quotient_basis
 from .resolution import boundary
-
-_CLASSES = declare("cochains._classes")  # (pre, post, source, target) -> its nonzero products, see _columns
-_DELTA = declare("cochains._delta")  # ambiguity -> its pairs' δ columns; filled by cochain_differential, check_partial_squared
 
 
 @memoized
@@ -93,99 +86,98 @@ def display_vector(algebra, pairs, vec, words):
     return " + ".join(bits) if bits else "0"
 
 
-def _columns(table, amb, offsets):
-    """The columns of δ at every pair (amb, b), in pair order: {row: n}, integer, no zeros.
+def _columns(table, m):
+    """The columns of δ^m, one per degree-m pair, in pair order: {row: n}, integer, no zeros.
 
-    δ(amb, b) = Σ sign · (q, pre·b·post) over the cofaces q of amb, with amb
-    at position k of q, pre = q[:k] and post = q[k+len(amb):], and over the
-    products that are nonzero in A; ``offsets`` are those of the next
-    degree, whose pairs are the rows.  The products depend only on the face
-    class (pre, post, amb.source, amb.target), not on q or b, so the table
-    memoizes per class the (place of b, position of pre·b·post) of the
-    nonzero ones, and a face adds q's offset plus that position to the
-    column of each b its class reaches.  pre·b·post is never the empty
-    word: q strictly contains amb.
+    δ(p, b) = Σ sign · (q, pre·b·post) over the faces (p, k, sign) of each
+    q in Γ_m, with p at position k of q, pre = q[:k] and
+    post = q[k+len(p):], and over the products that are nonzero in A.  A
+    column gets its entries in Γ_m order, then by position.  The products
+    depend only on the face class (pre, post, p.source, p.target), not on
+    q or b: ``_face_class`` gives the (place of b, position of pre·b·post)
+    of the nonzero ones, and a face adds q's row offset plus that position
+    to the column of each b its class reaches.  pre·b·post is never the
+    empty word: q strictly contains p.
     """
-    algebra = table.algebra
-    source, target = amb.source, amb.target
-    bs = algebra.parallel[(source, target)]
-    classes = table.memo(_CLASSES)
-    length = len(amb.arrows)
-    n = amb.degree + 1
-    cols = [{} for _ in bs]
-    for q, k, sign in table.cofaces(n).get(amb, ()):
+    col_offsets, ncols = _offsets(table, m)
+    row_offsets, _ = _offsets(table, m + 1)
+    classes = table.memo("cochains._face_class")
+    occurrences = table.occurrences
+    odd = m % 2
+    cols = [{} for _ in range(ncols)]
+    for q in table.degree(m):
         arrows = q.arrows
-        key = (arrows[:k], arrows[k + length :], source, target)
-        hits = classes.get(key)
-        if hits is None:
-            hits = classes[key] = _face_class(algebra, key[0], key[1], bs)
-        offset = offsets[q]
-        for place, i in hits:
-            col = cols[place]
-            i += offset
-            col[i] = col.get(i, 0) + sign
-    if n % 2:
-        return cols  # an odd coface has sign +1, so nothing cancels
+        if odd:
+            faces = [(p, k, 1) for p, k in occurrences(m - 1, arrows, q.source)]
+        else:
+            head, tail = q.head, q.tail
+            faces = ((head, 0, 1), (tail, len(arrows) - len(tail.arrows), -1))
+        row = row_offsets[q]
+        for p, k, sign in faces:
+            key = (arrows[:k], arrows[k + len(p.arrows) :], p.source, p.target)
+            hits = classes.get(key)
+            if hits is None:
+                hits = _face_class(table, key)
+            first = col_offsets[p]
+            for place, i in hits:
+                col = cols[first + place]
+                i += row
+                col[i] = col.get(i, 0) + sign
+    if odd:
+        return cols  # an odd face has sign +1, so nothing cancels
     return [{i: c for i, c in col.items() if c} for col in cols]
 
 
-def _face_class(algebra, pre, post, bs):
-    """((place of b in bs, position of pre·b·post), ...) over the b whose product is nonzero."""
+@memoized
+def _face_class(table, key):
+    """((place of b, position of pre·b·post), ...) over the b parallel to the face
+    whose product is nonzero; key = (pre, post, source, target).  Computed once
+    per table."""
+    pre, post, source, target = key
+    algebra = table.algebra
     words, word_index, position = algebra.words, algebra.word_index, algebra.position
     hits = []
-    for place, b in enumerate(bs):
+    for place, b in enumerate(algebra.parallel[(source, target)]):
         i = word_index.get(pre + words[b] + post)
         if i is not None:
             hits.append((place, position[i]))
     return tuple(hits)
 
 
-def _delta_columns(table, m):
-    """The columns of δ^m, one per degree-m pair, in pair order.
-
-    An ambiguity whose columns ``cochain_differential`` has memoized is
-    read from the table; the others are built and not stored.
-    """
-    cached = table.memo(_DELTA)
-    offsets, _ = _offsets(table, m + 1)
-    cols = []
-    for amb in table.degree(m - 1):
-        amb_cols = cached.get(amb)
-        if amb_cols is None:
-            amb_cols = _columns(table, amb, offsets)
-        cols += amb_cols
-    return cols
+@memoized
+def _delta(table, m):
+    """The columns of δ^m, the store that ``cochain_differential`` and the
+    check rows read; computed once per table."""
+    return _columns(table, m)
 
 
 def differential_matrix(table, m):
-    """Columns: degree-m pairs; rows: degree-(m+1) pairs; integer entries, for every field."""
-    cols = _delta_columns(table, m)
+    """Columns: degree-m pairs; rows: degree-(m+1) pairs; integer entries, for every field.
+
+    δ^m is read from the store if a row has filled it; otherwise it is
+    built and not stored.
+    """
+    cols = table.memo("cochains._delta").get(m)
+    if cols is None:
+        cols = _columns(table, m)
     return SparseMatrix(_offsets(table, m + 1)[1], len(cols), tuple(cols))
 
 
 def cochain_differential(table, m, vec):
     """δ^m of the degree-m cochain vec, a cochain of degree m+1.
 
-    Each ambiguity that a term of vec meets has the columns of all its
-    pairs computed once per table (module docstring); the
-    term adds c·col.  The zero cochain reads nothing, so it builds no Γ_m
-    that a term would not.
+    δ^m is stored once per table (module docstring); each term adds c·col.
+    The zero cochain reads nothing, so it builds no δ^m that a term would
+    not.
     """
     if not vec:
         return {}
-    algebra = table.algebra
-    field, position = algebra.field, algebra.position
+    field = table.algebra.field
     add, mul, zero = field.add, field.mul, field.zero
-    pairs = pair_basis(table, m)
-    cached = table.memo(_DELTA)
-    offsets, _ = _offsets(table, m + 1)
+    cols = _delta(table, m)
     out = {}
     for j, c in vec.items():
-        amb, b = pairs[j]
-        amb_cols = cached.get(amb)
-        if amb_cols is None:
-            amb_cols = cached[amb] = _columns(table, amb, offsets)
-        for i, n in amb_cols[position[b]].items():
+        for i, n in cols[j].items():
             out[i] = add(out.get(i, zero), mul(c, n))
     is_zero = field.is_zero
     return {i: c for i, c in out.items() if not is_zero(c)}
@@ -202,8 +194,8 @@ def differential_via_resolution(table, m):
     columns in its order: each term n·(pre, r, post) of the resolution
     differential of q in Γ_m sends every pair (r, b) to n·(q, pre·b·post)
     when that product is nonzero.  Each generator's differential is read
-    from ``resolution.boundary``, which computes it once per table; the
-    face classes that ``_columns`` memoizes are not read.
+    from ``resolution.boundary``, which computes it once per table; no
+    ``_face_class`` is read.
     """
     algebra = table.algebra
     mul, parallel, position = algebra.mul, algebra.parallel, algebra.position
@@ -304,20 +296,9 @@ def class_vector(space, table, vec):
 
 
 def check_partial_squared(table, max_degree):
-    """δ^{m+1} kills each column of δ^m, m = 0..max_degree.
-
-    The first battery row that reads δ^0, and no row applies δ^0 to a
-    vector before ``cup-closure``: so this one stores the vertices'
-    columns, which ``differential-routes``, ``cohomology`` and
-    ``cup-closure`` then read.
-    """
-    cached = table.memo(_DELTA)
-    offsets, _ = _offsets(table, 1)
-    for vertex in table.degree(-1):
-        if vertex not in cached:
-            cached[vertex] = _columns(table, vertex, offsets)
+    """δ^{m+1} kills each column of δ^m, m = 0..max_degree."""
     for m in range(0, max_degree + 1):
-        for j, col in enumerate(_delta_columns(table, m)):
+        for j, col in enumerate(_delta(table, m)):
             assert not cochain_differential(table, m + 1, col), "partial^2 != 0 at %s" % display_vector(
                 table.algebra, pair_basis(table, m), {j: 1}, {}
             )
@@ -327,7 +308,7 @@ def check_differential_routes_agree(table, max_degree):
     """The direct δ^m and ``differential_via_resolution`` agree column by column."""
     for m in range(0, max_degree + 1):
         via = differential_via_resolution(table, m).cols
-        for j, col in enumerate(_delta_columns(table, m)):
+        for j, col in enumerate(_delta(table, m)):
             assert col == via[j], "differential routes disagree at %s" % display_vector(
                 table.algebra, pair_basis(table, m), {j: 1}, {}
             )

@@ -35,9 +35,7 @@ class RationalField:
 
     name = "q"
     zero = 0
-    one = 1
     add = staticmethod(operator.add)
-    neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
     is_zero = staticmethod(operator.not_)
 
@@ -147,16 +145,12 @@ class PrimeField:
         self.p = p
         self.name = f"fp:{p}"
         self.zero = 0
-        self.one = 1 % p
 
     def add(self, a, b):
         return (a + b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

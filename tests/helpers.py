@@ -173,14 +173,13 @@ def difference(field, x, y):
     """x - y for two cochains of one degree, without zeros."""
     out = dict(x)
     for i, c in y.items():
-        out[i] = field.add(out.get(i, field.zero), field.neg(c))
+        out[i] = field.add(out.get(i, field.zero), field.mul(-1, c))
     return {i: c for i, c in out.items() if not field.is_zero(c)}
 
 
 def unit_cochain(table):
     """The sum of all vertex pairs; a cocycle of degree 0 representing the unit class."""
-    one = table.algebra.field.one
-    return vector(table, 0, {(amb, amb_path(table, amb)): one for amb in table.degree(-1)})
+    return vector(table, 0, {(amb, amb_path(table, amb)): 1 for amb in table.degree(-1)})
 
 
 def is_quadratic(algebra):

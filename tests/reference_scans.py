@@ -2,7 +2,7 @@
 
 Each one tests every ambiguity of a whole degree against a word, so its
 cost grows with |Γ_m|.  They stay here as the reference that
-``occurrences``, ``cofaces``, ``sub``, the truncation links and the pair
+``occurrences``, ``sub``, the truncation links and the pair
 differential are compared against, and ``scan_cup_cochain`` is the product
 that the cup structure constants replaced; unlike the product, it does not
 read the diagonal.  The adjacency scans at the end, over every arrow or
@@ -30,7 +30,9 @@ representative's rest through ``reduce_mod``, the reference for
 ``linalg.kernel_basis`` and ``linalg.quotient_basis``.  ``term_constants``
 is the cup structure constants before their gap classes: every Δ term
 looks up the product of every parallel pair (bf, bg), the reference for
-``cup._constants``.
+``cup._constants``.  ``lookup_columns`` is δ^m before its face classes:
+each face of each q looks up the product of every parallel b, the
+reference for ``cochains._columns``.
 """
 
 from monomial_hh.ambiguities import Ambiguity
@@ -132,24 +134,6 @@ def scan_occurrences(table, m, word):
 def scan_sub(table, amb):
     """Positioned (n−1)-ambiguity divisors (lower, k), by increasing position k."""
     return scan_occurrences(table, amb.degree - 1, amb_path(table, amb))
-
-
-def scan_cofaces(table, n):
-    """{p: [(q, position, sign)]}: every p of Γ_{n-1} tested against every q of Γ_n."""
-    out = {}
-    for p in table.degree(n - 1):
-        hits = []
-        for q in table.degree(n):
-            if n % 2 == 0:
-                if amb_prefix(q, n - 1) == p:
-                    hits.append((q, 0, 1))
-                if amb_suffix(q, n - 1) == p:
-                    hits.append((q, len(q.arrows) - len(p.arrows), -1))
-            else:
-                hits.extend((q, k, 1) for k in divisor_occurrences(amb_path(table, p), amb_path(table, q)))
-        if hits:
-            out[p] = hits
-    return out
 
 
 def scan_truncation(table, amb, m, initial):
@@ -591,26 +575,31 @@ def bfs_read_automaton(quiver, rel_arrows):
     return basis
 
 
-def lookup_columns(table, amb, offsets):
-    """``cochains._columns`` with one word lookup per face and parallel b."""
+def lookup_columns(table, m):
+    """``cochains._columns`` with one word lookup per face of each q and parallel b.
+
+    The faces are read off q: the truncation walks in even m, ``sub`` in odd
+    m; no face class is read.
+    """
     algebra = table.algebra
-    words, word_index, position = algebra.words, algebra.word_index, algebra.position
-    length = len(amb.arrows)
-    faces = [
-        (offsets[q], q.arrows[:k], q.arrows[k + length :], sign)
-        for q, k, sign in table.cofaces(amb.degree + 1).get(amb, ())
-    ]
-    cols = []
-    for b in algebra.parallel[(amb.source, amb.target)]:
-        ba = words[b]
-        col = {}
-        for offset, pre, post, sign in faces:
-            i = word_index.get(pre + ba + post)
-            if i is not None:
-                i = offset + position[i]
-                col[i] = col.get(i, 0) + sign
-        cols.append({i: n for i, n in col.items() if n})
-    return cols
+    words, word_index, parallel, position = algebra.words, algebra.word_index, algebra.parallel, algebra.position
+    col_offsets, ncols = _offsets(table, m)
+    row_offsets, _ = _offsets(table, m + 1)
+    cols = [{} for _ in range(ncols)]
+    for q in table.degree(m):
+        if m % 2:
+            faces = [(p, k, 1) for p, k in table.sub(q)]
+        else:
+            tail = amb_suffix(q, m - 1)
+            faces = [(amb_prefix(q, m - 1), 0, 1), (tail, len(q.arrows) - len(tail.arrows), -1)]
+        for p, k, sign in faces:
+            pre, post = q.arrows[:k], q.arrows[k + len(p.arrows) :]
+            for j, b in enumerate(parallel[(p.source, p.target)], col_offsets[p]):
+                i = word_index.get(pre + words[b] + post)
+                if i is not None:
+                    i = row_offsets[q] + position[i]
+                    cols[j][i] = cols[j].get(i, 0) + sign
+    return [{i: n for i, n in col.items() if n} for col in cols]
 
 
 def term_constants(table, m, n):

@@ -65,7 +65,6 @@ def test_criterion_2_cone_cup_products(cone):
     with criterion(2, "cone class products: f.w, g.w, w.w land on the stated classes"):
         t = AmbiguityTable(cone)
         q = cone.quiver
-        one = cone.field.one
         spaces = hochschild_cohomology(t, 4)
 
         def word(w):
@@ -78,23 +77,23 @@ def test_criterion_2_cone_cup_products(cone):
             t,
             2,
             {
-                (by_path(t, 1, word("alpha zeta alpha")), path(q, "alpha")): one,
-                (by_path(t, 1, word("zeta alpha zeta")), path(q, "zeta")): one,
+                (by_path(t, 1, word("alpha zeta alpha")), path(q, "alpha")): 1,
+                (by_path(t, 1, word("zeta alpha zeta")), path(q, "zeta")): 1,
             },
         )
-        f = vector(t, 1, {(by_path(t, 0, path(q, "alpha")), path(q, "alpha")): one})
-        g = vector(t, 1, {(by_path(t, 0, path(q, "zeta")), path(q, "zeta")): one})
+        f = vector(t, 1, {(by_path(t, 0, path(q, "alpha")), path(q, "alpha")): 1})
+        g = vector(t, 1, {(by_path(t, 0, path(q, "zeta")), path(q, "zeta")): 1})
         for c, d in ((w, 2), (f, 1), (g, 1)):
             assert is_cocycle(t, d, c)
 
-        az2 = vector(t, 3, {(by_path(t, 2, word("alpha zeta alpha zeta")), word("alpha zeta")): one})
-        za2 = vector(t, 3, {(by_path(t, 2, word("zeta alpha zeta alpha")), word("zeta alpha")): one})
+        az2 = vector(t, 3, {(by_path(t, 2, word("alpha zeta alpha zeta")), word("alpha zeta")): 1})
+        za2 = vector(t, 3, {(by_path(t, 2, word("zeta alpha zeta alpha")), word("zeta alpha")): 1})
         ww_target = vector(
             t,
             4,
             {
-                (by_path(t, 3, word("alpha zeta alpha zeta alpha zeta")), word("alpha zeta")): one,
-                (by_path(t, 3, word("zeta alpha zeta alpha zeta alpha")), word("zeta alpha")): one,
+                (by_path(t, 3, word("alpha zeta alpha zeta alpha zeta")), word("alpha zeta")): 1,
+                (by_path(t, 3, word("zeta alpha zeta alpha zeta alpha")), word("zeta alpha")): 1,
             },
         )
 
@@ -108,7 +107,6 @@ def test_criterion_3_one_order_is_a_coboundary(triangular_a6):
     with criterion(3, "a6: y.x = d(||a4a3a2|| g a3 b) exactly, nonzero, zero class; x.y = 0"):
         t = AmbiguityTable(triangular_a6)
         q = triangular_a6.quiver
-        one = triangular_a6.field.one
 
         def word(w):
             return written(q, w)
@@ -117,23 +115,23 @@ def test_criterion_3_one_order_is_a_coboundary(triangular_a6):
             t,
             2,
             {
-                (by_path(t, 1, word("a4 a3")), word("g a3")): one,
-                (by_path(t, 1, word("a5 a4")), word("a5 g")): one,
+                (by_path(t, 1, word("a4 a3")), word("g a3")): 1,
+                (by_path(t, 1, word("a5 a4")), word("a5 g")): 1,
             },
         )
         y = vector(
             t,
             2,
             {
-                (by_path(t, 1, word("a2 a1")), word("b a1")): one,
-                (by_path(t, 1, word("a3 a2")), word("a3 b")): one,
+                (by_path(t, 1, word("a2 a1")), word("b a1")): 1,
+                (by_path(t, 1, word("a3 a2")), word("a3 b")): 1,
             },
         )
         assert is_cocycle(t, 2, x) and is_cocycle(t, 2, y)
 
         products = cup_products(t, 2, 2, [x, y], [x, y])
         yx = products[1, 0]
-        witness = vector(t, 3, {(by_path(t, 2, word("a4 a3 a2")), word("g a3 b")): one})
+        witness = vector(t, 3, {(by_path(t, 2, word("a4 a3 a2")), word("g a3 b")): 1})
         assert yx == cochain_differential(t, 3, witness)
         assert yx
         assert (0, 1) not in products

@@ -82,10 +82,10 @@ def test_routes_check_names_a_flipped_sign(spec, monkeypatch):
     amb, b = pair_basis(t, 2)[j]
     columns = cochains._columns
 
-    def flipped(table, amb_, offsets):
-        cols = columns(table, amb_, offsets)
-        if amb_ is amb:
-            col = cols[t.algebra.position[b]]
+    def flipped(table, m):
+        cols = columns(table, m)
+        if m == 2:
+            col = cols[j]
             i = next(iter(col))
             col[i] = -col[i]
         return cols

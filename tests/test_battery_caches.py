@@ -1,24 +1,23 @@
 """The per-table memos that the check battery shares, against fresh builds.
 
-Every memo in ``ambiguities.MEMOS`` is checked warm against cold after a
-full battery.  The other tests pin how the battery fills the memos it
-shares: the δ columns of each ambiguity that ``cochain_differential``
-meets and of each vertex, each ambiguity's divisor occurrences, the
-splits of each word amb·post and each generator's differential
-``resolution.boundary``.  The
-columns are shared with every matrix and kernel pass, so a caller that
-mutated one would corrupt every later reader; and a memo is worth keeping
-only if it is filled once and holds what a fresh build gives.
+Every memo in ``ambiguities.MEMOS`` has a builder, and each is checked
+warm against cold after a full battery.  The other tests pin how the
+battery fills the memos it shares: δ^m once per degree, each
+ambiguity's divisor occurrences, the splits of each word amb·post and
+each generator's differential ``resolution.boundary``.  The columns of
+δ are shared with every matrix and kernel pass, so a caller that mutated
+one would corrupt every later reader; and a memo is worth keeping only
+if it is filled once and holds what a fresh build gives.
 """
 
 import inspect
 
 import pytest
 
-from monomial_hh import checks, cochains, cup, diagonal, resolution
+from monomial_hh import checks, cochains, resolution
 from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import MEMOS, AmbiguityTable
-from monomial_hh.cochains import _columns, _face_class, _offsets, hochschild_cohomology
+from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.diagonal import _decompositions
 from monomial_hh.quivers import is_triangular
 from monomial_hh.resolution import differential, homotopy_sigma, right_spanning_set
@@ -62,16 +61,10 @@ def battery(request):
         return list(battery_tables(request.param, monkeypatch))
 
 
-REBUILD = {  # the memos that their module fills by its own rule, and a fresh build of one key
-    "cochains._delta": lambda t, amb: _columns(t, amb, _offsets(t, amb.degree + 2)[0]),
-    "cochains._classes": lambda t, key: _face_class(t.algebra, key[0], key[1], t.algebra.parallel[key[2:]]),
-}
-
-
 @pytest.mark.parametrize("name", sorted(MEMOS))
 def test_warm_memo_equals_cold(name, battery):
     # every value the battery left in the memo is what a cold build of its key gives
-    build = MEMOS[name] or REBUILD[name]
+    build = MEMOS[name]
     pair_keyed = len(inspect.signature(build).parameters) == 3
     checked = 0
     for t in battery:
@@ -80,15 +73,14 @@ def test_warm_memo_equals_cold(name, battery):
         memo.clear()
         for key, value in warm.items():
             assert (build(t, *key) if pair_keyed else build(t, key)) == value, (name, key)
-        if MEMOS[name] is not None:
-            assert memo.keys() == warm.keys()  # each build is stored
+        assert memo.keys() == warm.keys()  # each build is stored
         memo.update(warm)
         checked += len(warm)
     assert checked
 
 
 def test_cohomology_alone_caches_no_columns():
-    # hh keeps one matrix at a time: assembly reads the cache but never fills it
+    # hh keeps one matrix at a time: assembly reads the δ store but never fills it
     for alg in (make_cone(), parse_algebra_file(loops_algebra_text(2, 2))):
         t = AmbiguityTable(alg)
         hochschild_cohomology(t, DEGREE)
@@ -96,36 +88,21 @@ def test_cohomology_alone_caches_no_columns():
 
 
 def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
-    built = []  # ambiguities whose columns cochain_differential built
-    vertices = []  # every build of a vertex's δ^0 columns, by any row
-    inside = []
-    columns, differential_ = cochains._columns, cochains.cochain_differential
+    # partial-squared, the first row to read δ, stores δ^m for m = 0..DEGREE
+    # and applies δ^(DEGREE+1); every later row reads the store, so the
+    # battery builds each degree's columns once
+    built = []
+    columns = cochains._columns
 
-    def counting_columns(table, amb, offsets):
-        if inside:
-            built.append(amb)
-        if amb.degree == -1:
-            vertices.append(amb)
-        return columns(table, amb, offsets)
+    def counting(table, m):
+        built.append(m)
+        return columns(table, m)
 
-    def flagged(table, m, vec):
-        inside.append(m)
-        try:
-            return differential_(table, m, vec)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(cochains, "_columns", counting_columns)
-    monkeypatch.setattr(cochains, "cochain_differential", flagged)
-    monkeypatch.setattr(cup, "cochain_differential", flagged)
+    monkeypatch.setattr(cochains, "_columns", counting)
     made = record_tables(monkeypatch)
     assert all(r.ok for r in checks.run_checks(make_cone(), DEGREE))
-    assert built, "the battery applies δ to some cochain"
-    assert len(built) == len(set(built))
-    # partial-squared, differential-routes, cohomology and cup-closure all
-    # read δ^0; the first stores the vertices' columns for the other three
-    assert sorted(v.source for v in vertices) == list(range(make_cone().quiver.n_vertices))
-    assert set(built) | set(vertices) == set(made[0].memo("cochains._delta"))
+    assert built == list(range(DEGREE + 2))
+    assert set(made[0].memo("cochains._delta")) == set(built)
 
 
 def test_battery_takes_each_generator_differential_once(monkeypatch):

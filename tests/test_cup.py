@@ -84,9 +84,9 @@ def record_delta_route_signs(table, max_total_degree):
     for m in range(0, max_total_degree + 1):
         for n in range(0, max_total_degree + 1 - m):
             for i in range(len(pair_basis(table, m))):
-                f = {i: field.one}
+                f = {i: 1}
                 for j in range(len(pair_basis(table, n))):
-                    g = {j: field.one}
+                    g = {j: 1}
                     direct = product(table, n, m, g, f)
                     routed = delta_route_cup(table, m, n, f, g)
                     if not direct and not routed:
@@ -231,14 +231,13 @@ def common_factor(table, m, x):
 def check_quadratic_cup(table, max_total_degree):
     """Quadratic algebras: basis cups concatenate or vanish."""
     alg = table.algebra
-    one = alg.field.one
     assert is_quadratic(alg)
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
             index = {pair: k for k, pair in enumerate(path_pairs(table, m + n))}
             for i, (ambf, bf) in enumerate(path_pairs(table, m)):
                 for j, (ambg, bg) in enumerate(path_pairs(table, n)):
-                    got = product(table, m, n, {i: one}, {j: one})
+                    got = product(table, m, n, {i: 1}, {j: 1})
                     expected = {}
                     if ambf.target == ambg.source:
                         pq = concat(amb_path(table, ambf), amb_path(table, ambg))
@@ -246,28 +245,27 @@ def check_quadratic_cup(table, max_total_degree):
                         if q is not None and bf.target == bg.source:
                             value = reduce_concat(alg, bf, bg)
                             if value is not None:
-                                expected[index[(q, value)]] = one
+                                expected[index[(q, value)]] = 1
                     assert got == expected, "quadratic cup shape fails at %r, %r" % ((ambf, bf), (ambg, bg))
 
 
 def _a6_xy(alg):
     t = AmbiguityTable(alg)
     q = alg.quiver
-    one = alg.field.one
     x = vector(
         t,
         2,
         {
-            (by_path(t, 1, written(q, "a4 a3")), written(q, "g a3")): one,
-            (by_path(t, 1, written(q, "a5 a4")), written(q, "a5 g")): one,
+            (by_path(t, 1, written(q, "a4 a3")), written(q, "g a3")): 1,
+            (by_path(t, 1, written(q, "a5 a4")), written(q, "a5 g")): 1,
         },
     )
     y = vector(
         t,
         2,
         {
-            (by_path(t, 1, written(q, "a2 a1")), written(q, "b a1")): one,
-            (by_path(t, 1, written(q, "a3 a2")), written(q, "a3 b")): one,
+            (by_path(t, 1, written(q, "a2 a1")), written(q, "b a1")): 1,
+            (by_path(t, 1, written(q, "a3 a2")), written(q, "a3 b")): 1,
         },
     )
     return t, x, y
@@ -276,13 +274,12 @@ def _a6_xy(alg):
 def _cone_w(cone):
     t = AmbiguityTable(cone)
     q = cone.quiver
-    one = cone.field.one
     w = vector(
         t,
         2,
         {
-            (by_path(t, 1, written(q, "alpha zeta alpha")), path(q, "alpha")): one,
-            (by_path(t, 1, written(q, "zeta alpha zeta")), path(q, "zeta")): one,
+            (by_path(t, 1, written(q, "alpha zeta alpha")), path(q, "alpha")): 1,
+            (by_path(t, 1, written(q, "zeta alpha zeta")), path(q, "zeta")): 1,
         },
     )
     return t, w
@@ -295,7 +292,7 @@ def test_final_example_one_order_vanishes(triangular_a6):
     yx = product(t, 2, 2, y, x)
     # y cup x is exactly the differential of the parallel pair from the text
     witness = vector(
-        t, 3, {(by_path(t, 2, written(q, "a4 a3 a2")), written(q, "g a3 b")): triangular_a6.field.one}
+        t, 3, {(by_path(t, 2, written(q, "a4 a3 a2")), written(q, "g a3 b")): 1}
     )
     assert yx == cochain_differential(t, 3, witness)
     assert yx
@@ -308,19 +305,18 @@ def test_final_example_one_order_vanishes(triangular_a6):
 def test_cone_degree1_times_w(cone):
     t, w = _cone_w(cone)
     q = cone.quiver
-    one = cone.field.one
     assert is_cocycle(t, 2, w)
-    f = vector(t, 1, {(by_path(t, 0, path(q, "alpha")), path(q, "alpha")): one})
+    f = vector(t, 1, {(by_path(t, 0, path(q, "alpha")), path(q, "alpha")): 1})
     assert is_cocycle(t, 1, f)
     fw = product(t, 1, 2, f, w)
     expected = vector(
-        t, 3, {(by_path(t, 2, written(q, "zeta alpha zeta alpha")), written(q, "zeta alpha")): one}
+        t, 3, {(by_path(t, 2, written(q, "zeta alpha zeta alpha")), written(q, "zeta alpha")): 1}
     )
     assert fw == expected
     # as classes this equals the (alpha zeta)^2 representative
     spaces = hochschild_cohomology(t, 3)
     target = vector(
-        t, 3, {(by_path(t, 2, written(q, "alpha zeta alpha zeta")), written(q, "alpha zeta")): one}
+        t, 3, {(by_path(t, 2, written(q, "alpha zeta alpha zeta")), written(q, "alpha zeta")): 1}
     )
     assert is_cocycle(t, 3, target)
     assert class_vector(spaces[3], t, fw) == class_vector(spaces[3], t, target)
@@ -331,13 +327,12 @@ def test_cone_w_squared_exact(cone):
     t, w = _cone_w(cone)
     q = cone.quiver
     ww = product(t, 2, 2, w, w)
-    one = cone.field.one
     expected = vector(
         t,
         4,
         {
-            (by_path(t, 3, written(q, "alpha zeta alpha zeta alpha zeta")), written(q, "alpha zeta")): one,
-            (by_path(t, 3, written(q, "zeta alpha zeta alpha zeta alpha")), written(q, "zeta alpha")): one,
+            (by_path(t, 3, written(q, "alpha zeta alpha zeta alpha zeta")), written(q, "alpha zeta")): 1,
+            (by_path(t, 3, written(q, "zeta alpha zeta alpha zeta alpha")), written(q, "zeta alpha")): 1,
         },
     )
     assert ww == expected
@@ -354,11 +349,10 @@ def test_unit_is_identity(cone, triangular_a6):
         spaces = hochschild_cohomology(t, 4)
         u = unit_cochain(t)
         assert is_cocycle(t, 0, u)
-        one = alg.field.one
         for n in range(0, 5):
             for j, rep in enumerate(spaces[n].representatives):
-                assert product_class(t, spaces, 0, n, u, rep) == {j: one}
-                assert product_class(t, spaces, n, 0, rep, u) == {j: one}
+                assert product_class(t, spaces, 0, n, u, rep) == {j: 1}
+                assert product_class(t, spaces, n, 0, rep, u) == {j: 1}
 
 
 def test_cup_table_degree0(cone):
@@ -473,8 +467,7 @@ def test_cup_product_reads_the_diagonal(cone, monkeypatch):
     # (3, 1), not the class-level tables
     def products():
         t = AmbiguityTable(cone)
-        one = cone.field.one
-        units = [[{i: one} for i in range(len(pair_basis(t, d)))] for d in range(5)]
+        units = [[{i: 1} for i in range(len(pair_basis(t, d)))] for d in range(5)]
         return [product(t, m, n, f, g) for m in range(5) for n in range(5 - m) for f in units[m] for g in units[n]]
 
     before = products()
@@ -548,10 +541,9 @@ def test_cup_tables_of_a_truncated_polynomial_over_gf2():
     t = AmbiguityTable(alg)
     spaces = hochschild_cohomology(t, 6)
     assert [s.dimension for s in spaces] == [4] * 7
-    one = alg.field.one
     for i in range(7):
         for j in range(7 - i):
-            want = [[{a + b: one} if a + b < 4 and (i % 2 == 0 or j % 2 == 0) else {} for b in range(4)] for a in range(4)]
+            want = [[{a + b: 1} if a + b < 4 and (i % 2 == 0 or j % 2 == 0) else {} for b in range(4)] for a in range(4)]
             assert cup_table(t, spaces, i, j) == want, (i, j)
 
 
@@ -612,7 +604,7 @@ def test_irreducible_components(triangular_a6):
             (
                 by_path(t, 2, written(triangular_a6.quiver, "a4 a3 a2")),
                 written(triangular_a6.quiver, "g a3 b"),
-            ): triangular_a6.field.one
+            ): 1
         },
     )
     # not a cocycle: refuse to split

@@ -20,7 +20,6 @@ from reference_scans import (
     amb_prefix,
     amb_suffix,
     concat,
-    scan_cofaces,
     scan_cup_cochain,
     scan_occurrences,
     scan_pair_basis,
@@ -105,10 +104,9 @@ def test_ambiguities_compare_by_identity():
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])
-def test_cofaces_and_sub_match_scan(spec):
+def test_sub_matches_scan(spec):
     for t in tables(spec):
         for n in range(0, DEGREE + 1):
-            assert t.cofaces(n) == scan_cofaces(t, n)
             for amb in t.degree(n):
                 assert t.sub(amb) == scan_sub(t, amb)
 
@@ -126,8 +124,8 @@ def test_pair_differential_matches_scan(spec):
             for j, (amb, b) in enumerate(path_pairs(t, m)):
                 want = [(index[key], n) for key, n in scan_pair_differential_terms(t, amb, b).items()]
                 assert list(cols[j].items()) == want
-                reduced = [(i, c) for i, n in want if not field.is_zero(c := field.mul(field.one, n))]
-                assert list(cochain_differential(t, m, {j: field.one}).items()) == reduced
+                reduced = [(i, c) for i, n in want if not field.is_zero(c := field.mul(1, n))]
+                assert list(cochain_differential(t, m, {j: 1}).items()) == reduced
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
@@ -179,7 +177,7 @@ def test_cup_matches_scan(spec):
         for d in degrees:
             n_pairs = len(pair_basis(t, d))
             weights = {i: c for i in range(n_pairs) if not field.is_zero(c := field.add(field.zero, i + 1))}
-            lists.append([{i: field.one} for i in range(n_pairs)] + [weights])
+            lists.append([{i: 1} for i in range(n_pairs)] + [weights])
         for m in degrees:
             for n in range(0, CUP_DEGREE + 1 - m):
                 fs, gs = lists[m], lists[n]

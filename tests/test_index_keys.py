@@ -3,16 +3,18 @@
 Every element is mapped through ``helpers.basis_paths`` and compared term
 for term with the same arithmetic on Path keys in ``reference_scans``.  The
 ast guards at the end keep paths out of the library: it holds arrow words
-and basis indices only.  One more keeps JSON writing in ``cli``.
+and basis indices only.  One more keeps JSON writing in ``cli``, and one
+checks each memo name a module reads against ``MEMOS``.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
 from monomial_hh import checks
-from monomial_hh.ambiguities import AmbiguityTable
+from monomial_hh.ambiguities import MEMOS, AmbiguityTable
 from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.diagonal import _decompositions, diagonal, tensor_differential
 from monomial_hh.resolution import boundary, differential, homotopy_sigma, right_spanning_set
@@ -158,6 +160,24 @@ def test_json_is_written_by_cli_alone():
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("dump", "dumps")
     ]
     assert dumps == ["_json_text"]
+
+
+def test_memo_names_have_builders():
+    # a misspelt name would silently read an empty memo and rebuild on every
+    # call, so each memo a module reads inline is named by a literal that
+    # is a builder's key in MEMOS
+    for module in MODULES:
+        if module not in ("__init__", "__main__"):
+            importlib.import_module("monomial_hh." + module)  # each builder enters MEMOS on import
+    names = []
+    for module in MODULES:
+        for node in ast.walk(ast.parse((SRC / (module + ".py")).read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "memo":
+                [arg] = node.args
+                assert isinstance(arg, ast.Constant) and isinstance(arg.value, str), (module, node.lineno)
+                names.append(arg.value)
+    assert names
+    assert set(names) <= set(MEMOS)
 
 
 # calls whose result is an algebra

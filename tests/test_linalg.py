@@ -262,7 +262,7 @@ def test_determinism(rows):
 
 
 def sub(field, a, b):
-    return field.add(a, field.neg(b))
+    return field.add(a, field.mul(-1, b))
 
 
 def div(field, a, b):
@@ -285,7 +285,7 @@ def gauss_jordan(field, rows, ncols):
         if r is None:
             continue
         a[top], a[r] = a[r], a[top]
-        inv = div(field, field.one, a[top][c])
+        inv = div(field, 1, a[top][c])
         a[top] = [field.mul(inv, v) for v in a[top]]
         for i in range(len(a)):
             if i != top and not field.is_zero(a[i][c]):
@@ -327,9 +327,9 @@ def test_elimination_matches_dense_gauss_jordan(rows, mixing, fieldspec):
         if j in pivots:
             continue
         vec = [field.zero] * m.ncols
-        vec[j] = field.one
+        vec[j] = 1
         for i, p in enumerate(pivots):
-            vec[p] = field.neg(reduced[i][j])
+            vec[p] = field.mul(-1, reduced[i][j])
         expected.append(normal_form(field, sparse(field, vec)))
     ker = kernel_basis(field, m)
     assert ker == expected
