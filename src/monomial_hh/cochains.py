@@ -8,7 +8,9 @@ in the order of its ``parallel`` tuple, so a pair's index is its
 ambiguity's offset plus ``algebra.position[b]`` (0 for a trivial b, which
 comes first).  A cochain is the vector {index in ``pair_basis(table, m)``:
 scalar}, without zeros; a vector carries no degree, so every function
-that takes one is also given its degree, or the space it lives in.  This
+that takes one is also given its degree, or the space it lives in.
+Cochain sums run on plain numbers, and the field's ``normal`` puts each
+cochain a function returns in the field.  This
 module is the one place that decides how a pair is indexed.  Each degree's
 offsets and, where a space needs them, its pairs are memoized per table.
 
@@ -166,21 +168,20 @@ def differential_matrix(table, m):
 def cochain_differential(table, m, vec):
     """δ^m of the degree-m cochain vec, a cochain of degree m+1.
 
-    δ^m is stored once per table (module docstring); each term adds c·col.
-    The zero cochain reads nothing, so it builds no δ^m that a term would
-    not.
+    δ^m is stored once per table (module docstring); each term adds c·col
+    with native + and *, and the field's ``normal`` puts the sum in the
+    field.  The zero cochain reads nothing, so it builds no δ^m that a term
+    would not.
     """
     if not vec:
         return {}
-    field = table.algebra.field
-    add, mul, zero = field.add, field.mul, field.zero
     cols = _delta(table, m)
     out = {}
+    get = out.get
     for j, c in vec.items():
         for i, n in cols[j].items():
-            out[i] = add(out.get(i, zero), mul(c, n))
-    is_zero = field.is_zero
-    return {i: c for i, c in out.items() if not is_zero(c)}
+            out[i] = get(i, 0) + c * n
+    return table.algebra.field.normal(out)
 
 
 def is_cocycle(table, m, vec):
@@ -279,11 +280,11 @@ def class_vector(space, table, vec):
     span exactly the cocycles (``kernel_basis`` asserts rank + nullity,
     ``quotient_basis`` that the image lies in the kernel), so the solve
     itself is the cocycle test.  The solver starts from the coboundary rows
-    and tracks coefficients over the representatives only.
+    and tracks coefficients over the representatives only.  The solution is
+    returned as ``express`` gives it, which has no zero entries.
     """
-    field = table.algebra.field
     if space._solver is None:
-        solver = RowBasis(field, track=True, seed=space.coboundaries)
+        solver = RowBasis(table.algebra.field, track=True, seed=space.coboundaries)
         for i, v in enumerate(space.representatives):
             added, _ = solver.insert(v, i)
             assert added
@@ -291,8 +292,7 @@ def class_vector(space, table, vec):
     sol = space._solver.express(vec)
     if sol is None:
         raise NotACocycle("not killed by the differential: %s" % display_vector(table.algebra, space.pairs, vec, {}))
-    is_zero = field.is_zero
-    return {i: c for i, c in sol.items() if not is_zero(c)}
+    return sol
 
 
 def check_partial_squared(table, max_degree):

@@ -1,31 +1,31 @@
 """Exact scalar arithmetic: the rationals and prime fields.
 
-A field object bundles the scalar operations of the cochain complex and the
-row kernels of the sparse elimination in ``linalg``.  Scalars are plain
-Python values: over the rationals any exact rational, ``int`` or
-``fractions.Fraction``; over a prime field an ``int``, reduced into
-``range(p)`` by the field's own arithmetic.  A plain ``int`` is a scalar of
-every field, so the integer coefficients of the resolution, the diagonal
-and the bar complex enter any field as they are.  Floating point never
-appears anywhere in this package.
+A field object reduces whole vectors, never single scalars.  Scalars are
+plain Python values: over the rationals any exact rational, ``int`` or
+``fractions.Fraction``; over a prime field an ``int`` in ``range(p)``.  A
+plain ``int`` is a scalar of every field, so the integer coefficients of
+the resolution, the diagonal and the bar complex enter any field as they
+are, and the layers that sum scalars (cochain differentials, cup products)
+do it with native ``+`` and ``*``.  Floating point never appears anywhere
+in this package.
 
-The elimination never touches a scalar: its rows are dicts of plain ints,
-and the field converts at the boundary.  ``to_row`` is the one place a
-vector enters the elimination: it clears denominators over the rationals,
-reduces mod p over a prime field, and drops the entries that are zero in
-the field.  ``pivot_step`` and ``combine`` make one reduction step
-``vec ← a·vec − b·row``, ``canonical`` scales a row before it is stored or
-returned as a dependency, and ``from_row`` turns integer rows back into
-scalars.  A canonical row is already a vector of scalars.  Over the
-rationals a row is an integer vector, reduced fraction-free (the a·vec step
-of Bareiss, *Math. Comp.* 22, 1968) and stored primitive with a positive
-pivot; over a prime field its ints lie in ``range(p)``, the pivot is 1 and
-a is always 1, so a step is ``vec − b·row`` mod p.
+A field reduces a vector in two places only.  ``normal`` puts a vector
+that a layer returns in the field: it reduces each entry mod p over a
+prime field and drops the entries that are zero there.  ``to_row`` is
+where a vector enters the elimination, whose rows are dicts of plain ints:
+it clears denominators over the rationals, reduces mod p over a prime
+field, and drops the zeros.  ``pivot_step`` and ``combine`` make one
+reduction step ``vec ← a·vec − b·row``, ``canonical`` scales a row before
+it is stored or returned as a dependency, and ``from_row`` turns integer
+rows back into scalars.  A canonical row is already a vector of scalars.
+Over the rationals a row is an integer vector, reduced fraction-free (the
+a·vec step of Bareiss, *Math. Comp.* 22, 1968) and stored primitive with a
+positive pivot; over a prime field its ints lie in ``range(p)``, the pivot
+is 1 and a is always 1, so a step is ``vec − b·row`` mod p.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -34,10 +34,11 @@ class RationalField:
     """The field of rational numbers; scalars are ``int`` or ``Fraction``."""
 
     name = "q"
-    zero = 0
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
-    is_zero = staticmethod(operator.not_)
+
+    @staticmethod
+    def normal(vec: dict):
+        """vec without its zero entries, a new dict."""
+        return {c: v for c, v in vec.items() if v}
 
     @staticmethod
     def to_row(vec: dict):
@@ -144,21 +145,15 @@ class PrimeField:
             raise ValueError(f"not a prime: {p}")
         self.p = p
         self.name = f"fp:{p}"
-        self.zero = 0
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
+    def normal(self, vec: dict):
+        """vec reduced into range(p), without the entries that vanish; a new dict."""
+        p = self.p
+        return {c: x for c, v in vec.items() if (x := v % p)}
 
     def to_row(self, vec: dict):
-        """(row, 1): vec reduced into range(p), without the entries that vanish."""
-        p = self.p
-        return {c: x for c, v in vec.items() if (x := v % p)}, 1
+        """(row, 1): the integer row of vec is its ``normal`` form."""
+        return self.normal(vec), 1
 
     @staticmethod
     def pivot_step(vc: int, rp: int):

@@ -19,7 +19,7 @@ vector into the field and drops the entries that are zero there, so "no
 stored zeros" holds from then on.  The field's row kernels then make each
 reduction step ``vec ← a·vec − b·row`` (fraction-free over the rationals,
 mod p over a prime field) and convert back to scalars only what is
-returned.
+returned; no step touches a single scalar through the field.
 
 The cohomology passes eliminate only where vectors meet, by three
 shortcuts that the uniqueness above makes exact:
@@ -75,8 +75,8 @@ class RowBasis:
     pivot; and coefficients over the independent inserted vectors are
     unique, so ``express`` and the dependencies from ``insert`` are too.
     With ``track=True`` each row also carries its expression in terms of the
-    original inserted vectors, which is what kernel extraction and
-    membership certificates need.
+    original inserted vectors, each named by the tag the caller inserted it
+    with, which is what kernel extraction and membership certificates need.
 
     Rows and coefficients are integer dicts in the field's row form (see
     ``fields``); ``rows`` maps pivot index -> (vec, coeffs|None) with
@@ -96,7 +96,6 @@ class RowBasis:
         self.track = track
         # pivot index -> (vec, coeffs|None), in insertion order
         self.rows = {min(vec): (vec, {} if track else None) for vec in seed}
-        self.n_inserted = 0
 
     @property
     def rank(self) -> int:
@@ -136,11 +135,10 @@ class RowBasis:
         ``canonical`` at its smallest tag: primitive with a positive entry
         there over the rationals, that entry 1 over a prime field.  It is
         the canonical integer row as it is, which is a vector of scalars.
+        A tracked basis needs each vector's tag; an untracked one reads none.
         """
+        assert tag is not None or not self.track, "a tracked basis needs a tag"
         f = self.field
-        if tag is None:
-            tag = self.n_inserted
-        self.n_inserted += 1
         vec, d = f.to_row(vec)
         coeffs = {tag: d} if self.track else None
         self._reduce(vec, coeffs)

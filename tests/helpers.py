@@ -169,12 +169,20 @@ def keyed(table, m, vec):
     return {pairs[i]: c for i, c in vec.items()}
 
 
+def scalar(field, c):
+    """The plain number c as a scalar of field: c itself over the rationals,
+    c mod p over a prime field.  The references reduce with this, never with
+    the library's field objects, which keep no per-scalar arithmetic."""
+    p = getattr(field, "p", None)
+    return c if p is None else c % p
+
+
 def difference(field, x, y):
     """x - y for two cochains of one degree, without zeros."""
     out = dict(x)
     for i, c in y.items():
-        out[i] = field.add(out.get(i, field.zero), field.mul(-1, c))
-    return {i: c for i, c in out.items() if not field.is_zero(c)}
+        out[i] = out.get(i, 0) - c
+    return {i: s for i, c in out.items() if (s := scalar(field, c))}
 
 
 def unit_cochain(table):

@@ -43,7 +43,7 @@ from monomial_hh.errors import DegreeUnderflow, ImageNotInKernel, InfiniteDimens
 from monomial_hh.linalg import RowBasis, SparseMatrix
 from monomial_hh.quivers import _has_cycle
 
-from helpers import Path, amb_path, basis_paths
+from helpers import Path, amb_path, basis_paths, scalar
 
 
 def vertex_at(p, k):
@@ -213,8 +213,8 @@ def scan_cup_cochain(table, m, n, f, g):
                         value = reduce_concat(alg, gap_a, bf, gap_c, bg, gap_e)
                         if value is not None:
                             key = (q, value)
-                            out[key] = field.add(out.get(key, field.zero), field.mul(cf, cg))
-    return {key: c for key, c in out.items() if not field.is_zero(c)}
+                            out[key] = out.get(key, 0) + cf * cg
+    return {key: s for key, c in out.items() if (s := scalar(field, c))}
 
 
 def scan_out_arrows(quiver):

@@ -20,7 +20,7 @@ from monomial_hh.quivers import build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import bar_pair_list, basis_paths, loops_algebra_text
+from helpers import bar_pair_list, basis_paths, loops_algebra_text, scalar
 from reference_scans import scan_bar_differential_matrix, scan_bar_pairs
 from test_incidence import tables
 from test_index_keys import _calls
@@ -46,8 +46,8 @@ def check_bar_delta_squared(algebra, max_degree):
             acc = {}
             for r, c in lo.cols[j].items():
                 for i, c2 in hi.cols[r].items():
-                    cur = field.add(acc.get(i, field.zero), field.mul(c2, c))
-                    if field.is_zero(cur):
+                    cur = scalar(field, acc.get(i, 0) + c2 * c)
+                    if not cur:
                         acc.pop(i, None)
                     else:
                         acc[i] = cur

@@ -30,7 +30,18 @@ from monomial_hh.quivers import build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone
-from helpers import amb_path, by_path, is_quadratic, loops_algebra_text, path, path_pairs, unit_cochain, vector, written
+from helpers import (
+    amb_path,
+    by_path,
+    is_quadratic,
+    loops_algebra_text,
+    path,
+    path_pairs,
+    scalar,
+    unit_cochain,
+    vector,
+    written,
+)
 from reference_scans import concat, reduce_concat, segment, term_constants, to_paths
 from test_incidence import CUP_DEGREE, tables
 
@@ -68,8 +79,8 @@ def delta_route_cup(table, m, n, f, g):
                     if value is None:
                         continue
                     k = index[(q, value)]
-                    out[k] = field.add(out.get(k, field.zero), field.mul(field.mul(cf, cg), coeff))
-    return {k: c for k, c in out.items() if not field.is_zero(c)}
+                    out[k] = out.get(k, 0) + cf * cg * coeff
+    return {k: s for k, c in out.items() if (s := scalar(field, c))}
 
 
 def record_delta_route_signs(table, max_total_degree):
@@ -94,7 +105,7 @@ def record_delta_route_signs(table, max_total_degree):
                     if direct == routed:
                         sign = 1
                     else:
-                        assert direct == {k: field.mul(-1, c) for k, c in routed.items()}
+                        assert direct == {k: scalar(field, -c) for k, c in routed.items()}
                         sign = -1
                     prev = signs.setdefault((m, n), sign)
                     assert prev == sign, "route sign flips within bidegree (%d, %d)" % (m, n)
@@ -172,12 +183,10 @@ def refine_to_irreducible(table, m, x):
         sol = solver.express({i: comp[j] for i, j in enumerate(supp)})
         assert sol is not None
         for i, c in sol.items():
-            if field.is_zero(c):
-                continue
             piece = {}
             for idx, s in ker[i].items():
-                v = field.mul(c, s)
-                if not field.is_zero(v):
+                v = scalar(field, c * s)
+                if v:
                     piece[supp[idx]] = v
             assert len(piece) < len(comp)
             out.extend(refine_to_irreducible(table, m, piece))

@@ -19,7 +19,7 @@ from monomial_hh.errors import ImageNotInKernel
 from monomial_hh.fields import QQ, parse_field_spec
 from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis, quotient_basis
 
-from helpers import loops_algebra_text
+from helpers import loops_algebra_text, scalar
 from reference_scans import insert_kernel_basis, insert_quotient_basis
 from test_incidence import tables
 
@@ -80,7 +80,7 @@ def test_a_fraction_unit_kernel_vector_is_stored_canonical():
 def test_a_unit_vector_on_an_image_pivot_is_reduced(spec):
     # e_0 meets the image pivot 0 and lands on pivot 1; e_1 is then dependent
     field = parse_field_spec(spec)
-    image = [{0: 1, 1: field.mul(-1, 1)}]
+    image = [{0: 1, 1: scalar(field, -1)}]
     kernel = [{0: 1}, {1: 1}, {2: 1}]
     assert quotient_basis(field, kernel, image) == insert_quotient_basis(field, kernel, image) == [{1: 1}, {2: 1}]
 
@@ -93,7 +93,7 @@ def test_a_rest_keeps_its_non_unit_index(spec):
     kernel = [{0: 1, 1: 1, 2: 1}, {2: 1}, {1: 1, 3: 1}]
     reps = quotient_basis(field, kernel, [])
     assert_same(reps, insert_quotient_basis(field, kernel, []))
-    assert reps[0] == {0: 1, 3: field.mul(-1, 1)}
+    assert reps[0] == {0: 1, 3: scalar(field, -1)}
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:3"])

@@ -79,6 +79,11 @@ PRIME_CUP_GOLDEN = {
     ("truncated_cycle_3_2.alg", "fp:2", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
     ("truncated_cycle_3_2.alg", "fp:3", "cup"): "7ad9f1dccce95654e1e7bd3c0b6905f6b594e60cd0df50a0bc85f181d9d96fd4",
     ("truncated_cycle_3_2.alg", "fp:3", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
+    # p = 2**61 - 1: products of two scalars pass 64 bits before they are reduced
+    ("example_cone.alg", "fp:2305843009213693951", "cup"): "1a473dac27b7d92fae404e6a9673bf53a7fdb51fa68c0ceb150b588ec9c9c068",
+    ("example_cone.alg", "fp:2305843009213693951", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
+    ("truncated_cycle_3_2.alg", "fp:2305843009213693951", "cup"): "7ad9f1dccce95654e1e7bd3c0b6905f6b594e60cd0df50a0bc85f181d9d96fd4",
+    ("truncated_cycle_3_2.alg", "fp:2305843009213693951", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
 }
 
 # ``hh`` deep into the families of ``loops_algebra_text``, ``rsz(2)``,

@@ -15,7 +15,7 @@ from monomial_hh.quivers import Quiver, build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import amb_path, basis_paths, by_path, keyed, pair_key, path, path_pairs, vector
+from helpers import amb_path, basis_paths, by_path, keyed, pair_key, path, path_pairs, scalar, vector
 from reference_scans import (
     amb_prefix,
     amb_suffix,
@@ -124,7 +124,7 @@ def test_pair_differential_matches_scan(spec):
             for j, (amb, b) in enumerate(path_pairs(t, m)):
                 want = [(index[key], n) for key, n in scan_pair_differential_terms(t, amb, b).items()]
                 assert list(cols[j].items()) == want
-                reduced = [(i, c) for i, n in want if not field.is_zero(c := field.mul(1, n))]
+                reduced = [(i, c) for i, n in want if (c := scalar(field, n))]
                 assert list(cochain_differential(t, m, {j: 1}).items()) == reduced
 
 
@@ -135,15 +135,14 @@ def test_vector_differential_matches_matrix(spec):
     # gives the same matrix
     for t in tables(spec):
         field = t.algebra.field
-        add, mul, zero = field.add, field.mul, field.zero
         for m in range(0, DEGREE + 1):
             mat = differential_matrix(t, m)
-            weights = {j: c for j in range(mat.ncols) if not field.is_zero(c := add(zero, j + 1))}
+            weights = {j: c for j in range(mat.ncols) if (c := scalar(field, j + 1))}
             want = {}
             for j, c in weights.items():
                 for i, n in mat.cols[j].items():
-                    want[i] = add(want.get(i, zero), mul(c, n))
-            assert cochain_differential(t, m, weights) == {i: c for i, c in want.items() if not field.is_zero(c)}
+                    want[i] = want.get(i, 0) + c * n
+            assert cochain_differential(t, m, weights) == {i: s for i, c in want.items() if (s := scalar(field, c))}
             assert differential_via_resolution(t, m) == mat
 
 
@@ -176,7 +175,7 @@ def test_cup_matches_scan(spec):
         lists = []
         for d in degrees:
             n_pairs = len(pair_basis(t, d))
-            weights = {i: c for i in range(n_pairs) if not field.is_zero(c := field.add(field.zero, i + 1))}
+            weights = {i: c for i in range(n_pairs) if (c := scalar(field, i + 1))}
             lists.append([{i: 1} for i in range(n_pairs)] + [weights])
         for m in degrees:
             for n in range(0, CUP_DEGREE + 1 - m):
