@@ -67,6 +67,8 @@ def parse_algebra_file(text):
             for name, col in rest:
                 if name in seen_vertices:
                     raise ParseError(lineno, col, "duplicate vertex %r" % name)
+                if name in arrow_names:
+                    raise ParseError(lineno, col, "duplicate id %r" % name)
                 seen_vertices.add(name)
                 vertices.append(name)
         elif head == "arrow":

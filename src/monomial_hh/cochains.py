@@ -26,10 +26,11 @@ One per-degree store holds δ^m once a caller has applied it:
 ``cochain_differential`` and the check rows read it, so the battery
 builds each δ^m once.  ``differential_matrix`` reads the store when a row
 has filled it and otherwise builds δ^m without storing it, so ``hh``
-holds one matrix at a time.  The columns are shared, so no caller may
-mutate one.  ``differential_via_resolution`` computes the same map by
-composing with the resolution's d, one degree at a time, and is kept as
-an independent route: it reads no face class.
+holds one matrix at a time; ``hochschild_cohomology`` certifies its
+representatives with the δ^m it built, so ``cup`` builds each δ^m once.
+The columns are shared, so no caller may mutate one.
+``differential_via_resolution``, an independent route that reads no
+face class, gives the same map by composing with the resolution's d.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -168,24 +169,23 @@ def differential_matrix(table, m):
 def cochain_differential(table, m, vec):
     """δ^m of the degree-m cochain vec, a cochain of degree m+1.
 
-    δ^m is stored once per table (module docstring); each term adds c·col
-    with native + and *, and the field's ``normal`` puts the sum in the
-    field.  The zero cochain reads nothing, so it builds no δ^m that a term
-    would not.
+    δ^m is stored once per table (module docstring).  The zero cochain
+    reads nothing, so it builds no δ^m that a term would not.
     """
     if not vec:
         return {}
     cols = _delta(table, m)
+    return _sum_columns(table.algebra.field, ((c, cols[j]) for j, c in vec.items()))
+
+
+def _sum_columns(field, terms):
+    """Σ c·col over the (c, col) of terms, with native + and *; the field's ``normal`` puts it in the field."""
     out = {}
     get = out.get
-    for j, c in vec.items():
-        for i, n in cols[j].items():
+    for c, col in terms:
+        for i, n in col.items():
             out[i] = get(i, 0) + c * n
-    return table.algebra.field.normal(out)
-
-
-def is_cocycle(table, m, vec):
-    return not cochain_differential(table, m, vec)
+    return field.normal(out)
 
 
 def differential_via_resolution(table, m):
@@ -228,16 +228,9 @@ class CohomologySpace:
     coboundaries: list
     representatives: list
     _solver: object = dc_field(default=None, repr=False, compare=False)
-    _certified: bool = dc_field(default=False, repr=False, compare=False)
 
     def rep_cochains(self, table, what):
-        """The representatives, checked to be cocycles on the first call that
-        passes and not again; NotACocycle(what) on every call if one is not."""
-        if not self._certified:
-            for v in self.representatives:
-                if not is_cocycle(table, self.degree, v):
-                    raise NotACocycle(what)
-            self._certified = True
+        """The representatives, as certified; ``table`` and ``what`` are not read."""
         return self.representatives
 
     @property
@@ -246,11 +239,12 @@ class CohomologySpace:
 
 
 def hochschild_cohomology(table, max_degree):
-    """CohomologySpace per degree 0..max_degree, with canonical representatives.
+    """CohomologySpace per degree 0..max_degree, with canonical representatives; NotACocycle if one is not a cocycle.
 
     One pass per degree, holding one matrix: the kernel pass of δ^m gives
     the cocycles and hands back the echelon rows of im δ^m, which seed the
-    quotient of degree m+1, so the image is eliminated once.
+    quotient of degree m+1, so the image is eliminated once.  Of δ^m only
+    the columns nonzero in the field on the cocycles' support outlive it.
     """
     assert max_degree >= 0
     field = table.algebra.field
@@ -258,17 +252,21 @@ def hochschild_cohomology(table, max_degree):
     image = []  # im δ^{-1} = 0
     for m in range(max_degree + 1):
         following = [] if m < max_degree else None  # no space reads im δ^max_degree
-        kernel = kernel_basis(field, differential_matrix(table, m), following)
-        spaces.append(
-            CohomologySpace(
-                degree=m,
-                pairs=pair_basis(table, m),
-                cocycles=kernel,
-                coboundaries=image,
-                representatives=quotient_basis(field, kernel, image),
-            )
-        )
+        matrix = differential_matrix(table, m)
+        kernel = kernel_basis(field, matrix, following)
+        # the support columns nonzero in the field: a one-entry kernel vector's column is zero there
+        held = {j: matrix.cols[j] for v in kernel if len(v) > 1 for j in v}
+        matrix = None  # only the held columns outlive the kernel pass
+        space = CohomologySpace(m, pair_basis(table, m), kernel, image, quotient_basis(field, kernel, image))
+        support = set().union(*kernel)  # built once the quotient's rows are freed
+        for v in space.representatives:
+            # every cocycle lies on the support, so an index off it is refused, not read as zero
+            if not support.issuperset(v) or held and _sum_columns(field, ((v[j], held[j]) for j in held.keys() & v)):
+                text = display_vector(table.algebra, space.pairs, v, {})
+                raise NotACocycle("HH^%d representative is not a cocycle: %s" % (m, text))
+        spaces.append(space)
         image = following
+        support = held = None  # not held while the next δ is built
     return spaces
 
 
@@ -278,10 +276,10 @@ def class_vector(space, table, vec):
     vec is a cochain of the space's degree: a vector carries no degree, so
     the caller answers for that.  Coboundaries and representatives together
     span exactly the cocycles (``kernel_basis`` asserts rank + nullity,
-    ``quotient_basis`` that the image lies in the kernel), so the solve
-    itself is the cocycle test.  The solver starts from the coboundary rows
-    and tracks coefficients over the representatives only.  The solution is
-    returned as ``express`` gives it, which has no zero entries.
+    ``quotient_basis`` im ⊆ ker, ``hochschild_cohomology`` that each
+    representative is a cocycle), so the solve itself is the cocycle test.
+    The solver starts from the coboundary rows and tracks coefficients over
+    the representatives only; ``express`` gives the solution without zeros.
     """
     if space._solver is None:
         solver = RowBasis(table.algebra.field, track=True, seed=space.coboundaries)

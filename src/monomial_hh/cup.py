@@ -31,8 +31,9 @@ table lives for one bidegree's pass only.
 One ``cup_products`` call per bidegree serves every pair of two lists and
 returns only the nonzero products.  On triangular algebras nearly every
 positive-degree product vanishes (the source paper's vanishing theorem).
-An absent product is zero, a cocycle of class 0, so the verifiers below
-spend their differentials and solves only on the few products that remain.
+An absent product is zero, a cocycle of class 0, and ``hochschild_cohomology``
+certified the factors, so the verifiers below spend their differentials
+and solves only on the few products that remain.
 """
 
 from .ambiguities import memoized
@@ -151,8 +152,7 @@ def cup_products(table, m, n, fs, gs):
 def cup_table(table, spaces, i, j):
     """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b];
     the solve checks each nonzero product."""
-    reps_i = spaces[i].rep_cochains(table, "left cup factor")
-    reps_j = spaces[j].rep_cochains(table, "right cup factor")
+    reps_i, reps_j = spaces[i].representatives, spaces[j].representatives
     products = cup_products(table, i, j, reps_i, reps_j)
     target = spaces[i + j]
     return [
@@ -189,7 +189,7 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
     """Nonzero positive-degree class products on a triangular algebra (expect none)."""
     if not is_triangular(table.algebra):
         raise NotTriangular("vanishing theorem needs an acyclic quiver")
-    reps = {d: spaces[d].rep_cochains(table, "cup factor") for d in range(1, max_total_degree)}
+    reps = [space.representatives for space in spaces]
     failures = []
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):

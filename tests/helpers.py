@@ -3,7 +3,8 @@
 import functools
 import itertools
 
-from monomial_hh.cochains import pair_basis
+from monomial_hh import cochains
+from monomial_hh.cochains import cochain_differential, pair_basis
 from monomial_hh.quivers import path_from_word
 from monomial_hh.resolution import bimodule_element
 
@@ -188,6 +189,30 @@ def difference(field, x, y):
 def unit_cochain(table):
     """The sum of all vertex pairs; a cocycle of degree 0 representing the unit class."""
     return vector(table, 0, {(amb, amb_path(table, amb)): 1 for amb in table.degree(-1)})
+
+
+def is_cocycle(table, m, vec):
+    """δ^m kills vec, a cochain of degree m."""
+    return not cochain_differential(table, m, vec)
+
+
+def plant_representative(monkeypatch, degree, extra):
+    """From now on each degree-``degree`` space that ``hochschild_cohomology``
+    computes gets ``extra`` as its last representative, planted through
+    ``cochains.quotient_basis``; the degree is that of the last δ assembled."""
+    degrees = []
+    matrix, quotient = cochains.differential_matrix, cochains.quotient_basis
+
+    def recording(table, m):
+        degrees.append(m)
+        return matrix(table, m)
+
+    def planted(field, kernel, image):
+        reps = quotient(field, kernel, image)
+        return reps + [extra] if degrees[-1] == degree else reps
+
+    monkeypatch.setattr(cochains, "differential_matrix", recording)
+    monkeypatch.setattr(cochains, "quotient_basis", planted)
 
 
 def is_quadratic(algebra):

@@ -16,14 +16,13 @@ from monomial_hh.cochains import (
     class_vector,
     cochain_differential,
     hochschild_cohomology,
-    is_cocycle,
 )
 from monomial_hh.cup import cup_products
 from monomial_hh.randomgen import RandomAlgebraConfig
 from monomial_hh.checks import run_random_suite
 from monomial_hh.cli import _pieces
 
-from helpers import Path, amb_path, basis_paths, by_path, difference, path, vector, word_path, written
+from helpers import Path, amb_path, basis_paths, by_path, difference, is_cocycle, path, vector, word_path, written
 from reference_scans import amb_suffix
 
 GENERAL_SEED = 7

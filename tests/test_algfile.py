@@ -107,3 +107,7 @@ def test_comments_and_duplicates():
     assert exc.value.col == 12
     with pytest.raises(ParseError):
         parse_algebra_file("vertices 1 2\narrow a: 1 -> 2\narrow a: 1 -> 2\n")
+    # a vertex may not take the name of an arrow declared before it
+    with pytest.raises(ParseError) as exc:
+        parse_algebra_file("vertices 1 2\narrow a: 1 -> 2\nvertices a\n")
+    assert str(exc.value) == "line 3, col 10: duplicate id 'a'"

@@ -14,7 +14,7 @@ import inspect
 
 import pytest
 
-from monomial_hh import checks, cochains, resolution
+from monomial_hh import checks, cli, cochains, resolution
 from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import MEMOS, AmbiguityTable
 from monomial_hh.cochains import hochschild_cohomology
@@ -103,6 +103,25 @@ def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
     assert all(r.ok for r in checks.run_checks(make_cone(), DEGREE))
     assert built == list(range(DEGREE + 2))
     assert set(made[0].memo("cochains._delta")) == set(built)
+
+
+def test_cup_builds_each_delta_once(monkeypatch, tmp_path):
+    # the kernel pass certifies the representatives with the δ^m it built,
+    # so a cup table applies no δ to its factors and builds none again
+    built = []
+    columns = cochains._columns
+
+    def counting(table, m):
+        built.append(m)
+        return columns(table, m)
+
+    monkeypatch.setattr(cochains, "_columns", counting)
+    for k, top in ((3, 3), (2, 5)):  # rsz(3) T=3, rsz(2) T=5
+        path = tmp_path / ("rsz%d.alg" % k)
+        path.write_text(loops_algebra_text(k, 2))
+        del built[:]
+        assert cli.main(["cup", str(path), "--max-total-degree", str(top), "--json"]) == 0
+        assert built == list(range(top + 1))
 
 
 def test_battery_takes_each_generator_differential_once(monkeypatch):

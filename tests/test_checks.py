@@ -4,6 +4,8 @@ import pathlib
 import pytest
 
 from monomial_hh import bar_oracle, checks, cli, cochains, cup, diagonal, resolution
+from monomial_hh.algfile import parse_algebra_file
+from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.checks import (
     GENERAL_ROWS,
     ORACLE_DIM_CAP,
@@ -13,7 +15,8 @@ from monomial_hh.checks import (
     run_checks,
     run_random_suite,
 )
-from monomial_hh.errors import ImageNotInKernel, NotACocycle
+from monomial_hh.cochains import display_vector, pair_basis
+from monomial_hh.errors import ImageNotInKernel
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -129,13 +132,22 @@ def test_cohomology_failure_is_a_failing_row(monkeypatch, cone, capsys):
 
 
 def test_triangular_vanishing_fault_is_a_failing_row(monkeypatch, capsys):
-    def broken(space, table, what):
-        raise NotACocycle(what)
+    # a product that is no cocycle, planted in bidegree (1, 1), reaches the
+    # row's own class_vector solve, whose NotACocycle fails the row
+    products = cup.cup_products
 
-    monkeypatch.setattr(cochains.CohomologySpace, "rep_cochains", broken)
+    def planted(table, m, n, fs, gs):
+        out = products(table, m, n, fs, gs)
+        if (m, n) == (1, 1):
+            out[0, 0] = {0: 1}
+        return out
+
+    monkeypatch.setattr(cup, "cup_products", planted)
     assert cli.main(["verify", A6, "--triangular-vanishing", "--json"]) == 1
     out, err = capsys.readouterr()
-    assert json.loads(out)["checks"] == [{"name": "triangular-vanishing", "ok": False, "detail": "cup factor"}]
+    alg = parse_algebra_file(pathlib.Path(A6).read_text())
+    detail = "not killed by the differential: " + display_vector(alg, pair_basis(AmbiguityTable(alg), 2), {0: 1}, {})
+    assert json.loads(out)["checks"] == [{"name": "triangular-vanishing", "ok": False, "detail": detail}]
     assert err == ""
 
 

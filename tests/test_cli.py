@@ -19,7 +19,7 @@ from monomial_hh.cli import _report_command
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.randomgen import RandomAlgebraConfig
 
-from helpers import loops_algebra_text
+from helpers import loops_algebra_text, plant_representative
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 CONE = str(FIXTURES / "example_cone.alg")
@@ -298,6 +298,11 @@ def test_input_errors_exit_2(tmp_path):
     assert out.returncode == 2
     assert "line 3, col 12" in out.stderr
 
+    bad.write_text("vertices 1 2\narrow a: 1 -> 2\nvertices a\n")
+    out = run_cli("basis", str(bad))
+    assert out.returncode == 2
+    assert out.stderr == "input error: line 3, col 10: duplicate id 'a'\n"
+
     out = run_cli("basis", str(tmp_path / "does_not_exist.alg"))
     assert out.returncode == 2
 
@@ -354,6 +359,26 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "internal error: AssertionError: table corrupt\n"
     assert "Traceback" not in err
+
+
+def test_planted_representative_fails_hh_and_verify(monkeypatch, capsys, tmp_path):
+    # hochschild_cohomology certifies what it returns: a non-cocycle planted
+    # among the representatives is an error of hh, one stderr line and exit
+    # 2, and ends verify --all with a failing cohomology row naming it
+    for spec in ("q", "fp:2"):
+        cone = tmp_path / ("cone_%s.alg" % spec.replace(":", ""))
+        cone.write_text(pathlib.Path(CONE).read_text().replace("field q", "field " + spec))
+        with monkeypatch.context() as patch:
+            plant_representative(patch, 2, {0: 1})
+            assert cli.main(["hh", str(cone), "--max-degree", "3", "--json"]) == 2
+            out, err = capsys.readouterr()
+            prefix = "error: NotACocycle: "
+            assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+            assert err.startswith(prefix + "HH^2 representative is not a cocycle: "), err
+            assert cli.main(["verify", str(cone), "--all", "--json"]) == 1
+            doc = json.loads(capsys.readouterr().out)
+            failing = {"name": "cohomology", "ok": False, "detail": err[len(prefix) : -1]}
+            assert doc["ok"] is False and doc["checks"][-1] == failing
 
 
 def test_closed_stdout_exits_141_quietly(tmp_path):

@@ -15,7 +15,6 @@ from monomial_hh.cochains import (
     cochain_differential,
     differential_matrix,
     hochschild_cohomology,
-    is_cocycle,
     pair_basis,
 )
 from monomial_hh.errors import NotACocycle, NotTriangular
@@ -24,7 +23,7 @@ from monomial_hh.linalg import quotient_basis
 from monomial_hh.quivers import build_algebra, is_triangular
 
 from conftest import make_cone
-from helpers import amb_path, by_path, loops_algebra_text, path, path_pairs, unit_cochain, vector, written
+from helpers import amb_path, by_path, is_cocycle, loops_algebra_text, path, path_pairs, unit_cochain, vector, written
 from reference_scans import amb_prefix, amb_suffix, divisor_occurrences, lookup_columns
 from test_battery_caches import LOOPS
 from test_incidence import DEGREE, tables

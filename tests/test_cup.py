@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from monomial_hh import cochains, cup
@@ -10,8 +8,8 @@ from monomial_hh.cochains import (
     class_vector,
     cochain_differential,
     differential_matrix,
+    display_vector,
     hochschild_cohomology,
-    is_cocycle,
     pair_basis,
 )
 from monomial_hh.cup import (
@@ -33,10 +31,12 @@ from conftest import make_cone
 from helpers import (
     amb_path,
     by_path,
+    is_cocycle,
     is_quadratic,
     loops_algebra_text,
     path,
     path_pairs,
+    plant_representative,
     scalar,
     unit_cochain,
     vector,
@@ -372,66 +372,90 @@ def test_cup_table_degree0(cone):
     assert all(len(row) == spaces[1].dimension for row in table01)
 
 
+def summing(monkeypatch):
+    """The Σ c·col sums that ``cochains`` makes from now on, each as its (c, col) terms."""
+    sums = []
+    sum_columns = cochains._sum_columns
+
+    def recording(field, terms):
+        sums.append(list(terms))
+        return sum_columns(field, sums[-1])
+
+    monkeypatch.setattr(cochains, "_sum_columns", recording)
+    return sums
+
+
+def certified(spaces):
+    """The number of representatives that ``hochschild_cohomology`` sums δ over:
+    those of each degree where a column on the cocycles' support is nonzero in
+    the field, which is where a kernel vector has more than one entry."""
+    return sum(sp.dimension for sp in spaces if any(len(v) > 1 for v in sp.cocycles))
+
+
 def test_cup_table_checks_each_factor_once(cone, monkeypatch):
+    # hochschild_cohomology certifies each factor once, by one sum over the
+    # columns its kernel pass kept; cup_table applies no δ to a factor, and
+    # the products are checked by class_vector's solve
     t = AmbiguityTable(cone)
+    sums = summing(monkeypatch)
     spaces = hochschild_cohomology(t, 4)
-    calls = []
-
-    def counting(table, m, x):
-        calls.append(x)
-        return is_cocycle(table, m, x)
-
-    # the factor checks, and any separate check of the product
-    monkeypatch.setattr(cochains, "is_cocycle", counting)
-    reps_i, reps_j = spaces[1].representatives, spaces[2].representatives
+    assert len(sums) == certified(spaces) == 5
+    del sums[:]
     entries = cup_table(t, spaces, 1, 2)
-    assert len(reps_i) == 3 and len(reps_j) == 2
-    assert sum(map(len, entries)) == len(reps_i) * len(reps_j)
-    # the products are checked by class_vector's solve, not by is_cocycle
-    assert len(calls) == len(reps_i) + len(reps_j)
+    assert spaces[1].dimension == 3 and spaces[2].dimension == 2
+    assert sum(map(len, entries)) == 3 * 2
+    assert sums == [] and t.memo("cochains._delta") == {}
 
 
 def test_representatives_are_certified_once(cone, monkeypatch):
-    # a second table over the same spaces checks no factor again
+    # the certificate runs in the pass that computes the spaces; a second
+    # table over the same spaces, or another verifier, checks no factor again
     t = AmbiguityTable(cone)
+    sums = summing(monkeypatch)
     spaces = hochschild_cohomology(t, 4)
-    calls = []
-
-    def counting(table, m, x):
-        calls.append(x)
-        return is_cocycle(table, m, x)
-
-    monkeypatch.setattr(cochains, "is_cocycle", counting)
+    assert len(sums) == certified(spaces)
+    del sums[:]
     first = cup_table(t, spaces, 1, 2)
     assert cup_table(t, spaces, 1, 2) == first
-    assert len(calls) == spaces[1].dimension + spaces[2].dimension == 5
+    assert verify_graded_commutativity(t, spaces, 4) == []
+    assert sums == []
+    assert all(sp.rep_cochains(t, "unread") is sp.representatives for sp in spaces)
 
 
-def test_a_failing_representative_raises_on_every_call(cone):
-    # only a space whose representatives all pass is certified: a planted
-    # non-cocycle after the good ones raises on the first and the second call
-    t = AmbiguityTable(cone)
-    spaces = hochschild_cohomology(t, 3)
-    j = next(j for j in range(len(spaces[2].pairs)) if not is_cocycle(t, 2, {j: 1}))
-    spaces[2] = dataclasses.replace(spaces[2], representatives=spaces[2].representatives + [{j: 1}])
-    for _ in range(2):
-        with pytest.raises(NotACocycle, match="right cup factor"):
-            cup_table(t, spaces, 1, 2)
-    assert not spaces[2]._certified
+def test_a_failing_representative_raises_on_every_call(monkeypatch):
+    # a non-cocycle planted among the representatives raises NotACocycle,
+    # naming it, on every call of hochschild_cohomology, over q and GF(2):
+    # on the cocycles' support in degree 2, where δ keeps nonempty columns,
+    # and off it in degree 3, where it keeps none, so an index off the
+    # support must be refused, not read as zero
+    for spec in ("q", "fp:2"):
+        cone = make_cone()
+        cone = build_algebra(cone.quiver, cone.relations, parse_field_spec(spec))
+        t = AmbiguityTable(cone)
+        spaces = hochschild_cohomology(t, 4)
+        support = [{j for v in sp.cocycles for j in v} for sp in spaces]
+        assert 0 in support[2] and not is_cocycle(t, 2, {0: 1})
+        assert 1 not in support[3] and not any(differential_matrix(t, 3).cols[j] for j in support[3])
+        for degree, bad in ((2, {0: 1}), (3, {1: 1})):
+            text = display_vector(cone, pair_basis(t, degree), bad, {})
+            with monkeypatch.context() as patch:
+                plant_representative(patch, degree, bad)
+                for _ in range(2):
+                    with pytest.raises(NotACocycle) as exc:
+                        hochschild_cohomology(t, 4)
+                    assert str(exc.value) == "HH^%d representative is not a cocycle: %s" % (degree, text)
 
 
 def test_triangular_vanishing_checks_each_factor_once(triangular_a6, monkeypatch):
+    # the factors were certified when the spaces were computed; the verifier
+    # applies no δ and builds none
     t = AmbiguityTable(triangular_a6)
+    sums = summing(monkeypatch)
     spaces = hochschild_cohomology(t, 6)
-    calls = []
-
-    def counting(table, m, x):
-        calls.append(x)
-        return is_cocycle(table, m, x)
-
-    monkeypatch.setattr(cochains, "is_cocycle", counting)
+    assert len(sums) == certified(spaces) > 0
+    del sums[:]
     assert verify_triangular_vanishing(t, spaces, 6) == []
-    assert len(calls) == sum(spaces[d].dimension for d in range(1, 6))
+    assert sums == [] and t.memo("cochains._delta") == {}
 
 
 def test_constants_built_once(cone, monkeypatch):
