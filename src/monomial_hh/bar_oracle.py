@@ -19,7 +19,11 @@ in ``parallel``; no list of pairs is built.  The
 products a column reads come from concatenating basis words here, once
 per algebra and reused in every degree; the algebra's product table is
 not read, so the oracle shares only the numbering of the basis.  Only
-ranks are computed: dim HH^n = |C^n| − rank δ^n − rank δ^{n−1}.
+ranks are computed: dim HH^n = |C^n| − rank δ^n − rank δ^{n−1}.  Each is
+one count-only ``linalg.rank`` pass, which reduces leading entries only
+and clears: δ^n δ^{n−1} = 0, so the columns of δ^n at the pivots of
+im δ^{n−1} lie in the span of the others and are skipped, and degree n
+eliminates |C^n| − rank δ^{n−1} columns, of which dim HH^n are dependent.
 
 Spaces grow fast; everything takes a pair budget and raises BudgetExceeded
 with the last degree that finished.
@@ -166,13 +170,15 @@ def bar_hh_dimensions(algebra, max_degree, budget=DEFAULT_PAIR_BUDGET):
     try:
         lo = bar_pairs(algebra, 0, budget)
         prev_rank = 0
+        cleared = ()  # the pivots of im δ^{n−1}, columns of δ^n
         for n in range(max_degree + 1):
             hi = bar_pairs(algebra, n + 1, budget)
-            r = rank(algebra.field, bar_differential_matrix(algebra, lo, hi))
+            pivots = set()
+            r = rank(algebra.field, bar_differential_matrix(algebra, lo, hi), cleared, pivots)
             dims.append(len(lo) - r - prev_rank)
             assert dims[-1] >= 0
             prev_rank = r
-            lo = hi
+            lo, cleared = hi, pivots
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             len(dims) - 1, "budget ran out; finished degree %d" % (len(dims) - 1)

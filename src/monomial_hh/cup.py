@@ -186,18 +186,26 @@ def verify_graded_commutativity(table, spaces, max_total_degree):
 
 
 def verify_triangular_vanishing(table, spaces, max_total_degree):
-    """Nonzero positive-degree class products on a triangular algebra (expect none)."""
+    """Nonzero positive-degree class products on a triangular algebra (expect none).
+
+    The factors are the kernel vectors of ``spaces``, not the
+    representatives: the kernel vectors span the cocycles, the
+    representatives among them, so by bilinearity every class product
+    vanishes exactly when every product of kernel vectors has class 0, and
+    they meet far more products that are nonzero as cochains.  A failure
+    names its factors by kernel-vector index, under ``cocycles``.
+    """
     if not is_triangular(table.algebra):
         raise NotTriangular("vanishing theorem needs an acyclic quiver")
-    reps = [space.representatives for space in spaces]
+    cocycles = [space.cocycles for space in spaces]
     failures = []
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
             # an absent product is zero, of class 0; the others are solved in (a, b) order
-            for (a, b), product in cup_products(table, m, n, reps[m], reps[n]).items():
+            for (a, b), product in cup_products(table, m, n, cocycles[m], cocycles[n]).items():
                 cls = class_vector(spaces[m + n], table, product)
                 if cls:
-                    failures.append({"degrees": [m, n], "classes": [a, b], "product_class": sorted(cls)})
+                    failures.append({"degrees": [m, n], "cocycles": [a, b], "product_class": sorted(cls)})
     return failures
 
 

@@ -7,11 +7,28 @@ of such dicts.  Everything is exact.  The elimination keeps row-echelon
 rows and never edits a stored row; every result it hands out (kernel
 vectors, dependencies, expressions, reductions, quotient representatives)
 is the unique normal form of its span, so results depend only on insertion
-order, which callers fix deterministically.  ``rank`` is the one pass whose
-order is free: it returns a number that depends on the column span alone,
-so it inserts the columns last first, the order that fills in least on the
-bar matrices.  ``kernel_basis`` and ``quotient_basis`` keep their order,
-because their outputs depend on it.
+order, which callers fix deterministically.  ``kernel_basis`` and
+``quotient_basis`` keep their order, because their outputs depend on it.
+
+``rank`` is the one count-only pass.  It returns a number that depends on
+the column span alone, so it is free in three ways that a ``RowBasis`` is
+not:
+
+- order: it takes the columns last first, the order that fills in least
+  on the bar matrices;
+- leading-entry reduction: it reduces a column only while its smallest
+  index is a stored pivot, and stores it (canonical, with no back
+  reduction) once it is not.  The stored rows have distinct pivots at
+  their smallest indices, so the smallest index of any nonzero combination
+  of them is a pivot, and a vector whose smallest index is not one is
+  independent of them.  A ``RowBasis`` clears every pivot index instead,
+  because ``quotient_basis`` reads the entries of its stored rows;
+- clearing (C. Chen and M. Kerber, *Persistent Homology Computation with
+  a Twist*, EuroCG 2011): it skips the columns its caller names, which
+  must lie in the span of the others.  For δ^n the pivots P of im δ^{n−1}
+  qualify: an echelon basis of im δ^{n−1} and the e_j, j ∉ P, together
+  are a basis of the cochains, and δ^n kills the first part, so the
+  columns j ∉ P span im δ^n.
 
 Inside the elimination a row is a dict of plain ints, never of scalars.
 The field's ``to_row`` is where every input vector enters: it reduces the
@@ -209,17 +226,31 @@ def kernel_basis(field, matrix: SparseMatrix, image=None):
     return out
 
 
-def rank(field, matrix: SparseMatrix) -> int:
-    """Rank of the column span: each column inserted once, untracked, last first.
+def rank(field, matrix: SparseMatrix, cleared=(), pivots=None) -> int:
+    """Rank of the column span, in one count-only pass (module docstring).
 
-    A rank depends only on the span, so any column order gives it exactly.
-    The last columns come first because on the bar matrices, whose columns
-    are in lexicographic tuple order, that order fills in far less.
+    The columns are taken last first, and those in ``cleared`` are skipped:
+    the caller answers for their lying in the span of the others.  A
+    column is reduced only while its smallest index is a stored pivot, and
+    one that reaches zero is dependent.  When ``pivots`` is a set it
+    receives the pivots of the span, which depend on the span alone.
     """
-    basis = RowBasis(field)
-    for col in reversed(matrix.cols):
-        basis.insert(col)
-    return basis.rank
+    rows = {}  # pivot -> the stored row, canonical
+    for j in reversed(range(matrix.ncols)):
+        if j in cleared:
+            continue
+        vec = field.to_row(matrix.cols[j])[0]
+        while vec:
+            c = min(vec)
+            row = rows.get(c)
+            if row is None:
+                rows[c] = field.canonical(vec, None, c)[0]
+                break
+            a, b = field.pivot_step(vec[c], row[c])
+            field.combine(vec, a, b, row)
+    if pivots is not None:
+        pivots.update(rows)
+    return len(rows)
 
 
 def quotient_basis(field, kernel_vecs, image):

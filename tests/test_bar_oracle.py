@@ -20,7 +20,7 @@ from monomial_hh.quivers import build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import bar_pair_list, basis_paths, loops_algebra_text, scalar
+from helpers import bar_pair_list, basis_paths, loops_algebra_text
 from reference_scans import scan_bar_differential_matrix, scan_bar_pairs
 from test_incidence import tables
 from test_index_keys import _calls
@@ -37,8 +37,7 @@ def bar_matrices(algebra, top):
 
 
 def check_bar_delta_squared(algebra, max_degree):
-    """delta o delta = 0 as matrices, degree by degree."""
-    field = algebra.field
+    """delta o delta = 0 as integer matrices, over Z and so over every field."""
     mats = bar_matrices(algebra, max_degree)
     for n in range(max_degree):
         lo, hi = mats[n], mats[n + 1]
@@ -46,12 +45,8 @@ def check_bar_delta_squared(algebra, max_degree):
             acc = {}
             for r, c in lo.cols[j].items():
                 for i, c2 in hi.cols[r].items():
-                    cur = scalar(field, acc.get(i, 0) + c2 * c)
-                    if not cur:
-                        acc.pop(i, None)
-                    else:
-                        acc[i] = cur
-            assert not acc, "delta^2 != 0 at degree %d column %d" % (n, j)
+                    acc[i] = acc.get(i, 0) + c2 * c
+            assert not any(acc.values()), "delta^2 != 0 at degree %d column %d" % (n, j)
 
 
 def test_point_dims(point):
@@ -84,9 +79,10 @@ def test_tuples_compose(cone):
         assert all(t[i].source == t[i + 1].target for i in range(len(t) - 1))
 
 
-def test_delta_squared(cone, square, triangular_a6, truncated_cycle):
-    for alg in (cone, square, triangular_a6, truncated_cycle):
-        check_bar_delta_squared(alg, 4)
+def test_delta_squared():
+    # rank's clearing rests on it: im δ^{n−1} lies in the kernel of δ^n
+    for alg, top in rank_inputs():
+        check_bar_delta_squared(alg, top)
 
 
 def test_routes_agree(cone, square, triangular_a6, truncated_cycle, a2):
@@ -158,9 +154,9 @@ def test_cub2_dims(spec):
     # the oracle-elim algebra: pins the values, not only the pass/fail of verify --oracle
     alg = cub2(spec)
     assert alg.field.name == spec
-    dims = bar_hh_dimensions(alg, 3)
-    assert dims == [5, 10, 30, 72]
-    assert dims == [sp.dimension for sp in hochschild_cohomology(AmbiguityTable(alg), 3)]
+    dims = bar_hh_dimensions(alg, 4)
+    assert dims == [5, 10, 30, 72, 240]
+    assert dims == [sp.dimension for sp in hochschild_cohomology(AmbiguityTable(alg), 4)]
 
 
 def rank_inputs():
@@ -195,23 +191,53 @@ def test_rank_does_not_depend_on_the_column_order():
             assert rank(field, SparseMatrix(mat.nrows, mat.ncols, tuple(cols))) == r, (field.name, n)
 
 
+def test_rank_clears_the_previous_pivots():
+    # the columns at the pivots of im δ^{n−1} add nothing to im δ^n, since
+    # δ^n δ^{n−1} = 0: skipping them leaves the rank, and the pivots rank
+    # hands back are those of the whole column span
+    for alg, top in rank_inputs():
+        field = alg.field
+        cleared = set()
+        for n, mat in enumerate(bar_matrices(alg, top)):
+            full = RowBasis(field)
+            for col in mat.cols:
+                full.insert(col)
+            pivots = set()
+            r = rank(field, mat, cleared, pivots)
+            assert r == mat.ncols - len(kernel_basis(field, mat)), (field.name, n)
+            assert pivots == set(full.rows), (field.name, n)
+            cleared = pivots
+
+
 @pytest.mark.parametrize("spec", ["q", "fp:7"])
 def test_rank_elimination_steps_on_cub2(spec, monkeypatch):
-    # the work of the last-first order, pinned: reduction steps per degree
+    # the work of leading-entry reduction and clearing, pinned per degree:
+    # reduction steps, and columns entered, which are the columns less the
+    # previous rank, so entered − rank is dim HH^n
     alg = cub2(spec)
     field = alg.field
-    steps = []
-    combine = field.combine
+    steps, entered = [], []
+    combine, to_row, real_rank = field.combine, field.to_row, bar_oracle.rank
 
-    def counting(target, a, b, source):
+    def counting_combine(target, a, b, source):
         steps[-1] += 1
         combine(target, a, b, source)
 
-    monkeypatch.setattr(field, "combine", counting)
-    for mat in bar_matrices(alg, 3):
+    def counting_to_row(vec):
+        entered[-1] += 1
+        return to_row(vec)
+
+    def per_degree(*args):
         steps.append(0)
-        rank(field, mat)
-    assert steps == [0, 17, 165, 1310]
+        entered.append(0)
+        return real_rank(*args)
+
+    monkeypatch.setattr(field, "combine", counting_combine)
+    monkeypatch.setattr(field, "to_row", counting_to_row)
+    monkeypatch.setattr(bar_oracle, "rank", per_degree)
+    assert bar_hh_dimensions(alg, 3) == [5, 10, 30, 72]
+    assert steps == [0, 17, 75, 523]
+    assert entered == [7, 40, 222, 1320]
 
 
 def path_counts(algebra):
@@ -271,18 +297,32 @@ def test_bar_sizes_follow_path_counts():
 
 
 def test_each_bar_column_inserted_once(cone, monkeypatch):
-    # each bar matrix is eliminated once, for its rank
-    ncols = sum(len(bar_pairs(cone, n)) for n in range(4))
-    calls = []
-    real = RowBasis.insert
+    # each bar matrix is eliminated once, for its rank: every column off the
+    # previous degree's pivots enters once, and no column at one enters
+    mats, entered = [], []
+    real_matrix, to_row = bar_oracle.bar_differential_matrix, cone.field.to_row
 
-    def counting(self, vec, tag=None):
-        calls.append(tag)
-        return real(self, vec, tag)
+    def keeping(*args):
+        mats.append(real_matrix(*args))
+        return mats[-1]
 
-    monkeypatch.setattr(RowBasis, "insert", counting)
+    def counting(vec):
+        entered.append(id(vec))
+        return to_row(vec)
+
+    monkeypatch.setattr(bar_oracle, "bar_differential_matrix", keeping)
+    monkeypatch.setattr(cone.field, "to_row", counting)
     assert bar_hh_dimensions(cone, 3) == [3, 3, 2, 2]
-    assert len(calls) == ncols
+    monkeypatch.undo()
+    want, cleared = [], set()
+    for mat in mats:
+        want.extend(id(col) for j, col in enumerate(mat.cols) if j not in cleared)
+        full = RowBasis(cone.field)
+        for col in mat.cols:
+            full.insert(col)
+        cleared = set(full.rows)
+    assert sorted(entered) == sorted(want)
+    assert len(want) < sum(mat.ncols for mat in mats)  # some columns were cleared
 
 
 def test_budget(cone):

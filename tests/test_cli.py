@@ -381,6 +381,26 @@ def test_planted_representative_fails_hh_and_verify(monkeypatch, capsys, tmp_pat
             assert doc["ok"] is False and doc["checks"][-1] == failing
 
 
+def test_nonzero_triangular_class_fails_verify(monkeypatch, capsys):
+    # triangular-vanishing solves the products of kernel vectors, some of
+    # them nonzero as cochains on triangular_a6: a class solve that reports
+    # a nonzero class fails the row
+    from monomial_hh import cup
+
+    solves = []
+
+    def nonzero(space, table, vec):
+        solves.append(space.degree)
+        return {0: 1}
+
+    monkeypatch.setattr(cup, "class_vector", nonzero)
+    assert cli.main(["verify", A6, "--triangular-vanishing", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    [row] = doc["checks"]
+    assert row["name"] == "triangular-vanishing" and row["ok"] is False
+    assert len(solves) == 9
+
+
 def test_closed_stdout_exits_141_quietly(tmp_path):
     rsz2 = tmp_path / "rsz2.alg"
     rsz2.write_text(loops_algebra_text(2, 2))

@@ -138,7 +138,8 @@ def pivot_meetings(field, space):
 
 def test_bar_oracle_counts_every_degree():
     # bar_hh_dimensions calls bar_pairs once per degree and reads each rank
-    # through linalg.rank, one linalg span per degree, each column inserted once
+    # through linalg.rank, one linalg span per degree; rank runs its own
+    # count-only loop, so no oracle column is a RowBasis insert
     tracer = load_tracer()
     tr = tracer.Tracer()
     patches = tracer.instrument(tr)
@@ -159,5 +160,5 @@ def test_bar_oracle_counts_every_degree():
     assert dims == [len(pairs[n]) - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]
     calls, _, _ = tr.self_times()
     assert calls[tracer.LAYERS.index("linalg")] == top + 1
-    assert tr.totals["linalg.inserts"] == sum(len(p) for p in pairs[: top + 1])
-    assert tr.totals["linalg.pivots"] == tr.totals["linalg.rank_total"] == sum(ranks)
+    assert tr.totals["linalg.inserts"] == tr.totals["linalg.pivots"] == 0
+    assert tr.totals["linalg.rank_total"] == sum(ranks)
