@@ -26,10 +26,14 @@ im δ^{n−1} lie in the span of the others and are skipped, and degree n
 eliminates |C^n| − rank δ^{n−1} columns, of which dim HH^n are dependent.
 
 Spaces grow fast; everything takes a pair budget and raises BudgetExceeded
-with the last degree that finished.
+with the last degree that finished.  ``bar_sizes`` counts a degree's
+tuples and pairs from the path counts without building it, so
+``degree_within_budget`` finds the deepest degree that fits before any
+work.
 """
 
 import functools
+from collections import Counter
 
 from .errors import BudgetExceeded
 from .linalg import SparseMatrix, rank
@@ -117,6 +121,47 @@ def bar_pairs(algebra, n, budget=DEFAULT_PAIR_BUDGET):
     if len(basis) > budget:
         raise BudgetExceeded(-1, "pair count passed %d" % budget)
     return basis
+
+
+def bar_sizes(algebra, top):
+    """(tuples, pairs) of ``bar_pairs`` in degrees 0..top, counted without building them.
+
+    A composable n-tuple is a chain of n nontrivial basis paths.  The
+    tuples are counted by their ends (s, t), extended as ``bar_pairs``
+    extends them, by one path into s, and each has |parallel(s, t)| values.
+    """
+    source, target, parallel = algebra.source, algebra.target, algebra.parallel
+    vertices = range(algebra.quiver.n_vertices)
+    nontrivial = range(len(vertices), algebra.dim)  # vertex v is index v
+    into = [Counter() for _ in vertices]  # into[s][u]: the nontrivial basis paths from u to s
+    for b in nontrivial:
+        into[target[b]][source[b]] += 1
+    ends = Counter((source[b], target[b]) for b in nontrivial)  # degree 1, by (s, t)
+    sizes = [(1, sum(len(parallel[v, v]) for v in vertices))]
+    for n in range(1, top + 1):
+        if n > 1:
+            longer = Counter()
+            for (s, t), k in ends.items():
+                for u, m in into[s].items():
+                    longer[u, t] += k * m
+            ends = longer
+        sizes.append((sum(ends.values()), sum(k * len(parallel[st]) for st, k in ends.items())))
+    return sizes
+
+
+def degree_within_budget(algebra, max_degree, budget=DEFAULT_PAIR_BUDGET):
+    """(top, note): the largest degree ≤ max_degree whose ``bar_hh_dimensions`` fits the budget.
+
+    Degree n builds the bar degrees up to n + 1, and ``bar_pairs`` refuses
+    one whose tuples or pairs pass the budget, so ``bar_sizes`` tells in
+    advance.  note is empty when top is max_degree; else it names the first
+    bar degree that does not fit, and top is −1 when not even degree 0 does.
+    """
+    for n, (tuples, pairs) in enumerate(bar_sizes(algebra, max_degree + 1)):
+        if pairs > budget or tuples > budget:
+            over = "%d pairs" % pairs if pairs > budget else "%d tuples" % tuples
+            return max(n - 2, -1), "bar degree %d has %s > %d" % (n, over, budget)
+    return max_degree, ""
 
 
 def bar_differential_matrix(algebra, lo, hi):

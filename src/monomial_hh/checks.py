@@ -52,6 +52,21 @@ def _oracle_dims(table, spaces, degree):
     assert got == want, "oracle dims %r != %r" % (got, want)
 
 
+def _oracle_within_budget(check, table, spaces, degree):
+    """The ``oracle-dims`` row of a whole battery: skipped above the dimension
+    cap, else checked through the deepest degree that the pair budget reaches."""
+    algebra = table.algebra
+    if algebra.dim > ORACLE_DIM_CAP:
+        return CheckReport("oracle-dims", True, "skipped: dim %d > %d" % (algebra.dim, ORACLE_DIM_CAP))
+    top, note = bar_oracle.degree_within_budget(algebra, min(degree, ORACLE_DEGREE))
+    if top < 0:
+        return CheckReport("oracle-dims", True, "skipped: " + note)
+    report = _run("oracle-dims", check, table, spaces, top)
+    if report.ok and note:
+        report.detail = "checked through degree %d: %s" % (top, note)
+    return report
+
+
 # Every row of the battery, in report order, with its check
 # (table, spaces, degree) -> None.  ``cohomology`` fills in the spaces that
 # every row after it reads.  The checks look their functions up when they
@@ -89,11 +104,13 @@ def run_checks(algebra, degree=6, rows=GENERAL_ROWS):
     The spaces are computed once, and only when a selected row reads them;
     the ``cohomology`` row shows only on failure, and then ends the list.
     A whole battery (``rows`` covers GENERAL_ROWS) skips the oracle above
-    the dimension cap, reported ok with a note; a smaller selection runs it.
+    the dimension cap, reported ok with a note, and below it runs the oracle
+    only as deep as its pair budget reaches, naming the degree when that
+    is short of the one asked; a smaller selection runs it as asked.
     """
     table = AmbiguityTable(algebra)
     spaces = []
-    skip_oracle = algebra.dim > ORACLE_DIM_CAP and set(GENERAL_ROWS) <= set(rows)
+    whole = set(GENERAL_ROWS) <= set(rows)
     reports = []
     for name, check in BATTERY.items():
         if name == "cohomology":
@@ -101,8 +118,8 @@ def run_checks(algebra, degree=6, rows=GENERAL_ROWS):
                 report = _run(name, check, table, spaces, degree)
                 if not report.ok:
                     return reports + [report]
-        elif name == "oracle-dims" and skip_oracle:
-            reports.append(CheckReport(name, True, "skipped: dim %d > %d" % (algebra.dim, ORACLE_DIM_CAP)))
+        elif name == "oracle-dims" and whole:
+            reports.append(_oracle_within_budget(check, table, spaces, degree))
         elif name in rows:
             reports.append(_run(name, check, table, spaces, degree))
     return reports

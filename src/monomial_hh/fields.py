@@ -14,10 +14,12 @@ that a layer returns in the field: it reduces each entry mod p over a
 prime field and drops the entries that are zero there.  ``to_row`` is
 where a vector enters the elimination, whose rows are dicts of plain ints:
 it clears denominators over the rationals, reduces mod p over a prime
-field, and drops the zeros.  ``pivot_step`` and ``combine`` make one
-reduction step ``vec ← a·vec − b·row``, ``canonical`` scales a row before
-it is stored or returned as a dependency, and ``from_row`` turns integer
-rows back into scalars.  A canonical row is already a vector of scalars.
+field, and drops the zeros.  Over the rationals an entry of type exactly
+``int`` enters as it is, with no method call, so the integer columns of
+an assembled matrix cost one type test per entry.  ``pivot_step`` and
+``combine`` make one reduction step ``vec ← a·vec − b·row``,
+``canonical`` scales a row before it is stored or returned as a
+dependency, and ``from_row`` turns integer rows back into scalars.  A canonical row is already a vector of scalars.
 Over the rationals a row is an integer vector, reduced fraction-free (the
 a·vec step of Bareiss, *Math. Comp.* 22, 1968) and stored primitive with a
 positive pivot; over a prime field its ints lie in ``range(p)``, the pivot
@@ -44,12 +46,17 @@ class RationalField:
     def to_row(vec: dict):
         """(row, d): the integer row d·vec without its zeros, d the lcm of the denominators.
 
-        The input is not modified.
+        The input is not modified.  An entry of type exactly ``int`` is its
+        own numerator; any other (``Fraction``, ``bool``) is read through
+        ``as_integer_ratio``.
         """
         row = {}
         d = 1
         for c, v in vec.items():
-            if v:
+            if type(v) is int:
+                if v:
+                    row[c] = v
+            elif v:
                 row[c], den = v.as_integer_ratio()  # one call, not two properties
                 if den != 1:
                     d = lcm(d, den)

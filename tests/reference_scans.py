@@ -32,8 +32,12 @@ is the cup structure constants before their gap classes: every Δ term
 looks up the product of every parallel pair (bf, bg), the reference for
 ``cup._constants``.  ``lookup_columns`` is δ^m before its face classes:
 each face of each q looks up the product of every parallel b, the
-reference for ``cochains._columns``.
+reference for ``cochains._columns``.  ``ratio_to_row`` is the rational
+``to_row`` before its ``int`` path, every entry read through
+``as_integer_ratio``.
 """
+
+from math import lcm
 
 from monomial_hh.ambiguities import Ambiguity
 from monomial_hh.cochains import _offsets
@@ -662,3 +666,19 @@ def insert_quotient_basis(field, kernel_vecs, image):
         rep.update(combined.reduce_mod({c: v for c, v in vec.items() if c != p}))
         reps.append(rep)
     return reps
+
+
+def ratio_to_row(vec):
+    """``RationalField.to_row`` before its ``int`` path: one ``as_integer_ratio`` per entry."""
+    row = {}
+    d = 1
+    for c, v in vec.items():
+        if v:
+            row[c], den = v.as_integer_ratio()
+            if den != 1:
+                d = lcm(d, den)
+    if d != 1:
+        for c in row:
+            n, den = vec[c].as_integer_ratio()
+            row[c] = n * (d // den)
+    return row, d

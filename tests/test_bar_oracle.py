@@ -11,6 +11,8 @@ from monomial_hh.bar_oracle import (
     bar_differential_matrix,
     bar_hh_dimensions,
     bar_pairs,
+    bar_sizes,
+    degree_within_budget,
 )
 from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.errors import BudgetExceeded
@@ -194,11 +196,16 @@ def test_rank_does_not_depend_on_the_column_order():
 def test_rank_clears_the_previous_pivots():
     # the columns at the pivots of im δ^{n−1} add nothing to im δ^n, since
     # δ^n δ^{n−1} = 0: skipping them leaves the rank, and the pivots rank
-    # hands back are those of the whole column span
-    for alg, top in rank_inputs():
+    # hands back are those of the whole column span.  cub(2) over GF(2)
+    # adds integer entries ±2, which vanish there: a row stored unread is
+    # then the field-reduced column, and the count must not see the 2s.
+    vanished = 0
+    for alg, top in [*rank_inputs(), (cub2("fp:2"), 3)]:
         field = alg.field
         cleared = set()
         for n, mat in enumerate(bar_matrices(alg, top)):
+            if field.name == "fp:2":
+                vanished += sum(1 for col in mat.cols for v in col.values() if v % 2 == 0)
             full = RowBasis(field)
             for col in mat.cols:
                 full.insert(col)
@@ -207,17 +214,19 @@ def test_rank_clears_the_previous_pivots():
             assert r == mat.ncols - len(kernel_basis(field, mat)), (field.name, n)
             assert pivots == set(full.rows), (field.name, n)
             cleared = pivots
+    assert vanished > 0
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:7"])
 def test_rank_elimination_steps_on_cub2(spec, monkeypatch):
     # the work of leading-entry reduction and clearing, pinned per degree:
-    # reduction steps, and columns entered, which are the columns less the
-    # previous rank, so entered − rank is dim HH^n
+    # reduction steps, columns entered, which are the columns less the
+    # previous rank, so entered − rank is dim HH^n, and rows made
+    # canonical, which are the stored rows some reduction reads
     alg = cub2(spec)
     field = alg.field
-    steps, entered = [], []
-    combine, to_row, real_rank = field.combine, field.to_row, bar_oracle.rank
+    steps, entered, made_canonical = [], [], []
+    combine, to_row, canonical, real_rank = field.combine, field.to_row, field.canonical, bar_oracle.rank
 
     def counting_combine(target, a, b, source):
         steps[-1] += 1
@@ -227,17 +236,25 @@ def test_rank_elimination_steps_on_cub2(spec, monkeypatch):
         entered[-1] += 1
         return to_row(vec)
 
+    def counting_canonical(vec, coeffs, pivot):
+        made_canonical[-1] += 1
+        return canonical(vec, coeffs, pivot)
+
     def per_degree(*args):
         steps.append(0)
         entered.append(0)
+        made_canonical.append(0)
         return real_rank(*args)
 
     monkeypatch.setattr(field, "combine", counting_combine)
     monkeypatch.setattr(field, "to_row", counting_to_row)
+    monkeypatch.setattr(field, "canonical", counting_canonical)
     monkeypatch.setattr(bar_oracle, "rank", per_degree)
     assert bar_hh_dimensions(alg, 3) == [5, 10, 30, 72]
     assert steps == [0, 17, 75, 523]
     assert entered == [7, 40, 222, 1320]
+    # of the (2, 30, 192, 1248) rows stored, only those read are made canonical
+    assert made_canonical == [0, 15, 65, 492]
 
 
 def path_counts(algebra):
@@ -277,6 +294,7 @@ def test_bar_sizes_follow_path_counts():
         ends = [(s, t) for s in range(len(counts)) for t in range(len(counts))]
         power = [[int(s == t) for t in range(len(counts))] for s in range(len(counts))]
         most_tuples = 0
+        predicted = []
         for n in range(6):
             if n:
                 power = mat_mul(power, counts)
@@ -285,6 +303,7 @@ def test_bar_sizes_follow_path_counts():
             most_tuples = max(most_tuples, tuples)
             basis = bar_pairs(alg, n)
             assert (len(basis.tuples), len(basis)) == (tuples, pairs), (alg.relations, n)
+            predicted.append((tuples, pairs))
             cases += 1
             if most_tuples > small or pairs > small:
                 with pytest.raises(BudgetExceeded):
@@ -292,8 +311,38 @@ def test_bar_sizes_follow_path_counts():
                 refused += 1
             else:
                 assert len(bar_pairs(alg, n, small)) == pairs
+        # the oracle's own count, which chooses its degree in a battery
+        assert bar_sizes(alg, 5) == predicted, alg.relations
     assert cases == 245 * 6
     assert 0 < refused < cases // 2
+
+
+def test_degree_within_budget_is_the_deepest_that_fits():
+    # the degree chosen in advance is the last that bar_hh_dimensions
+    # reaches under the budget, and the note names the first bar degree
+    # past it.  Where a degree has more tuples than pairs (tuples whose
+    # ends have no parallel path), a budget between the two is refused on
+    # the tuples alone.
+    short, over = 0, {"pairs": 0, "tuples": 0}
+    for alg in size_inputs():
+        budgets = {500} | {pairs for tuples, pairs in bar_sizes(alg, 5) if tuples > pairs}
+        for budget in sorted(budgets):
+            top, note = degree_within_budget(alg, 4, budget)
+            if top >= 0:
+                bar_hh_dimensions(alg, top, budget)
+            if top == 4:
+                assert note == ""
+                continue
+            short += 1
+            words = note.split()
+            assert words[:2] == ["bar", "degree"] and words[-2:] == [">", str(budget)], note
+            # degree top + 1 needs bar degree top + 2; the first to fail may be lower when top is -1
+            assert int(words[2]) == top + 2 or (top == -1 and int(words[2]) <= 1), note
+            over[words[-3]] += 1
+            with pytest.raises(BudgetExceeded) as exc:
+                bar_hh_dimensions(alg, top + 1, budget)
+            assert exc.value.degree_reached == top
+    assert 0 < short and all(over.values()), over
 
 
 def test_each_bar_column_inserted_once(cone, monkeypatch):

@@ -133,6 +133,34 @@ def test_oracle_over_gf2_cubic(tmp_path):
     assert out.returncode == 0, out.stdout + out.stderr
 
 
+def test_oracle_budget_is_a_degree_not_a_failure(monkeypatch, capsys, tmp_path):
+    # dim 10, under the dimension cap, but bar degree 5 has 9^5 tuples of 10
+    # values: a whole battery checks through degree 3 and says so, without
+    # building a bar degree past the budget
+    from monomial_hh import bar_oracle
+
+    built = []
+    real_pairs = bar_oracle.bar_pairs
+
+    def counting(algebra, n, *budget):
+        built.append(n)
+        return real_pairs(algebra, n, *budget)
+
+    monkeypatch.setattr(bar_oracle, "bar_pairs", counting)
+    for spec in ("q", "fp:2"):
+        alg = tmp_path / ("finding1_%s.alg" % spec.replace(":", ""))
+        alg.write_text("field %s\nvertices 1\narrow x: 1 -> 1\narrow y: 1 -> 1\n"
+                       "relation x x\nrelation y x y\nrelation y y y\n" % spec)
+        built.clear()
+        assert cli.main(["verify", str(alg), "--all", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is True
+        row = {"name": "oracle-dims", "ok": True,
+               "detail": "checked through degree 3: bar degree 5 has 590490 pairs > 150000"}
+        assert row in doc["checks"]
+        assert built == [0, 1, 2, 3, 4]
+
+
 def test_cup_blocks():
     doc = run_json("cup", CONE, "--max-total-degree", "3")
     blocks = {(b["i"], b["j"]): b["table"] for b in doc["blocks"]}

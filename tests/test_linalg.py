@@ -16,6 +16,7 @@ from monomial_hh.linalg import (
 )
 
 from helpers import scalar
+from reference_scans import ratio_to_row
 
 F5 = PrimeField(5)
 
@@ -422,6 +423,28 @@ def test_normal_puts_a_vector_in_the_field():
     assert QQ.normal(vec) == {0: 3, 2: Fraction(-7, 2), 3: -14}
     assert PrimeField(7).normal({0: 3, 1: 0, 3: -14, 4: -1, 5: 2**70}) == {0: 3, 4: 6, 5: 2**70 % 7}
     assert vec[1] == 0  # the input is not modified
+
+
+RATIONAL_ENTRIES = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.fractions(max_denominator=60),
+    st.booleans(),
+    st.sampled_from([0, Fraction(0), False, Fraction(6, 3)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 30), RATIONAL_ENTRIES, max_size=8))
+def test_rational_to_row_matches_the_ratio_loop(vec):
+    # the int path takes an int as it is; the row, its factor and the type
+    # of every entry are what one as_integer_ratio per entry gives
+    before = dict(vec)
+    row, d = QQ.to_row(vec)
+    want_row, want_d = ratio_to_row(vec)
+    assert (row, d) == (want_row, want_d)
+    assert list(row) == list(want_row)
+    assert [type(v) for v in row.values()] == [type(v) for v in want_row.values()] == [int] * len(row)
+    assert vec == before and row is not vec
 
 
 def test_fp_and_q_ranks_agree_on_small_int_matrix():

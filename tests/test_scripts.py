@@ -29,3 +29,32 @@ def test_deep_hh_quick():
     (line,) = out.stdout.splitlines()
     assert line.startswith("rsz(2) D=8: ") and line.endswith(" ok")
     assert "exit 0, sha256 d07b949128a6524a60ece5f39f2baa305753f598b4c054b6f660b80cfb40363c" in line
+
+
+def test_bench_pairs_dry_run(tmp_path):
+    # alternated pairs with one seed per pair, the parent first in odd pairs;
+    # a checkout with bytecode under src/ is refused before anything runs
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        (sides[side] / "src" / "monomial_hh").mkdir(parents=True)
+        (sides[side] / "perfbench").mkdir()
+        (sides[side] / "perfbench" / "run.py").write_text("")
+    argv = [str(SCRIPTS / "bench_pairs.py"), "--parent", str(sides["parent"]), "--change", str(sides["change"]),
+            "--workload", "oracle-elim", "--pairs", "3", "--seconds", "20", "--dry-run"]
+    out = run_python(*argv)
+    assert out.returncode == 0, out.stderr
+    bench = "python3 perfbench/run.py --workload oracle-elim --seed %d --seconds 20 --trace 0"
+    want = [
+        "pair 1 parent: cd %s && %s" % (sides["parent"], bench % 1),
+        "pair 1 change: cd %s && %s" % (sides["change"], bench % 1),
+        "pair 2 change: cd %s && %s" % (sides["change"], bench % 2),
+        "pair 2 parent: cd %s && %s" % (sides["parent"], bench % 2),
+        "pair 3 parent: cd %s && %s" % (sides["parent"], bench % 3),
+        "pair 3 change: cd %s && %s" % (sides["change"], bench % 3),
+    ]
+    assert out.stdout.splitlines() == want
+    (sides["parent"] / "src" / "monomial_hh" / "__pycache__").mkdir()
+    out = run_python(*argv)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "__pycache__" in out.stderr
