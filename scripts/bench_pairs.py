@@ -9,8 +9,9 @@ each checkout, with the same seed S = ``--first-seed`` + i − 1 on both
 sides; the parent runs first in odd pairs and second in even ones.  The
 change is this script's own checkout unless ``--change`` names another.
 For each end-to-end metric of ``BENCHMARK.json`` the script prints each
-side's median, the change in %, the parent's interquartile range and the
-pairs the change won (strictly better in the metric's direction).
+side's median, the change in %, the parent's interquartile range, the
+pairs the change won (strictly better in the metric's direction) and a
+verdict (see ``verdict``).
 
 It exits 1 if a run fails, is not ``correct`` or has a failed op, and 2,
 before running anything, if either checkout has a ``__pycache__`` under
@@ -64,6 +65,26 @@ def iqr(values):
     return q3 - q1
 
 
+def verdict(won, pairs, parent_median, change_median, parent_iqr, lower, bound):
+    """``gain``, ``worse``, ``unresolved`` or ``same``, the first that holds.
+
+    gain: of at least ten pairs, the change won 9 in 10 or more, and the
+    medians are further apart, in its favour, than the parent's IQR; fewer
+    pairs claim nothing.  worse: the change's median is worse than the
+    parent's by more than ``bound``, the metric's relative bound in
+    ``BENCHMARK.json``.  unresolved: the parent's IQR is wider than that
+    bound, so the runs cannot show it.
+    """
+    gap = parent_median - change_median if lower else change_median - parent_median
+    if pairs >= 10 and 10 * won >= 9 * pairs and gap > parent_iqr:
+        return "gain"
+    if -gap > bound * abs(parent_median):
+        return "worse"
+    if parent_iqr > bound * abs(parent_median):
+        return "unresolved"
+    return "same"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=pathlib.Path, help="the parent commit's checkout")
@@ -102,7 +123,7 @@ def main():
             continue
         for name, entry in result["metrics"].items():
             values.setdefault((name, i), {})[side] = entry["value"]
-    print("%-12s %12s %12s %9s %12s %6s" % ("metric", "parent", "change", "change", "parent IQR", "won"))
+    print("%-12s %12s %12s %9s %12s %6s  %s" % ("metric", "parent", "change", "change", "parent IQR", "won", "verdict"))
     for metric in spec["end_to_end"]:
         name = metric["name"]
         pairs = [values.get((name, i), {}) for i in range(1, args.pairs + 1)]
@@ -115,8 +136,10 @@ def main():
         won = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
         b_med, a_med = statistics.median(before), statistics.median(after)
         pct = 100.0 * (a_med - b_med) / b_med if b_med else 0.0
-        print("%-12s %12.6f %12.6f %+8.2f%% %12.6f %3d/%d"
-              % (name, b_med, a_med, pct, iqr(before), won, len(before)))
+        spread = iqr(before)
+        print("%-12s %12.6f %12.6f %+8.2f%% %12.6f %3d/%d  %s"
+              % (name, b_med, a_med, pct, spread, won, len(before),
+                 verdict(won, len(before), b_med, a_med, spread, lower, metric["bound"])))
     return 0 if ok else 1
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import bar_oracle, cochains, cup, diagonal, resolution
 from .ambiguities import AmbiguityTable
-from .errors import MonomialHHError
+from .errors import BudgetExceeded, MonomialHHError
 from .quivers import is_triangular
 from .randomgen import random_algebra, shrink_algebra
 
@@ -67,6 +67,17 @@ def _oracle_within_budget(check, table, spaces, degree):
     return report
 
 
+def _oracle_fits(algebra, degree):
+    """Raise BudgetExceeded, before any row runs, when the ``oracle-dims``
+    row selected on its own would pass the pair budget: a degree the
+    caller asked for and cannot have is bad input, not a failed check."""
+    asked = min(degree, ORACLE_DEGREE)
+    top, note = bar_oracle.degree_within_budget(algebra, asked)
+    if top < asked:
+        deepest = "the deepest that fits is %d" % top if top >= 0 else "no degree fits"
+        raise BudgetExceeded(top, "oracle degree %d does not fit the pair budget (%s); %s" % (asked, note, deepest))
+
+
 # Every row of the battery, in report order, with its check
 # (table, spaces, degree) -> None.  ``cohomology`` fills in the spaces that
 # every row after it reads.  The checks look their functions up when they
@@ -106,11 +117,14 @@ def run_checks(algebra, degree=6, rows=GENERAL_ROWS):
     A whole battery (``rows`` covers GENERAL_ROWS) skips the oracle above
     the dimension cap, reported ok with a note, and below it runs the oracle
     only as deep as its pair budget reaches, naming the degree when that
-    is short of the one asked; a smaller selection runs it as asked.
+    is short of the one asked; a smaller selection runs it as asked, and
+    raises BudgetExceeded before any row runs when that does not fit.
     """
+    whole = set(GENERAL_ROWS) <= set(rows)
+    if "oracle-dims" in rows and not whole:
+        _oracle_fits(algebra, degree)
     table = AmbiguityTable(algebra)
     spaces = []
-    whole = set(GENERAL_ROWS) <= set(rows)
     reports = []
     for name, check in BATTERY.items():
         if name == "cohomology":

@@ -21,7 +21,8 @@ constructor both go through it.
 
 ``_has_cycle`` is the one oriented-cycle search: on the relation
 automaton it decides whether A is finite, on the quiver whether A is
-triangular.
+triangular, and on the arrows that no relation uses it lets ``randomgen``
+refuse a draw as infinite before the draw's quiver is built.
 """
 
 from __future__ import annotations

@@ -4,6 +4,22 @@ The property suites quantify over "all finite-dimensional monomial algebras";
 bounded random instances stand in for that.  Everything is driven by a
 ``random.Random`` seeded explicitly, so a trial index reproduces its algebra
 exactly.  Trial i of a suite uses seed ``base_seed + i``.
+
+Most draws are infinite-dimensional, and the relation automaton of
+``build_algebra`` is the one test of finiteness.  Before it, ``_free_cycle``
+refuses a draw, from its arrow ends and relation words alone, when it meets
+one of two sufficient conditions for an infinite relation-free path:
+
+- a loop a that is not the only arrow of any relation: no relation is a
+  power of a, so no relation divides aⁿ, and every aⁿ is a basis path;
+- an oriented cycle among the arrows that no relation uses: every relation
+  holds an arrow off the cycle, so no relation divides a power of it.
+
+Both are exact, so a refused draw is one the automaton would refuse too.
+The rule runs after every random call of the draw and calls none itself,
+so it never changes the RNG stream nor which draw is kept; it only spares
+the refused draws their ``Quiver`` and their automaton.  ``shrink_algebra``
+asks it before each candidate, so the shrunk algebras are unchanged too.
 """
 
 import random
@@ -11,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import InfiniteDimensional
 from .fields import QQ
-from .quivers import Quiver, build_algebra
+from .quivers import Quiver, _has_cycle, build_algebra
 
 MAX_ATTEMPTS = 5000
 MAX_VERTICES = 6
@@ -27,19 +43,37 @@ class RandomAlgebraConfig:
     field: object = dc_field(default=QQ)
 
 
-def _sample_walk(rng, quiver, length):
+def _sample_walk(rng, arrows, out_arrows, length):
     # a random composable arrow word, traversal order; shorter if the walk dies
-    first = rng.randrange(quiver.n_arrows)
+    first = rng.randrange(len(arrows))
     word = [first]
-    cur = quiver.arrow_target[first]
+    cur = arrows[first][2]
     while len(word) < length:
-        step = quiver.out_arrows[cur]
+        step = out_arrows[cur]
         if not step:
             break
         a = rng.choice(step)
         word.append(a)
-        cur = quiver.arrow_target[a]
+        cur = arrows[a][2]
     return word
+
+
+def _free_cycle(n_vertices, arrows, relations) -> bool:
+    """Does a power of some oriented cycle avoid every relation?
+
+    ``arrows`` are (name, source, target) with vertex indices, ``relations``
+    arrow-index words.  True means A is infinite (see the module docstring);
+    False decides nothing.
+    """
+    used = {a for r in relations for a in r}
+    powers = {r[0] for r in relations if len(set(r)) == 1}
+    free = [[] for _ in range(n_vertices)]  # free[s]: the targets of unused arrows from s
+    for a, (_, s, t) in enumerate(arrows):
+        if s == t and a not in powers:
+            return True
+        if a not in used:
+            free[s].append(t)
+    return _has_cycle(range(n_vertices), free.__getitem__)
 
 
 def _window_relations(rng, walk, count):
@@ -104,7 +138,6 @@ def _try_sample(rng, config):
         arrows.append(("a%d" % (len(arrows) + 1), s, t))
     if len(arrows) > MAX_ARROWS:
         return None
-    quiver = Quiver(vertices, [(n, vertices[s], vertices[t]) for n, s, t in arrows])
     relations = []
     if arrows:
         # max of two draws: biased toward several relations, zero still possible
@@ -112,11 +145,17 @@ def _try_sample(rng, config):
         if nr and spine and rng.random() < 0.7:
             relations = _window_relations(rng, spine, nr)
         if nr and not relations:
+            out_arrows = [[] for _ in vertices]
+            for a, (_, s, _) in enumerate(arrows):
+                out_arrows[s].append(a)
             for _ in range(nr):
                 length = rng.randint(MIN_RELATION_LENGTH, MAX_RELATION_LENGTH)
-                word = _sample_walk(rng, quiver, length)
+                word = _sample_walk(rng, arrows, out_arrows, length)
                 if len(word) == length:
                     relations.append(tuple(word))
+    if _free_cycle(nv, arrows, relations):
+        return None
+    quiver = Quiver(vertices, [(n, vertices[s], vertices[t]) for n, s, t in arrows])
     try:
         return build_algebra(quiver, relations, config.field)
     except InfiniteDimensional:
@@ -134,15 +173,15 @@ def random_algebra(config, seed):
 
 
 def _drops(algebra):
-    """(quiver, relations) with one relation dropped, then with one arrow
-    and the relations through it dropped; later arrows are renumbered."""
+    """(arrows, relations) with one relation dropped, then with one arrow and
+    the relations through it dropped; later arrows are renumbered.  Arrows
+    are (name, source, target) with vertex indices."""
     q, rels = algebra.quiver, algebra.relations
-    for i in range(len(rels)):
-        yield q, rels[:i] + rels[i + 1 :]
     ends = list(zip(q.arrow_names, q.arrow_source, q.arrow_target))
+    for i in range(len(rels)):
+        yield ends, rels[:i] + rels[i + 1 :]
     for idx in range(q.n_arrows):
-        arrows = [(name, q.vertex_names[s], q.vertex_names[t]) for name, s, t in ends[:idx] + ends[idx + 1 :]]
-        yield Quiver(q.vertex_names, arrows), [tuple(a - (a > idx) for a in r) for r in rels if idx not in r]
+        yield ends[:idx] + ends[idx + 1 :], [tuple(a - (a > idx) for a in r) for r in rels if idx not in r]
 
 
 def shrink_algebra(algebra, predicate):
@@ -150,7 +189,11 @@ def shrink_algebra(algebra, predicate):
     assert predicate(algebra), "predicate must hold on the input"
     current = algebra
     while True:
-        for quiver, relations in _drops(current):
+        names = current.quiver.vertex_names
+        for arrows, relations in _drops(current):
+            if _free_cycle(len(names), arrows, relations):
+                continue
+            quiver = Quiver(names, [(n, names[s], names[t]) for n, s, t in arrows])
             try:
                 cand = build_algebra(quiver, relations, current.field)
             except InfiniteDimensional:

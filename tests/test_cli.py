@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monomial_hh import __version__, checks, cli
+from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.checks import CheckReport, run_random_suite
 from monomial_hh.cli import _report_command
+from monomial_hh.errors import BudgetExceeded
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.randomgen import RandomAlgebraConfig
 
@@ -159,6 +161,30 @@ def test_oracle_budget_is_a_degree_not_a_failure(monkeypatch, capsys, tmp_path):
                "detail": "checked through degree 3: bar degree 5 has 590490 pairs > 150000"}
         assert row in doc["checks"]
         assert built == [0, 1, 2, 3, 4]
+
+
+def test_explicit_oracle_over_budget_exits_2(monkeypatch, tmp_path):
+    # the algebra above: an explicit --oracle at the default degree asks for
+    # degree 4, which needs bar degree 5; that is refused as bad input
+    # before any row runs, and exits 2 with one error line
+    alg = tmp_path / "finding1.alg"
+    alg.write_text("field q\nvertices 1\narrow x: 1 -> 1\narrow y: 1 -> 1\n"
+                   "relation x x\nrelation y x y\nrelation y y y\n")
+    out = run_cli("verify", str(alg), "--oracle")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("error: BudgetExceeded: oracle degree 4 does not fit the pair budget "
+                          "(bar degree 5 has 590490 pairs > 150000); the deepest that fits is 3\n")
+    # the degree that fits runs as asked
+    assert run_json("verify", str(alg), "--oracle", "--max-degree", "3")["ok"] is True
+
+    def unreachable(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(checks.bar_oracle, "bar_pairs", unreachable)
+    monkeypatch.setattr(checks.cup, "verify_graded_commutativity", unreachable)
+    with pytest.raises(BudgetExceeded, match="the deepest that fits is 3"):
+        checks.run_checks(parse_algebra_file(alg.read_text()), 5, ("graded-commutativity", "oracle-dims"))
 
 
 def test_cup_blocks():

@@ -1,11 +1,14 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monomial_hh import randomgen
 from monomial_hh.ambiguities import AmbiguityTable
+from monomial_hh.errors import InfiniteDimensional
 from monomial_hh.fields import parse_field_spec
-from monomial_hh.quivers import is_triangular
+from monomial_hh.quivers import Quiver, build_algebra, is_triangular
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra, shrink_algebra
 
 
@@ -121,3 +124,90 @@ def test_shrink_digest():
                 digest.update(repr((list(zip(q.arrow_names, *ends)), small.relations)).encode())
                 digest.update(b"\n")
     assert digest.hexdigest() == SHRINK_GOLDEN
+
+
+def _automaton_refuses(n_vertices, arrows, relations):
+    vertices = [str(v) for v in range(n_vertices)]
+    quiver = Quiver(vertices, [(name, vertices[s], vertices[t]) for name, s, t in arrows])
+    try:
+        build_algebra(quiver, relations)
+    except InfiniteDimensional:
+        return True
+    return False
+
+
+@st.composite
+def small_draws(draw):
+    """1-4 vertices, up to 6 arrows (loops and parallel arrows allowed) and
+    up to 5 composable relation words of length 2-4."""
+    nv = draw(st.integers(1, 4))
+    ends = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=6))
+    arrows = [("a%d" % (i + 1), s, t) for i, (s, t) in enumerate(ends)]
+    relations = []
+    for _ in range(draw(st.integers(0, 5)) if arrows else 0):
+        word = [draw(st.integers(0, len(arrows) - 1))]
+        for _ in range(draw(st.integers(1, 3))):
+            step = [a for a, (_, s, _) in enumerate(arrows) if s == arrows[word[-1]][2]]
+            if not step:
+                break
+            word.append(draw(st.sampled_from(step)))
+        if len(word) >= 2:
+            relations.append(tuple(word))
+    return nv, arrows, relations
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_draws())
+def test_free_cycle_refuses_only_infinite_algebras(case):
+    # the rule is a sufficient condition: wherever it refuses, so does the automaton
+    if randomgen._free_cycle(*case):
+        assert _automaton_refuses(*case)
+
+
+def _pool(monkeypatch):
+    """Draw the benchmark's 240-trial pool; the draws that reached the rule,
+    as (n_vertices, arrows, relations, refused), and the calls counted."""
+    counts = {"draws": 0, "build_algebra": 0, "Quiver": 0}
+    draws = []
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    def recorded(*case):
+        refused = free_cycle(*case)
+        draws.append((*case, refused))
+        return refused
+
+    free_cycle = randomgen._free_cycle
+    monkeypatch.setattr(randomgen, "_try_sample", counted("draws", randomgen._try_sample))
+    monkeypatch.setattr(randomgen, "build_algebra", counted("build_algebra", randomgen.build_algebra))
+    monkeypatch.setattr(randomgen, "Quiver", counted("Quiver", randomgen.Quiver))
+    monkeypatch.setattr(randomgen, "_free_cycle", recorded)
+    for spec, triangular in sorted(POOL_GOLDEN):
+        config = RandomAlgebraConfig(triangular=triangular, field=parse_field_spec(spec))
+        for seed in range(1000, 1060):
+            random_algebra(config, seed)
+    return draws, counts
+
+
+def test_free_cycle_replays_the_pool(monkeypatch):
+    # every pool draw goes through the rule and the automaton: the rule
+    # refuses 626 of the 664 infinite ones, and no finite one
+    draws, _ = _pool(monkeypatch)
+    assert len(draws) == 904
+    verdicts = [(refused, _automaton_refuses(nv, arrows, relations)) for nv, arrows, relations, refused in draws]
+    assert (True, False) not in verdicts
+    assert sorted(set(verdicts)) == [(False, False), (False, True), (True, True)]
+    assert sum(refused for refused, _ in verdicts) == 626
+    assert sum(infinite for _, infinite in verdicts) == 664
+
+
+def test_pool_builds_only_unrefused_draws(monkeypatch):
+    # the pool still takes 904 draws, and builds a quiver and an automaton
+    # only for the 278 that the rule lets through
+    _, counts = _pool(monkeypatch)
+    assert counts == {"draws": 904, "build_algebra": 278, "Quiver": 278}

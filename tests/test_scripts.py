@@ -1,7 +1,10 @@
 """The scripts under scripts/ run as subprocesses against this package."""
 
 import hashlib
+import importlib.util
 import pathlib
+
+import pytest
 
 from test_cli import run_python
 
@@ -58,3 +61,38 @@ def test_bench_pairs_dry_run(tmp_path):
     out = run_python(*argv)
     assert out.returncode == 2 and out.stdout == ""
     assert "__pycache__" in out.stderr
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "won, parent, change, spread, lower, bound, want",
+    [
+        (10, 0.165, 0.131, 0.0055, True, 0.25, "gain"),  # 10 of 10, gap 0.034 > IQR
+        (9, 0.165, 0.131, 0.0055, True, 0.25, "gain"),  # 9 of 10 is enough
+        (8, 0.165, 0.131, 0.0055, True, 0.25, "same"),  # 8 of 10 is not
+        (10, 0.165, 0.160, 0.0055, True, 0.25, "same"),  # gap 0.005 inside the IQR
+        (10, 0.990, 0.999, 0.0005, False, 0.001, "gain"),  # higher is better
+        (0, 1.0, 1.3, 0.01, True, 0.2, "worse"),  # +30 % against a 20 % bound
+        (0, 1.0, 1.19, 0.01, True, 0.2, "same"),  # +19 % is inside it
+        (3, 1.0, 0.998, 0.0, False, 0.001, "worse"),  # −0.2 % of a higher-is-better ratio
+        (5, 1.0, 1.0, 0.3, True, 0.2, "unresolved"),  # parent IQR 30 % against 20 %
+        (0, 1.0, 1.3, 0.3, True, 0.2, "worse"),  # worse is told before unresolved
+        (10, 1.0, 0.5, 0.3, True, 0.2, "gain"),  # and a gain beyond the IQR before both
+        (1, 2.0, 2.0, 0.0, True, 0.05, "same"),
+    ],
+)
+def test_bench_pairs_verdict(won, parent, change, spread, lower, bound, want):
+    assert _bench_pairs().verdict(won, 10, parent, change, spread, lower, bound) == want
+
+
+def test_bench_pairs_verdict_needs_ten_pairs():
+    verdict = _bench_pairs().verdict
+    assert verdict(3, 3, 0.165, 0.131, 0.0055, True, 0.25) == "same"
+    assert verdict(18, 20, 0.165, 0.131, 0.0055, True, 0.25) == "gain"
+    assert verdict(17, 20, 0.165, 0.131, 0.0055, True, 0.25) == "same"
