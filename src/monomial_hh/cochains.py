@@ -31,13 +31,19 @@ representatives with the δ^m it built, so ``cup`` builds each δ^m once.
 The columns are shared, so no caller may mutate one.
 ``differential_via_resolution``, an independent route that reads no
 face class, gives the same map by composing with the resolution's d.
+
+A space holds its cocycles and its representatives as ``UnitSplit``s:
+nearly all of them are unit vectors e_j, each held as j alone, so ``hh``
+builds no dict for one, and a caller that wants vectors iterates the
+split.  ``class_vector`` reads the class of a vector on the pivots of
+one-entry representatives off with no solve.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 from .ambiguities import memoized
 from .errors import NotACocycle
-from .linalg import RowBasis, SparseMatrix, kernel_basis, quotient_basis
+from .linalg import RowBasis, SparseMatrix, UnitSplit, kernel_basis, quotient_basis
 from .resolution import boundary
 
 
@@ -73,11 +79,12 @@ def _offsets(table, degree):
 
 def display_vector(algebra, pairs, vec, words):
     """The text ``hh`` prints for Σ vec[i]·pairs[i]: ``coeff [ambiguity || path]``
-    terms in pair order, or ``0``.  ``words`` caches the written word of each
-    ambiguity and basis index met, across calls."""
+    terms in pair order, or ``0``.  vec may also be the index j of the unit
+    vector e_j, as ``UnitSplit.items`` gives it.  ``words`` caches the
+    written word of each ambiguity and basis index met, across calls."""
     word = algebra.quiver.word
     bits = []
-    for i, c in sorted(vec.items()):
+    for i, c in ((vec, 1),) if type(vec) is int else sorted(vec.items()):
         amb, b = pairs[i]
         amb_word = words.get(amb)
         if amb_word is None:
@@ -220,14 +227,22 @@ def differential_via_resolution(table, m):
 class CohomologySpace:
     """HH^m: ``cocycles`` are the kernel vectors of δ^m, ``coboundaries`` the
     echelon rows of im δ^{m-1}, both over ``pairs``; its dimension is the
-    number of ``representatives``."""
+    number of ``representatives``.
+
+    The cocycles and the representatives are each a ``UnitSplit``: a unit
+    vector e_j is held as j, and a caller that iterates one gets vectors,
+    built on demand.  ``class_vector`` keeps its read-off table and its
+    solver here, and ``cup`` its products of cocycles, each made once.
+    """
 
     degree: int
     pairs: tuple
-    cocycles: list
+    cocycles: UnitSplit
     coboundaries: list
-    representatives: list
+    representatives: UnitSplit
     _solver: object = dc_field(default=None, repr=False, compare=False)
+    _read_off: dict = dc_field(default=None, repr=False, compare=False)
+    _products: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def rep_cochains(self, table, what):
         """The representatives, as certified; ``table`` and ``what`` are not read."""
@@ -254,16 +269,21 @@ def hochschild_cohomology(table, max_degree):
         following = [] if m < max_degree else None  # no space reads im δ^max_degree
         matrix = differential_matrix(table, m)
         kernel = kernel_basis(field, matrix, following)
-        # the support columns nonzero in the field: a one-entry kernel vector's column is zero there
-        held = {j: matrix.cols[j] for v in kernel if len(v) > 1 for j in v}
+        # the support columns nonzero in the field: a unit kernel vector's column is zero there
+        held = {j: matrix.cols[j] for v in kernel.vectors for j in v}
         matrix = None  # only the held columns outlive the kernel pass
         space = CohomologySpace(m, pair_basis(table, m), kernel, image, quotient_basis(field, kernel, image))
-        support = set().union(*kernel)  # built once the quotient's rows are freed
-        for v in space.representatives:
+        support = set(kernel.units).union(*kernel.vectors)  # built once the quotient's rows are freed
+
+        def cocycle(v):
             # every cocycle lies on the support, so an index off it is refused, not read as zero
-            if not support.issuperset(v) or held and _sum_columns(field, ((v[j], held[j]) for j in held.keys() & v)):
-                text = display_vector(table.algebra, space.pairs, v, {})
-                raise NotACocycle("HH^%d representative is not a cocycle: %s" % (m, text))
+            return support.issuperset(v) and not (held and _sum_columns(field, ((v[j], held[j]) for j in held.keys() & v)))
+
+        reps = space.representatives
+        # a unit e_p is a cocycle exactly when p is on the support and not held
+        if not (support.issuperset(reps.units) and held.keys().isdisjoint(reps.units) and all(map(cocycle, reps.vectors))):
+            text = display_vector(table.algebra, space.pairs, next(v for v in reps if not cocycle(v)), {})
+            raise NotACocycle("HH^%d representative is not a cocycle: %s" % (m, text))
         spaces.append(space)
         image = following
         support = held = None  # not held while the next δ is built
@@ -274,15 +294,39 @@ def class_vector(space, table, vec):
     """Coefficients of vec's class over space.representatives; NotACocycle if not one.
 
     vec is a cochain of the space's degree: a vector carries no degree, so
-    the caller answers for that.  Coboundaries and representatives together
-    span exactly the cocycles (``kernel_basis`` asserts rank + nullity,
-    ``quotient_basis`` im ⊆ ker, ``hochschild_cohomology`` that each
-    representative is a cocycle), so the solve itself is the cocycle test.
-    The solver starts from the coboundary rows and tracks coefficients over
-    the representatives only; ``express`` gives the solution without zeros.
+    the caller answers for that.  A vec whose every entry c sits at the
+    pivot p of a one-entry representative s·e_p is read off as
+    {that representative's index: c/s}: vec is that combination of
+    representatives, so a cocycle, and coboundaries and representatives are
+    independent, so it is its class.  Every other vec is solved.
+    Coboundaries and representatives together span exactly the cocycles
+    (``kernel_basis`` asserts rank + nullity, ``quotient_basis`` im ⊆ ker,
+    ``hochschild_cohomology`` that each representative is a cocycle), so the
+    solve itself is the cocycle test.  The solver starts from the coboundary
+    rows and tracks coefficients over the representatives only; ``express``
+    gives the solution without zeros.
     """
+    field = table.algebra.field
+    read = space._read_off
+    if read is None:  # pivot -> (index, scale) of each one-entry representative
+        read = space._read_off = {}
+        for a, x in enumerate(space.representatives.items()):
+            if type(x) is int:
+                read[x] = (a, 1)
+            elif len(x) == 1:
+                ((p, s),) = x.items()
+                read[p] = (a, s)
+    sol = {}
+    for i, c in vec.items():
+        hit = read.get(i)
+        if hit is None:
+            break
+        a, s = hit
+        sol[a] = c if s == 1 else field.from_row({a: c}, s)[a]
+    else:
+        return sol
     if space._solver is None:
-        solver = RowBasis(table.algebra.field, track=True, seed=space.coboundaries)
+        solver = RowBasis(field, track=True, seed=space.coboundaries)
         for i, v in enumerate(space.representatives):
             added, _ = solver.insert(v, i)
             assert added

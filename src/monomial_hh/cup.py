@@ -40,7 +40,7 @@ from .ambiguities import memoized
 from .cochains import _offsets, class_vector, cochain_differential
 from .diagonal import diagonal
 from .errors import NotTriangular
-from .linalg import RowBasis
+from .linalg import RowBasis, UnitSplit
 from .quivers import is_triangular
 
 
@@ -107,18 +107,20 @@ def _gap_class(algebra, pre, mid, post):
 def cup_products(table, m, n, fs, gs):
     """{(a, b): fs[a] cup gs[b]} for the nonzero products only, keys in (a, b) order.
 
-    fs are cochains of degree m and gs of degree n.  One pass contracts the
-    lists against the structure constants of their bidegree: gs is indexed
-    by pair, and each term of fs[a] walks its row of the constants,
-    accumulating into fs[a]'s products with every gs[b] that has a term
-    there.  The sums run on plain numbers; the field's ``normal`` puts each
-    product in the field and drops the ones that cancel to zero.
+    fs are cochains of degree m and gs of degree n, each a list of vectors
+    or a ``UnitSplit``.  One pass contracts the lists against the structure
+    constants of their bidegree: gs is indexed by pair, and each term of
+    fs[a] walks its row of the constants, accumulating into fs[a]'s products
+    with every gs[b] that has a term there.  A unit e_i, held as i, has the
+    one term (i, 1).  The sums run on plain numbers; the field's ``normal``
+    puts each product in the field and drops the ones that cancel to zero.
     """
-    if not any(fs):
+    fs = list(_items(fs))
+    if not any(type(f) is int or f for f in fs):
         return {}
     by_pair = {}  # pair index of gs -> [(b, coefficient in gs[b])]
-    for b, g in enumerate(gs):
-        for j, c in g.items():
+    for b, g in enumerate(_items(gs)):
+        for j, c in _terms(g):
             by_pair.setdefault(j, []).append((b, c))
     if not by_pair:
         return {}
@@ -127,7 +129,7 @@ def cup_products(table, m, n, fs, gs):
     out = {}
     for a, f in enumerate(fs):
         acc = {}  # b -> {output index: coefficient} of fs[a] cup gs[b]
-        for i, cf in f.items():
+        for i, cf in _terms(f):
             row = constants.get(i)
             if row is None:
                 continue
@@ -147,6 +149,16 @@ def cup_products(table, m, n, fs, gs):
             if terms:
                 out[a, b] = terms
     return out
+
+
+def _items(vectors):
+    """A list of vectors as ``UnitSplit.items`` gives one: a unit as its index."""
+    return vectors.items() if isinstance(vectors, UnitSplit) else vectors
+
+
+def _terms(vec):
+    """The (index, scalar) terms of a vector or of a unit held as its index."""
+    return ((vec, 1),) if type(vec) is int else vec.items()
 
 
 def cup_table(table, spaces, i, j):
@@ -197,23 +209,34 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
     """
     if not is_triangular(table.algebra):
         raise NotTriangular("vanishing theorem needs an acyclic quiver")
-    cocycles = [space.cocycles for space in spaces]
     failures = []
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
             # an absent product is zero, of class 0; the others are solved in (a, b) order
-            for (a, b), product in cup_products(table, m, n, cocycles[m], cocycles[n]).items():
+            for (a, b), product in _cocycle_products(table, spaces, m, n).items():
                 cls = class_vector(spaces[m + n], table, product)
                 if cls:
                     failures.append({"degrees": [m, n], "cocycles": [a, b], "product_class": sorted(cls)})
     return failures
 
 
+def _cocycle_products(table, spaces, m, n):
+    """spaces[m].cocycles cup spaces[n].cocycles, contracted once per pair of
+    spaces: the closure row and the triangular rows of a battery read them
+    all, and the memo lives on spaces[m]."""
+    held = spaces[m]._products.get(n)
+    if held is None or held[0] is not spaces[n]:
+        products = cup_products(table, m, n, spaces[m].cocycles, spaces[n].cocycles)
+        held = spaces[m]._products[n] = (spaces[n], products)
+    return held[1]
+
+
 def check_cup_closure(table, spaces, max_total_degree):
     """Cocycle x cocycle is a cocycle; either order with a coboundary is a coboundary.
 
-    The coboundary test is membership in one basis per bidegree, seeded
-    with the echelon rows of the coboundaries."""
+    The coboundary test is membership in one basis per total degree, seeded
+    with the echelon rows of its coboundaries: membership never changes it."""
+    coboundaries = {}  # total degree -> its basis, made when first read
     for m in range(0, max_total_degree + 1):
         z = spaces[m].cocycles
         if not z:
@@ -221,20 +244,22 @@ def check_cup_closure(table, spaces, max_total_degree):
         for n in range(0, max_total_degree + 1 - m):
             if not spaces[n].cocycles and not spaces[n].coboundaries:
                 continue  # every product below is empty
-            zz = cup_products(table, m, n, z, spaces[n].cocycles)
+            zz = _cocycle_products(table, spaces, m, n)
             zb = cup_products(table, m, n, z, spaces[n].coboundaries)
             bz = cup_products(table, n, m, spaces[n].coboundaries, z)
             # zero products pass; the others are checked by cocycle f:
             # f cup g for each cocycle g, then f cup g and g cup f for each
             # coboundary g, so the first failure raised is a fixed one
             order = [(a, 0, c, 0) for a, c in zz] + [(a, 1, c, 0) for a, c in zb] + [(a, 1, c, 1) for c, a in bz]
-            coboundaries = RowBasis(table.algebra.field, seed=spaces[m + n].coboundaries)
             for a, with_coboundary, c, swapped in sorted(order):
                 if not with_coboundary:
                     assert not cochain_differential(table, m + n, zz[a, c])
                 else:
                     prod = bz[c, a] if swapped else zb[a, c]
-                    assert coboundaries.contains(prod), "cup with a coboundary is not a coboundary"
+                    basis = coboundaries.get(m + n)
+                    if basis is None:
+                        basis = coboundaries[m + n] = RowBasis(table.algebra.field, seed=spaces[m + n].coboundaries)
+                    assert basis.contains(prod), "cup with a coboundary is not a coboundary"
     return True
 
 
@@ -250,13 +275,10 @@ def check_one_sided_vanishing(table, spaces, max_total_degree):
     if not is_triangular(table.algebra):
         raise NotTriangular("one-sided vanishing needs an acyclic quiver")
     degrees = range(1, max_total_degree)
-    pieces = {m: spaces[m].cocycles for m in degrees}
     products = {
-        (m, n): cup_products(table, m, n, pieces[m], pieces[n])
-        for m in degrees
-        for n in degrees
-        if m + n <= max_total_degree
+        (m, n): _cocycle_products(table, spaces, m, n) for m in degrees for n in degrees if m + n <= max_total_degree
     }
     # (f, g) in the order of the pieces, f by degree then index, g likewise
     both = sorted((m, a, n, b) for (m, n), prods in products.items() for a, b in prods if (b, a) in products[n, m])
+    pieces = {d: list(spaces[d].cocycles) for m, _, n, _ in both for d in (m, n)}
     return [(pieces[m][a], pieces[n][b]) for m, a, n, b in both]

@@ -44,13 +44,24 @@ reduction step ``vec ← a·vec − b·row`` (fraction-free over the rationals,
 mod p over a prime field) and convert back to scalars only what is
 returned; no step touches a single scalar through the field.
 
-The cohomology passes eliminate only where vectors meet, by three
-shortcuts that the uniqueness above makes exact:
+The cohomology passes hold each unit vector e_j as its index j alone: a
+``UnitSplit`` keeps the units of a list as one tuple of indices and the
+other vectors as dicts, and builds a dict only for a caller that asks for
+one.  Nearly every kernel vector and representative of the complexes is a
+unit vector.  The passes eliminate only where vectors meet, by shortcuts
+that the uniqueness above makes exact:
 
 - ``kernel_basis`` gives an empty integer column j the dependency
   ``{j: 1}`` without inserting it, which is what ``canonical`` makes of
   the coefficient {j: 1} it would carry (a column that is nonzero over Z
-  but zero in the field is still inserted);
+  but zero in the field is still inserted), and keeps every one-entry
+  dependency as the unit j;
+- ``quotient_basis`` takes a unit column j that is no current pivot
+  straight into the representatives, as e_j, and stores no row for it.
+  Reducing a vector against the row e_j only deletes its entry j, with
+  a = 1, and touches nothing else, so a vector is reduced against the
+  stored rows and the entries at those units are deleted afterwards: the
+  same row, scale and pivot;
 - ``quotient_basis`` stores a kernel vector that has no index at a current
   pivot as it is, in canonical form: reducing it would change nothing;
 - the kernel vectors are independent, so one with a single entry puts e_j
@@ -62,6 +73,7 @@ shortcuts that the uniqueness above makes exact:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ImageNotInKernel
 
@@ -84,6 +96,37 @@ class SparseMatrix:
         for col in self.cols:
             for r in col:
                 assert 0 <= r < self.nrows
+
+
+@dataclass(frozen=True)
+class UnitSplit:
+    """A list of vectors in two parts: each unit vector e_j of ``units`` as its
+    index j alone, and the ``vectors`` at the list positions ``places``.
+
+    ``items`` gives the list in order, a unit as its index; iterating gives
+    vectors, a unit as a new dict {j: 1}.  A one-entry vector whose entry is
+    not 1 is one of ``vectors``.
+    """
+
+    units: tuple
+    vectors: tuple
+    places: tuple
+
+    def __len__(self):
+        return len(self.units) + len(self.vectors)
+
+    def items(self):
+        units = iter(self.units)
+        at = 0
+        for place, vec in zip(self.places, self.vectors):
+            yield from islice(units, place - at)
+            yield vec
+            at = place + 1
+        yield from units
+
+    def __iter__(self):
+        for x in self.items():
+            yield {x: 1} if type(x) is int else x
 
 
 class RowBasis:
@@ -204,11 +247,14 @@ class RowBasis:
 
 
 def kernel_basis(field, matrix: SparseMatrix, image=None):
-    """Kernel vectors (in column coordinates), deterministic order.
+    """Kernel vectors (in column coordinates), deterministic order, as a ``UnitSplit``.
 
     One vector per dependent column j: j's dependency on the independent
-    columns before it, which is unique up to scale.  Satisfies
-    rank + len(kernel) = ncols by construction; asserted.
+    columns before it, which is unique up to scale.  A one-entry dependency
+    is the canonical {j: 1}, held as the unit j, so the units are sorted;
+    and no vector has an entry at a unit, since a dependency reads only
+    independent columns and its own.  Satisfies rank + len(kernel) = ncols
+    by construction; asserted.
 
     When ``image`` is a list, it receives the echelon rows of the column
     span, without their coefficients and scaled as an untracked basis
@@ -216,14 +262,18 @@ def kernel_basis(field, matrix: SparseMatrix, image=None):
     fresh ``RowBasis`` would give, a ``seed`` for the next degree.
     """
     basis = RowBasis(field, track=True)
-    out = []
+    units, vectors, places = [], [], []
     for j, col in enumerate(matrix.cols):
-        if not col:
-            out.append({j: 1})  # what inserting it would give: canonical {j: 1}
-            continue
-        added, dep = basis.insert(col, tag=j)
-        if not added:
-            out.append(dep)
+        if col:  # inserting an empty column would give {j: 1}
+            added, dep = basis.insert(col, tag=j)
+            if added:
+                continue
+            if len(dep) > 1:
+                places.append(len(units) + len(vectors))
+                vectors.append(dep)
+                continue
+        units.append(j)
+    out = UnitSplit(tuple(units), tuple(vectors), tuple(places))
     assert basis.rank + len(out) == matrix.ncols
     if image is not None:
         # each tracked row is a multiple of the untracked one: canonical
@@ -265,44 +315,66 @@ def rank(field, matrix: SparseMatrix, cleared=(), pivots=None) -> int:
     return len(rows) + len(unread)
 
 
-def quotient_basis(field, kernel_vecs, image):
-    """Representatives of span(kernel)/span(image); requires im ⊆ ker.
+def quotient_basis(field, kernel, image):
+    """Representatives of span(kernel)/span(image), a ``UnitSplit``; requires im ⊆ ker.
 
-    ``image`` is the echelon rows of the image, a ``RowBasis`` seed, so only
-    the kernel vectors are eliminated here.  Returns the reduced-echelon
-    completion of the image basis inside the kernel span: deterministic
-    given the input orders.  The kernel vectors are independent, so im ⊆ ker
-    holds exactly when image and kernel together span no more than the
-    kernel does.
+    ``kernel`` is a ``UnitSplit`` of independent vectors, taken in list
+    order, and ``image`` the echelon rows of the image, a ``RowBasis`` seed,
+    so only the kernel vectors are eliminated here.  Returns the
+    reduced-echelon completion of the image basis inside the kernel span,
+    deterministic given the input orders, with each e_p among them a unit.
+    The kernel vectors are independent, so im ⊆ ker holds exactly when image
+    and kernel together span no more than the kernel does.
     """
     combined = RowBasis(field, seed=image)
     rows = combined.rows
-    rep_pivots = []
-    for v in kernel_vecs:
-        if rows.keys().isdisjoint(v):
-            # nothing to reduce: store the row that insert would store
-            row = field.to_row(v)[0]
-            if row:
-                p = min(row)
-                rows[p] = field.canonical(row, None, p)
-                rep_pivots.append(p)
-        elif combined.insert(v)[0]:
-            rep_pivots.append(next(reversed(rows)))
-    if combined.rank != len(kernel_vecs):
+    taken = []  # the unit columns that met no pivot, representatives as they are
+    pending = []  # (list position, pivot) of each other representative
+    dropped = set()  # taken, brought up to date before a vector is stored
+    for x in kernel.items():
+        if type(x) is int:
+            if x not in rows:
+                taken.append(x)
+                continue
+            vec = {x: 1}
+        else:
+            vec = field.to_row(x)[0]
+        # reduce against the stored rows, then delete the entries that the
+        # rows e_j of taken would have deleted (module docstring)
+        combined._reduce(vec, None)
+        dropped.update(taken[len(dropped) :])
+        for c in dropped.intersection(vec):
+            del vec[c]
+        if vec:
+            p = min(vec)
+            rows[p] = field.canonical(vec, None, p)
+            pending.append((len(taken) + len(pending), p))
+    if combined.rank + len(taken) != len(kernel):
         raise ImageNotInKernel("image vector outside the kernel span")
-    # the kernel vectors are independent, so a one-entry one puts e_j in
-    # the span: dropping j from a rest leaves its coset, and so its
-    # reduction, unchanged
-    units = {j for v in kernel_vecs if len(v) == 1 for j in v}
+    dropped.update(taken[len(dropped) :])
+    if pending:
+        # the kernel vectors are independent, so a one-entry one puts e_j in
+        # the span: dropping j from a rest leaves its coset, and so its
+        # reduction, unchanged
+        units = set(kernel.units).union(*(v for v in kernel.vectors if len(v) == 1))
     # only the rows returned are fully reduced, once every vector is in: the
     # pivot entry plus the rest of the row reduced modulo the span is the
     # one row of the span with that pivot entry and zeros at the other pivots
-    reps = []
-    for p in rep_pivots:
+    reps, vectors, places = [], [], []
+    taken = iter(taken)
+    at = 0
+    for place, p in pending:
+        reps.extend(islice(taken, place - at))
+        at = place + 1
         vec = rows[p][0]  # an integer row, a vector of scalars too
         rep = {p: vec[p]}
         rest = {c: v for c, v in vec.items() if c != p and c not in units}
         if rest:
-            rep.update(combined.reduce_mod(rest))
-        reps.append(rep)
-    return reps
+            rep.update(item for item in combined.reduce_mod(rest).items() if item[0] not in dropped)
+        if len(rep) == 1 and rep[p] == 1:
+            reps.append(p)
+        else:
+            places.append(place)
+            vectors.append(rep)
+    reps.extend(taken)
+    return UnitSplit(tuple(reps), tuple(vectors), tuple(places))

@@ -6,6 +6,7 @@ import itertools
 from monomial_hh import cochains
 from monomial_hh.cochains import cochain_differential, pair_basis
 from monomial_hh.quivers import path_from_word
+from monomial_hh.linalg import UnitSplit
 from monomial_hh.resolution import bimodule_element
 
 
@@ -209,7 +210,9 @@ def plant_representative(monkeypatch, degree, extra):
 
     def planted(field, kernel, image):
         reps = quotient(field, kernel, image)
-        return reps + [extra] if degrees[-1] == degree else reps
+        if degrees[-1] != degree:
+            return reps
+        return UnitSplit(reps.units, reps.vectors + (extra,), reps.places + (len(reps),))
 
     monkeypatch.setattr(cochains, "differential_matrix", recording)
     monkeypatch.setattr(cochains, "quotient_basis", planted)
@@ -229,3 +232,15 @@ def loops_algebra_text(k, rel_len):
     lines = ["field q", "vertices 1"] + ["arrow %s: 1 -> 1" % n for n in names]
     lines += ["relation " + " ".join(w) for w in itertools.product(names, repeat=rel_len)]
     return "".join(line + "\n" for line in lines)
+
+
+def split(vectors):
+    """The ``UnitSplit`` of a list of vectors: each {j: 1} as the unit j."""
+    units, rest, places = [], [], []
+    for v in vectors:
+        if len(v) == 1 and next(iter(v.values())) == 1:
+            units.extend(v)
+        else:
+            places.append(len(units) + len(rest))
+            rest.append(v)
+    return UnitSplit(tuple(units), tuple(rest), tuple(places))

@@ -7,16 +7,21 @@ from hypothesis import strategies as st
 
 from monomial_hh.errors import ImageNotInKernel
 from monomial_hh.fields import QQ, PrimeField, RationalField, parse_field_spec
-from monomial_hh.linalg import (
-    SparseMatrix,
-    RowBasis,
-    kernel_basis,
-    quotient_basis,
-    rank,
-)
+from monomial_hh import linalg
+from monomial_hh.linalg import SparseMatrix, RowBasis, rank
 
-from helpers import scalar
+from helpers import scalar, split
 from reference_scans import ratio_to_row
+
+
+def kernel_basis(field, matrix, image=None):
+    """``linalg.kernel_basis`` as a list of vectors."""
+    return list(linalg.kernel_basis(field, matrix, image))
+
+
+def quotient_basis(field, kernel_vecs, image):
+    """``linalg.quotient_basis`` from and to lists of vectors."""
+    return list(linalg.quotient_basis(field, split(kernel_vecs), image))
 
 F5 = PrimeField(5)
 
