@@ -225,7 +225,7 @@ def cmd_hh(args):
     words = {}
     for n in range(args.max_degree + 1):
         sp = spaces[n]
-        reps = [display_vector(algebra, sp.pairs, rep, words) for rep in sp.representatives.items()]
+        reps = [display_vector(algebra, sp.pairs, rep, words) for rep in sp.representatives]
         rows.append(
             {
                 "degree": n,

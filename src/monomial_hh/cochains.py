@@ -32,10 +32,10 @@ The columns are shared, so no caller may mutate one.
 ``differential_via_resolution``, an independent route that reads no
 face class, gives the same map by composing with the resolution's d.
 
-A space holds its cocycles and its representatives as ``UnitSplit``s:
-nearly all of them are unit vectors e_j, each held as j alone, so ``hh``
-builds no dict for one, and a caller that wants vectors iterates the
-split.  ``class_vector`` reads the class of a vector on the pivots of
+A space holds its cocycles and its representatives as tuples in which
+each unit vector e_j is the index j, an ``int``, and every other vector a
+dict: nearly all of them are unit vectors, so ``hh`` builds no dict for
+one.  ``class_vector`` reads the class of a vector on the pivots of
 one-entry representatives off with no solve.
 """
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .ambiguities import memoized
 from .errors import NotACocycle
-from .linalg import RowBasis, SparseMatrix, UnitSplit, kernel_basis, quotient_basis
+from .linalg import RowBasis, SparseMatrix, kernel_basis, quotient_basis
 from .resolution import boundary
 
 
@@ -80,7 +80,7 @@ def _offsets(table, degree):
 def display_vector(algebra, pairs, vec, words):
     """The text ``hh`` prints for Σ vec[i]·pairs[i]: ``coeff [ambiguity || path]``
     terms in pair order, or ``0``.  vec may also be the index j of the unit
-    vector e_j, as ``UnitSplit.items`` gives it.  ``words`` caches the
+    vector e_j, as a space holds it.  ``words`` caches the
     written word of each ambiguity and basis index met, across calls."""
     word = algebra.quiver.word
     bits = []
@@ -229,17 +229,17 @@ class CohomologySpace:
     echelon rows of im δ^{m-1}, both over ``pairs``; its dimension is the
     number of ``representatives``.
 
-    The cocycles and the representatives are each a ``UnitSplit``: a unit
-    vector e_j is held as j, and a caller that iterates one gets vectors,
-    built on demand.  ``class_vector`` keeps its read-off table and its
-    solver here, and ``cup`` its products of cocycles, each made once.
+    The cocycles and the representatives are each a tuple in list order: a
+    unit vector e_j is held as the ``int`` j, any other vector as a dict.
+    ``class_vector`` keeps its read-off table and its solver here, and
+    ``cup`` its products of cocycles, each made once.
     """
 
     degree: int
     pairs: tuple
-    cocycles: UnitSplit
+    cocycles: tuple
     coboundaries: list
-    representatives: UnitSplit
+    representatives: tuple
     _solver: object = dc_field(default=None, repr=False, compare=False)
     _read_off: dict = dc_field(default=None, repr=False, compare=False)
     _products: dict = dc_field(default_factory=dict, repr=False, compare=False)
@@ -270,23 +270,24 @@ def hochschild_cohomology(table, max_degree):
         matrix = differential_matrix(table, m)
         kernel = kernel_basis(field, matrix, following)
         # the support columns nonzero in the field: a unit kernel vector's column is zero there
-        held = {j: matrix.cols[j] for v in kernel.vectors for j in v}
+        vectors = [v for v in kernel if type(v) is not int]
+        held = {j: matrix.cols[j] for v in vectors for j in v}
         matrix = None  # only the held columns outlive the kernel pass
         space = CohomologySpace(m, pair_basis(table, m), kernel, image, quotient_basis(field, kernel, image))
-        support = set(kernel.units).union(*kernel.vectors)  # built once the quotient's rows are freed
-
-        def cocycle(v):
-            # every cocycle lies on the support, so an index off it is refused, not read as zero
-            return support.issuperset(v) and not (held and _sum_columns(field, ((v[j], held[j]) for j in held.keys() & v)))
-
-        reps = space.representatives
-        # a unit e_p is a cocycle exactly when p is on the support and not held
-        if not (support.issuperset(reps.units) and held.keys().isdisjoint(reps.units) and all(map(cocycle, reps.vectors))):
-            text = display_vector(table.algebra, space.pairs, next(v for v in reps if not cocycle(v)), {})
-            raise NotACocycle("HH^%d representative is not a cocycle: %s" % (m, text))
+        support = {x for x in kernel if type(x) is int}.union(*vectors)  # built once the quotient's rows are freed
+        for x in space.representatives:
+            # every cocycle lies on the support, so an index off it is refused,
+            # not read as zero; a unit e_p is a cocycle exactly when p is not held
+            if type(x) is int:
+                ok = x in support and x not in held
+            else:
+                ok = support.issuperset(x) and not (held and _sum_columns(field, ((x[j], held[j]) for j in held.keys() & x)))
+            if not ok:
+                text = display_vector(table.algebra, space.pairs, x, {})
+                raise NotACocycle("HH^%d representative is not a cocycle: %s" % (m, text))
         spaces.append(space)
         image = following
-        support = held = None  # not held while the next δ is built
+        support = held = vectors = None  # not held while the next δ is built
     return spaces
 
 
@@ -310,7 +311,7 @@ def class_vector(space, table, vec):
     read = space._read_off
     if read is None:  # pivot -> (index, scale) of each one-entry representative
         read = space._read_off = {}
-        for a, x in enumerate(space.representatives.items()):
+        for a, x in enumerate(space.representatives):
             if type(x) is int:
                 read[x] = (a, 1)
             elif len(x) == 1:
@@ -327,8 +328,8 @@ def class_vector(space, table, vec):
         return sol
     if space._solver is None:
         solver = RowBasis(field, track=True, seed=space.coboundaries)
-        for i, v in enumerate(space.representatives):
-            added, _ = solver.insert(v, i)
+        for i, x in enumerate(space.representatives):
+            added, _ = solver.insert({x: 1} if type(x) is int else x, i)
             assert added
         space._solver = solver
     sol = space._solver.express(vec)

@@ -7,7 +7,8 @@ orientation down.  It makes f cup g = mu (g (x) f) Delta, with Delta the
 diagonal of ``diagonal.py``, whose written-left tensor factor is the
 traversal-later slot.
 
-Cochains are the pair-index vectors of ``cochains``.  The cup product is
+Cochains are the pair-index vectors of ``cochains``, a unit e_i given as
+its index i where a space holds it so.  The cup product is
 bilinear, so ``cup_products`` contracts whole lists of them against
 structure constants on basis pairs.  For a bidegree (m, n) they map the
 index of f's pair (pf, bf), then that of g's pair (pg, bg), to the
@@ -40,7 +41,7 @@ from .ambiguities import memoized
 from .cochains import _offsets, class_vector, cochain_differential
 from .diagonal import diagonal
 from .errors import NotTriangular
-from .linalg import RowBasis, UnitSplit
+from .linalg import RowBasis
 from .quivers import is_triangular
 
 
@@ -107,19 +108,19 @@ def _gap_class(algebra, pre, mid, post):
 def cup_products(table, m, n, fs, gs):
     """{(a, b): fs[a] cup gs[b]} for the nonzero products only, keys in (a, b) order.
 
-    fs are cochains of degree m and gs of degree n, each a list of vectors
-    or a ``UnitSplit``.  One pass contracts the lists against the structure
-    constants of their bidegree: gs is indexed by pair, and each term of
-    fs[a] walks its row of the constants, accumulating into fs[a]'s products
-    with every gs[b] that has a term there.  A unit e_i, held as i, has the
-    one term (i, 1).  The sums run on plain numbers; the field's ``normal``
-    puts each product in the field and drops the ones that cancel to zero.
+    fs are cochains of degree m and gs of degree n, each a sequence of
+    vectors in which a unit e_i may be its index i, as a space holds them.
+    One pass contracts the lists against the structure constants of their
+    bidegree: gs is indexed by pair, and each term of fs[a] walks its row of
+    the constants, accumulating into fs[a]'s products with every gs[b] that
+    has a term there.  A unit e_i, held as i, has the one term (i, 1).  The
+    sums run on plain numbers; the field's ``normal`` puts each product in
+    the field and drops the ones that cancel to zero.
     """
-    fs = list(_items(fs))
-    if not any(type(f) is int or f for f in fs):
+    if not fs:
         return {}
     by_pair = {}  # pair index of gs -> [(b, coefficient in gs[b])]
-    for b, g in enumerate(_items(gs)):
+    for b, g in enumerate(gs):
         for j, c in _terms(g):
             by_pair.setdefault(j, []).append((b, c))
     if not by_pair:
@@ -149,11 +150,6 @@ def cup_products(table, m, n, fs, gs):
             if terms:
                 out[a, b] = terms
     return out
-
-
-def _items(vectors):
-    """A list of vectors as ``UnitSplit.items`` gives one: a unit as its index."""
-    return vectors.items() if isinstance(vectors, UnitSplit) else vectors
 
 
 def _terms(vec):
@@ -280,5 +276,5 @@ def check_one_sided_vanishing(table, spaces, max_total_degree):
     }
     # (f, g) in the order of the pieces, f by degree then index, g likewise
     both = sorted((m, a, n, b) for (m, n), prods in products.items() for a, b in prods if (b, a) in products[n, m])
-    pieces = {d: list(spaces[d].cocycles) for m, _, n, _ in both for d in (m, n)}
+    pieces = {d: [{x: 1} if type(x) is int else x for x in spaces[d].cocycles] for m, _, n, _ in both for d in (m, n)}
     return [(pieces[m][a], pieces[n][b]) for m, a, n, b in both]

@@ -44,12 +44,13 @@ reduction step ``vec ← a·vec − b·row`` (fraction-free over the rationals,
 mod p over a prime field) and convert back to scalars only what is
 returned; no step touches a single scalar through the field.
 
-The cohomology passes hold each unit vector e_j as its index j alone: a
-``UnitSplit`` keeps the units of a list as one tuple of indices and the
-other vectors as dicts, and builds a dict only for a caller that asks for
-one.  Nearly every kernel vector and representative of the complexes is a
-unit vector.  The passes eliminate only where vectors meet, by shortcuts
-that the uniqueness above makes exact:
+The cohomology passes hold a list of vectors as one tuple in list order,
+each unit vector e_j as its index j, an ``int``, and every other vector
+as a dict.  Nearly every kernel vector and representative of the
+complexes is a unit vector.  The unit e_0 is the falsy 0, so a reader
+tells the two apart by ``type(x) is int``, never by truth.  The passes
+eliminate only where vectors meet, by shortcuts that the uniqueness
+above makes exact:
 
 - ``kernel_basis`` gives an empty integer column j the dependency
   ``{j: 1}`` without inserting it, which is what ``canonical`` makes of
@@ -73,7 +74,6 @@ that the uniqueness above makes exact:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import ImageNotInKernel
 
@@ -96,37 +96,6 @@ class SparseMatrix:
         for col in self.cols:
             for r in col:
                 assert 0 <= r < self.nrows
-
-
-@dataclass(frozen=True)
-class UnitSplit:
-    """A list of vectors in two parts: each unit vector e_j of ``units`` as its
-    index j alone, and the ``vectors`` at the list positions ``places``.
-
-    ``items`` gives the list in order, a unit as its index; iterating gives
-    vectors, a unit as a new dict {j: 1}.  A one-entry vector whose entry is
-    not 1 is one of ``vectors``.
-    """
-
-    units: tuple
-    vectors: tuple
-    places: tuple
-
-    def __len__(self):
-        return len(self.units) + len(self.vectors)
-
-    def items(self):
-        units = iter(self.units)
-        at = 0
-        for place, vec in zip(self.places, self.vectors):
-            yield from islice(units, place - at)
-            yield vec
-            at = place + 1
-        yield from units
-
-    def __iter__(self):
-        for x in self.items():
-            yield {x: 1} if type(x) is int else x
 
 
 class RowBasis:
@@ -247,14 +216,14 @@ class RowBasis:
 
 
 def kernel_basis(field, matrix: SparseMatrix, image=None):
-    """Kernel vectors (in column coordinates), deterministic order, as a ``UnitSplit``.
+    """Kernel vectors (in column coordinates), deterministic order, as one tuple.
 
     One vector per dependent column j: j's dependency on the independent
     columns before it, which is unique up to scale.  A one-entry dependency
-    is the canonical {j: 1}, held as the unit j, so the units are sorted;
-    and no vector has an entry at a unit, since a dependency reads only
-    independent columns and its own.  Satisfies rank + len(kernel) = ncols
-    by construction; asserted.
+    is the canonical {j: 1}, held as the unit j, an ``int``; every other is
+    a dict.  So the units are sorted, and no vector has an entry at a unit,
+    since a dependency reads only independent columns and its own.
+    Satisfies rank + len(kernel) = ncols by construction; asserted.
 
     When ``image`` is a list, it receives the echelon rows of the column
     span, without their coefficients and scaled as an untracked basis
@@ -262,18 +231,17 @@ def kernel_basis(field, matrix: SparseMatrix, image=None):
     fresh ``RowBasis`` would give, a ``seed`` for the next degree.
     """
     basis = RowBasis(field, track=True)
-    units, vectors, places = [], [], []
+    out = []
     for j, col in enumerate(matrix.cols):
         if col:  # inserting an empty column would give {j: 1}
             added, dep = basis.insert(col, tag=j)
             if added:
                 continue
             if len(dep) > 1:
-                places.append(len(units) + len(vectors))
-                vectors.append(dep)
+                out.append(dep)
                 continue
-        units.append(j)
-    out = UnitSplit(tuple(units), tuple(vectors), tuple(places))
+        out.append(j)
+    out = tuple(out)
     assert basis.rank + len(out) == matrix.ncols
     if image is not None:
         # each tracked row is a multiple of the untracked one: canonical
@@ -316,25 +284,27 @@ def rank(field, matrix: SparseMatrix, cleared=(), pivots=None) -> int:
 
 
 def quotient_basis(field, kernel, image):
-    """Representatives of span(kernel)/span(image), a ``UnitSplit``; requires im ⊆ ker.
+    """Representatives of span(kernel)/span(image), as one tuple; requires im ⊆ ker.
 
-    ``kernel`` is a ``UnitSplit`` of independent vectors, taken in list
-    order, and ``image`` the echelon rows of the image, a ``RowBasis`` seed,
-    so only the kernel vectors are eliminated here.  Returns the
-    reduced-echelon completion of the image basis inside the kernel span,
-    deterministic given the input orders, with each e_p among them a unit.
-    The kernel vectors are independent, so im ⊆ ker holds exactly when image
+    ``kernel`` is a sequence of independent vectors, each a dict or the
+    index j of the unit e_j, taken in order, and ``image`` the echelon rows
+    of the image, a ``RowBasis`` seed, so only the kernel vectors are
+    eliminated here.  Returns the reduced-echelon completion of the image
+    basis inside the kernel span, deterministic given the input orders,
+    each e_p among them as the index p and every other as a dict.  The
+    kernel vectors are independent, so im ⊆ ker holds exactly when image
     and kernel together span no more than the kernel does.
     """
     combined = RowBasis(field, seed=image)
     rows = combined.rows
-    taken = []  # the unit columns that met no pivot, representatives as they are
-    pending = []  # (list position, pivot) of each other representative
-    dropped = set()  # taken, brought up to date before a vector is stored
-    for x in kernel.items():
+    reps = []  # a unit that met no pivot as it is, every other representative as its pivot
+    pending = []  # the places in reps of the other representatives
+    taken = set()  # the units taken as they are
+    for x in kernel:
         if type(x) is int:
             if x not in rows:
-                taken.append(x)
+                reps.append(x)
+                taken.add(x)
                 continue
             vec = {x: 1}
         else:
@@ -342,39 +312,31 @@ def quotient_basis(field, kernel, image):
         # reduce against the stored rows, then delete the entries that the
         # rows e_j of taken would have deleted (module docstring)
         combined._reduce(vec, None)
-        dropped.update(taken[len(dropped) :])
-        for c in dropped.intersection(vec):
+        for c in taken.intersection(vec):
             del vec[c]
         if vec:
             p = min(vec)
             rows[p] = field.canonical(vec, None, p)
-            pending.append((len(taken) + len(pending), p))
+            pending.append(len(reps))
+            reps.append(p)
     if combined.rank + len(taken) != len(kernel):
         raise ImageNotInKernel("image vector outside the kernel span")
-    dropped.update(taken[len(dropped) :])
     if pending:
         # the kernel vectors are independent, so a one-entry one puts e_j in
         # the span: dropping j from a rest leaves its coset, and so its
         # reduction, unchanged
-        units = set(kernel.units).union(*(v for v in kernel.vectors if len(v) == 1))
+        units = {x for x in kernel if type(x) is int}
+        units.update(*(x for x in kernel if type(x) is not int and len(x) == 1))
     # only the rows returned are fully reduced, once every vector is in: the
     # pivot entry plus the rest of the row reduced modulo the span is the
     # one row of the span with that pivot entry and zeros at the other pivots
-    reps, vectors, places = [], [], []
-    taken = iter(taken)
-    at = 0
-    for place, p in pending:
-        reps.extend(islice(taken, place - at))
-        at = place + 1
+    for at in pending:
+        p = reps[at]
         vec = rows[p][0]  # an integer row, a vector of scalars too
         rep = {p: vec[p]}
         rest = {c: v for c, v in vec.items() if c != p and c not in units}
         if rest:
-            rep.update(item for item in combined.reduce_mod(rest).items() if item[0] not in dropped)
-        if len(rep) == 1 and rep[p] == 1:
-            reps.append(p)
-        else:
-            places.append(place)
-            vectors.append(rep)
-    reps.extend(taken)
-    return UnitSplit(tuple(reps), tuple(vectors), tuple(places))
+            rep.update(item for item in combined.reduce_mod(rest).items() if item[0] not in taken)
+        if len(rep) > 1 or rep[p] != 1:
+            reps[at] = rep
+    return tuple(reps)

@@ -6,7 +6,6 @@ import itertools
 from monomial_hh import cochains
 from monomial_hh.cochains import cochain_differential, pair_basis
 from monomial_hh.quivers import path_from_word
-from monomial_hh.linalg import UnitSplit
 from monomial_hh.resolution import bimodule_element
 
 
@@ -212,7 +211,7 @@ def plant_representative(monkeypatch, degree, extra):
         reps = quotient(field, kernel, image)
         if degrees[-1] != degree:
             return reps
-        return UnitSplit(reps.units, reps.vectors + (extra,), reps.places + (len(reps),))
+        return reps + (extra,)
 
     monkeypatch.setattr(cochains, "differential_matrix", recording)
     monkeypatch.setattr(cochains, "quotient_basis", planted)
@@ -235,12 +234,10 @@ def loops_algebra_text(k, rel_len):
 
 
 def split(vectors):
-    """The ``UnitSplit`` of a list of vectors: each {j: 1} as the unit j."""
-    units, rest, places = [], [], []
-    for v in vectors:
-        if len(v) == 1 and next(iter(v.values())) == 1:
-            units.extend(v)
-        else:
-            places.append(len(units) + len(rest))
-            rest.append(v)
-    return UnitSplit(tuple(units), tuple(rest), tuple(places))
+    """A list of vectors as a space holds it, one tuple: each {j: 1} as the index j."""
+    return tuple(min(v) if len(v) == 1 and next(iter(v.values())) == 1 else v for v in vectors)
+
+
+def expand(items):
+    """The vectors that a space's tuple stands for: each unit index j as {j: 1}."""
+    return [{x: 1} if type(x) is int else x for x in items]

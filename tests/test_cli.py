@@ -465,11 +465,11 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     # like `hh ... --json | head -1`: the reader leaves long before the
     # output, about 540 kB, has been written
     argv = [sys.executable, "-m", "monomial_hh", "hh", str(rsz2), "--max-degree", "12", "--json"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    assert proc.wait() == 141
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait() == 141
 
     # the reader is gone before the run starts, so the whole output is still
     # buffered when writing fails, and the exit must not flush it again

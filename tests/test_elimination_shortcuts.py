@@ -20,19 +20,19 @@ from monomial_hh.fields import QQ, parse_field_spec
 from monomial_hh import linalg
 from monomial_hh.linalg import RowBasis, SparseMatrix
 
-from helpers import loops_algebra_text, scalar, split
+from helpers import expand, loops_algebra_text, scalar, split
 from reference_scans import insert_kernel_basis, insert_quotient_basis
 from test_incidence import tables
 
 
 def kernel_basis(field, matrix, image=None):
     """``linalg.kernel_basis`` as a list of vectors."""
-    return list(linalg.kernel_basis(field, matrix, image))
+    return expand(linalg.kernel_basis(field, matrix, image))
 
 
 def quotient_basis(field, kernel_vecs, image):
     """``linalg.quotient_basis`` from and to lists of vectors."""
-    return list(linalg.quotient_basis(field, split(kernel_vecs), image))
+    return expand(linalg.quotient_basis(field, split(kernel_vecs), image))
 
 DEGREE = 6
 LOOPS = ((2, 2, 6), (3, 2, 4), (2, 3, 6))  # rsz(2) D=6, rsz(3) D=4, cub(2) D=6

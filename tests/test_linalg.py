@@ -10,18 +10,18 @@ from monomial_hh.fields import QQ, PrimeField, RationalField, parse_field_spec
 from monomial_hh import linalg
 from monomial_hh.linalg import SparseMatrix, RowBasis, rank
 
-from helpers import scalar, split
+from helpers import expand, scalar, split
 from reference_scans import ratio_to_row
 
 
 def kernel_basis(field, matrix, image=None):
     """``linalg.kernel_basis`` as a list of vectors."""
-    return list(linalg.kernel_basis(field, matrix, image))
+    return expand(linalg.kernel_basis(field, matrix, image))
 
 
 def quotient_basis(field, kernel_vecs, image):
     """``linalg.quotient_basis`` from and to lists of vectors."""
-    return list(linalg.quotient_basis(field, split(kernel_vecs), image))
+    return expand(linalg.quotient_basis(field, split(kernel_vecs), image))
 
 F5 = PrimeField(5)
 

@@ -2,9 +2,11 @@
 read-off against the solve it skips.
 
 ``hochschild_cohomology`` holds each unit kernel vector and representative
-e_j as j alone (``linalg.UnitSplit``).  ``reference_scans`` builds every
-vector of every degree by inserting everything; the spaces must give the
-same vectors in the same order.  ``class_vector`` reads a vector whose
+e_j as the index j alone, an ``int`` among the dicts of the other vectors.
+``reference_scans`` builds every vector of every degree by inserting
+everything; the spaces must give the same vectors in the same order, and
+``cup_products`` must give the same products from the indices as from the
+vectors they stand for.  ``class_vector`` reads a vector whose
 entries all sit at pivots of one-entry representatives straight off; the
 read-off must equal ``RowBasis.express``, and every other vector must still
 reach the solve.
@@ -23,6 +25,7 @@ from monomial_hh.linalg import RowBasis
 from monomial_hh.quivers import build_algebra
 
 from conftest import make_cone
+from helpers import expand
 from reference_scans import insert_kernel_basis, insert_quotient_basis
 from test_elimination_shortcuts import assert_same, loops_tables
 from test_incidence import tables
@@ -50,27 +53,51 @@ def test_spaces_match_a_reference_that_builds_every_vector(spec):
         for m, space in enumerate(hochschild_cohomology(t, top)):
             following = []
             kernel = insert_kernel_basis(field, differential_matrix(t, m), following)
-            assert_same(space.cocycles, kernel)
+            assert_same(expand(space.cocycles), kernel)
             assert_same(space.coboundaries, image)
-            assert_same(space.representatives, insert_quotient_basis(field, kernel, image))
+            assert_same(expand(space.representatives), insert_quotient_basis(field, kernel, image))
             assert len(space.cocycles) == len(kernel)
             # every unit vector is held as its index, and the kernel's in order
-            assert list(space.cocycles.units) == sorted(space.cocycles.units)
-            for split in (space.cocycles, space.representatives):
-                assert not any(map(is_unit, split.vectors))
+            units = [x for x in space.cocycles if type(x) is int]
+            assert units == sorted(units)
+            for items in (space.cocycles, space.representatives):
+                assert not any(is_unit(x) for x in items if type(x) is not int)
             image = following
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_cup_products_read_units_as_their_vectors(spec):
+    # each space's tuples against the same vectors as dicts, in either operand
+    # position; degree 0 included, where a unit may be the falsy index 0
+    zeros = 0
+    for t in tables(spec):
+        spaces = hochschild_cohomology(t, CUP_DEGREE)
+        for i in range(CUP_DEGREE + 1):
+            for j in range(CUP_DEGREE + 1 - i):
+                for fs, gs in (
+                    (spaces[i].cocycles, spaces[j].cocycles),
+                    (spaces[i].representatives, spaces[j].cocycles),
+                    (spaces[i].cocycles, spaces[j].representatives),
+                ):
+                    want = cup_products(t, i, j, expand(fs), expand(gs))
+                    assert cup_products(t, i, j, fs, gs) == want
+                    assert cup_products(t, i, j, fs, expand(gs)) == want
+                    assert cup_products(t, i, j, expand(fs), gs) == want
+                    # a dict is never equal to 0, so this finds the unit e_0
+                    zeros += bool(want) and (0 in fs or 0 in gs)
+    assert zeros > 0
 
 
 def solver(space, field):
     """The tracked basis that ``class_vector`` solves with, built here."""
     basis = RowBasis(field, track=True, seed=space.coboundaries)
-    for i, v in enumerate(space.representatives):
+    for i, v in enumerate(expand(space.representatives)):
         assert basis.insert(v, i)[0]
     return basis
 
 
 def one_entry_pivots(space):
-    return {p for v in space.representatives if len(v) == 1 for p in v}
+    return {p for v in expand(space.representatives) if len(v) == 1 for p in v}
 
 
 def counting_solves(monkeypatch):
@@ -113,7 +140,7 @@ def test_scaled_representatives_read_off_over_q(monkeypatch):
     # c·e_p of it is c/2 of its class, read off with no solve
     t = AmbiguityTable(make_cone())
     space = hochschild_cohomology(t, 4)[4]
-    scaled = [(a, v) for a, v in enumerate(space.representatives) if len(v) == 1 and not is_unit(v)]
+    scaled = [(a, v) for a, v in enumerate(expand(space.representatives)) if len(v) == 1 and not is_unit(v)]
     assert [list(v.values()) for _, v in scaled] == [[2]]
     basis = solver(space, t.algebra.field)
     solves = counting_solves(monkeypatch)
@@ -139,7 +166,7 @@ def test_other_vectors_reach_the_solve(spec, monkeypatch):
         off = next((q for q in range(len(space.pairs)) if cochain_differential(t, m, {q: 1})), None)
         if not pivots or not space.coboundaries or off is None:
             continue
-        p = next(min(v) for v in space.representatives if len(v) == 1)
+        p = next(min(v) for v in expand(space.representatives) if len(v) == 1)
         boundary = space.coboundaries[0]  # its pivot is an image pivot
         vec = dict(boundary)
         vec[p] = vec.get(p, 0) + 1
