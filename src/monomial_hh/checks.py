@@ -3,12 +3,11 @@
 ``BATTERY`` binds each row name to its check, one of the module-level
 ``check_*`` / ``verify_*`` functions.  ``run_checks`` runs a selection of
 rows, converting any failure, expected or not, into a report row instead
-of a crash, and the suite runner stitches those rows into JSON-friendly
-dicts.  Every CLI check subcommand (``resolution-check``,
+of a crash (a ``CheckReport``, a ``__slots__`` object whose ``detail`` the
+``oracle-dims`` row fills in after the check), and the suite runner
+stitches those rows into JSON-friendly dicts.  Every CLI check subcommand (``resolution-check``,
 ``diagonal-check``, ``verify``, ``random``) and the acceptance tests drive it.
 """
-
-from dataclasses import dataclass
 
 from . import bar_oracle, cochains, cup, diagonal, resolution
 from .ambiguities import AmbiguityTable
@@ -20,11 +19,20 @@ ORACLE_DIM_CAP = 12
 ORACLE_DEGREE = 4
 
 
-@dataclass
 class CheckReport:
-    name: str
-    ok: bool
-    detail: str = ""
+    """One row of a battery: its name, whether it passed, and a detail
+    (the failure, or a note on what was skipped); ``detail`` may be set
+    after the row has run."""
+
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name, ok, detail=""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+
+    def __repr__(self):
+        return "CheckReport(name=%r, ok=%r, detail=%r)" % (self.name, self.ok, self.detail)
 
     def as_dict(self):
         return {"name": self.name, "ok": self.ok, "detail": self.detail}

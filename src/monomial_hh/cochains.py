@@ -32,14 +32,13 @@ The columns are shared, so no caller may mutate one.
 ``differential_via_resolution``, an independent route that reads no
 face class, gives the same map by composing with the resolution's d.
 
-A space holds its cocycles and its representatives as tuples in which
-each unit vector e_j is the index j, an ``int``, and every other vector a
-dict: nearly all of them are unit vectors, so ``hh`` builds no dict for
-one.  ``class_vector`` reads the class of a vector on the pivots of
-one-entry representatives off with no solve.
+A space, a ``CohomologySpace`` (a plain ``__slots__`` object that starts
+with its own empty caches), holds its cocycles and its representatives
+as tuples in which each unit vector e_j is the index j, an ``int``, and
+every other vector a dict: nearly all of them are unit vectors, so ``hh``
+builds no dict for one.  ``class_vector`` reads the class of a vector on
+the pivots of one-entry representatives off with no solve.
 """
-
-from dataclasses import dataclass, field as dc_field
 
 from .ambiguities import memoized
 from .errors import NotACocycle
@@ -223,7 +222,6 @@ def differential_via_resolution(table, m):
     return SparseMatrix(nrows, ncols, tuple({i: n for i, n in col.items() if n} for col in cols))
 
 
-@dataclass
 class CohomologySpace:
     """HH^m: ``cocycles`` are the kernel vectors of δ^m, ``coboundaries`` the
     echelon rows of im δ^{m-1}, both over ``pairs``; its dimension is the
@@ -232,17 +230,22 @@ class CohomologySpace:
     The cocycles and the representatives are each a tuple in list order: a
     unit vector e_j is held as the ``int`` j, any other vector as a dict.
     ``class_vector`` keeps its read-off table and its solver here, and
-    ``cup`` its products of cocycles, each made once.
+    ``cup`` its products of cocycles, each made once, so every space starts
+    with its own empty ones.  A space is an object, not a value: it compares
+    by identity.
     """
 
-    degree: int
-    pairs: tuple
-    cocycles: tuple
-    coboundaries: list
-    representatives: tuple
-    _solver: object = dc_field(default=None, repr=False, compare=False)
-    _read_off: dict = dc_field(default=None, repr=False, compare=False)
-    _products: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("degree", "pairs", "cocycles", "coboundaries", "representatives", "_solver", "_read_off", "_products")
+
+    def __init__(self, degree, pairs, cocycles, coboundaries, representatives):
+        self.degree = degree
+        self.pairs = pairs
+        self.cocycles = cocycles
+        self.coboundaries = coboundaries
+        self.representatives = representatives
+        self._solver = None
+        self._read_off = None
+        self._products = {}
 
     def rep_cochains(self, table, what):
         """The representatives, as certified; ``table`` and ``what`` are not read."""

@@ -2,13 +2,15 @@
 
 Vectors are sparse dicts ``{index: scalar}``.  A plain ``int`` is a scalar
 of every field, so a matrix assembled from integer coefficients is a matrix
-over Z that serves every field as it is.  Matrices are column-major tuples
-of such dicts.  Everything is exact.  The elimination keeps row-echelon
-rows and never edits a stored row; every result it hands out (kernel
-vectors, dependencies, expressions, reductions, quotient representatives)
-is the unique normal form of its span, so results depend only on insertion
-order, which callers fix deterministically.  ``kernel_basis`` and
-``quotient_basis`` keep their order, because their outputs depend on it.
+over Z that serves every field as it is.  A matrix is a ``SparseMatrix``,
+an immutable named tuple (nrows, ncols, cols) whose cols are column-major
+such dicts, each row index checked when it is built.  Everything is
+exact.  The elimination keeps row-echelon rows and never edits a stored
+row; every result it hands out (kernel vectors, dependencies,
+expressions, reductions, quotient representatives) is the unique normal
+form of its span, so results depend only on insertion order, which
+callers fix deterministically.  ``kernel_basis`` and ``quotient_basis``
+keep their order, because their outputs depend on it.
 
 ``rank`` is the one count-only pass.  It returns a number that depends on
 the column span alone, so it is free in four ways that a ``RowBasis`` is
@@ -73,29 +75,32 @@ above makes exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ImageNotInKernel
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(namedtuple("SparseMatrix", "nrows ncols cols")):
     """Column-major sparse matrix: cols[j] maps row index -> scalar.
 
     The assembled differentials are integer matrices, over Z for every
     field; an entry may be zero in the field (a 2 over GF(2)), and the
     field's ``to_row`` reduces it and drops it when a column is eliminated.
+
+    An immutable value: a named tuple, equal by its three fields.  Every
+    row index is checked at construction; the message naming the column
+    is built only when the check fails.
     """
 
-    nrows: int
-    ncols: int
-    cols: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert len(self.cols) == self.ncols
-        for col in self.cols:
+    def __new__(cls, nrows, ncols, cols):
+        assert len(cols) == ncols, "ncols %d, but %d columns" % (ncols, len(cols))
+        for col in cols:
             for r in col:
-                assert 0 <= r < self.nrows
+                # an earlier column equal to col would have failed first, so index finds col's own
+                assert 0 <= r < nrows, "column %d has row %r, not in range(nrows=%d)" % (cols.index(col), r, nrows)
+        return super().__new__(cls, nrows, ncols, cols)
 
 
 class RowBasis:

@@ -3,7 +3,9 @@
 The property suites quantify over "all finite-dimensional monomial algebras";
 bounded random instances stand in for that.  Everything is driven by a
 ``random.Random`` seeded explicitly, so a trial index reproduces its algebra
-exactly.  Trial i of a suite uses seed ``base_seed + i``.
+exactly.  Trial i of a suite uses seed ``base_seed + i``.  What to draw is a
+``RandomAlgebraConfig``, a named tuple (``triangular``, default False;
+``field``, default QQ), equal and hashed by value.
 
 Most draws are infinite-dimensional, and the relation automaton of
 ``build_algebra`` is the one test of finiteness.  Before it, ``_free_cycle``
@@ -23,7 +25,7 @@ asks it before each candidate, so the shrunk algebras are unchanged too.
 """
 
 import random
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .errors import InfiniteDimensional
 from .fields import QQ
@@ -37,10 +39,7 @@ MIN_RELATION_LENGTH = 2
 MAX_RELATION_LENGTH = 4
 
 
-@dataclass(frozen=True)
-class RandomAlgebraConfig:
-    triangular: bool = False
-    field: object = dc_field(default=QQ)
+RandomAlgebraConfig = namedtuple("RandomAlgebraConfig", "triangular field", defaults=(False, QQ))
 
 
 def _sample_walk(rng, arrows, out_arrows, length):

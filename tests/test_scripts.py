@@ -3,6 +3,8 @@
 import hashlib
 import importlib.util
 import pathlib
+import re
+import shutil
 
 import pytest
 
@@ -58,6 +60,27 @@ def test_bench_pairs_dry_run(tmp_path):
     ]
     assert out.stdout.splitlines() == want
     (sides["parent"] / "src" / "monomial_hh" / "__pycache__").mkdir()
+    out = run_python(*argv)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "__pycache__" in out.stderr
+
+
+def test_cold_start_quick(tmp_path):
+    # one run a side, the parent first; both sides from source, same hh output
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        shutil.copytree(SCRIPTS.parent / "src", sides[side] / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    argv = [str(SCRIPTS / "cold_start.py"), "--parent", str(sides["parent"]), "--change", str(sides["change"]),
+            "--quick"]
+    out = run_python(*argv)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["run 1 parent", "run 1 change"]
+    assert all(re.fullmatch(r"run 1 \w+: import \d+ us, hh \d+\.\d{4} s", line) for line in lines[:2]), lines
+    assert [line.split()[:2] for line in lines[2:]] == [
+        ["metric", "side"], ["import_us", "parent"], ["import_us", "change"], ["hh_s", "parent"], ["hh_s", "change"]]
+    (sides["change"] / "src" / "monomial_hh" / "__pycache__").mkdir()
     out = run_python(*argv)
     assert out.returncode == 2 and out.stdout == ""
     assert "__pycache__" in out.stderr
