@@ -34,16 +34,32 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def alternated(parent, change, i):
+    """The (side, checkout) order of pair i: the parent first in odd pairs, second in even ones."""
+    sides = [("parent", parent), ("change", change)]
+    return sides if i % 2 else sides[::-1]
+
+
+def refused(checkouts, needed, why):
+    """Print the reason and return True if a checkout lacks ``needed`` or has bytecode under ``src/``."""
+    for checkout in checkouts:
+        if not (checkout / needed).exists():
+            print("not a checkout with %s: %s" % (needed, checkout), file=sys.stderr)
+            return True
+        cached = sorted(str(p) for p in (checkout / "src").rglob("__pycache__"))
+        if cached:
+            print("remove the bytecode first, %s: %s" % (why, " ".join(cached)), file=sys.stderr)
+            return True
+    return False
+
+
 def planned_runs(parent, change, workload, pairs, seconds, first_seed, command):
     """(pair, side, checkout, argv) for every run, in order."""
     runs = []
     for i in range(1, pairs + 1):
         argv = command + ["--workload", workload, "--seed", str(first_seed + i - 1),
                           "--seconds", "%g" % seconds, "--trace", "0"]
-        sides = [("parent", parent), ("change", change)]
-        if i % 2 == 0:
-            sides.reverse()
-        runs.extend((i, side, checkout, argv) for side, checkout in sides)
+        runs.extend((i, side, checkout, argv) for side, checkout in alternated(parent, change, i))
     return runs
 
 
@@ -98,14 +114,8 @@ def main():
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     parent, change = args.parent.resolve(), args.change.resolve()
-    for checkout in (parent, change):
-        if not (checkout / "perfbench" / "run.py").is_file():
-            print("not a checkout with perfbench/run.py: %s" % checkout, file=sys.stderr)
-            return 2
-        cached = sorted(str(p) for p in (checkout / "src").rglob("__pycache__"))
-        if cached:
-            print("remove the bytecode first, it moves peak_rss_mb: %s" % " ".join(cached), file=sys.stderr)
-            return 2
+    if refused((parent, change), "perfbench/run.py", "it moves peak_rss_mb"):
+        return 2
     runs = planned_runs(parent, change, args.workload, args.pairs, args.seconds, args.first_seed, spec["command"])
     if args.dry_run:
         for i, side, checkout, argv in runs:

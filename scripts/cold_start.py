@@ -2,7 +2,7 @@
 
     python3 scripts/cold_start.py                           # this checkout, 7 runs
     python3 scripts/cold_start.py --parent ../parent --runs 9
-    python3 scripts/cold_start.py --quick                   # one run a side
+    python3 scripts/cold_start.py --runs 1                  # one run a side
 
 Each run starts two fresh processes from a checkout, with its ``src`` on
 ``PYTHONPATH`` and no bytecode written (PYTHONDONTWRITEBYTECODE), so the
@@ -33,22 +33,11 @@ import subprocess
 import sys
 import time
 
-from bench_pairs import iqr
+from bench_pairs import alternated, iqr, refused
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "fixtures" / "square.alg"
 HH = ["-m", "monomial_hh", "hh", str(FIXTURE), "--max-degree", "6"]
-
-
-def planned_runs(parent, change, runs):
-    """(run, side, checkout) in order; with no parent, the change alone."""
-    plan = []
-    for i in range(1, runs + 1):
-        sides = [("parent", parent), ("change", change)] if parent else [("change", change)]
-        if i % 2 == 0:
-            sides.reverse()
-        plan.extend((i, side, checkout) for side, checkout in sides)
-    return plan
 
 
 def _env(checkout):
@@ -80,22 +69,18 @@ def main():
     ap.add_argument("--parent", type=pathlib.Path, help="the parent commit's checkout")
     ap.add_argument("--change", default=ROOT, type=pathlib.Path, help="the change's checkout (default: this one)")
     ap.add_argument("--runs", type=int, default=7, help="runs per side (default 7)")
-    ap.add_argument("--quick", action="store_true", help="one run per side")
     args = ap.parse_args()
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
     parent = args.parent.resolve() if args.parent else None
     change = args.change.resolve()
-    for checkout in filter(None, (parent, change)):
-        if not (checkout / "src" / "monomial_hh").is_dir():
-            print("not a checkout with src/monomial_hh: %s" % checkout, file=sys.stderr)
-            return 2
-        cached = sorted(str(p) for p in (checkout / "src").rglob("__pycache__"))
-        if cached:
-            print("remove the bytecode first, a side that reads it compiles nothing: %s" % " ".join(cached),
-                  file=sys.stderr)
-            return 2
+    if refused(filter(None, (parent, change)), "src/monomial_hh", "a side that reads it compiles nothing"):
+        return 2
     values = {}  # side -> {"import_us": [...], "hh_s": [...]}
     outputs = {}  # side -> the hh stdout of its first run
-    for i, side, checkout in planned_runs(parent, change, 1 if args.quick else args.runs):
+    plan = [(i, side, checkout) for i in range(1, args.runs + 1)
+            for side, checkout in alternated(parent, change, i) if checkout]
+    for i, side, checkout in plan:
         try:
             us = import_us(checkout)
             seconds, out = hh_run(checkout)

@@ -72,7 +72,7 @@ def test_cold_start_quick(tmp_path):
         sides[side] = tmp_path / side
         shutil.copytree(SCRIPTS.parent / "src", sides[side] / "src", ignore=shutil.ignore_patterns("__pycache__"))
     argv = [str(SCRIPTS / "cold_start.py"), "--parent", str(sides["parent"]), "--change", str(sides["change"]),
-            "--quick"]
+            "--runs", "1"]
     out = run_python(*argv)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
@@ -84,6 +84,8 @@ def test_cold_start_quick(tmp_path):
     out = run_python(*argv)
     assert out.returncode == 2 and out.stdout == ""
     assert "__pycache__" in out.stderr
+    out = run_python(*argv[:-1], "0")
+    assert out.returncode == 2 and "--runs must be at least 1" in out.stderr
 
 
 def _bench_pairs():
