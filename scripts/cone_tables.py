@@ -13,7 +13,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
-from monomial_hh.cochains import class_vector, display_vector, hochschild_cohomology, pair_basis
+from monomial_hh.cochains import _offsets, class_vector, display_vector, hochschild_cohomology
 from monomial_hh.cup import cup_products
 
 FIXTURE = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "example_cone.alg"
@@ -30,7 +30,7 @@ def main():
     for n in range(TOP + 1):
         print("HH^%d (dim %d)" % (n, spaces[n].dimension))
         for i, rep in enumerate(spaces[n].representatives):
-            print("  z%d = %s" % (i, display_vector(algebra, spaces[n].pairs, rep, words)))
+            print("  z%d = %s" % (i, display_vector(table, n, rep, words)))
 
     q = algebra.quiver
 
@@ -38,7 +38,7 @@ def main():
         """Index of the pair (ambiguity on word, path b) among the cochain pairs of degree."""
         arrows = q.path(word)
         [amb] = [a for a in table.degree(degree - 1) if a.arrows == arrows]
-        return pair_basis(table, degree).index((amb, algebra.find(q.path(b), amb.source)))
+        return _offsets(table, degree)[0][amb] + algebra.position[algebra.find(q.path(b), amb.source)]
 
     f = {pair(1, "alpha", "alpha"): 1}
     g = {pair(1, "zeta", "zeta"): 1}
@@ -50,7 +50,7 @@ def main():
         prod = cup_products(table, m, n, [x], [y]).get((0, 0), {})
         cls = class_vector(spaces[m + n], table, prod)
         shown = " + ".join("%s z%d" % (c, k) for k, c in sorted(cls.items()))
-        print("  %s = %s   class %s" % (name, display_vector(algebra, spaces[m + n].pairs, prod, words), shown or "0"))
+        print("  %s = %s   class %s" % (name, display_vector(table, m + n, prod, words), shown or "0"))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from . import __version__
 from .algfile import parse_algebra_file, write_algebra_file
 from .ambiguities import AmbiguityTable
 from .checks import DIAGONAL_ROWS, GENERAL_ROWS, RESOLUTION_ROWS, TRIANGULAR_ROWS, run_checks, run_random_suite
-from .cochains import display_vector, hochschild_cohomology
+from .cochains import _offsets, display_vector, hochschild_cohomology
 from .cup import cup_table
 from .errors import BadInput, MonomialHHError, NotTriangular, ParseError
 from .fields import parse_field_spec
@@ -135,7 +135,7 @@ def _load(path, field_spec=None):
     except OSError as exc:
         raise BadInput("cannot read %s: %s" % (path, exc)) from None
     algebra = parse_algebra_file(text)
-    if field_spec:
+    if field_spec is not None:
         algebra = build_algebra(algebra.quiver, algebra.relations, _field(field_spec))
     return algebra
 
@@ -225,12 +225,12 @@ def cmd_hh(args):
     words = {}
     for n in range(args.max_degree + 1):
         sp = spaces[n]
-        reps = [display_vector(algebra, sp.pairs, rep, words) for rep in sp.representatives]
+        reps = [display_vector(table, n, rep, words) for rep in sp.representatives]
         rows.append(
             {
                 "degree": n,
                 "dim": sp.dimension,
-                "cochain_pairs": len(sp.pairs),
+                "cochain_pairs": _offsets(table, n)[1],
                 "representatives": reps,
             }
         )

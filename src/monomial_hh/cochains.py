@@ -6,13 +6,14 @@ degree m-1 and b the basis index of a parallel path (``words[b]`` from
 The pairs of degree m run ambiguity by ambiguity, each ambiguity's block
 in the order of its ``parallel`` tuple, so a pair's index is its
 ambiguity's offset plus ``algebra.position[b]`` (0 for a trivial b, which
-comes first).  A cochain is the vector {index in ``pair_basis(table, m)``:
-scalar}, without zeros; a vector carries no degree, so every function
-that takes one is also given its degree, or the space it lives in.
-Cochain sums run on plain numbers, and the field's ``normal`` puts each
-cochain a function returns in the field.  This
-module is the one place that decides how a pair is indexed.  Each degree's
-offsets and, where a space needs them, its pairs are memoized per table.
+comes first).  A cochain is the vector {pair index: scalar}, without
+zeros; a vector carries no degree, so every function that takes one is
+also given its degree, or the space it lives in.  Cochain sums run on
+plain numbers, and the field's ``normal`` puts each cochain a function
+returns in the field.  This module is the one place that decides how a
+pair is indexed.  Each degree's offsets are memoized per table, and no
+list of pairs is built: ``display_vector`` finds the pair of an index by
+bisection over its degree's offsets.
 
 ``_columns(table, m)`` is the one builder of δ^m.  It walks q in Γ_m and
 reads q's own faces, as the resolution's d does (Bardzell, J. Algebra 188,
@@ -32,13 +33,15 @@ The columns are shared, so no caller may mutate one.
 ``differential_via_resolution``, an independent route that reads no
 face class, gives the same map by composing with the resolution's d.
 
-A space, a ``CohomologySpace`` (a plain ``__slots__`` object that starts
-with its own empty caches), holds its cocycles and its representatives
-as tuples in which each unit vector e_j is the index j, an ``int``, and
-every other vector a dict: nearly all of them are unit vectors, so ``hh``
-builds no dict for one.  ``class_vector`` reads the class of a vector on
-the pivots of one-entry representatives off with no solve.
+A space, a ``CohomologySpace`` (a plain ``__slots__`` object), holds its
+cocycles and its representatives as tuples in which each unit vector e_j
+is the index j, an ``int``, and every other vector a dict: nearly all of
+them are unit vectors, so ``hh`` builds no dict for one.
+``class_vector`` reads a class at the representatives' pivots and
+eliminates nothing.
 """
+
+from bisect import bisect_right
 
 from .ambiguities import memoized
 from .errors import NotACocycle
@@ -47,44 +50,37 @@ from .resolution import boundary
 
 
 @memoized
-def pair_basis(table, degree):
-    """Ordered (ambiguity, parallel basis index) pairs spanning degree-m cochains.
-
-    Γ_{m-1} and every ``algebra.parallel`` tuple are sorted by path, so the
-    nested loop already yields the pairs sorted by ambiguity, then by b.  A
-    tuple, computed once per table.
-    """
-    assert degree >= 0
-    parallel = table.algebra.parallel
-    return tuple((amb, b) for amb in table.degree(degree - 1) for b in parallel[(amb.source, amb.target)])
-
-
-@memoized
 def _offsets(table, degree):
-    """({ambiguity of degree m-1: index of its first pair}, number of pairs) for degree m.
-
-    Reads only Γ_{m-1} and the ``parallel`` counts, never the pairs
-    themselves; computed once per table.  The pair (amb, b) has index
-    ``offsets[amb] + algebra.position[b]``.
-    """
+    """(offsets, number of pairs, starts) for degree m: offsets maps each
+    ambiguity of degree m-1 to the index of its first pair, and starts lists
+    those indices in Γ_{m-1} order.  The pair (amb, b) has index
+    ``offsets[amb] + algebra.position[b]``.  Reads only Γ_{m-1} and the
+    ``parallel`` counts, never the pairs themselves; computed once per table."""
     parallel = table.algebra.parallel
     offsets = {}
     n = 0
     for amb in table.degree(degree - 1):
         offsets[amb] = n
         n += len(parallel[(amb.source, amb.target)])
-    return offsets, n
+    return offsets, n, list(offsets.values())
 
 
-def display_vector(algebra, pairs, vec, words):
-    """The text ``hh`` prints for Σ vec[i]·pairs[i]: ``coeff [ambiguity || path]``
+def display_vector(table, m, vec, words):
+    """The text ``hh`` prints for the degree-m cochain vec: ``coeff [ambiguity || path]``
     terms in pair order, or ``0``.  vec may also be the index j of the unit
-    vector e_j, as a space holds it.  ``words`` caches the
-    written word of each ambiguity and basis index met, across calls."""
-    word = algebra.quiver.word
+    vector e_j, as a space holds it.  The pair (amb, b) of index i has amb the
+    last ambiguity whose first index is at most i (one with no pair shares its
+    first index with the next), and b at place i minus that index in amb's
+    ``parallel`` tuple.  ``words`` caches the written word of each ambiguity
+    and basis index met, across calls."""
+    algebra = table.algebra
+    word, parallel = algebra.quiver.word, algebra.parallel
+    ambs, starts = table.degree(m - 1), _offsets(table, m)[2]
     bits = []
     for i, c in ((vec, 1),) if type(vec) is int else sorted(vec.items()):
-        amb, b = pairs[i]
+        k = bisect_right(starts, i) - 1
+        amb = ambs[k]
+        b = parallel[(amb.source, amb.target)][i - starts[k]]
         amb_word = words.get(amb)
         if amb_word is None:
             amb_word = words[amb] = word(amb.arrows, amb.source)
@@ -108,8 +104,8 @@ def _columns(table, m):
     to the column of each b its class reaches.  pre·b·post is never the
     empty word: q strictly contains p.
     """
-    col_offsets, ncols = _offsets(table, m)
-    row_offsets, _ = _offsets(table, m + 1)
+    col_offsets, ncols, _ = _offsets(table, m)
+    row_offsets = _offsets(table, m + 1)[0]
     classes = table.memo("cochains._face_class")
     occurrences = table.occurrences
     odd = m % 2
@@ -206,8 +202,8 @@ def differential_via_resolution(table, m):
     """
     algebra = table.algebra
     mul, parallel, position = algebra.mul, algebra.parallel, algebra.position
-    col_offsets, ncols = _offsets(table, m)
-    row_offsets, nrows = _offsets(table, m + 1)
+    col_offsets, ncols, _ = _offsets(table, m)
+    row_offsets, nrows, _ = _offsets(table, m + 1)
     cols = [{} for _ in range(ncols)]
     for q in table.degree(m):
         row = row_offsets[q]
@@ -224,28 +220,24 @@ def differential_via_resolution(table, m):
 
 class CohomologySpace:
     """HH^m: ``cocycles`` are the kernel vectors of δ^m, ``coboundaries`` the
-    echelon rows of im δ^{m-1}, both over ``pairs``; its dimension is the
-    number of ``representatives``.
+    echelon rows of im δ^{m-1}; its dimension is the number of
+    ``representatives``.
 
     The cocycles and the representatives are each a tuple in list order: a
     unit vector e_j is held as the ``int`` j, any other vector as a dict.
-    ``class_vector`` keeps its read-off table and its solver here, and
-    ``cup`` its products of cocycles, each made once, so every space starts
-    with its own empty ones.  A space is an object, not a value: it compares
-    by identity.
+    ``_reader``, made on the first class read, is [{pivot: representative
+    index}, the coboundary ``RowBasis`` once one is needed], each space's
+    own.  A space is an object, not a value: it compares by identity.
     """
 
-    __slots__ = ("degree", "pairs", "cocycles", "coboundaries", "representatives", "_solver", "_read_off", "_products")
+    __slots__ = ("degree", "cocycles", "coboundaries", "representatives", "_reader")
 
-    def __init__(self, degree, pairs, cocycles, coboundaries, representatives):
+    def __init__(self, degree, cocycles, coboundaries, representatives):
         self.degree = degree
-        self.pairs = pairs
         self.cocycles = cocycles
         self.coboundaries = coboundaries
         self.representatives = representatives
-        self._solver = None
-        self._read_off = None
-        self._products = {}
+        self._reader = None
 
     def rep_cochains(self, table, what):
         """The representatives, as certified; ``table`` and ``what`` are not read."""
@@ -276,7 +268,7 @@ def hochschild_cohomology(table, max_degree):
         vectors = [v for v in kernel if type(v) is not int]
         held = {j: matrix.cols[j] for v in vectors for j in v}
         matrix = None  # only the held columns outlive the kernel pass
-        space = CohomologySpace(m, pair_basis(table, m), kernel, image, quotient_basis(field, kernel, image))
+        space = CohomologySpace(m, kernel, image, quotient_basis(field, kernel, image))
         support = {x for x in kernel if type(x) is int}.union(*vectors)  # built once the quotient's rows are freed
         for x in space.representatives:
             # every cocycle lies on the support, so an index off it is refused,
@@ -286,7 +278,7 @@ def hochschild_cohomology(table, max_degree):
             else:
                 ok = support.issuperset(x) and not (held and _sum_columns(field, ((x[j], held[j]) for j in held.keys() & x)))
             if not ok:
-                text = display_vector(table.algebra, space.pairs, x, {})
+                text = display_vector(table, m, x, {})
                 raise NotACocycle("HH^%d representative is not a cocycle: %s" % (m, text))
         spaces.append(space)
         image = following
@@ -294,51 +286,59 @@ def hochschild_cohomology(table, max_degree):
     return spaces
 
 
+def _reader(space):
+    """The space's reader (``CohomologySpace``); a unit e_p has the pivot p, a dict its smallest index."""
+    if space._reader is None:
+        space._reader = [{x if type(x) is int else min(x): a for a, x in enumerate(space.representatives)}, None]
+    return space._reader
+
+
+def coboundary_basis(space, field):
+    """The space's coboundary rows as a ``RowBasis``, made on first need: ``class_vector``
+    reduces modulo it, and ``cup.check_cup_closure`` tests membership in it."""
+    reader = _reader(space)
+    if reader[1] is None:
+        reader[1] = RowBasis(field, seed=space.coboundaries)
+    return reader[1]
+
+
 def class_vector(space, table, vec):
     """Coefficients of vec's class over space.representatives; NotACocycle if not one.
 
-    vec is a cochain of the space's degree: a vector carries no degree, so
-    the caller answers for that.  A vec whose every entry c sits at the
-    pivot p of a one-entry representative s·e_p is read off as
-    {that representative's index: c/s}: vec is that combination of
-    representatives, so a cocycle, and coboundaries and representatives are
-    independent, so it is its class.  Every other vec is solved.
-    Coboundaries and representatives together span exactly the cocycles
+    vec is a cochain of the space's degree (a vector carries no degree).  The
+    representatives r_a are the reduced-echelon completion of the coboundary
+    rows (``quotient_basis``): r_a is zero at every other r_b's pivot p_b and
+    at every coboundary pivot.  So a cocycle z = b + Σ c_a·r_a, b a
+    coboundary, with b = 0 reads c_a = z[p_a] / r_a[p_a] and leaves no
+    remainder z − Σ c_a·r_a.  With b ≠ 0, z has an entry at the image pivot
+    min(b), which no r_a covers, so the read leaves a remainder, and z is read
+    again reduced modulo the coboundaries, which leaves Σ c_a·r_a.
+    Coboundaries and representatives span exactly the cocycles
     (``kernel_basis`` asserts rank + nullity, ``quotient_basis`` im ⊆ ker,
-    ``hochschild_cohomology`` that each representative is a cocycle), so the
-    solve itself is the cocycle test.  The solver starts from the coboundary
-    rows and tracks coefficients over the representatives only; ``express``
-    gives the solution without zeros.
+    ``hochschild_cohomology`` that each representative is a cocycle), so a
+    remainder then means vec is no cocycle.  No read eliminates anything.
     """
-    field = table.algebra.field
-    read = space._read_off
-    if read is None:  # pivot -> (index, scale) of each one-entry representative
-        read = space._read_off = {}
-        for a, x in enumerate(space.representatives):
-            if type(x) is int:
-                read[x] = (a, 1)
-            elif len(x) == 1:
-                ((p, s),) = x.items()
-                read[p] = (a, s)
-    sol = {}
-    for i, c in vec.items():
-        hit = read.get(i)
-        if hit is None:
-            break
-        a, s = hit
-        sol[a] = c if s == 1 else field.from_row({a: c}, s)[a]
-    else:
-        return sol
-    if space._solver is None:
-        solver = RowBasis(field, track=True, seed=space.coboundaries)
-        for i, x in enumerate(space.representatives):
-            added, _ = solver.insert({x: 1} if type(x) is int else x, i)
-            assert added
-        space._solver = solver
-    sol = space._solver.express(vec)
-    if sol is None:
-        raise NotACocycle("not killed by the differential: %s" % display_vector(table.algebra, space.pairs, vec, {}))
-    return sol
+    field, reps = table.algebra.field, space.representatives
+    pivots = _reader(space)[0]
+    for reduced in (False, True):
+        z = coboundary_basis(space, field).reduce_mod(vec) if reduced else vec
+        sol, rest = {}, {}  # the c_a, and z − Σ c_a·r_a off the pivots
+        for i, c in z.items():
+            a = pivots.get(i)
+            if a is None:
+                rest[i] = rest.get(i, 0) + c
+                continue
+            x = reps[a]
+            if type(x) is not int:
+                if x[i] != 1:
+                    c = field.from_row({a: c}, x[i])[a]
+                for j, v in x.items():
+                    if j != i:
+                        rest[j] = rest.get(j, 0) - c * v
+            sol[a] = c
+        if not (rest and field.normal(rest)):
+            return sol
+    raise NotACocycle("not killed by the differential: " + display_vector(table, space.degree, vec, {}))
 
 
 def check_partial_squared(table, max_degree):
@@ -346,7 +346,7 @@ def check_partial_squared(table, max_degree):
     for m in range(0, max_degree + 1):
         for j, col in enumerate(_delta(table, m)):
             assert not cochain_differential(table, m + 1, col), "partial^2 != 0 at %s" % display_vector(
-                table.algebra, pair_basis(table, m), {j: 1}, {}
+                table, m, {j: 1}, {}
             )
 
 
@@ -355,6 +355,4 @@ def check_differential_routes_agree(table, max_degree):
     for m in range(0, max_degree + 1):
         via = differential_via_resolution(table, m).cols
         for j, col in enumerate(_delta(table, m)):
-            assert col == via[j], "differential routes disagree at %s" % display_vector(
-                table.algebra, pair_basis(table, m), {j: 1}, {}
-            )
+            assert col == via[j], "differential routes disagree at %s" % display_vector(table, m, {j: 1}, {})

@@ -34,14 +34,13 @@ returns only the nonzero products.  On triangular algebras nearly every
 positive-degree product vanishes (the source paper's vanishing theorem).
 An absent product is zero, a cocycle of class 0, and ``hochschild_cohomology``
 certified the factors, so the verifiers below spend their differentials
-and solves only on the few products that remain.
+and class reads only on the few products that remain.
 """
 
 from .ambiguities import memoized
-from .cochains import _offsets, class_vector, cochain_differential
+from .cochains import _offsets, class_vector, coboundary_basis, cochain_differential
 from .diagonal import diagonal
 from .errors import NotTriangular
-from .linalg import RowBasis
 from .quivers import is_triangular
 
 
@@ -159,7 +158,7 @@ def _terms(vec):
 
 def cup_table(table, spaces, i, j):
     """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b];
-    the solve checks each nonzero product."""
+    the class read checks that each nonzero product is a cocycle."""
     reps_i, reps_j = spaces[i].representatives, spaces[j].representatives
     products = cup_products(table, i, j, reps_i, reps_j)
     target = spaces[i + j]
@@ -208,31 +207,28 @@ def verify_triangular_vanishing(table, spaces, max_total_degree):
     failures = []
     for m in range(1, max_total_degree):
         for n in range(1, max_total_degree + 1 - m):
-            # an absent product is zero, of class 0; the others are solved in (a, b) order
-            for (a, b), product in _cocycle_products(table, spaces, m, n).items():
+            # an absent product is zero, of class 0; the others are read in (a, b) order
+            for (a, b), product in _cocycle_products(table, spaces[m], spaces[n]).items():
                 cls = class_vector(spaces[m + n], table, product)
                 if cls:
                     failures.append({"degrees": [m, n], "cocycles": [a, b], "product_class": sorted(cls)})
     return failures
 
 
-def _cocycle_products(table, spaces, m, n):
-    """spaces[m].cocycles cup spaces[n].cocycles, contracted once per pair of
-    spaces: the closure row and the triangular rows of a battery read them
-    all, and the memo lives on spaces[m]."""
-    held = spaces[m]._products.get(n)
-    if held is None or held[0] is not spaces[n]:
-        products = cup_products(table, m, n, spaces[m].cocycles, spaces[n].cocycles)
-        held = spaces[m]._products[n] = (spaces[n], products)
-    return held[1]
+@memoized
+def _cocycle_products(table, f_space, g_space):
+    """f_space.cocycles cup g_space.cocycles, contracted once per pair of
+    spaces (which compare by identity): the closure row and the triangular
+    rows of a battery read them all.  Computed once per table."""
+    return cup_products(table, f_space.degree, g_space.degree, f_space.cocycles, g_space.cocycles)
 
 
 def check_cup_closure(table, spaces, max_total_degree):
     """Cocycle x cocycle is a cocycle; either order with a coboundary is a coboundary.
 
-    The coboundary test is membership in one basis per total degree, seeded
-    with the echelon rows of its coboundaries: membership never changes it."""
-    coboundaries = {}  # total degree -> its basis, made when first read
+    The coboundary test is membership in the basis that the target space's
+    class reads share (``cochains.coboundary_basis``); membership never changes it."""
+    field = table.algebra.field
     for m in range(0, max_total_degree + 1):
         z = spaces[m].cocycles
         if not z:
@@ -240,7 +236,7 @@ def check_cup_closure(table, spaces, max_total_degree):
         for n in range(0, max_total_degree + 1 - m):
             if not spaces[n].cocycles and not spaces[n].coboundaries:
                 continue  # every product below is empty
-            zz = _cocycle_products(table, spaces, m, n)
+            zz = _cocycle_products(table, spaces[m], spaces[n])
             zb = cup_products(table, m, n, z, spaces[n].coboundaries)
             bz = cup_products(table, n, m, spaces[n].coboundaries, z)
             # zero products pass; the others are checked by cocycle f:
@@ -252,10 +248,8 @@ def check_cup_closure(table, spaces, max_total_degree):
                     assert not cochain_differential(table, m + n, zz[a, c])
                 else:
                     prod = bz[c, a] if swapped else zb[a, c]
-                    basis = coboundaries.get(m + n)
-                    if basis is None:
-                        basis = coboundaries[m + n] = RowBasis(table.algebra.field, seed=spaces[m + n].coboundaries)
-                    assert basis.contains(prod), "cup with a coboundary is not a coboundary"
+                    coboundaries = coboundary_basis(spaces[m + n], field)
+                    assert coboundaries.contains(prod), "cup with a coboundary is not a coboundary"
     return True
 
 
@@ -271,9 +265,8 @@ def check_one_sided_vanishing(table, spaces, max_total_degree):
     if not is_triangular(table.algebra):
         raise NotTriangular("one-sided vanishing needs an acyclic quiver")
     degrees = range(1, max_total_degree)
-    products = {
-        (m, n): _cocycle_products(table, spaces, m, n) for m in degrees for n in degrees if m + n <= max_total_degree
-    }
+    bidegrees = [(m, n) for m in degrees for n in degrees if m + n <= max_total_degree]
+    products = {(m, n): _cocycle_products(table, spaces[m], spaces[n]) for m, n in bidegrees}
     # (f, g) in the order of the pieces, f by degree then index, g likewise
     both = sorted((m, a, n, b) for (m, n), prods in products.items() for a, b in prods if (b, a) in products[n, m])
     pieces = {d: [{x: 1} if type(x) is int else x for x in spaces[d].cocycles] for m, _, n, _ in both for d in (m, n)}

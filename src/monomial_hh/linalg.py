@@ -126,7 +126,9 @@ class RowBasis:
     rows in canonical form with distinct pivots, as ``kernel_basis`` hands
     back the rows of a column span.  Seed rows are not inserted vectors and
     carry no coefficients, so a tracked basis expresses vectors modulo
-    their span, over the vectors inserted after them.
+    their span, over the vectors inserted after them.  No library code
+    calls ``express``: it stays as the tests' reference solve of a class
+    read, and ``perfbench``'s tracer wraps it by name.
     """
 
     QUERY = object()  # tag used by express() for the queried vector

@@ -4,7 +4,7 @@ import functools
 import itertools
 
 from monomial_hh import cochains
-from monomial_hh.cochains import cochain_differential, pair_basis
+from monomial_hh.cochains import _offsets, cochain_differential
 from monomial_hh.quivers import path_from_word
 from monomial_hh.resolution import bimodule_element
 
@@ -129,14 +129,33 @@ def pair_key(pair):
     return ((len(amb.arrows), amb.arrows, amb.source), b.sort_key())
 
 
+def pair_list(table, m):
+    """The degree-m pairs (amb, b), b a basis index, in index order.
+
+    The library builds no pair list: the pair (amb, b) has the index
+    ``offsets[amb] + algebra.position[b]`` of ``cochains._offsets``, and this
+    list puts each pair at that index, so it also checks that the indices
+    fill range(number of pairs) once each.
+    """
+    alg = table.algebra
+    offsets, n, _ = _offsets(table, m)
+    pairs = [None] * n
+    for amb, first in offsets.items():
+        for b in alg.parallel[(amb.source, amb.target)]:
+            assert pairs[first + alg.position[b]] is None
+            pairs[first + alg.position[b]] = (amb, b)
+    assert None not in pairs
+    return pairs
+
+
 def path_pairs(table, m):
-    """``pair_basis(table, m)`` with each basis index replaced by its path: (amb, b) with b a ``Path``.
+    """``pair_list(table, m)`` with each basis index replaced by its path: (amb, b) with b a ``Path``.
 
     The one place the tests translate between the library's index-keyed
     pairs and the path-keyed pairs that test bodies write.
     """
     basis = basis_paths(table.algebra)
-    return [(amb, basis[b]) for amb, b in pair_basis(table, m)]
+    return [(amb, basis[b]) for amb, b in pair_list(table, m)]
 
 
 def bar_pair_list(basis):

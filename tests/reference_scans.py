@@ -587,8 +587,8 @@ def lookup_columns(table, m):
     """
     algebra = table.algebra
     words, word_index, parallel, position = algebra.words, algebra.word_index, algebra.parallel, algebra.position
-    col_offsets, ncols = _offsets(table, m)
-    row_offsets, _ = _offsets(table, m + 1)
+    col_offsets, ncols, _ = _offsets(table, m)
+    row_offsets = _offsets(table, m + 1)[0]
     cols = [{} for _ in range(ncols)]
     for q in table.degree(m):
         if m % 2:

@@ -7,13 +7,13 @@ import pytest
 from monomial_hh import cochains
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.bar_oracle import bar_pairs
-from monomial_hh.cochains import check_differential_routes_agree, differential_via_resolution, pair_basis
+from monomial_hh.cochains import check_differential_routes_agree, differential_via_resolution
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.quivers import build_algebra
 from monomial_hh.resolution import right_spanning_set
 
 from conftest import make_cone
-from helpers import amb_path, bar_pair_list, basis_paths, pair_key, path_pairs
+from helpers import amb_path, bar_pair_list, basis_paths, pair_key, pair_list, path_pairs
 from reference_scans import (
     scan_bar_pairs,
     scan_out_arrows,
@@ -79,7 +79,7 @@ def test_routes_check_names_a_flipped_sign(spec, monkeypatch):
     cone = make_cone()
     t = AmbiguityTable(build_algebra(cone.quiver, cone.relations, parse_field_spec(spec)))
     j = next(j for j, col in enumerate(differential_via_resolution(t, 2).cols) if col)
-    amb, b = pair_basis(t, 2)[j]
+    amb, b = pair_list(t, 2)[j]
     columns = cochains._columns
 
     def flipped(table, m):

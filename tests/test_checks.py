@@ -15,7 +15,7 @@ from monomial_hh.checks import (
     run_checks,
     run_random_suite,
 )
-from monomial_hh.cochains import display_vector, pair_basis
+from monomial_hh.cochains import display_vector
 from monomial_hh.errors import ImageNotInKernel
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
@@ -133,7 +133,7 @@ def test_cohomology_failure_is_a_failing_row(monkeypatch, cone, capsys):
 
 def test_triangular_vanishing_fault_is_a_failing_row(monkeypatch, capsys):
     # a product that is no cocycle, planted in bidegree (1, 1), reaches the
-    # row's own class_vector solve, whose NotACocycle fails the row
+    # row's own class_vector read, whose NotACocycle fails the row
     products = cup.cup_products
 
     def planted(table, m, n, fs, gs):
@@ -146,7 +146,7 @@ def test_triangular_vanishing_fault_is_a_failing_row(monkeypatch, capsys):
     assert cli.main(["verify", A6, "--triangular-vanishing", "--json"]) == 1
     out, err = capsys.readouterr()
     alg = parse_algebra_file(pathlib.Path(A6).read_text())
-    detail = "not killed by the differential: " + display_vector(alg, pair_basis(AmbiguityTable(alg), 2), {0: 1}, {})
+    detail = "not killed by the differential: " + display_vector(AmbiguityTable(alg), 2, {0: 1}, {})
     assert json.loads(out)["checks"] == [{"name": "triangular-vanishing", "ok": False, "detail": detail}]
     assert err == ""
 

@@ -366,6 +366,13 @@ def test_input_errors_exit_2(tmp_path):
     out = run_cli("random", "--trials", "1", "--field", "fp:4")
     assert out.returncode == 2
 
+    # an empty --field is a field spec like any other, refused alike by both
+    # commands, not read as "no override"
+    for argv in (["hh", str(FIXTURES / "square.alg"), "--max-degree", "2"], ["random", "--trials", "1"]):
+        out = run_cli(*argv, "--field", "")
+        assert out.returncode == 2, argv
+        assert out.stderr == "error: BadInput: unknown field spec '' (expected 'q' or 'fp:<prime>')\n", argv
+
     # a modulus at or above 2^64 is refused at once, by --field and by the file's field line
     for modulus in (10**30 + 57, 10**399 + 7):
         out = run_cli("hh", CONE, "--max-degree", "1", "--field", "fp:%d" % modulus)
@@ -436,9 +443,9 @@ def test_planted_representative_fails_hh_and_verify(monkeypatch, capsys, tmp_pat
 
 
 def test_nonzero_triangular_class_fails_verify(monkeypatch, capsys):
-    # triangular-vanishing solves the products of kernel vectors, some of
-    # them nonzero as cochains on triangular_a6: a class solve that reports
-    # a nonzero class fails the row
+    # triangular-vanishing reads the classes of the products of kernel
+    # vectors, some of them nonzero as cochains on triangular_a6: a class
+    # read that reports a nonzero class fails the row
     from monomial_hh import cup
 
     solves = []

@@ -14,8 +14,8 @@ from monomial_hh.cochains import (
     class_vector,
     cochain_differential,
     differential_matrix,
+    display_vector,
     hochschild_cohomology,
-    pair_basis,
 )
 from monomial_hh.errors import NotACocycle, NotTriangular
 from monomial_hh.fields import parse_field_spec
@@ -23,7 +23,19 @@ from monomial_hh.linalg import quotient_basis
 from monomial_hh.quivers import build_algebra, is_triangular
 
 from conftest import make_cone
-from helpers import amb_path, by_path, expand, is_cocycle, loops_algebra_text, path, path_pairs, unit_cochain, vector, written
+from helpers import (
+    amb_path,
+    by_path,
+    expand,
+    is_cocycle,
+    loops_algebra_text,
+    pair_list,
+    path,
+    path_pairs,
+    unit_cochain,
+    vector,
+    written,
+)
 from reference_scans import amb_prefix, amb_suffix, divisor_occurrences, lookup_columns
 from test_battery_caches import LOOPS
 from test_incidence import DEGREE, tables
@@ -53,6 +65,28 @@ def test_pair_basis_degree0(cone):
     assert all(amb.degree == -1 for amb, _ in pairs)
     words = sorted((amb_path(t, amb).display(), b.word() or b.display()) for amb, b in pairs)
     assert ("e(1)", "zetaalpha") in [(a, b) for a, b in words]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_display_finds_each_pair_from_the_offsets(spec):
+    # display_vector finds the pair of an index by bisection over the
+    # offsets; every index of every degree against the pair placed there,
+    # an ambiguity with no parallel path (an empty block) included
+    empty = 0
+    for t in tables(spec):
+        alg = t.algebra
+        word = alg.quiver.word
+        for m in range(DEGREE + 1):
+            pairs = pair_list(t, m)
+            texts = ["[%s || %s]" % (word(amb.arrows, amb.source), word(alg.words[b], alg.source[b])) for amb, b in pairs]
+            for i, text in enumerate(texts):
+                assert display_vector(t, m, i, {}) == display_vector(t, m, {i: 1}, {}) == "1 " + text
+            if len(pairs) > 1:
+                vec = {len(pairs) - 1: 3, 0: 2}  # printed in pair order
+                assert display_vector(t, m, vec, {}) == "2 %s + 3 %s" % (texts[0], texts[-1])
+            empty += sum(not alg.parallel[(amb.source, amb.target)] for amb in t.degree(m - 1))
+        assert display_vector(t, 0, {}, {}) == "0"
+    assert empty > 0
 
 
 def test_cone_dims(cone):
@@ -154,8 +188,8 @@ def test_unsupported_pair_differential_is_zero(triangular_a6):
 def test_matrix_orientation(cone):
     t = AmbiguityTable(cone)
     m = differential_matrix(t, 0)
-    assert m.ncols == len(pair_basis(t, 0))
-    assert m.nrows == len(pair_basis(t, 1))
+    assert m.ncols == len(path_pairs(t, 0))
+    assert m.nrows == len(path_pairs(t, 1))
 
 
 def test_class_vector_rejects_non_cocycle(triangular_a6):

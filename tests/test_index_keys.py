@@ -3,8 +3,9 @@
 Every element is mapped through ``helpers.basis_paths`` and compared term
 for term with the same arithmetic on Path keys in ``reference_scans``.  The
 ast guards at the end keep paths out of the library: it holds arrow words
-and basis indices only.  One more keeps JSON writing in ``cli``, and one
-checks each memo name a module reads against ``MEMOS``.
+and basis indices only.  One more keeps a ``RowBasis``'s stored rows in
+``linalg``, one keeps JSON writing in ``cli``, and one checks each memo
+name a module reads against ``MEMOS``.
 """
 
 import ast
@@ -134,6 +135,31 @@ def test_no_path_class(module):
     # class lives in the tests, as the key type of the reference route
     tree = ast.parse((SRC / (module + ".py")).read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "Path"] == []
+
+
+def _row_basis_internals(module):
+    """(line, attribute) of each read of a ``RowBasis``'s stored ``rows`` or call
+    of its ``_reduce`` in a module's source.
+
+    ``_reduce`` is named by no other class.  ``rows`` is read through any
+    owner but ``args``, the parsed command line of ``cli``, whose ``rows``
+    are the check rows asked for.
+    """
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (node.attr == "_reduce" or (node.attr == "rows" and getattr(node.value, "id", None) != "args"))
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "linalg"])
+def test_no_row_basis_internals(module):
+    # a RowBasis is used through insert, contains, express and reduce_mod
+    # alone: the echelon rows are linalg's to read, so a class read or a
+    # membership test outside it cannot come to depend on how they are stored
+    assert _row_basis_internals(module) == []
 
 
 def test_json_is_written_by_cli_alone():

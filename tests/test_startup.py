@@ -17,7 +17,7 @@ import pytest
 from monomial_hh import cup
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.checks import CheckReport
-from monomial_hh.cochains import class_vector, hochschild_cohomology
+from monomial_hh.cochains import class_vector, coboundary_basis, hochschild_cohomology
 from monomial_hh.fields import QQ
 from monomial_hh.linalg import SparseMatrix
 from monomial_hh.randomgen import RandomAlgebraConfig
@@ -79,20 +79,24 @@ def test_random_config_is_a_value():
 
 
 def test_spaces_share_no_cache():
+    # each space makes its own reader on its first class read, and the
+    # cocycle products live in the table's memo, keyed by the two spaces
     table = AmbiguityTable(make_cone())
     spaces = hochschild_cohomology(table, 3)
     again = hochschild_cohomology(table, 3)
+    # a space holds its tuples and one reader, and no second copy of either
+    assert type(spaces[0]).__slots__ == ("degree", "cocycles", "coboundaries", "representatives", "_reader")
     for space in spaces:
-        assert space._read_off is None and space._solver is None and space._products == {}
+        assert space._reader is None
         for rep in space.representatives:
             vec = {rep: 1} if type(rep) is int else rep
             class_vector(space, table, vec)
-    cup._cocycle_products(table, spaces, 1, 1)
-    held = [s for s in spaces + again if s._products]
-    assert held == [spaces[1]]
-    caches = [s._read_off for s in spaces] + [s._products for s in spaces + again]
-    assert len({id(c) for c in caches}) == len(caches)
-    assert all(s._read_off is None for s in again)
+        coboundary_basis(space, table.algebra.field)
+    cup._cocycle_products(table, spaces[1], spaces[1])
+    assert list(table.memo("cup._cocycle_products")) == [(spaces[1], spaces[1])]
+    parts = [s._reader[0] for s in spaces] + [s._reader[1] for s in spaces]
+    assert len({id(part) for part in parts}) == len(parts)
+    assert all(s._reader is None for s in again)
 
 
 def test_check_report_keeps_its_dict():
