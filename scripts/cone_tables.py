@@ -29,8 +29,8 @@ def main():
     print("dims:", " ".join(str(spaces[n].dimension) for n in range(TOP + 1)))
     for n in range(TOP + 1):
         print("HH^%d (dim %d)" % (n, spaces[n].dimension))
-        for i, rep in enumerate(spaces[n].representatives):
-            print("  z%d = %s" % (i, display_vector(table, n, rep, words)))
+        for i, text in enumerate(display_vector(table, n, spaces[n].representatives, words)):
+            print("  z%d = %s" % (i, text))
 
     q = algebra.quiver
 
@@ -50,7 +50,7 @@ def main():
         prod = cup_products(table, m, n, [x], [y]).get((0, 0), {})
         cls = class_vector(spaces[m + n], table, prod)
         shown = " + ".join("%s z%d" % (c, k) for k, c in sorted(cls.items()))
-        print("  %s = %s   class %s" % (name, display_vector(table, m + n, prod, words), shown or "0"))
+        print("  %s = %s   class %s" % (name, display_vector(table, m + n, [prod], words)[0], shown or "0"))
 
 
 if __name__ == "__main__":

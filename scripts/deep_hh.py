@@ -9,7 +9,7 @@ child's peak RSS (``ru_maxrss`` from ``os.wait4``) and the SHA-256 of its
 stdout, and it exits 1 if a digest differs from the recorded one.
 
     python3 scripts/deep_hh.py            # hh: rsz(2) D=12, rsz(3) D=8, cub(2) D=9
-                                          # cup: cub(2) T=6, rsz(2) T=8
+                                          # cup: cub(2) T=6, cub(2) T=7, rsz(2) T=8
                                           # hh: cub(2) D=10
     python3 scripts/deep_hh.py --quick    # hh: rsz(2) D=8
 """
@@ -36,6 +36,7 @@ DEEP = (
     ("hh", "rsz(3)", 3, 2, 8, "c820766ccb86266804bbdd1767c7d19ae1c238ce5906ec66262990510ae2589d"),
     ("hh", "cub(2)", 2, 3, 9, "9b37094bbb1ddb1223f1aec9f911582e2b31ab4a966849a925c7c921634ec728"),
     ("cup", "cub(2)", 2, 3, 6, "1f9af52f99acede9fdac40e60b451d29170a3aaed112bf600b351f34bf80c259"),
+    ("cup", "cub(2)", 2, 3, 7, "de54a46066538fb21a648d68ef0ff32319bb5b0291b8b4b2f8bd3a7dde74f306"),
     ("cup", "rsz(2)", 2, 2, 8, "374cb2e01b5daf871ec78f198a3e6dd1b43efaaada5b61c5e7c79b61580d35af"),
     ("hh", "cub(2)", 2, 3, 10, "76c791aee41da69374b32019c83ccc435da87b03ddfa5e9b1b227851ac694d78"),
 )

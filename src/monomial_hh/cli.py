@@ -225,13 +225,12 @@ def cmd_hh(args):
     words = {}
     for n in range(args.max_degree + 1):
         sp = spaces[n]
-        reps = [display_vector(table, n, rep, words) for rep in sp.representatives]
         rows.append(
             {
                 "degree": n,
                 "dim": sp.dimension,
                 "cochain_pairs": _offsets(table, n)[1],
-                "representatives": reps,
+                "representatives": display_vector(table, n, sp.representatives, words),
             }
         )
     if args.json:
@@ -268,14 +267,11 @@ def cmd_cup(args):
         for j in range(top + 1 - i):
             if spaces[i].dimension == 0 or spaces[j].dimension == 0:
                 continue
-            mat = cup_table(table, spaces, i, j)
-            blocks.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "table": [[_scalar_map(cls) for cls in row] for row in mat],
-                }
-            )
+            # a zero cell is its row's one empty dict, which nothing mutates
+            rows = [[{}] * spaces[j].dimension for _ in range(spaces[i].dimension)]
+            for (a, b), cls in cup_table(table, spaces, i, j).items():
+                rows[a][b] = _scalar_map(cls)
+            blocks.append({"i": i, "j": j, "table": rows})
     if args.json:
         _emit_json({"schema": SCHEMA, "command": "cup", "blocks": blocks})
     else:

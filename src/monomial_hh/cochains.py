@@ -65,30 +65,33 @@ def _offsets(table, degree):
     return offsets, n, list(offsets.values())
 
 
-def display_vector(table, m, vec, words):
-    """The text ``hh`` prints for the degree-m cochain vec: ``coeff [ambiguity || path]``
-    terms in pair order, or ``0``.  vec may also be the index j of the unit
-    vector e_j, as a space holds it.  The pair (amb, b) of index i has amb the
-    last ambiguity whose first index is at most i (one with no pair shares its
-    first index with the next), and b at place i minus that index in amb's
-    ``parallel`` tuple.  ``words`` caches the written word of each ambiguity
-    and basis index met, across calls."""
+def display_vector(table, m, vecs, words):
+    """The texts ``hh`` prints for the degree-m cochains vecs (a list, of one for
+    one vector): ``coeff [ambiguity || path]`` terms in pair order, or ``0``.  A
+    vector may be the index j of e_j, as a space holds it.  The pair (amb, b)
+    of index i has amb the last ambiguity whose first index is at most i (one
+    with no pair shares its first index with the next), and b at place i minus
+    that index in amb's ``parallel`` tuple.  ``words`` caches the written word
+    of each ambiguity and basis index met, across calls."""
     algebra = table.algebra
     word, parallel = algebra.quiver.word, algebra.parallel
     ambs, starts = table.degree(m - 1), _offsets(table, m)[2]
-    bits = []
-    for i, c in ((vec, 1),) if type(vec) is int else sorted(vec.items()):
-        k = bisect_right(starts, i) - 1
-        amb = ambs[k]
-        b = parallel[(amb.source, amb.target)][i - starts[k]]
-        amb_word = words.get(amb)
-        if amb_word is None:
-            amb_word = words[amb] = word(amb.arrows, amb.source)
-        b_word = words.get(b)
-        if b_word is None:
-            b_word = words[b] = word(algebra.words[b], algebra.source[b])
-        bits.append("%s [%s || %s]" % (c, amb_word, b_word))
-    return " + ".join(bits) if bits else "0"
+    texts = []
+    for vec in vecs:
+        bits = []
+        for i, c in ((vec, 1),) if type(vec) is int else sorted(vec.items()):
+            k = bisect_right(starts, i) - 1
+            amb = ambs[k]
+            b = parallel[(amb.source, amb.target)][i - starts[k]]
+            amb_word = words.get(amb)
+            if amb_word is None:
+                amb_word = words[amb] = word(amb.arrows, amb.source)
+            b_word = words.get(b)
+            if b_word is None:
+                b_word = words[b] = word(algebra.words[b], algebra.source[b])
+            bits.append("%s [%s || %s]" % (c, amb_word, b_word))
+        texts.append(" + ".join(bits) if bits else "0")
+    return texts
 
 
 def _columns(table, m):
@@ -278,7 +281,7 @@ def hochschild_cohomology(table, max_degree):
             else:
                 ok = support.issuperset(x) and not (held and _sum_columns(field, ((x[j], held[j]) for j in held.keys() & x)))
             if not ok:
-                text = display_vector(table, m, x, {})
+                text = display_vector(table, m, [x], {})[0]
                 raise NotACocycle("HH^%d representative is not a cocycle: %s" % (m, text))
         spaces.append(space)
         image = following
@@ -338,16 +341,14 @@ def class_vector(space, table, vec):
             sol[a] = c
         if not (rest and field.normal(rest)):
             return sol
-    raise NotACocycle("not killed by the differential: " + display_vector(table, space.degree, vec, {}))
+    raise NotACocycle("not killed by the differential: " + display_vector(table, space.degree, [vec], {})[0])
 
 
 def check_partial_squared(table, max_degree):
     """δ^{m+1} kills each column of δ^m, m = 0..max_degree."""
     for m in range(0, max_degree + 1):
         for j, col in enumerate(_delta(table, m)):
-            assert not cochain_differential(table, m + 1, col), "partial^2 != 0 at %s" % display_vector(
-                table, m, {j: 1}, {}
-            )
+            assert not cochain_differential(table, m + 1, col), "partial^2 != 0 at %s" % display_vector(table, m, [j], {})[0]
 
 
 def check_differential_routes_agree(table, max_degree):
@@ -355,4 +356,4 @@ def check_differential_routes_agree(table, max_degree):
     for m in range(0, max_degree + 1):
         via = differential_via_resolution(table, m).cols
         for j, col in enumerate(_delta(table, m)):
-            assert col == via[j], "differential routes disagree at %s" % display_vector(table, m, {j: 1}, {})
+            assert col == via[j], "differential routes disagree at %s" % display_vector(table, m, [j], {})[0]

@@ -34,7 +34,9 @@ returns only the nonzero products.  On triangular algebras nearly every
 positive-degree product vanishes (the source paper's vanishing theorem).
 An absent product is zero, a cocycle of class 0, and ``hochschild_cohomology``
 certified the factors, so the verifiers below spend their differentials
-and class reads only on the few products that remain.
+and class reads only on the few products that remain.  ``cup_table`` keeps
+the class table sparse too: it returns only the nonzero classes, and only
+``cli.cmd_cup`` lays out the dense table, where it writes the document.
 """
 
 from .ambiguities import memoized
@@ -157,15 +159,12 @@ def _terms(vec):
 
 
 def cup_table(table, spaces, i, j):
-    """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b];
-    the class read checks that each nonzero product is a cocycle."""
-    reps_i, reps_j = spaces[i].representatives, spaces[j].representatives
-    products = cup_products(table, i, j, reps_i, reps_j)
+    """{(a, b): class of x_a cup y_b} over the nonzero classes of HH^i x HH^j -> HH^(i+j),
+    keys in (a, b) order: one class read per nonzero cochain product, which checks
+    that it is a cocycle, and a product of class 0 (a coboundary) is left out."""
+    products = cup_products(table, i, j, spaces[i].representatives, spaces[j].representatives)
     target = spaces[i + j]
-    return [
-        [class_vector(target, table, products[a, b]) if (a, b) in products else {} for b in range(len(reps_j))]
-        for a in range(len(reps_i))
-    ]
+    return {key: cls for key, product in products.items() if (cls := class_vector(target, table, product))}
 
 
 def verify_graded_commutativity(table, spaces, max_total_degree):

@@ -30,18 +30,21 @@ representative's rest through ``reduce_mod``, the reference for
 ``linalg.kernel_basis`` and ``linalg.quotient_basis``.  ``term_constants``
 is the cup structure constants before their gap classes: every Δ term
 looks up the product of every parallel pair (bf, bg), the reference for
-``cup._constants``.  ``lookup_columns`` is δ^m before its face classes:
-each face of each q looks up the product of every parallel b, the
-reference for ``cochains._columns``.  ``ratio_to_row`` is the rational
-``to_row`` before its ``int`` path, every entry read through
-``as_integer_ratio``.
+``cup._constants``.  ``dense_cup_table`` is the class table before it went
+sparse: a matrix with a cell, {} when zero, for every pair of
+representatives, the reference for ``cup.cup_table``.  ``lookup_columns``
+is δ^m before its face classes: each face of each q looks up the product
+of every parallel b, the reference for ``cochains._columns``.
+``ratio_to_row`` is the rational ``to_row`` before its ``int`` path, every
+entry read through ``as_integer_ratio``.
 """
 
 from math import lcm
 
 from monomial_hh.ambiguities import Ambiguity
-from monomial_hh.cochains import _offsets
+from monomial_hh.cochains import _offsets, class_vector
 from monomial_hh.combination import Combination
+from monomial_hh.cup import cup_products
 from monomial_hh.diagonal import diagonal
 from monomial_hh.errors import DegreeUnderflow, ImageNotInKernel, InfiniteDimensional, NonComposableRelation
 from monomial_hh.linalg import RowBasis, SparseMatrix
@@ -634,6 +637,18 @@ def term_constants(table, m, n):
                     by_g = constants.setdefault(i, {})
                     by_g.setdefault(j, []).append(row + position[value])
     return constants
+
+
+def dense_cup_table(table, spaces, i, j):
+    """Matrix of class products HH^i x HH^j -> HH^(i+j), entry[a][b]: one
+    ``cup_products`` call, then ``class_vector`` on each nonzero product."""
+    reps_i, reps_j = spaces[i].representatives, spaces[j].representatives
+    products = cup_products(table, i, j, reps_i, reps_j)
+    target = spaces[i + j]
+    return [
+        [class_vector(target, table, products[a, b]) if (a, b) in products else {} for b in range(len(reps_j))]
+        for a in range(len(reps_i))
+    ]
 
 
 def insert_kernel_basis(field, matrix, image=None):

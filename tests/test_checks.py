@@ -146,7 +146,7 @@ def test_triangular_vanishing_fault_is_a_failing_row(monkeypatch, capsys):
     assert cli.main(["verify", A6, "--triangular-vanishing", "--json"]) == 1
     out, err = capsys.readouterr()
     alg = parse_algebra_file(pathlib.Path(A6).read_text())
-    detail = "not killed by the differential: " + display_vector(AmbiguityTable(alg), 2, {0: 1}, {})
+    detail = "not killed by the differential: " + display_vector(AmbiguityTable(alg), 2, [{0: 1}], {})[0]
     assert json.loads(out)["checks"] == [{"name": "triangular-vanishing", "ok": False, "detail": detail}]
     assert err == ""
 

@@ -79,13 +79,16 @@ def test_display_finds_each_pair_from_the_offsets(spec):
         for m in range(DEGREE + 1):
             pairs = pair_list(t, m)
             texts = ["[%s || %s]" % (word(amb.arrows, amb.source), word(alg.words[b], alg.source[b])) for amb, b in pairs]
-            for i, text in enumerate(texts):
-                assert display_vector(t, m, i, {}) == display_vector(t, m, {i: 1}, {}) == "1 " + text
+            # a whole degree in one call, each unit as its index and as a dict
+            units = display_vector(t, m, range(len(pairs)), {})
+            assert units == display_vector(t, m, [{i: 1} for i in range(len(pairs))], {})
+            assert units == ["1 " + text for text in texts]
             if len(pairs) > 1:
                 vec = {len(pairs) - 1: 3, 0: 2}  # printed in pair order
-                assert display_vector(t, m, vec, {}) == "2 %s + 3 %s" % (texts[0], texts[-1])
+                assert display_vector(t, m, [vec], {}) == ["2 %s + 3 %s" % (texts[0], texts[-1])]
             empty += sum(not alg.parallel[(amb.source, amb.target)] for amb in t.degree(m - 1))
-        assert display_vector(t, 0, {}, {}) == "0"
+        assert display_vector(t, 0, [{}], {}) == ["0"]
+        assert display_vector(t, 0, [], {}) == []
     assert empty > 0
 
 

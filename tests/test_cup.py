@@ -43,7 +43,8 @@ from helpers import (
     vector,
     written,
 )
-from reference_scans import concat, reduce_concat, segment, term_constants, to_paths
+from reference_scans import concat, dense_cup_table, reduce_concat, segment, term_constants, to_paths
+from test_elimination_shortcuts import loops_tables
 from test_incidence import CUP_DEGREE, tables
 
 
@@ -366,11 +367,33 @@ def test_unit_is_identity(cone, triangular_a6):
 
 
 def test_cup_table_degree0(cone):
+    # x_2 is the unit class of HH^0, which multiplies HH^1 as the identity;
+    # x_0 and x_1 kill it, so only row 2 has nonzero classes
     t = AmbiguityTable(cone)
     spaces = hochschild_cohomology(t, 2)
-    table01 = cup_table(t, spaces, 0, 1)
-    assert len(table01) == spaces[0].dimension
-    assert all(len(row) == spaces[1].dimension for row in table01)
+    assert spaces[0].dimension == spaces[1].dimension == 3
+    assert list(cup_table(t, spaces, 0, 1).items()) == [((2, b), {b: 1}) for b in range(3)]
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2", "fp:3"])
+def test_cup_table_is_the_nonzero_cells_of_the_dense_table(spec):
+    # cup_table keeps only the nonzero classes, keyed (a, b) in range and in
+    # (a, b) order; a product of class 0, a coboundary, is left out
+    nonzero = coboundaries = 0
+    for t in [*tables(spec), *(t for t, _ in loops_tables(spec))]:
+        spaces = hochschild_cohomology(t, CUP_DEGREE)
+        for i in range(CUP_DEGREE + 1):
+            for j in range(CUP_DEGREE + 1 - i):
+                got = cup_table(t, spaces, i, j)
+                dense = dense_cup_table(t, spaces, i, j)
+                assert got == {(a, b): cls for a, row in enumerate(dense) for b, cls in enumerate(row) if cls}, (i, j)
+                assert all(got.values())
+                assert list(got) == sorted(got)
+                assert all(0 <= a < spaces[i].dimension and 0 <= b < spaces[j].dimension for a, b in got)
+                nonzero += len(got)
+                products = cup_products(t, i, j, spaces[i].representatives, spaces[j].representatives)
+                coboundaries += len(products.keys() - got.keys())
+    assert nonzero > 0 and coboundaries > 0, (nonzero, coboundaries)
 
 
 def summing(monkeypatch):
@@ -409,7 +432,7 @@ def test_cup_table_checks_each_factor_once(cone, monkeypatch):
     del sums[:]
     entries = cup_table(t, spaces, 1, 2)
     assert spaces[1].dimension == 3 and spaces[2].dimension == 2
-    assert sum(map(len, entries)) == 3 * 2
+    assert entries == {(2, 1): {1: 1}}  # the one nonzero class of the 3 x 2 table
     assert sums == [] and t.memo("cochains._delta") == {}
 
 
@@ -443,7 +466,7 @@ def test_a_failing_representative_raises_on_every_call(monkeypatch):
         assert 0 in support[2] and not is_cocycle(t, 2, {0: 1})
         assert 1 not in support[3] and not any(differential_matrix(t, 3).cols[j] for j in support[3])
         for degree, bad in ((2, {0: 1}), (3, {1: 1})):
-            text = display_vector(t, degree, bad, {})
+            [text] = display_vector(t, degree, [bad], {})
             with monkeypatch.context() as patch:
                 plant_representative(patch, degree, bad)
                 for _ in range(2):
@@ -582,8 +605,9 @@ def test_cup_tables_of_a_truncated_polynomial_over_gf2():
     assert [s.dimension for s in spaces] == [4] * 7
     for i in range(7):
         for j in range(7 - i):
-            want = [[{a + b: 1} if a + b < 4 and (i % 2 == 0 or j % 2 == 0) else {} for b in range(4)] for a in range(4)]
-            assert cup_table(t, spaces, i, j) == want, (i, j)
+            odd_by_odd = i % 2 and j % 2
+            want = [((a, b), {a + b: 1}) for a in range(4) for b in range(4) if a + b < 4 and not odd_by_odd]
+            assert list(cup_table(t, spaces, i, j).items()) == want, (i, j)
 
 
 def test_delta_route_signs_all_plus_one(cone, triangular_a6, truncated_cycle):

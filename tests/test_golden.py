@@ -1,12 +1,13 @@
-"""Byte-identical CLI output: SHA-256 digests of the JSON on every fixture.
+"""Byte-identical CLI output: SHA-256 digests of the JSON, and of ``cup``'s text, on every fixture.
 
 The digests pin the regression contract of every refactor: ``basis``,
 ``hh``, ``cup`` and ``verify --all`` on every fixture, ``hh`` on every
 fixture over three prime fields, ``cup`` and ``verify --all`` on two fixtures
 over GF(2) and GF(3), ``hh`` deep into the exponential families ``rsz(2)``,
 ``rsz(3)`` and ``cub(2)`` over Q, GF(2) and GF(7), ``ambiguities`` with its
-left and right pieces on every fixture and on ``rsz(2)`` and ``cub(2)``, and the
-seeded ``random`` suite, must print exactly these bytes.  A change that is meant to alter the output has to
+left and right pieces on every fixture and on ``rsz(2)`` and ``cub(2)``, the
+seeded ``random`` suite, and ``cup`` in text mode on every fixture, must print
+exactly these bytes.  A change that is meant to alter the output has to
 re-record them, on purpose.
 """
 
@@ -130,6 +131,14 @@ AMBIGUITIES_GOLDEN = {
     ("cub2", 4): "c165dd7638bca1a120fe88deecf86a4cd5cd3ccc93d117d6c9670a34ad364a09",
 }
 
+# ``cup --max-total-degree 4`` without ``--json``: the text table of each block
+CUP_TEXT_GOLDEN = {
+    "example_cone.alg": "762a9f9368989c15f289aace886c2cd7ff53e1f25491d2d176020f4c9225e327",
+    "square.alg": "926fa80b0738cfedaea261f915ce1db4d8f53d973106886c37c38e71674640b0",
+    "triangular_a6.alg": "5253fed8640876391b93101067b8211afb8e9bf135c8a8fcfc917be4faa30afd",
+    "truncated_cycle_3_2.alg": "d0b752bde024faeb380d087ff53f2c603c818a9a5dad2ce20d9a65c4423b399d",
+}
+
 RANDOM_GOLDEN = {
     ("general", "q"): "c6e6e82227ea9cf144ae362b3575f0a0c5c007fd6d0fc073ed5dd9fd1c36b2fe",
     ("general", "fp:2"): "35d38e7d49c9fa61f6a6acac8e3398bf1c85689d9104ff59140e1f01ed2bca9b",
@@ -149,6 +158,15 @@ def test_cli_json_digest(fixture, command):
     assert code == 0
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert digest == GOLDEN[fixture, command]
+
+
+@pytest.mark.parametrize("fixture", sorted(CUP_TEXT_GOLDEN))
+def test_cup_text_digest(fixture):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["cup", str(FIXTURES / fixture), "--max-total-degree", "4"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == CUP_TEXT_GOLDEN[fixture]
 
 
 @pytest.mark.parametrize("kind, field", sorted(RANDOM_GOLDEN))
