@@ -7,11 +7,15 @@ relations are every word of one length: ``rsz(k)`` has length 2 and
 ``cub(k)`` length 3.  For each run the script prints the seconds, the
 child's peak RSS (``ru_maxrss`` from ``os.wait4``) and the SHA-256 of its
 stdout, and it exits 1 if a digest differs from the recorded one.
+``--only`` selects runs by the label the script prints for them, and
+``--runs N`` runs each one N times, checks the digest every time and then
+prints the median seconds and peak RSS of each.
 
     python3 scripts/deep_hh.py            # hh: rsz(2) D=12, rsz(3) D=8, cub(2) D=9
                                           # cup: cub(2) T=6, cub(2) T=7, rsz(2) T=8
                                           # hh: cub(2) D=10
     python3 scripts/deep_hh.py --quick    # hh: rsz(2) D=8
+    python3 scripts/deep_hh.py --only "cub(2) D=10" --runs 3
 """
 
 import argparse
@@ -19,6 +23,7 @@ import hashlib
 import itertools
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -68,25 +73,44 @@ def run_child(command, path, degree):
     return out, child.returncode, seconds, usage.ru_maxrss / 1024
 
 
+def label(command, name, degree):
+    """The text that names a run in the output and in ``--only``: ``cub(2) D=9``, ``cup cub(2) T=6``."""
+    prefix = name if command == "hh" else "%s %s" % (command, name)
+    return "%s %s=%d" % (prefix, DEGREE_FLAG[command][1], degree)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="only rsz(2) at D=8")
+    ap.add_argument("--only", metavar="LABEL", help='only the run of this label, as printed, e.g. "cub(2) D=10"')
+    ap.add_argument("--runs", type=int, default=1, metavar="N", help="run each selected run N times (default 1)")
     args = ap.parse_args()
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    runs = QUICK if args.quick else DEEP
+    if args.only is not None:
+        known = [label(command, name, degree) for command, name, _, _, degree, _ in runs]
+        if args.only not in known:
+            ap.error("unknown --only label %r; one of: %s" % (args.only, ", ".join(known)))
+        runs = [runs[known.index(args.only)]]
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        for command, name, k, rel_len, degree, want in QUICK if args.quick else DEEP:
+        for command, name, k, rel_len, degree, want in runs:
             path = os.path.join(tmp, "loops_%d_%d.alg" % (k, rel_len))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(loops_algebra_text(k, rel_len))
-            out, code, seconds, rss = run_child(command, path, degree)
-            digest = hashlib.sha256(out).hexdigest()
-            verdict = "ok" if code == 0 and digest == want else "MISMATCH"
-            ok = ok and verdict == "ok"
-            label = name if command == "hh" else "%s %s" % (command, name)
-            print(
-                "%s %s=%d: %.2f s, %.1f MB, exit %d, sha256 %s %s"
-                % (label, DEGREE_FLAG[command][1], degree, seconds, rss, code, digest, verdict)
-            )
+            text = label(command, name, degree)
+            times, peaks = [], []
+            for _ in range(args.runs):
+                out, code, seconds, rss = run_child(command, path, degree)
+                digest = hashlib.sha256(out).hexdigest()
+                verdict = "ok" if code == 0 and digest == want else "MISMATCH"
+                ok = ok and verdict == "ok"
+                times.append(seconds)
+                peaks.append(rss)
+                print("%s: %.2f s, %.1f MB, exit %d, sha256 %s %s" % (text, seconds, rss, code, digest, verdict))
+            if args.runs > 1:
+                print("%s: median of %d: %.2f s, %.1f MB" % (text, args.runs, statistics.median(times), statistics.median(peaks)))
     return 0 if ok else 1
 
 

@@ -267,10 +267,13 @@ class AmbiguityTable:
             target = self.algebra.quiver.arrow_target
             return [(vertices[v], k) for k, v in enumerate((source, *(target[a] for a in arrows)))]
         lengths = self._windows(m)
+        if not lengths:
+            return []
         lookup = self._words[m]
         end = len(arrows)
         hits = []
-        for k in range(end):
+        # no window of the shortest length starts past end − lengths[0]
+        for k in range(end - lengths[0] + 1):
             for length in lengths:
                 if k + length > end:
                     break

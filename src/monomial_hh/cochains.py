@@ -130,10 +130,14 @@ def _columns(table, m):
             for place, i in hits:
                 col = cols[first + place]
                 i += row
-                col[i] = col.get(i, 0) + sign
-    if odd:
-        return cols  # an odd face has sign +1, so nothing cancels
-    return [{i: c for i, c in col.items() if c} for col in cols]
+                c = col.get(i, 0) + sign
+                # a row of q is reached by q's faces alone, so an entry that
+                # cancels (only in even m) is never added again
+                if c:
+                    col[i] = c
+                else:
+                    del col[i]
+    return cols
 
 
 @memoized

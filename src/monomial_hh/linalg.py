@@ -59,6 +59,18 @@ above makes exact:
   the coefficient {j: 1} it would carry (a column that is nonzero over Z
   but zero in the field is still inserted), and keeps every one-entry
   dependency as the unit j;
+- ``kernel_basis`` tracks coefficients only from the first dependent
+  nonempty column on: until then no dependency reads them.  At that
+  column it inserts the nonempty columns before it again, all
+  independent, into a tracked basis, with their tags.  Each tracked row
+  is a multiple of the untracked row with its pivot, so the rows, made
+  canonical, are the same, and as in Ripser a matrix with no dependent
+  nonempty column keeps no coefficients at all;
+- ``quotient_basis`` starts a unit e_x whose x is a stored pivot from the
+  result of its first step: with a = rp, the row's pivot entry (1 over a
+  prime field), and b = 1, a·e_x − row is minus the rest of the row.
+  Every entry of it lies past x, and the units come sorted, so it meets
+  no unit taken before e_x;
 - ``quotient_basis`` takes a unit column j that is no current pivot
   straight into the representatives, as e_j, and stores no row for it.
   Reducing a vector against the row e_j only deletes its entry j, with
@@ -232,28 +244,43 @@ def kernel_basis(field, matrix: SparseMatrix, image=None):
     since a dependency reads only independent columns and its own.
     Satisfies rank + len(kernel) = ncols by construction; asserted.
 
+    The columns go into an untracked basis until the first nonempty one
+    that is dependent; from there on a tracked basis holds them, started
+    by inserting the nonempty columns before it again (module docstring).
+
     When ``image`` is a list, it receives the echelon rows of the column
     span, without their coefficients and scaled as an untracked basis
     stores them: the rows that inserting the independent columns into a
     fresh ``RowBasis`` would give, a ``seed`` for the next degree.
     """
-    basis = RowBasis(field, track=True)
+    basis = RowBasis(field)
     out = []
     for j, col in enumerate(matrix.cols):
-        if col:  # inserting an empty column would give {j: 1}
-            added, dep = basis.insert(col, tag=j)
-            if added:
+        if not col:  # inserting an empty column would give {j: 1}
+            out.append(j)
+            continue
+        if not basis.track:
+            if basis.insert(col)[0]:
                 continue
-            if len(dep) > 1:
-                out.append(dep)
-                continue
-        out.append(j)
+            # the first dependent column: its dependency reads coefficients
+            # over the columns before it, all independent, so they are
+            # inserted again with their tags, and the basis stays tracked
+            basis = RowBasis(field, track=True)
+            for i in range(j):
+                if matrix.cols[i]:
+                    basis.insert(matrix.cols[i], tag=i)
+        added, dep = basis.insert(col, tag=j)
+        if not added:
+            out.append(dep if len(dep) > 1 else j)
     out = tuple(out)
     assert basis.rank + len(out) == matrix.ncols
     if image is not None:
-        # each tracked row is a multiple of the untracked one: canonical
-        # without coefficients divides it back out
-        image.extend(field.canonical(vec, None, p)[0] for p, (vec, _) in basis.rows.items())
+        if basis.track:
+            # each tracked row is a multiple of the untracked one: canonical
+            # without coefficients divides it back out
+            image.extend(field.canonical(vec, None, p)[0] for p, (vec, _) in basis.rows.items())
+        else:
+            image.extend(vec for vec, _ in basis.rows.values())
     return out
 
 
@@ -300,7 +327,9 @@ def quotient_basis(field, kernel, image):
     basis inside the kernel span, deterministic given the input orders,
     each e_p among them as the index p and every other as a dict.  The
     kernel vectors are independent, so im ⊆ ker holds exactly when image
-    and kernel together span no more than the kernel does.
+    and kernel together span no more than the kernel does.  A unit e_x
+    that meets a stored pivot starts from minus the rest of that pivot's
+    row, its first step's result (module docstring).
     """
     combined = RowBasis(field, seed=image)
     rows = combined.rows
@@ -309,18 +338,24 @@ def quotient_basis(field, kernel, image):
     taken = set()  # the units taken as they are
     for x in kernel:
         if type(x) is int:
-            if x not in rows:
+            row = rows.get(x)
+            if row is None:
                 reps.append(x)
                 taken.add(x)
                 continue
-            vec = {x: 1}
+            # the first step, e_x against the row with pivot x, leaves minus
+            # the rest of that row, every entry past x (module docstring)
+            vec = {}
+            field.combine(vec, 1, 1, row[0])
+            del vec[x]
+            combined._reduce(vec, None)
         else:
+            # reduce against the stored rows, then delete the entries that the
+            # rows e_j of taken would have deleted (module docstring)
             vec = field.to_row(x)[0]
-        # reduce against the stored rows, then delete the entries that the
-        # rows e_j of taken would have deleted (module docstring)
-        combined._reduce(vec, None)
-        for c in taken.intersection(vec):
-            del vec[c]
+            combined._reduce(vec, None)
+            for c in taken.intersection(vec):
+                del vec[c]
         if vec:
             p = min(vec)
             rows[p] = field.canonical(vec, None, p)

@@ -36,6 +36,21 @@ def test_deep_hh_quick():
     assert "exit 0, sha256 d07b949128a6524a60ece5f39f2baa305753f598b4c054b6f660b80cfb40363c" in line
 
 
+def test_deep_hh_runs_and_median():
+    out = run_python(str(SCRIPTS / "deep_hh.py"), "--quick", "--runs", "2")
+    assert out.returncode == 0, out.stdout + out.stderr
+    *runs, median = out.stdout.splitlines()
+    assert len(runs) == 2
+    assert all(line.startswith("rsz(2) D=8: ") and line.endswith(" ok") for line in runs)
+    assert median.startswith("rsz(2) D=8: median of 2: ") and median.endswith(" MB")
+
+
+def test_deep_hh_unknown_label():
+    out = run_python(str(SCRIPTS / "deep_hh.py"), "--only", "rsz(2) D=99")
+    assert out.returncode == 2
+    assert out.stdout == "" and "unknown --only label" in out.stderr
+
+
 def test_bench_pairs_dry_run(tmp_path):
     # alternated pairs with one seed per pair, the parent first in odd pairs;
     # a checkout with bytecode under src/ is refused before anything runs
