@@ -24,6 +24,8 @@ def main():
     ap.add_argument("--degree", type=int, default=6)
     ap.add_argument("--triangular", action="store_true")
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error("--trials must be at least 1")
 
     config = RandomAlgebraConfig(triangular=args.triangular)
 

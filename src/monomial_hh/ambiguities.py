@@ -18,8 +18,8 @@ that they agree, which downstream modules rely on.  Each ambiguity links
 to the two (n−1)-truncations the recursions extend, and the pieces are read
 off those links: u_n is what the tail leaves, v_n what the head leaves.
 The faces of an ambiguity in the differential are read off it too: the
-two links, and its positioned divisors of one degree less, which
-``occurrences`` finds.
+two links, and its positioned divisors of one degree less, which ``sub``
+reads off the links and a scan of the band between them.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ class AmbiguityTable:
     On top of Γ_n sits the incidence index that every layer reads:
     ``occurrences`` looks arrow words up in the {arrows: ambiguity} dict
     stored with each degree, and the ``head`` and ``tail`` links name the
-    truncations.  Together they give each ambiguity's faces, so no inverse
-    index is kept.
+    truncations.  Together they give each ambiguity's faces (``sub`` scans
+    only what the links leave), so no inverse index is kept.
 
     Besides Γ_n the table holds one registry, {memo name: {key: value}}.
     Each memo has its builder in ``MEMOS``, entered where it is built: a
@@ -201,16 +201,19 @@ class AmbiguityTable:
                 kept = heads.setdefault(word + v, parent)
                 assert kept is parent
 
-        # the two recursions must produce the same words
-        assert tails.keys() == heads.keys(), f"left/right ambiguity generation disagree at degree {n}"
-        if n == 1:
-            # degree 1 must reproduce the minimal relation set exactly
-            assert tails.keys() == set(self.algebra.relations)
-
         words = sorted(tails)
         words.sort(key=len)  # stable: path order, by length then word
         source, target = q.arrow_source, q.arrow_target
-        merged = tuple(Ambiguity(w, source[w[0]], target[w[-1]], n, heads[w], tails[w]) for w in words)
+        # the two recursions must produce the same words: every left word
+        # finds its head parent, and there are as many right words
+        try:
+            merged = tuple(Ambiguity(w, source[w[0]], target[w[-1]], n, heads[w], tails[w]) for w in words)
+        except KeyError:
+            merged = None
+        assert merged is not None and len(heads) == len(tails), f"left/right ambiguity generation disagree at degree {n}"
+        if n == 1:
+            # degree 1 must reproduce the minimal relation set exactly
+            assert tails.keys() == set(self.algebra.relations)
         self._degrees.append(merged)
         self._words.append(dict(zip(words, merged)))
 
@@ -244,14 +247,41 @@ class AmbiguityTable:
         return pre, b, suf
 
     def sub(self, amb: Ambiguity):
-        """Positioned (n−1)-ambiguity divisors [(lower, k)], by increasing position k."""
+        """Positioned (n−1)-ambiguity divisors [(lower, k)], by increasing position k.
+
+        Two distinct ambiguities of one degree never lie one inside the
+        other, so the divisors sit at distinct positions and are read off
+        the links.  With amb = u_n·tail = head·v_n: the divisor at 0 is
+        head; one at len(u_n) or later lies inside tail, so it is tail at
+        len(u_n); every other one starts at 1 … len(u_n)−1 and ends past
+        len(head), and only that band is scanned.  For n = 0 the links are
+        the end vertices and the band is empty.  The order is that of
+        ``occurrences`` on amb's word.
+        """
         n = amb.degree
         if n < 0:
             raise DegreeUnderflow("sub() needs degree >= 0")
-        hits = self.occurrences(n - 1, amb.arrows, amb.source)
-        # distinct members occupy distinct positions (same-degree divisors
-        # of an ambiguity cannot nest)
-        assert len({k for _, k in hits}) == len(hits)
+        head, tail, arrows = amb.head, amb.tail, amb.arrows
+        end = len(arrows)
+        cut = end - len(tail.arrows)  # len(u_n)
+        hits = [(head, 0)]
+        if cut > 1:
+            lookup = self._words[n - 1]
+            reach = len(head.arrows)
+            lengths = self._windows(n - 1)
+            for k in range(1, cut):
+                for length in lengths:
+                    stop = k + length
+                    if stop > end:
+                        break
+                    if stop > reach:
+                        lower = lookup.get(arrows[k:stop])
+                        if lower is not None:
+                            hits.append((lower, k))
+            # distinct members occupy distinct positions (same-degree divisors
+            # of an ambiguity cannot nest)
+            assert len({k for _, k in hits}) == len(hits)
+        hits.append((tail, cut))
         return hits
 
     # -- incidence index -------------------------------------------------------

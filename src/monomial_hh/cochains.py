@@ -18,10 +18,12 @@ bisection over its degree's offsets.
 ``_columns(table, m)`` is the one builder of δ^m.  It walks q in Γ_m and
 reads q's own faces, as the resolution's d does (Bardzell, J. Algebra 188,
 1997): the two truncations, head (+1) and tail (−1), in even m, and the
-positioned divisors of degree m−1 (+1) in odd m.  The product pre·b·post
-of a face depends only on its class (pre, post, source, target), so the
-table memoizes per class which b give a nonzero product and where it
-lands, and a face adds one entry per hit to the columns of its pairs.
+positioned divisors of degree m−1 (+1) in odd m, which ``table.sub``
+reads off the links; no word of q is scanned against all of Γ_{m−1}.
+The product pre·b·post of a face depends only on its class (pre, post,
+source, target), so the table memoizes per class which b give a nonzero
+product and where it lands, and a face adds one entry per hit to the
+columns of its pairs.
 
 One per-degree store holds δ^m once a caller has applied it:
 ``cochain_differential`` and the check rows read it, so the battery
@@ -99,7 +101,9 @@ def _columns(table, m):
 
     δ(p, b) = Σ sign · (q, pre·b·post) over the faces (p, k, sign) of each
     q in Γ_m, with p at position k of q, pre = q[:k] and
-    post = q[k+len(p):], and over the products that are nonzero in A.  A
+    post = q[k+len(p):], and over the products that are nonzero in A.  The
+    odd faces are ``table.sub(q)``, not read from ``boundary``'s memo, so
+    the resolution route keeps its own reading of them.  A
     column gets its entries in Γ_m order, then by position.  The products
     depend only on the face class (pre, post, p.source, p.target), not on
     q or b: ``_face_class`` gives the (place of b, position of pre·b·post)
@@ -110,13 +114,13 @@ def _columns(table, m):
     col_offsets, ncols, _ = _offsets(table, m)
     row_offsets = _offsets(table, m + 1)[0]
     classes = table.memo("cochains._face_class")
-    occurrences = table.occurrences
+    sub = table.sub
     odd = m % 2
     cols = [{} for _ in range(ncols)]
     for q in table.degree(m):
         arrows = q.arrows
         if odd:
-            faces = [(p, k, 1) for p, k in occurrences(m - 1, arrows, q.source)]
+            faces = [(p, k, 1) for p, k in sub(q)]
         else:
             head, tail = q.head, q.tail
             faces = ((head, 0, 1), (tail, len(arrows) - len(tail.arrows), -1))

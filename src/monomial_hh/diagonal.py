@@ -11,9 +11,11 @@ degree drives the Koszul sign.
 
 Each ambiguity's diagonal is memoized per table, and so are the divisor
 occurrences it is read from: amb's arrow word is scanned once per degree
-−1…n, and every (i, j) split of amb, in ``diagonal`` and in the
-decomposition lemmas alike, reads those lists.  Faces are read off
-``resolution.boundary``, the one stored form of d(1 (x) amb (x) 1).
+−1…n−2, its degree-(n−1) divisors are ``sub(amb)``, read off its links,
+and amb is its only divisor of degree n.  Every (i, j) split of amb, in
+``diagonal`` and in the decomposition lemmas alike, reads those lists.
+Faces are read off ``resolution.boundary``, the one stored form of
+d(1 (x) amb (x) 1).
 Nothing here builds a path; the failure messages render words through
 the quiver.
 """
@@ -41,8 +43,15 @@ def tensor_element(table, degree, terms=None):
 
 @memoized
 def _divisors(table, amb):
-    """[occurrences of degree d in amb's word for d = −1…amb.degree], computed once per table."""
-    return [table.occurrences(d, amb.arrows, amb.source) for d in range(-1, amb.degree + 1)]
+    """[occurrences of degree d in amb's word for d = −1…amb.degree], computed once per table.
+
+    Degrees −1…n−2 are scanned; degree n−1 is ``sub(amb)``, and amb itself
+    is its only divisor of degree n.
+    """
+    n = amb.degree
+    if n < 0:
+        return [[(amb, 0)]]
+    return [table.occurrences(d, amb.arrows, amb.source) for d in range(-1, n - 1)] + [table.sub(amb), [(amb, 0)]]
 
 
 def _decompositions(table, amb, i, j):

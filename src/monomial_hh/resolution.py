@@ -12,8 +12,8 @@ ambiguity is its own word and endpoints, so nothing here builds a path;
 the failure messages render words through the quiver.
 
 The differential splits on the parity of n: odd degrees sum over all
-positioned divisors one degree down, even degrees take the two boundary
-truncations with opposite signs.  ``boundary`` is the one stored form of
+positioned divisors one degree down (``sub``, read off the links), even
+degrees take the two boundary truncations with opposite signs.  ``boundary`` is the one stored form of
 each generator's d(1 (x) amb (x) 1), memoized per table:
 ``differential`` extends it over outer multiplication, and every check,
 the diagonal's tensor differential and the cochains' resolution route

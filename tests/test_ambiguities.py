@@ -121,13 +121,27 @@ def test_triangular_a6_table(triangular_a6):
     assert t.degree(6) == ()
 
 
+def plant_lost_candidate(monkeypatch, side):
+    """_left_candidates or _right_candidates loses its first candidate from now on."""
+    name = "_%s_candidates" % side
+    honest = getattr(ambiguities, name)
+    monkeypatch.setattr(ambiguities, name, lambda rels, end: honest(rels, end)[1:])
+
+
 def test_right_generation_agrees(cone, square, truncated_cycle, monkeypatch):
     # the left and right recursions run independently and must agree; a
     # right generation that loses a candidate trips the check in _extend
     for alg in (cone, square, truncated_cycle):
         AmbiguityTable(alg).degree(4)
-    honest = ambiguities._right_candidates
-    monkeypatch.setattr(ambiguities, "_right_candidates", lambda rels, last: honest(rels, last)[1:])
+    plant_lost_candidate(monkeypatch, "right")
+    for alg in (cone, square, truncated_cycle):
+        with pytest.raises(AssertionError, match="left/right ambiguity generation disagree"):
+            AmbiguityTable(alg).degree(4)
+
+
+def test_left_generation_agrees(cone, square, truncated_cycle, monkeypatch):
+    # the mirror fault: a right word with no left twin leaves the counts unequal
+    plant_lost_candidate(monkeypatch, "left")
     for alg in (cone, square, truncated_cycle):
         with pytest.raises(AssertionError, match="left/right ambiguity generation disagree"):
             AmbiguityTable(alg).degree(4)

@@ -2,20 +2,24 @@
 
 import pytest
 
+from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
+from monomial_hh.checks import GENERAL_ROWS, run_checks
 from monomial_hh.cochains import (
     _offsets,
     cochain_differential,
     differential_matrix,
     differential_via_resolution,
+    hochschild_cohomology,
 )
 from monomial_hh.cup import cup_products
+from monomial_hh.diagonal import _divisors
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.quivers import Quiver, build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
 from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import amb_path, basis_paths, by_path, keyed, pair_key, path, path_pairs, scalar, vector
+from helpers import amb_path, basis_paths, by_path, keyed, loops_algebra_text, pair_key, path, path_pairs, scalar, vector
 from reference_scans import (
     amb_prefix,
     amb_suffix,
@@ -109,6 +113,55 @@ def test_sub_matches_scan(spec):
         for n in range(0, DEGREE + 1):
             for amb in t.degree(n):
                 assert t.sub(amb) == scan_sub(t, amb)
+
+
+@pytest.mark.parametrize("spec", ["q", "fp:2"])
+def test_divisors_match_occurrences(spec):
+    # Δ scans degrees −1…n−2 and reads degree n−1 off sub: the same lists
+    for t in tables(spec):
+        for n in range(-1, DEGREE + 1):
+            for amb in t.degree(n):
+                want = [t.occurrences(d, amb.arrows, amb.source) for d in range(-1, n + 1)]
+                assert _divisors(t, amb) == want
+
+
+@pytest.mark.parametrize("k, rel_len, top", [(2, 2, 8), (3, 2, 7), (2, 3, 8)])  # rsz(2), rsz(3), cub(2)
+def test_sub_matches_occurrences_on_loops(k, rel_len, top):
+    t = AmbiguityTable(parse_algebra_file(loops_algebra_text(k, rel_len)))
+    for n in range(0, top + 1):
+        for amb in t.degree(n):
+            assert t.sub(amb) == t.occurrences(n - 1, amb.arrows, amb.source)
+
+
+def test_hh_scans_no_word_on_loops(monkeypatch):
+    # every face of δ is read off the links: no occurrences scan is left
+    # (the word scans of each odd q took 340 and 819 of them)
+    calls = []
+    occurrences = AmbiguityTable.occurrences
+
+    def counting(self, m, arrows, source):
+        calls.append((m, arrows, source))
+        return occurrences(self, m, arrows, source)
+
+    monkeypatch.setattr(AmbiguityTable, "occurrences", counting)
+    for k, top in ((2, 8), (3, 5)):  # rsz(2) D=8, rsz(3) D=5
+        hochschild_cohomology(AmbiguityTable(parse_algebra_file(loops_algebra_text(k, 2))), top)
+    assert calls == []
+
+
+def test_sub_middle_band_has_teeth(monkeypatch):
+    # a sub that keeps only the two links fails d^2, the homotopy and Δ's
+    # chain-map identity wherever an odd q has a face between them
+    honest = AmbiguityTable.sub
+
+    def links_only(self, amb):
+        hits = honest(self, amb)
+        return [hits[0], hits[-1]]
+
+    monkeypatch.setattr(AmbiguityTable, "sub", links_only)
+    for alg in (parse_algebra_file(loops_algebra_text(2, 3)), make_cone(), make_square()):
+        failed = {r.name for r in run_checks(alg, 4, GENERAL_ROWS) if not r.ok}
+        assert {"d-squared", "homotopy", "diagonal-chain-map"} <= failed, failed
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])

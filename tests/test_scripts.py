@@ -28,6 +28,13 @@ def test_random_survey():
     assert "suite: 2 trials, 0 failures" in out.stdout
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_random_survey_needs_a_trial(trials):
+    out = run_python(str(SCRIPTS / "random_survey.py"), "--trials", trials)
+    assert out.returncode == 2
+    assert out.stdout == "" and "--trials must be at least 1" in out.stderr
+
+
 def test_deep_hh_quick():
     out = run_python(str(SCRIPTS / "deep_hh.py"), "--quick")
     assert out.returncode == 0, out.stdout + out.stderr
