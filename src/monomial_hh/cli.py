@@ -225,14 +225,10 @@ def cmd_hh(args):
     words = {}
     for n in range(args.max_degree + 1):
         sp = spaces[n]
-        rows.append(
-            {
-                "degree": n,
-                "dim": sp.dimension,
-                "cochain_pairs": _offsets(table, n)[1],
-                "representatives": display_vector(table, n, sp.representatives, words),
-            }
-        )
+        row = {"degree": n, "dim": sp.dimension, "cochain_pairs": _offsets(table, n)[1]}
+        if args.json:  # the text table prints no representative
+            row["representatives"] = display_vector(table, n, sp.representatives, words)
+        rows.append(row)
     if args.json:
         _emit_json(
             {

@@ -40,7 +40,7 @@ the class table sparse too: it returns only the nonzero classes, and only
 """
 
 from .ambiguities import memoized
-from .cochains import _offsets, class_vector, coboundary_basis, cochain_differential
+from .cochains import _offsets, class_vector, coboundary_basis, cochain_differential, display_vector
 from .diagonal import diagonal
 from .errors import NotTriangular
 from .quivers import is_triangular
@@ -244,12 +244,28 @@ def check_cup_closure(table, spaces, max_total_degree):
             order = [(a, 0, c, 0) for a, c in zz] + [(a, 1, c, 0) for a, c in zb] + [(a, 1, c, 1) for c, a in bz]
             for a, with_coboundary, c, swapped in sorted(order):
                 if not with_coboundary:
-                    assert not cochain_differential(table, m + n, zz[a, c])
+                    prod = zz[a, c]
+                    assert not cochain_differential(table, m + n, prod), _closure_failure(
+                        table, (m, n), "cocycle %d x cocycle %d" % (a, c), "cocycle", prod
+                    )
                 else:
                     prod = bz[c, a] if swapped else zb[a, c]
                     coboundaries = coboundary_basis(spaces[m + n], field)
-                    assert coboundaries.contains(prod), "cup with a coboundary is not a coboundary"
+                    assert coboundaries.contains(prod), _closure_failure(
+                        table,
+                        (n, m) if swapped else (m, n),
+                        "coboundary %d x cocycle %d" % (c, a) if swapped else "cocycle %d x coboundary %d" % (a, c),
+                        "coboundary",
+                        prod,
+                    )
     return True
+
+
+def _closure_failure(table, bidegree, factors, kind, prod):
+    """The detail of a failed closure check: its bidegree, its factors by
+    index in their spaces' lists, and the product as ``hh`` prints a cochain."""
+    [text] = display_vector(table, sum(bidegree), [prod], {})
+    return "cup (%d, %d): %s is not a %s: %s" % (*bidegree, factors, kind, text)
 
 
 def check_one_sided_vanishing(table, spaces, max_total_degree):

@@ -1,106 +1,35 @@
-"""Shared fixture algebras, all entered in written (right-to-left) words.
-
-``path_from_word`` is the single conversion point between written words
-and traversal order, per the package convention.
-"""
+"""The fixture algebras of ``helpers.ALGEBRAS``, one session fixture each, over Q."""
 
 import pytest
 
-from monomial_hh.quivers import Quiver, build_algebra, path_from_word
-
-
-def make_cone():
-    """3 vertices, a 2-cycle between 1 and 2 plus a detour through 3; dim 10."""
-    q = Quiver(
-        ["1", "2", "3"],
-        [
-            ("alpha", "1", "2"),
-            ("beta", "1", "3"),
-            ("gamma", "3", "2"),
-            ("zeta", "2", "1"),
-        ],
-    )
-    words = ["beta zeta", "zeta gamma", "alpha zeta alpha", "zeta alpha zeta"]
-    return build_algebra(q, [path_from_word(q, w) for w in words])
-
-
-def make_square():
-    """Oriented 4-cycle with two length-3 relations; the decomposition example."""
-    q = Quiver(
-        ["1", "2", "3", "4"],
-        [
-            ("alpha", "1", "2"),
-            ("beta", "2", "3"),
-            ("gamma", "3", "4"),
-            ("delta", "4", "1"),
-        ],
-    )
-    words = ["gamma beta alpha", "alpha delta gamma"]
-    return build_algebra(q, [path_from_word(q, w) for w in words])
-
-
-def make_triangular_a6():
-    """Linear A6 quiver with two parallel extra arrows; quadratic, triangular."""
-    q = Quiver(
-        ["1", "2", "3", "4", "5", "6"],
-        [
-            ("a1", "1", "2"),
-            ("a2", "2", "3"),
-            ("a3", "3", "4"),
-            ("a4", "4", "5"),
-            ("a5", "5", "6"),
-            ("b", "2", "3"),
-            ("g", "4", "5"),
-        ],
-    )
-    words = ["a5 a4", "a4 a3", "a3 a2", "a2 a1"]
-    return build_algebra(q, [path_from_word(q, w) for w in words])
-
-
-def make_truncated_cycle_3_2():
-    """Oriented 3-cycle with all length-2 paths as relations; dim 6."""
-    q = Quiver(
-        ["1", "2", "3"],
-        [("c1", "1", "2"), ("c2", "2", "3"), ("c3", "3", "1")],
-    )
-    rels = [q.path(["c1", "c2"]), q.path(["c2", "c3"]), q.path(["c3", "c1"])]
-    return build_algebra(q, rels)
-
-
-def make_a2():
-    q = Quiver(["1", "2"], [("a", "1", "2")])
-    return build_algebra(q, [])
-
-
-def make_point():
-    return build_algebra(Quiver(["1"], []), [])
+from helpers import named_algebra
 
 
 @pytest.fixture(scope="session")
 def cone():
-    return make_cone()
+    return named_algebra("cone")
 
 
 @pytest.fixture(scope="session")
 def square():
-    return make_square()
+    return named_algebra("square")
 
 
 @pytest.fixture(scope="session")
 def triangular_a6():
-    return make_triangular_a6()
+    return named_algebra("triangular_a6")
 
 
 @pytest.fixture(scope="session")
 def truncated_cycle():
-    return make_truncated_cycle_3_2()
+    return named_algebra("truncated_cycle")
 
 
 @pytest.fixture(scope="session")
 def a2():
-    return make_a2()
+    return named_algebra("a2")
 
 
 @pytest.fixture(scope="session")
 def point():
-    return make_point()
+    return named_algebra("point")

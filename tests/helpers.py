@@ -1,12 +1,85 @@
-"""Small constructions that only the tests need, shared by several modules."""
+"""Small constructions that only the tests need, shared by several modules,
+among them the one table of named test algebras, ``ALGEBRAS``."""
 
 import functools
 import itertools
 
 from monomial_hh import cochains
+from monomial_hh.algfile import write_algebra_file
 from monomial_hh.cochains import _offsets, cochain_differential
-from monomial_hh.quivers import path_from_word
+from monomial_hh.fields import parse_field_spec
+from monomial_hh.quivers import Quiver, build_algebra, path_from_word
 from monomial_hh.resolution import bimodule_element
+
+
+def loop_words(k, length):
+    """Every word of one length in the loops x1..xk, in lexicographic order."""
+    names = ["x%d" % i for i in range(1, k + 1)]
+    return tuple(" ".join(w) for w in itertools.product(names, repeat=length))
+
+
+def one_vertex(words):
+    """(vertices, arrows, words) of one vertex whose loops are the letters of
+    the relation words, in the order the words first use them."""
+    loops = dict.fromkeys(a for w in words for a in w.split())
+    return ["1"], [(a, "1", "1") for a in loops], tuple(words)
+
+
+# The named test algebras: name -> (vertices, arrows, relation words), each
+# word in traversal order as ``Quiver.path`` reads it.  ``named_algebra``
+# builds any of them over any field; to add one, add its entry here.
+ALGEBRAS = {
+    # the algebras of fixtures/*.alg (truncated_cycle_3_2.alg is truncated_cycle)
+    "cone": (  # a 2-cycle between 1 and 2 plus a detour through 3; dim 10
+        ["1", "2", "3"],
+        [("alpha", "1", "2"), ("beta", "1", "3"), ("gamma", "3", "2"), ("zeta", "2", "1")],
+        ("zeta beta", "gamma zeta", "alpha zeta alpha", "zeta alpha zeta"),
+    ),
+    "square": (  # an oriented 4-cycle with two length-3 relations
+        ["1", "2", "3", "4"],
+        [("alpha", "1", "2"), ("beta", "2", "3"), ("gamma", "3", "4"), ("delta", "4", "1")],
+        ("alpha beta gamma", "gamma delta alpha"),
+    ),
+    "triangular_a6": (  # a linear A6 quiver with two parallel extra arrows; quadratic
+        ["1", "2", "3", "4", "5", "6"],
+        [("a1", "1", "2"), ("a2", "2", "3"), ("a3", "3", "4"), ("a4", "4", "5"), ("a5", "5", "6"),
+         ("b", "2", "3"), ("g", "4", "5")],
+        ("a4 a5", "a3 a4", "a2 a3", "a1 a2"),
+    ),
+    "truncated_cycle": (  # an oriented 3-cycle with every length-2 path a relation; dim 6
+        ["1", "2", "3"],
+        [("c1", "1", "2"), ("c2", "2", "3"), ("c3", "3", "1")],
+        ("c1 c2", "c2 c3", "c3 c1"),
+    ),
+    "a2": (["1", "2"], [("a", "1", "2")], ()),
+    "point": (["1"], [], ()),
+    # one vertex, every word of one length: rsz(k) has |Γ_n| = k^(n+1)
+    "rsz2": one_vertex(loop_words(2, 2)),
+    "rsz3": one_vertex(loop_words(3, 2)),
+    "cub2": one_vertex(loop_words(2, 3)),
+    # k[x]/(xⁿ), named x^n
+    **{"x^%d" % n: one_vertex(loop_words(1, n)) for n in range(2, 10)},
+    # two loops whose relations overlap in more than one way: kernel vectors
+    # and representatives that are not units, and rests that the quotient reduces
+    "mixA": one_vertex(("x x x", "x y x", "x y y", "y x x", "y y y")),
+    "mixB": one_vertex(("x x x", "x x y", "x y x", "y x y", "y y y")),
+    "mixC": one_vertex(("x x", "x y x", "y x y", "y y y")),
+}
+FIXTURE_ALGEBRAS = ("cone", "square", "triangular_a6", "truncated_cycle")
+LOOP_FAMILIES = ("rsz2", "rsz3", "cub2")  # every relation of one length
+OVERLAPPING = ("mixA", "mixB", "mixC")
+
+
+def named_algebra(name, spec="q"):
+    """A new algebra of the ``ALGEBRAS`` entry name over the field of spec, ``q`` or ``fp:<prime>``."""
+    vertices, arrows, words = ALGEBRAS[name]
+    quiver = Quiver(vertices, arrows)
+    return build_algebra(quiver, [quiver.path(w) for w in words], parse_field_spec(spec))
+
+
+def named_text(name, spec="q"):
+    """The .alg text of ``named_algebra(name, spec)``."""
+    return write_algebra_file(named_algebra(name, spec))
 
 
 class Path:
@@ -239,17 +312,6 @@ def plant_representative(monkeypatch, degree, extra):
 def is_quadratic(algebra):
     """Every relation has length two."""
     return all(len(r) == 2 for r in algebra.relations)
-
-
-def loops_algebra_text(k, rel_len):
-    """.alg text of one vertex with loops x1..xk and every length-rel_len word as a relation.
-
-    ``rsz(k)`` is rel_len 2, where |Γ_n| = k^(n+1); ``cub(k)`` is rel_len 3.
-    """
-    names = ["x%d" % i for i in range(1, k + 1)]
-    lines = ["field q", "vertices 1"] + ["arrow %s: 1 -> 1" % n for n in names]
-    lines += ["relation " + " ".join(w) for w in itertools.product(names, repeat=rel_len)]
-    return "".join(line + "\n" for line in lines)
 
 
 def split(vectors):

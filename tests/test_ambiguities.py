@@ -1,14 +1,11 @@
 import pytest
 
 from monomial_hh import ambiguities
-from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cli import _pieces
 from monomial_hh.errors import DegreeUnderflow
-from monomial_hh.quivers import Quiver, build_algebra
 
-from conftest import make_cone, make_truncated_cycle_3_2
-from helpers import Path, amb_path, basis_paths, by_path, loops_algebra_text, path, vertex, word_path, written
+from helpers import Path, amb_path, basis_paths, by_path, named_algebra, path, vertex, word_path, written
 from reference_scans import amb_prefix, amb_suffix, concat, divisor_occurrences
 
 
@@ -150,9 +147,6 @@ def test_left_generation_agrees(cone, square, truncated_cycle, monkeypatch):
 def test_candidates_once_per_piece(monkeypatch):
     # the candidates depend only on the parent's end piece: each _extend asks
     # for a piece's at most once, however many parents share it
-    names = ["x1", "x2", "x3"]
-    q = Quiver(["1"], [(x, "1", "1") for x in names])
-    rsz3 = build_algebra(q, [q.path([x, y]) for x in names for y in names])
     calls = {"left": [], "right": []}
     for side in calls:
         honest = getattr(ambiguities, "_%s_candidates" % side)
@@ -162,7 +156,7 @@ def test_candidates_once_per_piece(monkeypatch):
             return honest(rels, piece)
 
         monkeypatch.setattr(ambiguities, "_%s_candidates" % side, counted)
-    t = AmbiguityTable(rsz3)
+    t = AmbiguityTable(named_algebra("rsz3"))
     for n in range(1, 6):
         for seen in calls.values():
             seen.clear()
@@ -176,15 +170,15 @@ def test_candidates_once_per_piece(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make, top, asked",
+    "name, top, asked",
     [
-        (make_cone, 24, 12),  # 192 when each degree found its own
-        (make_truncated_cycle_3_2, 24, 6),  # 144 then
-        (lambda: parse_algebra_file(loops_algebra_text(2, 2)), 8, 4),  # 32 then
+        ("cone", 24, 12),  # 192 when each degree found its own
+        ("truncated_cycle", 24, 6),  # 144 then
+        ("rsz2", 8, 4),  # 32 then
     ],
     ids=["cone", "truncated_cycle", "rsz2"],
 )
-def test_candidates_once_per_table(make, top, asked, monkeypatch):
+def test_candidates_once_per_table(name, top, asked, monkeypatch):
     # the memo lives on the table: one call per (side, end piece) over all degrees
     calls = []
     for side in ("left", "right"):
@@ -195,7 +189,7 @@ def test_candidates_once_per_table(make, top, asked, monkeypatch):
             return honest(rels, piece)
 
         monkeypatch.setattr(ambiguities, "_%s_candidates" % side, counted)
-    t = AmbiguityTable(make())
+    t = AmbiguityTable(named_algebra(name))
     t.degree(top)
     assert len(calls) == len(set(calls)) == asked
     assert len(t.memo("ambiguities.AmbiguityTable._extensions")) == asked

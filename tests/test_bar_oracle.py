@@ -5,7 +5,6 @@ import random
 import pytest
 
 from monomial_hh import bar_oracle
-from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.bar_oracle import (
     bar_differential_matrix,
@@ -18,18 +17,12 @@ from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.errors import BudgetExceeded
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis, rank
-from monomial_hh.quivers import build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
-from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import bar_pair_list, basis_paths, loops_algebra_text
+from helpers import FIXTURE_ALGEBRAS, bar_pair_list, basis_paths, named_algebra
 from reference_scans import scan_bar_differential_matrix, scan_bar_pairs
 from test_incidence import tables
 from test_index_keys import _calls
-
-
-def cub2(spec):
-    return parse_algebra_file(loops_algebra_text(2, 3).replace("field q", "field " + spec))
 
 
 def bar_matrices(algebra, top):
@@ -87,16 +80,15 @@ def test_delta_squared():
         check_bar_delta_squared(alg, top)
 
 
-def test_routes_agree(cone, square, triangular_a6, truncated_cycle, a2):
+def test_routes_agree():
     by_field = {}
     for spec in ("q", "fp:2", "fp:3"):
-        field = parse_field_spec(spec)
-        for fixture in (cone, square, triangular_a6, truncated_cycle, a2):
-            alg = build_algebra(fixture.quiver, fixture.relations, field)
+        for name in (*FIXTURE_ALGEBRAS, "a2"):
+            alg = named_algebra(name, spec)
             spaces = hochschild_cohomology(AmbiguityTable(alg), 4)
             dims = bar_hh_dimensions(alg, 4)
             assert dims == [spaces[n].dimension for n in range(5)], spec
-            if fixture is truncated_cycle:
+            if name == "truncated_cycle":
                 by_field[spec] = dims
     # the characteristic shows: the fields are really compared apart
     assert by_field == {"q": [1, 1, 0, 0, 0], "fp:2": [1, 1, 0, 1, 1], "fp:3": [1, 1, 0, 0, 0]}
@@ -123,7 +115,7 @@ def test_matrices_match_reference(spec):
 
 @pytest.mark.parametrize("spec", ["q", "fp:7"])
 def test_cub2_matrices_match_reference(spec):
-    check_matrices_match_reference(cub2(spec))
+    check_matrices_match_reference(named_algebra("cub2", spec))
 
 
 def test_oracle_imports_no_gamma_layer():
@@ -154,7 +146,7 @@ def test_oracle_multiplies_by_its_own_words():
 @pytest.mark.parametrize("spec", ["q", "fp:7"])
 def test_cub2_dims(spec):
     # the oracle-elim algebra: pins the values, not only the pass/fail of verify --oracle
-    alg = cub2(spec)
+    alg = named_algebra("cub2", spec)
     assert alg.field.name == spec
     dims = bar_hh_dimensions(alg, 4)
     assert dims == [5, 10, 30, 72, 240]
@@ -164,12 +156,10 @@ def test_cub2_dims(spec):
 def rank_inputs():
     """(algebra, top degree): the fixtures, cub(2), and seeded algebras of dim <= 12."""
     for spec in ("q", "fp:2", "fp:3"):
-        field = parse_field_spec(spec)
-        for make in (make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2):
-            alg = make()
-            yield build_algebra(alg.quiver, alg.relations, field), 4
+        for name in FIXTURE_ALGEBRAS:
+            yield named_algebra(name, spec), 4
     for spec in ("q", "fp:7"):
-        yield cub2(spec), 3
+        yield named_algebra("cub2", spec), 3
     for spec in ("q", "fp:2"):
         for triangular in (False, True):
             cfg = RandomAlgebraConfig(triangular=triangular, field=parse_field_spec(spec))
@@ -200,7 +190,7 @@ def test_rank_clears_the_previous_pivots():
     # adds integer entries ±2, which vanish there: a row stored unread is
     # then the field-reduced column, and the count must not see the 2s.
     vanished = 0
-    for alg, top in [*rank_inputs(), (cub2("fp:2"), 3)]:
+    for alg, top in [*rank_inputs(), (named_algebra("cub2", "fp:2"), 3)]:
         field = alg.field
         cleared = set()
         for n, mat in enumerate(bar_matrices(alg, top)):
@@ -223,7 +213,7 @@ def test_rank_elimination_steps_on_cub2(spec, monkeypatch):
     # reduction steps, columns entered, which are the columns less the
     # previous rank, so entered − rank is dim HH^n, and rows made
     # canonical, which are the stored rows some reduction reads
-    alg = cub2(spec)
+    alg = named_algebra("cub2", spec)
     field = alg.field
     steps, entered, made_canonical = [], [], []
     combine, to_row, canonical, real_rank = field.combine, field.to_row, field.canonical, bar_oracle.rank
@@ -272,9 +262,9 @@ def mat_mul(a, b):
 
 def size_inputs():
     """The four fixtures, cub(2), and the 240 algebras of the random-suite pool."""
-    for make in (make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2):
-        yield make()
-    yield cub2("q")
+    for name in FIXTURE_ALGEBRAS:
+        yield named_algebra(name)
+    yield named_algebra("cub2")
     for spec in ("q", "fp:2"):
         for triangular in (False, True):
             cfg = RandomAlgebraConfig(triangular=triangular, field=parse_field_spec(spec))

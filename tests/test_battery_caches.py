@@ -15,20 +15,17 @@ import inspect
 import pytest
 
 from monomial_hh import checks, cli, cochains, resolution
-from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import MEMOS, AmbiguityTable
 from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.diagonal import _decompositions
 from monomial_hh.quivers import is_triangular
 from monomial_hh.resolution import differential, homotopy_sigma, right_spanning_set
 
-from conftest import make_cone
-from helpers import basis_paths, loops_algebra_text
+from helpers import LOOP_FAMILIES, basis_paths, named_algebra, named_text
 from reference_scans import path_decompositions, path_homotopy_sigma, to_paths
 from test_incidence import tables
 
 DEGREE = 6
-LOOPS = ((2, 2), (3, 2), (2, 3))  # rsz(2), rsz(3), cub(2)
 
 
 def record_tables(monkeypatch):
@@ -47,7 +44,7 @@ def battery_tables(spec, monkeypatch):
     """The table each full battery ran on, for the incidence set and the loop families."""
     made = record_tables(monkeypatch)
     algebras = [t.algebra for t in tables(spec)]
-    algebras += [parse_algebra_file(loops_algebra_text(k, n).replace("field q", "field " + spec)) for k, n in LOOPS]
+    algebras += [named_algebra(name, spec) for name in LOOP_FAMILIES]
     for alg in algebras:
         rows = checks.GENERAL_ROWS + checks.TRIANGULAR_ROWS if is_triangular(alg) else checks.GENERAL_ROWS
         reports = checks.run_checks(alg, DEGREE, rows)
@@ -81,7 +78,7 @@ def test_warm_memo_equals_cold(name, battery):
 
 def test_cohomology_alone_caches_no_columns():
     # hh keeps one matrix at a time: assembly reads the δ store but never fills it
-    for alg in (make_cone(), parse_algebra_file(loops_algebra_text(2, 2))):
+    for alg in (named_algebra("cone"), named_algebra("rsz2")):
         t = AmbiguityTable(alg)
         hochschild_cohomology(t, DEGREE)
         assert t.memo("cochains._delta") == {}
@@ -100,7 +97,7 @@ def test_battery_builds_each_ambiguity_columns_once(monkeypatch):
 
     monkeypatch.setattr(cochains, "_columns", counting)
     made = record_tables(monkeypatch)
-    assert all(r.ok for r in checks.run_checks(make_cone(), DEGREE))
+    assert all(r.ok for r in checks.run_checks(named_algebra("cone"), DEGREE))
     assert built == list(range(DEGREE + 2))
     assert set(made[0].memo("cochains._delta")) == set(built)
 
@@ -116,9 +113,9 @@ def test_cup_builds_each_delta_once(monkeypatch, tmp_path):
         return columns(table, m)
 
     monkeypatch.setattr(cochains, "_columns", counting)
-    for k, top in ((3, 3), (2, 5)):  # rsz(3) T=3, rsz(2) T=5
-        path = tmp_path / ("rsz%d.alg" % k)
-        path.write_text(loops_algebra_text(k, 2))
+    for name, top in (("rsz3", 3), ("rsz2", 5)):
+        path = tmp_path / (name + ".alg")
+        path.write_text(named_text(name))
         del built[:]
         assert cli.main(["cup", str(path), "--max-total-degree", str(top), "--json"]) == 0
         assert built == list(range(top + 1))
@@ -129,7 +126,7 @@ def test_battery_takes_each_generator_differential_once(monkeypatch):
     # it, and the memo's length is its number of builds: one per ambiguity
     # of Γ_0…Γ_DEGREE, the generators that the rows differentiate
     made = record_tables(monkeypatch)
-    for alg in (make_cone(), parse_algebra_file(loops_algebra_text(2, 2))):
+    for alg in (named_algebra("cone"), named_algebra("rsz2")):
         assert all(r.ok for r in checks.run_checks(alg, DEGREE))
         t = made[-1]
         built = t.memo("resolution.boundary")
@@ -151,7 +148,7 @@ def test_homotopy_check_reads_generator_differentials_off_boundary(monkeypatch):
         return differential_(table, x)
 
     monkeypatch.setattr(resolution, "differential", counting)
-    for alg in (make_cone(), parse_algebra_file(loops_algebra_text(2, 2))):
+    for alg in (named_algebra("cone"), named_algebra("rsz2")):
         resolution.check_homotopy(AmbiguityTable(alg), DEGREE)
     assert outside == []  # 546 of them before σ(x) read boundary too
 

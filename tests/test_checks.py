@@ -19,6 +19,8 @@ from monomial_hh.cochains import display_vector
 from monomial_hh.errors import ImageNotInKernel
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
+from helpers import named_algebra
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 CONE = str(FIXTURES / "example_cone.alg")
 A6 = str(FIXTURES / "triangular_a6.alg")
@@ -224,3 +226,25 @@ def test_chain_map_failure_names_its_ambiguity(monkeypatch, cone):
         "d^2 != 0 at gamma*zeta*beta",
         "diagonal chain-map identity fails at gamma*zeta*beta",
     ]
+
+
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        ("mixB", "cup (1, 3): cocycle 0 x cocycle 47 is not a cocycle: -1 [yxyxyx || yyx]"),
+        ("mixA", "cup (3, 1): coboundary 11 x cocycle 11 is not a coboundary: -1 [yyyyyx || yxyy]"),
+    ],
+    ids=["mixB", "mixA"],
+)
+def test_closure_failure_names_its_bidegree(monkeypatch, name, detail):
+    # skip-mid: the products of the Δ terms with a nontrivial middle path are
+    # left out of the cup product; on mixB a cocycle times a cocycle is then
+    # no cocycle, on mixA a coboundary times a cocycle no coboundary
+    honest = cup._gap_class
+
+    def skip_mid(algebra, pre, mid, post):
+        return () if algebra.words[mid] else honest(algebra, pre, mid, post)
+
+    monkeypatch.setattr(cup, "_gap_class", skip_mid)
+    (report,) = run_checks(named_algebra(name), 6, ("cup-closure",))
+    assert (report.name, report.ok, report.detail) == ("cup-closure", False, detail)

@@ -21,7 +21,7 @@ from monomial_hh.errors import BudgetExceeded
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.randomgen import RandomAlgebraConfig
 
-from helpers import loops_algebra_text, plant_representative
+from helpers import named_text, plant_representative
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 CONE = str(FIXTURES / "example_cone.alg")
@@ -428,7 +428,7 @@ def test_planted_representative_fails_hh_and_verify(monkeypatch, capsys, tmp_pat
     # 2, and ends verify --all with a failing cohomology row naming it
     for spec in ("q", "fp:2"):
         cone = tmp_path / ("cone_%s.alg" % spec.replace(":", ""))
-        cone.write_text(pathlib.Path(CONE).read_text().replace("field q", "field " + spec))
+        cone.write_text(named_text("cone", spec))
         with monkeypatch.context() as patch:
             plant_representative(patch, 2, {0: 1})
             assert cli.main(["hh", str(cone), "--max-degree", "3", "--json"]) == 2
@@ -464,7 +464,7 @@ def test_nonzero_triangular_class_fails_verify(monkeypatch, capsys):
 
 def test_closed_stdout_exits_141_quietly(tmp_path):
     rsz2 = tmp_path / "rsz2.alg"
-    rsz2.write_text(loops_algebra_text(2, 2))
+    rsz2.write_text(named_text("rsz2"))
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default

@@ -23,21 +23,15 @@ from fractions import Fraction
 
 import pytest
 
-from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.cup import cup_table
 
-from helpers import loops_algebra_text
+from helpers import named_algebra
 
 DIMS_TO = 24
 RANKS_TO = 8  # total degree i + j
 CHARACTERISTIC = {"q": 0, "fp:2": 2, "fp:3": 3, "fp:5": 5}
-
-
-def truncated_polynomial(n, spec):
-    """k[x]/(xⁿ) over the field of spec."""
-    return parse_algebra_file(loops_algebra_text(1, n).replace("field q", "field " + spec))
 
 
 def expected_dim(n, p, i):
@@ -88,7 +82,7 @@ def test_rank_elimination():
 def test_truncated_polynomial_dims_and_cup_ranks(spec):
     p = CHARACTERISTIC[spec]
     for n in range(2, 10):
-        t = AmbiguityTable(truncated_polynomial(n, spec))
+        t = AmbiguityTable(named_algebra("x^%d" % n, spec))
         spaces = hochschild_cohomology(t, DIMS_TO)
         assert [s.dimension for s in spaces] == [expected_dim(n, p, i) for i in range(DIMS_TO + 1)], n
         for i in range(RANKS_TO + 1):

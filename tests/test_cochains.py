@@ -4,7 +4,6 @@ import pathlib
 import pytest
 
 from monomial_hh import cochains
-from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.bar_oracle import bar_differential_matrix, bar_pairs
 from monomial_hh.checks import run_checks
@@ -18,17 +17,16 @@ from monomial_hh.cochains import (
     hochschild_cohomology,
 )
 from monomial_hh.errors import NotACocycle, NotTriangular
-from monomial_hh.fields import parse_field_spec
 from monomial_hh.linalg import quotient_basis
-from monomial_hh.quivers import build_algebra, is_triangular
+from monomial_hh.quivers import is_triangular
 
-from conftest import make_cone
 from helpers import (
+    LOOP_FAMILIES,
     amb_path,
     by_path,
     expand,
     is_cocycle,
-    loops_algebra_text,
+    named_algebra,
     pair_list,
     path,
     path_pairs,
@@ -37,7 +35,6 @@ from helpers import (
     written,
 )
 from reference_scans import amb_prefix, amb_suffix, divisor_occurrences, lookup_columns
-from test_battery_caches import LOOPS
 from test_incidence import DEGREE, tables
 from test_linalg import image_rows
 
@@ -124,7 +121,7 @@ def test_partial_squared_and_routes(cone, square, triangular_a6, truncated_cycle
 def test_face_class_columns_equal_lookups(spec):
     # key order included: the matrices, and so the eliminations, see the same columns
     if spec == "loops":
-        made = [AmbiguityTable(parse_algebra_file(loops_algebra_text(k, n))) for k, n in LOOPS]
+        made = [AmbiguityTable(named_algebra(name)) for name in LOOP_FAMILIES]
     else:
         made = tables(spec)
     for t in made:
@@ -152,8 +149,7 @@ def test_routes_check_fails_on_a_planted_face_class(spec, monkeypatch):
         return hits
 
     monkeypatch.setattr(cochains, "_face_class", planting)
-    cone = make_cone()
-    reports = {r.name: r for r in run_checks(build_algebra(cone.quiver, cone.relations, parse_field_spec(spec)), DEGREE)}
+    reports = {r.name: r for r in run_checks(named_algebra("cone", spec), DEGREE)}
     assert planted
     routes = reports["differential-routes"]
     assert not routes.ok
@@ -264,10 +260,9 @@ def test_seeded_quotient_matches_scratch(spec):
 def test_assembly_is_field_free():
     # the cone's differentials have entries 2 on both routes, which vanish
     # over GF(2): the assembled matrices are over Z, the same for every field
-    text = (pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "example_cone.alg").read_text()
     matrices = {}
     for spec in ("q", "fp:2", "fp:3"):
-        alg = parse_algebra_file(text.replace("field q", "field " + spec))
+        alg = named_algebra("cone", spec)
         assert alg.field.name == spec
         table = AmbiguityTable(alg)
         pairs = [bar_pairs(alg, n) for n in range(4)]

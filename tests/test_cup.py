@@ -2,7 +2,6 @@ import pytest
 
 from monomial_hh import cochains, cup
 from monomial_hh import diagonal as diagonal_module
-from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.cochains import (
     _offsets,
@@ -24,17 +23,16 @@ from monomial_hh.diagonal import check_chain_map, diagonal
 from monomial_hh.errors import NotACocycle, NotTriangular
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.linalg import RowBasis, SparseMatrix, kernel_basis
-from monomial_hh.quivers import build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
-from conftest import make_cone
 from helpers import (
+    FIXTURE_ALGEBRAS,
     amb_path,
     by_path,
     expand,
     is_cocycle,
     is_quadratic,
-    loops_algebra_text,
+    named_algebra,
     path,
     path_pairs,
     plant_representative,
@@ -44,7 +42,7 @@ from helpers import (
     written,
 )
 from reference_scans import concat, dense_cup_table, reduce_concat, segment, term_constants, to_paths
-from test_elimination_shortcuts import loops_tables
+from test_elimination_shortcuts import family_tables
 from test_incidence import CUP_DEGREE, tables
 
 
@@ -380,7 +378,7 @@ def test_cup_table_is_the_nonzero_cells_of_the_dense_table(spec):
     # cup_table keeps only the nonzero classes, keyed (a, b) in range and in
     # (a, b) order; a product of class 0, a coboundary, is left out
     nonzero = coboundaries = 0
-    for t in [*tables(spec), *(t for t, _ in loops_tables(spec))]:
+    for t in [*tables(spec), *(t for t, _ in family_tables(spec))]:
         spaces = hochschild_cohomology(t, CUP_DEGREE)
         for i in range(CUP_DEGREE + 1):
             for j in range(CUP_DEGREE + 1 - i):
@@ -458,9 +456,7 @@ def test_a_failing_representative_raises_on_every_call(monkeypatch):
     # and off it in degree 3, where it keeps none, so an index off the
     # support must be refused, not read as zero
     for spec in ("q", "fp:2"):
-        cone = make_cone()
-        cone = build_algebra(cone.quiver, cone.relations, parse_field_spec(spec))
-        t = AmbiguityTable(cone)
+        t = AmbiguityTable(named_algebra("cone", spec))
         spaces = hochschild_cohomology(t, 4)
         support = [{j for v in expand(sp.cocycles) for j in v} for sp in spaces]
         assert 0 in support[2] and not is_cocycle(t, 2, {0: 1})
@@ -553,7 +549,7 @@ def in_order(constants):
 def test_gap_class_constants_equal_term_constants(spec):
     # key and list order included: cup_products accumulates in that order
     if spec == "cub2":
-        made, top = [AmbiguityTable(parse_algebra_file(loops_algebra_text(2, 3)))], 5
+        made, top = [AmbiguityTable(named_algebra("cub2"))], 5
     else:
         made, top = tables(spec), CUP_DEGREE
     for t in made:
@@ -563,18 +559,18 @@ def test_gap_class_constants_equal_term_constants(spec):
 
 
 @pytest.mark.parametrize(
-    "make, top, lookups",
+    "name, top, lookups",
     [
         # the per-term loop made 6,420, 4,402 and 431 lookups
-        (lambda: parse_algebra_file(loops_algebra_text(2, 2)), 5, 420),
-        (lambda: parse_algebra_file(loops_algebra_text(3, 2)), 3, 310),
-        (make_cone, 4, 431),  # every term of the cone is its own gap class
+        ("rsz2", 5, 420),
+        ("rsz3", 3, 310),
+        ("cone", 4, 431),  # every term of the cone is its own gap class
     ],
     ids=["rsz2", "rsz3", "cone"],
 )
-def test_constants_product_lookups(make, top, lookups, monkeypatch):
+def test_constants_product_lookups(name, top, lookups, monkeypatch):
     # the work of the gap classes, pinned: algebra.mul calls with Δ prebuilt
-    alg = make()
+    alg = named_algebra(name)
     t = AmbiguityTable(alg)
     for d in range(-1, top):
         for q in t.degree(d):
@@ -718,11 +714,11 @@ def test_refine_matches_components_here(triangular_a6):
 
 
 @pytest.mark.parametrize("fieldspec", ["q", "fp:2"])
-def test_kernel_vectors_are_irreducible(fieldspec, cone, square, triangular_a6, truncated_cycle):
+def test_kernel_vectors_are_irreducible(fieldspec):
     # check_one_sided_vanishing takes the kernel vectors as its pieces
     # without refining them; the refinement must leave each one whole
     field = parse_field_spec(fieldspec)
-    algebras = [build_algebra(a.quiver, a.relations, field) for a in (cone, square, triangular_a6, truncated_cycle)]
+    algebras = [named_algebra(name, fieldspec) for name in FIXTURE_ALGEBRAS]
     for triangular in (False, True):
         config = RandomAlgebraConfig(triangular=triangular, field=field)
         algebras.extend(random_algebra(config, seed) for seed in range(1000, 1020))

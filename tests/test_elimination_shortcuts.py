@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import pytest
 
-from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh import cochains
 from monomial_hh.cochains import differential_matrix
@@ -25,8 +24,7 @@ from monomial_hh.fields import QQ, parse_field_spec
 from monomial_hh import linalg
 from monomial_hh.linalg import RowBasis, SparseMatrix
 
-from helpers import expand, loops_algebra_text, scalar, split
-from conftest import make_cone
+from helpers import OVERLAPPING, expand, named_algebra, scalar, split
 from reference_scans import insert_kernel_basis, insert_quotient_basis
 from test_incidence import tables
 
@@ -41,16 +39,15 @@ def quotient_basis(field, kernel_vecs, image):
     return expand(linalg.quotient_basis(field, split(kernel_vecs), image))
 
 DEGREE = 6
-LOOPS = ((2, 2, 6), (3, 2, 4), (2, 3, 6))  # rsz(2) D=6, rsz(3) D=4, cub(2) D=6
+# the loop families and their top degrees; on the overlapping families,
+# unlike the others, the quotient reduces rests
+LOOP_DEGREES = {"rsz2": 6, "rsz3": 4, "cub2": 6}
+OVERLAPPING_DEGREES = dict.fromkeys(OVERLAPPING, DEGREE)
 
 
-def loops_table(k, rel_len, spec):
-    return AmbiguityTable(parse_algebra_file(loops_algebra_text(k, rel_len).replace("field q", "field " + spec)))
-
-
-def loops_tables(spec):
-    for k, rel_len, degree in LOOPS:
-        yield loops_table(k, rel_len, spec), degree
+def family_tables(spec, degrees=LOOP_DEGREES):
+    for name, degree in degrees.items():
+        yield AmbiguityTable(named_algebra(name, spec)), degree
 
 
 def assert_same(got, want):
@@ -76,7 +73,7 @@ def test_shortcuts_match_all_insert_elimination(spec):
     field = parse_field_spec(spec)
     for t in tables(spec):
         assert_matches_reference(field, [differential_matrix(t, m) for m in range(DEGREE + 1)])
-    for t, degree in loops_tables(spec):
+    for t, degree in (*family_tables(spec), *family_tables(spec, OVERLAPPING_DEGREES)):
         assert_matches_reference(field, [differential_matrix(t, m) for m in range(degree + 1)])
 
 
@@ -196,14 +193,14 @@ def tracked_degrees(t, top, monkeypatch):
     return degrees
 
 
-@pytest.mark.parametrize("k, rel_len, top", [(2, 2, 8), (3, 2, 5), (2, 3, 4)])
-def test_no_loop_family_tracks_a_kernel(k, rel_len, top, monkeypatch):
+@pytest.mark.parametrize("name, top", [("rsz2", 8), ("rsz3", 5), ("cub2", 4)], ids=["2-2-8", "3-2-5", "2-3-4"])
+def test_no_loop_family_tracks_a_kernel(name, top, monkeypatch):
     # rsz(2), rsz(3) and cub(2): no nonempty column of any δ^m is dependent
-    assert tracked_degrees(loops_table(k, rel_len, "q"), top, monkeypatch) == []
+    assert tracked_degrees(AmbiguityTable(named_algebra(name)), top, monkeypatch) == []
 
 
 def test_the_cone_tracks_where_a_column_is_dependent(monkeypatch):
-    assert tracked_degrees(AmbiguityTable(make_cone()), 6, monkeypatch) == [0, 2, 6]
+    assert tracked_degrees(AmbiguityTable(named_algebra("cone")), 6, monkeypatch) == [0, 2, 6]
 
 
 @pytest.mark.parametrize(
@@ -218,7 +215,7 @@ def test_quotient_elimination_steps_on_rsz(k, spec, top, want, monkeypatch):
     # reduction steps (pivot_step calls) of quotient_basis per degree; a
     # unit on a pivot starts from its first step's result, so it takes one
     # step less than e_x would
-    t = loops_table(k, 2, spec)
+    t = AmbiguityTable(named_algebra("rsz%d" % k, spec))
     field = t.algebra.field
     steps, inside = [], []
     pivot_step, quotient = field.pivot_step, cochains.quotient_basis

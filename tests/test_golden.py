@@ -20,7 +20,7 @@ import pytest
 
 from monomial_hh import cli
 
-from helpers import loops_algebra_text
+from helpers import ALGEBRAS, named_text
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -87,10 +87,9 @@ PRIME_CUP_GOLDEN = {
     ("truncated_cycle_3_2.alg", "fp:2305843009213693951", "verify"): "028864728b74bb6500d4039f6ec7cbe730ecd3c0658c8e3d2dcd5586f6c2ff44",
 }
 
-# ``hh`` deep into the families of ``loops_algebra_text``, ``rsz(2)``,
+# ``hh`` deep into the families of ``helpers.ALGEBRAS``, ``rsz(2)``,
 # ``rsz(3)`` and ``cub(2)``; (family, max degree, field) -> digest.  Over GF(2)
 # the signs collapse and entries of 2 vanish only in the field's ``to_row``.
-LOOPS = {"rsz2": (2, 2), "rsz3": (3, 2), "cub2": (2, 3)}
 LOOPS_GOLDEN = {
     ("rsz2", 8, "q"): "d07b949128a6524a60ece5f39f2baa305753f598b4c054b6f660b80cfb40363c",
     ("rsz2", 8, "fp:7"): "e5520144bc4f716324e6fd9967b1d429a136e03cf2a68fd7b0d793c6bb4e7d93",
@@ -101,7 +100,7 @@ LOOPS_GOLDEN = {
 }
 
 # ``ambiguities --json`` at one degree: each member's written word and its left
-# and right pieces; (fixture or family of ``LOOPS``, degree) -> digest
+# and right pieces; (fixture file or ``helpers.ALGEBRAS`` family, degree) -> digest
 AMBIGUITIES_GOLDEN = {
     ("example_cone.alg", -1): "780bf85d91bf5b3c799f2afbf3932ee329cd8af3c05ad308fef23deed052e9bb",
     ("example_cone.alg", 0): "402ed0b9930870c78e0a643edd4618acbdaece4ae3642639b9c1953ded360be8",
@@ -207,7 +206,7 @@ def test_prime_field_cup_verify_digest(fixture, field, command, tmp_path):
 @pytest.mark.parametrize("family, degree, field", sorted(LOOPS_GOLDEN))
 def test_hh_loops_family_digest(family, degree, field, tmp_path):
     path = tmp_path / (family + ".alg")
-    path.write_text(loops_algebra_text(*LOOPS[family]))
+    path.write_text(named_text(family))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["hh", str(path), "--json", "--max-degree", str(degree), "--field", field])
@@ -217,9 +216,9 @@ def test_hh_loops_family_digest(family, degree, field, tmp_path):
 
 @pytest.mark.parametrize("name, degree", sorted(AMBIGUITIES_GOLDEN))
 def test_ambiguities_digest(name, degree, tmp_path):
-    if name in LOOPS:
+    if name in ALGEBRAS:
         path = tmp_path / (name + ".alg")
-        path.write_text(loops_algebra_text(*LOOPS[name]))
+        path.write_text(named_text(name))
     else:
         path = FIXTURES / name
     out = io.StringIO()

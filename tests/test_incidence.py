@@ -2,7 +2,6 @@
 
 import pytest
 
-from monomial_hh.algfile import parse_algebra_file
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.checks import GENERAL_ROWS, run_checks
 from monomial_hh.cochains import (
@@ -15,11 +14,22 @@ from monomial_hh.cochains import (
 from monomial_hh.cup import cup_products
 from monomial_hh.diagonal import _divisors
 from monomial_hh.fields import parse_field_spec
-from monomial_hh.quivers import Quiver, build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
-from conftest import make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2
-from helpers import amb_path, basis_paths, by_path, keyed, loops_algebra_text, pair_key, path, path_pairs, scalar, vector
+from helpers import (
+    FIXTURE_ALGEBRAS,
+    OVERLAPPING,
+    amb_path,
+    basis_paths,
+    by_path,
+    keyed,
+    named_algebra,
+    pair_key,
+    path,
+    path_pairs,
+    scalar,
+    vector,
+)
 from reference_scans import (
     amb_prefix,
     amb_suffix,
@@ -38,22 +48,20 @@ CUP_DEGREE = 4  # cup products of total degree up to this
 SEEDS = range(1000, 1020)
 
 
-def make_rsz2():
-    """One vertex, loops x1 and x2, all four length-2 relations: |Γ_n| = 2^(n+1)."""
-    q = Quiver(["1"], [("x1", "1", "1"), ("x2", "1", "1")])
-    return build_algebra(q, [q.path([a, b]) for a in ("x1", "x2") for b in ("x1", "x2")])
-
-
 def tables(spec):
     """The four fixtures, rsz(2), and seeded random algebras, general and triangular."""
     field = parse_field_spec(spec)
-    for make in (make_cone, make_square, make_triangular_a6, make_truncated_cycle_3_2, make_rsz2):
-        alg = make()
-        yield AmbiguityTable(build_algebra(alg.quiver, alg.relations, field))
+    for name in (*FIXTURE_ALGEBRAS, "rsz2"):
+        yield AmbiguityTable(named_algebra(name, spec))
     for triangular in (False, True):
         cfg = RandomAlgebraConfig(triangular=triangular, field=field)
         for seed in SEEDS:
             yield AmbiguityTable(random_algebra(cfg, seed))
+
+
+def overlapping_tables(spec):
+    """The two-loop families whose relations overlap in more than one way."""
+    return [AmbiguityTable(named_algebra(name, spec)) for name in OVERLAPPING]
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])
@@ -98,7 +106,7 @@ def test_truncation_links_match_scan():
 
 def test_ambiguities_compare_by_identity():
     # each table builds its own members: equal words and ends, distinct ambiguities
-    alg = make_cone()
+    alg = named_algebra("cone")
     first, second = AmbiguityTable(alg), AmbiguityTable(alg)
     for n in range(-1, DEGREE + 1):
         assert [amb_path(first, a) for a in first.degree(n)] == [amb_path(second, b) for b in second.degree(n)]
@@ -109,7 +117,7 @@ def test_ambiguities_compare_by_identity():
 
 @pytest.mark.parametrize("spec", ["q", "fp:2"])
 def test_sub_matches_scan(spec):
-    for t in tables(spec):
+    for t in (*tables(spec), *overlapping_tables(spec)):
         for n in range(0, DEGREE + 1):
             for amb in t.degree(n):
                 assert t.sub(amb) == scan_sub(t, amb)
@@ -118,16 +126,16 @@ def test_sub_matches_scan(spec):
 @pytest.mark.parametrize("spec", ["q", "fp:2"])
 def test_divisors_match_occurrences(spec):
     # Δ scans degrees −1…n−2 and reads degree n−1 off sub: the same lists
-    for t in tables(spec):
+    for t in (*tables(spec), *overlapping_tables(spec)):
         for n in range(-1, DEGREE + 1):
             for amb in t.degree(n):
                 want = [t.occurrences(d, amb.arrows, amb.source) for d in range(-1, n + 1)]
                 assert _divisors(t, amb) == want
 
 
-@pytest.mark.parametrize("k, rel_len, top", [(2, 2, 8), (3, 2, 7), (2, 3, 8)])  # rsz(2), rsz(3), cub(2)
-def test_sub_matches_occurrences_on_loops(k, rel_len, top):
-    t = AmbiguityTable(parse_algebra_file(loops_algebra_text(k, rel_len)))
+@pytest.mark.parametrize("name, top", [("rsz2", 8), ("rsz3", 7), ("cub2", 8)], ids=["2-2-8", "3-2-7", "2-3-8"])
+def test_sub_matches_occurrences_on_loops(name, top):
+    t = AmbiguityTable(named_algebra(name))
     for n in range(0, top + 1):
         for amb in t.degree(n):
             assert t.sub(amb) == t.occurrences(n - 1, amb.arrows, amb.source)
@@ -144,8 +152,8 @@ def test_hh_scans_no_word_on_loops(monkeypatch):
         return occurrences(self, m, arrows, source)
 
     monkeypatch.setattr(AmbiguityTable, "occurrences", counting)
-    for k, top in ((2, 8), (3, 5)):  # rsz(2) D=8, rsz(3) D=5
-        hochschild_cohomology(AmbiguityTable(parse_algebra_file(loops_algebra_text(k, 2))), top)
+    for name, top in (("rsz2", 8), ("rsz3", 5)):
+        hochschild_cohomology(AmbiguityTable(named_algebra(name)), top)
     assert calls == []
 
 
@@ -159,7 +167,7 @@ def test_sub_middle_band_has_teeth(monkeypatch):
         return [hits[0], hits[-1]]
 
     monkeypatch.setattr(AmbiguityTable, "sub", links_only)
-    for alg in (parse_algebra_file(loops_algebra_text(2, 3)), make_cone(), make_square()):
+    for alg in (named_algebra("cub2"), named_algebra("cone"), named_algebra("square")):
         failed = {r.name for r in run_checks(alg, 4, GENERAL_ROWS) if not r.ok}
         assert {"d-squared", "homotopy", "diagonal-chain-map"} <= failed, failed
 

@@ -20,8 +20,7 @@ from monomial_hh.cochains import hochschild_cohomology
 from monomial_hh.diagonal import _decompositions, diagonal, tensor_differential
 from monomial_hh.resolution import boundary, differential, homotopy_sigma, right_spanning_set
 
-from conftest import make_cone
-from helpers import Path, basis_paths, generator
+from helpers import Path, basis_paths, generator, named_algebra
 from reference_scans import (
     path_d_terms,
     path_decompositions,
@@ -257,7 +256,7 @@ def test_no_private_algebra_attributes(module):
 
 
 def test_algebra_holds_words_only():
-    cone = make_cone()
+    cone = named_algebra("cone")
     assert all(r.ok for r in checks.run_checks(cone, 4))
     assert set(vars(cone)) == {
         "quiver",
@@ -306,7 +305,7 @@ def test_no_private_table_attributes(module):
 
 def test_table_holds_gamma_and_the_memo_registry(monkeypatch):
     made = record_tables(monkeypatch)
-    assert all(r.ok for r in checks.run_checks(make_cone(), 4))
+    assert all(r.ok for r in checks.run_checks(named_algebra("cone"), 4))
     assert set(vars(made[0])) == {"algebra", "_degrees", "_words", "_memos"}
 
 
@@ -329,10 +328,74 @@ def test_faces_are_cached_per_ambiguity(cone, monkeypatch):
 def test_product_rows_are_filled_on_first_use():
     # the direct cochain route never multiplies, so hh fills no row; a
     # product fills the row of its left factor and no other
-    cone = make_cone()
+    cone = named_algebra("cone")
     t = AmbiguityTable(cone)
     hochschild_cohomology(t, 3)
     assert cone._rows == [None] * cone.dim
     i = cone.word_index[cone.quiver.path("alpha")]
     cone.mul(i, cone.target[i])
     assert [k for k, row in enumerate(cone._rows) if row is not None] == [i]
+
+
+# public names with no src/ caller, each with its reason
+TRACED = "perfbench/tracer.py wraps it by name in METHODS; it goes with the next change to the benchmark"
+UNCALLED = {
+    "ambiguities.AmbiguityTable.split": TRACED,
+    "cochains.CohomologySpace.rep_cochains": TRACED,
+    "linalg.RowBasis.express": TRACED,
+}
+
+
+def _public_functions():
+    """(module, qualified name, def node, is a method taking self or cls) of each
+    public function and method of src/; a CLI entry, cli's cmd_*, is left out."""
+    for module in MODULES:
+        for node in ast.parse((SRC / (module + ".py")).read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not (module == "cli" and node.name.startswith("cmd_")):
+                defs = [(node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                static = [any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list) for m in methods]
+                defs = [("%s.%s" % (node.name, m.name), m, not s) for m, s in zip(methods, static)]
+            else:
+                continue
+            for qual, fn, bound in defs:
+                if not fn.name.startswith("_"):
+                    yield module, qual, fn, bound
+
+
+def _fits(fn, bound, call):
+    """The call's argument count fits fn's signature (a * or ** argument fits any)."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    args = fn.args
+    positional = len(args.posonlyargs) + len(args.args) - bound
+    given = len(call.args) + len(call.keywords)
+    return positional - len(args.defaults) <= given and (args.vararg or given <= positional + len(args.kwonlyargs))
+
+
+def test_every_public_function_has_a_src_caller():
+    # no test-only API grows in src/: each public function or method is
+    # read somewhere in src/ outside its own body.  A method counts only
+    # through an attribute (x.name), and a call only when its argument
+    # count fits, so str.split does not count for AmbiguityTable.split
+    reads = {}  # name -> [(module, line, the call it is the function of, or None, is an attribute)]
+    for module in MODULES:
+        tree = ast.parse((SRC / (module + ".py")).read_text())
+        calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((module, node.lineno, calls.get(id(node)), True))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((module, node.lineno, calls.get(id(node)), False))
+    uncalled = []
+    for module, qual, fn, bound in _public_functions():
+        method = "." in qual
+        if not any(
+            (attribute or not method)
+            and not (where == module and fn.lineno <= line <= fn.end_lineno)
+            and (call is None or _fits(fn, bound, call))
+            for where, line, call, attribute in reads.get(fn.name, ())
+        ):
+            uncalled.append("%s.%s" % (module, qual))
+    assert sorted(uncalled) == sorted(UNCALLED)

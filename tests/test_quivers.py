@@ -21,8 +21,7 @@ from monomial_hh.quivers import (
     path_from_word,
 )
 
-from conftest import make_cone, make_square
-from helpers import basis_paths, is_quadratic, path, vertex, word_path, written
+from helpers import basis_paths, is_quadratic, named_algebra, path, vertex, word_path, written
 from reference_scans import (
     bfs_read_automaton,
     concat,
@@ -39,7 +38,7 @@ from reference_scans import (
 
 
 def test_word_conversion_reverses_traversal():
-    q = make_cone().quiver
+    q = named_algebra("cone").quiver
     word = path_from_word(q, "beta zeta")
     assert [q.arrow_names[a] for a in word] == ["zeta", "beta"]
     source = q.vertex_index["2"]  # zeta leaves vertex 2
@@ -51,7 +50,7 @@ def test_word_conversion_reverses_traversal():
 
 
 def test_trivial_path_basics():
-    q = make_cone().quiver
+    q = named_algebra("cone").quiver
     e = vertex(q, "2")
     assert is_trivial(e) and len(e) == 0
     assert e.source == e.target == q.vertex_index["2"]
@@ -100,7 +99,7 @@ def test_relations_minimal(cone, square):
 
 
 def test_relation_minimization_drops_redundant():
-    base = make_cone()
+    base = named_algebra("cone")
     q = base.quiver
     words = ["beta zeta", "zeta gamma", "alpha zeta alpha", "zeta alpha zeta"]
     rels = [path_from_word(q, w) for w in words]
@@ -270,7 +269,7 @@ def test_duplicate_arrow_id():
 
 
 def test_non_composable_relation():
-    q = make_cone().quiver
+    q = named_algebra("cone").quiver
     with pytest.raises(NonComposableRelation):
         q.path(["alpha", "alpha"])
     with pytest.raises(NonComposableRelation):
@@ -295,7 +294,7 @@ def test_constructor_checks_every_relation_word(cone, bad, message):
 
 
 def test_relation_too_short_rejected():
-    q = make_cone().quiver
+    q = named_algebra("cone").quiver
     with pytest.raises(ValueError):
         build_algebra(q, [q.path("alpha")])
 

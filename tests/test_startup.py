@@ -22,7 +22,7 @@ from monomial_hh.fields import QQ
 from monomial_hh.linalg import SparseMatrix
 from monomial_hh.randomgen import RandomAlgebraConfig
 
-from conftest import make_cone
+from helpers import named_algebra
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "monomial_hh"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -81,7 +81,7 @@ def test_random_config_is_a_value():
 def test_spaces_share_no_cache():
     # each space makes its own reader on its first class read, and the
     # cocycle products live in the table's memo, keyed by the two spaces
-    table = AmbiguityTable(make_cone())
+    table = AmbiguityTable(named_algebra("cone"))
     spaces = hochschild_cohomology(table, 3)
     again = hochschild_cohomology(table, 3)
     # a space holds its tuples and one reader, and no second copy of either

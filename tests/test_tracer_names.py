@@ -12,7 +12,7 @@ from monomial_hh import bar_oracle, cochains, cup, linalg
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.linalg import RowBasis
 
-from conftest import make_cone
+from helpers import named_algebra
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,7 +38,7 @@ def test_degree_is_the_second_argument():
     tracer = load_tracer()
     tr = tracer.Tracer()
     patches = tracer.instrument(tr)
-    alg = make_cone()
+    alg = named_algebra("cone")
     t = AmbiguityTable(alg)
     tracer.apply(patches, True)
     try:
@@ -57,7 +57,7 @@ def test_cup_table_enters_the_diagonal_layer():
     tracer = load_tracer()
     tr = tracer.Tracer()
     patches = tracer.instrument(tr)
-    t = AmbiguityTable(make_cone())
+    t = AmbiguityTable(named_algebra("cone"))
     spaces = cochains.hochschild_cohomology(t, 3)
     tracer.apply(patches, True)
     try:
@@ -79,7 +79,7 @@ def test_gamma_counts_read_the_degrees():
     tracer.apply(patches, True)
     try:
         tr.begin_op(0)
-        t = AmbiguityTable(make_cone())
+        t = AmbiguityTable(named_algebra("cone"))
         t.degree(5)
         detail = tr.end_op()
     finally:
@@ -94,7 +94,7 @@ def test_cohomology_counts_every_degree():
     tracer = load_tracer()
     tr = tracer.Tracer()
     patches = tracer.instrument(tr)
-    t = AmbiguityTable(make_cone())
+    t = AmbiguityTable(named_algebra("cone"))
     top = 6
     tracer.apply(patches, True)
     try:
@@ -136,7 +136,7 @@ def test_bar_oracle_counts_every_degree():
     tracer = load_tracer()
     tr = tracer.Tracer()
     patches = tracer.instrument(tr)
-    alg = make_cone()
+    alg = named_algebra("cone")
     top = 3
     tracer.apply(patches, True)
     try:

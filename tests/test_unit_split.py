@@ -24,13 +24,11 @@ from monomial_hh.cup import cup_products
 from monomial_hh.errors import NotACocycle
 from monomial_hh.fields import parse_field_spec
 from monomial_hh.linalg import RowBasis
-from monomial_hh.quivers import build_algebra
 from monomial_hh.randomgen import RandomAlgebraConfig, random_algebra
 
-from conftest import make_cone
-from helpers import expand
+from helpers import expand, named_algebra
 from reference_scans import insert_kernel_basis, insert_quotient_basis
-from test_elimination_shortcuts import assert_same, loops_tables
+from test_elimination_shortcuts import OVERLAPPING_DEGREES, assert_same, family_tables
 from test_incidence import tables
 
 DEGREE = 6
@@ -41,7 +39,8 @@ SPECS = ["q", "fp:2", "fp:3"]
 def every_table(spec):
     for t in tables(spec):
         yield t, DEGREE
-    yield from loops_tables(spec)
+    yield from family_tables(spec)
+    yield from family_tables(spec, OVERLAPPING_DEGREES)
 
 
 def is_unit(v):
@@ -173,7 +172,7 @@ def test_class_read_off_matches_the_solve(spec, monkeypatch):
 def test_scaled_representatives_read_off_over_q(monkeypatch):
     # the cone's HH^4 holds the rational representative 2 [...]: a multiple
     # c·e_p of it is c/2 of its class, read off with no solve
-    t = AmbiguityTable(make_cone())
+    t = AmbiguityTable(named_algebra("cone"))
     space = hochschild_cohomology(t, 4)[4]
     scaled = [(a, v) for a, v in enumerate(expand(space.representatives)) if len(v) == 1 and not is_unit(v)]
     assert [list(v.values()) for _, v in scaled] == [[2]]
@@ -192,8 +191,7 @@ def test_other_vectors_reach_the_solve(spec, monkeypatch):
     # a vector with an entry at an image pivot, or off every pivot, leaves a
     # remainder at the pivots and is read again modulo the coboundaries; a
     # read that took it at once would give no NotACocycle for a non-cocycle
-    cone = make_cone()
-    t = AmbiguityTable(build_algebra(cone.quiver, cone.relations, parse_field_spec(spec)))
+    t = AmbiguityTable(named_algebra("cone", spec))
     spaces = hochschild_cohomology(t, 5)
     reductions = counting(monkeypatch, "reduce_mod")
     checked = 0
