@@ -42,7 +42,7 @@ the class table sparse too: it returns only the nonzero classes, and only
 from .ambiguities import memoized
 from .cochains import _offsets, class_vector, coboundary_basis, cochain_differential, display_vector
 from .diagonal import diagonal
-from .errors import NotTriangular
+from .errors import NotACocycle, NotTriangular
 from .quivers import is_triangular
 
 
@@ -168,7 +168,8 @@ def cup_table(table, spaces, i, j):
 
 
 def verify_graded_commutativity(table, spaces, max_total_degree):
-    """Failures of x cup y = (-1)^(mn) y cup x modulo coboundaries."""
+    """Failures of x cup y = (-1)^(mn) y cup x modulo coboundaries; a commutator
+    that is no cocycle raises ``NotACocycle`` naming its bidegree and classes."""
     normal = table.algebra.field.normal
     reps = [spaces[d].representatives for d in range(max_total_degree + 1)]
     failures = []
@@ -185,7 +186,10 @@ def verify_graded_commutativity(table, spaces, max_total_degree):
                 commutator = normal(commutator)
                 if not commutator:
                     continue
-                cls = class_vector(spaces[m + n], table, commutator)
+                try:
+                    cls = class_vector(spaces[m + n], table, commutator)
+                except NotACocycle as exc:
+                    raise NotACocycle("cup (%d, %d): the commutator of classes %d and %d is %s" % (m, n, a, b, exc)) from None
                 if cls:
                     failures.append({"degrees": [m, n], "classes": [a, b], "commutator_class": sorted(cls)})
     return failures

@@ -5,38 +5,40 @@ of every field, so a matrix assembled from integer coefficients is a matrix
 over Z that serves every field as it is.  A matrix is a ``SparseMatrix``,
 an immutable named tuple (nrows, ncols, cols) whose cols are column-major
 such dicts, each row index checked when it is built.  Everything is
-exact.  The elimination keeps row-echelon rows and never edits a stored
-row; every result it hands out (kernel vectors, dependencies,
-expressions, reductions, quotient representatives) is the unique normal
-form of its span, so results depend only on insertion order, which
-callers fix deterministically.  ``kernel_basis`` and ``quotient_basis``
-keep their order, because their outputs depend on it.
+exact.  Every result the elimination hands out (kernel vectors,
+dependencies, expressions, reductions, quotient representatives) is the
+unique normal form of its span, so results depend only on insertion
+order, which callers fix deterministically.  ``kernel_basis`` and
+``quotient_basis`` keep their order, because their outputs depend on it.
 
-``rank`` is the one count-only pass.  It returns a number that depends on
-the column span alone, so it is free in four ways that a ``RowBasis`` is
-not:
+``RowBasis`` is the one store of echelon rows.  Its rules:
 
-- order: it takes the columns last first, the order that fills in least
-  on the bar matrices;
-- leading-entry reduction: it reduces a column only while its smallest
-  index is a stored pivot, and stores it (with no back reduction) once
-  it is not.  The stored rows have distinct pivots at
-  their smallest indices, so the smallest index of any nonzero combination
-  of them is a pivot, and a vector whose smallest index is not one is
-  independent of them.  A ``RowBasis`` clears every pivot index instead,
-  because ``quotient_basis`` reads the entries of its stored rows;
-- clearing (C. Chen and M. Kerber, *Persistent Homology Computation with
-  a Twist*, EuroCG 2011): it skips the columns its caller names, which
-  must lie in the span of the others.  For δ^n the pivots P of im δ^{n−1}
-  qualify: an echelon basis of im δ^{n−1} and the e_j, j ∉ P, together
-  are a basis of the cochains, and δ^n kills the first part, so the
-  columns j ∉ P span im δ^n;
-- canonical on first read: it stores a new row as it comes, and makes it
-  canonical only when a later column's reduction first reads it.  A row
-  that no reduction reads adds its pivot, whatever its scale.  On the bar
-  matrices most stored rows are never read (on ``cub(2)`` at degree 3 the
-  reductions read 492 of the 1,248), so, as in U. Bauer's Ripser
-  (*J. Appl. Comput. Topol.* 5, 2021), a row is paid for only when read.
+- leading-entry reduction: ``insert``, ``contains`` and ``express`` reduce
+  a vector only while its smallest index is a stored pivot.  The stored
+  rows have distinct pivots at their smallest indices, so the smallest
+  index of any nonzero combination of them is a pivot, and a vector whose
+  smallest index is not one is independent of them: ``insert`` stores it
+  as it comes, with no back reduction;
+- canonical on first read: a stored row, a seed row too, is made
+  canonical when a reduction first reads it, and never changed otherwise,
+  so no row needs a particular scale to be stored.  On the bar matrices
+  most rows are never read (on ``cub(2)`` at degree 3 the reductions read
+  492 of the 1,248), so, as in U. Bauer's Ripser (*J. Appl. Comput.
+  Topol.* 5, 2021), a row is paid for only when read;
+- full reduction for normal forms alone: ``reduce_mod`` and
+  ``quotient_basis`` clear every pivot index from a vector, which leaves
+  the one member of its coset that is zero at every pivot, whichever
+  echelon rows with those pivots span it.
+
+``rank`` is the store's count-only use, the untracked inserts of a
+matrix's columns.  A rank depends on the column span alone, so ``rank``
+takes the columns last first, the order that fills in least on the bar
+matrices, and skips the columns its caller names, which must lie in the
+span of the others (clearing: C. Chen and M. Kerber, *Persistent Homology
+Computation with a Twist*, EuroCG 2011).  For δ^n the pivots P of
+im δ^{n−1} qualify: an echelon basis of im δ^{n−1} and the e_j, j ∉ P,
+together are a basis of the cochains, and δ^n kills the first part, so
+the columns j ∉ P span im δ^n.
 
 Inside the elimination a row is a dict of plain ints, never of scalars.
 The field's ``to_row`` is where every input vector enters: it reduces the
@@ -66,9 +68,9 @@ above makes exact:
   is a multiple of the untracked row with its pivot, so the rows, made
   canonical, are the same, and as in Ripser a matrix with no dependent
   nonempty column keeps no coefficients at all;
-- ``quotient_basis`` starts a unit e_x whose x is a stored pivot from the
-  result of its first step: with a = rp, the row's pivot entry (1 over a
-  prime field), and b = 1, a·e_x − row is minus the rest of the row.
+- ``quotient_basis`` starts a unit e_x whose x is a stored pivot from
+  minus the rest of that row, a multiple of its first step a·e_x − row
+  (a = rp, the row's pivot entry, and b = 1), so of the same normal form.
   Every entry of it lies past x, and the units come sorted, so it meets
   no unit taken before e_x;
 - ``quotient_basis`` takes a unit column j that is no current pivot
@@ -116,29 +118,22 @@ class SparseMatrix(namedtuple("SparseMatrix", "nrows ncols cols")):
 
 
 class RowBasis:
-    """Incremental row-echelon span of sparse vectors.
+    """Incremental row-echelon span of sparse vectors (the module docstring's rules).
 
-    Each stored row has a pivot, its smallest index, no two rows share one,
-    and a row is never edited once stored: rows are reduced only against
-    the rows before them, so they are echelon, not fully reduced.  The
-    results are canonical all the same.  Reduction clears every pivot index
-    from a vector and the pivot set depends only on the span, so
-    ``reduce_mod`` returns the one member of the coset that is zero at every
-    pivot; and coefficients over the independent inserted vectors are
-    unique, so ``express`` and the dependencies from ``insert`` are too.
-    With ``track=True`` each row also carries its expression in terms of the
-    original inserted vectors, each named by the tag the caller inserted it
-    with, which is what kernel extraction and membership certificates need.
+    ``rows`` maps pivot index -> (vec, coeffs|None), integer dicts in the
+    field's row form (see ``fields``) with vec = Σ coeffs[t]·original_t,
+    and ``read_pivots`` holds the pivots of the rows that a reduction has
+    read, and so made canonical.  The results are canonical all the same: the
+    coefficients over the independent inserted vectors are unique, so
+    ``express`` and the dependencies from ``insert`` are, and ``reduce_mod``
+    returns the one member of the coset that is zero at every pivot.  With
+    ``track=True`` each row carries its coefficients over the inserted
+    vectors, each named by the tag the caller inserted it with.
 
-    Rows and coefficients are integer dicts in the field's row form (see
-    ``fields``); ``rows`` maps pivot index -> (vec, coeffs|None) with
-    vec = Σ coeffs[t]·original_t.
-
-    A basis can start from the stored rows of another, ``seed``: integer
-    rows in canonical form with distinct pivots, as ``kernel_basis`` hands
-    back the rows of a column span.  Seed rows are not inserted vectors and
-    carry no coefficients, so a tracked basis expresses vectors modulo
-    their span, over the vectors inserted after them.  No library code
+    A basis can start from ``seed``: integer rows with distinct pivots at
+    their smallest indices, of any scale, as ``kernel_basis`` hands back
+    the rows of a column span.  Seed rows carry no coefficients, so a
+    tracked basis expresses vectors modulo their span.  No library code
     calls ``express``: it stays as the tests' reference solve of a class
     read, and ``perfbench``'s tracer wraps it by name.
     """
@@ -150,19 +145,39 @@ class RowBasis:
         self.track = track
         # pivot index -> (vec, coeffs|None), in insertion order
         self.rows = {min(vec): (vec, {} if track else None) for vec in seed}
+        self.read_pivots = set()
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: dict, coeffs) -> int:
-        """Clear every pivot index from the row vec, in place.
+    def _read(self, c):
+        """The stored row with pivot c, made canonical if this is its first read."""
+        row = self.rows[c]
+        if c not in self.read_pivots:
+            self.read_pivots.add(c)
+            row = self.rows[c] = self.field.canonical(*row, c)
+        return row
 
-        Each step is vec ← a·vec − b·row, and the same on coeffs; returns
-        the product of the a's, the factor that vec now carries.
-        """
-        f = self.field
-        rows = self.rows
+    def _lead(self, vec: dict, coeffs):
+        """Reduce the row vec, and coeffs with it, in place while its smallest
+        index is a pivot; return that index once it is not, None at zero."""
+        f, rows = self.field, self.rows
+        while vec:
+            c = min(vec)
+            if c not in rows:
+                return c
+            rvec, rcoeffs = self._read(c)
+            a, b = f.pivot_step(vec[c], rvec[c])
+            f.combine(vec, a, b, rvec)
+            if coeffs is not None:
+                f.combine(coeffs, a, b, rcoeffs)
+        return None
+
+    def _reduce(self, vec: dict) -> int:
+        """Clear every pivot index from the row vec, in place; return the
+        product of the steps' a's, the factor that vec now carries."""
+        f, rows = self.field, self.rows
         scale = 1
         while True:
             piv_cols = [c for c in vec if c in rows]
@@ -172,11 +187,9 @@ class RowBasis:
             # so eliminations only introduce entries to the right and this
             # terminates after at most rank rounds
             c = min(piv_cols)
-            rvec, rcoeffs = rows[c]
+            rvec = self._read(c)[0]
             a, b = f.pivot_step(vec[c], rvec[c])
             f.combine(vec, a, b, rvec)
-            if coeffs is not None:
-                f.combine(coeffs, a, b, rcoeffs)
             scale *= a
 
     def insert(self, vec: dict, tag=None):
@@ -195,19 +208,16 @@ class RowBasis:
         f = self.field
         vec, d = f.to_row(vec)
         coeffs = {tag: d} if self.track else None
-        self._reduce(vec, coeffs)
-        if not vec:
-            if not self.track:
-                return False, {}
-            return False, f.canonical(coeffs, None, min(coeffs))[0]
-        pivot = min(vec)
-        self.rows[pivot] = f.canonical(vec, coeffs, pivot)
-        return True, None
+        pivot = self._lead(vec, coeffs)
+        if pivot is not None:
+            self.rows[pivot] = vec, coeffs
+            return True, None
+        if coeffs is None:
+            return False, {}
+        return False, f.canonical(coeffs, None, min(coeffs))[0]
 
     def contains(self, vec: dict) -> bool:
-        vec, _ = self.field.to_row(vec)
-        self._reduce(vec, None)
-        return not vec
+        return self._lead(self.field.to_row(vec)[0], None) is None
 
     def express(self, vec: dict):
         """Write vec as a combination of the inserted vectors.
@@ -219,8 +229,7 @@ class RowBasis:
         f = self.field
         vec, d = f.to_row(vec)
         coeffs = {self.QUERY: d}
-        self._reduce(vec, coeffs)
-        if vec:
+        if self._lead(vec, coeffs) is not None:
             return None
         # 0 = q·vec + Σ coeffs[t]·orig_t, q the scale the query now carries
         q = coeffs.pop(self.QUERY)
@@ -228,10 +237,8 @@ class RowBasis:
 
     def reduce_mod(self, vec: dict) -> dict:
         """The canonical representative of vec modulo the span."""
-        f = self.field
-        vec, d = f.to_row(vec)
-        scale = self._reduce(vec, None)
-        return f.from_row(vec, d * scale)
+        vec, d = self.field.to_row(vec)
+        return self.field.from_row(vec, d * self._reduce(vec))
 
 
 def kernel_basis(field, matrix: SparseMatrix, image=None):
@@ -249,9 +256,9 @@ def kernel_basis(field, matrix: SparseMatrix, image=None):
     by inserting the nonempty columns before it again (module docstring).
 
     When ``image`` is a list, it receives the echelon rows of the column
-    span, without their coefficients and scaled as an untracked basis
-    stores them: the rows that inserting the independent columns into a
-    fresh ``RowBasis`` would give, a ``seed`` for the next degree.
+    span without their coefficients: the rows that inserting the
+    independent columns into a fresh ``RowBasis`` would give, each made
+    canonical, a ``seed`` for the next degree.
     """
     basis = RowBasis(field)
     out = []
@@ -273,48 +280,30 @@ def kernel_basis(field, matrix: SparseMatrix, image=None):
         if not added:
             out.append(dep if len(dep) > 1 else j)
     out = tuple(out)
-    assert basis.rank + len(out) == matrix.ncols
+    assert basis.rank + len(out) == matrix.ncols, "rank %d + nullity %d != ncols %d" % (basis.rank, len(out), matrix.ncols)
     if image is not None:
-        if basis.track:
-            # each tracked row is a multiple of the untracked one: canonical
-            # without coefficients divides it back out
-            image.extend(field.canonical(vec, None, p)[0] for p, (vec, _) in basis.rows.items())
-        else:
-            image.extend(vec for vec, _ in basis.rows.values())
+        # handed on canonical: each tracked row is a multiple of the untracked
+        # one, which canonical without coefficients divides back out
+        read = () if basis.track else basis.read_pivots
+        image.extend(vec if p in read else field.canonical(vec, None, p)[0] for p, (vec, _) in basis.rows.items())
     return out
 
 
 def rank(field, matrix: SparseMatrix, cleared=(), pivots=None) -> int:
-    """Rank of the column span, in one count-only pass (module docstring).
+    """Rank of the column span: the untracked inserts of its columns into a
+    ``RowBasis``, last first, skipping those in ``cleared`` (module docstring).
 
-    The columns are taken last first, and those in ``cleared`` are skipped:
-    the caller answers for their lying in the span of the others.  A
-    column is reduced only while its smallest index is a stored pivot, and
-    one that reaches zero is dependent.  A new row is stored as it comes
-    and made canonical when a reduction first reads it.  When ``pivots`` is
-    a set it receives the pivots of the span, which depend on the span
-    alone.
+    The caller answers for the cleared columns' lying in the span of the
+    others.  When ``pivots`` is a set it receives the pivots of the span,
+    which depend on the span alone.
     """
-    rows = {}  # pivot -> a stored row that a reduction has read, canonical
-    unread = {}  # pivot -> a stored row no reduction has read yet
+    basis = RowBasis(field)
     for j in reversed(range(matrix.ncols)):
-        if j in cleared:
-            continue
-        vec = field.to_row(matrix.cols[j])[0]
-        while vec:
-            c = min(vec)
-            row = rows.get(c)
-            if row is None:
-                row = unread.pop(c, None)
-                if row is None:
-                    unread[c] = vec
-                    break
-                rows[c] = row = field.canonical(row, None, c)[0]
-            a, b = field.pivot_step(vec[c], row[c])
-            field.combine(vec, a, b, row)
+        if j not in cleared:
+            basis.insert(matrix.cols[j])
     if pivots is not None:
-        pivots.update(rows, unread)
-    return len(rows) + len(unread)
+        pivots.update(basis.rows)
+    return basis.rank
 
 
 def quotient_basis(field, kernel, image):
@@ -329,7 +318,7 @@ def quotient_basis(field, kernel, image):
     kernel vectors are independent, so im ⊆ ker holds exactly when image
     and kernel together span no more than the kernel does.  A unit e_x
     that meets a stored pivot starts from minus the rest of that pivot's
-    row, its first step's result (module docstring).
+    row, a multiple of its first step's result (module docstring).
     """
     combined = RowBasis(field, seed=image)
     rows = combined.rows
@@ -343,17 +332,17 @@ def quotient_basis(field, kernel, image):
                 reps.append(x)
                 taken.add(x)
                 continue
-            # the first step, e_x against the row with pivot x, leaves minus
-            # the rest of that row, every entry past x (module docstring)
+            # a multiple of the first step, e_x against the row with pivot x:
+            # minus the rest of that row, every entry past x (module docstring)
             vec = {}
             field.combine(vec, 1, 1, row[0])
             del vec[x]
-            combined._reduce(vec, None)
+            combined._reduce(vec)
         else:
             # reduce against the stored rows, then delete the entries that the
             # rows e_j of taken would have deleted (module docstring)
             vec = field.to_row(x)[0]
-            combined._reduce(vec, None)
+            combined._reduce(vec)
             for c in taken.intersection(vec):
                 del vec[c]
         if vec:

@@ -25,16 +25,17 @@ cut and inspect them.  ``amb_prefix`` and ``amb_suffix`` walk an
 ambiguity's head and tail links down to a given degree, the truncations
 that ``AmbiguityTable.split`` reads.  ``insert_kernel_basis`` and
 ``insert_quotient_basis`` are the elimination before its shortcuts: every
-column and every kernel vector goes through ``RowBasis.insert`` and every
-representative's rest through ``reduce_mod``, the reference for
-``linalg.kernel_basis`` and ``linalg.quotient_basis``.  ``term_constants``
-is the cup structure constants before their gap classes: every Δ term
-looks up the product of every parallel pair (bf, bg), the reference for
-``cup._constants``.  ``dense_cup_table`` is the class table before it went
-sparse: a matrix with a cell, {} when zero, for every pair of
-representatives, the reference for ``cup.cup_table``.  ``lookup_columns``
-is δ^m before its face classes: each face of each q looks up the product
-of every parallel b, the reference for ``cochains._columns``.
+column, and every kernel vector fully reduced, goes through
+``RowBasis.insert`` and every representative's rest through ``reduce_mod``,
+the reference for ``linalg.kernel_basis`` and ``linalg.quotient_basis``.
+``term_constants`` is the cup structure constants before their gap
+classes: every Δ term looks up the product of every parallel pair
+(bf, bg), the reference for ``cup._constants``.  ``dense_cup_table`` is
+the class table before it went sparse: a matrix with a cell, {} when
+zero, for every pair of representatives, the reference for
+``cup.cup_table``.  ``lookup_columns`` is δ^m before its face classes:
+each face of each q looks up the product of every parallel b, the
+reference for ``cochains._columns``.
 ``ratio_to_row`` is the rational ``to_row`` before its ``int`` path, every
 entry read through ``as_integer_ratio``.
 """
@@ -666,17 +667,26 @@ def insert_kernel_basis(field, matrix, image=None):
 
 
 def insert_quotient_basis(field, kernel_vecs, image):
-    """``linalg.quotient_basis`` with every kernel vector inserted and every rest reduced."""
+    """``linalg.quotient_basis`` with every kernel vector inserted and every rest reduced.
+
+    Each kernel vector is fully reduced modulo the span before it and made
+    canonical here, and that row is what goes through ``RowBasis.insert``:
+    no pivot is at its smallest index, so it is stored as it is, and the
+    rows read back do not depend on the store's insert rule.
+    """
     combined = RowBasis(field, seed=image)
-    rep_pivots = []
+    stored = []
     for v in kernel_vecs:
-        if combined.insert(v)[0]:
-            rep_pivots.append(next(reversed(combined.rows)))
+        vec = field.to_row(combined.reduce_mod(v))[0]
+        if vec:
+            vec = field.canonical(vec, None, min(vec))[0]
+            combined.insert(vec)
+            stored.append(vec)
     if combined.rank != len(kernel_vecs):
         raise ImageNotInKernel("image vector outside the kernel span")
     reps = []
-    for p in rep_pivots:
-        vec = combined.rows[p][0]
+    for vec in stored:
+        p = min(vec)
         rep = {p: vec[p]}
         rep.update(combined.reduce_mod({c: v for c, v in vec.items() if c != p}))
         reps.append(rep)

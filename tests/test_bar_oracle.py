@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from monomial_hh import bar_oracle
+from monomial_hh import bar_oracle, cochains
 from monomial_hh.ambiguities import AmbiguityTable
 from monomial_hh.bar_oracle import (
     bar_differential_matrix,
@@ -247,6 +247,40 @@ def test_rank_elimination_steps_on_cub2(spec, monkeypatch):
     assert made_canonical == [0, 15, 65, 492]
 
 
+@pytest.mark.parametrize("name, want", [("mixA", (3597, 7485)), ("mixB", (3676, 7032))], ids=["mixA", "mixB"])
+def test_kernel_pass_work_on_overlapping_families(name, want, monkeypatch):
+    # the work of the kernel passes of hh to degree 8 over Q, pinned:
+    # reduction steps (combine calls, on rows and on tracked coefficients)
+    # and canonical calls, one for each row a reduction reads for the first
+    # time, each row handed on as a seed that is not canonical yet, and
+    # each dependency
+    t = AmbiguityTable(named_algebra(name))
+    field = t.algebra.field
+    counts, inside = [0, 0], []
+    combine, canonical, kernel_pass = field.combine, field.canonical, cochains.kernel_basis
+
+    def counting_combine(target, a, b, source):
+        counts[0] += bool(inside)
+        combine(target, a, b, source)
+
+    def counting_canonical(vec, coeffs, pivot):
+        counts[1] += bool(inside)
+        return canonical(vec, coeffs, pivot)
+
+    def per_pass(*args):
+        inside.append(None)
+        try:
+            return kernel_pass(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(field, "combine", counting_combine)
+    monkeypatch.setattr(field, "canonical", counting_canonical)
+    monkeypatch.setattr(cochains, "kernel_basis", per_pass)
+    hochschild_cohomology(t, 8)
+    assert tuple(counts) == want
+
+
 def path_counts(algebra):
     """N[s][t]: the number of nontrivial basis paths from vertex s to vertex t."""
     n = algebra.quiver.n_vertices
@@ -337,20 +371,22 @@ def test_degree_within_budget_is_the_deepest_that_fits():
 
 def test_each_bar_column_inserted_once(cone, monkeypatch):
     # each bar matrix is eliminated once, for its rank: every column off the
-    # previous degree's pivots enters once, and no column at one enters
+    # previous degree's pivots is one untracked RowBasis insert, and no
+    # column at one is inserted
     mats, entered = [], []
-    real_matrix, to_row = bar_oracle.bar_differential_matrix, cone.field.to_row
+    real_matrix, insert = bar_oracle.bar_differential_matrix, RowBasis.insert
 
     def keeping(*args):
         mats.append(real_matrix(*args))
         return mats[-1]
 
-    def counting(vec):
+    def counting(self, vec, tag=None):
+        assert not self.track and tag is None
         entered.append(id(vec))
-        return to_row(vec)
+        return insert(self, vec, tag)
 
     monkeypatch.setattr(bar_oracle, "bar_differential_matrix", keeping)
-    monkeypatch.setattr(cone.field, "to_row", counting)
+    monkeypatch.setattr(RowBasis, "insert", counting)
     assert bar_hh_dimensions(cone, 3) == [3, 3, 2, 2]
     monkeypatch.undo()
     want, cleared = [], set()

@@ -228,6 +228,17 @@ def test_chain_map_failure_names_its_ambiguity(monkeypatch, cone):
     ]
 
 
+def _plant_skip_mid(monkeypatch):
+    """skip-mid: the products of the Δ terms with a nontrivial middle path
+    are left out of the cup product."""
+    honest = cup._gap_class
+
+    def skip_mid(algebra, pre, mid, post):
+        return () if algebra.words[mid] else honest(algebra, pre, mid, post)
+
+    monkeypatch.setattr(cup, "_gap_class", skip_mid)
+
+
 @pytest.mark.parametrize(
     "name, detail",
     [
@@ -237,14 +248,33 @@ def test_chain_map_failure_names_its_ambiguity(monkeypatch, cone):
     ids=["mixB", "mixA"],
 )
 def test_closure_failure_names_its_bidegree(monkeypatch, name, detail):
-    # skip-mid: the products of the Δ terms with a nontrivial middle path are
-    # left out of the cup product; on mixB a cocycle times a cocycle is then
-    # no cocycle, on mixA a coboundary times a cocycle no coboundary
-    honest = cup._gap_class
-
-    def skip_mid(algebra, pre, mid, post):
-        return () if algebra.words[mid] else honest(algebra, pre, mid, post)
-
-    monkeypatch.setattr(cup, "_gap_class", skip_mid)
+    # under skip-mid, on mixB a cocycle times a cocycle is no cocycle, on
+    # mixA a coboundary times a cocycle no coboundary
+    _plant_skip_mid(monkeypatch)
     (report,) = run_checks(named_algebra(name), 6, ("cup-closure",))
     assert (report.name, report.ok, report.detail) == ("cup-closure", False, detail)
+
+
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        (
+            "mixB",
+            "cup (1, 3): the commutator of classes 0 and 6 is not killed by the differential: "
+            "-1 [yxyxyx || yyx] + -1 [xxxyxy || xxy] + 1 [xyxyxy || xyy]",
+        ),
+        (
+            "mixC",
+            "cup (2, 3): the commutator of classes 2 and 9 is not killed by the differential: "
+            "-1 [yxyxyxy || yx] + -1 [yxyyyxyx || yyx] + 1 [xyxyxyyy || xyy]",
+        ),
+    ],
+    ids=["mixB", "mixC"],
+)
+def test_commutativity_failure_names_its_bidegree(monkeypatch, name, detail):
+    # under skip-mid a commutator on mixB and on mixC is no cocycle, and the
+    # row names its bidegree and its classes (on mixA every commutator
+    # stays a cocycle under this plant, through degree 8)
+    _plant_skip_mid(monkeypatch)
+    (report,) = run_checks(named_algebra(name), 6, ("graded-commutativity",))
+    assert (report.name, report.ok, report.detail) == ("graded-commutativity", False, detail)

@@ -4,8 +4,9 @@ Every element is mapped through ``helpers.basis_paths`` and compared term
 for term with the same arithmetic on Path keys in ``reference_scans``.  The
 ast guards at the end keep paths out of the library: it holds arrow words
 and basis indices only.  One more keeps a ``RowBasis``'s stored rows in
-``linalg``, one keeps JSON writing in ``cli``, and one checks each memo
-name a module reads against ``MEMOS``.
+``linalg``, one keeps JSON writing in ``cli``, one checks each memo name a
+module reads against ``MEMOS``, and one finds no assert without a message
+in the modules it lists.
 """
 
 import ast
@@ -137,19 +138,23 @@ def test_no_path_class(module):
 
 
 def _row_basis_internals(module):
-    """(line, attribute) of each read of a ``RowBasis``'s stored ``rows`` or call
-    of its ``_reduce`` in a module's source.
+    """(line, attribute) of each read of a ``RowBasis``'s stored ``rows`` or
+    ``read_pivots``, or call of its ``_read``, ``_lead`` or ``_reduce``, in a
+    module's source.
 
-    ``_reduce`` is named by no other class.  ``rows`` is read through any
-    owner but ``args``, the parsed command line of ``cli``, whose ``rows``
-    are the check rows asked for.
+    The private names and ``read_pivots`` are named by no other class.  ``rows``
+    is read through any owner but ``args``, the parsed command line of
+    ``cli``, whose ``rows`` are the check rows asked for.
     """
     tree = ast.parse((SRC / (module + ".py")).read_text())
     return [
         (node.lineno, node.attr)
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
-        and (node.attr == "_reduce" or (node.attr == "rows" and getattr(node.value, "id", None) != "args"))
+        and (
+            node.attr in ("_read", "_lead", "_reduce", "read_pivots")
+            or (node.attr == "rows" and getattr(node.value, "id", None) != "args")
+        )
     ]
 
 
@@ -159,6 +164,19 @@ def test_no_row_basis_internals(module):
     # alone: the echelon rows are linalg's to read, so a class read or a
     # membership test outside it cannot come to depend on how they are stored
     assert _row_basis_internals(module) == []
+
+
+# the modules whose every assert carries a message (ROADMAP AD): a module
+# joins the list once each of its asserts names the count, index or pivot
+# that broke it
+MESSAGED_ASSERTS = ["checks", "cup", "linalg", "quivers", "randomgen"]
+
+
+@pytest.mark.parametrize("module", MESSAGED_ASSERTS)
+def test_every_assert_has_a_message(module):
+    # a bare assert fails with no word of what it found
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert) and node.msg is None] == []
 
 
 def test_json_is_written_by_cli_alone():

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -35,11 +39,12 @@ def image_membership(field, matrix, vec):
 
 
 def image_rows(field, vecs):
-    """The echelon rows of span(vecs) that ``quotient_basis`` starts from, by a fresh insertion."""
+    """The echelon rows of span(vecs) that ``quotient_basis`` starts from, by a fresh
+    insertion, each made canonical, as ``kernel_basis`` hands them on."""
     basis = RowBasis(field)
     for v in vecs:
         basis.insert(v)
-    return [row for row, _ in basis.rows.values()]
+    return [field.canonical(row, None, p)[0] for p, (row, _) in basis.rows.items()]
 
 
 def mat(rows):
@@ -312,15 +317,49 @@ def dense(field, vec, n):
 
 
 def test_stored_rows_never_change():
-    rb = RowBasis(QQ, track=True)
-    seen = {}
-    for tag, vec in enumerate(({0: 1, 1: 1}, {1: 1}, {1: 2, 2: 1}, {0: 1, 2: 3, 3: 1})):
-        rb.insert({i: Fraction(v) for i, v in vec.items()}, tag)
-        for pivot, (row, coeffs) in rb.rows.items():
-            snapshot = (dict(row), dict(coeffs))
-            assert seen.setdefault(pivot, snapshot) == snapshot
-    assert rb.rows[0][0] == {0: Fraction(1), 1: Fraction(1)}
-    assert rb.rank == len(seen) == 4
+    # a row is stored as it comes, and the one change it ever sees is the
+    # scale that makes it canonical, when a reduction first reads it
+    for field in (QQ, F5):
+        rb = RowBasis(field, track=True)
+        stored = {}
+        for tag, vec in enumerate(({0: -1, 1: 1}, {1: -1}, {1: 2, 2: 1}, {0: 1, 2: 3, 3: 1})):
+            rb.insert(field.normal(vec), tag)
+            for pivot, (row, coeffs) in rb.rows.items():
+                first = stored.setdefault(pivot, (dict(row), dict(coeffs)))
+                assert (row, coeffs) == (field.canonical(*first, pivot) if pivot in rb.read_pivots else first), field
+        # rows 0 and 1 came in with pivot entry -1 and were read; row 2 was
+        # read and already canonical; no reduction read row 3
+        assert [p for p, row in rb.rows.items() if row != stored[p]] == [0, 1], field
+        assert rb.rows[0][0] == field.normal({0: 1, 1: -1}), field
+        assert rb.read_pivots == {0, 1, 2} and rb.rank == len(stored) == 4, field
+
+
+SEED_OF_ANY_SCALE = """
+from monomial_hh.fields import PrimeField
+from monomial_hh.linalg import RowBasis, quotient_basis
+f = PrimeField(3)
+print(RowBasis(f, seed=[{0: 2, 1: 1}]).contains({0: 1}))
+print(RowBasis(f, seed=[{0: 2, 1: 1}]).contains({0: 1, 1: 2}))
+print(quotient_basis(f, [{0: 1, 1: 2}, {1: 1}], [{0: 2, 1: 1}]))
+print(quotient_basis(f, [0, 1], [{0: 2, 1: 1}]))
+"""
+
+
+def test_a_seed_row_of_any_scale_is_read_canonical():
+    # a seed row is stored unread and made canonical when a reduction first
+    # reads it; a seed with pivot entry 2 over GF(3), read as if it were 1,
+    # would never clear its pivot index, so the calls run in a child process
+    # that the timeout kills instead of hanging the suite
+    root = str(pathlib.Path(linalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", SEED_OF_ANY_SCALE],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (out.stdout, out.stderr) == ("False\nTrue\n(1,)\n(1,)\n", "")
 
 
 @settings(max_examples=60, deadline=None)

@@ -131,8 +131,9 @@ def test_cohomology_counts_every_degree():
 
 def test_bar_oracle_counts_every_degree():
     # bar_hh_dimensions calls bar_pairs once per degree and reads each rank
-    # through linalg.rank, one linalg span per degree; rank runs its own
-    # count-only loop, so no oracle column is a RowBasis insert
+    # through linalg.rank, one linalg span per degree; rank is the untracked
+    # RowBasis inserts of the columns that δ^{n-1}'s pivots do not clear,
+    # so each such column is one insert, and the pivots are the ranks
     tracer = load_tracer()
     tr = tracer.Tracer()
     patches = tracer.instrument(tr)
@@ -153,5 +154,7 @@ def test_bar_oracle_counts_every_degree():
     assert dims == [len(pairs[n]) - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)]
     calls, _, _ = tr.self_times()
     assert calls[tracer.LAYERS.index("linalg")] == top + 1
-    assert tr.totals["linalg.inserts"] == tr.totals["linalg.pivots"] == 0
+    entered = [mat.ncols - (ranks[n - 1] if n else 0) for n, mat in enumerate(mats)]
+    assert tr.totals["linalg.inserts"] == sum(entered) == 84
+    assert tr.totals["linalg.pivots"] == sum(ranks) == 74
     assert tr.totals["linalg.rank_total"] == sum(ranks)
